@@ -37,7 +37,7 @@ OLD ?= BENCH_8R.json
 NEW ?= BENCH_9.json
 BENCH_GAIN ?=
 
-.PHONY: build test race race-obs race-scale race-ebpf race-net race-store race-flight vet fmt-check verify bench bench-compare clean
+.PHONY: build test race race-stress vet fmt-check verify bench bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -59,57 +59,18 @@ fmt-check:
 race:
 	$(GO) test -race -p 1 ./...
 
-# race-obs races the observability layer and its exporter conformance test
-# specifically (concurrent scrapes against live counters) — an explicit
-# gate even when the full race suite is skipped locally.
-race-obs:
-	$(GO) test -race -count=1 ./internal/obs/...
+# race-stress repeats the tests of the dataplane's lock-free protocols —
+# workers parked in a plain receive (stop flag, retire tokens), Gateway.Close
+# completing every waiter, the copy-on-write routing/filter/topic tables —
+# and of the transport's slot stack ten times under the race detector: one
+# pass of `race` can miss the interleavings these protocols exist for.
+race-stress:
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
-# race-scale races the autoscaling control plane: park/resume, overload
-# shedding, scale-down drain chaos (ScaleDown racing RestartInstance), the
-# autoscaler's evaluate loop, and the burst acceptance scenario.
-race-scale:
-	$(GO) test -race -count=1 -run 'TestPark|TestPrewarm|TestMaxPending|TestServeHTTPSheds|TestScaleToZero|TestZeroReplica|TestScaleDown' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestEvaluate|TestDecisionRing|TestUpCooldown|TestHysteresis|TestMaxStep|TestSelfHeal|TestEnableAutoscaling|TestBurst|TestAutoscaler' ./internal/orchestrator/
-
-# race-ebpf races the eBPF execution engines specifically: the JIT/interp
-# differential suites, concurrent Load/Run/SetJIT on one kernel, and the
-# dataplane engine-parity scenario — the gate for the compiled dispatch
-# path.
-race-ebpf:
-	$(GO) test -race -count=1 ./internal/ebpf/
-	$(GO) test -race -count=1 -run 'TestEngineParity|TestProxyProgramsCompile' ./internal/core/
-
-# race-net races the multi-node path specifically: the wire codec, the
-# batched mesh transport (reconnect/backlog/chaos paths), and the placed
-# cross-node deployment scenarios (E2E, chaos, exporter conformance).
-race-net:
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/transport/
-	$(GO) test -race -count=1 -run 'TestPlacedChain|TestNetMetrics' ./internal/orchestrator/
-
-# race-store races the shared-memory tier specifically: the pool's
-# Get/Ref/Put/Close accounting, the object store (concurrent readers vs
-# spill/release churn, the buffer-hook release path), and the large-payload
-# gateway scenarios (fan-out shared objects, 413 shedding, lifetime on
-# handler error).
-race-store:
-	$(GO) test -race -count=1 ./internal/shm/...
-	$(GO) test -race -count=1 -run 'TestE2ELarge|TestFanOutSharedObject|TestServeHTTPPayloadTooLarge|TestPayloadOverObjectCap|TestObjectL|TestCtxObjectAPIs' ./internal/core/
-
-# race-flight races the black-box flight recorder and the SLO watchdog
-# specifically: concurrent emitters against ring wrap + cursor pagination,
-# the /events and /traces handler conformance suites, the sliding-window
-# SLO monitor, and the end-to-end watchdog bundle capture.
-race-flight:
-	$(GO) test -race -count=1 -run 'TestFlight|TestEventsHandler|TestTracesHandlerInput|TestSLO' ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestSLOWatchdog|TestFlight' ./internal/orchestrator/
-
-# verify is the gate for every change: formatting, static analysis, and the
-# full test suite (chaos tests included) under the race detector, with the
-# observability conformance test, the autoscaling control plane, the
-# multi-node transport, the shared-memory object store, and the flight
-# recorder / SLO watchdog raced explicitly.
-verify: fmt-check vet race race-obs race-scale race-ebpf race-net race-store race-flight
+# verify is the gate for every change: formatting, static analysis, the full
+# test suite (chaos tests included) under the race detector, and the
+# repeated stress of the lock-free protocol tests.
+verify: fmt-check vet race race-stress
 
 # bench runs the tracked serial benchmarks, then the parallel RPS harness
 # across the BENCH_CPUS sweep, and writes one machine-readable snapshot

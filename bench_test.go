@@ -470,6 +470,55 @@ func BenchmarkSProxySend(b *testing.B) {
 	sock.Close()
 }
 
+// BenchmarkHopHandoff measures the layer no probe isolates — worker wake and
+// scheduling — as one whole hop: Socket.Deliver → a parked worker wakes →
+// no-op handler → DFR (Router.Next, PickInstance) → forward's SPROXY send
+// into the next instance's socket. Two functions route to each other and a
+// single fire-and-forget descriptor circulates between them, so exactly one
+// descriptor is in flight, the gateway and the waiter are off the clock, and
+// ns/op is the cost of one hop. hopsLeft needs no atomic: each socket
+// handoff orders one handler's access before the next one's.
+func BenchmarkHopHandoff(b *testing.B) {
+	var hopsLeft int
+	done := make(chan struct{})
+	hop := func(ctx *spright.Ctx) error {
+		if hopsLeft--; hopsLeft == 0 {
+			ctx.Drop()
+			close(done)
+		}
+		return nil
+	}
+	cluster := spright.NewCluster(1)
+	dep, err := cluster.Controller.DeployChain(spright.ChainSpec{
+		Name: fmt.Sprintf("bench-hop-%d", benchChainSeq.Add(1)),
+		Functions: []spright.FunctionSpec{
+			{Name: "ping", Handler: hop, Concurrency: 1},
+			{Name: "pong", Handler: hop, Concurrency: 1},
+		},
+		Routes: []spright.RouteSpec{
+			{From: "", To: []string{"ping"}},
+			{From: "ping", To: []string{"pong"}},
+			{From: "pong", To: []string{"ping"}},
+		},
+		ScrapeInterval: -1, // as benchChain: the dataplane alone
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(dep.Close)
+	hopsLeft = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := dep.Gateway.InvokeAsync("", []byte("x")); err != nil {
+		b.Fatal(err)
+	}
+	<-done
+	b.StopTimer()
+	if err := dep.Chain.Pool().LeakCheck(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkFilterMap_Ablation isolates the security-domain lookup cost:
 // SPROXY send with the filter populated vs a direct socket delivery.
 func BenchmarkFilterMap_Ablation(b *testing.B) {

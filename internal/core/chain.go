@@ -158,8 +158,6 @@ type Chain struct {
 	sockDepth int
 	nextID    uint32
 
-	topics topicTable
-
 	errMu  sync.Mutex
 	errs   []error
 	errCnt uint64
@@ -202,55 +200,6 @@ type failureCounters struct {
 	deadlines        atomic.Uint64 // invocations failed by deadline
 	terminal         atomic.Uint64 // requests completed with terminal errors
 	injected         atomic.Uint64 // faults fired by the injector
-}
-
-// topicShardCount shards the buffer→topic table; every request touches it
-// three times (set at ingress, read per hop, clear at release), so a single
-// RWMutex serializes the whole chain under multicore load. 64 shards keyed
-// by buffer handle spread that traffic; handles are pool slot indices, so
-// consecutive requests land on distinct shards.
-const topicShardCount = 64
-
-type topicShard struct {
-	mu sync.RWMutex
-	m  map[uint32]string
-	_  [6]uint64 // pad to keep neighbouring shard locks off one cache line
-}
-
-type topicTable struct {
-	shards [topicShardCount]topicShard
-}
-
-func (t *topicTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint32]string)
-	}
-}
-
-func (t *topicTable) shard(h uint32) *topicShard {
-	return &t.shards[h&(topicShardCount-1)]
-}
-
-func (t *topicTable) set(h uint32, topic string) {
-	s := t.shard(h)
-	s.mu.Lock()
-	s.m[h] = topic
-	s.mu.Unlock()
-}
-
-func (t *topicTable) get(h uint32) string {
-	s := t.shard(h)
-	s.mu.RLock()
-	topic := s.m[h]
-	s.mu.RUnlock()
-	return topic
-}
-
-func (t *topicTable) delete(h uint32) {
-	s := t.shard(h)
-	s.mu.Lock()
-	delete(s.m, h)
-	s.mu.Unlock()
 }
 
 // FailureStats is a snapshot of the chain's failure-recovery activity.
@@ -380,7 +329,6 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		injector:  spec.Injector,
 		admission: spec.Admission,
 	}
-	c.topics.init()
 	if !spec.Objects.Disable {
 		maxObj := spec.Objects.MaxObjectBytes
 		switch {
@@ -479,16 +427,7 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		c.byName[fs.Name] = &fs
 		c.fnOrder = append(c.fnOrder, fs.Name)
 		for j := 0; j < fs.Instances; j++ {
-			inst := &Instance{
-				chain:       c,
-				fnName:      fs.Name,
-				id:          nextID,
-				sock:        NewSocket(nextID, depth),
-				handler:     fs.Handler,
-				concurrency: fs.Concurrency,
-				serviceTime: fs.ServiceTime,
-				stop:        make(chan struct{}),
-			}
+			inst := c.newInstance(&fs, nextID, depth)
 			nextID++
 			if err := c.transport.Register(inst.sock); err != nil {
 				return nil, err
@@ -525,6 +464,20 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 	}
 	ok = true
 	return c, nil
+}
+
+// newInstance builds one not-yet-started instance of fs with its socket.
+func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
+	inst := &Instance{
+		chain:       c,
+		fnName:      fs.Name,
+		id:          id,
+		sock:        NewSocket(id, depth),
+		handler:     fs.Handler,
+		serviceTime: fs.ServiceTime,
+	}
+	inst.concurrency.Store(int32(fs.Concurrency))
+	return inst
 }
 
 // configureFilters installs the per-edge allow rules the kubelet would
@@ -615,23 +568,11 @@ func (c *Chain) notifyScaled() {
 	}
 }
 
-func (c *Chain) setTopic(d shm.Descriptor, topic string) {
-	c.topics.set(d.Buf, topic)
-}
-
-func (c *Chain) topicOf(d shm.Descriptor) string {
-	return c.topics.get(d.Buf)
-}
-
-// releaseBuffer drops one reference and clears topic state when the buffer
-// dies.
+// releaseBuffer drops one reference; the pool clears the buffer's headroom
+// (topic, attached object) when the last one goes.
 func (c *Chain) releaseBuffer(h uint32) {
 	if err := c.pool.Put(h); err != nil {
 		c.noteError("pool", err)
-		return
-	}
-	if _, err := c.pool.Len(h); err != nil { // fully released
-		c.topics.delete(h)
 	}
 }
 
@@ -987,16 +928,7 @@ func (c *Chain) newWiredInstanceLocked(fn string) (*Instance, error) {
 	if int(c.nextID) >= MaxInstances {
 		return nil, fmt.Errorf("core: instance limit %d reached", MaxInstances)
 	}
-	inst := &Instance{
-		chain:       c,
-		fnName:      fn,
-		id:          c.nextID,
-		sock:        NewSocket(c.nextID, c.sockDepth),
-		handler:     fs.Handler,
-		concurrency: fs.Concurrency,
-		serviceTime: fs.ServiceTime,
-		stop:        make(chan struct{}),
-	}
+	inst := c.newInstance(fs, c.nextID, c.sockDepth)
 	c.nextID++
 	if err := c.transport.Register(inst.sock); err != nil {
 		return nil, err

@@ -344,20 +344,30 @@ func TestBackpressureOnPoolExhaustion(t *testing.T) {
 		Routes: []RouteSpec{{From: "", To: []string{"slow"}}},
 	}
 	_, g := testChain(t, ModeEvent, spec)
-	defer close(block)
 
-	results := make(chan error, 3)
-	for i := 0; i < 3; i++ {
+	const callers = 3
+	results := make(chan error, callers)
+	for i := 0; i < callers; i++ {
 		go func() {
 			_, err := g.Invoke(contextWithTimeout(t, 2*time.Second), "", []byte("x"))
 			results <- err
 		}()
 	}
+	// Every caller returns before teardown: one still inside pool.Get while
+	// the cleanup's LeakCheck runs reads as a leaked buffer.
+	returned := 0
+	defer func() {
+		close(block)
+		for ; returned < callers; returned++ {
+			<-results
+		}
+	}()
 	// one of the three must fail fast with backpressure (2-buffer pool)
 	deadline := time.After(time.Second)
 	for {
 		select {
 		case err := <-results:
+			returned++
 			if errors.Is(err, ErrBackpressure) {
 				return
 			}
@@ -370,7 +380,8 @@ func TestBackpressureOnPoolExhaustion(t *testing.T) {
 func TestLoadBalancingPicksResidualCapacity(t *testing.T) {
 	r := NewRouter()
 	mk := func(id uint32, conc int, inflight int64) *Instance {
-		in := &Instance{id: id, fnName: "f", concurrency: conc}
+		in := &Instance{id: id, fnName: "f"}
+		in.concurrency.Store(int32(conc))
 		in.inflight.Store(inflight)
 		return in
 	}
@@ -407,8 +418,8 @@ func TestRouterTopicFallback(t *testing.T) {
 
 func TestRouterInstanceLifecycle(t *testing.T) {
 	r := NewRouter()
-	a := &Instance{id: 1, fnName: "f", concurrency: 1}
-	b := &Instance{id: 2, fnName: "f", concurrency: 1}
+	a := &Instance{id: 1, fnName: "f"}
+	b := &Instance{id: 2, fnName: "f"}
 	r.AddInstance("f", a)
 	r.AddInstance("f", b)
 	if len(r.Instances("f")) != 2 {

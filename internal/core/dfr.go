@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,10 +27,17 @@ type RouteKey struct {
 // additionally resolves to a placement node: routing stays {topic, from} →
 // function, and the placement map turns the function into {node, instance}
 // — local instances for functions placed here, a transport stub otherwise.
+//
+// Both tables are read on every hop and written only at deploy, scale and
+// restart time, so they are copy-on-write: a writer rebuilds the table under
+// mu and publishes it with one atomic store before it returns. Next and
+// PickInstance are an atomic load and a map lookup — no lock, no shared
+// reader count — and a RemoveInstance or SetRoute that has returned is never
+// contradicted by a later hop. Published maps and slices are never mutated.
 type Router struct {
-	mu        sync.RWMutex
-	routes    map[RouteKey][]string
-	instances map[string][]*Instance
+	mu        sync.Mutex // serializes writers; guards placement
+	routes    atomic.Pointer[map[RouteKey][]string]
+	instances atomic.Pointer[map[string][]*Instance]
 	placement map[string]string // function → node name ("" = local/unplaced)
 }
 
@@ -40,11 +49,10 @@ var (
 
 // NewRouter returns an empty router.
 func NewRouter() *Router {
-	return &Router{
-		routes:    make(map[RouteKey][]string),
-		instances: make(map[string][]*Instance),
-		placement: make(map[string]string),
-	}
+	r := &Router{placement: make(map[string]string)}
+	r.routes.Store(&map[RouteKey][]string{})
+	r.instances.Store(&map[string][]*Instance{})
+	return r
 }
 
 // SetPlacement records which node runs fn. An empty node clears the entry
@@ -61,15 +69,15 @@ func (r *Router) SetPlacement(fn, node string) {
 
 // NodeOf returns the node fn is placed on ("" when local or unplaced).
 func (r *Router) NodeOf(fn string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.placement[fn]
 }
 
 // Placements returns a copy of the full placement map.
 func (r *Router) Placements() map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make(map[string]string, len(r.placement))
 	for fn, node := range r.placement {
 		out[fn] = node
@@ -83,50 +91,58 @@ func (r *Router) Placements() map[string]string {
 func (r *Router) SetRoute(key RouteKey, next ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	routes := maps.Clone(*r.routes.Load())
 	if len(next) == 0 {
-		delete(r.routes, key)
-		return
+		delete(routes, key)
+	} else {
+		routes[key] = append([]string(nil), next...)
 	}
-	r.routes[key] = append([]string(nil), next...)
+	r.routes.Store(&routes)
 }
 
 // Next resolves the next-hop function names for a message with the given
 // topic leaving function `from`. Exact topic match wins; a ""-topic route
 // is the fallback. ok=false means the flow terminates (reply to caller).
 func (r *Router) Next(topic, from string) (next []string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n, hit := r.routes[RouteKey{Topic: topic, From: from}]; hit {
+	routes := *r.routes.Load()
+	if n, hit := routes[RouteKey{Topic: topic, From: from}]; hit {
 		return n, true
 	}
 	if topic != "" {
-		if n, hit := r.routes[RouteKey{Topic: "", From: from}]; hit {
+		if n, hit := routes[RouteKey{Topic: "", From: from}]; hit {
 			return n, true
 		}
 	}
 	return nil, false
 }
 
+// setInstances publishes a table in which fn's instance list is list.
+// Callers hold mu.
+func (r *Router) setInstances(fn string, list []*Instance) {
+	instances := maps.Clone(*r.instances.Load())
+	instances[fn] = list
+	r.instances.Store(&instances)
+}
+
 // AddInstance registers a running instance of a function.
 func (r *Router) AddInstance(fn string, inst *Instance) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.instances[fn] = append(r.instances[fn], inst)
+	list := (*r.instances.Load())[fn]
+	r.setInstances(fn, append(list[:len(list):len(list)], inst))
 }
 
-// RemoveInstance deregisters an instance (scale-down). Removal is
-// copy-on-write: PickInstance iterates a lock-free snapshot of the list,
-// so the shared backing array must never be shifted in place.
+// RemoveInstance deregisters an instance (scale-down).
 func (r *Router) RemoveInstance(fn string, id uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	list := r.instances[fn]
+	list := (*r.instances.Load())[fn]
 	for i, in := range list {
 		if in.ID() == id {
 			replaced := make([]*Instance, 0, len(list)-1)
 			replaced = append(replaced, list[:i]...)
 			replaced = append(replaced, list[i+1:]...)
-			r.instances[fn] = replaced
+			r.setInstances(fn, replaced)
 			return
 		}
 	}
@@ -134,29 +150,31 @@ func (r *Router) RemoveInstance(fn string, id uint32) {
 
 // Instances returns the live instances of fn.
 func (r *Router) Instances(fn string) []*Instance {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*Instance(nil), r.instances[fn]...)
+	return append([]*Instance(nil), (*r.instances.Load())[fn]...)
 }
 
 // PickInstance selects the routable instance of fn with the maximum
 // residual service capacity (footnote 4: RC_i,t = MC_i − r_i,t). Routing
 // is health-aware: instances whose circuit breaker is open are skipped;
 // if every instance is circuit-broken the caller gets ErrAllUnhealthy — a
-// terminal error — rather than a descriptor routed into a dead pod.
+// terminal error — rather than a descriptor routed into a dead pod. The
+// clock is read only when some candidate's breaker is not closed.
 func (r *Router) PickInstance(fn string) (*Instance, error) {
-	r.mu.RLock()
-	list := r.instances[fn]
-	r.mu.RUnlock()
+	list := (*r.instances.Load())[fn]
 	if len(list) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoInstance, fn)
 	}
-	now := time.Now().UnixNano()
+	var now int64
 	var best *Instance
 	bestRC := 0
 	for _, in := range list {
-		if !in.routable(now) {
-			continue
+		if in.health.openUntil.Load() != 0 {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
+			if !in.routable(now) {
+				continue
+			}
 		}
 		if rc := in.ResidualCapacity(); best == nil || rc > bestRC {
 			best, bestRC = in, rc

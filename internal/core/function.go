@@ -43,9 +43,16 @@ type Ctx struct {
 	// Topic is the message topic used for DFR routing.
 	Topic string
 
-	forwardedTo []string
-	replied     bool
-	dropped     bool
+	// inTopic is the topic the message arrived with: forward republishes
+	// Topic to the buffer only when the handler changed it.
+	inTopic string
+
+	// fwd is the ForwardTo override, backed by fwdInline up to its capacity
+	// so the usual one-to-few destinations cost no allocation.
+	fwd       []string
+	fwdInline [4]string
+	replied   bool
+	dropped   bool
 }
 
 // Payload returns the message payload: a zero-copy view into the chain's
@@ -200,8 +207,9 @@ func (c *Ctx) ObjectIsPayload() bool {
 }
 
 // ForwardTo overrides DFR's routing table for this invocation and sends
-// the message to the named function(s) when the handler returns.
-func (c *Ctx) ForwardTo(fns ...string) { c.forwardedTo = fns }
+// the message to the named function(s) when the handler returns. The names
+// are copied: the caller may reuse or mutate its slice afterwards.
+func (c *Ctx) ForwardTo(fns ...string) { c.fwd = append(c.fwdInline[:0], fns...) }
 
 // Reply terminates the flow here: the descriptor returns to the caller
 // when the handler returns, bypassing any further routing.
@@ -219,10 +227,16 @@ type Instance struct {
 	sock   *Socket
 
 	handler     Handler
-	concurrency int
-	concMu      sync.Mutex
-	workers     *workerSet
 	serviceTime time.Duration // optional simulated CPU service time
+
+	// concurrency is the worker-pool size: read by every PickInstance,
+	// written only by SetConcurrency. stopping is set once by shutdown; a
+	// worker that receives a descriptor afterwards reclaims it instead of
+	// running the handler. concMu serializes resizes against each other and
+	// against shutdown (no wg.Add once shutdown waits).
+	concurrency atomic.Int32
+	stopping    atomic.Bool
+	concMu      sync.Mutex
 
 	inflight atomic.Int64
 	handled  atomic.Uint64
@@ -230,8 +244,6 @@ type Instance struct {
 	health   health
 
 	wg      sync.WaitGroup
-	stop    chan struct{}
-	once    sync.Once
 	drained sync.Once
 }
 
@@ -265,14 +277,7 @@ func (in *Instance) SocketStats() (delivered, dropped uint64) {
 // the current rate is the instantaneous in-flight count, both observable
 // by the event-driven proxy.
 func (in *Instance) ResidualCapacity() int {
-	return in.Concurrency() - int(in.inflight.Load())
-}
-
-// workerSet is one generation of an instance's worker pool. Replacing the
-// generation (SetConcurrency) closes quit; workers of the old generation
-// finish their in-flight invocation and exit.
-type workerSet struct {
-	quit chan struct{}
+	return int(in.concurrency.Load()) - int(in.inflight.Load())
 }
 
 // start launches the instance's run loop: a pool of `concurrency`
@@ -282,71 +287,87 @@ type workerSet struct {
 // a semaphore handoff and a closure allocation from every delivery.
 func (in *Instance) start() {
 	in.concMu.Lock()
-	in.startWorkersLocked(in.concurrency)
+	in.startWorkersLocked(int(in.concurrency.Load()))
 	in.concMu.Unlock()
 }
 
-// startWorkersLocked replaces the current worker generation. Callers hold
-// concMu.
+// startWorkersLocked adds n workers to the pool. Callers hold concMu.
 func (in *Instance) startWorkersLocked(n int) {
-	ws := &workerSet{quit: make(chan struct{})}
-	in.workers = ws
+	in.wg.Add(n)
 	for i := 0; i < n; i++ {
-		in.wg.Add(1)
-		go func() {
-			defer in.wg.Done()
-			for {
-				select {
-				case <-in.stop:
-					return
-				case <-ws.quit:
-					return
-				case d, ok := <-in.sock.Recv():
-					if !ok {
-						return
-					}
-					in.handle(d)
-				}
-			}
-		}()
+		go in.work()
+	}
+}
+
+// work is one worker: it parks in a plain receive on the instance socket —
+// the wake is one channel handoff, no select — and runs until the socket
+// closes or a retire token (SetConcurrency shrinking the pool) reaches it.
+func (in *Instance) work() {
+	defer in.wg.Done()
+	for d := range in.sock.Recv() {
+		switch {
+		case d.Buf == retireBuf:
+			return
+		case in.stopping.Load():
+			// Queued before shutdown closed the socket: the handler must
+			// not run any more, but the buffer and the caller must not be
+			// stranded either.
+			in.chain.reclaimOrphan(d, in.fnName)
+		default:
+			in.handle(d)
+		}
 	}
 }
 
 // Concurrency returns the instance's current concurrency limit.
-func (in *Instance) Concurrency() int {
-	in.concMu.Lock()
-	defer in.concMu.Unlock()
-	return in.concurrency
-}
+func (in *Instance) Concurrency() int { return int(in.concurrency.Load()) }
 
 // SetConcurrency performs §3.7's vertical scaling: it resizes the pod's
 // worker pool in place ("adding more CPU cores for the function as
-// needed"). In-flight invocations finish on the old generation's workers;
-// new dispatches are served by the new pool.
+// needed"). Growing starts the missing workers. Shrinking queues one retire
+// token per surplus worker on the instance's own socket: whichever workers
+// receive them exit, in-flight invocations finish first, and work queued
+// before the resize is still served (the queue is FIFO). A socket too full
+// to take a token stops the shrink there; the error wraps ErrSocketFull and
+// Concurrency reports the size actually reached.
 func (in *Instance) SetConcurrency(n int) error {
 	if n <= 0 {
 		return errors.New("core: concurrency must be positive")
 	}
 	in.concMu.Lock()
 	defer in.concMu.Unlock()
-	in.concurrency = n
-	close(in.workers.quit)
-	in.startWorkersLocked(n)
+	if in.stopping.Load() {
+		return ErrSocketClosed
+	}
+	old := int(in.concurrency.Load())
+	if n > old {
+		in.startWorkersLocked(n - old)
+	}
+	for ; old > n; old-- {
+		if err := in.sock.retire(); err != nil {
+			in.concurrency.Store(int32(old))
+			return fmt.Errorf("core: shrink to %d workers stopped at %d: %w", n, old, err)
+		}
+	}
+	in.concurrency.Store(int32(n))
 	return nil
 }
 
+// shutdown stops the instance: the socket closes (waking every parked
+// worker), in-flight invocations finish, and every descriptor still queued
+// is reclaimed — by the workers on their way out, and by the final drain
+// for whatever workers that had already retired left behind.
 func (in *Instance) shutdown() {
-	in.once.Do(func() {
-		close(in.stop)
-		in.sock.Close()
-	})
+	in.concMu.Lock()
+	in.stopping.Store(true)
+	in.concMu.Unlock()
+	in.sock.Close()
 	in.wg.Wait()
-	// Reclaim descriptors stranded in the (now closed) socket queue: the
-	// dispatcher is gone, so whatever is still buffered would leak its
-	// pool slab and blackhole its caller.
 	in.drained.Do(func() {
 		for d := range in.sock.Recv() {
-			in.chain.reclaimOrphan(d, in.fnName)
+			if d.Buf != retireBuf {
+				in.chain.reclaimOrphan(d, in.fnName)
+			}
 		}
 	})
 }
@@ -365,7 +386,8 @@ func (in *Instance) handle(d shm.Descriptor) {
 	defer in.inflight.Add(-1)
 
 	ctx := ctxPool.Get().(*Ctx)
-	*ctx = Ctx{inst: in, desc: d, Topic: in.chain.topicOf(d)}
+	topic := in.chain.pool.Topic(d.Buf)
+	*ctx = Ctx{inst: in, desc: d, Topic: topic, inTopic: topic}
 	defer ctxPool.Put(ctx)
 	// Trace gate: one atomic flags load on the buffer header. Unsampled
 	// requests skip every timestamp — the hot path must not pay two
@@ -421,8 +443,8 @@ func (in *Instance) handle(d shm.Descriptor) {
 		in.chain.releaseBuffer(ctx.desc.Buf)
 	case ctx.replied:
 		in.reply(ctx)
-	case len(ctx.forwardedTo) > 0:
-		in.forward(ctx, ctx.forwardedTo)
+	case len(ctx.fwd) > 0:
+		in.forward(ctx, ctx.fwd)
 	default:
 		next, ok := in.chain.router.Next(ctx.Topic, in.fnName)
 		if !ok {
@@ -494,7 +516,9 @@ func (in *Instance) forward(ctx *Ctx, next []string) {
 		}
 		refs++
 	}
-	in.chain.setTopic(d, ctx.Topic)
+	if ctx.Topic != ctx.inTopic {
+		in.chain.pool.SetTopic(d.Buf, ctx.Topic)
+	}
 
 	if len(next) == 1 {
 		// Single next hop — the common chain topology; no batch setup.

@@ -164,6 +164,24 @@ func (t *pendTable) take(caller uint32) (chan gwResult, bool) {
 	return ch, ok
 }
 
+// takeAll removes and returns every registered waiter (Gateway.Close). Each
+// entry leaves its shard under the shard lock, exactly as in take, so a
+// completion or failure racing the sweep still has exactly one winner.
+func (t *pendTable) takeAll() []chan gwResult {
+	var out []chan gwResult
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for caller, ch := range s.m {
+			delete(s.m, caller)
+			out = append(out, ch)
+		}
+		s.mu.Unlock()
+	}
+	t.count.Add(-int64(len(out)))
+	return out
+}
+
 func (g *Gateway) getBuf(n int) *gwBuf {
 	gb, _ := g.bufPool.Get().(*gwBuf)
 	if gb == nil {
@@ -372,19 +390,29 @@ func (g *Gateway) fail(caller uint32, err error) {
 	ch <- gwResult{err: err}
 }
 
-// run consumes response descriptors returning to the gateway.
+// isClosed reports whether Close has begun.
+func (g *Gateway) isClosed() bool {
+	select {
+	case <-g.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// run consumes response descriptors returning to the gateway, parked in a
+// plain receive on the gateway socket until Close closes it. Close fails
+// every pending caller itself, so a reply still queued behind it is only a
+// buffer to give back.
 func (g *Gateway) run() {
 	defer g.wg.Done()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case d, ok := <-g.sock.Recv():
-			if !ok {
-				return
-			}
-			g.complete(d)
+	for d := range g.sock.Recv() {
+		if g.isClosed() {
+			g.chain.failures.reclaimed.Add(1)
+			g.chain.releaseBuffer(d.Buf)
+			continue
 		}
+		g.complete(d)
 	}
 }
 
@@ -485,7 +513,7 @@ func (g *Gateway) admit(topic string, payload []byte, caller uint32) (shm.Descri
 		return shm.Descriptor{}, err
 	}
 	d := shm.Descriptor{Buf: h, Len: uint32(n), Caller: caller}
-	g.chain.setTopic(d, topic)
+	g.chain.pool.SetTopic(d.Buf, topic)
 	if g.eprox != nil {
 		g.eprox.OnIngress(len(payload))
 	}
@@ -535,7 +563,7 @@ func (g *Gateway) admitLarge(topic string, payload []byte, caller uint32) (shm.D
 	// treat it as the message body until a handler writes its own.
 	g.chain.pool.SetObjCarrier(buf, true)
 	d := shm.Descriptor{Buf: buf, Len: 0, Caller: caller}
-	g.chain.setTopic(d, topic)
+	g.chain.pool.SetTopic(d.Buf, topic)
 	if g.eprox != nil {
 		g.eprox.OnIngress(len(payload))
 	}
@@ -662,6 +690,12 @@ func (g *Gateway) invoke(ctx context.Context, topic string, payload []byte) (gwR
 	}
 	ch := g.getWaiter()
 	g.pending.put(caller, ch)
+	// Registered first, checked second: Close sets the flag and then sweeps
+	// the pending table, so this request is either swept or sees the flag.
+	if g.isClosed() {
+		g.recycleWaiter(caller, ch)
+		return gwResult{}, ErrGatewayClosed
+	}
 	// Head-sampling decision (or adoption of an inbound sampled context
 	// propagated via WithTraceContext / a parsed traceparent header). The
 	// unsampled path gets a zero context back and pays nothing further:
@@ -703,30 +737,43 @@ func (g *Gateway) invoke(ctx context.Context, topic string, payload []byte) (gwR
 		return gwResult{}, err
 	}
 
-	select {
-	case res := <-ch:
-		g.waiterPool.Put(ch)
-		el := time.Since(start)
-		g.lat.Observe(uint64(caller), el.Seconds())
+	res, err := g.await(ctx, caller, ch)
+	el := time.Since(start)
+	if err != nil {
 		if tr != nil {
-			tr.FinishRequest(caller, sampled, res.err, start, el)
+			tr.FinishRequest(caller, sampled, err, start, el)
 		}
-		return res, nil
-	case <-ctx.Done():
-		g.recycleWaiter(caller, ch)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			g.chain.failures.deadlines.Add(1)
-		}
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, ctx.Err(), start, time.Since(start))
-		}
-		return gwResult{}, ctx.Err()
-	case <-g.stop:
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, ErrGatewayClosed, start, time.Since(start))
-		}
-		return gwResult{}, ErrGatewayClosed
+		return gwResult{}, err
 	}
+	g.lat.Observe(uint64(caller), el.Seconds())
+	if tr != nil {
+		tr.FinishRequest(caller, sampled, res.err, start, el)
+	}
+	return res, nil
+}
+
+// await parks a dispatched request's caller until its one outcome arrives
+// on ch — a response, a terminal dataplane failure or Gateway.Close, sent by
+// whoever took the pending entry — or until ctx gives up first, in which
+// case the pending entry is withdrawn and ctx's error returned. A context
+// that cannot be cancelled makes the wait a plain channel receive.
+func (g *Gateway) await(ctx context.Context, caller uint32, ch chan gwResult) (gwResult, error) {
+	if done := ctx.Done(); done != nil {
+		select {
+		case res := <-ch:
+			g.waiterPool.Put(ch)
+			return res, nil
+		case <-done:
+			g.recycleWaiter(caller, ch)
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				g.chain.failures.deadlines.Add(1)
+			}
+			return gwResult{}, ctx.Err()
+		}
+	}
+	res := <-ch
+	g.waiterPool.Put(ch)
+	return res, nil
 }
 
 // recycleWaiter abandons a pending request. If the pending entry was still
@@ -835,12 +882,10 @@ func (g *Gateway) attachRemoteObject(buf uint32, obj []byte) error {
 // response payload or a terminal error; the payload is only valid for the
 // duration of the call (it is returned to a pool after).
 func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.TraceContext, noReply bool, done func([]byte, error)) error {
-	select {
-	case <-g.stop:
-		return ErrGatewayClosed
-	default:
-	}
 	if noReply {
+		if g.isClosed() {
+			return ErrGatewayClosed
+		}
 		d, err := g.admit(topic, payload, NoReply)
 		if err != nil {
 			return err
@@ -869,6 +914,10 @@ func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.Tra
 	}
 	ch := g.getWaiter()
 	g.pending.put(caller, ch)
+	if g.isClosed() { // after put, as in invoke
+		g.recycleWaiter(caller, ch)
+		return ErrGatewayClosed
+	}
 	tr := g.chain.currentTracer()
 	var ltc shm.TraceContext
 	if tr != nil {
@@ -918,35 +967,21 @@ func (g *Gateway) remoteWait(fn string, d shm.Descriptor, caller uint32, ch chan
 		done(nil, err)
 		return
 	}
-	select {
-	case res := <-ch:
-		el := time.Since(start)
+	res, err := g.await(ctx, caller, ch)
+	el := time.Since(start)
+	if err == nil {
 		g.lat.Observe(uint64(caller), el.Seconds())
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, res.err, start, el)
-		}
-		if res.err != nil || res.gb == nil {
-			done(nil, res.err)
-		} else {
-			done(res.gb.b[:res.n], nil)
-			g.putBuf(res.gb)
-		}
-		g.waiterPool.Put(ch)
-	case <-ctx.Done():
-		g.recycleWaiter(caller, ch)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			g.chain.failures.deadlines.Add(1)
-		}
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, ctx.Err(), start, time.Since(start))
-		}
-		done(nil, ctx.Err())
-	case <-g.stop:
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, ErrGatewayClosed, start, time.Since(start))
-		}
-		done(nil, ErrGatewayClosed)
+		err = res.err
 	}
+	if tr != nil {
+		tr.FinishRequest(caller, sampled, err, start, el)
+	}
+	if err != nil || res.gb == nil {
+		done(nil, err)
+		return
+	}
+	done(res.gb.b[:res.n], nil)
+	g.putBuf(res.gb)
 }
 
 // CompleteRemote finishes a pending request with a response (or transport
@@ -1169,16 +1204,18 @@ func (g *Gateway) Latency() *metrics.Histogram {
 // EProxy returns the gateway's EPROXY (nil in polling mode).
 func (g *Gateway) EProxy() *EProxy { return g.eprox }
 
-// Close stops the gateway and reclaims any response descriptors still
-// queued on its socket (their waiters get ErrGatewayClosed).
+// Close stops the gateway. Every request still waiting for its response
+// completes with ErrGatewayClosed — Close takes each pending entry exactly
+// as a completion would, so a caller gets one outcome, never two and never
+// none — and response descriptors still queued on the socket are reclaimed
+// by the consumers on their way out.
 func (g *Gateway) Close() {
 	g.once.Do(func() {
 		close(g.stop)
 		g.sock.Close()
+		for _, ch := range g.pending.takeAll() {
+			ch <- gwResult{err: ErrGatewayClosed}
+		}
 	})
 	g.wg.Wait()
-	for d := range g.sock.Recv() {
-		g.chain.failures.reclaimed.Add(1)
-		g.chain.releaseBuffer(d.Buf)
-	}
 }

@@ -52,10 +52,17 @@ func (in *Instance) CircuitOpen() bool {
 // CircuitOpens returns how many times this instance's breaker opened.
 func (in *Instance) CircuitOpens() uint64 { return in.health.opens.Load() }
 
-// recordSuccess closes the breaker and resets the failure streak.
+// recordSuccess closes the breaker and resets the failure streak. It loads
+// before it stores: a healthy instance's words are already zero, and leaving
+// them unwritten keeps the line PickInstance reads from every core shared
+// instead of invalidating it on every hop.
 func (in *Instance) recordSuccess() {
-	in.health.consec.Store(0)
-	in.health.openUntil.Store(0)
+	if in.health.consec.Load() != 0 {
+		in.health.consec.Store(0)
+	}
+	if in.health.openUntil.Load() != 0 {
+		in.health.openUntil.Store(0)
+	}
 }
 
 // recordFailure tracks a failed invocation and opens the breaker when the

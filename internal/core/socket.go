@@ -71,10 +71,22 @@ func (s *Socket) DeliverDescriptor(wire []byte) error {
 	return s.Deliver(d)
 }
 
-// Deliver enqueues a parsed descriptor. The sender registration must
-// precede the closed check (see the type comment): Close observes either
-// our registration or our completed send.
+// Deliver enqueues a parsed descriptor.
 func (s *Socket) Deliver(d shm.Descriptor) error {
+	err := s.enqueue(d)
+	switch err {
+	case nil:
+		s.delivered.Add(1)
+	case ErrSocketFull:
+		s.dropped.Add(1)
+	}
+	return err
+}
+
+// enqueue is the non-blocking send under the drain-token protocol. The
+// sender registration must precede the closed check (see the type comment):
+// Close observes either our registration or our completed send.
+func (s *Socket) enqueue(d shm.Descriptor) error {
 	s.senders.Add(1)
 	defer s.senders.Add(-1)
 	if s.closed.Load() {
@@ -82,13 +94,22 @@ func (s *Socket) Deliver(d shm.Descriptor) error {
 	}
 	select {
 	case s.ch <- d:
-		s.delivered.Add(1)
 		return nil
 	default:
-		s.dropped.Add(1)
 		return ErrSocketFull
 	}
 }
+
+// retireBuf marks a retire token: a descriptor whose Buf no send can carry
+// (pool handles are slot indices, far below it). The owning instance queues
+// one per surplus worker when its pool shrinks; the worker that receives it
+// exits. It travels the socket's own queue — so it needs no second channel
+// for workers to select on — and goes through enqueue, so it cannot race
+// Close into a send on a closed channel.
+const retireBuf = ^uint32(0)
+
+// retire queues one retire token.
+func (s *Socket) retire() error { return s.enqueue(shm.Descriptor{Buf: retireBuf}) }
 
 // DeliverBatch enqueues a burst of parsed descriptors under a single
 // sender registration and closed-flag check — the delivery half of the

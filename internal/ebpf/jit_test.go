@@ -691,7 +691,7 @@ func TestJITEngineStats(t *testing.T) {
 
 // TestJITConcurrentLoadRun races program loads, runs on both engines, map
 // mutations, and SetJIT toggles on one kernel — the race-detector gate for
-// the compiled dispatch path (make race-ebpf).
+// the compiled dispatch path (make race).
 func TestJITConcurrentLoadRun(t *testing.T) {
 	k := NewKernel()
 	lp, sockmap, filter, _ := buildSProxyShape(t, k)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -63,6 +64,13 @@ var (
 // a real CPU atomic on the value word (see atomicAddBytes), and array
 // lookups/updates go through word-wise atomic copies instead of the map
 // mutex — concurrent metric reads and increments never serialize.
+//
+// Hash maps and sockmaps are copy-on-write: a writer rebuilds the table
+// under mu and publishes it with one atomic store before it returns, so a
+// lookup is one atomic load and no lock, and an Update or Delete that has
+// returned is never contradicted by a later lookup. Writers pay a copy of
+// the table; both kinds are written by the control plane (filter rules,
+// socket registration), not per message.
 type Map struct {
 	spec MapSpec
 	fd   int
@@ -74,10 +82,9 @@ type Map struct {
 	valWords int
 	array    [][]byte
 
-	mu   sync.RWMutex      // guards hash and sockmap writes
-	hash map[string][]byte // MapTypeHash backing
-
-	socks atomic.Value // map[uint32]SockRef, copy-on-write (MapTypeSockMap)
+	mu    sync.Mutex                        // serializes hash and sockmap writers
+	hash  atomic.Pointer[map[string][]byte] // MapTypeHash: published snapshot, never mutated
+	socks atomic.Value                      // map[uint32]SockRef, copy-on-write (MapTypeSockMap)
 }
 
 // SockRef is a sockmap entry: the kernel-side reference to a socket that
@@ -123,7 +130,7 @@ func newMap(spec MapSpec, fd int) (*Map, error) {
 			}
 		}
 	case MapTypeHash:
-		m.hash = make(map[string][]byte)
+		m.hash.Store(&map[string][]byte{})
 	case MapTypeSockMap:
 		m.socks.Store(map[uint32]SockRef{})
 	default:
@@ -191,9 +198,7 @@ func (m *Map) Lookup(key []byte) ([]byte, error) {
 		m.atomicReadInto(idx, out)
 		return out, nil
 	default:
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		v, err := m.lookupRefLocked(key)
+		v, err := m.LookupRef(key)
 		if err != nil {
 			return nil, err
 		}
@@ -220,9 +225,7 @@ func (m *Map) LookupU32Into(key uint32, out []byte) error {
 	default:
 		var kb [4]byte
 		binary.LittleEndian.PutUint32(kb[:], key)
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		v, err := m.lookupRefLocked(kb[:])
+		v, err := m.LookupRef(kb[:])
 		if err != nil {
 			return err
 		}
@@ -234,9 +237,11 @@ func (m *Map) LookupU32Into(key uint32, out []byte) error {
 	}
 }
 
-// lookupRefLocked returns the live value slice (programs write through it,
-// like the pointer bpf_map_lookup_elem returns in the kernel).
-func (m *Map) lookupRefLocked(key []byte) ([]byte, error) {
+// LookupRef returns the live (aliased) value slice for in-place mutation
+// (programs write through it, like the pointer bpf_map_lookup_elem returns
+// in the kernel). Array entries alias the fixed slab and hash entries are
+// read from the published snapshot, so no lock is taken.
+func (m *Map) LookupRef(key []byte) ([]byte, error) {
 	switch m.spec.Type {
 	case MapTypeArray, MapTypePerCPUArray:
 		idx, err := m.arrayIndex(key)
@@ -248,30 +253,13 @@ func (m *Map) lookupRefLocked(key []byte) ([]byte, error) {
 		if len(key) != m.spec.KeySize {
 			return nil, ErrBadKey
 		}
-		v, ok := m.hash[string(key)]
+		v, ok := (*m.hash.Load())[string(key)]
 		if !ok {
 			return nil, ErrKeyNotFound
 		}
 		return v, nil
 	default:
 		return nil, fmt.Errorf("ebpf: lookup unsupported on %v map", m.spec.Type)
-	}
-}
-
-// LookupRef returns the live (aliased) value slice for in-place mutation.
-// Array entries alias the fixed slab, so no lock is taken for them.
-func (m *Map) LookupRef(key []byte) ([]byte, error) {
-	switch m.spec.Type {
-	case MapTypeArray, MapTypePerCPUArray:
-		idx, err := m.arrayIndex(key)
-		if err != nil {
-			return nil, err
-		}
-		return m.array[idx], nil
-	default:
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		return m.lookupRefLocked(key)
 	}
 }
 
@@ -297,12 +285,15 @@ func (m *Map) Update(key, value []byte) error {
 		if len(value) != m.spec.ValueSize {
 			return ErrBadValue
 		}
-		if _, ok := m.hash[string(key)]; !ok && len(m.hash) >= m.spec.MaxEntries {
+		cur := *m.hash.Load()
+		if _, ok := cur[string(key)]; !ok && len(cur) >= m.spec.MaxEntries {
 			return ErrMapFull
 		}
 		v := alignedBytes(len(value))
 		copy(v, value)
-		m.hash[string(key)] = v
+		next := maps.Clone(cur)
+		next[string(key)] = v
+		m.hash.Store(&next)
 		return nil
 	default:
 		return fmt.Errorf("ebpf: update unsupported on %v map", m.spec.Type)
@@ -318,10 +309,13 @@ func (m *Map) Delete(key []byte) error {
 		if len(key) != m.spec.KeySize {
 			return ErrBadKey
 		}
-		if _, ok := m.hash[string(key)]; !ok {
+		cur := *m.hash.Load()
+		if _, ok := cur[string(key)]; !ok {
 			return ErrKeyNotFound
 		}
-		delete(m.hash, string(key))
+		next := maps.Clone(cur)
+		delete(next, string(key))
+		m.hash.Store(&next)
 		return nil
 	case MapTypeArray, MapTypePerCPUArray:
 		idx, err := m.arrayIndex(key)
@@ -429,18 +423,10 @@ func (m *Map) Range(fn func(key, value []byte) bool) {
 			}
 		}
 	case MapTypeHash:
-		m.mu.RLock()
-		type kv struct{ k, v []byte }
-		entries := make([]kv, 0, len(m.hash))
-		for k, v := range m.hash {
-			key := []byte(k)
+		for k, v := range *m.hash.Load() {
 			val := make([]byte, len(v))
 			copy(val, v)
-			entries = append(entries, kv{key, val})
-		}
-		m.mu.RUnlock()
-		for _, e := range entries {
-			if !fn(e.k, e.v) {
+			if !fn([]byte(k), val) {
 				return
 			}
 		}
@@ -451,9 +437,7 @@ func (m *Map) Range(fn func(key, value []byte) bool) {
 func (m *Map) Entries() int {
 	switch m.spec.Type {
 	case MapTypeHash:
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		return len(m.hash)
+		return len(*m.hash.Load())
 	case MapTypeSockMap:
 		return len(m.socks.Load().(map[uint32]SockRef))
 	default:

@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +123,65 @@ func TestMapLookupRefAliases(t *testing.T) {
 	v, _ := m.Lookup(U32Key(1))
 	if v[0] != 42 {
 		t.Fatal("LookupRef must alias the stored value (kernel pointer semantics)")
+	}
+}
+
+// TestHashMapSnapshotSemantics: the copy-on-write table keeps the kernel's
+// semantics. A live value reference stays live across writes to other keys
+// (republishing copies the table, not the values), and a write that has
+// returned is seen by every later lookup while other goroutines read.
+func TestHashMapSnapshotSemantics(t *testing.T) {
+	_, m := newTestMap(t, MapSpec{Name: "h", Type: MapTypeHash, KeySize: 4, ValueSize: 8, MaxEntries: 64})
+	if err := m.Update(U32Key(1), U64Value(5)); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := m.LookupRef(U32Key(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := m.LookupRef(U32Key(1)); err != nil {
+					t.Errorf("key 1 vanished under unrelated writes: %v", err)
+					return
+				}
+				m.Range(func(_, _ []byte) bool { return true })
+				_ = m.Entries()
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		k := U32Key(uint32(2 + i%32))
+		if err := m.Update(k, U64Value(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m.Lookup(k); err != nil || U64FromValue(v) != uint64(i) {
+			t.Fatalf("lookup after Update returned: %v, %v", v, err)
+		}
+		if err := m.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.LookupRef(k); !errors.Is(err, ErrKeyNotFound) {
+			t.Fatalf("lookup after Delete returned: %v", err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+
+	ref[0] = 42
+	if v, _ := m.Lookup(U32Key(1)); v[0] != 42 {
+		t.Fatal("a value reference taken before other keys were written must still alias the stored value")
 	}
 }
 

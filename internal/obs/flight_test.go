@@ -1,6 +1,6 @@
 package obs
 
-// Flight-recorder conformance suite (run race-clean via `make race-flight`):
+// Flight-recorder conformance suite (run race-clean via `make race`):
 // concurrent emitters stay safe, memory stays bounded by the ring capacity,
 // cursor pagination is stable across ring wrap, and the /events handler's
 // exposition reconciles with the emitted counts.

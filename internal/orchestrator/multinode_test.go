@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -521,11 +522,31 @@ func TestNetMetricsConformance(t *testing.T) {
 	}
 	defer pd.Close()
 
-	for i := 0; i < 32; i++ {
+	const requests = 32
+	for i := 0; i < requests; i++ {
 		if _, err := pd.Gateway().Invoke(context.Background(), "/x", []byte("ping")); err != nil {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
+	// A peer writer bumps its counters one by one after WriteTo returns, so
+	// the last reply can reach its caller first. Scrape only once every
+	// sender has accounted for its frames and two consecutive snapshots
+	// agree: nothing moves after that.
+	var prev []transport.MeshStats
+	pollUntil(t, 5*time.Second, "mesh counters to settle", func() bool {
+		var cur []transport.MeshStats
+		sentAll := true
+		for _, n := range cluster.Nodes() {
+			st := n.Mesh.Stats()
+			for _, ps := range st.Sent {
+				sentAll = sentAll && ps.FramesSent >= requests
+			}
+			cur = append(cur, st)
+		}
+		settled := sentAll && reflect.DeepEqual(cur, prev)
+		prev = cur
+		return settled
+	})
 
 	var buf bytes.Buffer
 	if err := cluster.Observability().Registry().WritePrometheus(&buf); err != nil {

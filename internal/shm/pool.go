@@ -64,6 +64,13 @@ type traceHdr struct {
 	// write clears it: whoever wrote last owns the message body, so the
 	// gateway never has to guess from Len==0 whether to echo the object.
 	objCarrier atomic.Uint32
+	// topic is the message's DFR routing topic (nil = ""). It rides here for
+	// the same reason the trace context does — the descriptor stays 16 bytes
+	// — and is an atomic pointer because fan-out branches share the buffer:
+	// one branch's handler may retopic the message while a sibling's worker
+	// reads it. The final Put clears it while the freeing caller is still the
+	// exclusive owner, so a recycled buffer never inherits a topic.
+	topic atomic.Pointer[string]
 }
 
 // freelistShards is the number of independent freelist segments (power of
@@ -249,6 +256,9 @@ func (p *Pool) Put(h uint32) error {
 			}
 			if p.trace[h].objCarrier.Load() != 0 {
 				p.trace[h].objCarrier.Store(0)
+			}
+			if p.trace[h].topic.Load() != nil {
+				p.trace[h].topic.Store(nil)
 			}
 			if !p.closed.Load() {
 				s := &p.shards[h&(freelistShards-1)]
@@ -473,6 +483,35 @@ func (p *Pool) ObjHandle(h uint32) uint64 {
 		return 0
 	}
 	return p.trace[h].obj.Load()
+}
+
+// SetTopic records the routing topic of the message in buffer h. Only the
+// holder of a reference may call it (gateway admission, and a hop whose
+// handler changed the topic).
+func (p *Pool) SetTopic(h uint32, topic string) {
+	if int(h) >= len(p.trace) {
+		return
+	}
+	t := &p.trace[h].topic
+	if topic == "" {
+		if t.Load() != nil {
+			t.Store(nil)
+		}
+		return
+	}
+	s := topic // the copy that escapes: taking &topic would heap-allocate on every call
+	t.Store(&s)
+}
+
+// Topic returns the routing topic recorded for buffer h ("" when none): one
+// atomic load, the per-hop read DFR makes before running a handler.
+func (p *Pool) Topic(h uint32) string {
+	if int(h) < len(p.trace) {
+		if t := p.trace[h].topic.Load(); t != nil {
+			return *t
+		}
+	}
+	return ""
 }
 
 // SetObjReleaseHook installs the callback that receives each dying buffer's

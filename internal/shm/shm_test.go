@@ -422,6 +422,45 @@ func TestPoolRecycledTraceHeaderReset(t *testing.T) {
 	}
 }
 
+// The topic rides the buffer while any reference lives and dies with the
+// last one: a fan-out branch's release must not clear it under its sibling,
+// and a recycled buffer must not inherit it.
+func TestPoolTopicLifetime(t *testing.T) {
+	p, _ := NewPool("x", 1, 16)
+	h, _ := p.Get()
+	if got := p.Topic(h); got != "" {
+		t.Fatalf("fresh buffer topic = %q", got)
+	}
+	p.SetTopic(h, "hot")
+	if err := p.Ref(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Put(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Topic(h); got != "hot" {
+		t.Fatalf("topic after one of two releases = %q, want hot", got)
+	}
+	p.SetTopic(h, "")
+	if got := p.Topic(h); got != "" {
+		t.Fatalf("topic after SetTopic(\"\") = %q", got)
+	}
+	p.SetTopic(h, "cold")
+	if err := p.Put(h); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := p.Get() // capacity 1: the same slab
+	if err != nil || h2 != h {
+		t.Fatalf("expected recycled handle %d, got %d, %v", h, h2, err)
+	}
+	if got := p.Topic(h2); got != "" {
+		t.Fatalf("recycled buffer inherited topic %q", got)
+	}
+	if got := p.Topic(99); got != "" {
+		t.Fatalf("out-of-range handle topic = %q", got)
+	}
+}
+
 // Concurrent Get/Ref/Put with multi-reference buffers and a concluding
 // Close: accounting must be exact — every owner tracks its own references,
 // and after all goroutines drain, InUse is 0 and LeakCheck passes. Run

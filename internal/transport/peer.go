@@ -23,9 +23,9 @@ type slot struct {
 	meta FrameMeta
 }
 
-// Peer is one outbound link: a fixed pool of encode slots cycled through two
-// rte_rings (free → staged → free), and a single writer goroutine that
-// drains staged slots in bursts and flushes each burst as one
+// Peer is one outbound link: a fixed pool of encode slots that move from a
+// free stack to the staged rte_ring and back, and a single writer goroutine
+// that drains staged slots in bursts and flushes each burst as one
 // writev-style net.Buffers write. Send never blocks and never allocates in
 // steady state — a full ring is explicit backpressure (ErrBacklog), exactly
 // like a full SPROXY ring inside a node.
@@ -35,8 +35,16 @@ type Peer struct {
 	addr string
 
 	slots []slot
-	free  *ring.Ring // slot indices available for staging (MP: many senders)
-	send  *ring.Ring // slot indices staged for the writer   (MP prod, SP cons)
+	send  *ring.Ring // slot indices staged for the writer (MP prod, SP cons)
+
+	// free holds the idle slot indices, last freed on top, so the next frame
+	// is encoded into the buffer the writer has just flushed while it is
+	// still in cache. Handing slots out in turn instead would touch all of
+	// them — 1024 buffers of the largest frame seen, 16 MiB at 16 KiB
+	// frames — and run every encode and every kernel copy on cold memory.
+	// LIFO also means only as many buffers grow as the link is ever deep.
+	freeMu sync.Mutex
+	free   []uint64
 
 	// notify wakes the writer; capacity 1 so senders never block on it.
 	notify chan struct{}
@@ -59,33 +67,26 @@ type Peer struct {
 }
 
 func newPeer(m *Mesh, name, addr string) *Peer {
-	n := m.cfg.SendRing
-	free, err := ring.New(n, ring.MP)
+	send, err := ring.New(m.cfg.SendRing, ring.MP)
 	if err != nil {
 		panic("transport: bad send ring size: " + err.Error())
 	}
-	send, err := ring.New(n, ring.MP)
-	if err != nil {
-		panic("transport: bad send ring size: " + err.Error())
-	}
+	// One slot per ring entry, so staging a slot taken from free cannot
+	// find the ring full.
+	n := send.Capacity()
 	p := &Peer{
 		mesh:     m,
 		name:     name,
 		addr:     addr,
-		slots:    make([]slot, free.Capacity()),
-		free:     free,
+		slots:    make([]slot, n),
 		send:     send,
+		free:     make([]uint64, n),
 		notify:   make(chan struct{}, 1),
 		drops:    make(map[string]uint64),
 		perWrite: metrics.NewStripedHistogram(),
 	}
-	// Seed the free ring with every slot index.
-	idxs := make([]uint64, len(p.slots))
-	for i := range idxs {
-		idxs[i] = uint64(i)
-	}
-	if got := p.free.EnqueueBulk(idxs); got != len(idxs) {
-		panic("transport: seeding free ring failed")
+	for i := range p.free {
+		p.free[i] = uint64(n - 1 - i) // slot 0 on top
 	}
 	return p
 }
@@ -103,8 +104,8 @@ func (p *Peer) Send(f *wire.Frame) error {
 		return ErrMeshClosed
 	default:
 	}
-	ix, err := p.free.Dequeue()
-	if err != nil {
+	ix, ok := p.takeSlot()
+	if !ok {
 		p.countDrop(DropBacklog)
 		return ErrBacklog
 	}
@@ -119,7 +120,7 @@ func (p *Peer) Send(f *wire.Frame) error {
 	var one [1]uint64
 	one[0] = ix
 	// Cannot fail: free+send+in-flight never exceed the slot count, and we
-	// hold one slot out of the free ring right now.
+	// hold one slot out of the free stack right now.
 	if p.send.EnqueueBulk(one[:]) != 1 {
 		p.freeSlot(ix)
 		p.countDrop(DropBacklog)
@@ -132,10 +133,24 @@ func (p *Peer) Send(f *wire.Frame) error {
 	return nil
 }
 
+// takeSlot pops the most recently freed slot; false means every slot is
+// staged or being written.
+func (p *Peer) takeSlot() (uint64, bool) {
+	p.freeMu.Lock()
+	defer p.freeMu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return 0, false
+	}
+	ix := p.free[n-1]
+	p.free = p.free[:n-1]
+	return ix, true
+}
+
 func (p *Peer) freeSlot(ix uint64) {
-	var one [1]uint64
-	one[0] = ix
-	p.free.EnqueueBulk(one[:])
+	p.freeMu.Lock()
+	p.free = append(p.free, ix) // within the capacity newPeer allocated
+	p.freeMu.Unlock()
 }
 
 func (p *Peer) countDrop(reason string) {
@@ -146,7 +161,7 @@ func (p *Peer) countDrop(reason string) {
 
 // writer is the peer's single flush goroutine: drain staged slots in bursts
 // of MaxBatch, write each burst as one net.Buffers (writev) call, return the
-// slots to the free ring. Connection failures reconnect with exponential
+// slots to the free stack. Connection failures reconnect with exponential
 // backoff; an exhausted attempt budget drops the burst with reason conn_down
 // so the origin gateway can fail the pending callers attributably.
 func (p *Peer) writer() {

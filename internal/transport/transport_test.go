@@ -166,6 +166,53 @@ func TestMeshBatchingUnderBacklog(t *testing.T) {
 	}
 }
 
+// TestPeerReusesFlushedSlot sends frames one at a time, each after the
+// previous one arrived: the link is never more than one frame deep, so the
+// free stack must hand back the slot just flushed and only that slot's
+// buffer may ever grow. (A FIFO free list gives every send a different slot
+// and touches all of them.)
+func TestPeerReusesFlushedSlot(t *testing.T) {
+	b := NewMesh("node-b", Config{})
+	defer b.Close()
+	got := make(chan struct{}, 1)
+	b.SetHandler(func(string, *wire.Frame) { got <- struct{}{} })
+	if err := b.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	a := NewMesh("node-a", Config{SendRing: 64})
+	defer a.Close()
+	p := a.AddPeer("node-b", b.Addr())
+
+	payload := make([]byte, 4096)
+	for i := 0; i < 200; i++ {
+		f := wire.Frame{Type: wire.TypeRequest, Caller: uint32(i), Chain: "c", Fn: "f", Payload: payload}
+		if err := a.Send("node-b", &f); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never arrived", i)
+		}
+		// The handler runs once the frame is on the wire, which can be just
+		// before the writer has put the slot back.
+		waitFor(t, "slot returned", func() bool {
+			p.freeMu.Lock()
+			defer p.freeMu.Unlock()
+			return len(p.free) == len(p.slots)
+		})
+	}
+	used := 0
+	for i := range p.slots {
+		if cap(p.slots[i].buf) > 0 {
+			used++
+		}
+	}
+	if used != 1 {
+		t.Fatalf("%d of %d slots were encoded into by a link one frame deep, want 1", used, len(p.slots))
+	}
+}
+
 // TestMeshChaosReconnect kills the live connection via the fault injector
 // mid-stream and asserts the writer reconnects (with the reconnect counted)
 // and still delivers every frame.

@@ -37,7 +37,7 @@ OLD ?= BENCH_8R.json
 NEW ?= BENCH_9.json
 BENCH_GAIN ?=
 
-.PHONY: build test race race-stress vet fmt-check verify bench bench-compare clean
+.PHONY: build test race race-stress alloc-gate bench-check vet fmt-check verify bench bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -60,17 +60,31 @@ race:
 	$(GO) test -race -p 1 ./...
 
 # race-stress repeats the tests of the dataplane's lock-free protocols —
-# workers parked in a plain receive (stop flag, retire tokens), Gateway.Close
-# completing every waiter, the copy-on-write routing/filter/topic tables —
-# and of the transport's slot stack ten times under the race detector: one
-# pass of `race` can miss the interleavings these protocols exist for.
+# workers parked in a plain receive (stop flag, retire tokens), requests
+# finished by whoever takes their pending entry (Gateway.Close, abandonment
+# racing completion, pollers following their sockets), the copy-on-write
+# routing/filter/topic tables — and of the transport's slot stack and receive
+# framing ten times under the race detector: one pass of `race` can miss the
+# interleavings these protocols exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+
+# alloc-gate runs the cross-node allocation gate without the race detector,
+# under which it skips itself (sync.Pool drops Puts at random there).
+alloc-gate:
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations' ./internal/orchestrator/
+
+# bench-check vets and tests the repository benchmark, a nested module that
+# `go build ./...` and `go test ./...` at the root never see, against the
+# code it links from this tree.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # verify is the gate for every change: formatting, static analysis, the full
-# test suite (chaos tests included) under the race detector, and the
-# repeated stress of the lock-free protocol tests.
-verify: fmt-check vet race race-stress
+# test suite (chaos tests included) under the race detector, the repeated
+# stress of the lock-free protocol tests, the allocation gate, and the
+# benchmark module's own checks.
+verify: fmt-check vet race race-stress alloc-gate bench-check
 
 # bench runs the tracked serial benchmarks, then the parallel RPS harness
 # across the BENCH_CPUS sweep, and writes one machine-readable snapshot

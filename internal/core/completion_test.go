@@ -1,0 +1,214 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// Tests for the rule that whoever takes a request's pending entry finishes
+// the request on its own goroutine, and for the poller lifecycle the
+// ModePolling half of that rule rests on. The TestHandoff prefix puts them
+// in `make race-stress`.
+
+// livePollers counts the D-SPRIGHT busy-pollers currently running.
+func livePollers(t *testing.T) int {
+	t.Helper()
+	return liveGoroutines(t, func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("core.(*ringTransport).poll"))
+	})
+}
+
+// TestHandoffPollersFollowTheirSockets: in ModePolling every live socket has
+// exactly one poller, and a socket that leaves — RestartInstance, ScaleDown,
+// ScaleToZero, DiscardPrewarmed — takes its poller with it instead of leaving
+// it spinning on a dead ring until the chain closes.
+func TestHandoffPollersFollowTheirSockets(t *testing.T) {
+	base := 0
+	waitFor(t, "earlier tests' pollers to exit", func() bool {
+		base = livePollers(t)
+		time.Sleep(2 * time.Millisecond)
+		return livePollers(t) == base
+	})
+
+	spec := echoSpec()
+	spec.Functions[0].Instances = 2
+	c, g := testChain(t, ModePolling, spec)
+	// One poller per instance socket (routable or prewarmed) and one for the
+	// gateway's reply socket.
+	wantPollers := func(prewarmed int) {
+		t.Helper()
+		want := base + 1 + len(c.Instances()) + prewarmed
+		waitFor(t, "one poller per live socket", func() bool { return livePollers(t) == want })
+	}
+	invoke := func() {
+		t.Helper()
+		out, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("ping"))
+		if err != nil || string(out) != "PING" {
+			t.Fatalf("invoke: %q, %v", out, err)
+		}
+	}
+	wantPollers(0)
+	invoke()
+
+	for i := 0; i < 6; i++ {
+		victim := c.Router().Instances("echo")[i%2]
+		if _, err := c.RestartInstance(victim.ID()); err != nil {
+			t.Fatal(err)
+		}
+		invoke()
+	}
+	wantPollers(0)
+
+	if err := c.ScaleDown("echo"); err != nil {
+		t.Fatal(err)
+	}
+	invoke()
+	wantPollers(0)
+
+	pw, err := c.Prewarm("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPollers(1)
+	c.DiscardPrewarmed(pw)
+	wantPollers(0)
+
+	if n, err := c.ScaleToZero("echo"); err != nil || n != 1 {
+		t.Fatalf("ScaleToZero: %d, %v", n, err)
+	}
+	wantPollers(0) // the gateway's alone
+
+	g.Close()
+	c.Close()
+	// Close waits for every poller's last statement, not for its exit.
+	waitFor(t, "no poller to outlive Chain.Close", func() bool { return livePollers(t) == base })
+	// Pool.LeakCheck: testChain's cleanup.
+}
+
+// TestHandoffAbandonRacesCompletion cancels requests at random offsets
+// around the moment their reply completes. Every call ends in exactly one of
+// {verified reply, context error, refusal at admission}; a completion that won the race for the
+// entry has finished writing dst before InvokeInto returns (a canary written
+// right after the return survives); nothing stays pending and every buffer
+// comes back.
+func TestHandoffAbandonRacesCompletion(t *testing.T) {
+	for _, mode := range []Mode{ModeEvent, ModePolling} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, g := testChain(t, mode, echoSpec())
+			// How long a request takes here, so the deadlines straddle it.
+			start := time.Now()
+			for i := 0; i < 200; i++ {
+				if _, err := g.Invoke(context.Background(), "", []byte("warm")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			typical := time.Since(start) / 200
+
+			const callers, rounds = 4, 1500
+			var replies, abandoned, refused atomic.Int64
+			var wg sync.WaitGroup
+			for id := 0; id < callers; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(id)))
+					payload := bytes.Repeat([]byte{'a' + byte(id)}, 2048)
+					want := bytes.ToUpper(payload)
+					canary := bytes.Repeat([]byte{0xA5}, len(payload))
+					// Two destinations in turn: the one an abandoned call
+					// used is checked a full request later.
+					var dsts [2][]byte
+					var armed [2]bool
+					for i := range dsts {
+						dsts[i] = make([]byte, len(payload))
+					}
+					for r := 0; r < rounds; r++ {
+						dst := dsts[r%2]
+						if armed[r%2] && !bytes.Equal(dst, canary) {
+							t.Errorf("caller %d round %d: dst written after InvokeInto returned", id, r)
+							return
+						}
+						armed[r%2] = false
+						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Int63n(int64(4*typical)+1)))
+						n, err := g.InvokeInto(ctx, "", payload, dst)
+						cancel()
+						switch {
+						case err == nil:
+							if !bytes.Equal(dst[:n], want) {
+								t.Errorf("caller %d round %d: reply of %d bytes does not verify", id, r, n)
+								return
+							}
+							replies.Add(1)
+						case errors.Is(err, context.DeadlineExceeded):
+							copy(dst, canary)
+							armed[r%2] = true
+							abandoned.Add(1)
+						case errors.Is(err, ErrBackpressure):
+							// Abandoned requests still hold their buffers
+							// until the chain has run them; let it catch up.
+							refused.Add(1)
+							time.Sleep(time.Millisecond)
+						default:
+							t.Errorf("caller %d round %d: %v", id, r, err)
+							return
+						}
+					}
+				}(id)
+			}
+			wg.Wait()
+			t.Logf("typical %v: %d replies, %d abandoned, %d refused", typical, replies.Load(), abandoned.Load(), refused.Load())
+			if n := replies.Load() + abandoned.Load() + refused.Load(); n != callers*rounds && !t.Failed() {
+				t.Errorf("%d outcomes for %d calls", n, callers*rounds)
+			}
+			if g.Pending() != 0 || g.pending.size() != 0 {
+				t.Errorf("pending after the storm: count %d, table %d", g.Pending(), g.pending.size())
+			}
+			waitFor(t, "late replies reclaimed", func() bool { return c.Pool().InUse() == 0 })
+		})
+	}
+}
+
+// TestHandoffGatewayStartsNoConsumers: a gateway owns one goroutine, its
+// metrics agent; replies are completed by whoever delivers them. Callers
+// parked in Invoke are the only other goroutines inside the gateway.
+func TestHandoffGatewayStartsNoConsumers(t *testing.T) {
+	inGateway := func(stack []byte) bool { return bytes.Contains(stack, []byte("core.(*Gateway).")) }
+	base := 0
+	waitFor(t, "earlier tests' gateways to stop", func() bool {
+		base = liveGoroutines(t, inGateway)
+		time.Sleep(2 * time.Millisecond)
+		return liveGoroutines(t, inGateway) == base
+	})
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	spec := holdSpec(gate, &runs)
+	spec.Functions[0].Concurrency = 8
+	_, g := testChain(t, ModeEvent, spec)
+	waitFor(t, "the metrics agent to start", func() bool { return liveGoroutines(t, inGateway)-base >= 1 })
+	if n := liveGoroutines(t, inGateway) - base; n != 1 {
+		t.Errorf("idle gateway runs %d goroutines, want 1 (the metrics agent)", n)
+	}
+	const callers = 6
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("hold")); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, "all callers parked", func() bool { return g.Pending() == callers })
+	if n := liveGoroutines(t, inGateway) - base; n != 1+callers {
+		t.Errorf("%d goroutines inside the gateway with %d callers parked, want %d", n, callers, 1+callers)
+	}
+	close(gate)
+	wg.Wait()
+}

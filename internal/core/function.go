@@ -383,7 +383,6 @@ var ErrHandlerPanic = errors.New("core: handler panicked")
 // blackholing the request.
 func (in *Instance) handle(d shm.Descriptor) {
 	in.inflight.Add(1)
-	defer in.inflight.Add(-1)
 
 	ctx := ctxPool.Get().(*Ctx)
 	topic := in.chain.pool.Topic(d.Buf)
@@ -417,6 +416,11 @@ func (in *Instance) handle(d shm.Descriptor) {
 		time.Sleep(in.serviceTime)
 	}
 	err, panicked := in.invoke(ctx)
+	// The invocation is over (invoke absorbs panics). It is counted out
+	// before its outcome is routed: delivering a reply or a failure to the
+	// gateway completes the request on this goroutine, and the woken caller's
+	// next request must not find this instance still charged for the last.
+	in.inflight.Add(-1)
 	if traced {
 		s := Span{
 			ID: hsID, Parent: parent, Stage: StageHandler, Function: in.fnName,

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,8 +65,8 @@ type Gateway struct {
 	// scrape lock.
 	lastRate atomic.Uint64
 
-	bufPool    sync.Pool // *gwBuf response payload staging
-	waiterPool sync.Pool // chan gwResult, capacity 1
+	waiterPool sync.Pool // *waiter
+	bodyPool   sync.Pool // *[]byte ServeHTTP request bodies
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -80,16 +79,6 @@ type Gateway struct {
 	agentTick   func()
 }
 
-// gwBuf is a pooled response-payload staging buffer. Pooling pointers (not
-// bare []byte) keeps sync.Pool from boxing the slice header on every Put.
-type gwBuf struct{ b []byte }
-
-type gwResult struct {
-	gb  *gwBuf // response bytes (nil when err is set)
-	n   int    // valid length within gb.b
-	err error
-}
-
 // Gateway errors.
 var (
 	ErrGatewayClosed = errors.New("core: gateway closed")
@@ -97,123 +86,12 @@ var (
 	ErrShortBuffer   = errors.New("core: response buffer too small")
 )
 
-// pendShardCount shards the pending-request table. Every request touches
-// the table twice (register at invoke, claim at completion), from different
-// goroutines; a single mutex there is the gateway's first scalability wall
-// under parallel load. Caller IDs are sequential, so consecutive requests
-// hash to distinct shards and contention drops by ~the shard count.
-const pendShardCount = 64
-
-type pendShard struct {
-	mu sync.Mutex
-	m  map[uint32]chan gwResult
-	_  [6]uint64 // pad: neighbouring shard locks must not share a cache line
-}
-
-// pendTable is the sharded caller→waiter map. count mirrors the table size
-// so the admission path reads the inflight gauge in one atomic load instead
-// of sweeping 64 shard locks per request.
-type pendTable struct {
-	shards [pendShardCount]pendShard
-	count  atomic.Int64
-}
-
-func (t *pendTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint32]chan gwResult)
-	}
-}
-
-func (t *pendTable) shard(caller uint32) *pendShard {
-	return &t.shards[caller&(pendShardCount-1)]
-}
-
-func (t *pendTable) put(caller uint32, ch chan gwResult) {
-	s := t.shard(caller)
-	s.mu.Lock()
-	s.m[caller] = ch
-	s.mu.Unlock()
-	t.count.Add(1)
-}
-
-// size counts registered waiters across all shards (tests, introspection).
-func (t *pendTable) size() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// take removes and returns the waiter registered for caller; exactly one of
-// the racing claimants (completion, failure, abandonment) wins it.
-func (t *pendTable) take(caller uint32) (chan gwResult, bool) {
-	s := t.shard(caller)
-	s.mu.Lock()
-	ch, ok := s.m[caller]
-	if ok {
-		delete(s.m, caller)
-	}
-	s.mu.Unlock()
-	if ok {
-		t.count.Add(-1)
-	}
-	return ch, ok
-}
-
-// takeAll removes and returns every registered waiter (Gateway.Close). Each
-// entry leaves its shard under the shard lock, exactly as in take, so a
-// completion or failure racing the sweep still has exactly one winner.
-func (t *pendTable) takeAll() []chan gwResult {
-	var out []chan gwResult
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for caller, ch := range s.m {
-			delete(s.m, caller)
-			out = append(out, ch)
-		}
-		s.mu.Unlock()
-	}
-	t.count.Add(-int64(len(out)))
-	return out
-}
-
-func (g *Gateway) getBuf(n int) *gwBuf {
-	gb, _ := g.bufPool.Get().(*gwBuf)
-	if gb == nil {
-		gb = &gwBuf{}
-	}
-	if cap(gb.b) < n {
-		gb.b = make([]byte, n)
-	}
-	return gb
-}
-
-func (g *Gateway) putBuf(gb *gwBuf) {
-	if gb != nil {
-		g.bufPool.Put(gb)
-	}
-}
-
-func (g *Gateway) getWaiter() chan gwResult {
-	ch, _ := g.waiterPool.Get().(chan gwResult)
-	if ch == nil {
-		ch = make(chan gwResult, 1)
-	}
-	return ch
-}
-
 // NewGateway creates and starts the gateway for a chain, registering its
 // socket (instance ID 0) with the chain's transport and attaching the
 // EPROXY monitor programs.
 func NewGateway(c *Chain) (*Gateway, error) {
 	g := &Gateway{
 		chain:     c,
-		sock:      NewSocket(GatewayID, c.pool.Capacity()),
 		adapters:  NewAdapterRegistry(),
 		lat:       metrics.NewStripedHistogram(),
 		coldStart: metrics.NewStripedHistogram(),
@@ -228,6 +106,11 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	}
 	g.parks.init(g.admission.ParkCapacity)
 	g.pending.init()
+	// The reply socket has no queue and no consumer goroutines: a reply
+	// descriptor's delivery runs complete on the goroutine that delivered it
+	// — the last function's worker in ModeEvent, the gateway ring's poller in
+	// ModePolling.
+	g.sock = newSinkSocket(GatewayID, g.complete)
 	if err := c.transport.Register(g.sock); err != nil {
 		return nil, err
 	}
@@ -245,15 +128,6 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	// New routable capacity (scale-up, restart, prewarm activation) wakes
 	// requests parked on a zero-replica function.
 	c.setScaleNotifier(g.wakeParked)
-	// One completion consumer per P: response descriptors from different
-	// requests complete independently (the pending table is sharded), so a
-	// single consumer goroutine would serialize the whole response path
-	// under parallel load.
-	consumers := runtime.GOMAXPROCS(0)
-	g.wg.Add(consumers)
-	for i := 0; i < consumers; i++ {
-		go g.run()
-	}
 	// The metrics agent (§3.3): a per-chain goroutine that periodically
 	// publishes failure counters into the EPROXY map, refreshes the
 	// packet-rate sample the metrics server scrapes for autoscaling, and
@@ -382,12 +256,23 @@ func (g *Gateway) SocketStats() (delivered, dropped uint64) {
 // fail completes a pending request with a terminal error: the dataplane
 // has determined no response descriptor will ever arrive.
 func (g *Gateway) fail(caller uint32, err error) {
-	ch, ok := g.pending.take(caller)
+	w, ok := g.pending.take(caller)
 	if !ok {
 		return
 	}
 	g.failed.Add(1)
-	ch <- gwResult{err: err}
+	g.settle(w, nil, err)
+}
+
+// expire is a remote-originated request's chain Deadline firing: nobody is
+// parked in await to notice, so a timer on the entry takes it.
+func (g *Gateway) expire(caller uint32) {
+	w, ok := g.pending.take(caller)
+	if !ok {
+		return
+	}
+	g.chain.failures.deadlines.Add(1)
+	g.settle(w, nil, context.DeadlineExceeded)
 }
 
 // isClosed reports whether Close has begun.
@@ -400,24 +285,12 @@ func (g *Gateway) isClosed() bool {
 	}
 }
 
-// run consumes response descriptors returning to the gateway, parked in a
-// plain receive on the gateway socket until Close closes it. Close fails
-// every pending caller itself, so a reply still queued behind it is only a
-// buffer to give back.
-func (g *Gateway) run() {
-	defer g.wg.Done()
-	for d := range g.sock.Recv() {
-		if g.isClosed() {
-			g.chain.failures.reclaimed.Add(1)
-			g.chain.releaseBuffer(d.Buf)
-			continue
-		}
-		g.complete(d)
-	}
-}
-
+// complete is the reply socket's sink: it finishes the request a reply
+// descriptor answers, on the goroutine that delivered the descriptor and
+// inside Socket.Deliver's sender registration — so Close, which closes the
+// socket first, returns only after every completion already under way.
 func (g *Gateway) complete(d shm.Descriptor) {
-	ch, ok := g.pending.take(d.Caller)
+	w, ok := g.pending.take(d.Caller)
 	if !ok {
 		// late response after a cancelled or timed-out request: reclaim
 		// the orphaned buffer (the abandoning waiter could not — the
@@ -428,8 +301,8 @@ func (g *Gateway) complete(d shm.Descriptor) {
 		return
 	}
 	// Response drain span: the final hop's send stamp → gateway pickup.
-	// Recorded before the result is sent so it always lands ahead of the
-	// waiter's FinishRequest.
+	// Recorded before the request is settled so it always lands ahead of
+	// FinishRequest.
 	if tr := g.chain.currentTracer(); tr != nil && g.chain.pool.TraceSampled(d.Buf) {
 		now := time.Now()
 		drainStart := now
@@ -442,56 +315,85 @@ func (g *Gateway) complete(d shm.Descriptor) {
 		})
 	}
 	// The single response copy out of shared memory: the gateway owns
-	// constructing the external HTTP response (§3.1). The copy lands in a
-	// pooled staging buffer the waiter returns after consuming it.
-	res := g.assemble(d)
-	g.chain.releaseBuffer(d.Buf)
+	// constructing the external response (§3.1), straight into the caller's
+	// destination or the peer's wire slot.
+	body, err := g.replyBody(w, d)
 	g.completed.Add(1)
-	ch <- res
+	if w.responder != nil {
+		// Answered from the pool buffer, so the buffer goes back after.
+		g.settle(w, body, err)
+		g.chain.releaseBuffer(d.Buf)
+		return
+	}
+	// A local caller is woken last, so it finds its buffer already back.
+	g.chain.releaseBuffer(d.Buf)
+	g.settle(w, body, err)
 }
 
-// assemble builds one response: from the reply's attached object when the
-// buffer's carrier bit marks that object as the message body (the >BufSize
-// response path — Ctx.ReplyObject, or a large request passed through
-// untouched and echoed back), otherwise the usual copy out of the reply
-// buffer. The explicit bit — set by admission and ReplyObject, cleared by
-// any payload write — means a handler that replies with a deliberately
+// replyBody puts a reply's body where w wants it and returns it there: in
+// the caller's destination for a local request; for a remote-originated one
+// still in the pool buffer, from which the Responder encodes it. When the
+// buffer's carrier bit marks its attached object as the message body (the
+// >BufSize response path: Ctx.ReplyObject, or a large request passed through
+// untouched and echoed back) the object is read instead, once, into the
+// destination. The explicit bit — set by admission and ReplyObject, cleared
+// by any payload write — means a handler that replies with a deliberately
 // empty body never has the request object echoed at it just because the
 // request was large.
-func (g *Gateway) assemble(d shm.Descriptor) gwResult {
+func (g *Gateway) replyBody(w *waiter, d shm.Descriptor) ([]byte, error) {
 	if st := g.chain.store; st != nil && g.chain.pool.ObjCarrier(d.Buf) {
 		if h := objstore.Handle(g.chain.pool.ObjHandle(d.Buf)); h.Valid() {
 			r, err := st.Open(h)
 			if err != nil {
-				return gwResult{err: err}
+				return nil, err
 			}
-			n := int(r.Size())
-			gb := g.getBuf(n)
-			if n > 0 {
-				if _, err := r.ReadAt(gb.b[:n], 0); err != nil {
-					_ = r.Close()
-					g.putBuf(gb)
-					return gwResult{err: err}
-				}
+			defer r.Close()
+			body, err := w.dest(int(r.Size()))
+			if err == nil && len(body) > 0 {
+				_, err = r.ReadAt(body, 0)
 			}
-			_ = r.Close()
-			return gwResult{gb: gb, n: n}
+			return body, err
 		}
 	}
 	payload, err := g.chain.pool.Payload(d.Buf)
 	if err != nil {
-		return gwResult{err: err}
+		return nil, err
 	}
-	n := min(int(d.Len), len(payload))
-	gb := g.getBuf(n)
-	return gwResult{gb: gb, n: copy(gb.b[:n], payload)}
+	payload = payload[:min(int(d.Len), len(payload))]
+	if w.responder != nil {
+		return payload, nil
+	}
+	body, err := w.dest(len(payload))
+	copy(body, payload)
+	return body, err
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// settle gives a taken entry its one outcome. A local request's caller is
+// parked on w.ch and owns w again once it has received. A remote-originated
+// request has no caller here: its books are closed and its peer answered on
+// this goroutine, and w is recycled. body must already be where a local
+// caller wants it; a Responder only reads it during the call.
+func (g *Gateway) settle(w *waiter, body []byte, err error) {
+	if w.responder == nil {
+		w.ch <- gwResult{body: body, err: err}
+		return
 	}
-	return b
+	r, origin := w.responder, w.origin
+	g.lat.Observe(uint64(w.caller), time.Since(w.start).Seconds())
+	g.retireRemote(w, err)
+	r.Respond(origin, body, err)
+}
+
+// retireRemote closes the books of a remote-originated request that ended
+// with err (nil: with a reply) and recycles w, which nobody else holds.
+func (g *Gateway) retireRemote(w *waiter, err error) {
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	if w.tr != nil {
+		w.tr.FinishRequest(w.caller, w.sampled, err, w.start, time.Since(w.start))
+	}
+	g.putWaiter(w)
 }
 
 // admit writes the payload into the pool and builds the descriptor. It is
@@ -668,33 +570,32 @@ func (g *Gateway) parkAndDispatch(ctx context.Context, fn string, d shm.Descript
 	}
 }
 
-// invoke drives one request through the chain and returns the raw result.
-// The caller owns res.gb (when set) and must return it to the buffer pool.
-func (g *Gateway) invoke(ctx context.Context, topic string, payload []byte) (gwResult, error) {
+// invoke drives one request through the chain and returns its response:
+// in dst when into is set (InvokeInto), in a slice of exactly the response's
+// length otherwise. Either way whoever completed the request wrote it there.
+func (g *Gateway) invoke(ctx context.Context, topic string, payload, dst []byte, into bool) ([]byte, error) {
 	start := time.Now()
 	// Overload shed point: beyond MaxPending the gateway refuses load
 	// deliberately (explicit reason + retry-after) instead of letting the
 	// burst blackhole into pool exhaustion mid-scale-up.
 	if mp := g.admission.MaxPending; mp > 0 && int(g.pending.count.Load()) >= mp {
 		g.shed(&g.shedOverload, ShedOverload, "")
-		return gwResult{}, &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
+		return nil, &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
 	}
 	if dl := g.chain.deadline; dl > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, dl)
 		defer cancel()
 	}
-	caller := g.nextID.Add(1)
-	if caller == NoReply {
-		caller = g.nextID.Add(1)
-	}
-	ch := g.getWaiter()
-	g.pending.put(caller, ch)
+	w := g.newWaiter()
+	w.dst, w.into = dst, into
+	caller := w.caller
+	g.pending.put(w)
 	// Registered first, checked second: Close sets the flag and then sweeps
 	// the pending table, so this request is either swept or sees the flag.
 	if g.isClosed() {
-		g.recycleWaiter(caller, ch)
-		return gwResult{}, ErrGatewayClosed
+		g.recycleWaiter(w)
+		return nil, ErrGatewayClosed
 	}
 	// Head-sampling decision (or adoption of an inbound sampled context
 	// propagated via WithTraceContext / a parsed traceparent header). The
@@ -714,11 +615,11 @@ func (g *Gateway) invoke(ctx context.Context, topic string, payload []byte) (gwR
 	}
 	d, err := g.admit(topic, payload, caller)
 	if err != nil {
-		g.recycleWaiter(caller, ch)
+		g.recycleWaiter(w)
 		if tr != nil {
 			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
 		}
-		return gwResult{}, err
+		return nil, err
 	}
 	if sampled {
 		tr.RecordSpan(caller, Span{
@@ -730,70 +631,63 @@ func (g *Gateway) invoke(ctx context.Context, topic string, payload []byte) (gwR
 		g.chain.pool.SetTraceContext(d.Buf, tc)
 	}
 	if err := g.dispatch(ctx, topic, d); err != nil {
-		g.recycleWaiter(caller, ch)
+		g.recycleWaiter(w)
 		if tr != nil {
 			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
 		}
-		return gwResult{}, err
+		return nil, err
 	}
 
-	res, err := g.await(ctx, caller, ch)
+	res, err := g.await(ctx, w)
 	el := time.Since(start)
 	if err != nil {
 		if tr != nil {
 			tr.FinishRequest(caller, sampled, err, start, el)
 		}
-		return gwResult{}, err
+		return nil, err
 	}
 	g.lat.Observe(uint64(caller), el.Seconds())
 	if tr != nil {
 		tr.FinishRequest(caller, sampled, res.err, start, el)
 	}
-	return res, nil
+	return res.body, res.err
 }
 
 // await parks a dispatched request's caller until its one outcome arrives
-// on ch — a response, a terminal dataplane failure or Gateway.Close, sent by
-// whoever took the pending entry — or until ctx gives up first, in which
+// on w.ch — a response, a terminal dataplane failure or Gateway.Close, sent
+// by whoever took the pending entry — or until ctx gives up first, in which
 // case the pending entry is withdrawn and ctx's error returned. A context
 // that cannot be cancelled makes the wait a plain channel receive.
-func (g *Gateway) await(ctx context.Context, caller uint32, ch chan gwResult) (gwResult, error) {
+func (g *Gateway) await(ctx context.Context, w *waiter) (gwResult, error) {
 	if done := ctx.Done(); done != nil {
 		select {
-		case res := <-ch:
-			g.waiterPool.Put(ch)
+		case res := <-w.ch:
+			g.putWaiter(w)
 			return res, nil
 		case <-done:
-			g.recycleWaiter(caller, ch)
+			g.recycleWaiter(w)
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				g.chain.failures.deadlines.Add(1)
 			}
 			return gwResult{}, ctx.Err()
 		}
 	}
-	res := <-ch
-	g.waiterPool.Put(ch)
+	res := <-w.ch
+	g.putWaiter(w)
 	return res, nil
 }
 
-// recycleWaiter abandons a pending request. If the pending entry was still
-// registered, no sender can hold the channel and it is returned to the
-// pool. Otherwise a completion already claimed it: drain the (possibly
-// in-flight) result so a stale response can never surface on a future
-// request that reuses the channel.
-func (g *Gateway) recycleWaiter(caller uint32, ch chan gwResult) {
-	if g.forget(caller) {
-		g.waiterPool.Put(ch)
-		return
+// recycleWaiter abandons a local request. If its entry was still registered
+// nobody else can reach w. Otherwise a completion has taken the entry, and a
+// completion that has taken an entry always sends exactly once — possibly
+// after writing the response into w.dst, which the caller must not get back
+// while that write is in progress. So wait for the outcome, discard it (the
+// request is already being reported as abandoned), and only then recycle.
+func (g *Gateway) recycleWaiter(w *waiter) {
+	if _, ok := g.pending.take(w.caller); !ok {
+		<-w.ch
 	}
-	select {
-	case res := <-ch:
-		g.putBuf(res.gb)
-		g.waiterPool.Put(ch)
-	default:
-		// The sender is between the pending-map delete and the send:
-		// abandon the channel rather than risk reuse.
-	}
+	g.putWaiter(w)
 }
 
 // Invoke synchronously processes one request through the chain and returns
@@ -802,38 +696,18 @@ func (g *Gateway) recycleWaiter(caller uint32, ch chan gwResult) {
 // chain fails the request instead of pinning the caller (and its buffer
 // is reclaimed when the late response surfaces).
 func (g *Gateway) Invoke(ctx context.Context, topic string, payload []byte) ([]byte, error) {
-	res, err := g.invoke(ctx, topic, payload)
-	if err != nil {
-		return nil, err
-	}
-	if res.err != nil || res.gb == nil {
-		return nil, res.err
-	}
-	out := append([]byte(nil), res.gb.b[:res.n]...)
-	g.putBuf(res.gb)
-	return out, nil
+	return g.invoke(ctx, topic, payload, nil, false)
 }
 
 // InvokeInto is the allocation-free variant of Invoke: the response payload
 // is copied into dst and its length returned. If dst is too small the
 // response is discarded and ErrShortBuffer returned. Callers that reuse dst
 // across requests observe zero per-invocation heap allocation in steady
-// state.
+// state. dst belongs to the gateway until InvokeInto returns, whatever the
+// outcome.
 func (g *Gateway) InvokeInto(ctx context.Context, topic string, payload, dst []byte) (int, error) {
-	res, err := g.invoke(ctx, topic, payload)
-	if err != nil {
-		return 0, err
-	}
-	if res.err != nil || res.gb == nil {
-		return 0, res.err
-	}
-	if len(dst) < res.n {
-		g.putBuf(res.gb)
-		return 0, ErrShortBuffer
-	}
-	n := copy(dst, res.gb.b[:res.n])
-	g.putBuf(res.gb)
-	return n, nil
+	body, err := g.invoke(ctx, topic, payload, dst, true)
+	return len(body), err
 }
 
 // InvokeAsync fires an event into the chain with no response expected
@@ -877,24 +751,22 @@ func (g *Gateway) attachRemoteObject(buf uint32, obj []byte) error {
 // it, so both nodes' spans share one trace ID and the remote spans parent
 // under the forwarding stub's span.
 //
-// For noReply requests done must be nil: the frame is fire-and-forget.
-// Otherwise done is called exactly once, from a gateway goroutine, with the
-// response payload or a terminal error; the payload is only valid for the
-// duration of the call (it is returned to a pool after).
-func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.TraceContext, noReply bool, done func([]byte, error)) error {
-	if noReply {
+// It runs on the mesh's receive loop and never blocks it: admission and the
+// dispatch are synchronous, and nothing waits for the reply — the request's
+// pending entry carries origin and r, and whoever takes the entry answers
+// the peer through r (see Responder). Only a request that must park on a
+// zero-replica function gets a goroutine. An error return means no entry is
+// left and r was not called: the caller answers the peer itself.
+//
+// A nil r marks a fire-and-forget request (origin is then unused).
+func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.TraceContext, origin RemoteOrigin, r Responder) error {
+	if r == nil {
 		if g.isClosed() {
 			return ErrGatewayClosed
 		}
-		d, err := g.admit(topic, payload, NoReply)
+		d, err := g.admitRemote(topic, payload, obj, NoReply)
 		if err != nil {
 			return err
-		}
-		if obj != nil {
-			if aerr := g.attachRemoteObject(d.Buf, obj); aerr != nil {
-				g.chain.releaseBuffer(d.Buf)
-				return aerr
-			}
 		}
 		if tc.Sampled() {
 			g.chain.pool.SetTraceContext(d.Buf, tc)
@@ -907,111 +779,108 @@ func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.Tra
 		g.shed(&g.shedOverload, ShedOverload, "")
 		return &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
 	}
-	start := time.Now()
-	caller := g.nextID.Add(1)
-	if caller == NoReply {
-		caller = g.nextID.Add(1)
-	}
-	ch := g.getWaiter()
-	g.pending.put(caller, ch)
-	if g.isClosed() { // after put, as in invoke
-		g.recycleWaiter(caller, ch)
-		return ErrGatewayClosed
-	}
-	tr := g.chain.currentTracer()
+	w := g.newWaiter()
+	w.responder, w.origin, w.start = r, origin, time.Now()
+	caller := w.caller
 	var ltc shm.TraceContext
-	if tr != nil {
+	if w.tr = g.chain.currentTracer(); w.tr != nil {
 		// Adopt the inbound sampled context: same trace ID, and this
 		// node's request span parents under the remote stub's span.
-		ltc = tr.BeginRequest(caller, tc, start)
+		ltc = w.tr.BeginRequest(caller, tc, w.start)
+		w.sampled = ltc.Sampled()
 	}
-	sampled := ltc.Sampled()
-	d, err := g.admit(topic, payload, caller)
-	if err == nil && obj != nil {
-		if aerr := g.attachRemoteObject(d.Buf, obj); aerr != nil {
-			g.chain.releaseBuffer(d.Buf)
-			err = aerr
-		}
-	}
+	d, err := g.admitRemote(topic, payload, obj, caller)
 	if err != nil {
-		g.recycleWaiter(caller, ch)
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
-		}
+		g.retireRemote(w, err)
 		return err
 	}
-	if sampled {
+	if w.sampled {
 		g.chain.pool.SetTraceContext(d.Buf, ltc)
 	}
-	// The payload now lives in the local pool; dispatch and the response
-	// wait move off the transport's receive loop.
-	go g.remoteWait(fn, d, caller, ch, tr, sampled, start, done)
-	return nil
+	if dl := g.chain.deadline; dl > 0 {
+		w.timer = time.AfterFunc(dl, func() { g.expire(caller) })
+	}
+	// From here w belongs to whoever takes the entry. Registered first,
+	// closed flag checked second, as in invoke.
+	g.pending.put(w)
+	err = ErrGatewayClosed
+	if !g.isClosed() {
+		err = g.dispatchTo(fn, d)
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, ErrNoInstance) && g.admission.ParkCapacity > 0 {
+			go g.parkRemote(fn, d, caller)
+			return nil
+		}
+	}
+	g.chain.releaseBuffer(d.Buf)
+	if w, ok := g.pending.take(caller); ok {
+		g.retireRemote(w, err) // InvokeRemote's caller answers the peer
+		return err
+	}
+	return nil // Close took the entry and has answered the peer
 }
 
-// remoteWait drives one remote-originated request from dispatch to
-// completion and hands the outcome to done.
-func (g *Gateway) remoteWait(fn string, d shm.Descriptor, caller uint32, ch chan gwResult,
-	tr *Tracer, sampled bool, start time.Time, done func([]byte, error)) {
+// admitRemote admits a peer's payload under caller and re-materializes the
+// attached object that rode its frame, if any.
+func (g *Gateway) admitRemote(topic string, payload, obj []byte, caller uint32) (shm.Descriptor, error) {
+	d, err := g.admit(topic, payload, caller)
+	if err == nil && obj != nil {
+		if err = g.attachRemoteObject(d.Buf, obj); err != nil {
+			g.chain.releaseBuffer(d.Buf)
+		}
+	}
+	return d, err
+}
+
+// parkRemote is the one goroutine a remote-originated request may get: it
+// parks on a zero-replica function until capacity resumes. It owns d's
+// buffer until the dispatch succeeds; the entry it settles like anyone else,
+// by taking it.
+func (g *Gateway) parkRemote(fn string, d shm.Descriptor, caller uint32) {
 	ctx := context.Background()
 	if dl := g.chain.deadline; dl > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, dl)
 		defer cancel()
 	}
-	if err := g.dispatchAt(ctx, fn, d); err != nil {
-		g.recycleWaiter(caller, ch)
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
-		}
-		done(nil, err)
-		return
-	}
-	res, err := g.await(ctx, caller, ch)
-	el := time.Since(start)
+	err := g.parkAndDispatch(ctx, fn, d)
 	if err == nil {
-		g.lat.Observe(uint64(caller), el.Seconds())
-		err = res.err
-	}
-	if tr != nil {
-		tr.FinishRequest(caller, sampled, err, start, el)
-	}
-	if err != nil || res.gb == nil {
-		done(nil, err)
 		return
 	}
-	done(res.gb.b[:res.n], nil)
-	g.putBuf(res.gb)
+	g.chain.releaseBuffer(d.Buf)
+	if w, ok := g.pending.take(caller); ok {
+		g.settle(w, nil, err)
+	}
 }
 
 // CompleteRemote finishes a pending request with a response (or transport
 // failure) that arrived from a peer node: the cross-node analogue of the
-// response descriptor returning to the gateway socket. The payload is
-// copied before CompleteRemote returns. false means no waiter was
-// registered for caller (late, duplicate, or already-failed request).
+// response descriptor returning to the gateway socket. The payload goes
+// from the wire straight to where the request's caller wants it, before
+// CompleteRemote returns. false means no waiter was registered for caller
+// (late, duplicate, or already-failed request).
 func (g *Gateway) CompleteRemote(caller uint32, payload []byte, err error) bool {
-	ch, ok := g.pending.take(caller)
+	w, ok := g.pending.take(caller)
 	if !ok {
 		g.chain.noteError("gateway", fmt.Errorf("%w: remote %d", ErrNoWaiter, caller))
 		return false
 	}
 	if err != nil {
 		g.failed.Add(1)
-		ch <- gwResult{err: err}
+		g.settle(w, nil, err)
 		return true
 	}
-	gb := g.getBuf(len(payload))
-	n := copy(gb.b[:len(payload)], payload)
+	body := payload // a Responder relays it as it is
+	if w.responder == nil {
+		if body, err = w.dest(len(payload)); err == nil {
+			copy(body, payload)
+		}
+	}
 	g.completed.Add(1)
-	ch <- gwResult{gb: gb, n: n}
+	g.settle(w, body, err)
 	return true
-}
-
-// forget removes a pending entry, reporting whether it was still present
-// (false means a completion already claimed the waiter).
-func (g *Gateway) forget(caller uint32) bool {
-	_, ok := g.pending.take(caller)
-	return ok
 }
 
 // Adapters exposes the protocol-adaptation hook registry (§3.6).
@@ -1058,28 +927,57 @@ func (g *Gateway) bodyLimit() int64 {
 	return int64(g.chain.pool.BufSize())
 }
 
+// readBody reads one request body. A declared Content-Length that admission
+// could accept is read into a pooled buffer of exactly that size — no
+// doubling, no per-request allocation; the caller returns pooled to bodyPool
+// when it is done with body. An undeclared or oversized length streams through MaxBytesReader, which
+// enforces the admission size cap while the body arrives: an oversized
+// request is refused after at most limit+1 buffered bytes — never
+// heap-buffered whole just to be rejected by admitLarge.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (body []byte, pooled *[]byte, err error) {
+	limit := g.bodyLimit()
+	if n := r.ContentLength; n >= 0 && (limit <= 0 || n <= limit) {
+		pooled, _ = g.bodyPool.Get().(*[]byte)
+		if pooled == nil {
+			pooled = new([]byte)
+		}
+		if int64(cap(*pooled)) < n {
+			*pooled = make([]byte, n)
+		}
+		body = (*pooled)[:n]
+		if _, err = io.ReadFull(r.Body, body); err != nil {
+			g.bodyPool.Put(pooled)
+			return nil, nil, err
+		}
+		return body, pooled, nil
+	}
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	body, err = io.ReadAll(r.Body)
+	return body, nil, err
+}
+
 // ServeHTTP exposes the chain over real HTTP (net/http): the external
 // interface of the SPRIGHT gateway. The message topic is taken from the
 // X-Topic header, defaulting to the URL path.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Enforce the admission size cap while the body streams in, so an
-	// oversized request is refused after at most limit+1 buffered bytes —
-	// never heap-buffered whole just to be rejected by admitLarge.
-	limit := g.bodyLimit()
-	if limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-	}
-	body, err := io.ReadAll(r.Body)
+	body, pooled, err := g.readBody(w, r)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			g.shed(&g.shedPayloadTooLarge, ShedPayloadTooLarge, "")
-			http.Error(w, fmt.Sprintf("%v: body exceeds %d bytes", shm.ErrPayloadTooLarge, limit),
+			http.Error(w, fmt.Sprintf("%v: body exceeds %d bytes", shm.ErrPayloadTooLarge, mbe.Limit),
 				http.StatusRequestEntityTooLarge)
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	if pooled != nil {
+		// Admission copies the body into the shm pool, so the buffer is
+		// free again as soon as Invoke has returned.
+		defer g.bodyPool.Put(pooled)
 	}
 	topic := r.Header.Get("X-Topic")
 	if topic == "" {
@@ -1204,17 +1102,18 @@ func (g *Gateway) Latency() *metrics.Histogram {
 // EProxy returns the gateway's EPROXY (nil in polling mode).
 func (g *Gateway) EProxy() *EProxy { return g.eprox }
 
-// Close stops the gateway. Every request still waiting for its response
-// completes with ErrGatewayClosed — Close takes each pending entry exactly
-// as a completion would, so a caller gets one outcome, never two and never
-// none — and response descriptors still queued on the socket are reclaimed
-// by the consumers on their way out.
+// Close stops the gateway. Closing the reply socket waits for every
+// completion already running on a delivering goroutine and turns later
+// replies away (their senders release the buffer). Every request still
+// pending then completes with ErrGatewayClosed — Close takes each entry
+// exactly as a completion would, so a request gets one outcome, never two
+// and never none. Last, Close waits for the metrics agent.
 func (g *Gateway) Close() {
 	g.once.Do(func() {
 		close(g.stop)
 		g.sock.Close()
-		for _, ch := range g.pending.takeAll() {
-			ch <- gwResult{err: ErrGatewayClosed}
+		for _, w := range g.pending.takeAll() {
+			g.settle(w, nil, ErrGatewayClosed)
 		}
 	})
 	g.wg.Wait()

@@ -51,9 +51,17 @@ func settledWorkers(t *testing.T) int {
 	return n
 }
 
-// liveWorkers counts goroutines currently inside (*Instance).work, from the
-// goroutine profile.
+// liveWorkers counts goroutines currently inside (*Instance).work.
 func liveWorkers(t *testing.T) int {
+	t.Helper()
+	return liveGoroutines(t, func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("core.(*Instance).work"))
+	})
+}
+
+// liveGoroutines counts the goroutines whose stack match accepts, from the
+// goroutine profile.
+func liveGoroutines(t *testing.T, match func(stack []byte) bool) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
@@ -61,7 +69,7 @@ func liveWorkers(t *testing.T) int {
 	}
 	n := 0
 	for _, rec := range bytes.Split(buf.Bytes(), []byte("\n\n")) {
-		if !bytes.Contains(rec, []byte("core.(*Instance).work")) {
+		if !match(rec) {
 			continue
 		}
 		m := workerRecord.FindSubmatch(rec)

@@ -1,0 +1,174 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// waiter is one pending request's completion target. Whoever takes it out
+// of the pending table — a reply descriptor's delivery, a terminal failure,
+// a peer's response frame, the deadline timer, Close — finishes the request
+// on its own goroutine (settle): for a local request it writes the response
+// once to where the caller wants it and wakes the caller; for a request a
+// peer node forwarded here there is no goroutine to wake, and the taker
+// answers the peer itself.
+type waiter struct {
+	caller uint32 // the entry's key in the pending table
+	// ch carries the one outcome to the parked caller; capacity 1, so the
+	// taker's send never blocks.
+	ch chan gwResult
+	// dst is InvokeInto's destination (into set); Invoke leaves both zero
+	// and the taker allocates exactly the response's length.
+	dst  []byte
+	into bool
+
+	// Remote-originated requests only (responder non-nil): who to answer,
+	// and what the parked caller of a local request keeps on its stack.
+	responder Responder
+	origin    RemoteOrigin
+	start     time.Time
+	tr        *Tracer
+	sampled   bool
+	timer     *time.Timer // the chain Deadline, when one is set
+}
+
+type gwResult struct {
+	body []byte // dst[:n], or a fresh slice for Invoke
+	err  error
+}
+
+// dest returns where an n-byte response goes.
+func (w *waiter) dest(n int) ([]byte, error) {
+	switch {
+	case w.into && len(w.dst) < n:
+		return nil, ErrShortBuffer
+	case w.into:
+		return w.dst[:n], nil
+	case n == 0:
+		return nil, nil
+	}
+	return make([]byte, n), nil
+}
+
+// RemoteOrigin identifies a request a peer node forwarded to this gateway:
+// what the node's Responder needs to address the answer.
+type RemoteOrigin struct {
+	Node   string // the forwarding node
+	Chain  string // the chain's name on that node
+	Caller uint32 // that node's pending-table key
+}
+
+// Responder answers requests that arrived from a peer node. Respond is called
+// exactly once per request InvokeRemote accepted, on the goroutine that
+// finished it — a function worker, a ring poller, the mesh receive loop, the
+// deadline timer or Close — so it must not block. body is only valid for the
+// duration of the call: it may alias a pool buffer released right after.
+type Responder interface {
+	Respond(o RemoteOrigin, body []byte, err error)
+}
+
+// pendShardCount shards the pending-request table. Every request touches
+// the table twice (register at invoke, claim at completion), from different
+// goroutines; a single mutex there is the gateway's first scalability wall
+// under parallel load. Caller IDs are sequential, so consecutive requests
+// hash to distinct shards and contention drops by ~the shard count.
+const pendShardCount = 64
+
+type pendShard struct {
+	mu sync.Mutex
+	m  map[uint32]*waiter
+	_  [6]uint64 // pad: neighbouring shard locks must not share a cache line
+}
+
+// pendTable is the sharded caller→waiter map. count mirrors the table size
+// so the admission path reads the inflight gauge in one atomic load instead
+// of sweeping 64 shard locks per request.
+type pendTable struct {
+	shards [pendShardCount]pendShard
+	count  atomic.Int64
+}
+
+func (t *pendTable) init() {
+	for i := range t.shards {
+		t.shards[i].m = make(map[uint32]*waiter)
+	}
+}
+
+func (t *pendTable) shard(caller uint32) *pendShard {
+	return &t.shards[caller&(pendShardCount-1)]
+}
+
+func (t *pendTable) put(w *waiter) {
+	s := t.shard(w.caller)
+	s.mu.Lock()
+	s.m[w.caller] = w
+	s.mu.Unlock()
+	t.count.Add(1)
+}
+
+// size counts registered waiters across all shards (tests, introspection).
+func (t *pendTable) size() int {
+	n := 0
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += len(s.m)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// take removes and returns the waiter registered for caller; exactly one of
+// the racing claimants (completion, failure, abandonment) wins it.
+func (t *pendTable) take(caller uint32) (*waiter, bool) {
+	s := t.shard(caller)
+	s.mu.Lock()
+	w, ok := s.m[caller]
+	if ok {
+		delete(s.m, caller)
+	}
+	s.mu.Unlock()
+	if ok {
+		t.count.Add(-1)
+	}
+	return w, ok
+}
+
+// takeAll removes and returns every registered waiter (Gateway.Close). Each
+// entry leaves its shard under the shard lock, exactly as in take, so a
+// completion or failure racing the sweep still has exactly one winner.
+func (t *pendTable) takeAll() []*waiter {
+	var out []*waiter
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for caller, w := range s.m {
+			delete(s.m, caller)
+			out = append(out, w)
+		}
+		s.mu.Unlock()
+	}
+	t.count.Add(-int64(len(out)))
+	return out
+}
+
+// newWaiter returns a recycled waiter keyed by a fresh caller ID (never the
+// NoReply sentinel); the caller fills in the target and registers it.
+func (g *Gateway) newWaiter() *waiter {
+	w, _ := g.waiterPool.Get().(*waiter)
+	if w == nil {
+		w = &waiter{ch: make(chan gwResult, 1)}
+	}
+	if w.caller = g.nextID.Add(1); w.caller == NoReply {
+		w.caller = g.nextID.Add(1)
+	}
+	return w
+}
+
+// putWaiter recycles a waiter nobody else can reach any more: its entry
+// left the table and its outcome, if one was sent, has been received.
+func (g *Gateway) putWaiter(w *waiter) {
+	*w = waiter{ch: w.ch}
+	g.waiterPool.Put(w)
+}

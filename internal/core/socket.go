@@ -31,10 +31,16 @@ import (
 // arrives later sees the flag and returns ErrSocketClosed without touching
 // the channel — the same guarantees the lock-based protocol gave, with
 // zero locking on the hot path.
+//
+// The gateway's socket has no queue and no consumer: it is built with a sink
+// (newSinkSocket), and Deliver runs the sink on the delivering goroutine,
+// inside the same sender registration — so Close returns only after every
+// delivery that saw the flag clear has run its sink to the end.
 type Socket struct {
 	id uint32
 
-	ch      chan shm.Descriptor
+	ch      chan shm.Descriptor  // nil on a sink socket
+	sink    func(shm.Descriptor) // set once at construction
 	closed  atomic.Bool
 	senders atomic.Int64 // Deliver calls between registration and send
 
@@ -54,6 +60,14 @@ func NewSocket(id uint32, depth int) *Socket {
 		depth = 1
 	}
 	return &Socket{id: id, ch: make(chan shm.Descriptor, depth)}
+}
+
+// newSinkSocket creates a socket that hands every delivered descriptor to
+// sink on the delivering goroutine instead of queueing it. sink must not
+// block: it runs on a function worker (ModeEvent) or a ring poller
+// (ModePolling).
+func newSinkSocket(id uint32, sink func(shm.Descriptor)) *Socket {
+	return &Socket{id: id, sink: sink}
 }
 
 // SockID implements ebpf.SockRef.
@@ -92,6 +106,10 @@ func (s *Socket) enqueue(d shm.Descriptor) error {
 	if s.closed.Load() {
 		return ErrSocketClosed
 	}
+	if s.sink != nil {
+		s.sink(d)
+		return nil
+	}
 	select {
 	case s.ch <- d:
 		return nil
@@ -126,6 +144,13 @@ func (s *Socket) DeliverBatch(ds []shm.Descriptor) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrSocketClosed
 	}
+	if s.sink != nil {
+		for _, d := range ds {
+			s.sink(d)
+		}
+		s.delivered.Add(uint64(len(ds)))
+		return len(ds), nil
+	}
 	for i, d := range ds {
 		select {
 		case s.ch <- d:
@@ -157,7 +182,8 @@ const closeSpinBudget = 64
 
 // Close marks the socket closed and wakes the consumer. Descriptors still
 // buffered remain readable from Recv until drained (the instance reclaims
-// them at shutdown). The senders wait backs off in two stages — spin with
+// them at shutdown); on a sink socket Close returns once every sink call
+// under way has returned. The senders wait backs off in two stages — spin with
 // yields, then exponentially growing sleeps capped at 1ms — so a stalled
 // sender delays the close without pinning a processor.
 func (s *Socket) Close() {
@@ -175,7 +201,9 @@ func (s *Socket) Close() {
 			sleep *= 2
 		}
 	}
-	close(s.ch)
+	if s.ch != nil {
+		close(s.ch)
+	}
 }
 
 // Stats reports delivery counters.

@@ -101,17 +101,28 @@ func unpackDesc(w0, w1 uint64) shm.Descriptor {
 // can never interleave with another producer's pair, so the consumer can
 // decode the stream two words at a time. One reservation per send, no
 // side table, no allocation.
+//
+// stopped ends the entry's poller: Unregister sets it for one socket,
+// Close for all of them. A sender that resolved the entry before it left
+// the table may still publish into the ring after the poller's last pass,
+// so every send re-checks the flag after publishing and, finding it set,
+// drains the ring itself — whichever of the two drains sees the descriptor
+// hands it to the drop handler, so none is stranded in a dead ring.
 type ringEntry struct {
-	r    *ring.Ring
-	sock *Socket
+	r       *ring.Ring
+	sock    *Socket
+	stopped atomic.Bool
 }
 
-// sendTo packs d into the ring with one bulk reservation. A refused bulk
+// sendTo packs d into e's ring with one bulk reservation. A refused bulk
 // means fewer than two slots were free — the ring is full.
-func (e *ringEntry) sendTo(d shm.Descriptor) error {
+func (t *ringTransport) sendTo(e *ringEntry, d shm.Descriptor) error {
 	w0, w1 := packDesc(d)
 	if e.r.EnqueueBulk([]uint64{w0, w1}) == 0 {
 		return ErrSocketFull
+	}
+	if e.stopped.Load() {
+		t.drainRing(e)
 	}
 	return nil
 }
@@ -124,7 +135,7 @@ type ringTransport struct {
 	mu      sync.RWMutex
 	entries map[uint32]*ringEntry
 	allowed map[uint64]bool
-	stop    atomic.Bool
+	closed  bool // under mu: Close has stopped every entry
 	wg      sync.WaitGroup
 
 	// drop is invoked for descriptors the transport accepted into a ring
@@ -161,14 +172,15 @@ func (t *ringTransport) Register(s *Socket) error {
 	}
 	e := &ringEntry{r: r, sock: s}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return errors.New("core: ring transport closed")
+	}
 	if _, dup := t.entries[s.SockID()]; dup {
-		t.mu.Unlock()
 		return fmt.Errorf("core: instance %d already registered", s.SockID())
 	}
 	t.entries[s.SockID()] = e
-	t.mu.Unlock()
-
-	t.wg.Add(1)
+	t.wg.Add(1) // under mu, so never concurrent with Close's Wait
 	go t.poll(e)
 	return nil
 }
@@ -177,16 +189,17 @@ func (t *ringTransport) Register(s *Socket) error {
 // in one ring reservation, decode them, and hand the whole burst to the
 // instance's socket in one wakeup. The out buffer is an even number of
 // words and producers only ever publish whole pairs, so a burst never
-// splits a descriptor. On exit the poller drains whatever the ring still
-// holds and routes it through the drop handler — descriptors accepted into
-// the ring own a shared-memory buffer reference, so abandoning them at
-// shutdown would leak the pool slab and blackhole the caller.
+// splits a descriptor. The poller runs until its entry is stopped —
+// Unregister for this socket alone, Close for all — and on exit drains
+// whatever the ring still holds through the drop handler: descriptors
+// accepted into the ring own a shared-memory buffer reference, so abandoning
+// them would leak the pool slab and blackhole the caller.
 func (t *ringTransport) poll(e *ringEntry) {
 	defer t.wg.Done()
 	var words [pollBurst * descWords]uint64
 	var batch [pollBurst]shm.Descriptor
 	for {
-		n := e.r.PollDequeueBurst(words[:], func() bool { return t.stop.Load() })
+		n := e.r.PollDequeueBurst(words[:], e.stopped.Load)
 		if n == 0 {
 			t.drainRing(e)
 			return
@@ -211,8 +224,8 @@ func (t *ringTransport) poll(e *ringEntry) {
 // un-enqueued tail of a partial DeliverBatch. Once dequeued, these
 // descriptors are the poller's responsibility: a full socket queue is
 // waited out with backoff (the ring, not the socket, provides the loss
-// point), and only a closed socket or transport shutdown converts the
-// tail into drops, each reclaimed through the drop handler.
+// point), and only a closed socket or a stopped entry converts the tail
+// into drops, each reclaimed through the drop handler.
 func (t *ringTransport) deliverAll(e *ringEntry, ds []shm.Descriptor) {
 	sleep := time.Microsecond
 	for spins := 0; len(ds) > 0; spins++ {
@@ -221,7 +234,7 @@ func (t *ringTransport) deliverAll(e *ringEntry, ds []shm.Descriptor) {
 		if len(ds) == 0 {
 			return
 		}
-		if errors.Is(err, ErrSocketClosed) || t.stop.Load() {
+		if errors.Is(err, ErrSocketClosed) || e.stopped.Load() {
 			t.dropAll(e, ds)
 			return
 		}
@@ -248,7 +261,9 @@ func (t *ringTransport) dropAll(e *ringEntry, ds []shm.Descriptor) {
 	}
 }
 
-// drainRing empties a stopped poller's ring through the drop handler.
+// drainRing empties a stopped entry's ring through the drop handler. The
+// ring is multi-consumer and reservations are whole descriptors, so the
+// poller's exit drain and a late sender's may run at once.
 func (t *ringTransport) drainRing(e *ringEntry) {
 	var words [pollBurst * descWords]uint64
 	for {
@@ -298,13 +313,18 @@ func (t *ringTransport) ringStats() []RingQueueStat {
 	return out
 }
 
+// Unregister removes id from the table and stops its poller, which drains
+// the ring through the drop handler on its way out. It does not wait for the
+// poller (a repair must not block on it); Close does.
 func (t *ringTransport) Unregister(id uint32) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.entries[id]; !ok {
+	e, ok := t.entries[id]
+	if !ok {
 		return fmt.Errorf("core: instance %d not registered", id)
 	}
 	delete(t.entries, id)
+	e.stopped.Store(true)
 	return nil
 }
 
@@ -335,7 +355,7 @@ func (t *ringTransport) Send(src uint32, d shm.Descriptor) error {
 	if err != nil {
 		return err
 	}
-	return e.sendTo(d)
+	return t.sendTo(e, d)
 }
 
 // SendBatch groups consecutive same-destination descriptors and inserts
@@ -366,7 +386,7 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 		}
 		n := end - start
 		if n == 1 {
-			if err := e.sendTo(ds[start]); err != nil {
+			if err := t.sendTo(e, ds[start]); err != nil {
 				fail(start, err)
 			} else {
 				delivered++
@@ -381,12 +401,15 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 		}
 		if e.r.EnqueueBulk(words[:n*descWords]) > 0 {
 			delivered += n
+			if e.stopped.Load() {
+				t.drainRing(e)
+			}
 		} else {
 			// Bulk refused (not enough free slots): fall back to
 			// per-descriptor sends so a nearly full ring still accepts
 			// what it can.
 			for i := start; i < end; i++ {
-				if err := e.sendTo(ds[i]); err != nil {
+				if err := t.sendTo(e, ds[i]); err != nil {
 					fail(i, err)
 				} else {
 					delivered++
@@ -399,6 +422,11 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 }
 
 func (t *ringTransport) Close() {
-	t.stop.Store(true)
+	t.mu.Lock()
+	t.closed = true
+	for _, e := range t.entries {
+		e.stopped.Store(true)
+	}
+	t.mu.Unlock()
 	t.wg.Wait()
 }

@@ -83,57 +83,38 @@ func (c *Cluster) StopMesh() {
 	}
 }
 
-// handleFrame is the node's inbound dispatch: requests re-enter the local
-// gateway, responses complete the local pending request they answer.
+// handleFrame is the node's inbound dispatch, run on the mesh's receive loop:
+// requests re-enter the local gateway, responses complete the local pending
+// request they answer. Nothing here outlives the call except what the
+// gateway copied: a request's reply address (sender, chain, caller) rides in
+// its pending entry as a core.RemoteOrigin, and whoever finishes the request
+// answers through n.Respond.
 func (n *WorkerNode) handleFrame(from string, f *wire.Frame) {
 	n.mu.Lock()
 	d := n.placed[f.Chain]
 	n.mu.Unlock()
-	mesh := n.Mesh
 	switch f.Type {
 	case wire.TypeRequest:
 		noReply := f.Flags&wire.FlagNoReply != 0
+		origin := core.RemoteOrigin{Node: from, Chain: f.Chain, Caller: f.Caller}
 		if d == nil {
 			if !noReply && from != "" {
-				rf := wire.Frame{Type: wire.TypeResponse, Caller: f.Caller, Chain: f.Chain,
-					Flags: wire.FlagError, Err: fmt.Sprintf("node %s: chain %q not placed here", n.Name, f.Chain)}
-				_ = mesh.Send(from, &rf)
+				n.Respond(origin, nil, fmt.Errorf("node %s: chain %q not placed here", n.Name, f.Chain))
 			}
 			return
 		}
 		tc := shm.TraceContext{TraceHi: f.TraceHi, TraceLo: f.TraceLo, Span: f.TraceSpan, Flags: f.TraceFlags}
 		if noReply {
-			_ = d.Gateway.InvokeRemote(f.Fn, f.Topic, f.Payload, f.Obj, tc, true, nil)
+			_ = d.Gateway.InvokeRemote(f.Fn, f.Topic, f.Payload, f.Obj, tc, origin, nil)
 			return
 		}
-		// Capture by value: f.Payload aliases a pooled receive buffer that
-		// dies when this handler returns; InvokeRemote copies it into the
-		// local pool before returning.
-		chain, caller := f.Chain, f.Caller
-		respond := func(payload []byte, ierr error) {
-			rf := wire.Frame{Type: wire.TypeResponse, Caller: caller, Chain: chain}
-			if ierr != nil {
-				rf.Flags = wire.FlagError
-				rf.Err = ierr.Error()
-			} else {
-				rf.Payload = payload
-			}
-			if serr := mesh.Send(from, &rf); serr != nil && rf.Flags&wire.FlagError == 0 {
-				// The response itself was unsendable (e.g. a reply object
-				// larger than MaxFrame). An error frame is small and always
-				// encodable — deliver that so the origin fails fast instead
-				// of timing out on a blackholed caller slot.
-				ef := wire.Frame{Type: wire.TypeResponse, Caller: caller, Chain: chain,
-					Flags: wire.FlagError,
-					Err:   fmt.Sprintf("node %s: response undeliverable: %v", n.Name, serr)}
-				_ = mesh.Send(from, &ef)
-			}
-		}
-		if err := d.Gateway.InvokeRemote(f.Fn, f.Topic, f.Payload, f.Obj, tc, false, respond); err != nil {
-			// Admission refused (overload shed, pool exhaustion): answer
+		// f.Payload aliases the receive buffer, which dies when this handler
+		// returns; InvokeRemote copies it into the local pool before returning.
+		if err := d.Gateway.InvokeRemote(f.Fn, f.Topic, f.Payload, f.Obj, tc, origin, n); err != nil {
+			// Refused (overload shed, pool exhaustion, no instance): answer
 			// immediately so the origin fails fast instead of waiting out
 			// its deadline.
-			respond(nil, err)
+			n.Respond(origin, nil, err)
 		}
 	case wire.TypeResponse:
 		if d == nil {
@@ -144,6 +125,30 @@ func (n *WorkerNode) handleFrame(from string, f *wire.Frame) {
 			rerr = fmt.Errorf("orchestrator: remote node %s: %s", from, f.Err)
 		}
 		d.Gateway.CompleteRemote(f.Caller, f.Payload, rerr)
+	}
+}
+
+// Respond implements core.Responder: it answers the peer that forwarded a
+// request here, on the goroutine that finished the request — usually the
+// worker of the chain's last local function, which encodes body straight
+// from the reply's pool buffer into the peer's send slot. Mesh.Send never
+// blocks (a full send ring is ErrBacklog), so it cannot wedge that worker.
+// The frame lives on this stack: Send copies it while encoding.
+func (n *WorkerNode) Respond(o core.RemoteOrigin, body []byte, err error) {
+	mesh := n.Mesh
+	if mesh == nil {
+		return
+	}
+	rf := wire.Frame{Type: wire.TypeResponse, Caller: o.Caller, Chain: o.Chain, Payload: body}
+	if err != nil {
+		rf.Flags, rf.Payload, rf.Err = wire.FlagError, nil, err.Error()
+	}
+	if serr := mesh.Send(o.Node, &rf); serr != nil && err == nil {
+		// The response itself was unsendable (e.g. a reply object larger
+		// than MaxFrame). An error frame is small and always encodable —
+		// deliver that so the origin fails fast instead of timing out on a
+		// blackholed caller slot.
+		n.Respond(o, nil, fmt.Errorf("node %s: response undeliverable: %v", n.Name, serr))
 	}
 }
 

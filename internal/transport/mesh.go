@@ -10,8 +10,11 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -89,8 +92,10 @@ type FrameMeta struct {
 }
 
 // Handler consumes one received frame. from is the sender's node name (from
-// its hello frame; "" if the peer never identified). The frame's Payload is
-// only valid for the duration of the call — the receive buffer is pooled.
+// its hello frame; "" if the peer never identified). The frame — which the
+// receive loop reuses — and its Payload and Obj — which alias the read
+// buffer — are only valid for the duration of the call; its strings may be
+// kept.
 type Handler func(from string, f *wire.Frame)
 
 // DropFunc is notified for every frame the mesh gives up on, with the
@@ -309,10 +314,20 @@ func (m *Mesh) getReadBuf(n int) *[]byte {
 	return bp
 }
 
-// serveConn is the receive loop of one inbound connection: read the length
-// prefix, read the frame body into a pooled buffer, decode, dispatch. A
-// framing error tears the connection down (counted); the peer's writer will
-// reconnect and resend what the kernel had not accepted.
+// readBufSize is each inbound connection's read buffer. A frame that fits it
+// prefix and all (every frame of a chain whose pool buffers are 16–32 KiB) is
+// decoded where the kernel put it; four of the benchmark's 16 KiB frames fit
+// at once, so a loaded link drains several frames per read.
+const readBufSize = 64 << 10
+
+// serveConn is the receive loop of one inbound connection. It reads through
+// one fixed buffer: peek the length prefix, and when prefix and body fit the
+// buffer, decode the frame in place and discard it once the handler has
+// returned — one read brings the prefix, the body and whatever frames follow.
+// A larger frame is read from the same buffered reader into a pooled buffer.
+// A framing error tears the connection down (counted); the peer's writer will
+// reconnect and resend what the kernel had not accepted. EOF mid-frame is the
+// torn frame of that protocol and is discarded silently.
 func (m *Mesh) serveConn(conn net.Conn) {
 	defer m.wg.Done()
 	defer func() {
@@ -321,43 +336,64 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		delete(m.conns, conn)
 		m.connMu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
+	var dec wire.Decoder
 	from := ""
-	var prefix [wire.PrefixLen]byte
+	var rs *recvStats // from's counters, looked up on its first frame
 	for {
-		if _, err := readFull(conn, prefix[:]); err != nil {
+		prefix, err := br.Peek(wire.PrefixLen)
+		if err != nil {
 			return // EOF or peer reset: normal teardown
 		}
-		n := int(uint32(prefix[0]) | uint32(prefix[1])<<8 | uint32(prefix[2])<<16 | uint32(prefix[3])<<24)
+		n := int(binary.LittleEndian.Uint32(prefix))
 		if n <= 0 || n > wire.MaxFrame {
 			m.recvErrors.Add(1)
 			return
 		}
-		bp := m.getReadBuf(n)
-		if _, err := readFull(conn, *bp); err != nil {
-			m.readPool.Put(bp)
-			return
+		var body []byte
+		var big *[]byte
+		if wire.PrefixLen+n <= readBufSize {
+			framed, err := br.Peek(wire.PrefixLen + n)
+			if err != nil {
+				return
+			}
+			body = framed[wire.PrefixLen:]
+		} else {
+			big = m.getReadBuf(n)
+			br.Discard(wire.PrefixLen) // buffered: cannot fail
+			if _, err := io.ReadFull(br, *big); err != nil {
+				m.readPool.Put(big)
+				return
+			}
+			body = *big
 		}
-		f, err := wire.DecodeFrame(*bp)
-		if err != nil {
-			m.readPool.Put(bp)
+		f, err := dec.Decode(body)
+		switch {
+		case err != nil:
 			m.recvErrors.Add(1)
+		case f.Type == wire.TypeHello:
+			from, rs = f.Fn, nil
+		default:
+			if rs == nil {
+				rs = m.recvStatsFor(from)
+			}
+			rs.frames.Add(1)
+			rs.bytes.Add(uint64(wire.PrefixLen + n))
+			m.handlerMu.RLock()
+			h := m.handler
+			m.handlerMu.RUnlock()
+			if h != nil {
+				h(from, f)
+			}
+		}
+		if big != nil {
+			m.readPool.Put(big)
+		} else {
+			br.Discard(wire.PrefixLen + n) // buffered: cannot fail
+		}
+		if err != nil {
 			return
 		}
-		if f.Type == wire.TypeHello {
-			from = f.Fn
-			m.readPool.Put(bp)
-			continue
-		}
-		rs := m.recvStatsFor(from)
-		rs.frames.Add(1)
-		rs.bytes.Add(uint64(wire.PrefixLen + n))
-		m.handlerMu.RLock()
-		h := m.handler
-		m.handlerMu.RUnlock()
-		if h != nil {
-			h(from, &f)
-		}
-		m.readPool.Put(bp)
 	}
 }
 
@@ -370,19 +406,6 @@ func (m *Mesh) recvStatsFor(from string) *recvStats {
 		m.recv[from] = rs
 	}
 	return rs
-}
-
-// readFull fills b from conn (io.ReadFull without the import churn).
-func readFull(conn net.Conn, b []byte) (int, error) {
-	read := 0
-	for read < len(b) {
-		n, err := conn.Read(b[read:])
-		read += n
-		if err != nil {
-			return read, err
-		}
-	}
-	return read, nil
 }
 
 // Close stops the mesh: the listener, every inbound connection, and every

@@ -49,9 +49,14 @@ type Peer struct {
 	// notify wakes the writer; capacity 1 so senders never block on it.
 	notify chan struct{}
 
-	// Writer-owned connection state: only the writer goroutine touches it.
+	// Writer-owned state: only the writer goroutine touches it. iov is the
+	// slice a flush hands to WriteTo, which consumes it — header advanced past
+	// everything written, capacity gone with it — so every flush re-slices it
+	// from iovAll, the whole backing array, instead of growing a new one.
 	conn      net.Conn
 	connected bool
+	iov       net.Buffers
+	iovAll    net.Buffers
 
 	framesSent atomic.Uint64
 	bytesSent  atomic.Uint64
@@ -82,6 +87,7 @@ func newPeer(m *Mesh, name, addr string) *Peer {
 		send:     send,
 		free:     make([]uint64, n),
 		notify:   make(chan struct{}, 1),
+		iovAll:   make(net.Buffers, m.cfg.MaxBatch),
 		drops:    make(map[string]uint64),
 		perWrite: metrics.NewStripedHistogram(),
 	}
@@ -172,7 +178,6 @@ func (p *Peer) writer() {
 		}
 	}()
 	idxs := make([]uint64, p.mesh.cfg.MaxBatch)
-	bufs := make(net.Buffers, 0, p.mesh.cfg.MaxBatch)
 	for {
 		n := p.send.DequeueBurst(idxs)
 		if n == 0 {
@@ -184,7 +189,7 @@ func (p *Peer) writer() {
 				return
 			}
 		}
-		p.flush(idxs[:n], &bufs)
+		p.flush(idxs[:n])
 		select {
 		case <-p.mesh.stop:
 			p.drainClosed(idxs)
@@ -198,7 +203,7 @@ func (p *Peer) writer() {
 // connection: on a write error, frames the kernel fully accepted are counted
 // sent and freed; a partially-written frame is resent in full on a fresh
 // connection (the receiver discards the truncated prefix at EOF).
-func (p *Peer) flush(idxs []uint64, bufs *net.Buffers) {
+func (p *Peer) flush(idxs []uint64) {
 	cfg := p.mesh.cfg
 	attempts := 0
 	backoff := cfg.DialBackoff
@@ -241,17 +246,17 @@ func (p *Peer) flush(idxs []uint64, bufs *net.Buffers) {
 				continue
 			}
 		}
-		*bufs = (*bufs)[:0]
+		p.iov = p.iovAll[:0]
 		total := 0
 		for _, ix := range idxs {
 			b := p.slots[ix].buf
-			*bufs = append(*bufs, b)
+			p.iov = append(p.iov, b)
 			total += len(b)
 		}
 		batch := len(idxs)
 		// net.Buffers.WriteTo consumes the slice (writev under the hood);
-		// bufs is rebuilt from the slots on every attempt.
-		nw, err := bufs.WriteTo(p.conn)
+		// iov is rebuilt from the slots on every attempt.
+		nw, err := p.iov.WriteTo(p.conn)
 		if err == nil {
 			p.writes.Add(1)
 			p.perWrite.Observe(p.writes.Load(), float64(batch))

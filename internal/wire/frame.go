@@ -167,7 +167,28 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // DecodeFrame decodes one frame body (the bytes following the length
 // prefix). The returned Frame's Payload aliases b; string fields are copies.
 func DecodeFrame(b []byte) (Frame, error) {
-	var f Frame
+	var d Decoder
+	f, err := d.Decode(b)
+	return *f, err
+}
+
+// Decoder decodes the frames of one connection without allocating per
+// frame. A link carries the same few chain, function and topic names over
+// and over, so the decoder keeps the last value it saw in each of those
+// fields and hands the same string out again when the bytes match; only a
+// name it has not just seen (and a non-empty error message) is copied. The
+// zero value is ready to use. Not safe for concurrent use.
+type Decoder struct {
+	f                Frame
+	chain, fn, topic string
+}
+
+// Decode decodes one frame body exactly as DecodeFrame does, into a Frame
+// the decoder owns: the result (and, as ever, its Payload and Obj, which
+// alias b) is valid until the next Decode.
+func (d *Decoder) Decode(b []byte) (*Frame, error) {
+	d.f = Frame{}
+	f := &d.f
 	if len(b) > MaxFrame {
 		return f, ErrFrameTooBig
 	}
@@ -192,16 +213,16 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f.TraceFlags = binary.LittleEndian.Uint32(b[32:])
 	rest := b[fixedLen:]
 	var err error
-	if f.Chain, rest, err = takeString(rest); err != nil {
+	if f.Chain, rest, err = takeString(rest, &d.chain); err != nil {
 		return f, err
 	}
-	if f.Fn, rest, err = takeString(rest); err != nil {
+	if f.Fn, rest, err = takeString(rest, &d.fn); err != nil {
 		return f, err
 	}
-	if f.Topic, rest, err = takeString(rest); err != nil {
+	if f.Topic, rest, err = takeString(rest, &d.topic); err != nil {
 		return f, err
 	}
-	if f.Err, rest, err = takeString(rest); err != nil {
+	if f.Err, rest, err = takeString(rest, nil); err != nil {
 		return f, err
 	}
 	if f.Payload, rest, err = takeBytes(rest, "payload"); err != nil {
@@ -232,9 +253,12 @@ func takeBytes(b []byte, what string) ([]byte, []byte, error) {
 	return b[:n:n], b[n:], nil
 }
 
-// takeString consumes one u16-prefixed string, returning it (as a copy) and
-// the remaining bytes.
-func takeString(b []byte) (string, []byte, error) {
+// takeString consumes one u16-prefixed string and returns it and the
+// remaining bytes. The string is a copy of the input, or — when last is given
+// and still holds these very bytes — *last again, without copying. An empty
+// string leaves *last alone: responses carry no function or topic, and must
+// not evict the name the requests between them keep repeating.
+func takeString(b []byte, last *string) (string, []byte, error) {
 	if len(b) < 2 {
 		return "", b, fmt.Errorf("%w: string length", ErrTruncated)
 	}
@@ -243,5 +267,11 @@ func takeString(b []byte) (string, []byte, error) {
 	if len(b) < n {
 		return "", b, fmt.Errorf("%w: string %d of %d bytes", ErrTruncated, len(b), n)
 	}
-	return string(b[:n]), b[n:], nil
+	if n == 0 || last == nil {
+		return string(b[:n]), b[n:], nil
+	}
+	if *last != string(b[:n]) { // the comparison does not allocate
+		*last = string(b[:n])
+	}
+	return *last, b[n:], nil
 }

@@ -60,19 +60,24 @@ race:
 	$(GO) test -race -p 1 ./...
 
 # race-stress repeats the tests of the dataplane's lock-free protocols —
-# workers parked in a plain receive (stop flag, retire tokens), requests
-# finished by whoever takes their pending entry (Gateway.Close, abandonment
-# racing completion, pollers following their sockets), the copy-on-write
+# workers parked in a plain receive (stop flag, retire tokens), concurrency
+# slots claimed by forwarding workers (the bound, the parked worker's wake,
+# shutdown waiting for claimed slots, the routing cycle, backlog and fan-out),
+# requests finished by whoever takes their pending entry (Gateway.Close,
+# abandonment racing completion, pollers following their sockets, the remote
+# Deadline armed inside the table's lock), the copy-on-write
 # routing/filter/topic tables — and of the transport's slot stack and receive
 # framing ten times under the race detector: one pass of `race` can miss the
 # interleavings these protocols exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
-# alloc-gate runs the cross-node allocation gate without the race detector,
-# under which it skips itself (sync.Pool drops Puts at random there).
+# alloc-gate runs the allocation gates — the cross-node round trip, and the
+# twelve-hop local chain that must also stay on one worker — without the race
+# detector, under which they skip their counting (sync.Pool drops Puts at
+# random there).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations' ./internal/orchestrator/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations' ./internal/orchestrator/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

@@ -470,14 +470,16 @@ func BenchmarkSProxySend(b *testing.B) {
 	sock.Close()
 }
 
-// BenchmarkHopHandoff measures the layer no probe isolates — worker wake and
-// scheduling — as one whole hop: Socket.Deliver → a parked worker wakes →
-// no-op handler → DFR (Router.Next, PickInstance) → forward's SPROXY send
-// into the next instance's socket. Two functions route to each other and a
-// single fire-and-forget descriptor circulates between them, so exactly one
-// descriptor is in flight, the gateway and the waiter are off the clock, and
-// ns/op is the cost of one hop. hopsLeft needs no atomic: each socket
-// handoff orders one handler's access before the next one's.
+// BenchmarkHopHandoff times one function → function hop as the dataplane
+// normally makes it: no-op handler → DFR (Router.Next, PickInstance) → the
+// SPROXY program run → the forwarding worker claims the next instance's one
+// slot and runs that handler itself — no queue, no wake. Two Concurrency: 1
+// functions route to each other and a single fire-and-forget descriptor
+// circulates between them for b.N hops, so the gateway and the waiter are
+// off the clock and ns/op is the cost of one hop. All b.N hops run on the
+// first function's worker, iteratively: a hop that recursed into the next
+// handler would not survive the stack. hopsLeft needs no atomic for the same
+// reason.
 func BenchmarkHopHandoff(b *testing.B) {
 	var hopsLeft int
 	done := make(chan struct{})

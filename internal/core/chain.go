@@ -477,6 +477,8 @@ func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
 		serviceTime: fs.ServiceTime,
 	}
 	inst.concurrency.Store(int32(fs.Concurrency))
+	inst.slotFreed.L = &inst.slotMu
+	inst.sock.inst = inst
 	return inst
 }
 
@@ -595,22 +597,28 @@ func (c *Chain) jitter(d time.Duration) time.Duration {
 }
 
 // attempt performs one send try for the hop srcFn→dstFn, consulting the
-// fault injector first.
-func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor) error {
+// fault injector first. With home — the sending worker's own socket — the try
+// may end in a claim instead of a delivery: the destination instance comes
+// back with a slot held and the sender runs its handler (SProxy.sendOrClaim).
+// ModePolling has no SPROXY and always queues.
+func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
 	if c.injector.DecideSend(srcFn, dstFn) {
 		c.failures.injected.Add(1)
-		return ErrSocketFull
+		return nil, ErrSocketFull
 	}
-	return c.transport.Send(src, d)
+	if home != nil && c.sproxy != nil {
+		return c.sproxy.sendOrClaim(src, d, home)
+	}
+	return nil, c.transport.Send(src, d)
 }
 
 // resend drives the retry loop after a first attempt failed with err:
 // exponential backoff with jitter, up to the chain's retry budget.
 // Non-transient errors (filter rejection, unknown destination) end the loop
 // immediately.
-func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, err error) error {
-	if err == nil || c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
-		return err
+func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket, err error) (*Instance, error) {
+	if c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
+		return nil, err
 	}
 	backoff := c.retry.BaseBackoff
 	for n := 1; n < c.retry.MaxAttempts; n++ {
@@ -619,12 +627,13 @@ func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, err er
 		if backoff *= 2; backoff > c.retry.MaxBackoff {
 			backoff = c.retry.MaxBackoff
 		}
-		if err = c.attempt(src, srcFn, dstFn, d); err == nil || !errors.Is(err, ErrSocketFull) {
-			return err
+		var next *Instance
+		if next, err = c.attempt(src, srcFn, dstFn, d, home); err == nil || !errors.Is(err, ErrSocketFull) {
+			return next, err
 		}
 	}
 	c.failures.retriesExhausted.Add(1)
-	return fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
+	return nil, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
 }
 
 // send delivers d from src, retrying transient transport errors (socket
@@ -633,17 +642,35 @@ func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, err er
 // "gateway" for replies. Non-transient errors (filter rejection, unknown
 // destination) are returned immediately.
 func (c *Chain) send(src uint32, srcFn, dstFn string, d shm.Descriptor) error {
+	_, err := c.sendOrClaim(src, srcFn, dstFn, d, nil)
+	return err
+}
+
+// sendOrClaim is send for a function worker's single-destination hop: given
+// home, the worker's own socket, it may return the destination instance with
+// a concurrency slot held instead of queueing d there, and the caller then
+// runs that instance's handler on d itself.
+func (c *Chain) sendOrClaim(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
 	if tr := c.currentTracer(); tr != nil && c.pool.TraceSampled(d.Buf) {
-		return c.sendTraced(tr, src, srcFn, dstFn, d)
+		return c.sendTraced(tr, src, srcFn, dstFn, d, home)
 	}
-	return c.resend(src, srcFn, dstFn, d, c.attempt(src, srcFn, dstFn, d))
+	return c.sendRetrying(src, srcFn, dstFn, d, home)
+}
+
+// sendRetrying is one attempt plus, if that is refused, the retry budget.
+func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
+	next, err := c.attempt(src, srcFn, dstFn, d, home)
+	if err != nil {
+		return c.resend(src, srcFn, dstFn, d, home, err)
+	}
+	return next, nil
 }
 
 // sendTraced wraps one hop's send in a redirect/enqueue span and stamps
-// the buffer's enqueue time so the consumer side (ring poller or socket
-// worker) can attribute queue wait. Only sampled buffers come here — the
-// unsampled path stays clock-free.
-func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor) error {
+// the buffer's enqueue time so the consumer side (ring poller, socket
+// worker, or the sender itself after a claim) can attribute queue wait. Only
+// sampled buffers come here — the unsampled path stays clock-free.
+func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
 	parent := c.pool.TraceContext(d.Buf).Span
 	stage := StageRedirect
 	if c.mode == ModePolling {
@@ -653,13 +680,13 @@ func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.De
 	// Stamp before the send: the consumer may dequeue the descriptor
 	// before this goroutine runs again, and it must find the stamp.
 	c.pool.StampTrace(d.Buf, t0.UnixNano())
-	err := c.resend(src, srcFn, dstFn, d, c.attempt(src, srcFn, dstFn, d))
+	next, err := c.sendRetrying(src, srcFn, dstFn, d, home)
 	s := Span{Parent: parent, Stage: stage, Function: dstFn, Instance: d.NextFn, Start: t0, End: time.Now()}
 	if err != nil {
 		s.Err = err.Error()
 	}
 	tr.RecordSpan(d.Caller, s)
-	return err
+	return next, err
 }
 
 // ringDequeueHook runs in the D-SPRIGHT poller for each dequeued
@@ -721,8 +748,7 @@ func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.De
 	delivered := c.transport.SendBatch(src, ds, func(i int, err error) {
 		// Transient refusals get the same retry budget as serial sends.
 		if errors.Is(err, ErrSocketFull) {
-			err = c.resend(src, srcFn, dstFns[i], ds[i], err)
-			if err == nil {
+			if _, err = c.resend(src, srcFn, dstFns[i], ds[i], nil, err); err == nil {
 				retried++
 				return
 			}
@@ -1049,8 +1075,11 @@ func (c *Chain) RestartInstance(id uint32) (*Instance, error) {
 		c.noteError("restart", err)
 	}
 	// The victim may be wedged mid-handler; don't block the repair on it.
-	// shutdown waits out in-flight work, then drains and reclaims the
-	// socket queue.
+	// It starts no handler from here on — not for a descriptor still queued,
+	// not in a slot a forwarding worker claims — and shutdown waits out the
+	// ones running, wherever they run, then drains and reclaims the socket
+	// queue.
+	victim.stop()
 	go victim.shutdown()
 	return repl, nil
 }

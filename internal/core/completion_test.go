@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // Tests for the rule that whoever takes a request's pending entry finishes
@@ -29,12 +31,7 @@ func livePollers(t *testing.T) int {
 // ScaleToZero, DiscardPrewarmed — takes its poller with it instead of leaving
 // it spinning on a dead ring until the chain closes.
 func TestHandoffPollersFollowTheirSockets(t *testing.T) {
-	base := 0
-	waitFor(t, "earlier tests' pollers to exit", func() bool {
-		base = livePollers(t)
-		time.Sleep(2 * time.Millisecond)
-		return livePollers(t) == base
-	})
+	base := settled(t, "earlier tests' pollers to exit", func() int { return livePollers(t) })
 
 	spec := echoSpec()
 	spec.Functions[0].Instances = 2
@@ -44,7 +41,7 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 	wantPollers := func(prewarmed int) {
 		t.Helper()
 		want := base + 1 + len(c.Instances()) + prewarmed
-		waitFor(t, "one poller per live socket", func() bool { return livePollers(t) == want })
+		pollUntil(t, "one poller per live socket", func() bool { return livePollers(t) == want })
 	}
 	invoke := func() {
 		t.Helper()
@@ -87,7 +84,7 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 	g.Close()
 	c.Close()
 	// Close waits for every poller's last statement, not for its exit.
-	waitFor(t, "no poller to outlive Chain.Close", func() bool { return livePollers(t) == base })
+	pollUntil(t, "no poller to outlive Chain.Close", func() bool { return livePollers(t) == base })
 	// Pool.LeakCheck: testChain's cleanup.
 }
 
@@ -169,7 +166,7 @@ func TestHandoffAbandonRacesCompletion(t *testing.T) {
 			if g.Pending() != 0 || g.pending.size() != 0 {
 				t.Errorf("pending after the storm: count %d, table %d", g.Pending(), g.pending.size())
 			}
-			waitFor(t, "late replies reclaimed", func() bool { return c.Pool().InUse() == 0 })
+			pollUntil(t, "late replies reclaimed", func() bool { return c.Pool().InUse() == 0 })
 		})
 	}
 }
@@ -179,18 +176,13 @@ func TestHandoffAbandonRacesCompletion(t *testing.T) {
 // parked in Invoke are the only other goroutines inside the gateway.
 func TestHandoffGatewayStartsNoConsumers(t *testing.T) {
 	inGateway := func(stack []byte) bool { return bytes.Contains(stack, []byte("core.(*Gateway).")) }
-	base := 0
-	waitFor(t, "earlier tests' gateways to stop", func() bool {
-		base = liveGoroutines(t, inGateway)
-		time.Sleep(2 * time.Millisecond)
-		return liveGoroutines(t, inGateway) == base
-	})
+	base := settled(t, "earlier tests' gateways to stop", func() int { return liveGoroutines(t, inGateway) })
 	gate := make(chan struct{})
 	var runs atomic.Int64
 	spec := holdSpec(gate, &runs)
 	spec.Functions[0].Concurrency = 8
 	_, g := testChain(t, ModeEvent, spec)
-	waitFor(t, "the metrics agent to start", func() bool { return liveGoroutines(t, inGateway)-base >= 1 })
+	pollUntil(t, "the metrics agent to start", func() bool { return liveGoroutines(t, inGateway)-base >= 1 })
 	if n := liveGoroutines(t, inGateway) - base; n != 1 {
 		t.Errorf("idle gateway runs %d goroutines, want 1 (the metrics agent)", n)
 	}
@@ -205,10 +197,67 @@ func TestHandoffGatewayStartsNoConsumers(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "all callers parked", func() bool { return g.Pending() == callers })
+	pollUntil(t, "all callers parked", func() bool { return g.Pending() == callers })
 	if n := liveGoroutines(t, inGateway) - base; n != 1+callers {
 		t.Errorf("%d goroutines inside the gateway with %d callers parked, want %d", n, callers, 1+callers)
 	}
 	close(gate)
 	wg.Wait()
+}
+
+// respondTo collects what a remote-originated request's Responder is told.
+type respondTo chan error
+
+func (r respondTo) Respond(_ RemoteOrigin, _ []byte, err error) { r <- err }
+
+// TestRemoteDeadlineFiresBeforeRegistration: the chain Deadline of a request a
+// peer forwarded here is armed inside the pending table's critical section, so
+// even a timer that fires at once finds the entry it is to expire. With a
+// 1 ns Deadline and the handler held, every request is answered with
+// DeadlineExceeded by the timer — nothing else can answer it — and once the
+// handlers are let go the late replies give every buffer back.
+func TestRemoteDeadlineFiresBeforeRegistration(t *testing.T) {
+	const requests = 200
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	spec := holdSpec(gate, &runs)
+	spec.Deadline = time.Nanosecond
+	spec.PoolBuffers = 2 * requests
+	spec.Functions[0].Concurrency = requests
+	c, g := testChain(t, ModeEvent, spec)
+	open := openOnce(gate)
+	t.Cleanup(open)
+
+	answers := make(respondTo, requests)
+	for i := 0; i < requests; i++ {
+		origin := RemoteOrigin{Node: "peer", Chain: c.Name(), Caller: uint32(i + 1)}
+		if err := g.InvokeRemote("slow", "", []byte("hold"), nil, shm.TraceContext{}, origin, answers); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	patience := time.After(10 * time.Second)
+	for i := 0; i < requests; i++ {
+		select {
+		case err := <-answers:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("answer %d: %v, want DeadlineExceeded", i, err)
+			}
+		case <-patience:
+			t.Fatalf("%d of %d requests never expired: their timers fired before their entries were registered", requests-i, requests)
+		}
+	}
+	if g.Pending() != 0 || g.pending.size() != 0 {
+		t.Errorf("pending after every deadline: count %d, table %d", g.Pending(), g.pending.size())
+	}
+	if fs := c.Failures(); fs.DeadlinesExceeded != requests {
+		t.Errorf("%d deadlines counted, want %d", fs.DeadlinesExceeded, requests)
+	}
+	open()
+	pollUntil(t, "the late replies to give the buffers back", func() bool { return c.Pool().InUse() == 0 })
+	select {
+	case err := <-answers:
+		t.Errorf("a request was answered twice: %v", err)
+	default:
+	}
+	// Pool.LeakCheck: testChain's cleanup.
 }

@@ -158,11 +158,17 @@ func (r *Router) Instances(fn string) []*Instance {
 // is health-aware: instances whose circuit breaker is open are skipped;
 // if every instance is circuit-broken the caller gets ErrAllUnhealthy — a
 // terminal error — rather than a descriptor routed into a dead pod. The
-// clock is read only when some candidate's breaker is not closed.
+// clock is read only when some candidate's breaker is not closed, and a sole
+// candidate whose breaker is closed is returned without reading its load:
+// there is nothing to compare it with, the claim or the worker pool enforces
+// its bound, and the load sits on a line every hop to the instance writes.
 func (r *Router) PickInstance(fn string) (*Instance, error) {
 	list := (*r.instances.Load())[fn]
 	if len(list) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoInstance, fn)
+	}
+	if len(list) == 1 && list[0].health.openUntil.Load() == 0 {
+		return list[0], nil
 	}
 	var now int64
 	var best *Instance

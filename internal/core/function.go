@@ -28,6 +28,12 @@ const GatewayID uint32 = 0
 // reads and mutates the message payload in place through Ctx — zero-copy —
 // and may override the default next hop with Ctx.ForwardTo or terminate
 // the flow early with Ctx.Reply.
+//
+// Run to completion is load-bearing: a handler may be run by the worker that
+// forwarded the message to it, one handler after another down the chain, so a
+// handler that waits for another message of its own chain to be handled may
+// be waiting for the goroutine it is running on. Anything else it may block
+// on; it then holds one concurrency slot of its instance, as ever.
 type Handler func(ctx *Ctx) error
 
 // ctxPool recycles invocation contexts — one fewer heap allocation per
@@ -220,6 +226,14 @@ func (c *Ctx) Drop() { c.dropped = true }
 
 // Instance is one running pod of a function: a socket, a persistent worker
 // pool and a concurrency limit.
+//
+// Every handler execution holds one of the instance's concurrency slots, and
+// inflight is the count of slots held. Two kinds of goroutine hold them: the
+// instance's own workers, for descriptors queued on its socket, and in
+// ModeEvent the workers of other instances that forwarded a message here,
+// claimed a slot and are running the handler themselves (Socket.claimFor).
+// Together they never exceed Concurrency. A worker that dequeues a descriptor
+// while claimed slots fill the bound parks until one is released.
 type Instance struct {
 	chain  *Chain
 	fnName string
@@ -229,19 +243,26 @@ type Instance struct {
 	handler     Handler
 	serviceTime time.Duration // optional simulated CPU service time
 
-	// concurrency is the worker-pool size: read by every PickInstance,
-	// written only by SetConcurrency. stopping is set once by shutdown; a
-	// worker that receives a descriptor afterwards reclaims it instead of
-	// running the handler. concMu serializes resizes against each other and
-	// against shutdown (no wg.Add once shutdown waits).
+	// concurrency is the slot bound and the worker-pool size: read by every
+	// claim, written only by SetConcurrency. stopping is set once by shutdown;
+	// no slot is granted afterwards, and a worker that receives a descriptor
+	// reclaims it instead of running the handler. concMu serializes resizes
+	// against each other and against shutdown (no wg.Add once shutdown waits).
 	concurrency atomic.Int32
 	stopping    atomic.Bool
 	concMu      sync.Mutex
 
-	inflight atomic.Int64
+	inflight atomic.Int64 // slots held: handlers running, on any goroutine
 	handled  atomic.Uint64
 	errs     atomic.Uint64
 	health   health
+
+	// Who waits for a release: workers parked on a full instance, and
+	// shutdown waiting for the last handler. release looks at slotWaiters and
+	// nothing else while it is zero.
+	slotWaiters atomic.Int32
+	slotMu      sync.Mutex
+	slotFreed   sync.Cond // L is &slotMu
 
 	wg      sync.WaitGroup
 	drained sync.Once
@@ -272,6 +293,13 @@ func (in *Instance) SocketStats() (delivered, dropped uint64) {
 	return in.sock.Stats()
 }
 
+// QueuedHops returns how many function → function hops were queued on this
+// instance's socket because the sending worker could not run the handler
+// itself: the instance was at its concurrency bound, stopping or had queued
+// work, or the sender had a backlog of its own. Its share of SocketStats'
+// delivered is the share of hops that paid a goroutine wake.
+func (in *Instance) QueuedHops() uint64 { return in.sock.queuedHops.Load() }
+
 // ResidualCapacity is MC_i − r_i,t with capacity measured in concurrency
 // slots: the maximum service capacity is the configured concurrency and
 // the current rate is the instantaneous in-flight count, both observable
@@ -299,36 +327,101 @@ func (in *Instance) startWorkersLocked(n int) {
 	}
 }
 
-// work is one worker: it parks in a plain receive on the instance socket —
-// the wake is one channel handoff, no select — and runs until the socket
-// closes or a retire token (SetConcurrency shrinking the pool) reaches it.
+// work is one worker, and the only loop that runs handlers. It parks in a
+// plain receive on the instance socket — the wake is one channel handoff, no
+// select — takes a slot for each descriptor and runs the handler. Then it
+// follows the request: while a hop hands back the next instance with a slot
+// already claimed (handle), the worker runs that handler too, iteratively, so
+// a chain of any length — or a routing cycle — costs neither a wake per hop
+// nor stack. It comes home when the request replies, fans out, leaves the
+// node, fails, or meets an instance that would not grant a slot, and runs
+// until the socket closes or a retire token (SetConcurrency shrinking the
+// pool) reaches it.
 func (in *Instance) work() {
 	defer in.wg.Done()
 	for d := range in.sock.Recv() {
-		switch {
-		case d.Buf == retireBuf:
+		if d.Buf == retireBuf {
 			return
-		case in.stopping.Load():
+		}
+		if !in.acquire() {
 			// Queued before shutdown closed the socket: the handler must
 			// not run any more, but the buffer and the caller must not be
 			// stranded either.
 			in.chain.reclaimOrphan(d, in.fnName)
-		default:
-			in.handle(d)
+			continue
+		}
+		for at := in; at != nil; {
+			at, d = at.handle(d, in.sock)
 		}
 	}
+}
+
+// claim takes one concurrency slot if the instance has one free and is not
+// stopping. The slot is registered first and stopping checked second — the
+// order Socket.enqueue uses for senders and closed — so shutdown, which sets
+// stopping and then waits for inflight to drain, either sees this slot or is
+// seen by it. A refused claim has been undone.
+func (in *Instance) claim() bool {
+	if in.inflight.Add(1) <= int64(in.concurrency.Load()) && !in.stopping.Load() {
+		return true
+	}
+	in.release()
+	return false
+}
+
+// release gives a slot back and wakes whoever waits for one.
+func (in *Instance) release() {
+	in.inflight.Add(-1)
+	if in.slotWaiters.Load() != 0 {
+		in.wakeSlotWaiters()
+	}
+}
+
+func (in *Instance) wakeSlotWaiters() {
+	in.slotMu.Lock()
+	in.slotFreed.Broadcast()
+	in.slotMu.Unlock()
+}
+
+// parkWhile blocks while busy holds, looking again after every release. No
+// release is missed: the waiter is counted before busy reads inflight, and
+// release decrements inflight before it reads the count.
+func (in *Instance) parkWhile(busy func() bool) {
+	in.slotMu.Lock()
+	in.slotWaiters.Add(1)
+	for busy() {
+		in.slotFreed.Wait()
+	}
+	in.slotWaiters.Add(-1)
+	in.slotMu.Unlock()
+}
+
+// acquire takes a slot for a descriptor one of the instance's own workers
+// dequeued, parking while claimed slots fill the bound. false means the
+// instance is stopping and no handler may start.
+func (in *Instance) acquire() bool {
+	for !in.claim() {
+		if in.stopping.Load() {
+			return false
+		}
+		in.parkWhile(func() bool {
+			return in.inflight.Load() >= int64(in.concurrency.Load()) && !in.stopping.Load()
+		})
+	}
+	return true
 }
 
 // Concurrency returns the instance's current concurrency limit.
 func (in *Instance) Concurrency() int { return int(in.concurrency.Load()) }
 
 // SetConcurrency performs §3.7's vertical scaling: it resizes the pod's
-// worker pool in place ("adding more CPU cores for the function as
-// needed"). Growing starts the missing workers. Shrinking queues one retire
-// token per surplus worker on the instance's own socket: whichever workers
-// receive them exit, in-flight invocations finish first, and work queued
-// before the resize is still served (the queue is FIFO). A socket too full
-// to take a token stops the shrink there; the error wraps ErrSocketFull and
+// worker pool, and with it the slot bound, in place ("adding more CPU cores
+// for the function as needed"). Growing starts the missing workers. Shrinking
+// queues one retire token per surplus worker on the instance's own socket:
+// whichever workers receive them exit, in-flight invocations finish first, and
+// work queued before the resize is still served (the queue is FIFO); a bound
+// shrunk below the slots in use only stops new claims. A socket too full to
+// take a token stops the shrink there; the error wraps ErrSocketFull and
 // Concurrency reports the size actually reached.
 func (in *Instance) SetConcurrency(n int) error {
 	if n <= 0 {
@@ -350,19 +443,30 @@ func (in *Instance) SetConcurrency(n int) error {
 		}
 	}
 	in.concurrency.Store(int32(n))
+	if n > old {
+		in.wakeSlotWaiters() // a raised bound frees slots no release announces
+	}
 	return nil
 }
 
-// shutdown stops the instance: the socket closes (waking every parked
-// worker), in-flight invocations finish, and every descriptor still queued
-// is reclaimed — by the workers on their way out, and by the final drain
-// for whatever workers that had already retired left behind.
-func (in *Instance) shutdown() {
+// stop marks the instance stopping: no slot is granted from here on.
+func (in *Instance) stop() {
 	in.concMu.Lock()
 	in.stopping.Store(true)
 	in.concMu.Unlock()
+}
+
+// shutdown stops the instance: the socket closes (waking every parked
+// worker), in-flight invocations finish — the workers' and, after them, those
+// other instances' workers are running in claimed slots — and every
+// descriptor still queued is reclaimed: by the workers on their way out, and
+// by the final drain for whatever workers that had already retired left
+// behind. When it returns no handler of this instance is running anywhere.
+func (in *Instance) shutdown() {
+	in.stop()
 	in.sock.Close()
 	in.wg.Wait()
+	in.parkWhile(func() bool { return in.inflight.Load() != 0 })
 	in.drained.Do(func() {
 		for d := range in.sock.Recv() {
 			if d.Buf != retireBuf {
@@ -375,15 +479,19 @@ func (in *Instance) shutdown() {
 // ErrHandlerPanic marks a handler panic absorbed by panic isolation.
 var ErrHandlerPanic = errors.New("core: handler panicked")
 
-// handle executes the user handler and then performs the default DFR
-// action: forward to the routing table's next hop, or return the
-// descriptor to the caller when the chain ends here. Handler failures —
-// errors and panics alike — release the descriptor's buffer, feed the
-// instance's health state, and fail the caller terminally instead of
-// blackholing the request.
-func (in *Instance) handle(d shm.Descriptor) {
-	in.inflight.Add(1)
-
+// handle executes the user handler in a slot the calling worker already
+// holds — one of in's own workers after acquire, or another instance's after
+// a claim — and then performs the default DFR action: forward to the routing
+// table's next hop, or return the descriptor to the caller when the chain
+// ends here. Handler failures — errors and panics alike — release the
+// descriptor's buffer, feed the instance's health state, and fail the caller
+// terminally instead of blackholing the request.
+//
+// home is the calling worker's own socket. When the outcome is a hop to one
+// function whose instance grants that worker a slot, handle returns that
+// instance and the descriptor for it, and the worker's loop runs it next;
+// otherwise the request has left this goroutine and handle returns nil.
+func (in *Instance) handle(d shm.Descriptor, home *Socket) (*Instance, shm.Descriptor) {
 	ctx := ctxPool.Get().(*Ctx)
 	topic := in.chain.pool.Topic(d.Buf)
 	*ctx = Ctx{inst: in, desc: d, Topic: topic, inTopic: topic}
@@ -420,7 +528,7 @@ func (in *Instance) handle(d shm.Descriptor) {
 	// before its outcome is routed: delivering a reply or a failure to the
 	// gateway completes the request on this goroutine, and the woken caller's
 	// next request must not find this instance still charged for the last.
-	in.inflight.Add(-1)
+	in.release()
 	if traced {
 		s := Span{
 			ID: hsID, Parent: parent, Stage: StageHandler, Function: in.fnName,
@@ -437,7 +545,7 @@ func (in *Instance) handle(d shm.Descriptor) {
 		in.chain.releaseBuffer(ctx.desc.Buf)
 		in.chain.noteError(in.fnName, err)
 		in.chain.notifyFailure(d.Caller, err)
-		return
+		return nil, d
 	}
 	in.handled.Add(1)
 	in.recordSuccess()
@@ -448,15 +556,14 @@ func (in *Instance) handle(d shm.Descriptor) {
 	case ctx.replied:
 		in.reply(ctx)
 	case len(ctx.fwd) > 0:
-		in.forward(ctx, ctx.fwd)
+		return in.forward(ctx, ctx.fwd, home)
 	default:
-		next, ok := in.chain.router.Next(ctx.Topic, in.fnName)
-		if !ok {
-			in.reply(ctx)
-			return
+		if next, ok := in.chain.router.Next(ctx.Topic, in.fnName); ok {
+			return in.forward(ctx, next, home)
 		}
-		in.forward(ctx, next)
+		in.reply(ctx)
 	}
+	return nil, d
 }
 
 // invoke runs fault injection and the user handler under panic isolation:
@@ -504,8 +611,12 @@ var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 // forward performs DFR delivery to each next-hop function, taking an extra
 // buffer reference per additional destination (pub/sub fan-out). Every
 // taken reference is balanced on every failure path, and a request none of
-// whose deliveries succeeded fails its caller terminally.
-func (in *Instance) forward(ctx *Ctx, next []string) {
+// whose deliveries succeeded fails its caller terminally. A hop to a single
+// function may end in a claim instead of a delivery (Chain.sendOrClaim): the
+// target instance and its descriptor are returned for the calling worker,
+// whose socket is home, to run. A fan-out always queues, so its branches run
+// in parallel.
+func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, shm.Descriptor) {
 	d := ctx.desc
 	// extra references for fan-out beyond the first destination
 	refs := 1 // the reference this instance already owns
@@ -516,7 +627,7 @@ func (in *Instance) forward(ctx *Ctx, next []string) {
 			}
 			in.chain.noteError(in.fnName, err)
 			in.chain.notifyFailure(d.Caller, err)
-			return
+			return nil, d
 		}
 		refs++
 	}
@@ -529,18 +640,17 @@ func (in *Instance) forward(ctx *Ctx, next []string) {
 		fn := next[0]
 		target, err := in.chain.router.PickInstance(fn)
 		if err == nil {
-			nd := d
-			nd.NextFn = target.ID()
-			if err = in.chain.send(in.id, in.fnName, fn, nd); err != nil {
-				err = fmt.Errorf("forward to %s: %w", fn, err)
+			d.NextFn = target.ID()
+			var claimed *Instance
+			if claimed, err = in.chain.sendOrClaim(in.id, in.fnName, fn, d, home); err == nil {
+				return claimed, d
 			}
+			err = fmt.Errorf("forward to %s: %w", fn, err)
 		}
-		if err != nil {
-			in.chain.releaseBuffer(d.Buf)
-			in.chain.noteError(in.fnName, err)
-			in.chain.notifyFailure(d.Caller, err)
-		}
-		return
+		in.chain.releaseBuffer(d.Buf)
+		in.chain.noteError(in.fnName, err)
+		in.chain.notifyFailure(d.Caller, err)
+		return nil, d
 	}
 
 	// Fan-out: resolve every destination, then deliver the whole burst in
@@ -575,6 +685,7 @@ func (in *Instance) forward(ctx *Ctx, next []string) {
 	if delivered == 0 && lastErr != nil {
 		in.chain.notifyFailure(d.Caller, lastErr)
 	}
+	return nil, d
 }
 
 // reply returns the descriptor to the gateway (or releases it for

@@ -105,7 +105,7 @@ func NewGateway(c *Chain) (*Gateway, error) {
 		g.admission.RetryAfter = defaultRetryAfter
 	}
 	g.parks.init(g.admission.ParkCapacity)
-	g.pending.init()
+	g.pending.init(g.expire)
 	// The reply socket has no queue and no consumer goroutines: a reply
 	// descriptor's delivery runs complete on the goroutine that delivered it
 	// — the last function's worker in ModeEvent, the gateway ring's poller in
@@ -590,7 +590,7 @@ func (g *Gateway) invoke(ctx context.Context, topic string, payload, dst []byte,
 	w := g.newWaiter()
 	w.dst, w.into = dst, into
 	caller := w.caller
-	g.pending.put(w)
+	g.pending.put(w, 0)
 	// Registered first, checked second: Close sets the flag and then sweeps
 	// the pending table, so this request is either swept or sees the flag.
 	if g.isClosed() {
@@ -797,12 +797,10 @@ func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.Tra
 	if w.sampled {
 		g.chain.pool.SetTraceContext(d.Buf, ltc)
 	}
-	if dl := g.chain.deadline; dl > 0 {
-		w.timer = time.AfterFunc(dl, func() { g.expire(caller) })
-	}
-	// From here w belongs to whoever takes the entry. Registered first,
-	// closed flag checked second, as in invoke.
-	g.pending.put(w)
+	// From here w belongs to whoever takes the entry — the chain Deadline's
+	// timer included, which put arms. Registered first, closed flag checked
+	// second, as in invoke.
+	g.pending.put(w, g.chain.deadline)
 	err = ErrGatewayClosed
 	if !g.isClosed() {
 		err = g.dispatchTo(fn, d)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"regexp"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spright-go/spright/internal/fault"
 	"github.com/spright-go/spright/internal/shm"
 )
 
@@ -20,35 +22,41 @@ import (
 // waiter, and the copy-on-write tables' visibility guarantee. Run them with
 // -race -count=10 (make verify does).
 
-// waitFor polls cond until it holds or the test's patience runs out.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// pollUntil waits for cond to hold, giving the processor to whoever can make
+// it hold between looks, until the test's patience runs out.
+func pollUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(200 * time.Microsecond)
+		runtime.Gosched()
 	}
 }
 
 var workerRecord = regexp.MustCompile(`(?m)^(\d+) @`)
 
-// settledWorkers is liveWorkers once it stops moving: the baseline for a
-// goroutine-profile diff must not include workers of an earlier test's
-// asynchronously shut down instance on their way out.
-func settledWorkers(t *testing.T) int {
+// settled is sample once it stops moving (the same reading eight times
+// running): the baseline for a goroutine-profile diff must not include
+// goroutines of an earlier test on their way out.
+func settled(t *testing.T, what string, sample func() int) int {
 	t.Helper()
-	n := liveWorkers(t)
-	for same := 0; same < 3; {
-		time.Sleep(2 * time.Millisecond)
-		if m := liveWorkers(t); m == n {
+	n, same := sample(), 0
+	pollUntil(t, what, func() bool {
+		if m := sample(); m == n {
 			same++
 		} else {
 			n, same = m, 0
 		}
-	}
+		return same == 8
+	})
 	return n
+}
+
+func settledWorkers(t *testing.T) int {
+	t.Helper()
+	return settled(t, "earlier tests' workers to exit", func() int { return liveWorkers(t) })
 }
 
 // liveWorkers counts goroutines currently inside (*Instance).work.
@@ -136,7 +144,7 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 					outcomes <- err
 				}()
 			}
-			waitFor(t, "one request in the handler, the rest queued", func() bool {
+			pollUntil(t, "one request in the handler, the rest queued", func() bool {
 				return victim.Inflight() == 1 && victim.QueueDepth() == callers-1
 			})
 
@@ -145,7 +153,7 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 			// with the flag already up.
 			done := make(chan error, 1)
 			go func() { done <- stop(c, victim) }()
-			waitFor(t, "instance stopping", victim.stopping.Load)
+			pollUntil(t, "instance stopping", victim.stopping.Load)
 			close(gate)
 			if err := <-done; err != nil {
 				t.Fatal(err)
@@ -176,7 +184,7 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 			if fs := c.Failures(); fs.Reclaimed != callers-1 {
 				t.Errorf("reclaimed %d, want %d", fs.Reclaimed, callers-1)
 			}
-			waitFor(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
+			pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
 		})
 	}
 }
@@ -221,7 +229,7 @@ func TestHandoffSetConcurrencyUnderLoad(t *testing.T) {
 			t.Fatalf("Concurrency() = %d after SetConcurrency(%d)", inst.Concurrency(), n)
 		}
 		before := sent.Load()
-		waitFor(t, "traffic across the resize", func() bool { return sent.Load() > before+20 })
+		pollUntil(t, "traffic across the resize", func() bool { return sent.Load() > before+20 })
 	}
 	close(stop)
 	wg.Wait()
@@ -229,13 +237,13 @@ func TestHandoffSetConcurrencyUnderLoad(t *testing.T) {
 		t.Fatalf("%d of %d requests lost", lost.Load(), sent.Load())
 	}
 	want := sizes[len(sizes)-1]
-	waitFor(t, "worker count to settle", func() bool { return liveWorkers(t)-base == want })
+	pollUntil(t, "worker count to settle", func() bool { return liveWorkers(t)-base == want })
 	if d := inst.QueueDepth(); d != 0 {
 		t.Fatalf("%d retire tokens or descriptors left queued", d)
 	}
 	// Shutdown takes the rest with it.
 	c.Close()
-	waitFor(t, "workers to exit at close", func() bool { return liveWorkers(t) == base })
+	pollUntil(t, "workers to exit at close", func() bool { return liveWorkers(t) == base })
 	if err := inst.SetConcurrency(8); !errors.Is(err, ErrSocketClosed) {
 		t.Fatalf("resize after shutdown: %v, want ErrSocketClosed", err)
 	}
@@ -258,7 +266,7 @@ func TestHandoffShrinkStopsAtFullQueue(t *testing.T) {
 		if err := g.InvokeAsync("", []byte("hold")); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "request picked up or queued", func() bool {
+		pollUntil(t, "request picked up or queued", func() bool {
 			return inst.Inflight()+inst.QueueDepth() == i && (i > 4 || inst.Inflight() == i)
 		})
 	}
@@ -269,7 +277,7 @@ func TestHandoffShrinkStopsAtFullQueue(t *testing.T) {
 		t.Fatalf("Concurrency() = %d, want 4 (no token was queued)", inst.Concurrency())
 	}
 	close(gate)
-	waitFor(t, "queue drained", func() bool { return c.Pool().InUse() == 0 })
+	pollUntil(t, "queue drained", func() bool { return c.Pool().InUse() == 0 })
 	if err := inst.SetConcurrency(2); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +310,7 @@ func TestHandoffGatewayCloseFailsParkedCallers(t *testing.T) {
 			outcomes <- err
 		}(i)
 	}
-	waitFor(t, "all callers parked", func() bool { return g.Pending() == callers })
+	pollUntil(t, "all callers parked", func() bool { return g.Pending() == callers })
 
 	g.Close()
 	wg.Wait()
@@ -332,20 +340,26 @@ func TestHandoffGatewayCloseFailsParkedCallers(t *testing.T) {
 }
 
 // TestHandoffSnapshotVisibility: once Revoke, RemoveInstance or a breaker
-// opening has returned, no later hop contradicts it — while other
-// goroutines keep hopping through the same tables.
+// opening has returned, no later hop contradicts it — neither a queued hop
+// nor one the sender would have run itself — while other goroutines keep
+// hopping through the same tables.
 func TestHandoffSnapshotVisibility(t *testing.T) {
 	// "echo" is the function under test; "bg" takes the background hops, so
 	// they share every table with the checks below without ever touching the
-	// two echo instances' health words.
+	// two echo instances' health words. Topic "via" reaches echo through
+	// "fwd", whose worker claims an idle echo instance and runs it itself.
 	spec := echoSpec()
 	spec.Functions[0].Instances = 2
-	spec.Functions = append(spec.Functions, FunctionSpec{Name: "bg"})
-	spec.Routes = append(spec.Routes, RouteSpec{Topic: "bg", From: "", To: []string{"bg"}})
+	spec.Functions = append(spec.Functions, FunctionSpec{Name: "bg"}, FunctionSpec{Name: "fwd"})
+	spec.Routes = append(spec.Routes,
+		RouteSpec{Topic: "bg", From: "", To: []string{"bg"}},
+		RouteSpec{Topic: "via", From: "", To: []string{"fwd"}},
+		RouteSpec{Topic: "via", From: "fwd", To: []string{"echo"}})
 	spec.Health = HealthPolicy{ConsecutiveFailures: 1, OpenDuration: time.Minute}
 	c, g := testChain(t, ModeEvent, spec)
 	insts := c.Router().Instances("echo")
 	a, b := insts[0], insts[1]
+	fwd := c.Router().Instances("fwd")[0]
 
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
@@ -388,14 +402,39 @@ func TestHandoffSnapshotVisibility(t *testing.T) {
 		if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 			t.Fatalf("round %d: invoke after Allow returned: %v", i, err)
 		}
+		// The same for a hop the sender would run itself: the program's
+		// verdict comes before the claim, so a revoked edge runs no handler.
+		// (Nothing else touches echo, so the next hop picks what this does.)
+		tgt, err := c.Router().PickInstance("echo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SProxy().Revoke(fwd.ID(), tgt.ID()); err != nil {
+			t.Fatal(err)
+		}
+		ran, queued := tgt.Handled(), tgt.QueuedHops()
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); !errors.Is(err, ErrFiltered) || tgt.Handled() != ran {
+			t.Fatalf("round %d: hop after Revoke returned: %v, %d handler runs; want ErrFiltered and none", i, err, tgt.Handled()-ran)
+		}
+		if err := c.SProxy().Allow(fwd.ID(), tgt.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || tgt.Handled() != ran+1 || tgt.QueuedHops() != queued {
+			t.Fatalf("round %d: hop after Allow returned: %v, %d handler runs, %d queued; want one claimed run",
+				i, err, tgt.Handled()-ran, tgt.QueuedHops()-queued)
+		}
 
-		// Router: a removed instance is never picked again; a re-added one
-		// is visible at once.
+		// Router: a removed instance is never picked again — so never claimed
+		// either; a re-added one is visible at once.
 		c.Router().RemoveInstance("echo", a.ID())
 		for k := 0; k < 8; k++ {
 			if in, err := c.Router().PickInstance("echo"); err != nil || in == a {
 				t.Fatalf("round %d: PickInstance after RemoveInstance: %v, %v", i, in, err)
 			}
+		}
+		ran = a.Handled()
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || a.Handled() != ran {
+			t.Fatalf("round %d: hop after RemoveInstance returned: %v, %d runs on the removed instance", i, err, a.Handled()-ran)
 		}
 		c.Router().AddInstance("echo", a)
 		if got := len(c.Router().Instances("echo")); got != 2 {
@@ -448,5 +487,551 @@ func TestForwardToCopiesWithoutAllocating(t *testing.T) {
 	many[5] = "x"
 	if len(ctx.fwd) != 6 || ctx.fwd[5] != "f" {
 		t.Fatalf("ForwardTo past the inline capacity kept %q", ctx.fwd)
+	}
+}
+
+// Tests for run-to-completion across hops: a worker that forwards to one
+// function claims a concurrency slot of the destination instance and runs
+// that handler itself (Socket.claimFor, Instance.work).
+
+// goid is the calling goroutine's ID, for telling who ran a handler.
+func goid() uint64 {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)]) // "goroutine 123 [running]:"
+	id, _ := strconv.ParseUint(string(fields[1]), 10, 64)
+	return id
+}
+
+// openOnce returns the function that opens gate, once. Tests whose handlers
+// block on a gate register it with t.Cleanup after testChain, so that it runs
+// before the chain's teardown: a test that fails with handlers still held then
+// reports its failure instead of hanging in Close.
+func openOnce(gate chan struct{}) func() {
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
+// enter counts a handler in and keeps the most that were ever inside.
+func enter(running, peak *atomic.Int64) {
+	n := running.Add(1)
+	for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+	}
+}
+
+// invokeTo sends one request and reports how it ended on result.
+func invokeTo(t *testing.T, g *Gateway, topic, body string, result chan<- error) {
+	_, err := g.Invoke(contextWithTimeout(t, 10*time.Second), topic, []byte(body))
+	result <- err
+}
+
+// upDownSpec is "up" → "down" behind the gateway, plus topic "direct" from the
+// gateway straight to "down": hops from up's workers may claim, the gateway's
+// always queue.
+func upDownSpec(up, down FunctionSpec) ChainSpec {
+	up.Name, down.Name = "up", "down"
+	return ChainSpec{
+		PoolBuffers: 128,
+		Functions:   []FunctionSpec{up, down},
+		Routes: []RouteSpec{
+			{From: "", To: []string{"up"}},
+			{From: "up", To: []string{"down"}},
+			{Topic: "direct", From: "", To: []string{"down"}},
+		},
+	}
+}
+
+// TestHandoffInlineHoldsConcurrency: Concurrency bounds the handlers of an
+// instance running at once, its own workers' and the ones forwarding workers
+// run in claimed slots counted together; and a worker that dequeued while
+// claimed slots filled the bound is woken by the release that frees one.
+func TestHandoffInlineHoldsConcurrency(t *testing.T) {
+	for _, bound := range []int{1, 2} {
+		t.Run("storm/"+strconv.Itoa(bound), func(t *testing.T) {
+			var running, peak atomic.Int64
+			c, g := testChain(t, ModeEvent, upDownSpec(
+				FunctionSpec{Concurrency: 8},
+				FunctionSpec{Concurrency: bound, Handler: func(ctx *Ctx) error {
+					enter(&running, &peak)
+					runtime.Gosched() // stay inside long enough to be overlapped
+					running.Add(-1)
+					return nil
+				}}))
+			down := c.Router().Instances("down")[0]
+			const rounds = 400
+			var wg sync.WaitGroup
+			for caller := 0; caller < 10; caller++ {
+				topic := ""
+				if caller >= 8 {
+					topic = "direct"
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), topic, []byte("x")); err != nil {
+							t.Errorf("topic %q round %d: %v", topic, r, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if p := peak.Load(); p > int64(bound) {
+				t.Errorf("%d handlers of one instance ran at once, Concurrency is %d", p, bound)
+			}
+			delivered, _ := down.SocketStats()
+			if delivered != 10*rounds || down.Handled() != 10*rounds {
+				t.Errorf("delivered %d, handled %d, want %d of each", delivered, down.Handled(), 10*rounds)
+			}
+			if down.Inflight() != 0 || down.slotWaiters.Load() != 0 {
+				t.Errorf("idle instance holds %d slots, %d waiters", down.Inflight(), down.slotWaiters.Load())
+			}
+			t.Logf("bound %d: peak %d, %d of %d function hops queued", bound, peak.Load(), down.QueuedHops(), 8*rounds)
+		})
+
+		t.Run("parked-worker/"+strconv.Itoa(bound), func(t *testing.T) {
+			gate := make(chan struct{})
+			var runs atomic.Int64
+			c, g := testChain(t, ModeEvent, upDownSpec(
+				FunctionSpec{Concurrency: 8},
+				FunctionSpec{Concurrency: bound, Handler: func(ctx *Ctx) error {
+					runs.Add(1)
+					if string(ctx.Payload()) == "hold" {
+						<-gate
+					}
+					return nil
+				}}))
+			open := openOnce(gate)
+			t.Cleanup(open)
+			down := c.Router().Instances("down")[0]
+			results := make(chan error, bound+1)
+			// Fill every slot from up's workers, one at a time so each finds
+			// the instance idle enough to claim.
+			for i := 1; i <= bound; i++ {
+				go invokeTo(t, g, "", "hold", results)
+				pollUntil(t, "a forwarding worker inside down's handler", func() bool { return down.Inflight() == i })
+			}
+			if q := down.QueuedHops(); q != 0 {
+				t.Fatalf("%d of %d hops queued; all should have been claimed", q, bound)
+			}
+			// One more, through the queue: down's own worker takes it off and
+			// must park, not run it and not spin.
+			go invokeTo(t, g, "direct", "x", results)
+			pollUntil(t, "down's worker parked for a slot", func() bool { return down.slotWaiters.Load() == 1 })
+			if got := runs.Load(); got != int64(bound) {
+				t.Fatalf("%d handler runs with %d slots: the bound was exceeded", got, bound)
+			}
+			// One release, and nothing else happens: the parked worker must
+			// run the queued request.
+			gate <- struct{}{}
+			for i := 0; i < 2; i++ { // the released hold and the queued request
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := runs.Load(); got != int64(bound)+1 {
+				t.Fatalf("%d handler runs after one release, want %d", got, bound+1)
+			}
+			open()
+			for i := 1; i < bound; i++ {
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestHandoffInlineShutdown: stopping an instance while a forwarding worker
+// runs its handler in a claimed slot. The synchronous stops return only after
+// that handler; RestartInstance, which must not block on a wedged handler,
+// returns at once but grants no further slot. Hops after the stop reach the
+// replacement or the other instance, or fail their caller; every buffer comes
+// back (testChain's LeakCheck).
+func TestHandoffInlineShutdown(t *testing.T) {
+	type stopCase struct {
+		instances int // of "down", each holding one claimed slot when stop runs
+		stop      func(c *Chain, victim *Instance) error
+		sync      bool  // stop returns only after the victim's handlers
+		after     error // what a later request through up ends with
+	}
+	cases := map[string]stopCase{
+		"RestartInstance": {1, func(c *Chain, v *Instance) error { _, err := c.RestartInstance(v.ID()); return err }, false, nil},
+		"ScaleDown":       {2, func(c *Chain, _ *Instance) error { return c.ScaleDown("down") }, true, nil},
+		"ScaleToZero":     {1, func(c *Chain, _ *Instance) error { _, err := c.ScaleToZero("down"); return err }, true, ErrNoInstance},
+		"Close":           {1, func(c *Chain, _ *Instance) error { c.Close(); return nil }, true, ErrBackpressure}, // its pool is closed
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var finished atomic.Int64
+			var ranOn sync.Map // down instance ID → true, for "after" requests
+			c, g := testChain(t, ModeEvent, upDownSpec(
+				FunctionSpec{Concurrency: 4},
+				FunctionSpec{Instances: tc.instances, Concurrency: 2, Handler: func(ctx *Ctx) error {
+					if string(ctx.Payload()) == "hold" {
+						<-gate
+						finished.Add(1)
+					} else {
+						ranOn.Store(ctx.Instance(), true)
+					}
+					return nil
+				}}))
+			open := openOnce(gate)
+			t.Cleanup(open)
+			downs := c.Router().Instances("down")
+			held := make(chan error, tc.instances)
+			for i := 1; i <= tc.instances; i++ {
+				go invokeTo(t, g, "", "hold", held)
+				pollUntil(t, "a forwarding worker inside down's handler", func() bool {
+					n := 0
+					for _, d := range downs {
+						n += d.Inflight()
+					}
+					return n == i
+				})
+			}
+			for _, d := range downs {
+				if d.Inflight() != 1 || d.QueuedHops() != 0 {
+					t.Fatalf("instance %d: %d in flight, %d hops queued; want one claimed slot each", d.ID(), d.Inflight(), d.QueuedHops())
+				}
+			}
+
+			// finishedAtReturn is how many held handlers had finished when
+			// stop returned: all of the victim's, for a synchronous stop.
+			finishedAtReturn := make(chan int64, 1)
+			stopErr := make(chan error, 1)
+			go func() {
+				err := tc.stop(c, downs[0])
+				finishedAtReturn <- finished.Load()
+				stopErr <- err
+			}()
+			if tc.sync {
+				// Wait until the stop has nothing left to wait for but the
+				// handler in the claimed slot — the victim's own workers are
+				// idle and exit at once; Chain.Close stops "up" first and
+				// waits there for the worker that is away inside down — and
+				// see that it is still waiting.
+				pollUntil(t, "the stop to reach its wait", func() bool {
+					for _, d := range downs {
+						if d.stopping.Load() && d.slotWaiters.Load() == 1 {
+							return true
+						}
+					}
+					return c.Router().Instances("up")[0].sock.closed.Load()
+				})
+				select {
+				case n := <-finishedAtReturn:
+					t.Fatalf("%s returned with %d of the victim's handlers finished and one still running", name, n)
+				default:
+				}
+			} else if err := <-stopErr; err != nil {
+				t.Fatal(err)
+			}
+			open()
+			if tc.sync {
+				if err := <-stopErr; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := <-finishedAtReturn; tc.sync && n == 0 {
+				t.Errorf("%s returned before the handler running in the victim's claimed slot", name)
+			}
+			for i := 0; i < tc.instances; i++ {
+				if err := <-held; err != nil {
+					t.Errorf("request inside a handler during %s: %v", name, err)
+				}
+			}
+
+			_, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("after"))
+			if !errors.Is(err, tc.after) {
+				t.Errorf("request after %s: %v, want %v", name, err, tc.after)
+			}
+			for _, d := range downs {
+				if _, ran := ranOn.Load(d.ID()); ran && d.stopping.Load() {
+					t.Errorf("stopped instance %d ran a handler after %s", d.ID(), name)
+				}
+				if d.stopping.Load() {
+					pollUntil(t, "the stopped instance to go idle", func() bool { return d.Inflight() == 0 })
+					// A sender that picked the instance before it left the
+					// router may ask it for a slot at any time afterwards.
+					if d.claim() {
+						t.Errorf("stopped instance %d granted a slot after %s", d.ID(), name)
+					}
+				}
+			}
+		})
+	}
+
+	// ScaleDown racing claims: whatever the interleaving, once ScaleDown has
+	// returned no handler of its victim is running or starts.
+	t.Run("churn", func(t *testing.T) {
+		var gone sync.Map // instance ID → true once its ScaleDown returned
+		check := func(ctx *Ctx, when string) {
+			if _, dead := gone.Load(ctx.Instance()); dead {
+				t.Errorf("instance %d: handler %s after ScaleDown returned", ctx.Instance(), when)
+			}
+		}
+		c, g := testChain(t, ModeEvent, upDownSpec(
+			FunctionSpec{Concurrency: 4},
+			FunctionSpec{Instances: 2, Concurrency: 2, Handler: func(ctx *Ctx) error {
+				check(ctx, "started")
+				runtime.Gosched()
+				check(ctx, "still running")
+				return nil
+			}}))
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var served, refused atomic.Int64
+		for caller := 0; caller < 4; caller++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					switch _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("x")); {
+					case err == nil:
+						served.Add(1)
+					case errors.Is(err, ErrInstanceGone), errors.Is(err, ErrSocketClosed), errors.Is(err, ErrNoSuchFn):
+						refused.Add(1) // the hop lost the race with the stop: its caller is told
+					default:
+						t.Errorf("request across ScaleDown: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for round := 0; round < 60; round++ {
+			if _, err := c.ScaleUp("down"); err != nil {
+				t.Fatal(err)
+			}
+			before := c.Router().Instances("down")
+			if err := c.ScaleDown("down"); err != nil {
+				t.Fatal(err)
+			}
+			left := map[uint32]bool{}
+			for _, in := range c.Router().Instances("down") {
+				left[in.ID()] = true
+			}
+			for _, in := range before {
+				if !left[in.ID()] {
+					gone.Store(in.ID(), true)
+				}
+			}
+			n := served.Load()
+			pollUntil(t, "traffic across the round", func() bool { return served.Load() > n+10 })
+		}
+		close(stop)
+		wg.Wait()
+		t.Logf("%d served, %d told their instance had gone", served.Load(), refused.Load())
+	})
+}
+
+// TestHandoffInlineCycle: a routing cycle is a loop, not a recursion — a
+// million hops between two functions stay on one goroutine whose stack is as
+// deep at the last hop as at the first.
+func TestHandoffInlineCycle(t *testing.T) {
+	const hops = 1_000_000
+	var left = hops
+	var id uint64
+	depth := 0
+	done := make(chan struct{})
+	hop := func(ctx *Ctx) error {
+		if left%100_000 == 0 { // first, every 100 000th, last
+			var pcs [64]uintptr
+			switch d := runtime.Callers(0, pcs[:]); {
+			case left == hops:
+				id, depth = goid(), d
+			case d != depth || goid() != id:
+				t.Errorf("%d hops in: goroutine %d at depth %d, started on %d at depth %d", hops-left, goid(), d, id, depth)
+			}
+		}
+		if left--; left == 0 {
+			ctx.Drop()
+			close(done)
+		}
+		return nil
+	}
+	c, g := testChain(t, ModeEvent, ChainSpec{
+		Functions: []FunctionSpec{
+			{Name: "ping", Handler: hop, Concurrency: 1},
+			{Name: "pong", Handler: hop, Concurrency: 1},
+		},
+		Routes: []RouteSpec{
+			{From: "", To: []string{"ping"}},
+			{From: "ping", To: []string{"pong"}},
+			{From: "pong", To: []string{"ping"}},
+		},
+	})
+	if err := g.InvokeAsync("", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%d hops left after a minute", left)
+	}
+	for _, fn := range []string{"ping", "pong"} {
+		in := c.Router().Instances(fn)[0]
+		if q := in.QueuedHops(); q != 0 {
+			t.Errorf("%s: %d hops queued, want none", fn, q)
+		}
+	}
+}
+
+// TestHandoffBacklogSendsWorkerHome: a worker with work waiting on its own
+// socket queues the hop downstream and goes home for it; with nothing waiting
+// it follows the request.
+func TestHandoffBacklogSendsWorkerHome(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var upRan, downRan sync.Map // payload → goroutine
+	c, g := testChain(t, ModeEvent, upDownSpec(
+		FunctionSpec{Concurrency: 1, Handler: func(ctx *Ctx) error {
+			upRan.Store(string(ctx.Payload()), goid())
+			if string(ctx.Payload()) == "first" {
+				close(entered)
+				<-gate
+			}
+			return nil
+		}},
+		FunctionSpec{Concurrency: 4, Handler: func(ctx *Ctx) error {
+			downRan.Store(string(ctx.Payload()), goid())
+			return nil
+		}}))
+	open := openOnce(gate)
+	t.Cleanup(open)
+	up, down := c.Router().Instances("up")[0], c.Router().Instances("down")[0]
+	results := make(chan error, 2)
+	for _, body := range []string{"first", "second"} {
+		go invokeTo(t, g, "", body, results)
+		if body == "first" {
+			<-entered
+		}
+	}
+	pollUntil(t, "the second request queued behind the first", func() bool { return up.QueueDepth() == 1 })
+	open()
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+	ran := func(m *sync.Map, body string) uint64 { v, _ := m.Load(body); return v.(uint64) }
+	if ran(&downRan, "first") == ran(&upRan, "first") {
+		t.Error("up's worker followed the first request downstream with the second waiting at home")
+	}
+	if ran(&downRan, "second") != ran(&upRan, "second") {
+		t.Error("up's worker queued the second request downstream with nothing waiting at home")
+	}
+	if delivered, _ := down.SocketStats(); delivered != 2 || down.QueuedHops() != 1 {
+		t.Errorf("down: %d delivered, %d queued hops; want 2 and 1", delivered, down.QueuedHops())
+	}
+}
+
+// TestHandoffFanoutStaysParallel: a fan-out's branches are queued, never run
+// one after the other by the forwarding worker — three readers that each wait
+// for the other two to arrive all get through.
+func TestHandoffFanoutStaysParallel(t *testing.T) {
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	reader := func(ctx *Ctx) error {
+		if arrived.Add(1) == 3 {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: only %d of 3 readers inside at once", ctx.FunctionName(), arrived.Load())
+		}
+		ctx.Drop()
+		return nil
+	}
+	c, g := testChain(t, ModeEvent, ChainSpec{
+		Functions: []FunctionSpec{
+			{Name: "split"},
+			{Name: "r1", Handler: reader}, {Name: "r2", Handler: reader}, {Name: "r3", Handler: reader},
+		},
+		Routes: []RouteSpec{
+			{From: "", To: []string{"split"}},
+			{From: "split", To: []string{"r1", "r2", "r3"}},
+		},
+	})
+	if err := g.InvokeAsync("", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "the branches to finish", func() bool { return c.Pool().InUse() == 0 })
+	for _, fn := range []string{"r1", "r2", "r3"} {
+		if q := c.Router().Instances(fn)[0].QueuedHops(); q != 0 {
+			t.Errorf("%s counted %d queued hops; a fan-out branch never asks for a claim", fn, q)
+		}
+	}
+}
+
+// TestHandoffInlineFaultsAndSpans: a hop the sender runs itself goes through
+// the same fault injection, retry budget and tracing as a queued one — the
+// same retries are counted and the same spans recorded.
+func TestHandoffInlineFaultsAndSpans(t *testing.T) {
+	run := func(t *testing.T, queued bool) (retries uint64, stages map[string]int) {
+		gate := make(chan struct{})
+		spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 1, Handler: func(ctx *Ctx) error {
+			if string(ctx.Payload()) == "hold" {
+				<-gate
+			}
+			return nil
+		}})
+		spec.Injector = fault.New(7).Add(fault.Rule{Op: fault.OpQueueFull, Function: "up", Hop: "down", MaxCount: 2})
+		spec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Microsecond}
+		c, g := testChain(t, ModeEvent, spec)
+		open := openOnce(gate)
+		t.Cleanup(open)
+		tr := c.EnableTracing(16)
+		down := c.Router().Instances("down")[0]
+		held, done := make(chan error, 1), make(chan error, 1)
+		if queued {
+			// Occupy down's one slot, so the hop under test finds it busy.
+			go invokeTo(t, g, "direct", "hold", held)
+			pollUntil(t, "down busy", func() bool { return down.Inflight() == 1 })
+			go invokeTo(t, g, "", "x", done)
+			pollUntil(t, "the hop under test queued", func() bool { return down.QueueDepth() == 1 })
+		} else {
+			held <- nil
+			go invokeTo(t, g, "", "x", done)
+		}
+		open()
+		for _, result := range []chan error{done, held} {
+			if err := <-result; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := down.QueuedHops() == 1, queued; got != want {
+			t.Fatalf("hop queued: %v, want %v", got, want)
+		}
+		waitIdle(t, tr)
+		stages = map[string]int{}
+		for _, trace := range tr.Completed() {
+			if trace.Path() != "up->down" {
+				continue
+			}
+			for _, s := range trace.Spans {
+				stages[s.Stage]++
+			}
+		}
+		return c.Failures().Retries, stages
+	}
+	inlineRetries, inlineStages := run(t, false)
+	queuedRetries, queuedStages := run(t, true)
+	if inlineRetries != 2 || queuedRetries != 2 {
+		t.Errorf("retries: %d on the claimed hop, %d on the queued one; want 2 and 2", inlineRetries, queuedRetries)
+	}
+	for _, stage := range []string{StageRedirect, StageQueueWait, StageHandler} {
+		if inlineStages[stage] == 0 || inlineStages[stage] != queuedStages[stage] {
+			t.Errorf("%s spans: %d on the claimed hop, %d on the queued one", stage, inlineStages[stage], queuedStages[stage])
+		}
+	}
+	if len(inlineStages) != len(queuedStages) {
+		t.Errorf("span sets differ: claimed %v, queued %v", inlineStages, queuedStages)
 	}
 }

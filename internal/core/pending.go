@@ -87,9 +87,11 @@ type pendShard struct {
 type pendTable struct {
 	shards [pendShardCount]pendShard
 	count  atomic.Int64
+	expire func(caller uint32) // what an entry's deadline timer runs
 }
 
-func (t *pendTable) init() {
+func (t *pendTable) init(expire func(caller uint32)) {
+	t.expire = expire
 	for i := range t.shards {
 		t.shards[i].m = make(map[uint32]*waiter)
 	}
@@ -99,10 +101,19 @@ func (t *pendTable) shard(caller uint32) *pendShard {
 	return &t.shards[caller&(pendShardCount-1)]
 }
 
-func (t *pendTable) put(w *waiter) {
+// put registers w. With a deadline, the timer that will expire the entry is
+// armed here, inside the shard's critical section: expire takes the entry
+// under the same lock, so a timer that fires at once still finds it — armed
+// any earlier it could find nothing, and the request would then end only with
+// its reply.
+func (t *pendTable) put(w *waiter, deadline time.Duration) {
 	s := t.shard(w.caller)
 	s.mu.Lock()
 	s.m[w.caller] = w
+	if deadline > 0 {
+		caller := w.caller
+		w.timer = time.AfterFunc(deadline, func() { t.expire(caller) })
+	}
 	s.mu.Unlock()
 	t.count.Add(1)
 }

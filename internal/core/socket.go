@@ -17,9 +17,18 @@ import (
 )
 
 // Socket is a function instance's descriptor endpoint — the analog of the
-// socket interface SPROXY attaches to. Descriptors arrive on a buffered
-// channel; the instance's run loop consumes them. It implements
-// ebpf.SockRef so a sockmap can deliver to it from inside the VM.
+// socket interface SPROXY attaches to. It implements ebpf.SockRef so a
+// sockmap can deliver to it from inside the VM. A descriptor reaches the
+// instance's handler one of two ways. It is queued on a buffered channel that
+// the instance's workers consume (Deliver) — always for the gateway's
+// dispatch, a fan-out branch, ModePolling and a bare NewSocket, which has no
+// instance. Or, for a function → function hop in ModeEvent, the sending worker
+// claims one of the instance's concurrency slots and runs the handler itself
+// (claimFor): nothing is queued and nobody is woken. A claim is refused, and
+// the hop queued, when the instance is stopping, has no free slot or has
+// queued work (which is never overtaken), or when the sender's own socket has
+// a backlog to go home to. delivered counts the hop either way; queuedHops
+// counts the function → function hops that had to queue.
 //
 // Close may race with concurrent Deliver calls (instance restarts close
 // sockets while peers are still sending). Rather than serializing every
@@ -37,15 +46,17 @@ import (
 // inside the same sender registration — so Close returns only after every
 // delivery that saw the flag clear has run its sink to the end.
 type Socket struct {
-	id uint32
+	id   uint32
+	inst *Instance // the owner whose slots a sender may claim; nil on a bare or sink socket
 
 	ch      chan shm.Descriptor  // nil on a sink socket
 	sink    func(shm.Descriptor) // set once at construction
 	closed  atomic.Bool
 	senders atomic.Int64 // Deliver calls between registration and send
 
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
+	delivered  atomic.Uint64
+	dropped    atomic.Uint64
+	queuedHops atomic.Uint64
 }
 
 // Socket errors.
@@ -95,6 +106,18 @@ func (s *Socket) Deliver(d shm.Descriptor) error {
 		s.dropped.Add(1)
 	}
 	return err
+}
+
+// claimFor is the other way in: the worker whose own socket is home takes one
+// of the owning instance's concurrency slots and will run the handler itself,
+// so the hop is counted as delivered here. It follows the request only with no
+// backlog waiting at home, and only into an idle queue.
+func (s *Socket) claimFor(home *Socket) bool {
+	if home.QueueLen() != 0 || s.QueueLen() != 0 || !s.inst.claim() {
+		return false
+	}
+	s.delivered.Add(1)
+	return true
 }
 
 // enqueue is the non-blocking send under the drain-token protocol. The

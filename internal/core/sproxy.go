@@ -169,12 +169,33 @@ func (sp *SProxy) Revoke(src, dst uint32) error {
 // (RunCopy) and the already-parsed value is handed to the destination
 // socket directly — one parse per hop, no per-send heap allocation.
 func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
+	_, err := sp.sendOrClaim(src, d, nil)
+	return err
+}
+
+// sendOrClaim is Send for a worker that would rather run the next handler
+// than wake someone to: the program runs and selects the destination socket
+// exactly as in Send, and if home — the worker's own socket — is given and
+// the selected socket's instance grants a slot (Socket.claimFor), that
+// instance is returned with the slot held and nothing is queued. Otherwise
+// the descriptor is delivered as Send would, and a hop that wanted a claim is
+// counted on the destination as queued.
+func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
 	wire := d.Marshal()
 	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil)
 	if err != nil {
-		return fmt.Errorf("sproxy: %w", err)
+		return nil, fmt.Errorf("sproxy: %w", err)
 	}
-	return sp.finishSend(src, d, res)
+	if dst, ok := res.RedirectSock.(*Socket); home != nil && ok && res.Ret == ebpf.SKPass && dst.inst != nil {
+		if dst.claimFor(home) {
+			return dst.inst, nil
+		}
+		if err = dst.Deliver(d); err == nil {
+			dst.queuedHops.Add(1)
+		}
+		return nil, err
+	}
+	return nil, sp.finishSend(src, d, res)
 }
 
 // finishSend turns one program verdict into a delivery (or a classified

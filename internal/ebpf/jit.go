@@ -47,8 +47,14 @@ import (
 // fastBufPool stages RunCopy frames for the fast runners. A runner is an
 // indirect call, so a caller's stack-backed frame handed to it directly
 // would escape to the heap; copying into a pooled buffer first keeps the
-// descriptor send path allocation-free.
-var fastBufPool = sync.Pool{New: func() any { return new([pktCopySize]byte) }}
+// descriptor send path allocation-free. The buffer also says which stripe of
+// the kernel's run counters its holder counts on (runStripe).
+type fastBuf struct {
+	b      [pktCopySize]byte
+	stripe uint32
+}
+
+var fastBufPool = sync.Pool{New: func() any { return &fastBuf{stripe: nextStripe()} }}
 
 // EngineKind identifies which execution backend runs a loaded program.
 type EngineKind int

@@ -126,6 +126,11 @@ type envBox struct{ e Env }
 // programs plus the execution engine. One Kernel instance backs one
 // simulated worker node.
 type Kernel struct {
+	// Run accounting, striped (see runStripe). First in the struct so the
+	// stripes start on a cache line: a Kernel is large enough that the
+	// allocator aligns it to one.
+	stripes [runStripes]runStripe
+
 	mu    sync.RWMutex
 	maps  map[int]*Map
 	progs map[int]*LoadedProgram
@@ -133,16 +138,9 @@ type Kernel struct {
 
 	env atomic.Value // envBox
 
-	// stats
-	runs      atomic.Uint64
-	insnTotal atomic.Uint64
-
-	// per-engine accounting: how many runs executed compiled code vs the
-	// interpreter, and how many programs are loaded/compiled. Fallback
-	// regressions (a hot program silently dropping to the interpreter)
-	// show up here and in /metrics.
-	jitRuns       atomic.Uint64
-	interpRuns    atomic.Uint64
+	// How many programs are loaded/compiled. With the stripes' per-engine run
+	// counts, fallback regressions (a hot program silently dropping to the
+	// interpreter) show up here and in /metrics.
 	loadedProgs   atomic.Int64
 	compiledProgs atomic.Int64
 
@@ -244,9 +242,41 @@ func (k *Kernel) SetJIT(on bool) { k.jitOff.Store(!on) }
 // JITEnabled reports whether compiled dispatch is active.
 func (k *Kernel) JITEnabled() bool { return !k.jitOff.Load() }
 
+// runStripes is how many ways the run counters are split (a power of two).
+const runStripes = 8
+
+// runStripe is one cache line of run accounting: how many runs executed
+// compiled code, how many the interpreter, and the instructions they ran.
+// Every program run on the node counts itself, so on a single set of counters
+// every core writes one line per run — a line that would also sit beside
+// jitOff and env, which every run reads. A run counts on the stripe of the
+// pooled staging buffer it already holds (fastBuf, execState): a sync.Pool
+// hands a P its own object back in practice, so each core keeps to its own
+// stripe with no further mechanism, and sharing one only costs speed. Runs
+// that take no pooled buffer count on unpooledStripe, which no buffer is given.
+type runStripe struct {
+	jitRuns    atomic.Uint64
+	interpRuns atomic.Uint64
+	insns      atomic.Uint64
+	_          [5]uint64
+}
+
+const unpooledStripe = 0
+
+// stripeSeq deals the other stripes, 1..runStripes-1, to pooled staging
+// buffers.
+var stripeSeq atomic.Uint32
+
+func nextStripe() uint32 { return 1 + stripeSeq.Add(1)%(runStripes-1) }
+
 // Stats reports cumulative execution statistics.
 func (k *Kernel) Stats() (runs, insns uint64) {
-	return k.runs.Load(), k.insnTotal.Load()
+	for i := range k.stripes {
+		st := &k.stripes[i]
+		runs += st.jitRuns.Load() + st.interpRuns.Load()
+		insns += st.insns.Load()
+	}
+	return runs, insns
 }
 
 // EngineStats is the per-engine execution breakdown exported to /metrics.
@@ -260,21 +290,22 @@ type EngineStats struct {
 // EngineStats reports the compiled-vs-interpreted run counters and the
 // loaded/compiled program gauges.
 func (k *Kernel) EngineStats() EngineStats {
-	return EngineStats{
-		JITRuns:    k.jitRuns.Load(),
-		InterpRuns: k.interpRuns.Load(),
-		Loaded:     k.loadedProgs.Load(),
-		Compiled:   k.compiledProgs.Load(),
+	es := EngineStats{Loaded: k.loadedProgs.Load(), Compiled: k.compiledProgs.Load()}
+	for i := range k.stripes {
+		es.JITRuns += k.stripes[i].jitRuns.Load()
+		es.InterpRuns += k.stripes[i].interpRuns.Load()
 	}
+	return es
 }
 
-func (k *Kernel) noteRun(insns int, jit bool) {
-	k.runs.Add(1)
-	k.insnTotal.Add(uint64(insns))
+// noteRun counts one run on the given stripe.
+func (k *Kernel) noteRun(stripe uint32, insns int, jit bool) {
+	st := &k.stripes[stripe&(runStripes-1)]
+	st.insns.Add(uint64(insns))
 	if jit {
-		k.jitRuns.Add(1)
+		st.jitRuns.Add(1)
 	} else {
-		k.interpRuns.Add(1)
+		st.interpRuns.Add(1)
 	}
 }
 
@@ -294,11 +325,11 @@ func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
 func (k *Kernel) execute(st *execState) (Result, error) {
 	if lp := st.prog; lp.jit != nil && !k.jitOff.Load() {
 		res, err := lp.jit.run(st)
-		k.noteRun(res.Insns, true)
+		k.noteRun(st.stripe, res.Insns, true)
 		return res, err
 	}
 	res, err := st.run()
-	k.noteRun(res.Insns, false)
+	k.noteRun(st.stripe, res.Insns, false)
 	return res, err
 }
 
@@ -316,7 +347,7 @@ const (
 // execPool recycles execState instances across runs. All hot-path storage
 // (ctx, stack, map-value table, RunCopy staging buffer) is inline in the
 // struct, so a pooled run performs zero heap allocation.
-var execPool = sync.Pool{New: func() any { return new(execState) }}
+var execPool = sync.Pool{New: func() any { return &execState{stripe: nextStripe()} }}
 
 // reset re-arms an exec state for one run over a frame of frameLen bytes.
 // The stack and registers are zeroed — the verifier does not track
@@ -380,7 +411,7 @@ func putExec(st *execState) {
 func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
 		res, err := f(data, len(data), ifindex)
-		k.noteRun(res.Insns, true)
+		k.noteRun(unpooledStripe, res.Insns, true)
 		return res, err
 	}
 	st := k.getExec(lp, len(data), ifindex, env)
@@ -404,18 +435,17 @@ func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env
 		// allocate stack-backed frames (e.g. the marshaled descriptor in
 		// SProxy.Send). Stage small frames through a pooled buffer to keep
 		// the send path at zero allocations.
-		var res Result
-		var err error
 		if len(data) <= pktCopySize {
-			buf := fastBufPool.Get().(*[pktCopySize]byte)
-			n := copy(buf[:], data)
-			res, err = f(buf[:n], n, ifindex)
+			buf := fastBufPool.Get().(*fastBuf)
+			n := copy(buf.b[:], data)
+			res, err := f(buf.b[:n], n, ifindex)
+			k.noteRun(buf.stripe, res.Insns, true)
 			fastBufPool.Put(buf)
-		} else {
-			big := append([]byte(nil), data...)
-			res, err = f(big, len(big), ifindex)
+			return res, err
 		}
-		k.noteRun(res.Insns, true)
+		big := append([]byte(nil), data...)
+		res, err := f(big, len(big), ifindex)
+		k.noteRun(unpooledStripe, res.Insns, true)
 		return res, err
 	}
 	if len(data) > pktCopySize {
@@ -467,7 +497,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 				ln = pktCopySize
 			}
 			res, err := f(st.pktCopy[:ln], ln, ifindex)
-			k.noteRun(res.Insns, true)
+			k.noteRun(st.stripe, res.Insns, true)
 			if !each(i, res, err) {
 				break
 			}
@@ -500,7 +530,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex uint32, env Env) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
 		res, err := f(nil, frameLen, ifindex)
-		k.noteRun(res.Insns, true)
+		k.noteRun(unpooledStripe, res.Insns, true)
 		return res, err
 	}
 	st := k.getExec(lp, frameLen, ifindex, env)

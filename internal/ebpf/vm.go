@@ -131,6 +131,10 @@ type execState struct {
 	// fault out of a compiled closure chain to the block driver.
 	blockBase int
 	jitErr    error
+
+	// stripe is the run-counter stripe this pooled state counts on; fixed
+	// when the state is first made (runStripe).
+	stripe uint32
 }
 
 func (st *execState) slot(i int) []byte {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -317,4 +319,78 @@ func TestNodeEngineMetricsExposed(t *testing.T) {
 	if jit2 := val(scrape(), `spright_ebpf_runs_total{engine="jit",node="worker-1"}`); jit2 <= jit {
 		t.Fatalf("jit runs did not advance: %v -> %v", jit, jit2)
 	}
+}
+
+// TestChainRunsOnOneWorkerAllocations is the gate on the local hop: an
+// uncontended twelve-function chain runs all twelve handlers on one goroutine
+// — the head function's worker, which claims each next instance and runs it
+// itself — so a request crosses goroutines twice, caller → worker and worker →
+// caller, where it used to cross thirteen times; and the request, its eleven
+// hops included, allocates nothing. (The average is not exactly zero: one
+// request in 1024 is traced, and a GC empties the sync.Pools.)
+func TestChainRunsOnOneWorkerAllocations(t *testing.T) {
+	const hops = 12
+	var ranOn [hops]uint64 // goroutine of each handler, while recording
+	recording := true
+	spec := core.ChainSpec{Name: "onegoroutine", Routes: []core.RouteSpec{{From: "", To: []string{"f0"}}}}
+	for i := 0; i < hops; i++ {
+		spec.Functions = append(spec.Functions, core.FunctionSpec{
+			Name: fmt.Sprintf("f%d", i),
+			Handler: func(ctx *core.Ctx) error {
+				if recording {
+					ranOn[i] = goroutineID()
+				}
+				ctx.Payload()[0]++
+				return nil
+			},
+		})
+		if i > 0 {
+			spec.Routes = append(spec.Routes, core.RouteSpec{From: fmt.Sprintf("f%d", i-1), To: []string{fmt.Sprintf("f%d", i)}})
+		}
+	}
+	d, err := NewCluster(1).Controller.DeployChain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	payload, dst := []byte{0, 7}, make([]byte, 2)
+	invoke := func() {
+		if n, err := d.Gateway.InvokeInto(context.Background(), "", payload, dst); err != nil || n != 2 || dst[0] != hops || dst[1] != 7 {
+			t.Fatalf("InvokeInto: %d bytes %v, %v", n, dst[:n], err)
+		}
+	}
+	invoke()
+	for i, id := range ranOn {
+		if id != ranOn[0] || id == goroutineID() {
+			t.Errorf("f%d ran on goroutine %d, f0 on %d, the caller is %d: want one worker for the whole chain", i, id, ranOn[0], goroutineID())
+		}
+	}
+	for _, in := range d.Chain.Instances() {
+		if q := in.QueuedHops(); q != 0 {
+			t.Errorf("%s: %d hops queued, want none", in.Function(), q)
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random there, and every drop is an allocation
+	}
+	recording = false
+	for i := 0; i < 200; i++ { // pools
+		invoke()
+	}
+	if avg := testing.AllocsPerRun(2000, invoke); avg >= 1 {
+		t.Errorf("%.2f allocations per %d-hop request, want none", avg, hops)
+	} else {
+		t.Logf("%.3f allocations per %d-hop request", avg, hops)
+	}
+	if err := d.Chain.Pool().LeakCheck(); err != nil {
+		t.Error(err)
+	}
+}
+
+// goroutineID is the calling goroutine's ID, for telling who ran a handler.
+func goroutineID() uint64 {
+	var buf [64]byte
+	fields := strings.Fields(string(buf[:runtime.Stack(buf[:], false)])) // "goroutine 123 [running]:"
+	id, _ := strconv.ParseUint(fields[1], 10, 64)
+	return id
 }

@@ -302,9 +302,12 @@ func collectChain(d *Deployment) []obs.Family {
 	// sample per function instance; SPROXY invocation counts ride along in
 	// event mode.
 	delivered := obs.Family{Name: "spright_socket_delivered_total",
-		Help: "Descriptors enqueued into instance sockets.", Type: obs.Counter}
+		Help: "Descriptors handed to instance sockets: queued, or run by the sender in a claimed slot.", Type: obs.Counter}
 	dropped := obs.Family{Name: "spright_socket_dropped_total",
 		Help: "Descriptors the transport gave up delivering.", Type: obs.Counter}
+	queuedHops := obs.Family{Name: "spright_socket_queued_hops_total",
+		Help: "Function-to-function hops queued because the sender could not claim a slot (instance busy, backlogged or stopping).",
+		Type: obs.Counter}
 	gd, gdr := g.SocketStats()
 	gwLabels := obs.L("chain", c.Name(), "function", "gateway", "instance", "0")
 	delivered.Samples = append(delivered.Samples, obs.Sample{Labels: gwLabels, Value: float64(gd)})
@@ -320,13 +323,14 @@ func collectChain(d *Deployment) []obs.Family {
 		de, dr := in.SocketStats()
 		delivered.Samples = append(delivered.Samples, obs.Sample{Labels: ls, Value: float64(de)})
 		dropped.Samples = append(dropped.Samples, obs.Sample{Labels: ls, Value: float64(dr)})
+		queuedHops.Samples = append(queuedHops.Samples, obs.Sample{Labels: ls, Value: float64(in.QueuedHops())})
 		if sp != nil {
 			sproxyReqs.Samples = append(sproxyReqs.Samples, obs.Sample{
 				Labels: ls, Value: float64(sp.RequestCount(in.ID())),
 			})
 		}
 	}
-	fams = append(fams, delivered, dropped)
+	fams = append(fams, delivered, dropped, queuedHops)
 	if sp != nil {
 		fams = append(fams, sproxyReqs)
 	}

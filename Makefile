@@ -63,21 +63,25 @@ race:
 # workers parked in a plain receive (stop flag, retire tokens), concurrency
 # slots claimed by forwarding workers (the bound, the parked worker's wake,
 # shutdown waiting for claimed slots, the routing cycle, backlog and fan-out),
-# requests finished by whoever takes their pending entry (Gateway.Close,
-# abandonment racing completion, pollers following their sockets, the remote
-# Deadline armed inside the table's lock), the copy-on-write
-# routing/filter/topic tables — and of the transport's slot stack and receive
-# framing ten times under the race detector: one pass of `race` can miss the
-# interleavings these protocols exist for.
+# D-SPRIGHT workers polling their own ring one at a time (TestHandoffPolling…:
+# the flag given up before the handler, the length re-read after it, the
+# producer's wake when nobody polls, stop waking every parked worker, one
+# spinner per live socket), requests finished by whoever takes their pending
+# entry (Gateway.Close, abandonment racing completion, the remote Deadline
+# armed inside the table's lock), the copy-on-write routing/filter/topic/ring
+# tables, the pool's bulk get/put — and of the transport's slot stack and
+# receive framing ten times under the race detector: one pass of `race` can
+# miss the interleavings these protocols exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
-# alloc-gate runs the allocation gates — the cross-node round trip, and the
-# twelve-hop local chain that must also stay on one worker — without the race
-# detector, under which they skip their counting (sync.Pool drops Puts at
-# random there).
+# alloc-gate runs the count gates — the cross-node round trip's allocations,
+# the twelve-hop local chain that must also stay on one worker, and the polled
+# two-hop chain that must also wake no parked worker — without the race
+# detector, under which they skip their allocation counting (sync.Pool drops
+# Puts at random there).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations' ./internal/orchestrator/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestPolledChainRunsOnPollingWorkersAllocations' ./internal/orchestrator/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

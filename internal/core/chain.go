@@ -49,7 +49,8 @@ type ChainSpec struct {
 	BufSize     int
 
 	// SocketDepth overrides per-socket queue depth (defaults to
-	// PoolBuffers: the pool is the real burst buffer).
+	// PoolBuffers: the pool is the real burst buffer). ModePolling ignores
+	// it: an instance's queue there is its ring.
 	SocketDepth int
 
 	// Deadline bounds each synchronous Gateway.Invoke; a request that
@@ -391,8 +392,8 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		tr.SetTailSampling(spec.TraceTailLatency, tailLimit)
 		c.tracer.Store(tr)
 	}
-	// D-SPRIGHT queue-wait attribution: the poller reports each sampled
-	// descriptor's ring residency back through the dequeue hook.
+	// D-SPRIGHT queue-wait attribution: whoever dequeues a sampled descriptor
+	// reports its ring residency back through the dequeue hook.
 	if rt, isRing := c.transport.(*ringTransport); isRing {
 		rt.SetDequeueHook(c.ringDequeueHook)
 	}
@@ -468,11 +469,17 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 
 // newInstance builds one not-yet-started instance of fs with its socket.
 func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
+	var sock *Socket
+	if c.mode == ModePolling {
+		sock = newPolledSocket(id)
+	} else {
+		sock = NewSocket(id, depth)
+	}
 	inst := &Instance{
 		chain:       c,
 		fnName:      fs.Name,
 		id:          id,
-		sock:        NewSocket(id, depth),
+		sock:        sock,
 		handler:     fs.Handler,
 		serviceTime: fs.ServiceTime,
 	}
@@ -689,11 +696,13 @@ func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.De
 	return next, err
 }
 
-// ringDequeueHook runs in the D-SPRIGHT poller for each dequeued
-// descriptor: for sampled buffers it converts the producer's enqueue stamp
-// into a ring.wait span and re-stamps the buffer so the socket worker can
-// attribute its own queue wait separately. Returns the measured residency
-// (0 when untraced) for the ring's wait counters.
+// ringDequeueHook runs in the D-SPRIGHT consumer — the instance's polling
+// worker, or the gateway's poller — for each dequeued descriptor: for sampled
+// buffers it converts the producer's enqueue stamp into a ring.wait span.
+// There is no socket queue behind an instance's ring, so the stamp is cleared
+// and no queue.wait span follows; a reply is re-stamped, so the gateway's
+// drain span starts where its poller picked the reply up. Returns the measured
+// residency (0 when untraced) for the ring's wait counters.
 func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 	tr := c.currentTracer()
 	if tr == nil || !c.pool.TraceSampled(d.Buf) {
@@ -709,7 +718,11 @@ func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 		Parent: c.pool.TraceContext(d.Buf).Span, Stage: StageRingWait,
 		Instance: d.NextFn, Start: start, End: now,
 	})
-	c.pool.StampTrace(d.Buf, now.UnixNano())
+	stamp := int64(0)
+	if d.NextFn == GatewayID {
+		stamp = now.UnixNano()
+	}
+	c.pool.StampTrace(d.Buf, stamp)
 	return now.Sub(start)
 }
 

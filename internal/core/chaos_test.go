@@ -304,69 +304,73 @@ func TestInjectedDropIsReleasedAndDeadlineBounded(t *testing.T) {
 }
 
 func TestRestartInstanceReclaimsQueuedRequests(t *testing.T) {
-	gate := make(chan struct{})
-	spec := ChainSpec{
-		PoolBuffers: 64,
-		Functions: []FunctionSpec{{
-			Name:        "slow",
-			Concurrency: 1,
-			Handler: func(ctx *Ctx) error {
-				if string(ctx.Payload()) == "hold" {
-					<-gate
+	for _, mode := range []Mode{ModeEvent, ModePolling} {
+		t.Run(mode.String(), func(t *testing.T) {
+			gate := make(chan struct{})
+			spec := ChainSpec{
+				PoolBuffers: 64,
+				Functions: []FunctionSpec{{
+					Name:        "slow",
+					Concurrency: 1,
+					Handler: func(ctx *Ctx) error {
+						if string(ctx.Payload()) == "hold" {
+							<-gate
+						}
+						return nil
+					},
+				}},
+				Routes: []RouteSpec{{From: "", To: []string{"slow"}}},
+			}
+			c, g := testChain(t, mode, spec)
+			victim := c.Router().Instances("slow")[0]
+
+			// one request wedges the single worker; the rest pile up in the
+			// victim's socket queue
+			const queued = 24
+			for i := 0; i < queued; i++ {
+				if err := g.InvokeAsync("", []byte("hold")); err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			},
-		}},
-		Routes: []RouteSpec{{From: "", To: []string{"slow"}}},
-	}
-	c, g := testChain(t, ModeEvent, spec)
-	victim := c.Router().Instances("slow")[0]
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for victim.Inflight() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("first request never started")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	// one request wedges the single worker; the rest pile up in the
-	// victim's socket queue
-	const queued = 24
-	for i := 0; i < queued; i++ {
-		if err := g.InvokeAsync("", []byte("hold")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for victim.Inflight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			repl, err := c.RestartInstance(victim.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if repl.ID() == victim.ID() || repl.Function() != "slow" {
+				t.Fatalf("bad replacement %d/%s", repl.ID(), repl.Function())
+			}
+			list := c.Router().Instances("slow")
+			if len(list) != 1 || list[0].ID() != repl.ID() {
+				t.Fatalf("router must route only to the replacement, has %v", list)
+			}
+			// the replacement serves immediately, even though the victim is
+			// still wedged
+			if _, err := g.Invoke(context.Background(), "", []byte("ok")); err != nil {
+				t.Fatalf("replacement not serving: %v", err)
+			}
 
-	repl, err := c.RestartInstance(victim.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repl.ID() == victim.ID() || repl.Function() != "slow" {
-		t.Fatalf("bad replacement %d/%s", repl.ID(), repl.Function())
-	}
-	list := c.Router().Instances("slow")
-	if len(list) != 1 || list[0].ID() != repl.ID() {
-		t.Fatalf("router must route only to the replacement, has %v", list)
-	}
-	// the replacement serves immediately, even though the victim is
-	// still wedged
-	if _, err := g.Invoke(context.Background(), "", []byte("ok")); err != nil {
-		t.Fatalf("replacement not serving: %v", err)
-	}
-
-	// unwedge the victim: its shutdown drains the queue, reclaiming the
-	// stranded descriptors
-	close(gate)
-	deadline = time.Now().Add(5 * time.Second)
-	for c.Pool().InUse() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("restart leaked %d buffers", c.Pool().InUse())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if fs := c.Failures(); fs.Reclaimed == 0 {
-		t.Fatal("queued descriptors must be counted as reclaimed")
+			// unwedge the victim: its shutdown drains the queue, reclaiming the
+			// stranded descriptors (a ring gave them up when it was unregistered)
+			close(gate)
+			deadline = time.Now().Add(5 * time.Second)
+			for c.Pool().InUse() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("restart leaked %d buffers", c.Pool().InUse())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if fs := c.Failures(); fs.Reclaimed == 0 {
+				t.Fatal("queued descriptors must be counted as reclaimed")
+			}
+		})
 	}
 }
 

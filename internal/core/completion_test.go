@@ -14,34 +14,49 @@ import (
 )
 
 // Tests for the rule that whoever takes a request's pending entry finishes
-// the request on its own goroutine, and for the poller lifecycle the
-// ModePolling half of that rule rests on. The TestHandoff prefix puts them
+// the request on its own goroutine, and for the lifecycle of the goroutines
+// that poll a ModePolling chain's rings, which that rule's ModePolling half
+// rests on. The TestHandoff prefix puts them
 // in `make race-stress`.
 
-// livePollers counts the D-SPRIGHT busy-pollers currently running.
-func livePollers(t *testing.T) int {
+// liveSpinners counts the goroutines busy-polling a D-SPRIGHT ring, and how
+// many of them are dedicated pollers rather than an instance's worker.
+func liveSpinners(t *testing.T) (spinning, dedicated int) {
 	t.Helper()
-	return liveGoroutines(t, func(stack []byte) bool {
+	spinning = liveGoroutines(t, func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("ring.(*Ring).PollDequeueBurst"))
+	})
+	dedicated = liveGoroutines(t, func(stack []byte) bool {
 		return bytes.Contains(stack, []byte("core.(*ringTransport).poll"))
 	})
+	return spinning, dedicated
 }
 
-// TestHandoffPollersFollowTheirSockets: in ModePolling every live socket has
-// exactly one poller, and a socket that leaves — RestartInstance, ScaleDown,
-// ScaleToZero, DiscardPrewarmed — takes its poller with it instead of leaving
-// it spinning on a dead ring until the chain closes.
+// TestHandoffPollersFollowTheirSockets: on an idle ModePolling chain exactly
+// one goroutine spins on each live socket's ring — one of the instance's own
+// workers for an instance (routable or prewarmed), the rest of them parked;
+// a dedicated poller for the gateway and for nothing else — and a socket that
+// leaves — RestartInstance, ScaleDown, ScaleToZero, DiscardPrewarmed — takes
+// its spinner and its parked workers with it instead of leaving them on a dead
+// ring until the chain closes.
 func TestHandoffPollersFollowTheirSockets(t *testing.T) {
-	base := settled(t, "earlier tests' pollers to exit", func() int { return livePollers(t) })
+	baseSpin := settled(t, "earlier tests' spinners to exit", func() int { n, _ := liveSpinners(t); return n })
+	_, basePollers := liveSpinners(t)
+	baseWorkers := settledWorkers(t)
 
+	const conc = 3
 	spec := echoSpec()
 	spec.Functions[0].Instances = 2
+	spec.Functions[0].Concurrency = conc
 	c, g := testChain(t, ModePolling, spec)
-	// One poller per instance socket (routable or prewarmed) and one for the
-	// gateway's reply socket.
-	wantPollers := func(prewarmed int) {
+	wantSpinners := func(prewarmed int) {
 		t.Helper()
-		want := base + 1 + len(c.Instances()) + prewarmed
-		pollUntil(t, "one poller per live socket", func() bool { return livePollers(t) == want })
+		sockets := len(c.Instances()) + prewarmed
+		pollUntil(t, "one spinner per live socket, the gateway's alone a poller", func() bool {
+			spin, pollers := liveSpinners(t)
+			return spin == baseSpin+1+sockets && pollers == basePollers+1 &&
+				liveWorkers(t) == baseWorkers+conc*sockets
+		})
 	}
 	invoke := func() {
 		t.Helper()
@@ -50,7 +65,7 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 			t.Fatalf("invoke: %q, %v", out, err)
 		}
 	}
-	wantPollers(0)
+	wantSpinners(0)
 	invoke()
 
 	for i := 0; i < 6; i++ {
@@ -60,31 +75,34 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 		}
 		invoke()
 	}
-	wantPollers(0)
+	wantSpinners(0)
 
 	if err := c.ScaleDown("echo"); err != nil {
 		t.Fatal(err)
 	}
 	invoke()
-	wantPollers(0)
+	wantSpinners(0)
 
 	pw, err := c.Prewarm("echo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPollers(1)
+	wantSpinners(1)
 	c.DiscardPrewarmed(pw)
-	wantPollers(0)
+	wantSpinners(0)
 
 	if n, err := c.ScaleToZero("echo"); err != nil || n != 1 {
 		t.Fatalf("ScaleToZero: %d, %v", n, err)
 	}
-	wantPollers(0) // the gateway's alone
+	wantSpinners(0) // the gateway's alone
 
 	g.Close()
 	c.Close()
-	// Close waits for every poller's last statement, not for its exit.
-	pollUntil(t, "no poller to outlive Chain.Close", func() bool { return livePollers(t) == base })
+	// Close waits for the poller's last statement, not for its exit.
+	pollUntil(t, "no spinner to outlive Chain.Close", func() bool {
+		spin, pollers := liveSpinners(t)
+		return spin == baseSpin && pollers == basePollers && liveWorkers(t) == baseWorkers
+	})
 	// Pool.LeakCheck: testChain's cleanup.
 }
 

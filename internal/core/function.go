@@ -229,8 +229,8 @@ func (c *Ctx) Drop() { c.dropped = true }
 //
 // Every handler execution holds one of the instance's concurrency slots, and
 // inflight is the count of slots held. Two kinds of goroutine hold them: the
-// instance's own workers, for descriptors queued on its socket, and in
-// ModeEvent the workers of other instances that forwarded a message here,
+// instance's own workers, for descriptors queued on its socket (or, in
+// ModePolling, in its ring), and in ModeEvent the workers of other instances that forwarded a message here,
 // claimed a slot and are running the handler themselves (Socket.claimFor).
 // Together they never exceed Concurrency. A worker that dequeues a descriptor
 // while claimed slots fill the bound parks until one is released.
@@ -277,8 +277,8 @@ func (in *Instance) Function() string { return in.fnName }
 // Inflight returns the number of requests currently being processed.
 func (in *Instance) Inflight() int { return int(in.inflight.Load()) }
 
-// QueueDepth returns the number of delivered-but-unclaimed descriptors in
-// this instance's socket queue.
+// QueueDepth returns the number of descriptors waiting for one of this
+// instance's workers: in its socket queue, or in ModePolling in its ring.
 func (in *Instance) QueueDepth() int { return in.sock.QueueLen() }
 
 // Handled returns the number of completed invocations.
@@ -327,20 +327,22 @@ func (in *Instance) startWorkersLocked(n int) {
 	}
 }
 
-// work is one worker, and the only loop that runs handlers. It parks in a
-// plain receive on the instance socket — the wake is one channel handoff, no
-// select — takes a slot for each descriptor and runs the handler. Then it
-// follows the request: while a hop hands back the next instance with a slot
-// already claimed (handle), the worker runs that handler too, iteratively, so
-// a chain of any length — or a routing cycle — costs neither a wake per hop
-// nor stack. It comes home when the request replies, fans out, leaves the
-// node, fails, or meets an instance that would not grant a slot, and runs
-// until the socket closes or a retire token (SetConcurrency shrinking the
-// pool) reaches it.
+// work is one worker, and the only loop that runs handlers. It waits in the
+// socket's receive — in ModeEvent a plain channel receive, so the wake is one
+// channel handoff and no select; in ModePolling spinning on the instance's
+// ring, or parked while another worker of the instance does (Socket.next) —
+// takes a slot for each descriptor and runs the handler. Then it follows the
+// request: while a hop hands back the next instance with a slot already
+// claimed (handle), the worker runs that handler too, iteratively, so a chain
+// of any length — or a routing cycle — costs neither a wake per hop nor stack.
+// It comes home when the request replies, fans out, leaves the node, fails, or
+// meets an instance that would not grant a slot, and runs until the socket
+// closes or a retire token (SetConcurrency shrinking the pool) reaches it.
 func (in *Instance) work() {
 	defer in.wg.Done()
-	for d := range in.sock.Recv() {
-		if d.Buf == retireBuf {
+	for {
+		d, ok := in.sock.next()
+		if !ok || d.Buf == retireBuf {
 			return
 		}
 		if !in.acquire() {
@@ -417,7 +419,8 @@ func (in *Instance) Concurrency() int { return int(in.concurrency.Load()) }
 // SetConcurrency performs §3.7's vertical scaling: it resizes the pod's
 // worker pool, and with it the slot bound, in place ("adding more CPU cores
 // for the function as needed"). Growing starts the missing workers. Shrinking
-// queues one retire token per surplus worker on the instance's own socket:
+// queues one retire token per surplus worker on the instance's own socket (in
+// ModePolling, its ring):
 // whichever workers receive them exit, in-flight invocations finish first, and
 // work queued before the resize is still served (the queue is FIFO); a bound
 // shrunk below the slots in use only stops new claims. A socket too full to
@@ -456,19 +459,24 @@ func (in *Instance) stop() {
 	in.concMu.Unlock()
 }
 
-// shutdown stops the instance: the socket closes (waking every parked
-// worker), in-flight invocations finish — the workers' and, after them, those
-// other instances' workers are running in claimed slots — and every
-// descriptor still queued is reclaimed: by the workers on their way out, and
-// by the final drain for whatever workers that had already retired left
-// behind. When it returns no handler of this instance is running anywhere.
+// shutdown stops the instance: the socket closes (waking every parked worker,
+// and in ModePolling ending the one at the ring), in-flight invocations finish
+// — the workers' and, after them, those other instances' workers are running
+// in claimed slots — and every descriptor still queued is reclaimed: by the
+// workers on their way out, by the final drain for whatever workers that had
+// already retired left in the channel, and by the transport's drop handler
+// for what a polled socket's ring held. When it returns no handler of this
+// instance is running anywhere.
 func (in *Instance) shutdown() {
 	in.stop()
 	in.sock.Close()
 	in.wg.Wait()
 	in.parkWhile(func() bool { return in.inflight.Load() != 0 })
+	if in.sock.ch == nil {
+		return
+	}
 	in.drained.Do(func() {
-		for d := range in.sock.Recv() {
+		for d := range in.sock.ch {
 			if d.Buf != retireBuf {
 				in.chain.reclaimOrphan(d, in.fnName)
 			}

@@ -110,28 +110,41 @@ func holdSpec(gate <-chan struct{}, runs *atomic.Int64) ChainSpec {
 	}
 }
 
-// TestHandoffStopReclaimsQueued: an instance stopped — by ScaleToZero,
-// RestartInstance or Chain.Close — with descriptors still queued behind a
-// busy worker gives every buffer back, answers every caller exactly once,
-// and runs no handler after the stop.
-func TestHandoffStopReclaimsQueued(t *testing.T) {
-	stops := map[string]func(c *Chain, victim *Instance) error{
-		"ScaleToZero": func(c *Chain, _ *Instance) error {
+// TestHandoffStopReclaimsQueued: an instance stopped — by ScaleDown,
+// ScaleToZero, RestartInstance or Chain.Close — with descriptors still queued
+// behind a busy worker gives every buffer back, answers every caller exactly
+// once, runs no handler after the stop and leaves none of its workers behind.
+func TestHandoffStopReclaimsQueued(t *testing.T) { stopReclaimsQueued(t, ModeEvent) }
+
+func stopReclaimsQueued(t *testing.T, mode Mode) {
+	type stopCase struct {
+		instances int // of "slow", each with one request in its handler and its share queued
+		left      int // instances running once the stop is over
+		stop      func(c *Chain, victim *Instance) error
+	}
+	stops := map[string]stopCase{
+		"ScaleDown": {2, 1, func(c *Chain, _ *Instance) error { return c.ScaleDown("slow") }},
+		"ScaleToZero": {1, 0, func(c *Chain, _ *Instance) error {
 			_, err := c.ScaleToZero("slow")
 			return err
-		},
-		"RestartInstance": func(c *Chain, victim *Instance) error {
+		}},
+		"RestartInstance": {1, 1, func(c *Chain, victim *Instance) error {
 			_, err := c.RestartInstance(victim.ID())
 			return err
-		},
-		"Close": func(c *Chain, _ *Instance) error { c.Close(); return nil },
+		}},
+		"Close": {1, 0, func(c *Chain, _ *Instance) error { c.Close(); return nil }},
 	}
-	for name, stop := range stops {
+	for name, tc := range stops {
 		t.Run(name, func(t *testing.T) {
+			base := settledWorkers(t)
 			gate := make(chan struct{})
 			var runs atomic.Int64
-			c, g := testChain(t, ModeEvent, holdSpec(gate, &runs))
-			victim := c.Router().Instances("slow")[0]
+			spec := holdSpec(gate, &runs)
+			spec.Functions[0].Instances = tc.instances
+			c, g := testChain(t, mode, spec)
+			open := openOnce(gate)
+			t.Cleanup(open)
+			insts := c.Router().Instances("slow")
 
 			const callers = 16
 			outcomes := make(chan error, 2*callers) // room for a double outcome to show
@@ -143,27 +156,59 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 					_, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("hold"))
 					outcomes <- err
 				}()
+				if i < tc.instances {
+					// One at a time while an instance is idle: the router
+					// sends each to the one with a free slot.
+					pollUntil(t, "another instance's handler held", func() bool {
+						held := 0
+						for _, in := range insts {
+							held += in.Inflight()
+						}
+						return held == i+1
+					})
+				}
 			}
-			pollUntil(t, "one request in the handler, the rest queued", func() bool {
-				return victim.Inflight() == 1 && victim.QueueDepth() == callers-1
+			pollUntil(t, "one request in each handler, the rest queued", func() bool {
+				queued := 0
+				for _, in := range insts {
+					if in.Inflight() != 1 {
+						return false
+					}
+					queued += in.QueueDepth()
+				}
+				return queued == callers-tc.instances
 			})
 
 			// The stop blocks on the wedged handler; release it once the
 			// instance is marked stopping, so the worker meets the queue
 			// with the flag already up.
 			done := make(chan error, 1)
-			go func() { done <- stop(c, victim) }()
-			pollUntil(t, "instance stopping", victim.stopping.Load)
-			close(gate)
+			go func() { done <- tc.stop(c, insts[0]) }()
+			var victim *Instance
+			pollUntil(t, "instance stopping", func() bool {
+				for _, in := range insts {
+					if in.stopping.Load() {
+						victim = in
+					}
+				}
+				return victim != nil
+			})
+			// What the victim had queued is what must be reclaimed; in
+			// ModePolling the stop may already have handed it back.
+			stranded := callers
+			for _, in := range insts {
+				if in != victim {
+					stranded -= 1 + in.QueueDepth()
+				}
+			}
+			stranded-- // the one in the victim's handler
+			open()
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 			wg.Wait()
 			close(outcomes)
 
-			if got := runs.Load(); got != 1 {
-				t.Errorf("%d handler runs, want 1: a handler ran after stop", got)
-			}
 			ok, gone := 0, 0
 			for err := range outcomes {
 				switch {
@@ -175,16 +220,22 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 					t.Errorf("unexpected outcome: %v", err)
 				}
 			}
-			if ok != 1 || gone != callers-1 {
-				t.Errorf("outcomes: %d ok, %d ErrInstanceGone; want 1 and %d", ok, gone, callers-1)
+			if ok != callers-stranded || gone != stranded {
+				t.Errorf("outcomes: %d ok, %d ErrInstanceGone; want %d and %d", ok, gone, callers-stranded, stranded)
+			}
+			if got := runs.Load(); got != int64(ok) {
+				t.Errorf("%d handler runs for %d answered requests: a handler ran after stop", got, ok)
 			}
 			if g.Pending() != 0 {
 				t.Errorf("%d callers still pending", g.Pending())
 			}
-			if fs := c.Failures(); fs.Reclaimed != callers-1 {
-				t.Errorf("reclaimed %d, want %d", fs.Reclaimed, callers-1)
+			if fs := c.Failures(); fs.Reclaimed != uint64(stranded) {
+				t.Errorf("reclaimed %d, want %d", fs.Reclaimed, stranded)
 			}
 			pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
+			pollUntil(t, "the stopped instance's workers to exit", func() bool {
+				return liveWorkers(t) == base+tc.left // Concurrency is 1
+			})
 		})
 	}
 }
@@ -192,9 +243,11 @@ func TestHandoffStopReclaimsQueued(t *testing.T) {
 // TestHandoffSetConcurrencyUnderLoad: resizing the worker pool under load
 // loses no request, and once quiescent the number of live workers is the
 // setting — none leaked, none missing.
-func TestHandoffSetConcurrencyUnderLoad(t *testing.T) {
+func TestHandoffSetConcurrencyUnderLoad(t *testing.T) { setConcurrencyUnderLoad(t, ModeEvent) }
+
+func setConcurrencyUnderLoad(t *testing.T, mode Mode) {
 	base := settledWorkers(t)
-	c, g := testChain(t, ModeEvent, echoSpec())
+	c, g := testChain(t, mode, echoSpec())
 	inst := c.Router().Instances("echo")[0]
 
 	stop := make(chan struct{})
@@ -1033,5 +1086,325 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 	}
 	if len(inlineStages) != len(queuedStages) {
 		t.Errorf("span sets differ: claimed %v, queued %v", inlineStages, queuedStages)
+	}
+}
+
+// Tests for D-SPRIGHT's consumer side: an instance's workers poll the
+// instance's ring themselves, one at a time (ringEntry.take). The guards are
+// the flag given up before the handler runs, the ring's length re-read after
+// the flag is cleared, the producer's wake when nobody polls, and the stop
+// that wakes every parked worker.
+
+// parkedPollers counts the instance workers parked while another worker of
+// their instance polls its ring.
+func parkedPollers(t *testing.T) int {
+	t.Helper()
+	return liveGoroutines(t, func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("core.(*ringEntry).take")) &&
+			!bytes.Contains(stack, []byte("ring.(*Ring).PollDequeueBurst"))
+	})
+}
+
+// TestHandoffPollingHoldsConcurrency: exactly Concurrency handlers run at
+// once and the next descriptor waits in the ring, where QueueDepth counts it,
+// until one release — and nothing else — serves it; and short of the bound a
+// handler that blocks does not stall the ring, because the worker that polled
+// it gave the ring up first and the next arrival wakes a parked one.
+func TestHandoffPollingHoldsConcurrency(t *testing.T) {
+	for _, bound := range []int{1, 2, 4} {
+		t.Run(strconv.Itoa(bound), func(t *testing.T) {
+			parkedBase := settled(t, "earlier tests' parked workers to exit", func() int { return parkedPollers(t) })
+			gate := make(chan struct{})
+			var runs atomic.Int64
+			spec := holdSpec(gate, &runs)
+			spec.Functions[0].Concurrency = bound
+			c, g := testChain(t, ModePolling, spec)
+			open := openOnce(gate)
+			t.Cleanup(open)
+			slow := c.Router().Instances("slow")[0]
+			// Every worker at its post first: one spinning, the rest parked —
+			// a worker that starts late finds the ring free and hides a
+			// missing wake.
+			pollUntil(t, "all workers but one parked", func() bool { return parkedPollers(t) == parkedBase+bound-1 })
+			results := make(chan error, bound+1)
+			for held := 1; held <= bound; held++ {
+				go invokeTo(t, g, "", "hold", results)
+				pollUntil(t, "another handler held", func() bool { return slow.Inflight() == held })
+				if held == bound {
+					break
+				}
+				// The worker that polled the held request is inside its
+				// handler; the others were parked when it went in.
+				for i := 0; i < 20; i++ {
+					if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("x")); err != nil {
+						t.Fatalf("%d of %d handlers blocked and the ring stalled: %v", held, bound, err)
+					}
+				}
+			}
+			before := int64(bound + 20*(bound-1))
+			pollUntil(t, "every held handler entered", func() bool { return runs.Load() == before })
+			go invokeTo(t, g, "", "x", results)
+			pollUntil(t, "the next request waiting in the ring", func() bool { return slow.QueueDepth() == 1 })
+			if slow.Inflight() != bound || runs.Load() != before {
+				t.Fatalf("%d in flight, %d new runs with every slot held; want %d and 0", slow.Inflight(), runs.Load()-before, bound)
+			}
+			gate <- struct{}{}       // one release alone
+			for i := 0; i < 2; i++ { // the released hold and the request behind it
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := runs.Load(); got != before+1 {
+				t.Fatalf("%d handler runs after one release, want 1", got-before)
+			}
+			open()
+			for i := 1; i < bound; i++ {
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if delivered, dropped := slow.SocketStats(); delivered != uint64(runs.Load()) || dropped != 0 {
+				t.Errorf("socket counted %d delivered, %d dropped for %d handler runs", delivered, dropped, runs.Load())
+			}
+		})
+	}
+}
+
+// TestHandoffPollingBurstWakesSecondWorker: two descriptors published in one
+// reservation while a worker spins draw no wake from their producer — the
+// ring is being polled. The worker that takes the first finds the second
+// behind it after giving the ring up, and wakes a parked worker for it rather
+// than leaving it until its own handler returns.
+func TestHandoffPollingBurstWakesSecondWorker(t *testing.T) {
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	spec := holdSpec(gate, &runs)
+	spec.Functions[0].Concurrency = 2
+	spec.Functions = append(spec.Functions, FunctionSpec{Name: "twice", Handler: func(ctx *Ctx) error {
+		ctx.ForwardTo("slow", "slow") // one instance: one bulk reservation of two
+		return nil
+	}})
+	spec.Routes = append(spec.Routes,
+		RouteSpec{Topic: "twice", From: "", To: []string{"twice"}},
+		RouteSpec{Topic: "twice", From: "twice", To: []string{"slow"}})
+	c, g := testChain(t, ModePolling, spec)
+	t.Cleanup(openOnce(gate))
+	slow := c.Router().Instances("slow")[0]
+	if err := g.InvokeAsync("twice", []byte("hold")); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "both branches inside the handler at once", func() bool { return slow.Inflight() == 2 })
+}
+
+// TestHandoffPollingNoLostWake: many producers against one instance, every
+// request answered — first flat out, then with producers that pause and a
+// handler that yields, so that arrivals keep finding the last poller inside
+// its handler, the ring unpolled and the other workers parked.
+func TestHandoffPollingNoLostWake(t *testing.T) {
+	for _, paced := range []bool{false, true} {
+		spec := echoSpec()
+		spec.Functions[0].Concurrency = 4
+		if paced {
+			echo := spec.Functions[0].Handler
+			spec.Functions[0].Handler = func(ctx *Ctx) error {
+				runtime.Gosched()
+				return echo(ctx)
+			}
+		}
+		c, g := testChain(t, ModePolling, spec)
+		const producers, rounds = 6, 1500
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					out, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("abc"))
+					if err != nil || string(out) != "ABC" {
+						t.Errorf("paced %v, producer %d round %d: %q, %v", paced, p, r, out, err)
+						return
+					}
+					for i := 0; paced && i < p; i++ {
+						runtime.Gosched()
+					}
+				}
+			}(p)
+		}
+		wg.Wait()
+		echo := c.Router().Instances("echo")[0]
+		if delivered, dropped := echo.SocketStats(); delivered != producers*rounds || dropped != 0 || echo.QueueDepth() != 0 {
+			t.Errorf("paced %v: %d delivered, %d dropped, %d left in the ring; want %d, 0, 0",
+				paced, delivered, dropped, echo.QueueDepth(), producers*rounds)
+		}
+		for _, rs := range c.RingStats() {
+			if rs.Stats.Enqueues != rs.Stats.Dequeues || rs.Stats.Fulls != 0 {
+				t.Errorf("paced %v: ring %d: %+v", paced, rs.Instance, rs.Stats)
+			}
+		}
+	}
+}
+
+// TestHandoffPollingStopAndResize: the stop and resize protocols keep their
+// meaning when the queue is a ring — descriptors queued behind a held handler
+// are reclaimed (ErrInstanceGone) whichever way the instance goes, no worker
+// of a gone instance is left, shrinking and growing under load loses nothing
+// and settles on the worker count asked for, and a ring with no room for a
+// retire token stops the shrink there.
+func TestHandoffPollingStopAndResize(t *testing.T) {
+	t.Run("stop", func(t *testing.T) { stopReclaimsQueued(t, ModePolling) })
+	t.Run("resize", func(t *testing.T) { setConcurrencyUnderLoad(t, ModePolling) })
+	t.Run("restart-wedged", func(t *testing.T) {
+		// The stop itself wakes the parked workers: they leave at once, not
+		// when the wedged handler lets its worker back to the ring.
+		base := settledWorkers(t)
+		gate := make(chan struct{})
+		var runs atomic.Int64
+		spec := holdSpec(gate, &runs)
+		spec.Functions[0].Concurrency = 3
+		c, g := testChain(t, ModePolling, spec)
+		t.Cleanup(openOnce(gate))
+		victim := c.Router().Instances("slow")[0]
+		pollUntil(t, "the victim's workers at their posts", func() bool { return liveWorkers(t) == base+3 })
+		if err := g.InvokeAsync("", []byte("hold")); err != nil {
+			t.Fatal(err)
+		}
+		pollUntil(t, "the handler wedged", func() bool { return victim.Inflight() == 1 })
+		if _, err := c.RestartInstance(victim.ID()); err != nil {
+			t.Fatal(err)
+		}
+		pollUntil(t, "the victim's idle workers gone, the wedged one and the replacement's left", func() bool {
+			return liveWorkers(t) == base+1+3
+		})
+	})
+	t.Run("full-ring", func(t *testing.T) {
+		gate := make(chan struct{})
+		var runs atomic.Int64
+		spec := holdSpec(gate, &runs)
+		spec.PoolBuffers = 2 * ringDepth / descWords
+		spec.Functions[0].Concurrency = 2
+		c, g := testChain(t, ModePolling, spec)
+		t.Cleanup(openOnce(gate))
+		slow := c.Router().Instances("slow")[0]
+		for i := 0; i < 2+ringDepth/descWords; i++ { // two held, the ring full behind them
+			if err := g.InvokeAsync("", []byte("hold")); err != nil {
+				t.Fatal(err)
+			}
+			if i < 2 {
+				pollUntil(t, "a handler held", func() bool { return slow.Inflight() == i+1 })
+			}
+		}
+		if err := slow.SetConcurrency(1); !errors.Is(err, ErrSocketFull) || slow.Concurrency() != 2 {
+			t.Fatalf("shrink into a full ring: %v, Concurrency %d; want ErrSocketFull and 2", err, slow.Concurrency())
+		}
+		if err := g.InvokeAsync("", []byte("hold")); !errors.Is(err, ErrSocketFull) {
+			t.Fatalf("send into a full ring: %v, want ErrSocketFull", err)
+		}
+	})
+}
+
+// TestHandoffPollingFaultsAndSpans: a polled hop goes through the fault
+// injector and the retry budget like any other, and a sampled request records
+// one ring.enqueue and one ring.wait per ring it crossed and one handler span
+// per function — no queue.wait, there being no socket queue behind the ring.
+func TestHandoffPollingFaultsAndSpans(t *testing.T) {
+	spec := upDownSpec(FunctionSpec{}, FunctionSpec{})
+	spec.Injector = fault.New(7).Add(fault.Rule{Op: fault.OpQueueFull, Function: "up", Hop: "down", MaxCount: 2})
+	spec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Microsecond}
+	c, g := testChain(t, ModePolling, spec)
+	tr := c.EnableTracing(16)
+	if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, tr)
+	if got := c.Failures().Retries; got != 2 {
+		t.Errorf("%d retries for two injected refusals", got)
+	}
+	done := tr.Completed()
+	if len(done) != 1 || done[0].Path() != "up->down" {
+		t.Fatalf("traces: %v", done)
+	}
+	stages := map[string]int{}
+	for _, s := range done[0].Spans {
+		stages[s.Stage]++
+	}
+	want := map[string]int{
+		StageEnqueue: 3, StageRingWait: 3, StageHandler: 2, // gateway → up → down → gateway
+		StageQueueWait: 0, StageRedirect: 0,
+	}
+	for stage, n := range want {
+		if stages[stage] != n {
+			t.Errorf("%d %s spans, want %d (all: %v)", stages[stage], stage, n, stages)
+		}
+	}
+}
+
+// TestHandoffPollingSnapshotVisibility: the ring transport's tables are
+// snapshots read without a lock, and the rule of TestHandoffSnapshotVisibility
+// holds for them — once Register, Allow or Unregister has returned, the next
+// send sees it, while other goroutines keep sending through the same tables.
+func TestHandoffPollingSnapshotVisibility(t *testing.T) {
+	tr := NewRingTransport()
+	defer tr.Close()
+	const bgID, id = 1, 2
+	bg := NewSocket(bgID, 64)
+	if err := tr.Register(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Allow(GatewayID, bgID); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var senders sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-bg.Recv(): // keep bg's queue from filling
+				default:
+				}
+				if err := tr.Send(GatewayID, shm.Descriptor{NextFn: bgID}); err != nil && !errors.Is(err, ErrSocketFull) {
+					t.Errorf("background send: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); senders.Wait() }()
+
+	d := shm.Descriptor{NextFn: id, Caller: 7}
+	for i := 0; i < 200; i++ {
+		s := NewSocket(id, 4)
+		if err := tr.Send(GatewayID, d); !errors.Is(err, ErrNoSuchFn) {
+			t.Fatalf("round %d: send before Register: %v, want ErrNoSuchFn", i, err)
+		}
+		if err := tr.Register(s); err != nil {
+			t.Fatal(err)
+		}
+		// (An allowed edge outlives the socket it led to, as a filter rule
+		// does: only the first round can see it missing.)
+		if i == 0 {
+			if err := tr.Send(GatewayID, d); !errors.Is(err, ErrFiltered) {
+				t.Fatalf("send before Allow: %v, want ErrFiltered", err)
+			}
+		}
+		if err := tr.Allow(GatewayID, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Send(GatewayID, d); err != nil {
+			t.Fatalf("round %d: send after Allow: %v", i, err)
+		}
+		if got := <-s.Recv(); got.Caller != 7 {
+			t.Fatalf("round %d: descriptor corrupted: %+v", i, got)
+		}
+		if err := tr.Unregister(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Send(GatewayID, d); !errors.Is(err, ErrNoSuchFn) {
+			t.Fatalf("round %d: send after Unregister returned: %v, want ErrNoSuchFn", i, err)
+		}
 	}
 }

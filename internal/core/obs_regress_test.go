@@ -54,12 +54,13 @@ func TestScrapeRateCounterRegression(t *testing.T) {
 	}
 }
 
-// TestDeliverBatchPartialDropNoLeak: with a tiny socket queue and a slow
-// consumer, the D-SPRIGHT poller's bursts hit a full socket mid-batch. The
-// old transport ignored DeliverBatch's result, treating the whole burst as
-// sent — every refused descriptor leaked its shared-memory buffer. The
-// fixed poller owns the un-enqueued tail: it retries until delivered (or
-// reclaims on shutdown), so the pool must drain to zero.
+// TestDeliverBatchPartialDropNoLeak: a burst of events behind one slow
+// worker in ModePolling. When a poller relayed the ring into the socket's
+// queue, its bursts hit a full socket mid-batch, and the old transport ignored
+// DeliverBatch's result, treating the whole burst as sent — every refused
+// descriptor leaked its shared-memory buffer. The instance's worker now polls
+// the ring itself (SocketDepth no longer applies) and the backlog waits there;
+// either way the pool must drain to zero.
 func TestDeliverBatchPartialDropNoLeak(t *testing.T) {
 	const events = 64
 	spec := ChainSpec{
@@ -71,7 +72,7 @@ func TestDeliverBatchPartialDropNoLeak(t *testing.T) {
 		}},
 		Routes:      []RouteSpec{{From: "", To: []string{"slow"}}},
 		PoolBuffers: events,
-		SocketDepth: 1, // every burst overflows the queue
+		SocketDepth: 1, // every burst overflowed the queue the ring once fed
 	}
 	c, g := testChain(t, ModePolling, spec)
 	for i := 0; i < events; i++ {

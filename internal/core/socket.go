@@ -18,17 +18,22 @@ import (
 
 // Socket is a function instance's descriptor endpoint — the analog of the
 // socket interface SPROXY attaches to. It implements ebpf.SockRef so a
-// sockmap can deliver to it from inside the VM. A descriptor reaches the
-// instance's handler one of two ways. It is queued on a buffered channel that
-// the instance's workers consume (Deliver) — always for the gateway's
-// dispatch, a fan-out branch, ModePolling and a bare NewSocket, which has no
-// instance. Or, for a function → function hop in ModeEvent, the sending worker
-// claims one of the instance's concurrency slots and runs the handler itself
-// (claimFor): nothing is queued and nobody is woken. A claim is refused, and
-// the hop queued, when the instance is stopping, has no free slot or has
-// queued work (which is never overtaken), or when the sender's own socket has
-// a backlog to go home to. delivered counts the hop either way; queuedHops
-// counts the function → function hops that had to queue.
+// sockmap can deliver to it from inside the VM. In ModeEvent a descriptor
+// reaches the instance's handler one of two ways. It is queued on a buffered
+// channel that the instance's workers consume (Deliver) — always for the
+// gateway's dispatch, a fan-out branch and a bare NewSocket, which has no
+// instance. Or, for a function → function hop, the sending worker claims one
+// of the instance's concurrency slots and runs the handler itself (claimFor):
+// nothing is queued and nobody is woken. A claim is refused, and the hop
+// queued, when the instance is stopping, has no free slot or has queued work
+// (which is never overtaken), or when the sender's own socket has a backlog to
+// go home to. delivered counts the hop either way; queuedHops counts the
+// function → function hops that had to queue.
+//
+// In ModePolling an instance's socket has no channel: its queue is the ring
+// the transport gave it at Register, which the instance's workers poll
+// themselves (next, ringEntry.take). Nothing is delivered into such a socket;
+// delivered counts what its workers dequeue.
 //
 // Close may race with concurrent Deliver calls (instance restarts close
 // sockets while peers are still sending). Rather than serializing every
@@ -49,7 +54,7 @@ type Socket struct {
 	id   uint32
 	inst *Instance // the owner whose slots a sender may claim; nil on a bare or sink socket
 
-	ch      chan shm.Descriptor  // nil on a sink socket
+	ch      chan shm.Descriptor  // nil on a sink socket and on a polled one
 	sink    func(shm.Descriptor) // set once at construction
 	closed  atomic.Bool
 	senders atomic.Int64 // Deliver calls between registration and send
@@ -57,6 +62,11 @@ type Socket struct {
 	delivered  atomic.Uint64
 	dropped    atomic.Uint64
 	queuedHops atomic.Uint64
+
+	// ring is a polled instance socket's queue, set by Register before the
+	// workers start. (Last, so the words every ModeEvent hop touches sit
+	// where they sat before the field existed.)
+	ring *ringEntry
 }
 
 // Socket errors.
@@ -111,9 +121,10 @@ func (s *Socket) Deliver(d shm.Descriptor) error {
 // claimFor is the other way in: the worker whose own socket is home takes one
 // of the owning instance's concurrency slots and will run the handler itself,
 // so the hop is counted as delivered here. It follows the request only with no
-// backlog waiting at home, and only into an idle queue.
+// backlog waiting at home, and only into an idle queue — the sockets' channels:
+// only SPROXY asks for a claim, and ModeEvent sockets have no ring.
 func (s *Socket) claimFor(home *Socket) bool {
-	if home.QueueLen() != 0 || s.QueueLen() != 0 || !s.inst.claim() {
+	if len(home.ch) != 0 || len(s.ch) != 0 || !s.inst.claim() {
 		return false
 	}
 	s.delivered.Add(1)
@@ -144,13 +155,35 @@ func (s *Socket) enqueue(d shm.Descriptor) error {
 // retireBuf marks a retire token: a descriptor whose Buf no send can carry
 // (pool handles are slot indices, far below it). The owning instance queues
 // one per surplus worker when its pool shrinks; the worker that receives it
-// exits. It travels the socket's own queue — so it needs no second channel
-// for workers to select on — and goes through enqueue, so it cannot race
-// Close into a send on a closed channel.
+// exits. It travels the instance's own queue, so it needs no second channel
+// for workers to select on: the socket's channel, through enqueue, so it
+// cannot race Close into a send on a closed channel — or a polled socket's
+// ring, two words like any descriptor.
 const retireBuf = ^uint32(0)
 
-// retire queues one retire token.
-func (s *Socket) retire() error { return s.enqueue(shm.Descriptor{Buf: retireBuf}) }
+// retire queues one retire token, behind whatever the instance's queue holds.
+func (s *Socket) retire() error {
+	d := shm.Descriptor{Buf: retireBuf}
+	if s.ring != nil {
+		return s.ring.t.sendTo(s.ring, d)
+	}
+	return s.enqueue(d)
+}
+
+// newPolledSocket creates the socket of a ModePolling instance: no channel,
+// because the ring it is registered with is its queue.
+func newPolledSocket(id uint32) *Socket { return &Socket{id: id} }
+
+// next is a worker's receive: the next descriptor for the instance, blocking
+// until there is one. false means the socket was closed, or its ring stopped,
+// and the worker should exit.
+func (s *Socket) next() (shm.Descriptor, bool) {
+	if s.ch == nil { // a polled socket
+		return s.ring.take()
+	}
+	d, ok := <-s.ch
+	return d, ok
+}
 
 // DeliverBatch enqueues a burst of parsed descriptors under a single
 // sender registration and closed-flag check — the delivery half of the
@@ -206,7 +239,8 @@ const closeSpinBudget = 64
 // Close marks the socket closed and wakes the consumer. Descriptors still
 // buffered remain readable from Recv until drained (the instance reclaims
 // them at shutdown); on a sink socket Close returns once every sink call
-// under way has returned. The senders wait backs off in two stages — spin with
+// under way has returned; a polled socket stops its ring, whose backlog the
+// transport's drop handler reclaims. The senders wait backs off in two stages — spin with
 // yields, then exponentially growing sleeps capped at 1ms — so a stalled
 // sender delays the close without pinning a processor.
 func (s *Socket) Close() {
@@ -227,6 +261,9 @@ func (s *Socket) Close() {
 	if s.ch != nil {
 		close(s.ch)
 	}
+	if s.ring != nil {
+		s.ring.stop()
+	}
 }
 
 // Stats reports delivery counters.
@@ -234,9 +271,14 @@ func (s *Socket) Stats() (delivered, dropped uint64) {
 	return s.delivered.Load(), s.dropped.Load()
 }
 
-// QueueLen reports how many descriptors are buffered in the socket queue
-// awaiting a worker — the per-instance backlog signal the autoscaler
-// folds into its demand estimate.
-func (s *Socket) QueueLen() int { return len(s.ch) }
+// QueueLen reports how many descriptors are queued awaiting a worker — in
+// the socket's channel, or in a polled socket's ring — the per-instance
+// backlog signal the autoscaler folds into its demand estimate.
+func (s *Socket) QueueLen() int {
+	if s.ring != nil {
+		return s.ring.r.Len() / descWords
+	}
+	return len(s.ch)
+}
 
 func (s *Socket) String() string { return fmt.Sprintf("sock(%d)", s.id) }

@@ -99,11 +99,17 @@ func TestTracingStageCoverage(t *testing.T) {
 			if len(st[hopStage]) != 4 {
 				t.Fatalf("%s spans %d want 4 (3 forwards + reply)", hopStage, len(st[hopStage]))
 			}
-			if len(st[StageQueueWait]) == 0 {
-				t.Fatal("want queue.wait spans")
+			// Waiting is queue.wait on a socket queue, ring.wait in a ring —
+			// one per send; a polled hop has no socket queue behind its ring.
+			wait, other := StageQueueWait, StageRingWait
+			if mode == ModePolling {
+				wait, other = other, wait
+				if len(st[wait]) != 4 {
+					t.Fatalf("%s spans %d want 4 (one per ring crossed)", wait, len(st[wait]))
+				}
 			}
-			if mode == ModePolling && len(st[StageRingWait]) == 0 {
-				t.Fatal("polling mode must record ring.wait spans")
+			if len(st[wait]) == 0 || len(st[other]) != 0 {
+				t.Fatalf("%d %s and %d %s spans, want some and none", len(st[wait]), wait, len(st[other]), other)
 			}
 			if len(st[StageDrain]) != 1 {
 				t.Fatalf("want one gateway.drain span, got %d", len(st[StageDrain]))

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +31,10 @@ type Transport interface {
 	// Allow authorizes src→dst traffic (security domain filter).
 	Allow(src, dst uint32) error
 	// SetDropHandler installs the callback invoked with every descriptor
-	// the transport had accepted but could not deliver (destination socket
-	// closed, or full past the retry budget at shutdown). The chain uses
-	// it to reclaim the descriptor's buffer and fail its caller instead of
-	// leaking both. Event transports deliver synchronously and report
+	// the transport had accepted but could not deliver (its ring stopped
+	// with the descriptor still in it, or the sink socket closed). The chain
+	// uses it to reclaim the descriptor's buffer and fail its caller instead
+	// of leaking both. Event transports deliver synchronously and report
 	// failures to the sender, so they never invoke it.
 	SetDropHandler(fn func(d shm.Descriptor))
 	// Close stops the transport (and any pollers).
@@ -48,7 +48,9 @@ type Mode int
 const (
 	// ModeEvent is S-SPRIGHT: eBPF SK_MSG + sockmap, zero CPU when idle.
 	ModeEvent Mode = iota
-	// ModePolling is D-SPRIGHT: one busy-polling consumer per socket.
+	// ModePolling is D-SPRIGHT: every socket has a ring and one goroutine
+	// busy-polling it — for an instance one of its own workers at a time,
+	// which runs the handler of what it dequeues; for the gateway a poller.
 	ModePolling
 )
 
@@ -95,6 +97,17 @@ func unpackDesc(w0, w1 uint64) shm.Descriptor {
 	}
 }
 
+// unpackBurst decodes the word pairs of one dequeue into batch and returns how
+// many descriptors that was.
+func unpackBurst(words []uint64, batch []shm.Descriptor) int {
+	k := 0
+	for i := 0; i+descWords <= len(words); i += descWords {
+		batch[k] = unpackDesc(words[i], words[i+1])
+		k++
+	}
+	return k
+}
+
 // ringEntry is one registered socket's D-SPRIGHT queue. Descriptors are
 // packed inline as word pairs; EnqueueBulk's single-reservation contiguity
 // guarantee is what makes this safe under concurrent producers — a pair
@@ -102,16 +115,95 @@ func unpackDesc(w0, w1 uint64) shm.Descriptor {
 // decode the stream two words at a time. One reservation per send, no
 // side table, no allocation.
 //
-// stopped ends the entry's poller: Unregister sets it for one socket,
-// Close for all of them. A sender that resolved the entry before it left
-// the table may still publish into the ring after the poller's last pass,
-// so every send re-checks the flag after publishing and, finding it set,
-// drains the ring itself — whichever of the two drains sees the descriptor
-// hands it to the drop handler, so none is stranded in a dead ring.
+// Who consumes the ring depends on the socket. An instance's ring is polled
+// by the instance's own workers, one at a time (take): polling is the flag a
+// worker holds while it spins, and wake is where the others park. The
+// gateway's ring, and a bare socket's, has a dedicated poller goroutine
+// (poll) that holds polling for as long as it lives.
+//
+// Two pairs of operations keep a descriptor from sitting in a ring nobody
+// will look at. A producer publishes and then loads polling, and wakes a
+// parked worker if it is clear; a worker clears polling and then reads the
+// ring's length, and wakes a parked worker if it is not zero — at least one of
+// the two sees the other. And stop sets stopped and then has the ring emptied
+// (stop), while a producer that resolved the entry before it left the table
+// publishes and then loads stopped, and drains the ring itself through the
+// drop handler if it is set — so none is stranded in a dead ring either.
 type ringEntry struct {
-	r       *ring.Ring
-	sock    *Socket
+	t    *ringTransport
+	r    *ring.Ring
+	sock *Socket
+
 	stopped atomic.Bool
+	polling atomic.Bool   // a goroutine is spinning on r
+	wake    chan struct{} // one token: a parked worker should look again
+}
+
+// wakeOne lets one parked worker (the next to park, if none is) look again.
+func (e *ringEntry) wakeOne() {
+	select {
+	case e.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
+
+// published is a producer's step after its descriptors are in the ring.
+func (e *ringEntry) published() {
+	if e.stopped.Load() {
+		e.t.drainRing(e)
+	} else if !e.polling.Load() {
+		e.wakeOne()
+	}
+}
+
+// stop ends the entry. A dedicated poller sees the flag, delivers what was
+// published before it and leaves (poll). An instance's workers may all be
+// inside handlers, so their ring is drained here — what an instance that is
+// going away still had queued goes to the drop handler: descriptors accepted
+// into the ring own a shared-memory buffer reference, so abandoning them would
+// leak the pool slab and blackhole the caller — and one parked worker is woken
+// to exit, which passes the token on to the next (take).
+func (e *ringEntry) stop() {
+	e.stopped.Store(true)
+	if e.sock.ring == e {
+		e.t.drainRing(e)
+		e.wakeOne()
+	}
+}
+
+// take is an instance worker's receive in ModePolling. At most one worker
+// spins on the ring; it takes one descriptor and gives the ring up before it
+// returns to run the handler, so a handler that blocks never stalls the ring —
+// the next arrival finds polling clear and wakes a parked worker. false means
+// the entry was stopped and the worker should exit.
+func (e *ringEntry) take() (shm.Descriptor, bool) {
+	var words [descWords]uint64
+	for {
+		if e.stopped.Load() {
+			e.wakeOne()
+			return shm.Descriptor{}, false
+		}
+		if !e.polling.CompareAndSwap(false, true) {
+			<-e.wake
+			continue
+		}
+		n := e.r.PollDequeueBurst(words[:], e.stopped.Load)
+		e.polling.Store(false)
+		if n == 0 {
+			continue
+		}
+		d := unpackDesc(words[0], words[1])
+		if d.Buf == retireBuf {
+			e.wakeOne() // the retiring worker's successor at the ring
+			return d, true
+		}
+		if e.r.Len() != 0 {
+			e.wakeOne() // more work behind this descriptor: a second worker, now
+		}
+		e.t.dequeued(e, d)
+		e.sock.delivered.Add(1)
+		return d, true
+	}
 }
 
 // sendTo packs d into e's ring with one bulk reservation. A refused bulk
@@ -121,29 +213,36 @@ func (t *ringTransport) sendTo(e *ringEntry, d shm.Descriptor) error {
 	if e.r.EnqueueBulk([]uint64{w0, w1}) == 0 {
 		return ErrSocketFull
 	}
-	if e.stopped.Load() {
-		t.drainRing(e)
-	}
+	e.published()
 	return nil
 }
 
-// ringTransport is the D-SPRIGHT path: every socket owns an RTE ring; a
-// dedicated poller goroutine spins on rte_ring_dequeue and pushes into the
-// socket — the "continuously consumes significant CPUs independent of
-// traffic intensity" behaviour the paper measures.
-type ringTransport struct {
-	mu      sync.RWMutex
+// ringTables is the routing state a send reads: the registered entries and
+// the allowed src→dst edges. A published value is never modified.
+type ringTables struct {
 	entries map[uint32]*ringEntry
 	allowed map[uint64]bool
-	closed  bool // under mu: Close has stopped every entry
-	wg      sync.WaitGroup
+}
+
+// ringTransport is the D-SPRIGHT path: every socket owns an RTE ring that
+// something busy-polls — one of an instance's own workers, or the gateway's
+// dedicated poller — the "continuously consumes significant CPUs independent
+// of traffic intensity" behaviour the paper measures.
+type ringTransport struct {
+	// tables is what Send reads, without a lock. Writers (Register,
+	// Unregister, Allow, Close) serialize on mu, copy the map they change and
+	// publish the new pair before they return.
+	tables atomic.Pointer[ringTables]
+	mu     sync.Mutex
+	closed bool // under mu: Close has stopped every entry
+	wg     sync.WaitGroup
 
 	// drop is invoked for descriptors the transport accepted into a ring
-	// but could not deliver (socket closed or shutdown mid-backlog); set
-	// once by the chain before traffic starts.
+	// but could not deliver (entry stopped with a backlog, sink socket
+	// closed); set once by the chain before traffic starts.
 	drop atomic.Pointer[func(shm.Descriptor)]
 
-	// onDequeue is invoked in the poller for every dequeued descriptor,
+	// onDequeue is invoked by the consumer for every dequeued descriptor,
 	// returning the measured ring residency for traced descriptors (0
 	// otherwise); set once by the chain before traffic starts.
 	onDequeue atomic.Pointer[func(shm.Descriptor) time.Duration]
@@ -153,47 +252,56 @@ type ringTransport struct {
 // per queued descriptor).
 const ringDepth = 2048
 
-// pollBurst is how many descriptors one poller wakeup drains — the burst
-// size of rte_ring_dequeue_burst in the consumer loop.
+// pollBurst is how many descriptors one pass of the gateway's poller drains —
+// the burst size of rte_ring_dequeue_burst in the consumer loop.
 const pollBurst = 64
 
 // NewRingTransport creates an empty polled transport.
 func NewRingTransport() Transport {
-	return &ringTransport{
-		entries: make(map[uint32]*ringEntry),
-		allowed: make(map[uint64]bool),
-	}
+	t := &ringTransport{}
+	t.tables.Store(&ringTables{entries: map[uint32]*ringEntry{}, allowed: map[uint64]bool{}})
+	return t
 }
 
+// Register gives s its ring. A socket with an instance is polled by that
+// instance's workers (Socket.next); any other gets a poller of its own.
 func (t *ringTransport) Register(s *Socket) error {
 	r, err := ring.New(ringDepth, ring.MP)
 	if err != nil {
 		return err
 	}
-	e := &ringEntry{r: r, sock: s}
+	e := &ringEntry{t: t, r: r, sock: s, wake: make(chan struct{}, 1)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return errors.New("core: ring transport closed")
 	}
-	if _, dup := t.entries[s.SockID()]; dup {
+	old := t.tables.Load()
+	if _, dup := old.entries[s.SockID()]; dup {
 		return fmt.Errorf("core: instance %d already registered", s.SockID())
 	}
-	t.entries[s.SockID()] = e
-	t.wg.Add(1) // under mu, so never concurrent with Close's Wait
-	go t.poll(e)
+	if s.inst != nil {
+		s.ring = e
+	} else {
+		e.polling.Store(true)
+		t.wg.Add(1) // under mu, so never concurrent with Close's Wait
+		go t.poll(e)
+	}
+	entries := maps.Clone(old.entries)
+	entries[s.SockID()] = e
+	t.tables.Store(&ringTables{entries: entries, allowed: old.allowed})
 	return nil
 }
 
-// poll is the per-socket consumer: drain a burst of descriptor word pairs
-// in one ring reservation, decode them, and hand the whole burst to the
-// instance's socket in one wakeup. The out buffer is an even number of
-// words and producers only ever publish whole pairs, so a burst never
-// splits a descriptor. The poller runs until its entry is stopped —
-// Unregister for this socket alone, Close for all — and on exit drains
-// whatever the ring still holds through the drop handler: descriptors
-// accepted into the ring own a shared-memory buffer reference, so abandoning
-// them would leak the pool slab and blackhole the caller.
+// poll is the dedicated consumer of a socket that has no workers — in a chain,
+// the gateway's: drain a burst of descriptor word pairs in one ring
+// reservation, decode them, and hand the whole burst to the socket, whose sink
+// completes each request on this goroutine. The out buffer is an even number
+// of words and producers only ever publish whole pairs, so a burst never
+// splits a descriptor. The poller runs until its entry is stopped — Unregister
+// for this socket alone, Close for all — and then until the ring is empty:
+// what was published before the stop still goes to the socket, and whoever
+// publishes after it sees the flag and drains the ring itself.
 func (t *ringTransport) poll(e *ringEntry) {
 	defer t.wg.Done()
 	var words [pollBurst * descWords]uint64
@@ -201,59 +309,39 @@ func (t *ringTransport) poll(e *ringEntry) {
 	for {
 		n := e.r.PollDequeueBurst(words[:], e.stopped.Load)
 		if n == 0 {
-			t.drainRing(e)
-			return
-		}
-		k := 0
-		for i := 0; i+descWords <= n; i += descWords {
-			batch[k] = unpackDesc(words[i], words[i+1])
-			k++
-		}
-		if hook := t.onDequeue.Load(); hook != nil {
-			for i := 0; i < k; i++ {
-				if w := (*hook)(batch[i]); w > 0 {
-					e.r.NoteWait(int64(w))
-				}
+			if n = e.r.DequeueBurst(words[:]); n == 0 {
+				return
 			}
 		}
-		t.deliverAll(e, batch[:k])
-	}
-}
-
-// deliverAll pushes a dequeued burst into the socket, retrying the
-// un-enqueued tail of a partial DeliverBatch. Once dequeued, these
-// descriptors are the poller's responsibility: a full socket queue is
-// waited out with backoff (the ring, not the socket, provides the loss
-// point), and only a closed socket or a stopped entry converts the tail
-// into drops, each reclaimed through the drop handler.
-func (t *ringTransport) deliverAll(e *ringEntry, ds []shm.Descriptor) {
-	sleep := time.Microsecond
-	for spins := 0; len(ds) > 0; spins++ {
-		n, err := e.sock.DeliverBatch(ds)
-		ds = ds[n:]
-		if len(ds) == 0 {
-			return
+		k := unpackBurst(words[:n], batch[:])
+		for _, d := range batch[:k] {
+			t.dequeued(e, d)
 		}
-		if errors.Is(err, ErrSocketClosed) || e.stopped.Load() {
-			t.dropAll(e, ds)
-			return
-		}
-		// Queue full with a live consumer: back off and retry the tail.
-		if spins < closeSpinBudget {
-			runtime.Gosched()
-			continue
-		}
-		time.Sleep(sleep)
-		if sleep < time.Millisecond {
-			sleep *= 2
+		// What the socket refuses — it closed, or a bare socket's queue is
+		// full — is dropped: reclaimed through the drop handler.
+		if m, _ := e.sock.DeliverBatch(batch[:k]); m < k {
+			t.dropAll(e, batch[m:k])
 		}
 	}
 }
 
-// dropAll records and reclaims descriptors the poller is abandoning.
+// dequeued runs the dequeue hook for one descriptor off e's ring.
+func (t *ringTransport) dequeued(e *ringEntry, d shm.Descriptor) {
+	if hook := t.onDequeue.Load(); hook != nil {
+		if w := (*hook)(d); w > 0 {
+			e.r.NoteWait(int64(w))
+		}
+	}
+}
+
+// dropAll records and reclaims descriptors the transport is abandoning;
+// retire tokens among them carry no buffer and are discarded.
 func (t *ringTransport) dropAll(e *ringEntry, ds []shm.Descriptor) {
 	fn := t.drop.Load()
 	for _, d := range ds {
+		if d.Buf == retireBuf {
+			continue
+		}
 		e.sock.noteDrop()
 		if fn != nil {
 			(*fn)(d)
@@ -262,22 +350,17 @@ func (t *ringTransport) dropAll(e *ringEntry, ds []shm.Descriptor) {
 }
 
 // drainRing empties a stopped entry's ring through the drop handler. The
-// ring is multi-consumer and reservations are whole descriptors, so the
-// poller's exit drain and a late sender's may run at once.
+// ring is multi-consumer and reservations are whole descriptors, so stop's
+// drain, a late sender's and a worker's last dequeue may run at once.
 func (t *ringTransport) drainRing(e *ringEntry) {
 	var words [pollBurst * descWords]uint64
+	var batch [pollBurst]shm.Descriptor
 	for {
 		n := e.r.DequeueBurst(words[:])
 		if n == 0 {
 			return
 		}
-		for i := 0; i+descWords <= n; i += descWords {
-			d := unpackDesc(words[i], words[i+1])
-			e.sock.noteDrop()
-			if fn := t.drop.Load(); fn != nil {
-				(*fn)(d)
-			}
-		}
+		t.dropAll(e, batch[:unpackBurst(words[:n], batch[:])])
 	}
 }
 
@@ -304,47 +387,57 @@ type RingQueueStat struct {
 
 // ringStats snapshots every registered ring's counters.
 func (t *ringTransport) ringStats() []RingQueueStat {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]RingQueueStat, 0, len(t.entries))
-	for id, e := range t.entries {
+	entries := t.tables.Load().entries
+	out := make([]RingQueueStat, 0, len(entries))
+	for id, e := range entries {
 		out = append(out, RingQueueStat{Instance: id, Stats: e.r.Stats()})
 	}
 	return out
 }
 
-// Unregister removes id from the table and stops its poller, which drains
-// the ring through the drop handler on its way out. It does not wait for the
-// poller (a repair must not block on it); Close does.
+// Unregister removes id from the table — no send that starts after it returns
+// is routed there — and stops its entry: the ring's backlog goes to the drop
+// handler and whoever polls it leaves. It does not wait for the poller (a
+// repair must not block on it); Close does.
 func (t *ringTransport) Unregister(id uint32) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
+	old := t.tables.Load()
+	e, ok := old.entries[id]
 	if !ok {
+		t.mu.Unlock()
 		return fmt.Errorf("core: instance %d not registered", id)
 	}
-	delete(t.entries, id)
-	e.stopped.Store(true)
+	entries := maps.Clone(old.entries)
+	delete(entries, id)
+	t.tables.Store(&ringTables{entries: entries, allowed: old.allowed})
+	t.mu.Unlock()
+	e.stop() // outside mu: the drop handler runs the chain's reclaim path
 	return nil
 }
 
 func (t *ringTransport) Allow(src, dst uint32) error {
+	key := uint64(src)<<32 | uint64(dst)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.allowed[uint64(src)<<32|uint64(dst)] = true
+	old := t.tables.Load()
+	if old.allowed[key] {
+		return nil
+	}
+	allowed := maps.Clone(old.allowed)
+	allowed[key] = true
+	t.tables.Store(&ringTables{entries: old.entries, allowed: allowed})
 	return nil
 }
 
-// route resolves the destination entry and the filter verdict for one hop.
+// route resolves the destination entry and the filter verdict for one hop
+// from the published tables.
 func (t *ringTransport) route(src, dst uint32) (*ringEntry, error) {
-	t.mu.RLock()
-	e, ok := t.entries[dst]
-	allowed := t.allowed[uint64(src)<<32|uint64(dst)]
-	t.mu.RUnlock()
+	tb := t.tables.Load()
+	e, ok := tb.entries[dst]
 	if !ok {
 		return nil, fmt.Errorf("%w: instance %d", ErrNoSuchFn, dst)
 	}
-	if !allowed {
+	if !tb.allowed[uint64(src)<<32|uint64(dst)] {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, dst)
 	}
 	return e, nil
@@ -401,9 +494,7 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 		}
 		if e.r.EnqueueBulk(words[:n*descWords]) > 0 {
 			delivered += n
-			if e.stopped.Load() {
-				t.drainRing(e)
-			}
+			e.published()
 		} else {
 			// Bulk refused (not enough free slots): fall back to
 			// per-descriptor sends so a nearly full ring still accepts
@@ -421,12 +512,15 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 	return delivered
 }
 
+// Close stops every entry and waits for the dedicated pollers. Instance
+// workers are waited for by their instances (Instance.shutdown).
 func (t *ringTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
-	for _, e := range t.entries {
-		e.stopped.Store(true)
-	}
+	entries := t.tables.Load().entries
 	t.mu.Unlock()
+	for _, e := range entries {
+		e.stop()
+	}
 	t.wg.Wait()
 }

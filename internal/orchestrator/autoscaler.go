@@ -8,7 +8,7 @@ import (
 
 // Autoscaler is the per-chain scaling control plane (§3.7, ROADMAP item 1):
 // an EWMA controller over the dataplane's live signals — per-instance
-// inflight, socket queue backlog, ring occupancy, parked scale-from-zero
+// inflight, queue backlog (socket queue or D-SPRIGHT ring), parked scale-from-zero
 // requests, gateway admission rate, circuit-breaker state — with
 // hysteresis, cooldown windows, and a max step to keep it from flapping.
 //
@@ -308,12 +308,6 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 	}
 	a.lastAdmitted, a.lastEval = admitted, now
 
-	// Ring occupancy per instance (polling mode; empty map in event mode).
-	ringLen := map[uint32]int{}
-	for _, r := range c.RingStats() {
-		ringLen[r.Instance] = int(r.Stats.Len)
-	}
-
 	totalParked := g.Parked()
 	totalDemand := 0.0
 
@@ -321,14 +315,14 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 		insts := c.Router().Instances(fn)
 		routable := len(insts)
 		healthy := 0
-		// Demand = requests parked on fn + in-flight work + socket and
-		// ring backlog across its instances.
+		// Demand = requests parked on fn + in-flight work + the backlog
+		// queued for its instances (QueueDepth: socket queue, or ring).
 		demand := float64(g.ParkedFor(fn))
 		for _, in := range insts {
 			if !in.CircuitOpen() {
 				healthy++
 			}
-			demand += float64(in.Inflight() + in.QueueDepth() + ringLen[in.ID()])
+			demand += float64(in.Inflight() + in.QueueDepth())
 		}
 		if a.remoteBacklog != nil {
 			demand += float64(a.remoteBacklog(fn))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -381,6 +382,106 @@ func TestChainRunsOnOneWorkerAllocations(t *testing.T) {
 		t.Errorf("%.2f allocations per %d-hop request, want none", avg, hops)
 	} else {
 		t.Logf("%.3f allocations per %d-hop request", avg, hops)
+	}
+	if err := d.Chain.Pool().LeakCheck(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPolledChainRunsOnPollingWorkersAllocations is the gate on the polled
+// hop: in ModePolling an uncontended request through a two-function chain is a
+// ring enqueue and a ring dequeue per hop and nothing else — it wakes no
+// parked worker, so every handler runs on the goroutine that was already
+// spinning on its instance's ring when the request was sent, request after
+// request; and it allocates nothing. (A worker the scheduler holds back for a
+// whole round trip between two polls — a GC, a preemption — is found missing
+// from its ring by the next arrival, which wakes a parked one to take over:
+// that is the protocol working, and it is allowed for one request in a
+// hundred. A relay that woke a worker per hop would change goroutine on most.)
+func TestPolledChainRunsOnPollingWorkersAllocations(t *testing.T) {
+	var first, ranOn [2]uint64 // goroutine of each handler's first and last run, while recording
+	var moved [2]int           // runs on another goroutine than the run before
+	recording := true
+	spec := core.ChainSpec{
+		Name: "polledhop", Mode: core.ModePolling,
+		Routes: []core.RouteSpec{{From: "", To: []string{"f0"}}, {From: "f0", To: []string{"f1"}}},
+	}
+	for i := range ranOn {
+		spec.Functions = append(spec.Functions, core.FunctionSpec{
+			Name: fmt.Sprintf("f%d", i),
+			Handler: func(ctx *core.Ctx) error {
+				if recording {
+					if id := goroutineID(); id != ranOn[i] {
+						if ranOn[i] == 0 {
+							first[i] = id
+						} else {
+							moved[i]++
+						}
+						ranOn[i] = id
+					}
+				}
+				ctx.Payload()[0]++
+				return nil
+			},
+		})
+	}
+	d, err := NewCluster(1).Controller.DeployChain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	payload, dst := []byte{0, 7}, make([]byte, 2)
+	invoke := func() {
+		if n, err := d.Gateway.InvokeInto(context.Background(), "", payload, dst); err != nil || n != 2 || dst[0] != 2 || dst[1] != 7 {
+			t.Fatalf("InvokeInto: %d bytes %v, %v", n, dst[:n], err)
+		}
+	}
+	// The workers spinning on a ring once the chain is idle: one per instance,
+	// as soon as every worker started has either taken its ring or parked.
+	invoke()
+	spinning := map[uint64]bool{}
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		var profile strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&profile, 2); err != nil {
+			t.Fatal(err)
+		}
+		clear(spinning)
+		started := true
+		for _, g := range strings.Split(profile.String(), "\n\n") {
+			switch {
+			case strings.Contains(g, "ring.(*Ring).PollDequeueBurst") && strings.Contains(g, "core.(*Instance).work"):
+				id, _ := strconv.ParseUint(strings.Fields(g)[1], 10, 64)
+				spinning[id] = true
+			case strings.Contains(g, "startWorkersLocked") && !strings.Contains(g, "core.(*Instance).work("):
+				started = false // a worker that has yet to run
+			}
+		}
+		if started && len(spinning) == len(ranOn) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers spinning on an idle two-function chain, want one per instance:\n%s", len(spinning), profile.String())
+		}
+	}
+	ranOn, moved = [2]uint64{}, [2]int{}
+	const requests = 2000
+	for i := 0; i < requests; i++ {
+		invoke()
+	}
+	for i, id := range first {
+		if !spinning[id] || moved[i] > requests/100 {
+			t.Errorf("f%d first ran on goroutine %d and changed goroutine %d times in %d requests; want the worker that was polling (%v) and no parked one woken",
+				i, id, moved[i], requests, spinning)
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random there, and every drop is an allocation
+	}
+	recording = false
+	if avg := testing.AllocsPerRun(2000, invoke); avg >= 1 {
+		t.Errorf("%.2f allocations per polled two-hop request, want none", avg)
+	} else {
+		t.Logf("%.3f allocations per polled two-hop request; %v changes of goroutine in %d", avg, moved, requests)
 	}
 	if err := d.Chain.Pool().LeakCheck(); err != nil {
 		t.Error(err)

@@ -306,29 +306,12 @@ func pollYieldMask() int {
 	return 63
 }
 
-// PollDequeue spins until an item arrives or stop returns true. This is the
-// D-SPRIGHT consumer loop: the spin burns CPU whether or not traffic
-// arrives, which is exactly the overhead S-SPRIGHT's event-driven SPROXY
-// eliminates.
-func (r *Ring) PollDequeue(stop func() bool) (uint64, bool) {
-	mask := pollYieldMask()
-	for spins := 0; ; spins++ {
-		if v, err := r.Dequeue(); err == nil {
-			return v, true
-		}
-		if stop != nil && stop() {
-			return 0, false
-		}
-		if spins&mask == mask {
-			runtime.Gosched() // keep the host responsive in tests
-		}
-	}
-}
-
-// PollDequeueBurst spins until at least one item arrives, then drains up
-// to len(out) items in one reservation — the burst analog of PollDequeue
-// that lets the D-SPRIGHT poller hand a whole backlog to the instance run
-// loop in one wakeup. Returns 0 only when stop reported true.
+// PollDequeueBurst spins until at least one item arrives or stop returns
+// true, then drains up to len(out) items in one reservation. This is the
+// D-SPRIGHT consumer loop — an instance worker polls with room for one
+// descriptor, the gateway's poller for a burst — and the spin burns CPU
+// whether or not traffic arrives, which is exactly the overhead S-SPRIGHT's
+// event-driven SPROXY eliminates. Returns 0 only when stop reported true.
 func (r *Ring) PollDequeueBurst(out []uint64, stop func() bool) int {
 	mask := pollYieldMask()
 	for spins := 0; ; spins++ {

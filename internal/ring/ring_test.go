@@ -217,6 +217,29 @@ func TestPollDequeueBurst(t *testing.T) {
 	if n := r.PollDequeueBurst(out, stop.Load); n != 0 && r.Len() == 0 {
 		t.Fatalf("stopped poll on empty ring returned %d", n)
 	}
+
+	// Room for one item — how an instance worker polls: the rest stays queued.
+	for r.Len() > 0 { // what the first poll left behind
+		r.Dequeue()
+	}
+	go func() {
+		done <- r.PollDequeueBurst(out[:1], nil)
+	}()
+	r.EnqueueBulk([]uint64{42, 43})
+	if n := <-done; n != 1 || out[0] != 42 || r.Len() != 1 {
+		t.Fatalf("one-slot poll took %d items, first %d, left %d queued; want 1, 42, 1", n, out[0], r.Len())
+	}
+	r.Dequeue()
+
+	// A poller already spinning leaves when stop turns true.
+	stop.Store(false)
+	go func() {
+		done <- r.PollDequeueBurst(out, stop.Load)
+	}()
+	stop.Store(true)
+	if n := <-done; n != 0 {
+		t.Fatalf("poller must report stop, got %d items", n)
+	}
 }
 
 func TestDequeueBurst(t *testing.T) {
@@ -276,33 +299,6 @@ func TestMPMCNoLossNoDuplication(t *testing.T) {
 	wg.Wait()
 	if got.Load() != producers*perProducer {
 		t.Fatalf("received %d items, want %d", got.Load(), producers*perProducer)
-	}
-}
-
-func TestPollDequeueStops(t *testing.T) {
-	r, _ := New(4, MP)
-	stop := atomic.Bool{}
-	done := make(chan bool)
-	go func() {
-		_, ok := r.PollDequeue(stop.Load)
-		done <- ok
-	}()
-	stop.Store(true)
-	if ok := <-done; ok {
-		t.Fatal("poller must report stop, not success")
-	}
-}
-
-func TestPollDequeueReceives(t *testing.T) {
-	r, _ := New(4, MP)
-	done := make(chan uint64)
-	go func() {
-		v, _ := r.PollDequeue(nil)
-		done <- v
-	}()
-	r.Enqueue(42)
-	if v := <-done; v != 42 {
-		t.Fatalf("poller got %d want 42", v)
 	}
 }
 

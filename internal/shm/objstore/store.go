@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -258,8 +259,9 @@ type Writer struct {
 	s      *Store
 	key    string
 	slabs  []uint32
+	filled int // slabs[:filled] hold data; the rest were taken ahead for the Write in progress
 	size   int64
-	cur    []byte // unwritten remainder of the last slab
+	cur    []byte // unwritten remainder of slabs[filled-1]
 	sealed bool
 }
 
@@ -283,15 +285,16 @@ func (w *Writer) Write(p []byte) (int, error) {
 	written := 0
 	for len(p) > 0 {
 		if len(w.cur) == 0 {
-			h, err := w.s.allocSlab()
-			if err != nil {
-				return written, err
+			if w.filled == len(w.slabs) {
+				if err := w.takeSlabs(len(p)); err != nil {
+					return written, err
+				}
 			}
-			w.slabs = append(w.slabs, h)
-			b, berr := w.s.pool.Bytes(h)
+			b, berr := w.s.pool.Bytes(w.slabs[w.filled])
 			if berr != nil {
 				return written, berr
 			}
+			w.filled++
 			w.cur = b
 		}
 		n := copy(w.cur, p)
@@ -351,10 +354,33 @@ func (w *Writer) Abort() {
 }
 
 func (w *Writer) releaseSlabs() {
-	for _, h := range w.slabs {
-		_ = w.s.pool.Put(h)
-	}
+	w.s.pool.PutN(w.slabs)
 	w.slabs = nil
+}
+
+// slabBatch bounds how many slabs one pool call hands a writer, so a large
+// write does not sweep the freelist in one go under the shard locks.
+const slabBatch = 64
+
+// takeSlabs appends to w.slabs the slabs the n bytes still to be written
+// need, up to slabBatch of them, in one pool call. A pool that gives none goes
+// through allocSlab, which spills cold objects and retries, for one.
+func (w *Writer) takeSlabs(n int) error {
+	bufSize := w.s.pool.BufSize()
+	need := min((n+bufSize-1)/bufSize, slabBatch)
+	base := len(w.slabs)
+	w.slabs = slices.Grow(w.slabs, need)[:base+need]
+	got := w.s.pool.GetN(w.slabs[base:])
+	w.slabs = w.slabs[:base+got]
+	if got > 0 {
+		return nil
+	}
+	h, err := w.s.allocSlab()
+	if err != nil {
+		return err
+	}
+	w.slabs = append(w.slabs, h)
+	return nil
 }
 
 // Put stores data as one object under key in a single chunked write.
@@ -456,12 +482,8 @@ func (s *Store) unrefLocked(o *object) []uint32 {
 	return slabs
 }
 
-// putSlabs returns freed slab handles to the pool.
-func (s *Store) putSlabs(slabs []uint32) {
-	for _, h := range slabs {
-		_ = s.pool.Put(h)
-	}
-}
+// putSlabs returns freed slab handles to the pool, in one call.
+func (s *Store) putSlabs(slabs []uint32) { s.pool.PutN(slabs) }
 
 // spillObjectLocked writes o's payload to the file tier and frees its
 // slabs. Called with s.mu held and returns with it held, but the file
@@ -707,9 +729,7 @@ func (s *Store) Release(h Handle) error {
 	// of its own, so refs stays positive until the transition commits.
 	slabs := s.unrefLocked(o)
 	s.mu.Unlock()
-	for _, sh := range slabs {
-		_ = s.pool.Put(sh)
-	}
+	s.putSlabs(slabs)
 	return nil
 }
 

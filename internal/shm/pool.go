@@ -206,6 +206,87 @@ func (p *Pool) Get() (uint32, error) {
 	return h, nil
 }
 
+// initBuf makes a handle just popped from the freelist a live buffer with one
+// reference, an empty payload and a clean trace header, as Get does. (Get and
+// Put keep their own straight-line bodies rather than calling the helpers the
+// bulk calls share: routed through them, two callers' throughput on the
+// boutique chain read 7 % lower over three batches of alternating runs.)
+func (p *Pool) initBuf(h uint32) {
+	p.refs[h].Store(1)
+	p.lens[h].Store(0)
+	t := &p.trace[h] // reset for the reasons, and in the way, Get gives
+	if t.flags.Load() != 0 {
+		t.flags.Store(0)
+	}
+	if t.span.Load() != 0 {
+		t.span.Store(0)
+	}
+	if t.stamp.Load() != 0 {
+		t.stamp.Store(0)
+	}
+	if t.objCarrier.Load() != 0 {
+		t.objCarrier.Store(0)
+	}
+}
+
+// noteAllocs counts n buffers out and raises the high-water mark.
+func (p *Pool) noteAllocs(n int) {
+	p.allocs.Add(uint64(n))
+	in := p.inUse.Add(int64(n))
+	for {
+		hw := p.highWater.Load()
+		if in <= hw || p.highWater.CompareAndSwap(hw, in) {
+			return
+		}
+	}
+}
+
+// GetN allocates up to len(dst) buffers into dst, each with reference count
+// 1, and returns how many it got — the rte_mempool_get_bulk analog for a
+// caller that needs many slabs at once (a multi-slab object): the shard
+// cursor, the counters and the high-water mark are touched once for the call
+// and each shard's lock is taken once. The buffers come as an even share off
+// the top of every shard — the most recently freed, so the warmest — rather
+// than from one shard's depths; shards that cannot give their share are made
+// up for by the others, and those extra handles count as steals. A short
+// return is not a failure in Stats: the caller that cannot go on without the
+// rest asks Get, which counts the exhaustion it meets. A closed pool gives 0.
+func (p *Pool) GetN(dst []uint32) int {
+	if len(dst) == 0 || p.closed.Load() {
+		return 0
+	}
+	start := p.cursor.Add(1)
+	got := 0
+	for pass := 0; got < len(dst); pass++ {
+		share := (len(dst) - got + freelistShards - 1) / freelistShards
+		before := got
+		for i := uint32(0); i < freelistShards && got < len(dst); i++ {
+			s := &p.shards[(start+i)&(freelistShards-1)]
+			s.mu.Lock()
+			k := min(share, len(s.list), len(dst)-got)
+			for j := 0; j < k; j++ {
+				dst[got+j] = s.list[len(s.list)-1-j]
+			}
+			s.list = s.list[:len(s.list)-k]
+			s.mu.Unlock()
+			got += k
+		}
+		if got == before {
+			break // every shard is empty
+		}
+		if pass > 0 {
+			p.steals.Add(uint64(got - before))
+		}
+	}
+	for _, h := range dst[:got] {
+		p.initBuf(h)
+	}
+	if got > 0 {
+		p.noteAllocs(got)
+	}
+	return got
+}
+
 // Ref increments the reference count of a live buffer (multi-consumer
 // fan-out in DFR pub/sub routing). Ref on a closed pool fails with
 // ErrClosed: after Close has stopped allocations, a racing fan-out branch
@@ -273,6 +354,101 @@ func (p *Pool) Put(h uint32) error {
 			}
 		}
 		return nil
+	}
+}
+
+// unref drops one reference of h and reports whether it was the last; a
+// handle that is out of range or not allocated reports an error instead.
+func (p *Pool) unref(h uint32) (last bool, err error) {
+	if int(h) >= len(p.refs) {
+		return false, ErrBadHandle
+	}
+	for {
+		r := p.refs[h].Load()
+		if r <= 0 {
+			return false, ErrNotOwned
+		}
+		if p.refs[h].CompareAndSwap(r, r-1) {
+			return r == 1, nil
+		}
+	}
+}
+
+// clearDead strips the headroom of a buffer whose last reference just went
+// and returns the object handle it carried (0 when none). The freeing caller
+// is the exclusive owner here: the object handle is detached before the buffer
+// can be recycled, so the attached reference is released exactly once and
+// never against a successor request's object.
+func (p *Pool) clearDead(h uint32) (obj uint64) {
+	t := &p.trace[h]
+	if t.obj.Load() != 0 {
+		obj = t.obj.Swap(0)
+	}
+	if t.objCarrier.Load() != 0 {
+		t.objCarrier.Store(0)
+	}
+	if t.topic.Load() != nil {
+		t.topic.Store(nil)
+	}
+	return obj
+}
+
+// releaseObj hands a dead buffer's object handle to the release hook. It runs
+// with no pool locks held (the hook may re-enter Put for the object's slabs).
+func (p *Pool) releaseObj(obj uint64) {
+	if obj != 0 {
+		if hook := p.objHook.Load(); hook != nil {
+			(*hook)(obj)
+		}
+	}
+}
+
+// putChunk is how many handles PutN settles per pass: each pass takes each
+// shard's lock at most once, and a 1 MiB object of 16 KiB slabs is one pass.
+const putChunk = 64
+
+// PutN releases one reference of every handle in hs, as len(hs) Put calls
+// would — the rte_mempool_put_bulk analog: the counters are touched once per
+// pass of putChunk handles and each home shard's lock once, however many of
+// the buffers go back to it. A handle that is out of range or not allocated is
+// skipped, as by a caller that ignores Put's error.
+func (p *Pool) PutN(hs []uint32) {
+	var dead [putChunk]uint32
+	var objs [putChunk]uint64
+	for len(hs) > 0 {
+		chunk := hs[:min(len(hs), putChunk)]
+		hs = hs[len(chunk):]
+		n, shards := 0, uint32(0)
+		for _, h := range chunk {
+			if last, err := p.unref(h); err == nil && last {
+				dead[n], objs[n] = h, p.clearDead(h)
+				shards |= 1 << (h & (freelistShards - 1))
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		p.frees.Add(uint64(n))
+		p.inUse.Add(-int64(n))
+		if !p.closed.Load() {
+			for si := uint32(0); si < freelistShards; si++ {
+				if shards&(1<<si) == 0 {
+					continue
+				}
+				s := &p.shards[si]
+				s.mu.Lock()
+				for _, h := range dead[:n] {
+					if h&(freelistShards-1) == si {
+						s.list = append(s.list, h)
+					}
+				}
+				s.mu.Unlock()
+			}
+		}
+		for _, obj := range objs[:n] {
+			p.releaseObj(obj)
+		}
 	}
 }
 

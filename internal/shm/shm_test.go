@@ -461,6 +461,164 @@ func TestPoolTopicLifetime(t *testing.T) {
 	}
 }
 
+// bulkStats is the part of PoolStats that bulk and single calls must agree on
+// (Steals follows where the handles came from, which differs by design).
+func bulkStats(p *Pool) PoolStats {
+	s := p.Stats()
+	s.Steals = 0
+	return s
+}
+
+// TestPoolBulkMatchesSingles: GetN and PutN leave the pool exactly where the
+// same number of Get and Put calls leave it — Allocs, Frees, InUse, HighWater,
+// Failures and LeakCheck — at every step of taking n buffers, giving some
+// back, sharing some, giving the rest back and running the pool dry; and a
+// buffer that comes back through GetN has lost its trace identity, its topic
+// and its object as one from Get has.
+func TestPoolBulkMatchesSingles(t *testing.T) {
+	const capacity = 96
+	for _, n := range []int{1, 7, 8, 9, 64, 65, capacity} {
+		singles, _ := NewPool("s", capacity, 16)
+		bulk, _ := NewPool("b", capacity, 16)
+		var released []uint64
+		bulk.SetObjReleaseHook(func(obj uint64) { released = append(released, obj) })
+		same := func(step string) {
+			t.Helper()
+			if a, b := bulkStats(singles), bulkStats(bulk); a != b {
+				t.Fatalf("n=%d, %s:\nsingles %+v\nbulk    %+v", n, step, a, b)
+			}
+			if a, b := singles.LeakCheck() == nil, bulk.LeakCheck() == nil; a != b {
+				t.Fatalf("n=%d, %s: LeakCheck clean: singles %v, bulk %v", n, step, a, b)
+			}
+		}
+
+		one := make([]uint32, n)
+		for i := range one {
+			one[i], _ = singles.Get()
+		}
+		many := make([]uint32, n)
+		if got := bulk.GetN(many); got != n {
+			t.Fatalf("GetN(%d) = %d on a pool of %d", n, got, capacity)
+		}
+		same("taken")
+		seen := map[uint32]bool{}
+		perShard := map[uint32]int{}
+		for _, h := range many {
+			if seen[h] || bulk.refs[h].Load() != 1 {
+				t.Fatalf("n=%d: handle %d given twice or with %d references", n, h, bulk.refs[h].Load())
+			}
+			seen[h] = true
+			perShard[h&(freelistShards-1)]++
+		}
+		for sh, k := range perShard {
+			if k > (n+freelistShards-1)/freelistShards {
+				t.Fatalf("n=%d: %d handles from shard %d, more than an even share", n, k, sh)
+			}
+		}
+
+		// Dirty every buffer's headroom, share the first, release all once:
+		// all but the shared one die.
+		for _, h := range many {
+			bulk.SetTraceContext(h, TraceContext{TraceHi: 1, TraceLo: 2, Span: 3, Flags: TraceSampled})
+			bulk.StampTrace(h, 42)
+			bulk.SetTopic(h, "hot")
+			bulk.SetObjCarrier(h, true)
+		}
+		bulk.SetObjHandle(many[n-1], 77)
+		bulk.Ref(many[0])
+		singles.Ref(one[0])
+		for _, h := range one {
+			singles.Put(h)
+		}
+		bulk.PutN(append([]uint32{capacity + 3}, many...)) // and an out-of-range handle, skipped
+		same("released once")
+		if bulk.Topic(many[0]) != "hot" {
+			t.Fatalf("n=%d: PutN cleared the topic under a live reference", n)
+		}
+		singles.Put(one[0])
+		bulk.PutN(many[:1])
+		bulk.PutN(many[:1]) // not allocated any more: skipped
+		same("released")
+		if len(released) != 1 || released[0] != 77 {
+			t.Fatalf("n=%d: object release hook saw %v, want [77]", n, released)
+		}
+
+		// Run both dry: the bulk call comes up short without counting a
+		// failure; the Get that follows it counts the one a Get loop meets.
+		for {
+			if _, err := singles.Get(); err != nil {
+				break
+			}
+		}
+		all := make([]uint32, capacity+5)
+		if got := bulk.GetN(all); got != capacity {
+			t.Fatalf("n=%d: GetN past capacity = %d, want %d", n, got, capacity)
+		}
+		if _, err := bulk.Get(); !errors.Is(err, ErrPoolExhausted) {
+			t.Fatalf("n=%d: Get on a dry pool: %v", n, err)
+		}
+		same("dry")
+		for _, h := range all[:capacity] {
+			tr := &bulk.trace[h]
+			if tr.flags.Load() != 0 || tr.span.Load() != 0 || tr.stamp.Load() != 0 || tr.objCarrier.Load() != 0 ||
+				bulk.Topic(h) != "" || bulk.ObjHandle(h) != 0 {
+				t.Fatalf("n=%d: recycled buffer %d kept its last user's headroom", n, h)
+			}
+		}
+		for h := uint32(0); h < capacity; h++ {
+			singles.Put(h)
+		}
+		bulk.Close()
+		singles.Close()
+		bulk.PutN(all[:capacity])
+		same("drained after Close")
+		if got := bulk.GetN(all); got != 0 {
+			t.Fatalf("n=%d: GetN on a closed pool = %d", n, got)
+		}
+	}
+}
+
+// TestPoolBulkConcurrent: bulk and single calls from many
+// goroutines at once keep the accounting exact. Run with -race.
+func TestPoolBulkConcurrent(t *testing.T) {
+	p, _ := NewPool("x", 64, 32)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			hs := make([]uint32, 1+g*3)
+			for i := 0; i < 500; i++ {
+				got := p.GetN(hs)
+				for _, h := range hs[:got] {
+					if _, err := p.Write(h, []byte{byte(g)}); err != nil {
+						t.Error(err)
+					}
+				}
+				if i%3 == 0 && got > 0 { // one goes back on its own
+					got--
+					if err := p.Put(hs[got]); err != nil {
+						t.Error(err)
+					}
+				}
+				for _, h := range hs[:got] {
+					if b, err := p.Payload(h); err != nil || b[0] != byte(g) {
+						t.Errorf("buffer %d shared between owners: %v %v", h, b, err)
+					}
+				}
+				p.PutN(hs[:got])
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := p.Stats(); s.InUse != 0 || s.Allocs != s.Frees || s.HighWater > s.Capacity {
+		t.Fatalf("accounting after the storm: %+v", s)
+	}
+	if err := p.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Concurrent Get/Ref/Put with multi-reference buffers and a concluding
 // Close: accounting must be exact — every owner tracks its own references,
 // and after all goroutines drain, InUse is 0 and LeakCheck passes. Run

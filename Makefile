@@ -61,12 +61,15 @@ race:
 
 # race-stress repeats the tests of the dataplane's lock-free protocols —
 # workers parked in a plain receive (stop flag, retire tokens), concurrency
-# slots claimed by forwarding workers (the bound, the parked worker's wake,
-# shutdown waiting for claimed slots, the routing cycle, backlog and fan-out),
-# D-SPRIGHT workers polling their own ring one at a time (TestHandoffPolling…:
-# the flag given up before the handler, the length re-read after it, the
-# producer's wake when nobody polls, stop waking every parked worker, one
-# spinner per live socket), requests finished by whoever takes their pending
+# slots claimed by forwarding workers, in ModeEvent and ModePolling alike (the
+# bound, the parked worker's wake, shutdown waiting for claimed slots, the
+# routing cycle, backlog and fan-out), D-SPRIGHT workers polling their own ring
+# one at a time (TestHandoffPolling…: the flag given up before the first
+# handler and the worker away for the whole chain, the length re-read after it,
+# the producer's wake when nobody polls, a retire token refusing a claim, stop
+# waking every parked worker, one spinner per live instance socket and none for
+# the gateway), the reply into a closed gateway socket
+# (TestHandoffReplyInto…), requests finished by whoever takes their pending
 # entry (Gateway.Close, abandonment racing completion, the remote Deadline
 # armed inside the table's lock), the copy-on-write routing/filter/topic/ring
 # tables, the pool's bulk get/put — and of the transport's slot stack and
@@ -76,12 +79,12 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
-# the twelve-hop local chain that must also stay on one worker, and the polled
-# two-hop chain that must also wake no parked worker — without the race
-# detector, under which they skip their allocation counting (sync.Pool drops
-# Puts at random there).
+# and the twelve-hop local chain that in both modes must also stay on one
+# worker and in ModePolling wake no parked one — without the race detector,
+# under which they skip their allocation counting (sync.Pool drops Puts at
+# random there).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestPolledChainRunsOnPollingWorkersAllocations' ./internal/orchestrator/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations' ./internal/orchestrator/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

@@ -370,9 +370,9 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", spec.Mode)
 	}
-	// Descriptors the transport gives up on (socket closed mid-burst, ring
-	// drained at shutdown) are orphans: reclaim their buffers and fail their
-	// callers instead of leaking pool slabs.
+	// Descriptors the transport gives up on (a ring drained at shutdown) are
+	// orphans: reclaim their buffers and fail their callers instead of leaking
+	// pool slabs.
 	c.transport.SetDropHandler(func(d shm.Descriptor) {
 		c.reclaimOrphan(d, "transport")
 	})
@@ -606,17 +606,13 @@ func (c *Chain) jitter(d time.Duration) time.Duration {
 // attempt performs one send try for the hop srcFn→dstFn, consulting the
 // fault injector first. With home — the sending worker's own socket — the try
 // may end in a claim instead of a delivery: the destination instance comes
-// back with a slot held and the sender runs its handler (SProxy.sendOrClaim).
-// ModePolling has no SPROXY and always queues.
+// back with a slot held and the sender runs its handler (Transport.sendOrClaim).
 func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
 	if c.injector.DecideSend(srcFn, dstFn) {
 		c.failures.injected.Add(1)
 		return nil, ErrSocketFull
 	}
-	if home != nil && c.sproxy != nil {
-		return c.sproxy.sendOrClaim(src, d, home)
-	}
-	return nil, c.transport.Send(src, d)
+	return c.transport.sendOrClaim(src, d, home)
 }
 
 // resend drives the retry loop after a first attempt failed with err:
@@ -674,20 +670,28 @@ func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, 
 }
 
 // sendTraced wraps one hop's send in a redirect/enqueue span and stamps
-// the buffer's enqueue time so the consumer side (ring poller, socket
-// worker, or the sender itself after a claim) can attribute queue wait. Only
-// sampled buffers come here — the unsampled path stays clock-free.
+// the buffer's enqueue time so the consumer side (polling worker, socket
+// worker, the sender itself after a claim, or the gateway's sink) can
+// attribute queue wait. A D-SPRIGHT hop is an enqueue only if it crossed a
+// ring: a claimed hop and the reply, which the sink takes on this goroutine,
+// record what they record in S-SPRIGHT — less the claimed hop's queue.wait,
+// there being no socket queue in ModePolling to have waited in. Only sampled
+// buffers come here — the unsampled path stays clock-free.
 func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
 	parent := c.pool.TraceContext(d.Buf).Span
-	stage := StageRedirect
-	if c.mode == ModePolling {
-		stage = StageEnqueue
-	}
 	t0 := time.Now()
 	// Stamp before the send: the consumer may dequeue the descriptor
 	// before this goroutine runs again, and it must find the stamp.
 	c.pool.StampTrace(d.Buf, t0.UnixNano())
 	next, err := c.sendRetrying(src, srcFn, dstFn, d, home)
+	stage := StageRedirect
+	if c.mode == ModePolling {
+		if next != nil {
+			c.pool.StampTrace(d.Buf, 0)
+		} else if d.NextFn != GatewayID {
+			stage = StageEnqueue
+		}
+	}
 	s := Span{Parent: parent, Stage: stage, Function: dstFn, Instance: d.NextFn, Start: t0, End: time.Now()}
 	if err != nil {
 		s.Err = err.Error()
@@ -697,12 +701,11 @@ func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.De
 }
 
 // ringDequeueHook runs in the D-SPRIGHT consumer — the instance's polling
-// worker, or the gateway's poller — for each dequeued descriptor: for sampled
-// buffers it converts the producer's enqueue stamp into a ring.wait span.
-// There is no socket queue behind an instance's ring, so the stamp is cleared
-// and no queue.wait span follows; a reply is re-stamped, so the gateway's
-// drain span starts where its poller picked the reply up. Returns the measured
-// residency (0 when untraced) for the ring's wait counters.
+// worker — for each dequeued descriptor: for sampled buffers it converts the
+// producer's enqueue stamp into a ring.wait span. There is no socket queue
+// behind an instance's ring, so the stamp is cleared and no queue.wait span
+// follows. Returns the measured residency (0 when untraced) for the ring's
+// wait counters.
 func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 	tr := c.currentTracer()
 	if tr == nil || !c.pool.TraceSampled(d.Buf) {
@@ -718,11 +721,7 @@ func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 		Parent: c.pool.TraceContext(d.Buf).Span, Stage: StageRingWait,
 		Instance: d.NextFn, Start: start, End: now,
 	})
-	stamp := int64(0)
-	if d.NextFn == GatewayID {
-		stamp = now.UnixNano()
-	}
-	c.pool.StampTrace(d.Buf, stamp)
+	c.pool.StampTrace(d.Buf, 0)
 	return now.Sub(start)
 }
 

@@ -15,33 +15,32 @@ import (
 
 // Tests for the rule that whoever takes a request's pending entry finishes
 // the request on its own goroutine, and for the lifecycle of the goroutines
-// that poll a ModePolling chain's rings, which that rule's ModePolling half
-// rests on. The TestHandoff prefix puts them
+// that poll a ModePolling chain's rings. The TestHandoff prefix puts them
 // in `make race-stress`.
 
 // liveSpinners counts the goroutines busy-polling a D-SPRIGHT ring, and how
-// many of them are dedicated pollers rather than an instance's worker.
-func liveSpinners(t *testing.T) (spinning, dedicated int) {
+// many of them are something other than an instance's worker.
+func liveSpinners(t *testing.T) (spinning, foreign int) {
 	t.Helper()
 	spinning = liveGoroutines(t, func(stack []byte) bool {
 		return bytes.Contains(stack, []byte("ring.(*Ring).PollDequeueBurst"))
 	})
-	dedicated = liveGoroutines(t, func(stack []byte) bool {
-		return bytes.Contains(stack, []byte("core.(*ringTransport).poll"))
+	foreign = liveGoroutines(t, func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("ring.(*Ring).PollDequeueBurst")) &&
+			!bytes.Contains(stack, []byte("core.(*Instance).work"))
 	})
-	return spinning, dedicated
+	return spinning, foreign
 }
 
 // TestHandoffPollersFollowTheirSockets: on an idle ModePolling chain exactly
-// one goroutine spins on each live socket's ring — one of the instance's own
-// workers for an instance (routable or prewarmed), the rest of them parked;
-// a dedicated poller for the gateway and for nothing else — and a socket that
-// leaves — RestartInstance, ScaleDown, ScaleToZero, DiscardPrewarmed — takes
-// its spinner and its parked workers with it instead of leaving them on a dead
-// ring until the chain closes.
+// one goroutine spins per live instance socket — one of the instance's own
+// workers (routable or prewarmed), the rest of them parked — and none for the
+// gateway, whose replies are finished by the workers that send them; and a
+// socket that leaves — RestartInstance, ScaleDown, ScaleToZero,
+// DiscardPrewarmed — takes its spinner and its parked workers with it instead
+// of leaving them on a dead ring until the chain closes.
 func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 	baseSpin := settled(t, "earlier tests' spinners to exit", func() int { n, _ := liveSpinners(t); return n })
-	_, basePollers := liveSpinners(t)
 	baseWorkers := settledWorkers(t)
 
 	const conc = 3
@@ -52,9 +51,9 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 	wantSpinners := func(prewarmed int) {
 		t.Helper()
 		sockets := len(c.Instances()) + prewarmed
-		pollUntil(t, "one spinner per live socket, the gateway's alone a poller", func() bool {
-			spin, pollers := liveSpinners(t)
-			return spin == baseSpin+1+sockets && pollers == basePollers+1 &&
+		pollUntil(t, "one spinner per live instance socket, each a worker of its instance", func() bool {
+			spin, foreign := liveSpinners(t)
+			return spin == baseSpin+sockets && foreign == 0 &&
 				liveWorkers(t) == baseWorkers+conc*sockets
 		})
 	}
@@ -94,14 +93,18 @@ func TestHandoffPollersFollowTheirSockets(t *testing.T) {
 	if n, err := c.ScaleToZero("echo"); err != nil || n != 1 {
 		t.Fatalf("ScaleToZero: %d, %v", n, err)
 	}
-	wantSpinners(0) // the gateway's alone
+	wantSpinners(0) // none: the gateway has no ring to spin on
 
+	if _, err := c.ScaleUp("echo"); err != nil {
+		t.Fatal(err)
+	}
+	invoke()
+	wantSpinners(0)
 	g.Close()
 	c.Close()
-	// Close waits for the poller's last statement, not for its exit.
 	pollUntil(t, "no spinner to outlive Chain.Close", func() bool {
-		spin, pollers := liveSpinners(t)
-		return spin == baseSpin && pollers == basePollers && liveWorkers(t) == baseWorkers
+		spin, _ := liveSpinners(t)
+		return spin == baseSpin && liveWorkers(t) == baseWorkers
 	})
 	// Pool.LeakCheck: testChain's cleanup.
 }

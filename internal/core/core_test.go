@@ -606,11 +606,11 @@ func TestSocketQueueSemantics(t *testing.T) {
 func TestRingTransportUnknownAndUnregistered(t *testing.T) {
 	tr := NewRingTransport()
 	defer tr.Close()
-	s := NewSocket(1, 4)
+	s := polledSocket(1)
 	if err := tr.Register(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Register(NewSocket(1, 4)); err == nil {
+	if err := tr.Register(polledSocket(1)); err == nil {
 		t.Fatal("duplicate registration must fail")
 	}
 	if err := tr.Send(0, shm.Descriptor{NextFn: 9}); !errors.Is(err, ErrNoSuchFn) {
@@ -623,13 +623,8 @@ func TestRingTransportUnknownAndUnregistered(t *testing.T) {
 	if err := tr.Send(0, shm.Descriptor{NextFn: 1, Caller: 7}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-s.Recv():
-		if d.Caller != 7 {
-			t.Fatalf("descriptor corrupted: %+v", d)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("poller did not deliver")
+	if d, ok := s.next(); !ok || d.Caller != 7 {
+		t.Fatalf("descriptor corrupted: %+v, %v", d, ok)
 	}
 	if err := tr.Unregister(1); err != nil {
 		t.Fatal(err)

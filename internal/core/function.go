@@ -230,8 +230,9 @@ func (c *Ctx) Drop() { c.dropped = true }
 // Every handler execution holds one of the instance's concurrency slots, and
 // inflight is the count of slots held. Two kinds of goroutine hold them: the
 // instance's own workers, for descriptors queued on its socket (or, in
-// ModePolling, in its ring), and in ModeEvent the workers of other instances that forwarded a message here,
-// claimed a slot and are running the handler themselves (Socket.claimFor).
+// ModePolling, in its ring), and the workers of other instances that forwarded
+// a message here, claimed a slot and are running the handler themselves
+// (Socket.claimFor).
 // Together they never exceed Concurrency. A worker that dequeues a descriptor
 // while claimed slots fill the bound parks until one is released.
 type Instance struct {
@@ -294,10 +295,11 @@ func (in *Instance) SocketStats() (delivered, dropped uint64) {
 }
 
 // QueuedHops returns how many function → function hops were queued on this
-// instance's socket because the sending worker could not run the handler
-// itself: the instance was at its concurrency bound, stopping or had queued
-// work, or the sender had a backlog of its own. Its share of SocketStats'
-// delivered is the share of hops that paid a goroutine wake.
+// instance's socket — in ModePolling, in its ring — because the sending worker
+// could not run the handler itself: the instance was at its concurrency bound,
+// stopping or had queued work, or the sender had a backlog of its own. Its
+// share of SocketStats' delivered is the share of hops that paid a queue
+// crossing: a goroutine wake, or a ring enqueue and dequeue.
 func (in *Instance) QueuedHops() uint64 { return in.sock.queuedHops.Load() }
 
 // ResidualCapacity is MC_i − r_i,t with capacity measured in concurrency
@@ -334,7 +336,8 @@ func (in *Instance) startWorkersLocked(n int) {
 // takes a slot for each descriptor and runs the handler. Then it follows the
 // request: while a hop hands back the next instance with a slot already
 // claimed (handle), the worker runs that handler too, iteratively, so a chain
-// of any length — or a routing cycle — costs neither a wake per hop nor stack.
+// of any length — or a routing cycle — costs no wake or ring crossing per hop
+// and no stack.
 // It comes home when the request replies, fans out, leaves the node, fails, or
 // meets an instance that would not grant a slot, and runs until the socket
 // closes or a retire token (SetConcurrency shrinking the pool) reaches it.

@@ -106,10 +106,9 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	}
 	g.parks.init(g.admission.ParkCapacity)
 	g.pending.init(g.expire)
-	// The reply socket has no queue and no consumer goroutines: a reply
-	// descriptor's delivery runs complete on the goroutine that delivered it
-	// — the last function's worker in ModeEvent, the gateway ring's poller in
-	// ModePolling.
+	// The reply socket has no queue, no ring and no consumer goroutines in
+	// either mode: a reply descriptor's delivery runs complete on the goroutine
+	// that delivered it, the last function's worker.
 	g.sock = newSinkSocket(GatewayID, g.complete)
 	if err := c.transport.Register(g.sock); err != nil {
 		return nil, err

@@ -35,6 +35,15 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// bothModes runs a protocol test over each transport: the hop rule — claim or
+// queue — and the reply rule — the sink, on the replying worker — are the same
+// in ModeEvent and ModePolling, and so are their tests.
+func bothModes(t *testing.T, test func(t *testing.T, mode Mode)) {
+	for _, mode := range []Mode{ModeEvent, ModePolling} {
+		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })
+	}
+}
+
 var workerRecord = regexp.MustCompile(`(?m)^(\d+) @`)
 
 // settled is sample once it stops moving (the same reading eight times
@@ -545,7 +554,8 @@ func TestForwardToCopiesWithoutAllocating(t *testing.T) {
 
 // Tests for run-to-completion across hops: a worker that forwards to one
 // function claims a concurrency slot of the destination instance and runs
-// that handler itself (Socket.claimFor, Instance.work).
+// that handler itself (Socket.claimFor, Instance.work) — whether it took the
+// request off its socket's channel or polled it off its ring.
 
 // goid is the calling goroutine's ID, for telling who ran a handler.
 func goid() uint64 {
@@ -597,11 +607,13 @@ func upDownSpec(up, down FunctionSpec) ChainSpec {
 // instance running at once, its own workers' and the ones forwarding workers
 // run in claimed slots counted together; and a worker that dequeued while
 // claimed slots filled the bound is woken by the release that frees one.
-func TestHandoffInlineHoldsConcurrency(t *testing.T) {
+func TestHandoffInlineHoldsConcurrency(t *testing.T) { bothModes(t, inlineHoldsConcurrency) }
+
+func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 	for _, bound := range []int{1, 2} {
 		t.Run("storm/"+strconv.Itoa(bound), func(t *testing.T) {
 			var running, peak atomic.Int64
-			c, g := testChain(t, ModeEvent, upDownSpec(
+			c, g := testChain(t, mode, upDownSpec(
 				FunctionSpec{Concurrency: 8},
 				FunctionSpec{Concurrency: bound, Handler: func(ctx *Ctx) error {
 					enter(&running, &peak)
@@ -645,7 +657,7 @@ func TestHandoffInlineHoldsConcurrency(t *testing.T) {
 		t.Run("parked-worker/"+strconv.Itoa(bound), func(t *testing.T) {
 			gate := make(chan struct{})
 			var runs atomic.Int64
-			c, g := testChain(t, ModeEvent, upDownSpec(
+			c, g := testChain(t, mode, upDownSpec(
 				FunctionSpec{Concurrency: 8},
 				FunctionSpec{Concurrency: bound, Handler: func(ctx *Ctx) error {
 					runs.Add(1)
@@ -701,7 +713,9 @@ func TestHandoffInlineHoldsConcurrency(t *testing.T) {
 // returns at once but grants no further slot. Hops after the stop reach the
 // replacement or the other instance, or fail their caller; every buffer comes
 // back (testChain's LeakCheck).
-func TestHandoffInlineShutdown(t *testing.T) {
+func TestHandoffInlineShutdown(t *testing.T) { bothModes(t, inlineShutdown) }
+
+func inlineShutdown(t *testing.T, mode Mode) {
 	type stopCase struct {
 		instances int // of "down", each holding one claimed slot when stop runs
 		stop      func(c *Chain, victim *Instance) error
@@ -719,7 +733,7 @@ func TestHandoffInlineShutdown(t *testing.T) {
 			gate := make(chan struct{})
 			var finished atomic.Int64
 			var ranOn sync.Map // down instance ID → true, for "after" requests
-			c, g := testChain(t, ModeEvent, upDownSpec(
+			c, g := testChain(t, mode, upDownSpec(
 				FunctionSpec{Concurrency: 4},
 				FunctionSpec{Instances: tc.instances, Concurrency: 2, Handler: func(ctx *Ctx) error {
 					if string(ctx.Payload()) == "hold" {
@@ -825,7 +839,7 @@ func TestHandoffInlineShutdown(t *testing.T) {
 				t.Errorf("instance %d: handler %s after ScaleDown returned", ctx.Instance(), when)
 			}
 		}
-		c, g := testChain(t, ModeEvent, upDownSpec(
+		c, g := testChain(t, mode, upDownSpec(
 			FunctionSpec{Concurrency: 4},
 			FunctionSpec{Instances: 2, Concurrency: 2, Handler: func(ctx *Ctx) error {
 				check(ctx, "started")
@@ -887,7 +901,9 @@ func TestHandoffInlineShutdown(t *testing.T) {
 // TestHandoffInlineCycle: a routing cycle is a loop, not a recursion — a
 // million hops between two functions stay on one goroutine whose stack is as
 // deep at the last hop as at the first.
-func TestHandoffInlineCycle(t *testing.T) {
+func TestHandoffInlineCycle(t *testing.T) { bothModes(t, inlineCycle) }
+
+func inlineCycle(t *testing.T, mode Mode) {
 	const hops = 1_000_000
 	var left = hops
 	var id uint64
@@ -909,7 +925,7 @@ func TestHandoffInlineCycle(t *testing.T) {
 		}
 		return nil
 	}
-	c, g := testChain(t, ModeEvent, ChainSpec{
+	c, g := testChain(t, mode, ChainSpec{
 		Functions: []FunctionSpec{
 			{Name: "ping", Handler: hop, Concurrency: 1},
 			{Name: "pong", Handler: hop, Concurrency: 1},
@@ -939,24 +955,36 @@ func TestHandoffInlineCycle(t *testing.T) {
 // TestHandoffBacklogSendsWorkerHome: a worker with work waiting on its own
 // socket queues the hop downstream and goes home for it; with nothing waiting
 // it follows the request.
-func TestHandoffBacklogSendsWorkerHome(t *testing.T) {
-	entered, gate := make(chan struct{}), make(chan struct{})
+func TestHandoffBacklogSendsWorkerHome(t *testing.T) { bothModes(t, backlogSendsWorkerHome) }
+
+func backlogSendsWorkerHome(t *testing.T, mode Mode) {
+	entered, gate, firstDown := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	firstRanDown := openOnce(firstDown)
 	var upRan, downRan sync.Map // payload → goroutine
-	c, g := testChain(t, ModeEvent, upDownSpec(
+	c, g := testChain(t, mode, upDownSpec(
 		FunctionSpec{Concurrency: 1, Handler: func(ctx *Ctx) error {
 			upRan.Store(string(ctx.Payload()), goid())
 			if string(ctx.Payload()) == "first" {
 				close(entered)
 				<-gate
+			} else {
+				// Not before the first request has left down's queue — a ring
+				// is emptied by a worker that polls, not by the send — or the
+				// second would rightly queue behind it.
+				<-firstDown
 			}
 			return nil
 		}},
 		FunctionSpec{Concurrency: 4, Handler: func(ctx *Ctx) error {
 			downRan.Store(string(ctx.Payload()), goid())
+			if string(ctx.Payload()) == "first" {
+				firstRanDown()
+			}
 			return nil
 		}}))
 	open := openOnce(gate)
 	t.Cleanup(open)
+	t.Cleanup(firstRanDown)
 	up, down := c.Router().Instances("up")[0], c.Router().Instances("down")[0]
 	results := make(chan error, 2)
 	for _, body := range []string{"first", "second"} {
@@ -987,7 +1015,9 @@ func TestHandoffBacklogSendsWorkerHome(t *testing.T) {
 // TestHandoffFanoutStaysParallel: a fan-out's branches are queued, never run
 // one after the other by the forwarding worker — three readers that each wait
 // for the other two to arrive all get through.
-func TestHandoffFanoutStaysParallel(t *testing.T) {
+func TestHandoffFanoutStaysParallel(t *testing.T) { bothModes(t, fanoutStaysParallel) }
+
+func fanoutStaysParallel(t *testing.T, mode Mode) {
 	var arrived atomic.Int64
 	all := make(chan struct{})
 	reader := func(ctx *Ctx) error {
@@ -1002,7 +1032,7 @@ func TestHandoffFanoutStaysParallel(t *testing.T) {
 		ctx.Drop()
 		return nil
 	}
-	c, g := testChain(t, ModeEvent, ChainSpec{
+	c, g := testChain(t, mode, ChainSpec{
 		Functions: []FunctionSpec{
 			{Name: "split"},
 			{Name: "r1", Handler: reader}, {Name: "r2", Handler: reader}, {Name: "r3", Handler: reader},
@@ -1069,7 +1099,12 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 				continue
 			}
 			for _, s := range trace.Spans {
-				stages[s.Stage]++
+				// Not the reply's own send span: it is recorded when the
+				// send returns, after the sink has woken the caller, and
+				// now and then the caller has finished the trace by then.
+				if s.Stage != StageRedirect || s.Function != "gateway" {
+					stages[s.Stage]++
+				}
 			}
 		}
 		return c.Failures().Retries, stages
@@ -1090,10 +1125,12 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 }
 
 // Tests for D-SPRIGHT's consumer side: an instance's workers poll the
-// instance's ring themselves, one at a time (ringEntry.take). The guards are
-// the flag given up before the handler runs, the ring's length re-read after
-// the flag is cleared, the producer's wake when nobody polls, and the stop
-// that wakes every parked worker.
+// instance's ring themselves, one at a time (ringEntry.take), and the one that
+// took a request then follows it as a ModeEvent worker does (the by-mode tests
+// above). The guards are the flag given up before the first handler runs, the
+// ring's length re-read after the flag is cleared, the producer's wake when
+// nobody polls, the stop that wakes every parked worker, and claimFor reading
+// the rings' lengths where a polled socket has no channel.
 
 // parkedPollers counts the instance workers parked while another worker of
 // their instance polls its ring.
@@ -1303,39 +1340,274 @@ func TestHandoffPollingStopAndResize(t *testing.T) {
 }
 
 // TestHandoffPollingFaultsAndSpans: a polled hop goes through the fault
-// injector and the retry budget like any other, and a sampled request records
-// one ring.enqueue and one ring.wait per ring it crossed and one handler span
-// per function — no queue.wait, there being no socket queue behind the ring.
+// injector and the retry budget like any other, claimed or queued, and a
+// sampled request's spans say which it was: ring.enqueue and ring.wait for each
+// ring it crossed — the gateway's dispatch always, the function hop only when
+// its claim was refused — and sproxy.redirect for what was handed over without
+// one, the claimed hop and the reply. The reply's gateway.drain starts at the
+// reply's own send stamp. No queue.wait either way: there is no socket queue in
+// ModePolling. (Each count fails if sendTraced names the stage before it knows
+// how the send ended, or leaves the stamp of a claimed hop for the next handler
+// to find; the drain's start fails if the reply is not stamped — checked by
+// making each change. The reply's send span is recorded when the send returns,
+// after the sink has woken the caller, and now and then the caller has finished
+// the trace by then: what is asserted of it is asserted when it is there.)
 func TestHandoffPollingFaultsAndSpans(t *testing.T) {
-	spec := upDownSpec(FunctionSpec{}, FunctionSpec{})
-	spec.Injector = fault.New(7).Add(fault.Rule{Op: fault.OpQueueFull, Function: "up", Hop: "down", MaxCount: 2})
-	spec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Microsecond}
-	c, g := testChain(t, ModePolling, spec)
-	tr := c.EnableTracing(16)
-	if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	waitIdle(t, tr)
-	if got := c.Failures().Retries; got != 2 {
-		t.Errorf("%d retries for two injected refusals", got)
-	}
-	done := tr.Completed()
-	if len(done) != 1 || done[0].Path() != "up->down" {
-		t.Fatalf("traces: %v", done)
-	}
-	stages := map[string]int{}
-	for _, s := range done[0].Spans {
-		stages[s.Stage]++
-	}
-	want := map[string]int{
-		StageEnqueue: 3, StageRingWait: 3, StageHandler: 2, // gateway → up → down → gateway
-		StageQueueWait: 0, StageRedirect: 0,
-	}
-	for stage, n := range want {
-		if stages[stage] != n {
-			t.Errorf("%d %s spans, want %d (all: %v)", stages[stage], stage, n, stages)
+	for _, queued := range []bool{false, true} {
+		gate := make(chan struct{})
+		spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 1, Handler: func(ctx *Ctx) error {
+			if string(ctx.Payload()) == "hold" {
+				<-gate
+			}
+			return nil
+		}})
+		spec.Injector = fault.New(7).Add(fault.Rule{Op: fault.OpQueueFull, Function: "up", Hop: "down", MaxCount: 2})
+		spec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Microsecond}
+		c, g := testChain(t, ModePolling, spec)
+		open := openOnce(gate)
+		t.Cleanup(open)
+		tr := c.EnableTracing(16)
+		down := c.Router().Instances("down")[0]
+		held, done := make(chan error, 1), make(chan error, 1)
+		want := map[string]int{
+			StageEnqueue: 1, StageRingWait: 1, StageRedirect: 1, // gateway → up; up → down claimed
+			StageHandler: 2, StageDrain: 1, StageQueueWait: 0,
+		}
+		if queued {
+			// Occupy down's one slot, so the hop under test finds it busy.
+			go invokeTo(t, g, "direct", "hold", held)
+			pollUntil(t, "down busy", func() bool { return down.Inflight() == 1 })
+			go invokeTo(t, g, "", "x", done)
+			pollUntil(t, "the hop under test queued", func() bool { return down.QueueDepth() == 1 })
+			want[StageEnqueue], want[StageRingWait], want[StageRedirect] = 2, 2, 0
+		} else {
+			held <- nil
+			go invokeTo(t, g, "", "x", done)
+		}
+		open()
+		for _, result := range []chan error{done, held} {
+			if err := <-result; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := down.QueuedHops() == 1; got != queued {
+			t.Fatalf("hop queued: %v, want %v", got, queued)
+		}
+		if got := c.Failures().Retries; got != 2 {
+			t.Errorf("queued %v: %d retries for two injected refusals", queued, got)
+		}
+		waitIdle(t, tr)
+		stages := map[string]int{}
+		var replySent, drainFrom int64
+		for _, trace := range tr.Completed() {
+			if trace.Path() != "up->down" {
+				continue
+			}
+			for _, s := range trace.Spans {
+				switch {
+				case s.Stage == StageRedirect && s.Function == "gateway":
+					replySent = s.Start.UnixNano()
+					continue
+				case s.Stage == StageDrain:
+					drainFrom = s.Start.UnixNano()
+				}
+				stages[s.Stage]++
+			}
+		}
+		for stage, n := range want {
+			if stages[stage] != n {
+				t.Errorf("queued %v: %d %s spans, want %d (all: %v)", queued, stages[stage], stage, n, stages)
+			}
+		}
+		if replySent != 0 && drainFrom != replySent {
+			t.Errorf("queued %v: gateway.drain starts at %d, the reply was sent at %d", queued, drainFrom, replySent)
 		}
 	}
+}
+
+// TestHandoffPollingRetireTokenRefusesClaim: a retire token waiting in the
+// destination's ring is queued work like any other and is not overtaken — the
+// hop queues behind it though the instance is idle and has a slot free. (Fails
+// if claimFor reads only the sockets' channels, which a polled socket does not
+// have: the claim is granted and the hop counted as claimed. Checked by making
+// that change.)
+func TestHandoffPollingRetireTokenRefusesClaim(t *testing.T) {
+	base := settledWorkers(t)
+	gate := make(chan struct{})
+	spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 2})
+	spec.Functions = append(spec.Functions, FunctionSpec{Name: "tail", Handler: func(ctx *Ctx) error {
+		if string(ctx.Payload()) == "hold" {
+			<-gate
+		}
+		return nil
+	}})
+	spec.Routes = append(spec.Routes, RouteSpec{From: "down", To: []string{"tail"}})
+	c, g := testChain(t, ModePolling, spec)
+	open := openOnce(gate)
+	t.Cleanup(open)
+	down, tail := c.Router().Instances("down")[0], c.Router().Instances("tail")[0]
+	workers := c.Router().Instances("up")[0].Concurrency() + tail.Concurrency()
+	results := make(chan error, 3)
+	// Both of down's workers away from its ring, and out of its slots: each
+	// followed a request into tail's handler and is held there.
+	for i := 1; i <= 2; i++ {
+		go invokeTo(t, g, "direct", "hold", results)
+		pollUntil(t, "one of down's workers inside tail's handler", func() bool { return tail.Inflight() == i })
+	}
+	if down.Inflight() != 0 || down.QueueDepth() != 0 || tail.QueuedHops() != 0 {
+		t.Fatalf("down: %d in flight, %d queued; tail: %d hops queued; want an idle down whose workers claimed tail",
+			down.Inflight(), down.QueueDepth(), tail.QueuedHops())
+	}
+	if err := down.SetConcurrency(1); err != nil {
+		t.Fatal(err)
+	}
+	if down.QueueDepth() != 1 {
+		t.Fatalf("%d descriptors in down's ring, want the retire token", down.QueueDepth())
+	}
+	go invokeTo(t, g, "", "x", results)
+	pollUntil(t, "the hop queued behind the token", func() bool { return down.QueueDepth() == 2 && down.QueuedHops() == 1 })
+	if down.Handled() != 2 {
+		t.Fatalf("down handled %d requests, want 2: the claim overtook the retire token", down.Handled())
+	}
+	open()
+	for i := 0; i < 3; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+	pollUntil(t, "one of down's workers to retire", func() bool { return liveWorkers(t) == base+workers+1 })
+}
+
+// TestHandoffPollingHeadAwayDownstream: the head's worker gives its ring up
+// before its first handler and is away for the whole chain it follows, here
+// held three hops downstream. A descriptor published to the head's ring
+// meanwhile wakes a parked worker if the head has one, which takes the request
+// through; with Concurrency 1 it waits in the ring, and is served when the
+// worker comes home. Nothing is lost either way. (Fails if take keeps the
+// polling flag until the worker is back: the producer sees a ring somebody
+// polls, wakes nobody, and the second request waits for the first. Checked by
+// making that change.)
+func TestHandoffPollingHeadAwayDownstream(t *testing.T) {
+	for _, conc := range []int{2, 1} {
+		t.Run(strconv.Itoa(conc), func(t *testing.T) {
+			gate := make(chan struct{})
+			var ranOn sync.Map // payload + function → goroutine
+			note := func(ctx *Ctx) { ranOn.Store(string(ctx.Payload())+"@"+ctx.FunctionName(), goid()) }
+			pass := func(ctx *Ctx) error { note(ctx); return nil }
+			spec := ChainSpec{
+				Functions: []FunctionSpec{
+					{Name: "head", Concurrency: conc, Handler: pass},
+					{Name: "a", Handler: pass}, {Name: "b", Handler: pass},
+					{Name: "c", Handler: func(ctx *Ctx) error {
+						note(ctx)
+						if string(ctx.Payload()) == "hold" {
+							<-gate
+						}
+						return nil
+					}},
+				},
+				Routes: []RouteSpec{
+					{From: "", To: []string{"head"}}, {From: "head", To: []string{"a"}},
+					{From: "a", To: []string{"b"}}, {From: "b", To: []string{"c"}},
+				},
+			}
+			chain, g := testChain(t, ModePolling, spec)
+			open := openOnce(gate)
+			t.Cleanup(open)
+			head := chain.Router().Instances("head")[0]
+			first, second := make(chan error, 1), make(chan error, 1)
+			ran := func(key string) uint64 { v, _ := ranOn.Load(key); id, _ := v.(uint64); return id }
+			go invokeTo(t, g, "", "hold", first)
+			pollUntil(t, "the first request held inside c", func() bool { return ran("hold@c") != 0 })
+			if ran("hold@c") != ran("hold@head") {
+				t.Fatal("the first request changed goroutine on its way to c: the head's worker did not follow it")
+			}
+			go invokeTo(t, g, "", "x", second)
+			if conc == 1 {
+				pollUntil(t, "the second request waiting in the head's ring", func() bool { return head.QueueDepth() == 1 })
+				select {
+				case err := <-second:
+					t.Fatalf("the second request finished (%v) with the head's only worker held downstream", err)
+				default:
+				}
+				open()
+			}
+			if err := <-second; err != nil {
+				t.Fatal(err)
+			}
+			if conc == 2 && (ran("x@head") == ran("hold@head") || ran("x@c") != ran("x@head")) {
+				t.Error("the second request was not taken through by the head's other worker")
+			}
+			open()
+			if err := <-first; err != nil {
+				t.Fatal(err)
+			}
+			if delivered, dropped := head.SocketStats(); delivered != 2 || dropped != 0 || head.QueueDepth() != 0 {
+				t.Errorf("head: %d delivered, %d dropped, %d left in the ring; want 2, 0, 0", delivered, dropped, head.QueueDepth())
+			}
+		})
+	}
+}
+
+// TestHandoffReplyIntoClosedGatewaySocket: the reply is a delivery in both
+// modes, so a gateway socket that closed under a request fails the replying
+// worker, whose error path gives the buffer back and fails the caller — once,
+// with ErrSocketClosed, and not through the transport's drop handler. (Fails if
+// Instance.reply's error path drops its releaseBuffer — the teardown's
+// LeakCheck — or its notifyFailure — the callers run into their deadline.
+// Checked by making each change.)
+func TestHandoffReplyIntoClosedGatewaySocket(t *testing.T) {
+	bothModes(t, replyIntoClosedGatewaySocket)
+}
+
+func replyIntoClosedGatewaySocket(t *testing.T, mode Mode) {
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	spec := holdSpec(gate, &runs)
+	const callers = 4
+	spec.Functions[0].Concurrency = callers
+	c, g := testChain(t, mode, spec)
+	open := openOnce(gate)
+	t.Cleanup(open)
+	outcomes := make(chan error, 2*callers) // room for a double outcome to show
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("hold"))
+			outcomes <- err
+		}()
+	}
+	pollUntil(t, "every request inside the handler", func() bool { return runs.Load() == callers })
+	g.sock.Close()
+	open()
+	wg.Wait()
+	close(outcomes)
+	n := 0
+	for err := range outcomes {
+		n++
+		if !errors.Is(err, ErrSocketClosed) {
+			t.Errorf("caller got %v, want ErrSocketClosed", err)
+		}
+	}
+	fs := c.Failures()
+	if n != callers || g.Pending() != 0 || fs.TerminalFailures != callers || fs.Reclaimed != 0 {
+		t.Errorf("%d outcomes, %d pending, %d terminal failures, %d reclaimed by the drop handler; want %d, 0, %d, 0",
+			n, g.Pending(), fs.TerminalFailures, fs.Reclaimed, callers, callers)
+	}
+	if delivered, _ := g.SocketStats(); delivered != 0 {
+		t.Errorf("the closed socket counted %d deliveries", delivered)
+	}
+	pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
+}
+
+// polledSocket is an instance's socket as a ring transport sees it, without the
+// instance's workers: the test is the ring's consumer, through next.
+func polledSocket(id uint32) *Socket {
+	s := newPolledSocket(id)
+	s.inst = new(Instance)
+	return s
 }
 
 // TestHandoffPollingSnapshotVisibility: the ring transport's tables are
@@ -1346,7 +1618,7 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 	tr := NewRingTransport()
 	defer tr.Close()
 	const bgID, id = 1, 2
-	bg := NewSocket(bgID, 64)
+	bg := polledSocket(bgID)
 	if err := tr.Register(bg); err != nil {
 		t.Fatal(err)
 	}
@@ -1359,12 +1631,13 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 		senders.Add(1)
 		go func() {
 			defer senders.Done()
+			var words [descWords]uint64
 			for {
 				select {
 				case <-stop:
 					return
-				case <-bg.Recv(): // keep bg's queue from filling
 				default:
+					bg.ring.r.DequeueBurst(words[:]) // keep bg's ring from filling
 				}
 				if err := tr.Send(GatewayID, shm.Descriptor{NextFn: bgID}); err != nil && !errors.Is(err, ErrSocketFull) {
 					t.Errorf("background send: %v", err)
@@ -1377,7 +1650,7 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 
 	d := shm.Descriptor{NextFn: id, Caller: 7}
 	for i := 0; i < 200; i++ {
-		s := NewSocket(id, 4)
+		s := polledSocket(id)
 		if err := tr.Send(GatewayID, d); !errors.Is(err, ErrNoSuchFn) {
 			t.Fatalf("round %d: send before Register: %v, want ErrNoSuchFn", i, err)
 		}
@@ -1397,8 +1670,8 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 		if err := tr.Send(GatewayID, d); err != nil {
 			t.Fatalf("round %d: send after Allow: %v", i, err)
 		}
-		if got := <-s.Recv(); got.Caller != 7 {
-			t.Fatalf("round %d: descriptor corrupted: %+v", i, got)
+		if got, ok := s.next(); !ok || got != d {
+			t.Fatalf("round %d: descriptor corrupted: %+v, %v", i, got, ok)
 		}
 		if err := tr.Unregister(id); err != nil {
 			t.Fatal(err)

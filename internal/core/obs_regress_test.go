@@ -56,11 +56,11 @@ func TestScrapeRateCounterRegression(t *testing.T) {
 
 // TestDeliverBatchPartialDropNoLeak: a burst of events behind one slow
 // worker in ModePolling. When a poller relayed the ring into the socket's
-// queue, its bursts hit a full socket mid-batch, and the old transport ignored
-// DeliverBatch's result, treating the whole burst as sent — every refused
-// descriptor leaked its shared-memory buffer. The instance's worker now polls
-// the ring itself (SocketDepth no longer applies) and the backlog waits there;
-// either way the pool must drain to zero.
+// queue, its bursts hit a full socket mid-batch, and the old transport treated
+// the whole burst as sent — every refused descriptor leaked its shared-memory
+// buffer. The instance's worker now polls the ring itself (SocketDepth no
+// longer applies) and the backlog waits there; either way the pool must drain
+// to zero.
 func TestDeliverBatchPartialDropNoLeak(t *testing.T) {
 	const events = 64
 	spec := ChainSpec{
@@ -124,8 +124,8 @@ func TestSocketCloseWaitsForStalledSender(t *testing.T) {
 }
 
 // TestSocketCloseConcurrentDeliver: closing under a storm of concurrent
-// Deliver/DeliverBatch calls must never panic (send on closed channel)
-// and must leave the socket cleanly closed. Run with -race.
+// Deliver calls must never panic (send on closed channel) and must leave
+// the socket cleanly closed. Run with -race.
 func TestSocketCloseConcurrentDeliver(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		s := NewSocket(1, 2)
@@ -135,14 +135,7 @@ func TestSocketCloseConcurrentDeliver(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				d := shm.Descriptor{Buf: 1}
-				batch := []shm.Descriptor{{Buf: 2}, {Buf: 3}}
-				for {
-					if err := s.Deliver(d); err == ErrSocketClosed {
-						return
-					}
-					if _, err := s.DeliverBatch(batch); err == ErrSocketClosed {
-						return
-					}
+				for s.Deliver(d) != ErrSocketClosed {
 				}
 			}()
 		}

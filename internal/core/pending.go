@@ -61,7 +61,7 @@ type RemoteOrigin struct {
 
 // Responder answers requests that arrived from a peer node. Respond is called
 // exactly once per request InvokeRemote accepted, on the goroutine that
-// finished it — a function worker, a ring poller, the mesh receive loop, the
+// finished it — a function worker, the mesh receive loop, the
 // deadline timer or Close — so it must not block. body is only valid for the
 // duration of the call: it may alias a pool buffer released right after.
 type Responder interface {

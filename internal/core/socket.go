@@ -18,22 +18,22 @@ import (
 
 // Socket is a function instance's descriptor endpoint — the analog of the
 // socket interface SPROXY attaches to. It implements ebpf.SockRef so a
-// sockmap can deliver to it from inside the VM. In ModeEvent a descriptor
-// reaches the instance's handler one of two ways. It is queued on a buffered
-// channel that the instance's workers consume (Deliver) — always for the
-// gateway's dispatch, a fan-out branch and a bare NewSocket, which has no
-// instance. Or, for a function → function hop, the sending worker claims one
-// of the instance's concurrency slots and runs the handler itself (claimFor):
-// nothing is queued and nobody is woken. A claim is refused, and the hop
-// queued, when the instance is stopping, has no free slot or has queued work
-// (which is never overtaken), or when the sender's own socket has a backlog to
-// go home to. delivered counts the hop either way; queuedHops counts the
-// function → function hops that had to queue.
+// sockmap can deliver to it from inside the VM. A descriptor reaches the
+// instance's handler one of two ways, in either mode. It is queued for the
+// instance's workers — always for the gateway's dispatch, a fan-out branch and
+// a bare NewSocket, which has no instance. Or, for a function → function hop,
+// the sending worker claims one of the instance's concurrency slots and runs
+// the handler itself (claimFor): nothing is queued and nobody is woken. A claim
+// is refused, and the hop queued, when the instance is stopping, has no free
+// slot or has queued work (which is never overtaken, a retire token included),
+// or when the sender's own socket has a backlog to go home to. delivered counts
+// the hop either way; queuedHops counts the function → function hops that had
+// to queue.
 //
-// In ModePolling an instance's socket has no channel: its queue is the ring
-// the transport gave it at Register, which the instance's workers poll
-// themselves (next, ringEntry.take). Nothing is delivered into such a socket;
-// delivered counts what its workers dequeue.
+// The queue is a buffered channel in ModeEvent (Deliver). In ModePolling an
+// instance's socket has no channel: its queue is the ring the transport gave it
+// at Register, which the instance's workers poll themselves (next,
+// ringEntry.take), and delivered counts what they dequeue.
 //
 // Close may race with concurrent Deliver calls (instance restarts close
 // sockets while peers are still sending). Rather than serializing every
@@ -85,8 +85,7 @@ func NewSocket(id uint32, depth int) *Socket {
 
 // newSinkSocket creates a socket that hands every delivered descriptor to
 // sink on the delivering goroutine instead of queueing it. sink must not
-// block: it runs on a function worker (ModeEvent) or a ring poller
-// (ModePolling).
+// block: it runs on the function worker that sent the reply, in either mode.
 func newSinkSocket(id uint32, sink func(shm.Descriptor)) *Socket {
 	return &Socket{id: id, sink: sink}
 }
@@ -121,14 +120,23 @@ func (s *Socket) Deliver(d shm.Descriptor) error {
 // claimFor is the other way in: the worker whose own socket is home takes one
 // of the owning instance's concurrency slots and will run the handler itself,
 // so the hop is counted as delivered here. It follows the request only with no
-// backlog waiting at home, and only into an idle queue — the sockets' channels:
-// only SPROXY asks for a claim, and ModeEvent sockets have no ring.
+// backlog waiting at home, and only into an idle queue.
 func (s *Socket) claimFor(home *Socket) bool {
-	if len(home.ch) != 0 || len(s.ch) != 0 || !s.inst.claim() {
+	if !home.idle() || !s.idle() || !s.inst.claim() {
 		return false
 	}
 	s.delivered.Add(1)
 	return true
+}
+
+// idle reports whether an instance's queue is empty: its channel or, for a
+// polled socket — the one kind without a channel — its ring, so a ModeEvent
+// hop reads what len(s.ch) read and no more.
+func (s *Socket) idle() bool {
+	if s.ch != nil {
+		return len(s.ch) == 0
+	}
+	return s.ring.r.Len() == 0
 }
 
 // enqueue is the non-blocking send under the drain-token protocol. The
@@ -185,44 +193,8 @@ func (s *Socket) next() (shm.Descriptor, bool) {
 	return d, ok
 }
 
-// DeliverBatch enqueues a burst of parsed descriptors under a single
-// sender registration and closed-flag check — the delivery half of the
-// transports' batch path. It enqueues in order and stops at the first
-// refusal, returning how many descriptors were enqueued and why it
-// stopped: ErrSocketClosed rejects the whole remainder, ErrSocketFull
-// means the queue filled mid-burst. Either way the un-enqueued tail
-// ds[n:] still belongs to the caller, which must retry or release those
-// descriptors' buffer references — silently treating the batch as sent
-// would leak every dropped descriptor's shared-memory buffer.
-func (s *Socket) DeliverBatch(ds []shm.Descriptor) (int, error) {
-	s.senders.Add(1)
-	defer s.senders.Add(-1)
-	if s.closed.Load() {
-		return 0, ErrSocketClosed
-	}
-	if s.sink != nil {
-		for _, d := range ds {
-			s.sink(d)
-		}
-		s.delivered.Add(uint64(len(ds)))
-		return len(ds), nil
-	}
-	for i, d := range ds {
-		select {
-		case s.ch <- d:
-		default:
-			if i > 0 {
-				s.delivered.Add(uint64(i))
-			}
-			return i, ErrSocketFull
-		}
-	}
-	s.delivered.Add(uint64(len(ds)))
-	return len(ds), nil
-}
-
 // noteDrop records one descriptor the transport gave up delivering to this
-// socket (queue full past the retry budget, or closed mid-burst).
+// socket: its ring stopped with the descriptor still in it.
 func (s *Socket) noteDrop() { s.dropped.Add(1) }
 
 // Recv returns the descriptor channel for the instance's run loop.

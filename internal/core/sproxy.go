@@ -173,13 +173,9 @@ func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
 	return err
 }
 
-// sendOrClaim is Send for a worker that would rather run the next handler
-// than wake someone to: the program runs and selects the destination socket
-// exactly as in Send, and if home — the worker's own socket — is given and
-// the selected socket's instance grants a slot (Socket.claimFor), that
-// instance is returned with the slot held and nothing is queued. Otherwise
-// the descriptor is delivered as Send would, and a hop that wanted a claim is
-// counted on the destination as queued.
+// sendOrClaim is S-SPRIGHT's Transport.sendOrClaim: the program runs and
+// selects the destination socket exactly as in Send, and the claim is asked of
+// the socket it selected.
 func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
 	wire := d.Marshal()
 	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil)

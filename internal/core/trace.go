@@ -43,14 +43,17 @@ const (
 	StageRequest = "request"
 	// StageShmAlloc covers pool Get plus the single payload copy in.
 	StageShmAlloc = "shm.alloc"
-	// StageRedirect is one S-SPRIGHT hop's SPROXY sockmap redirect.
+	// StageRedirect is one hop handed straight to who runs it: S-SPRIGHT's
+	// SPROXY sockmap redirect and, in D-SPRIGHT, a hop the sender claimed or
+	// the reply delivered into the gateway's sink — no ring was crossed.
 	StageRedirect = "sproxy.redirect"
 	// StageEnqueue is one D-SPRIGHT hop's rte_ring insert.
 	StageEnqueue = "ring.enqueue"
-	// StageRingWait is D-SPRIGHT ring residency: enqueue → poller dequeue.
+	// StageRingWait is D-SPRIGHT ring residency: enqueue → the polling
+	// worker's dequeue.
 	StageRingWait = "ring.wait"
-	// StageQueueWait is socket-queue residency: enqueue (or ring dequeue)
-	// → worker pickup.
+	// StageQueueWait is socket-queue residency (S-SPRIGHT): enqueue → worker
+	// pickup.
 	StageQueueWait = "queue.wait"
 	// StageHandler is the user function execution (service time included).
 	StageHandler = "handler"

@@ -89,27 +89,24 @@ func TestTracingStageCoverage(t *testing.T) {
 				t.Fatalf("want one shm.alloc span, got %d", len(st[StageShmAlloc]))
 			}
 			// 3 handler hops, each preceded by a send (3 forwards + 1 reply).
-			hopStage := StageRedirect
-			if mode == ModePolling {
-				hopStage = StageEnqueue
-			}
 			if len(st[StageHandler]) != 3 {
 				t.Fatalf("handler spans %d want 3", len(st[StageHandler]))
 			}
-			if len(st[hopStage]) != 4 {
-				t.Fatalf("%s spans %d want 4 (3 forwards + reply)", hopStage, len(st[hopStage]))
-			}
-			// Waiting is queue.wait on a socket queue, ring.wait in a ring —
-			// one per send; a polled hop has no socket queue behind its ring.
-			wait, other := StageQueueWait, StageRingWait
+			// A send is a redirect unless it crossed a ring, which in
+			// ModePolling the gateway's dispatch does and an uncontended
+			// function hop or the reply does not. Waiting is queue.wait on a
+			// socket queue, ring.wait in a ring — a polled instance has no
+			// socket queue.
+			redirects, enqueues := 4, 0
 			if mode == ModePolling {
-				wait, other = other, wait
-				if len(st[wait]) != 4 {
-					t.Fatalf("%s spans %d want 4 (one per ring crossed)", wait, len(st[wait]))
-				}
+				redirects, enqueues = 3, 1
 			}
-			if len(st[wait]) == 0 || len(st[other]) != 0 {
-				t.Fatalf("%d %s and %d %s spans, want some and none", len(st[wait]), wait, len(st[other]), other)
+			if len(st[StageRedirect]) != redirects || len(st[StageEnqueue]) != enqueues || len(st[StageRingWait]) != enqueues {
+				t.Fatalf("%d %s, %d %s and %d %s spans; want %d, %d and %d", len(st[StageRedirect]), StageRedirect,
+					len(st[StageEnqueue]), StageEnqueue, len(st[StageRingWait]), StageRingWait, redirects, enqueues, enqueues)
+			}
+			if (len(st[StageQueueWait]) == 0) != (mode == ModePolling) {
+				t.Fatalf("%d %s spans in %v", len(st[StageQueueWait]), StageQueueWait, mode)
 			}
 			if len(st[StageDrain]) != 1 {
 				t.Fatalf("want one gateway.drain span, got %d", len(st[StageDrain]))

@@ -23,6 +23,13 @@ type Transport interface {
 	Unregister(id uint32) error
 	// Send delivers d from instance src to d.NextFn.
 	Send(src uint32, d shm.Descriptor) error
+	// sendOrClaim is Send for a worker that would rather run the next handler
+	// than wake someone to: given home, the worker's own socket, and a
+	// destination instance that grants it a slot (Socket.claimFor), it returns
+	// that instance with the slot held and queues nothing. Otherwise d is
+	// delivered as Send would, and a hop that wanted a claim is counted on the
+	// destination as queued. The filter verdict comes first either way.
+	sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error)
 	// SendBatch delivers a burst of descriptors from src, each to its own
 	// NextFn, amortizing per-send setup (VM exec state, ring reservation)
 	// across the burst. It returns the number delivered; onErr (which may
@@ -31,13 +38,14 @@ type Transport interface {
 	// Allow authorizes src→dst traffic (security domain filter).
 	Allow(src, dst uint32) error
 	// SetDropHandler installs the callback invoked with every descriptor
-	// the transport had accepted but could not deliver (its ring stopped
-	// with the descriptor still in it, or the sink socket closed). The chain
-	// uses it to reclaim the descriptor's buffer and fail its caller instead
-	// of leaking both. Event transports deliver synchronously and report
-	// failures to the sender, so they never invoke it.
+	// the transport had accepted but could not deliver: its ring stopped
+	// with the descriptor still in it. The chain uses it to reclaim the
+	// descriptor's buffer and fail its caller instead of leaking both. Event
+	// transports deliver synchronously and report failures to the sender, so
+	// they never invoke it.
 	SetDropHandler(fn func(d shm.Descriptor))
-	// Close stops the transport (and any pollers).
+	// Close stops the transport: every ring, and with it the instance worker
+	// spinning on it. The workers are waited for by their instances.
 	Close()
 }
 
@@ -48,9 +56,10 @@ type Mode int
 const (
 	// ModeEvent is S-SPRIGHT: eBPF SK_MSG + sockmap, zero CPU when idle.
 	ModeEvent Mode = iota
-	// ModePolling is D-SPRIGHT: every socket has a ring and one goroutine
-	// busy-polling it — for an instance one of its own workers at a time,
-	// which runs the handler of what it dequeues; for the gateway a poller.
+	// ModePolling is D-SPRIGHT: every instance has a ring and one of its own
+	// workers busy-polling it, which runs the handler of what it dequeues and
+	// then follows the request as a ModeEvent worker does. The gateway has
+	// neither ring nor poller: a reply is finished by the worker that sends it.
 	ModePolling
 )
 
@@ -72,6 +81,9 @@ func NewEventTransport(sp *SProxy) Transport { return &eventTransport{sp: sp} }
 func (t *eventTransport) Register(s *Socket) error                { return t.sp.RegisterSocket(s) }
 func (t *eventTransport) Unregister(id uint32) error              { return t.sp.UnregisterSocket(id) }
 func (t *eventTransport) Send(src uint32, d shm.Descriptor) error { return t.sp.Send(src, d) }
+func (t *eventTransport) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
+	return t.sp.sendOrClaim(src, d, home)
+}
 func (t *eventTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, err error)) int {
 	return t.sp.SendBatch(src, ds, onErr)
 }
@@ -108,18 +120,22 @@ func unpackBurst(words []uint64, batch []shm.Descriptor) int {
 	return k
 }
 
-// ringEntry is one registered socket's D-SPRIGHT queue. Descriptors are
-// packed inline as word pairs; EnqueueBulk's single-reservation contiguity
-// guarantee is what makes this safe under concurrent producers — a pair
-// can never interleave with another producer's pair, so the consumer can
-// decode the stream two words at a time. One reservation per send, no
-// side table, no allocation.
+// ringEntry is one registered socket's place in the table and, for an
+// instance's socket, its D-SPRIGHT queue. Descriptors are packed inline as
+// word pairs; EnqueueBulk's single-reservation contiguity guarantee is what
+// makes this safe under concurrent producers — a pair can never interleave
+// with another producer's pair, so the consumer can decode the stream two
+// words at a time. One reservation per send, no side table, no allocation.
 //
-// Who consumes the ring depends on the socket. An instance's ring is polled
-// by the instance's own workers, one at a time (take): polling is the flag a
-// worker holds while it spins, and wake is where the others park. The
-// gateway's ring, and a bare socket's, has a dedicated poller goroutine
-// (poll) that holds polling for as long as it lives.
+// The ring is polled by the instance's own workers, one at a time (take):
+// polling is the flag a worker holds while it spins, and wake is where the
+// others park. The worker gives the flag up before its first handler and is
+// away for the whole chain it then follows (Instance.work), not for one
+// handler: an arrival meanwhile finds the flag clear and wakes a parked
+// worker, or with Concurrency 1 waits in the ring as it waits in the channel
+// in ModeEvent. A socket without an instance — the gateway's sink — has no
+// workers and so no ring (r is nil): its entry is there for route's lookup and
+// filter verdict, and a send to it is a Deliver on the sender's goroutine.
 //
 // Two pairs of operations keep a descriptor from sitting in a ring nobody
 // will look at. A producer publishes and then loads polling, and wakes a
@@ -131,7 +147,7 @@ func unpackBurst(words []uint64, batch []shm.Descriptor) int {
 // drop handler if it is set — so none is stranded in a dead ring either.
 type ringEntry struct {
 	t    *ringTransport
-	r    *ring.Ring
+	r    *ring.Ring // nil for a socket without an instance
 	sock *Socket
 
 	stopped atomic.Bool
@@ -156,16 +172,15 @@ func (e *ringEntry) published() {
 	}
 }
 
-// stop ends the entry. A dedicated poller sees the flag, delivers what was
-// published before it and leaves (poll). An instance's workers may all be
-// inside handlers, so their ring is drained here — what an instance that is
-// going away still had queued goes to the drop handler: descriptors accepted
-// into the ring own a shared-memory buffer reference, so abandoning them would
-// leak the pool slab and blackhole the caller — and one parked worker is woken
-// to exit, which passes the token on to the next (take).
+// stop ends the entry. The instance's workers may all be inside handlers, so
+// the ring is drained here — what an instance that is going away still had
+// queued goes to the drop handler: descriptors accepted into the ring own a
+// shared-memory buffer reference, so abandoning them would leak the pool slab
+// and blackhole the caller — and one parked worker is woken to exit, which
+// passes the token on to the next (take).
 func (e *ringEntry) stop() {
 	e.stopped.Store(true)
-	if e.sock.ring == e {
+	if e.r != nil {
 		e.t.drainRing(e)
 		e.wakeOne()
 	}
@@ -173,9 +188,10 @@ func (e *ringEntry) stop() {
 
 // take is an instance worker's receive in ModePolling. At most one worker
 // spins on the ring; it takes one descriptor and gives the ring up before it
-// returns to run the handler, so a handler that blocks never stalls the ring —
-// the next arrival finds polling clear and wakes a parked worker. false means
-// the entry was stopped and the worker should exit.
+// returns to run the handler — and whatever handlers it claims downstream —
+// so a handler that blocks never stalls the ring: the next arrival finds
+// polling clear and wakes a parked worker. false means the entry was stopped
+// and the worker should exit.
 func (e *ringEntry) take() (shm.Descriptor, bool) {
 	var words [descWords]uint64
 	for {
@@ -207,8 +223,13 @@ func (e *ringEntry) take() (shm.Descriptor, bool) {
 }
 
 // sendTo packs d into e's ring with one bulk reservation. A refused bulk
-// means fewer than two slots were free — the ring is full.
+// means fewer than two slots were free — the ring is full. A socket that has
+// no ring takes d directly: a reply runs the gateway's sink here, and a closed
+// socket fails the sender with ErrSocketClosed as it does in ModeEvent.
 func (t *ringTransport) sendTo(e *ringEntry, d shm.Descriptor) error {
+	if e.r == nil {
+		return e.sock.Deliver(d)
+	}
 	w0, w1 := packDesc(d)
 	if e.r.EnqueueBulk([]uint64{w0, w1}) == 0 {
 		return ErrSocketFull
@@ -224,10 +245,9 @@ type ringTables struct {
 	allowed map[uint64]bool
 }
 
-// ringTransport is the D-SPRIGHT path: every socket owns an RTE ring that
-// something busy-polls — one of an instance's own workers, or the gateway's
-// dedicated poller — the "continuously consumes significant CPUs independent
-// of traffic intensity" behaviour the paper measures.
+// ringTransport is the D-SPRIGHT path: every instance owns an RTE ring that
+// one of its workers busy-polls — the "continuously consumes significant CPUs
+// independent of traffic intensity" behaviour the paper measures.
 type ringTransport struct {
 	// tables is what Send reads, without a lock. Writers (Register,
 	// Unregister, Allow, Close) serialize on mu, copy the map they change and
@@ -235,11 +255,10 @@ type ringTransport struct {
 	tables atomic.Pointer[ringTables]
 	mu     sync.Mutex
 	closed bool // under mu: Close has stopped every entry
-	wg     sync.WaitGroup
 
 	// drop is invoked for descriptors the transport accepted into a ring
-	// but could not deliver (entry stopped with a backlog, sink socket
-	// closed); set once by the chain before traffic starts.
+	// but could not deliver (entry stopped with a backlog); set once by the
+	// chain before traffic starts.
 	drop atomic.Pointer[func(shm.Descriptor)]
 
 	// onDequeue is invoked by the consumer for every dequeued descriptor,
@@ -252,8 +271,8 @@ type ringTransport struct {
 // per queued descriptor).
 const ringDepth = 2048
 
-// pollBurst is how many descriptors one pass of the gateway's poller drains —
-// the burst size of rte_ring_dequeue_burst in the consumer loop.
+// pollBurst is the most descriptors one ring reservation carries: a fan-out
+// group's bulk enqueue, a stopped ring's drain.
 const pollBurst = 64
 
 // NewRingTransport creates an empty polled transport.
@@ -263,14 +282,17 @@ func NewRingTransport() Transport {
 	return t
 }
 
-// Register gives s its ring. A socket with an instance is polled by that
-// instance's workers (Socket.next); any other gets a poller of its own.
+// Register enters s in the table, and gives it a ring if it has an instance
+// whose workers will poll one (Socket.next).
 func (t *ringTransport) Register(s *Socket) error {
-	r, err := ring.New(ringDepth, ring.MP)
-	if err != nil {
-		return err
+	e := &ringEntry{t: t, sock: s}
+	if s.inst != nil {
+		r, err := ring.New(ringDepth, ring.MP)
+		if err != nil {
+			return err
+		}
+		e.r, e.wake = r, make(chan struct{}, 1)
 	}
-	e := &ringEntry{t: t, r: r, sock: s, wake: make(chan struct{}, 1)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -280,49 +302,13 @@ func (t *ringTransport) Register(s *Socket) error {
 	if _, dup := old.entries[s.SockID()]; dup {
 		return fmt.Errorf("core: instance %d already registered", s.SockID())
 	}
-	if s.inst != nil {
+	if e.r != nil {
 		s.ring = e
-	} else {
-		e.polling.Store(true)
-		t.wg.Add(1) // under mu, so never concurrent with Close's Wait
-		go t.poll(e)
 	}
 	entries := maps.Clone(old.entries)
 	entries[s.SockID()] = e
 	t.tables.Store(&ringTables{entries: entries, allowed: old.allowed})
 	return nil
-}
-
-// poll is the dedicated consumer of a socket that has no workers — in a chain,
-// the gateway's: drain a burst of descriptor word pairs in one ring
-// reservation, decode them, and hand the whole burst to the socket, whose sink
-// completes each request on this goroutine. The out buffer is an even number
-// of words and producers only ever publish whole pairs, so a burst never
-// splits a descriptor. The poller runs until its entry is stopped — Unregister
-// for this socket alone, Close for all — and then until the ring is empty:
-// what was published before the stop still goes to the socket, and whoever
-// publishes after it sees the flag and drains the ring itself.
-func (t *ringTransport) poll(e *ringEntry) {
-	defer t.wg.Done()
-	var words [pollBurst * descWords]uint64
-	var batch [pollBurst]shm.Descriptor
-	for {
-		n := e.r.PollDequeueBurst(words[:], e.stopped.Load)
-		if n == 0 {
-			if n = e.r.DequeueBurst(words[:]); n == 0 {
-				return
-			}
-		}
-		k := unpackBurst(words[:n], batch[:])
-		for _, d := range batch[:k] {
-			t.dequeued(e, d)
-		}
-		// What the socket refuses — it closed, or a bare socket's queue is
-		// full — is dropped: reclaimed through the drop handler.
-		if m, _ := e.sock.DeliverBatch(batch[:k]); m < k {
-			t.dropAll(e, batch[m:k])
-		}
-	}
 }
 
 // dequeued runs the dequeue hook for one descriptor off e's ring.
@@ -390,15 +376,17 @@ func (t *ringTransport) ringStats() []RingQueueStat {
 	entries := t.tables.Load().entries
 	out := make([]RingQueueStat, 0, len(entries))
 	for id, e := range entries {
-		out = append(out, RingQueueStat{Instance: id, Stats: e.r.Stats()})
+		if e.r != nil {
+			out = append(out, RingQueueStat{Instance: id, Stats: e.r.Stats()})
+		}
 	}
 	return out
 }
 
 // Unregister removes id from the table — no send that starts after it returns
 // is routed there — and stops its entry: the ring's backlog goes to the drop
-// handler and whoever polls it leaves. It does not wait for the poller (a
-// repair must not block on it); Close does.
+// handler and the worker polling it leaves. It does not wait for that worker
+// (a repair must not block on it); the instance's shutdown does.
 func (t *ringTransport) Unregister(id uint32) error {
 	t.mu.Lock()
 	old := t.tables.Load()
@@ -444,11 +432,27 @@ func (t *ringTransport) route(src, dst uint32) (*ringEntry, error) {
 }
 
 func (t *ringTransport) Send(src uint32, d shm.Descriptor) error {
+	_, err := t.sendOrClaim(src, d, nil)
+	return err
+}
+
+// sendOrClaim is one hop: the filter verdict, then the claim if home asks for
+// one and the destination has workers to claim from, then the ring.
+func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
 	e, err := t.route(src, d.NextFn)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return t.sendTo(e, d)
+	if home == nil || e.r == nil {
+		return nil, t.sendTo(e, d)
+	}
+	if e.sock.claimFor(home) {
+		return e.sock.inst, nil
+	}
+	if err = t.sendTo(e, d); err == nil {
+		e.sock.queuedHops.Add(1)
+	}
+	return nil, err
 }
 
 // SendBatch groups consecutive same-destination descriptors and inserts
@@ -477,34 +481,28 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 			start = end
 			continue
 		}
-		n := end - start
-		if n == 1 {
-			if err := t.sendTo(e, ds[start]); err != nil {
-				fail(start, err)
+		// Pack a group and publish it with one all-or-nothing bulk
+		// reservation — contiguous in the ring, one CAS for the burst. One
+		// descriptor is not a group, and a sink socket has no ring to pack
+		// one into.
+		if n := end - start; n > 1 && e.r != nil {
+			for i := 0; i < n; i++ {
+				words[i*descWords], words[i*descWords+1] = packDesc(ds[start+i])
+			}
+			if e.r.EnqueueBulk(words[:n*descWords]) > 0 {
+				delivered += n
+				e.published()
+				start = end
+				continue
+			}
+			// Bulk refused (not enough free slots): per-descriptor sends, so
+			// a nearly full ring still accepts what it can.
+		}
+		for i := start; i < end; i++ {
+			if err := t.sendTo(e, ds[i]); err != nil {
+				fail(i, err)
 			} else {
 				delivered++
-			}
-			start = end
-			continue
-		}
-		// Pack the group and publish it with one all-or-nothing bulk
-		// reservation — contiguous in the ring, one CAS for the burst.
-		for i := 0; i < n; i++ {
-			words[i*descWords], words[i*descWords+1] = packDesc(ds[start+i])
-		}
-		if e.r.EnqueueBulk(words[:n*descWords]) > 0 {
-			delivered += n
-			e.published()
-		} else {
-			// Bulk refused (not enough free slots): fall back to
-			// per-descriptor sends so a nearly full ring still accepts
-			// what it can.
-			for i := start; i < end; i++ {
-				if err := t.sendTo(e, ds[i]); err != nil {
-					fail(i, err)
-				} else {
-					delivered++
-				}
 			}
 		}
 		start = end
@@ -512,8 +510,8 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 	return delivered
 }
 
-// Close stops every entry and waits for the dedicated pollers. Instance
-// workers are waited for by their instances (Instance.shutdown).
+// Close stops every entry. The workers at the rings are waited for by their
+// instances (Instance.shutdown).
 func (t *ringTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
@@ -522,5 +520,4 @@ func (t *ringTransport) Close() {
 	for _, e := range entries {
 		e.stop()
 	}
-	t.wg.Wait()
 }

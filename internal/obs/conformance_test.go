@@ -184,6 +184,11 @@ func TestExporterConformance(t *testing.T) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
+	// The gateway has a socket in both modes and a ring in neither: a reply is
+	// delivered into its sink by the worker that sends it.
+	if _, ok := vals[`spright_ring_enqueues_total{chain="conf_poll",instance="0"}`]; ok {
+		t.Error("exposition has a ring series for the gateway")
+	}
 	// The EPROXY packet counter must equal admissions (one monitor run per
 	// admitted request), and the SPROXY redirect count must equal the
 	// instance socket's delivered count.

@@ -322,24 +322,46 @@ func TestNodeEngineMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestChainRunsOnOneWorkerAllocations is the gate on the local hop: an
-// uncontended twelve-function chain runs all twelve handlers on one goroutine
-// — the head function's worker, which claims each next instance and runs it
-// itself — so a request crosses goroutines twice, caller → worker and worker →
-// caller, where it used to cross thirteen times; and the request, its eleven
-// hops included, allocates nothing. (The average is not exactly zero: one
-// request in 1024 is traced, and a GC empties the sync.Pools.)
+// TestChainRunsOnOneWorkerAllocations is the gate on the local hop, in both
+// modes: an uncontended twelve-function chain runs all twelve handlers on one
+// goroutine — the head function's worker, which claims each next instance and
+// runs it itself — so a request crosses goroutines twice, caller → worker and
+// worker → caller, where it used to cross thirteen times; no hop is queued; and
+// the request, its eleven hops included, allocates nothing. (The average is not
+// exactly zero: one request in 1024 is traced, and a GC empties the sync.Pools.)
+//
+// In ModePolling that worker is the one that was already spinning on the
+// head's ring when the request was sent, request after request: nothing wakes
+// a parked worker, and the eleven spinners downstream never see a descriptor.
+// (A worker the scheduler holds back for a whole round trip between two polls
+// — a GC, a preemption — is found missing from its ring by the next arrival,
+// which wakes a parked one to take over: that is the protocol working, and it
+// is allowed for one request in a hundred.)
 func TestChainRunsOnOneWorkerAllocations(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeEvent, core.ModePolling} {
+		t.Run(mode.String(), func(t *testing.T) { chainRunsOnOneWorker(t, mode) })
+	}
+}
+
+func chainRunsOnOneWorker(t *testing.T, mode core.Mode) {
 	const hops = 12
-	var ranOn [hops]uint64 // goroutine of each handler, while recording
+	var ranOn [hops]uint64 // goroutine of each handler's last run, while recording
+	var headMoved int      // runs of f0 on another goroutine than its run before
 	recording := true
-	spec := core.ChainSpec{Name: "onegoroutine", Routes: []core.RouteSpec{{From: "", To: []string{"f0"}}}}
+	spec := core.ChainSpec{
+		Name: fmt.Sprintf("onegoroutine%d", mode), Mode: mode,
+		Routes: []core.RouteSpec{{From: "", To: []string{"f0"}}},
+	}
 	for i := 0; i < hops; i++ {
 		spec.Functions = append(spec.Functions, core.FunctionSpec{
 			Name: fmt.Sprintf("f%d", i),
 			Handler: func(ctx *core.Ctx) error {
 				if recording {
-					ranOn[i] = goroutineID()
+					id := goroutineID()
+					if i == 0 && ranOn[0] != 0 && id != ranOn[0] {
+						headMoved++
+					}
+					ranOn[i] = id
 				}
 				ctx.Payload()[0]++
 				return nil
@@ -360,10 +382,30 @@ func TestChainRunsOnOneWorkerAllocations(t *testing.T) {
 			t.Fatalf("InvokeInto: %d bytes %v, %v", n, dst[:n], err)
 		}
 	}
+	oneWorker := func() {
+		t.Helper()
+		for i, id := range ranOn {
+			if id != ranOn[0] || id == goroutineID() {
+				t.Fatalf("f%d ran on goroutine %d, f0 on %d, the caller is %d: want one worker for the whole chain", i, id, ranOn[0], goroutineID())
+			}
+		}
+	}
 	invoke()
-	for i, id := range ranOn {
-		if id != ranOn[0] || id == goroutineID() {
-			t.Errorf("f%d ran on goroutine %d, f0 on %d, the caller is %d: want one worker for the whole chain", i, id, ranOn[0], goroutineID())
+	oneWorker()
+	if mode == core.ModePolling {
+		spinning := idleSpinners(t, hops)
+		const requests = 2000
+		ranOn[0], headMoved = 0, 0
+		invoke()
+		first := ranOn[0]
+		for i := 1; i < requests; i++ {
+			invoke()
+			oneWorker()
+		}
+		t.Logf("%d changes of goroutine at the head in %d requests", headMoved, requests)
+		if !spinning[first] || headMoved > requests/100 {
+			t.Errorf("the chain first ran on goroutine %d and changed goroutine %d times in %d requests; want a worker that was polling (%v) and no parked one woken",
+				first, headMoved, requests, spinning)
 		}
 	}
 	for _, in := range d.Chain.Instances() {
@@ -388,57 +430,12 @@ func TestChainRunsOnOneWorkerAllocations(t *testing.T) {
 	}
 }
 
-// TestPolledChainRunsOnPollingWorkersAllocations is the gate on the polled
-// hop: in ModePolling an uncontended request through a two-function chain is a
-// ring enqueue and a ring dequeue per hop and nothing else — it wakes no
-// parked worker, so every handler runs on the goroutine that was already
-// spinning on its instance's ring when the request was sent, request after
-// request; and it allocates nothing. (A worker the scheduler holds back for a
-// whole round trip between two polls — a GC, a preemption — is found missing
-// from its ring by the next arrival, which wakes a parked one to take over:
-// that is the protocol working, and it is allowed for one request in a
-// hundred. A relay that woke a worker per hop would change goroutine on most.)
-func TestPolledChainRunsOnPollingWorkersAllocations(t *testing.T) {
-	var first, ranOn [2]uint64 // goroutine of each handler's first and last run, while recording
-	var moved [2]int           // runs on another goroutine than the run before
-	recording := true
-	spec := core.ChainSpec{
-		Name: "polledhop", Mode: core.ModePolling,
-		Routes: []core.RouteSpec{{From: "", To: []string{"f0"}}, {From: "f0", To: []string{"f1"}}},
-	}
-	for i := range ranOn {
-		spec.Functions = append(spec.Functions, core.FunctionSpec{
-			Name: fmt.Sprintf("f%d", i),
-			Handler: func(ctx *core.Ctx) error {
-				if recording {
-					if id := goroutineID(); id != ranOn[i] {
-						if ranOn[i] == 0 {
-							first[i] = id
-						} else {
-							moved[i]++
-						}
-						ranOn[i] = id
-					}
-				}
-				ctx.Payload()[0]++
-				return nil
-			},
-		})
-	}
-	d, err := NewCluster(1).Controller.DeployChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	payload, dst := []byte{0, 7}, make([]byte, 2)
-	invoke := func() {
-		if n, err := d.Gateway.InvokeInto(context.Background(), "", payload, dst); err != nil || n != 2 || dst[0] != 2 || dst[1] != 7 {
-			t.Fatalf("InvokeInto: %d bytes %v, %v", n, dst[:n], err)
-		}
-	}
-	// The workers spinning on a ring once the chain is idle: one per instance,
-	// as soon as every worker started has either taken its ring or parked.
-	invoke()
+// idleSpinners waits until an idle polled chain has settled — every worker
+// started has either taken its ring or parked — and returns the goroutines
+// spinning on a ring, which must be want of them: one worker per instance and
+// nothing else, the gateway having no ring.
+func idleSpinners(t *testing.T, want int) map[uint64]bool {
+	t.Helper()
 	spinning := map[uint64]bool{}
 	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
 		var profile strings.Builder
@@ -446,45 +443,25 @@ func TestPolledChainRunsOnPollingWorkersAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		clear(spinning)
-		started := true
+		started, foreign := true, 0
 		for _, g := range strings.Split(profile.String(), "\n\n") {
 			switch {
 			case strings.Contains(g, "ring.(*Ring).PollDequeueBurst") && strings.Contains(g, "core.(*Instance).work"):
 				id, _ := strconv.ParseUint(strings.Fields(g)[1], 10, 64)
 				spinning[id] = true
+			case strings.Contains(g, "ring.(*Ring).PollDequeueBurst"):
+				foreign++
 			case strings.Contains(g, "startWorkersLocked") && !strings.Contains(g, "core.(*Instance).work("):
 				started = false // a worker that has yet to run
 			}
 		}
-		if started && len(spinning) == len(ranOn) {
-			break
+		if started && len(spinning) == want && foreign == 0 {
+			return spinning
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers spinning on an idle two-function chain, want one per instance:\n%s", len(spinning), profile.String())
+			t.Fatalf("%d workers and %d other goroutines spinning on an idle %d-function chain, want one worker per instance:\n%s",
+				len(spinning), foreign, want, profile.String())
 		}
-	}
-	ranOn, moved = [2]uint64{}, [2]int{}
-	const requests = 2000
-	for i := 0; i < requests; i++ {
-		invoke()
-	}
-	for i, id := range first {
-		if !spinning[id] || moved[i] > requests/100 {
-			t.Errorf("f%d first ran on goroutine %d and changed goroutine %d times in %d requests; want the worker that was polling (%v) and no parked one woken",
-				i, id, moved[i], requests, spinning)
-		}
-	}
-	if raceEnabled {
-		return // sync.Pool drops Puts at random there, and every drop is an allocation
-	}
-	recording = false
-	if avg := testing.AllocsPerRun(2000, invoke); avg >= 1 {
-		t.Errorf("%.2f allocations per polled two-hop request, want none", avg)
-	} else {
-		t.Logf("%.3f allocations per polled two-hop request; %v changes of goroutine in %d", avg, moved, requests)
-	}
-	if err := d.Chain.Pool().LeakCheck(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -309,9 +309,9 @@ func pollYieldMask() int {
 // PollDequeueBurst spins until at least one item arrives or stop returns
 // true, then drains up to len(out) items in one reservation. This is the
 // D-SPRIGHT consumer loop — an instance worker polls with room for one
-// descriptor, the gateway's poller for a burst — and the spin burns CPU
-// whether or not traffic arrives, which is exactly the overhead S-SPRIGHT's
-// event-driven SPROXY eliminates. Returns 0 only when stop reported true.
+// descriptor — and the spin burns CPU whether or not traffic arrives, which
+// is exactly the overhead S-SPRIGHT's event-driven SPROXY eliminates. Returns
+// 0 only when stop reported true.
 func (r *Ring) PollDequeueBurst(out []uint64, stop func() bool) int {
 	mask := pollYieldMask()
 	for spins := 0; ; spins++ {

@@ -690,12 +690,11 @@ func BenchmarkE2E_LargePayload(b *testing.B) {
 }
 
 // BenchmarkEBPFInterpreter measures the bytecode interpreter — the
-// differential oracle — on the SPROXY-sized program. The JIT is switched
-// off explicitly so this tracked series keeps measuring the oracle across
-// snapshots; BenchmarkJIT_vs_Interp carries the engine comparison.
+// differential oracle and the engine of every program without a fast path —
+// on a map-lookup XDP program. BenchmarkJIT_vs_Interp carries the fast
+// paths' comparison.
 func BenchmarkEBPFInterpreter(b *testing.B) {
 	kernel := ebpf.NewKernel()
-	kernel.SetJIT(false)
 	m, _ := kernel.CreateMap(ebpf.MapSpec{Name: "m", Type: ebpf.MapTypeArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
 	bl := ebpf.NewBuilder("bench", ebpf.ProgTypeXDP)
 	bl.Ins(
@@ -723,11 +722,11 @@ func BenchmarkEBPFInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkJIT_vs_Interp compares the execution engines on each program
-// shape: the shape-specialized SPROXY and EPROXY fast paths (through the
-// real dataplane entry points), and the general closure-chain backend on
-// the map-lookup XDP program. The interp variants run the same programs
-// with the JIT switched off — the per-shape delta is the compilation win.
+// BenchmarkJIT_vs_Interp compares the two engines on each recognized
+// program shape: the SPROXY and EPROXY fast paths, through the real
+// dataplane entry points, against the interpreter running the same programs
+// with the fast paths switched off — the per-shape delta is what
+// specialization buys.
 func BenchmarkJIT_vs_Interp(b *testing.B) {
 	engines := []struct {
 		name string
@@ -778,43 +777,6 @@ func BenchmarkJIT_vs_Interp(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ep.OnIngress(128)
-				}
-			})
-		}
-	})
-
-	b.Run("closure-chain", func(b *testing.B) {
-		for _, eng := range engines {
-			b.Run(eng.name, func(b *testing.B) {
-				kernel := ebpf.NewKernel()
-				kernel.SetJIT(eng.jit)
-				m, _ := kernel.CreateMap(ebpf.MapSpec{Name: "m", Type: ebpf.MapTypeArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
-				bl := ebpf.NewBuilder("jb", ebpf.ProgTypeXDP)
-				bl.Ins(
-					ebpf.StoreImm(ebpf.R10, -4, 0, ebpf.W),
-					ebpf.LoadMapFD(ebpf.R1, m.FD()),
-					ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
-					ebpf.Add64Imm(ebpf.R2, -4),
-					ebpf.Call(ebpf.HelperMapLookupElem),
-				)
-				bl.Jmp(ebpf.JeqImm(ebpf.R0, 0, 0), "out")
-				bl.Ins(ebpf.Mov64Imm(ebpf.R2, 1), ebpf.AtomicAdd(ebpf.R0, 0, ebpf.R2, ebpf.DW))
-				bl.Label("out")
-				bl.Ins(ebpf.Mov64Imm(ebpf.R0, ebpf.XDPPass), ebpf.Exit())
-				prog, err := kernel.Load(bl.MustProgram())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if eng.jit && prog.Engine() == ebpf.EngineInterp {
-					b.Fatalf("program did not compile: %s", prog.FallbackReason())
-				}
-				data := make([]byte, 64)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := kernel.Run(prog, data, 0, nil); err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 		}

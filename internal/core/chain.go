@@ -364,6 +364,11 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 			return nil, err
 		}
 		c.sproxy = sp
+		defer func() {
+			if !ok {
+				sp.Close()
+			}
+		}()
 		c.transport = NewEventTransport(sp)
 	case ModePolling:
 		c.transport = NewRingTransport()
@@ -842,6 +847,9 @@ func (c *Chain) Close() {
 			in.shutdown()
 		}
 		c.transport.Close()
+		if c.sproxy != nil {
+			c.sproxy.Close()
+		}
 		// The store closes before the pool: spill files are removed while
 		// Release still works for late drains, and leaked objects' resident
 		// slabs stay visible to the pool's LeakCheck.

@@ -70,6 +70,15 @@ func NewEProxy(kernel *ebpf.Kernel, chain string) (*EProxy, error) {
 	return &EProxy{kernel: kernel, prog: lp, l3map: l3, failmap: fm, lastTime: time.Now()}, nil
 }
 
+// Close releases the gateway's eBPF state: the monitor program is counted
+// out of the kernel's gauges and both maps leave its registry. The counters
+// stay readable through the EProxy. Gateway.Close calls it once, after the
+// metrics agent has stopped.
+func (e *EProxy) Close() {
+	e.kernel.Unload(e.prog)
+	e.kernel.RemoveMaps(e.l3map, e.failmap)
+}
+
 // buildEProxyProgram assembles the XDP-type monitor: packets++ and
 // bytes += (data_end - data).
 func buildEProxyProgram(chain string, l3FD int) (*ebpf.Program, error) {

@@ -1104,7 +1104,8 @@ func (g *Gateway) EProxy() *EProxy { return g.eprox }
 // replies away (their senders release the buffer). Every request still
 // pending then completes with ErrGatewayClosed — Close takes each entry
 // exactly as a completion would, so a request gets one outcome, never two
-// and never none. Last, Close waits for the metrics agent.
+// and never none. Last, Close waits for the metrics agent and releases the
+// EPROXY's eBPF state; a concurrent second Close returns when the first has.
 func (g *Gateway) Close() {
 	g.once.Do(func() {
 		close(g.stop)
@@ -1112,6 +1113,9 @@ func (g *Gateway) Close() {
 		for _, w := range g.pending.takeAll() {
 			g.settle(w, nil, ErrGatewayClosed)
 		}
+		g.wg.Wait()
+		if g.eprox != nil {
+			g.eprox.Close()
+		}
 	})
-	g.wg.Wait()
 }

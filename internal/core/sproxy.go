@@ -123,6 +123,14 @@ func buildSProxyProgram(chain string, sockmapFD, filterFD, metricsFD int) (*ebpf
 	return b.Program()
 }
 
+// Close releases the chain's eBPF state: the program is counted out of the
+// kernel's gauges and the three maps leave its registry. Chain.Close calls
+// it once, after the instances have stopped sending.
+func (sp *SProxy) Close() {
+	sp.kernel.Unload(sp.prog)
+	sp.kernel.RemoveMaps(sp.sockmap, sp.filter, sp.metrics)
+}
+
 // RegisterSocket installs a function instance's socket in the sockmap —
 // the control-plane step the gateway performs when a new instance starts.
 func (sp *SProxy) RegisterSocket(s *Socket) error {

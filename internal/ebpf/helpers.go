@@ -143,7 +143,7 @@ func (st *execState) call(id HelperID) error {
 	case HelperFibLookup:
 		// r1 = ctx, r2 = params pointer, r3 = params size, r4 = flags.
 		if r3 < FibParamsSize {
-			return fmt.Errorf("ebpf: fib_lookup params too small: %d", r3)
+			return fmt.Errorf("%w: fib_lookup params block of %d bytes", ErrOutOfBounds, r3)
 		}
 		params, err := st.access(r2, FibParamsSize, true)
 		if err != nil {

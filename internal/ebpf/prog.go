@@ -78,14 +78,11 @@ type LoadedProgram struct {
 	fd     int
 	maps   []progMapRef
 
-	// Compiled forms, built at Load time after verification succeeds.
-	// jit is the general closure-chain translation (nil when the program
-	// uses an interpreter-only helper; jitReason says why), and fast is a
-	// shape-specialized runner when the program matched a recognized
-	// SPROXY/EPROXY shape.
-	jit       *jitProg
-	fast      fastRunner
-	jitReason string
+	// fast is a shape-specialized runner when the program matched a
+	// recognized SPROXY/EPROXY shape at Load time; when it did not,
+	// fallback says why and the program runs on the interpreter.
+	fast     fastRunner
+	fallback string
 }
 
 // FD returns the program's file descriptor.
@@ -101,22 +98,18 @@ func (lp *LoadedProgram) Type() ProgType { return lp.prog.Type }
 func (lp *LoadedProgram) Len() int { return len(lp.prog.Insns) }
 
 // Engine reports the fastest backend this program can execute on. The
-// kernel-level JIT switch (SetJIT) can still force the interpreter at run
-// time.
+// kernel-level switch (SetJIT) can still force the interpreter at run time.
 func (lp *LoadedProgram) Engine() EngineKind {
-	switch {
-	case lp.fast != nil:
+	if lp.fast != nil {
 		return EngineFast
-	case lp.jit != nil:
-		return EngineJIT
-	default:
-		return EngineInterp
 	}
+	return EngineInterp
 }
 
-// FallbackReason explains why a program was not compiled (empty when it
-// was).
-func (lp *LoadedProgram) FallbackReason() string { return lp.jitReason }
+// FallbackReason explains why a program has no fast path (empty when it
+// has one): it matches no recognized shape, or a geometry guard of the shape
+// it matches declined.
+func (lp *LoadedProgram) FallbackReason() string { return lp.fallback }
 
 // envBox wraps the Env interface in a struct so atomic.Value sees one
 // consistent concrete type across stores of different Env implementations.
@@ -131,30 +124,29 @@ type Kernel struct {
 	// allocator aligns it to one.
 	stripes [runStripes]runStripe
 
-	mu    sync.RWMutex
-	maps  map[int]*Map
-	progs map[int]*LoadedProgram
-	next  int
+	mu   sync.RWMutex
+	maps map[int]*Map
+	next int
 
 	env atomic.Value // envBox
 
-	// How many programs are loaded/compiled. With the stripes' per-engine run
-	// counts, fallback regressions (a hot program silently dropping to the
-	// interpreter) show up here and in /metrics.
+	// How many programs are loaded, and how many of them have a fast path.
+	// With the stripes' per-engine run counts, fallback regressions (a hot
+	// program silently dropping to the interpreter) show up here and in
+	// /metrics.
 	loadedProgs   atomic.Int64
 	compiledProgs atomic.Int64
 
-	// jitOff disables compiled dispatch kernel-wide, forcing every run
-	// through the interpreter — the differential-test oracle switch.
-	jitOff atomic.Bool
+	// fastOff disables the fast paths kernel-wide, forcing every run through
+	// the interpreter — the differential-test oracle switch.
+	fastOff atomic.Bool
 }
 
 // NewKernel creates an empty eBPF subsystem with a null environment.
 func NewKernel() *Kernel {
 	k := &Kernel{
-		maps:  make(map[int]*Map),
-		progs: make(map[int]*LoadedProgram),
-		next:  3, // fds 0-2 are taken, as on a real system
+		maps: make(map[int]*Map),
+		next: 3, // fds 0-2 are taken, as on a real system
 	}
 	k.env.Store(envBox{nullEnv{}})
 	return k
@@ -192,16 +184,31 @@ func (k *Kernel) mapByFD(fd int) *Map {
 	return k.maps[fd]
 }
 
+// RemoveMaps drops maps from the registry: their fds no longer resolve for
+// Load. Loaded programs reach their maps through their own map tables, so
+// one still running is unaffected.
+func (k *Kernel) RemoveMaps(ms ...*Map) {
+	k.mu.Lock()
+	for _, m := range ms {
+		delete(k.maps, m.fd)
+	}
+	k.mu.Unlock()
+}
+
+// MapCount reports how many maps the registry holds.
+func (k *Kernel) MapCount() int {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return len(k.maps)
+}
+
 // Load verifies a program and makes it executable. The maps referenced by
 // OpLoadMapFD instructions are resolved here, once, into the program's map
-// table; executions resolve handles against that table lock-free. After
-// verification the program is compiled (closure chains, plus a
-// shape-specialized fast path when it matches a recognized SPROXY/EPROXY
-// shape); programs the compiler declines keep the interpreter as their
-// backend.
+// table; executions resolve handles against that table lock-free. A program
+// that matches a recognized SPROXY/EPROXY shape gets its shape-specialized
+// fast path; every other program runs on the interpreter.
 func (k *Kernel) Load(p *Program) (*LoadedProgram, error) {
-	an, err := k.verify(p)
-	if err != nil {
+	if err := k.verify(p); err != nil {
 		return nil, fmt.Errorf("load %q: %w", p.Name, err)
 	}
 	k.mu.Lock()
@@ -223,39 +230,47 @@ func (k *Kernel) Load(p *Program) (*LoadedProgram, error) {
 			lp.maps = append(lp.maps, progMapRef{fd: fd, m: k.maps[fd]})
 		}
 	}
-	lp.jit, lp.jitReason = compile(p, an)
-	if lp.jit != nil {
-		lp.fast = matchFast(lp)
+	lp.fast, lp.fallback = matchFast(lp)
+	if lp.fast != nil {
 		k.compiledProgs.Add(1)
 	}
 	k.loadedProgs.Add(1)
 	k.next++
-	k.progs[lp.fd] = lp
 	return lp, nil
 }
 
-// SetJIT enables or disables compiled dispatch kernel-wide. Disabling it
+// Unload counts a program out of the loaded/compiled gauges. Call it once,
+// when the program's owner is done with it; the kernel holds no reference to
+// a loaded program, so nothing else needs releasing.
+func (k *Kernel) Unload(lp *LoadedProgram) {
+	if lp.fast != nil {
+		k.compiledProgs.Add(-1)
+	}
+	k.loadedProgs.Add(-1)
+}
+
+// SetJIT enables or disables the fast paths kernel-wide. Disabling them
 // forces every run through the interpreter — differential tests run the
 // same programs on both settings and compare everything observable.
-func (k *Kernel) SetJIT(on bool) { k.jitOff.Store(!on) }
+func (k *Kernel) SetJIT(on bool) { k.fastOff.Store(!on) }
 
-// JITEnabled reports whether compiled dispatch is active.
-func (k *Kernel) JITEnabled() bool { return !k.jitOff.Load() }
+// JITEnabled reports whether the fast paths are active.
+func (k *Kernel) JITEnabled() bool { return !k.fastOff.Load() }
 
 // runStripes is how many ways the run counters are split (a power of two).
 const runStripes = 8
 
-// runStripe is one cache line of run accounting: how many runs executed
-// compiled code, how many the interpreter, and the instructions they ran.
+// runStripe is one cache line of run accounting: how many runs took a fast
+// path, how many the interpreter, and the instructions they ran.
 // Every program run on the node counts itself, so on a single set of counters
 // every core writes one line per run — a line that would also sit beside
-// jitOff and env, which every run reads. A run counts on the stripe of the
+// fastOff and env, which every run reads. A run counts on the stripe of the
 // pooled staging buffer it already holds (fastBuf, execState): a sync.Pool
 // hands a P its own object back in practice, so each core keeps to its own
 // stripe with no further mechanism, and sharing one only costs speed. Runs
 // that take no pooled buffer count on unpooledStripe, which no buffer is given.
 type runStripe struct {
-	jitRuns    atomic.Uint64
+	fastRuns   atomic.Uint64
 	interpRuns atomic.Uint64
 	insns      atomic.Uint64
 	_          [5]uint64
@@ -273,7 +288,7 @@ func nextStripe() uint32 { return 1 + stripeSeq.Add(1)%(runStripes-1) }
 func (k *Kernel) Stats() (runs, insns uint64) {
 	for i := range k.stripes {
 		st := &k.stripes[i]
-		runs += st.jitRuns.Load() + st.interpRuns.Load()
+		runs += st.fastRuns.Load() + st.interpRuns.Load()
 		insns += st.insns.Load()
 	}
 	return runs, insns
@@ -281,53 +296,44 @@ func (k *Kernel) Stats() (runs, insns uint64) {
 
 // EngineStats is the per-engine execution breakdown exported to /metrics.
 type EngineStats struct {
-	JITRuns    uint64 // runs executed by compiled code (closure chain or fast path)
+	JITRuns    uint64 // runs executed by a shape-specialized fast path
 	InterpRuns uint64 // runs executed by the interpreter
 	Loaded     int64  // programs loaded
-	Compiled   int64  // programs with a compiled form
+	Compiled   int64  // loaded programs with a fast path
 }
 
-// EngineStats reports the compiled-vs-interpreted run counters and the
+// EngineStats reports the fast-path-vs-interpreter run counters and the
 // loaded/compiled program gauges.
 func (k *Kernel) EngineStats() EngineStats {
 	es := EngineStats{Loaded: k.loadedProgs.Load(), Compiled: k.compiledProgs.Load()}
 	for i := range k.stripes {
-		es.JITRuns += k.stripes[i].jitRuns.Load()
+		es.JITRuns += k.stripes[i].fastRuns.Load()
 		es.InterpRuns += k.stripes[i].interpRuns.Load()
 	}
 	return es
 }
 
 // noteRun counts one run on the given stripe.
-func (k *Kernel) noteRun(stripe uint32, insns int, jit bool) {
+func (k *Kernel) noteRun(stripe uint32, insns int, fast bool) {
 	st := &k.stripes[stripe&(runStripes-1)]
 	st.insns.Add(uint64(insns))
-	if jit {
-		st.jitRuns.Add(1)
+	if fast {
+		st.fastRuns.Add(1)
 	} else {
 		st.interpRuns.Add(1)
 	}
 }
 
-// fastOf returns lp's shape-specialized runner if compiled dispatch is on.
+// fastOf returns lp's shape-specialized runner if the fast paths are on.
 func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
-	if k.jitOff.Load() {
+	if k.fastOff.Load() {
 		return nil
 	}
 	return lp.fast
 }
 
-// execute runs a prepared exec state through the best available engine: the
-// compiled closure chain when the program has one and the kernel-level JIT
-// switch is on, the interpreter otherwise. A compiled run that bails to the
-// interpreter at the budget boundary still counts as a JIT run — dispatch
-// chose the compiled engine.
-func (k *Kernel) execute(st *execState) (Result, error) {
-	if lp := st.prog; lp.jit != nil && !k.jitOff.Load() {
-		res, err := lp.jit.run(st)
-		k.noteRun(st.stripe, res.Insns, true)
-		return res, err
-	}
+// interpret runs a prepared exec state on the interpreter and counts the run.
+func (k *Kernel) interpret(st *execState) (Result, error) {
 	res, err := st.run()
 	k.noteRun(st.stripe, res.Insns, false)
 	return res, err
@@ -400,7 +406,6 @@ func putExec(st *execState) {
 	}
 	st.overflow = nil
 	st.nSlots = 0
-	st.jitErr = nil
 	st.res = Result{} // drops the RedirectSock reference
 	execPool.Put(st)
 }
@@ -418,7 +423,7 @@ func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (R
 	st.packet = data
 	st.pktWrite = true
 	st.msgData = data
-	res, err := k.execute(st)
+	res, err := k.interpret(st)
 	putExec(st)
 	return res, err
 }
@@ -457,7 +462,7 @@ func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env
 	st.packet = st.pktCopy[:n]
 	st.pktWrite = true
 	st.msgData = st.packet
-	res, err := k.execute(st)
+	res, err := k.interpret(st)
 	putExec(st)
 	return res, err
 }
@@ -514,7 +519,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 		st.packet = st.pktCopy[:ln]
 		st.pktWrite = true
 		st.msgData = st.packet
-		res, err := k.execute(st)
+		res, err := k.interpret(st)
 		if !each(i, res, err) {
 			break
 		}
@@ -534,7 +539,7 @@ func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex uint32, env En
 		return res, err
 	}
 	st := k.getExec(lp, frameLen, ifindex, env)
-	res, err := k.execute(st)
+	res, err := k.interpret(st)
 	putExec(st)
 	return res, err
 }

@@ -16,92 +16,70 @@ func verr(pc int, format string, args ...interface{}) error {
 	return fmt.Errorf("%w: insn %d: %s", ErrVerifier, pc, fmt.Sprintf(format, args...))
 }
 
-// progAnalysis carries the static facts the verifier proves while checking
-// a program. The JIT compiler (jit.go) consumes them instead of re-deriving
-// control flow: leaders partition the program into basic blocks, and a
-// verified program is guaranteed to have in-range jump targets everywhere,
-// so block formation over leaders needs no further validation.
-type progAnalysis struct {
-	// leaders[pc] is true when pc starts a basic block: the entry, every
-	// jump target, and every instruction following a jump or exit.
-	leaders []bool
-}
-
 // verify performs the static checks the kernel verifier would: structural
 // validity, jump targets, guaranteed termination paths, register
 // initialization before use, R10 immutability, known helpers, and valid map
 // references. Dynamic properties (pointer bounds, division by a zero
 // register) are enforced at runtime by the interpreter's checked address
 // space and budget — the standard trade-off for an interpreter-based clone.
-// On success it returns the control-flow analysis for the compile pass.
-func (k *Kernel) verify(p *Program) (*progAnalysis, error) {
+func (k *Kernel) verify(p *Program) error {
 	insns := p.Insns
 	if len(insns) == 0 {
-		return nil, fmt.Errorf("%w: empty program", ErrVerifier)
+		return fmt.Errorf("%w: empty program", ErrVerifier)
 	}
 	if len(insns) > MaxProgInsns {
-		return nil, fmt.Errorf("%w: program too large: %d insns", ErrVerifier, len(insns))
+		return fmt.Errorf("%w: program too large: %d insns", ErrVerifier, len(insns))
 	}
 
-	an := &progAnalysis{leaders: make([]bool, len(insns))}
-	an.leaders[0] = true
-
-	// Pass 1: structural checks, collecting block leaders as a side effect.
+	// Pass 1: structural checks.
 	for pc, in := range insns {
 		if in.Dst >= numRegisters || in.Src >= numRegisters {
-			return nil, verr(pc, "bad register (dst=%d src=%d)", in.Dst, in.Src)
+			return verr(pc, "bad register (dst=%d src=%d)", in.Dst, in.Src)
 		}
 		if in.Op == OpInvalid || in.Op > OpExit {
-			return nil, verr(pc, "invalid opcode %d", in.Op)
+			return verr(pc, "invalid opcode %d", in.Op)
 		}
 		if in.Op.writesDst() && in.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return verr(pc, "write to frame pointer r10")
 		}
 		switch in.Op {
 		case OpLoad, OpStore, OpStoreImm, OpAtomicAdd:
 			switch in.Size {
 			case B, H, W, DW:
 			default:
-				return nil, verr(pc, "bad access size %d", in.Size)
+				return verr(pc, "bad access size %d", in.Size)
 			}
 		case OpDivImm, OpModImm:
 			if in.Imm == 0 {
-				return nil, verr(pc, "division by zero immediate")
+				return verr(pc, "division by zero immediate")
 			}
 		case OpCall:
 			if !knownHelper(HelperID(in.Imm)) {
-				return nil, verr(pc, "unknown helper %d", in.Imm)
+				return verr(pc, "unknown helper %d", in.Imm)
 			}
 		case OpLoadMapFD:
 			if k.mapByFD(int(in.Imm)) == nil {
-				return nil, verr(pc, "reference to unknown map fd %d", in.Imm)
+				return verr(pc, "reference to unknown map fd %d", in.Imm)
 			}
 		}
 		if in.Op.isJump() {
 			t := pc + 1 + int(in.Off)
 			if t < 0 || t >= len(insns) {
-				return nil, verr(pc, "jump target %d out of range", t)
+				return verr(pc, "jump target %d out of range", t)
 			}
-			an.leaders[t] = true
-		}
-		if (in.Op.isJump() || in.Op == OpExit) && pc+1 < len(insns) {
-			an.leaders[pc+1] = true
 		}
 	}
 
 	// Pass 2: every path from the entry must be able to reach an exit, and
 	// fall-through past the last instruction is forbidden.
 	if err := checkTermination(insns); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Pass 3: registers must be initialized before use. Worklist dataflow
 	// over a bitmask of initialized registers; entry has R1 (context) and
 	// R10 (frame pointer) live.
-	if err := checkInit(insns); err != nil {
-		return nil, err
-	}
-	return an, nil
+	return checkInit(insns)
 }
 
 // checkTermination verifies no control flow can run off the end of the

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -217,4 +218,261 @@ func TestLoadAssignsDistinctFDs(t *testing.T) {
 	if a.FD() < 3 {
 		t.Fatal("fds 0-2 are reserved")
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Fuzzing: whatever the verifier accepts must run to an outcome.
+
+const (
+	fuzzArrayFD = 3
+	fuzzHashFD  = 4
+)
+
+// newFuzzKernel returns a kernel with the standard fuzz maps: an array map
+// at fuzzArrayFD and a hash map at fuzzHashFD, both pre-populated.
+func newFuzzKernel(t testing.TB) *Kernel {
+	t.Helper()
+	k := NewKernel()
+	array, err := k.CreateMap(MapSpec{Name: "fuzz_array", Type: MapTypeArray, KeySize: 4, ValueSize: 8, MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := k.CreateMap(MapSpec{Name: "fuzz_hash", Type: MapTypeHash, KeySize: 4, ValueSize: 8, MaxEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if array.FD() != fuzzArrayFD || hash.FD() != fuzzHashFD {
+		t.Fatalf("fuzz map fds %d,%d; want %d,%d", array.FD(), hash.FD(), fuzzArrayFD, fuzzHashFD)
+	}
+	for i := 0; i < 8; i++ {
+		if err := array.Update(U32Key(uint32(i)), U64Value(uint64(i)*0x0101)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := hash.Update(U32Key(uint32(i)), U64Value(uint64(i)+7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return k
+}
+
+var fuzzALUOps = []Op{
+	OpAddReg, OpAddImm, OpSubReg, OpSubImm, OpMulReg, OpMulImm,
+	OpDivReg, OpDivImm, OpModReg, OpModImm,
+	OpAndReg, OpAndImm, OpOrReg, OpOrImm, OpXorReg, OpXorImm,
+	OpLshReg, OpLshImm, OpRshReg, OpRshImm, OpArshReg, OpArshImm,
+	OpNeg, OpMovReg, OpMovImm,
+}
+
+var fuzzJumpOps = []Op{
+	OpJa, OpJeqReg, OpJeqImm, OpJneReg, OpJneImm, OpJgtReg, OpJgtImm,
+	OpJgeReg, OpJgeImm, OpJltReg, OpJltImm, OpJleReg, OpJleImm,
+	OpJsgtReg, OpJsgtImm,
+}
+
+var fuzzSizes = []Size{B, H, W, DW}
+
+// genParityProgram turns fuzz bytes into a structured program: a prologue
+// saving the ctx and packet bounds and initializing r0–r5, then a sequence
+// of "units" (ALU ops, stack and packet accesses, map helper blocks,
+// jumps), then exit. Jumps land only on unit boundaries, where the
+// register-init state is uniform, so generated programs pass the verifier
+// instead of being rejected for reading a helper-clobbered register.
+func genParityProgram(seed []byte) *Program {
+	var insns []Insn
+	var units []int     // start pc of each unit
+	var jumps []int     // insn index of each jump needing fixup
+	var jumpUnit []int  // unit ordinal of each jump
+	var jumpAhead []int // how many units forward each jump wants to go
+
+	// Prologue: R6=ctx, R7=data, R8=data_end, r0..r5 = deterministic values.
+	insns = append(insns,
+		Mov64Reg(R6, R1),
+		LoadMem(R7, R6, 0, DW),
+		LoadMem(R8, R6, 8, DW),
+	)
+	for r := Register(0); r <= R5; r++ {
+		insns = append(insns, Mov64Imm(r, int64(r)*0x9E37+1))
+	}
+
+	at := 0
+	nextByte := func() byte {
+		if at >= len(seed) {
+			return 0
+		}
+		b := seed[at]
+		at++
+		return b
+	}
+	reinit := func() {
+		for r := R1; r <= R5; r++ {
+			insns = append(insns, Mov64Imm(r, int64(r)*31))
+		}
+	}
+
+	nUnits := len(seed) / 3
+	if nUnits > 80 {
+		nUnits = 80
+	}
+	for u := 0; u < nUnits; u++ {
+		units = append(units, len(insns))
+		sel, a, b := nextByte(), nextByte(), nextByte()
+		dst := Register(a) % 6
+		src := Register(a>>4) % 6
+		switch sel % 8 {
+		case 0, 1, 2: // ALU
+			op := fuzzALUOps[int(b)%len(fuzzALUOps)]
+			imm := int64(int8(b)) | 1 // nonzero: keep div/mod-by-imm verifiable
+			insns = append(insns, Insn{Op: op, Dst: dst, Src: src, Imm: imm})
+		case 3: // stack store + load back
+			size := fuzzSizes[int(b)%len(fuzzSizes)]
+			off := int16(-(int(b)%500 + int(size)))
+			insns = append(insns,
+				StoreMem(R10, off, dst, size),
+				LoadMem(src, R10, off, size),
+			)
+		case 4: // packet access; may fault out of bounds (parity either way)
+			size := fuzzSizes[int(b)%len(fuzzSizes)]
+			off := int16(int(b) % 40)
+			if b&0x80 != 0 {
+				insns = append(insns, StoreMem(R7, off, dst, size))
+			} else {
+				insns = append(insns, LoadMem(dst, R7, off, size))
+			}
+		case 5: // jump to a later unit boundary
+			op := fuzzJumpOps[int(b)%len(fuzzJumpOps)]
+			in := Insn{Op: op, Dst: dst, Src: src, Imm: int64(int8(b))}
+			jumps = append(jumps, len(insns))
+			jumpUnit = append(jumpUnit, u)
+			jumpAhead = append(jumpAhead, 1+int(b>>5))
+			insns = append(insns, in)
+		case 6: // array map lookup + atomic add
+			insns = append(insns,
+				StoreImm(R10, -4, int64(b%10), W), // sometimes out of range → null
+				LoadMapFD(R1, fuzzArrayFD),
+				Mov64Reg(R2, R10),
+				Add64Imm(R2, -4),
+				Call(HelperMapLookupElem),
+				JeqImm(R0, 0, 2),
+				Mov64Imm(R2, int64(a)+1),
+				AtomicAdd(R0, 0, R2, DW),
+			)
+			reinit()
+		case 7: // hash map update or delete
+			if b&1 == 0 {
+				insns = append(insns,
+					StoreImm(R10, -4, int64(b%6), W),
+					StoreImm(R10, -16, int64(a)<<8|int64(b), DW),
+					LoadMapFD(R1, fuzzHashFD),
+					Mov64Reg(R2, R10),
+					Add64Imm(R2, -4),
+					Mov64Reg(R3, R10),
+					Add64Imm(R3, -16),
+					Mov64Imm(R4, 0),
+					Call(HelperMapUpdateElem),
+				)
+			} else {
+				insns = append(insns,
+					StoreImm(R10, -4, int64(b%6), W),
+					LoadMapFD(R1, fuzzHashFD),
+					Mov64Reg(R2, R10),
+					Add64Imm(R2, -4),
+					Call(HelperMapDeleteElem),
+				)
+			}
+			reinit()
+		}
+	}
+
+	// Final unit: exit (R0 is always initialized after the prologue).
+	units = append(units, len(insns))
+	insns = append(insns, Exit())
+
+	// Fix up jumps: forward-only, onto unit boundaries, clamped at the
+	// exit. Forward-only control flow guarantees termination.
+	for i, pc := range jumps {
+		tu := jumpUnit[i] + jumpAhead[i]
+		if tu >= len(units) {
+			tu = len(units) - 1
+		}
+		insns[pc].Off = int16(units[tu] - pc - 1)
+	}
+	return &Program{Name: "fuzz_parity", Type: ProgTypeSKMsg, Insns: insns}
+}
+
+// FuzzVerifiedProgramsTerminate: arbitrary wire bytes that decode and pass
+// the verifier must run to a verdict or a classified fault within the
+// instruction budget — never panic, never overrun MaxRuntimeInsns, never
+// resize the packet. The corpus starts from the structured generator's
+// programs, so the fuzzer mutates from programs the verifier accepts.
+func FuzzVerifiedProgramsTerminate(f *testing.F) {
+	var progs [][]Insn
+	for _, seed := range [][]byte{
+		bytes.Repeat([]byte{0, 0x12, 0x34}, 30), // ALU
+		bytes.Repeat([]byte{3, 0x21, 0x47}, 30), // stack traffic
+		bytes.Repeat([]byte{4, 0x05, 0x83}, 30), // packet loads/stores
+		bytes.Repeat([]byte{4, 0x05, 0xBF}, 30), // packet faults
+		bytes.Repeat([]byte{5, 0x31, 0x62}, 30), // jump-heavy
+		bytes.Repeat([]byte{6, 0x44, 0x09}, 30), // array map + atomics
+		bytes.Repeat([]byte{7, 0x52, 0x06}, 30), // hash updates/deletes
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+			13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}, // mixed
+		bytes.Repeat([]byte{2, 0x06, 0x07}, 30), // div/mod by register (may fault)
+	} {
+		progs = append(progs, genParityProgram(seed).Insns)
+	}
+	// Two helper faults the generator cannot reach: a fib_lookup params block
+	// declared shorter than the helper reads, and a map handle forged by
+	// arithmetic that names no map.
+	progs = append(progs,
+		[]Insn{Mov64Reg(R2, R10), Add64Imm(R2, -12), Mov64Imm(R3, 4), Mov64Imm(R4, 0), Call(HelperFibLookup), Exit()},
+		[]Insn{Mov64Imm(R1, 0xEB9F), Lsh64Imm(R1, 48), {Op: OpOrImm, Dst: R1, Imm: 9},
+			Mov64Reg(R2, R10), Add64Imm(R2, -4), Call(HelperMapLookupElem), Exit()})
+	for _, insns := range progs {
+		wire, err := MarshalInsns(insns)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+
+	faults := []error{ErrOutOfBounds, ErrBudget, ErrDivByZero, ErrBadMapHandle, errPCOutOfRange}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		insns, err := UnmarshalInsns(wire)
+		if err != nil {
+			return
+		}
+		k := newFuzzKernel(t)
+		lp, err := k.Load(&Program{Name: "fuzz_wire", Type: ProgTypeSKMsg, Insns: insns})
+		if err != nil {
+			if !errors.Is(err, ErrVerifier) {
+				t.Fatalf("load failed outside the verifier: %v", err)
+			}
+			return
+		}
+		pkt := make([]byte, 32)
+		for i := range pkt {
+			pkt[i] = byte(i * 7)
+		}
+		res, err := k.Run(lp, pkt, 1, nil)
+		if len(pkt) != 32 {
+			t.Fatalf("packet resized to %d bytes", len(pkt))
+		}
+		if res.Insns < 1 || res.Insns > MaxRuntimeInsns {
+			t.Fatalf("ran %d instructions, budget %d", res.Insns, MaxRuntimeInsns)
+		}
+		if err == nil {
+			return
+		}
+		for _, f := range faults {
+			if errors.Is(err, f) {
+				if f == ErrBudget && res.Insns != MaxRuntimeInsns {
+					t.Fatalf("ErrBudget after %d instructions, want %d", res.Insns, MaxRuntimeInsns)
+				}
+				return
+			}
+		}
+		t.Fatalf("unclassified run error: %v", err)
+	})
 }

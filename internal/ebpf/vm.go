@@ -47,7 +47,7 @@ var (
 )
 
 // Pre-built fault errors. Faults are returned from inside the execution hot
-// loop (interpreted or compiled), so they must not allocate: a program that
+// loop, so they must not allocate: a program that
 // faults on every run would otherwise turn the 0 allocs/op guarantee into a
 // per-fault fmt.Errorf. The sentinels carry the fault class; the faulting
 // address is diagnosable from the program counter in Result.Insns.
@@ -124,13 +124,6 @@ type execState struct {
 
 	// msgData is the SK_MSG payload (for msg_redirect_map delivery).
 	msgData []byte
-
-	// JIT bookkeeping. blockBase is the dynamic instruction count at entry
-	// to the currently executing compiled block (so a faulting instruction
-	// can rewind Result.Insns to its exact position), and jitErr carries a
-	// fault out of a compiled closure chain to the block driver.
-	blockBase int
-	jitErr    error
 
 	// stripe is the run-counter stripe this pooled state counts on; fixed
 	// when the state is first made (runStripe).
@@ -271,18 +264,8 @@ func atomicAddBytes(b []byte, size Size, delta uint64) {
 
 // run interprets the program until exit, error, or budget exhaustion.
 func (st *execState) run() (Result, error) {
-	return st.runFrom(0)
-}
-
-// runFrom interprets the program starting at pc, against the exec state's
-// current registers, stack and map-value table. Besides backing run, it is
-// the bail-out continuation for compiled programs: when a closure-chain
-// block cannot guarantee exact per-instruction budget accounting (the run
-// is within one block of MaxRuntimeInsns), the block driver hands the
-// machine state back to the interpreter here, which finishes the run with
-// the canonical per-instruction semantics.
-func (st *execState) runFrom(pc int) (Result, error) {
 	insns := st.prog.prog.Insns
+	pc := 0
 	for {
 		if st.res.Insns >= MaxRuntimeInsns {
 			return st.res, ErrBudget
@@ -467,7 +450,7 @@ func (st *execState) mapFromHandle(v uint64) (*Map, error) {
 	}
 	m := st.kernel.mapByFD(fd)
 	if m == nil {
-		return nil, fmt.Errorf("ebpf: no map with fd %d", fd)
+		return nil, fmt.Errorf("%w: no map with fd %d", ErrBadMapHandle, fd)
 	}
 	return m, nil
 }

@@ -120,6 +120,73 @@ func TestVMInfiniteLoopHitsBudget(t *testing.T) {
 	}
 }
 
+// TestVMBudgetAndFaultCounts pins where a run stops and what it reports,
+// as numbers: the budget fires at exactly MaxRuntimeInsns — a loop one
+// instruction under it completes — and every fault class carries its
+// sentinel and the count of instructions up to and including the faulting
+// one. Kernel.Stats, the fast paths' countPath and the parity fuzz all rest
+// on these counts.
+func TestVMBudgetAndFaultCounts(t *testing.T) {
+	loop := func(n int64) *Program { // 2n+3 instructions when it completes
+		return retProg(
+			Mov64Imm(R1, n),
+			Sub64Imm(R1, 1),
+			JneImm(R1, 0, -2),
+			Mov64Imm(R0, 7),
+			Exit(),
+		)
+	}
+	cases := []struct {
+		name      string
+		p         *Program
+		wantErr   error
+		wantInsns int
+		wantRet   int64
+	}{
+		{"loop of 4", loop(4), nil, 11, 7},
+		{"loop one instruction under the budget", loop(524286), nil, 1048575, 7},
+		{"loop one instruction over the budget", loop(524287), ErrBudget, 1048576, 0},
+		{"loop far over the budget", loop(1 << 20), ErrBudget, 1048576, 0},
+		{"stack load out of bounds", retProg(
+			LoadMem(R0, R10, -(StackSize+8), DW),
+			Exit(),
+		), ErrOutOfBounds, 1, 0},
+		{"packet store beyond the frame", retProg(
+			LoadMem(R2, R1, 0, DW),
+			StoreImm(R2, 100, 1, B),
+			Mov64Imm(R0, 0),
+			Exit(),
+		), ErrOutOfBounds, 2, 0},
+		{"divide by a zero register", retProg(
+			Mov64Imm(R1, 0),
+			Mov64Imm(R0, 9),
+			Insn{Op: OpDivReg, Dst: R0, Src: R1},
+			Exit(),
+		), ErrDivByZero, 3, 0},
+		{"helper on a non-handle register", retProg(
+			Mov64Imm(R1, 5),
+			Mov64Reg(R2, R10),
+			Add64Imm(R2, -4),
+			StoreImm(R10, -4, 0, W),
+			Call(HelperMapLookupElem),
+			Exit(),
+		), ErrBadMapHandle, 5, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel()
+			res, err := loadAndRun(t, k, c.p, make([]byte, 16))
+			if !errors.Is(err, c.wantErr) || res.Insns != c.wantInsns || res.Ret != c.wantRet {
+				t.Fatalf("got ret %d after %d insns, %v; want ret %d after %d insns, %v",
+					res.Ret, res.Insns, err, c.wantRet, c.wantInsns, c.wantErr)
+			}
+			if runs, insns := k.Stats(); runs != 1 || insns != uint64(c.wantInsns) {
+				t.Fatalf("kernel stats (%d runs, %d insns), want (1, %d)", runs, insns, c.wantInsns)
+			}
+		})
+	}
+}
+
 func TestVMDivByZeroRegister(t *testing.T) {
 	k := NewKernel()
 	p := retProg(

@@ -1,9 +1,9 @@
 package experiment
 
 import (
-	"github.com/spright-go/spright/internal/mesh"
 	"github.com/spright-go/spright/internal/metrics"
 	"github.com/spright-go/spright/internal/platform"
+	"github.com/spright-go/spright/internal/sidecar"
 	"github.com/spright-go/spright/internal/sim"
 	"github.com/spright-go/spright/internal/workload"
 )
@@ -18,7 +18,7 @@ const (
 )
 
 type fig2Result struct {
-	profile mesh.Profile
+	profile sidecar.Profile
 	rps     float64
 	lat     float64 // seconds
 	nginx   float64 // cycles/request
@@ -26,7 +26,7 @@ type fig2Result struct {
 	kernel  float64
 }
 
-func runFig2(p mesh.Profile) fig2Result {
+func runFig2(p sidecar.Profile) fig2Result {
 	eng := sim.NewEngine()
 	cfg := platform.DefaultConfig()
 	pod := sim.NewCPUSet(eng, "pod", fig2PodCores, 0)
@@ -73,15 +73,15 @@ func Fig2() *Report {
 	rb.printf("%-7s %10s %12s %16s %16s %16s\n",
 		"proxy", "RPS", "avg lat(ms)", "sidecar Mcyc", "NGINX Mcyc", "kernel Mcyc")
 	var null fig2Result
-	for _, p := range mesh.All() {
+	for _, p := range sidecar.All() {
 		r := runFig2(p)
-		if p.Kind == mesh.Null {
+		if p.Kind == sidecar.Null {
 			null = r
 		}
 		rb.printf("%-7s %10.0f %12.3f %16.2f %16.2f %16.2f\n",
 			p.Name, r.rps, r.lat*1e3, r.sidecar/1e6, r.nginx/1e6, r.kernel/1e6)
-		key := map[mesh.Kind]string{
-			mesh.Null: "null", mesh.QueueProxy: "qp", mesh.Envoy: "envoy", mesh.OFWatchdog: "ofw",
+		key := map[sidecar.Kind]string{
+			sidecar.Null: "null", sidecar.QueueProxy: "qp", sidecar.Envoy: "envoy", sidecar.OFWatchdog: "ofw",
 		}[p.Kind]
 		rb.set(key+"_rps", r.rps)
 		rb.set(key+"_lat_ms", r.lat*1e3)

@@ -114,6 +114,36 @@ func TestDeleteChainReleasesPrefix(t *testing.T) {
 	}
 }
 
+// TestClosedChainReleasesEBPFState: a chain that is deployed and deleted
+// leaves nothing in its node's eBPF kernel — the map registry and the
+// loaded/compiled program gauges end where they started, however many chains
+// have come and gone.
+func TestClosedChainReleasesEBPFState(t *testing.T) {
+	cl := NewCluster(1)
+	k := cl.Nodes()[0].Kernel
+	maps0, es0 := k.MapCount(), k.EngineStats()
+	for i := 0; i < 50; i++ {
+		d, err := cl.Controller.DeployChain(upperSpec("churn"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Gateway.Invoke(context.Background(), "", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if es := k.EngineStats(); es.Loaded != es0.Loaded+2 || es.Compiled != es0.Compiled+2 {
+			t.Fatalf("deploy %d: program gauges %+v, want two above %+v", i, es, es0)
+		}
+		if err := cl.Controller.DeleteChain("churn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	es := k.EngineStats()
+	if maps := k.MapCount(); maps != maps0 || es.Loaded != es0.Loaded || es.Compiled != es0.Compiled {
+		t.Fatalf("after 50 deploy/delete rounds: %d maps, %d loaded, %d compiled; started at %d, %d, %d",
+			maps, es.Loaded, es.Compiled, maps0, es0.Loaded, es0.Compiled)
+	}
+}
+
 func TestIngressGatewayRoutesByChain(t *testing.T) {
 	cl := NewCluster(1)
 	d1, err := cl.Controller.DeployChain(upperSpec("alpha"))

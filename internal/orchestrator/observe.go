@@ -613,18 +613,19 @@ func completedTraceData(c *core.Chain, limit int) []obs.TraceData {
 }
 
 // collectNode snapshots one worker node's eBPF kernel engine counters: how
-// many program executions ran on the compiled engines versus the
-// interpreter oracle, and how many loaded programs compiled. A healthy
-// dataplane shows runs_total{engine="interp"} near zero — interpreter runs
-// in steady state mean a program fell back (see
-// LoadedProgram.FallbackReason) or the JIT was switched off.
+// many program executions took a shape-specialized fast path (the engine
+// label keeps its historical value "jit") versus the interpreter, and how
+// many loaded programs have a fast path. A healthy dataplane shows
+// runs_total{engine="interp"} near zero — interpreter runs in steady state
+// mean a program fell back (see LoadedProgram.FallbackReason) or the fast
+// paths were switched off.
 func collectNode(n *WorkerNode) []obs.Family {
 	es := n.Kernel.EngineStats()
 	node := n.Name
 	return []obs.Family{
 		{
 			Name: "spright_ebpf_runs_total",
-			Help: "eBPF program executions by engine (jit: compiled closure chain or shape-specialized fast path; interp: bytecode interpreter).",
+			Help: "eBPF program executions by engine (jit: shape-specialized SPROXY/EPROXY fast path; interp: bytecode interpreter).",
 			Type: obs.Counter,
 			Samples: []obs.Sample{
 				{Labels: obs.L("engine", "jit", "node", node), Value: float64(es.JITRuns)},
@@ -632,10 +633,10 @@ func collectNode(n *WorkerNode) []obs.Family {
 			},
 		},
 		obs.GaugeFamily("spright_ebpf_loaded_programs",
-			"Programs loaded into the node's eBPF kernel.",
+			"Programs currently loaded into the node's eBPF kernel.",
 			obs.L("node", node), float64(es.Loaded)),
 		obs.GaugeFamily("spright_ebpf_compiled_programs",
-			"Loaded programs that compiled to a native engine (rest run on the interpreter).",
+			"Loaded programs with a shape-specialized fast path (the rest run on the interpreter).",
 			obs.L("node", node), float64(es.Compiled)),
 	}
 }

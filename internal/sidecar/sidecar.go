@@ -1,11 +1,11 @@
-// Package mesh models the service-mesh sidecar proxies compared in Fig. 2:
+// Package sidecar models the service-mesh sidecar proxies compared in Fig. 2:
 // Knative's queue proxy, Istio's Envoy sidecar, and OpenFaaS's of-watchdog,
 // against a sidecar-less baseline ("Null"). Each profile states the
 // per-request CPU cycles the sidecar adds in user space and in the kernel
 // (its extra socket traversals), calibrated so the Fig. 2 magnitudes hold:
 // a sidecar multiplies per-request cycles by 3–7× and the sidecar path's
 // kernel share is roughly half.
-package mesh
+package sidecar
 
 import "github.com/spright-go/spright/internal/cost"
 

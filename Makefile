@@ -71,12 +71,13 @@ race:
 # the gateway), the reply into a closed gateway socket
 # (TestHandoffReplyInto…), requests finished by whoever takes their pending
 # entry (Gateway.Close, abandonment racing completion, the remote Deadline
-# armed inside the table's lock), the copy-on-write routing/filter/topic/ring
+# armed inside the table's lock), every gateway door through the one start
+# (TestGatewayStart…), the copy-on-write routing/filter/topic/ring
 # tables, the pool's bulk get/put — and of the transport's slot stack and
 # receive framing ten times under the race detector: one pass of `race` can
 # miss the interleavings these protocols exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # and the twelve-hop local chain that in both modes must also stay on one

@@ -141,3 +141,49 @@ func TestIngestRawMalformed(t *testing.T) {
 		t.Fatalf("want ErrMalformed, got %v", err)
 	}
 }
+
+// FuzzIngestRaw feeds untrusted bytes to the gateway's raw door under each of
+// the four §3.6 adapters, on the echo chain: whatever the bytes decode to — a
+// request, a fire-and-forget event, a handshake the gateway answers itself,
+// or nothing — IngestRaw returns without panicking, leaves no pending entry
+// behind, and gives every buffer back (testChain's LeakCheck at teardown).
+func FuzzIngestRaw(f *testing.F) {
+	protocols := []string{"http", "mqtt", "coap", "cloudevents"}
+	event, err := proto.MarshalCloudEvent(&proto.CloudEvent{
+		SpecVersion: "1.0", ID: "1", Source: "fuzz", Type: "x", Data: []byte("ev"),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{
+		proto.MarshalHTTPRequest(&proto.Message{Method: "POST", Path: "/echo",
+			Headers: map[string]string{"X-Topic": "t"}, Body: []byte("abc")}),
+		proto.MarshalMQTTConnect("c1"),
+		proto.MarshalMQTTPublish("motion/hall", []byte("ON")),
+		proto.MarshalCoAP(proto.CoAPPost, 7, "park/1", []byte("img")),
+		event,
+	}
+	for sel := range protocols {
+		for _, raw := range seeds {
+			f.Add(uint8(sel), raw)
+		}
+	}
+	c, g := testChain(f, ModeEvent, echoSpec())
+	g.Adapters().Attach(MQTTAdapter{})
+	g.Adapters().Attach(CoAPAdapter{})
+	g.Adapters().Attach(CloudEventAdapter{})
+	f.Fuzz(func(t *testing.T, sel uint8, raw []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := g.IngestRaw(ctx, protocols[int(sel)%len(protocols)], raw)
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("the request never ended: %v", err)
+		}
+		if n := g.Pending(); n != 0 {
+			t.Fatalf("%d pending entries after IngestRaw returned (%v)", n, err)
+		}
+		if n, errs := c.Errors(); n != 0 {
+			t.Fatalf("the chain recorded %v", errs)
+		}
+	})
+}

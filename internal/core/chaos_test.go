@@ -388,14 +388,14 @@ func TestEProxyPublishesFailureCounters(t *testing.T) {
 	inj := fault.New(6).Add(fault.Rule{Op: fault.OpPanic, Function: "echo", MaxCount: 1})
 	spec := echoSpec()
 	spec.Injector = inj
-	_, g := testChain(t, ModeEvent, spec)
+	c, g := testChain(t, ModeEvent, spec)
 
 	if _, err := g.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, ErrHandlerPanic) {
 		t.Fatalf("want ErrHandlerPanic, got %v", err)
 	}
-	g.Stats() // the scrape publishes to the failure metrics map
-	fs := g.EProxy().FailureStats()
+	// What a scrape reads: the chain's own counters, no publish step between.
+	fs := c.Failures()
 	if fs.Crashes != 1 || fs.FaultsInjected != 1 {
-		t.Fatalf("eproxy failure map %+v, want crashes=1 injected=1", fs)
+		t.Fatalf("chain failure counters %+v, want crashes=1 injected=1", fs)
 	}
 }

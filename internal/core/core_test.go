@@ -12,7 +12,7 @@ import (
 	"github.com/spright-go/spright/internal/shm"
 )
 
-func testChain(t *testing.T, mode Mode, spec ChainSpec) (*Chain, *Gateway) {
+func testChain(t testing.TB, mode Mode, spec ChainSpec) (*Chain, *Gateway) {
 	t.Helper()
 	spec.Mode = mode
 	if spec.Name == "" {

@@ -14,10 +14,9 @@ import (
 // arriving requests, so idle CPU cost is zero — the property that lets
 // SPRIGHT keep functions warm for free (§4.2.2).
 type EProxy struct {
-	kernel  *ebpf.Kernel
-	prog    *ebpf.LoadedProgram
-	l3map   *ebpf.Map
-	failmap *ebpf.Map
+	kernel *ebpf.Kernel
+	prog   *ebpf.LoadedProgram
+	l3map  *ebpf.Map
 
 	mu       sync.Mutex
 	lastPkts uint64
@@ -30,31 +29,11 @@ const (
 	l3SlotBytes   = 1
 )
 
-// Failure-counter slots in the failure metrics map, published by the
-// gateway's metrics agent so the recovery paths are observable alongside
-// the L3/L7 counters.
-const (
-	failSlotCrashes = iota
-	failSlotRetries
-	failSlotCircuitOpens
-	failSlotReclaimed
-	failSlotDeadlines
-	failSlotInjected
-	numFailSlots
-)
-
 // NewEProxy creates the L3 metrics map and loads the monitor program.
 func NewEProxy(kernel *ebpf.Kernel, chain string) (*EProxy, error) {
 	l3, err := kernel.CreateMap(ebpf.MapSpec{
 		Name: chain + "_l3_metrics", Type: ebpf.MapTypeArray,
 		KeySize: 4, ValueSize: 8, MaxEntries: 4,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fm, err := kernel.CreateMap(ebpf.MapSpec{
-		Name: chain + "_failure_metrics", Type: ebpf.MapTypeArray,
-		KeySize: 4, ValueSize: 8, MaxEntries: numFailSlots,
 	})
 	if err != nil {
 		return nil, err
@@ -67,16 +46,16 @@ func NewEProxy(kernel *ebpf.Kernel, chain string) (*EProxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &EProxy{kernel: kernel, prog: lp, l3map: l3, failmap: fm, lastTime: time.Now()}, nil
+	return &EProxy{kernel: kernel, prog: lp, l3map: l3, lastTime: time.Now()}, nil
 }
 
 // Close releases the gateway's eBPF state: the monitor program is counted
-// out of the kernel's gauges and both maps leave its registry. The counters
+// out of the kernel's gauges and its map leaves the registry. The counters
 // stay readable through the EProxy. Gateway.Close calls it once, after the
 // metrics agent has stopped.
 func (e *EProxy) Close() {
 	e.kernel.Unload(e.prog)
-	e.kernel.RemoveMaps(e.l3map, e.failmap)
+	e.kernel.RemoveMaps(e.l3map)
 }
 
 // buildEProxyProgram assembles the XDP-type monitor: packets++ and
@@ -135,42 +114,6 @@ func (e *EProxy) L3Stats() (packets, bytes uint64) {
 		bytes = ebpf.U64FromValue(v)
 	}
 	return packets, bytes
-}
-
-// PublishFailures writes the chain's failure counters into the failure
-// metrics map — the userspace half of the metrics agent, mirroring how
-// the gateway exposes kernel-side counters to the metrics server.
-func (e *EProxy) PublishFailures(fs FailureStats) {
-	for slot, v := range map[uint32]uint64{
-		failSlotCrashes:      fs.Crashes,
-		failSlotRetries:      fs.Retries,
-		failSlotCircuitOpens: fs.CircuitOpens,
-		failSlotReclaimed:    fs.Reclaimed,
-		failSlotDeadlines:    fs.DeadlinesExceeded,
-		failSlotInjected:     fs.FaultsInjected,
-	} {
-		_ = e.failmap.Update(ebpf.U32Key(slot), ebpf.U64Value(v))
-	}
-}
-
-// FailureStats reads the published failure counters back out of the map
-// (what an external metrics scraper would observe).
-func (e *EProxy) FailureStats() FailureStats {
-	read := func(slot uint32) uint64 {
-		v, err := e.failmap.Lookup(ebpf.U32Key(slot))
-		if err != nil {
-			return 0
-		}
-		return ebpf.U64FromValue(v)
-	}
-	return FailureStats{
-		Crashes:           read(failSlotCrashes),
-		Retries:           read(failSlotRetries),
-		CircuitOpens:      read(failSlotCircuitOpens),
-		Reclaimed:         read(failSlotReclaimed),
-		DeadlinesExceeded: read(failSlotDeadlines),
-		FaultsInjected:    read(failSlotInjected),
-	}
 }
 
 // ScrapeRate is the metrics agent: it returns the packet rate since the

@@ -128,10 +128,9 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	// requests parked on a zero-replica function.
 	c.setScaleNotifier(g.wakeParked)
 	// The metrics agent (§3.3): a per-chain goroutine that periodically
-	// publishes failure counters into the EPROXY map, refreshes the
-	// packet-rate sample the metrics server scrapes for autoscaling, and
-	// fires the agent-tick hook (SLO watchdog). Polling-mode chains have no
-	// EPROXY but still run the agent for the hook.
+	// refreshes the packet-rate sample the metrics server scrapes for
+	// autoscaling and fires the agent-tick hook (SLO watchdog). Polling-mode
+	// chains have no EPROXY but still run the agent for the hook.
 	if c.scrapeEvery > 0 {
 		g.wg.Add(1)
 		go g.metricsAgent(c.scrapeEvery)
@@ -139,8 +138,8 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	return g, nil
 }
 
-// metricsAgent drives EProxy.PublishFailures and ScrapeRate on a ticker
-// until the gateway closes, then fires the agent-tick hook.
+// metricsAgent drives EProxy.ScrapeRate and the agent-tick hook on a ticker
+// until the gateway closes.
 func (g *Gateway) metricsAgent(every time.Duration) {
 	defer g.wg.Done()
 	tick := time.NewTicker(every)
@@ -151,7 +150,6 @@ func (g *Gateway) metricsAgent(every time.Duration) {
 			return
 		case <-tick.C:
 			if g.eprox != nil {
-				g.eprox.PublishFailures(g.chain.Failures())
 				g.lastRate.Store(math.Float64bits(g.eprox.ScrapeRate()))
 			}
 			g.agentTickMu.RLock()
@@ -379,13 +377,14 @@ func (g *Gateway) settle(w *waiter, body []byte, err error) {
 	}
 	r, origin := w.responder, w.origin
 	g.lat.Observe(uint64(w.caller), time.Since(w.start).Seconds())
-	g.retireRemote(w, err)
+	g.retire(w, err)
 	r.Respond(origin, body, err)
 }
 
-// retireRemote closes the books of a remote-originated request that ended
-// with err (nil: with a reply) and recycles w, which nobody else holds.
-func (g *Gateway) retireRemote(w *waiter, err error) {
+// retire closes the books of a request that ended with err (nil: with a
+// reply) without a caller parked in await — a remote-originated one, or one
+// start turned away — and recycles w, which nobody else holds.
+func (g *Gateway) retire(w *waiter, err error) {
 	if w.timer != nil {
 		w.timer.Stop()
 	}
@@ -395,111 +394,194 @@ func (g *Gateway) retireRemote(w *waiter, err error) {
 	g.putWaiter(w)
 }
 
-// admit writes the payload into the pool and builds the descriptor. It is
-// the backpressure point: pool exhaustion rejects the request. Payloads
-// one buffer cannot hold take the object path (admitLarge).
-func (g *Gateway) admit(topic string, payload []byte, caller uint32) (shm.Descriptor, error) {
-	if len(payload) > g.chain.pool.BufSize() {
-		return g.admitLarge(topic, payload, caller)
-	}
-	h, err := g.chain.pool.Get()
-	if err != nil {
-		g.shed(&g.shedPoolExhausted, ShedPoolExhausted, "")
-		return shm.Descriptor{}, fmt.Errorf("%w: %v", ErrBackpressure, err)
-	}
-	n, err := g.chain.pool.Write(h, payload)
-	if err != nil {
-		g.chain.releaseBuffer(h)
-		g.rejected.Add(1)
-		return shm.Descriptor{}, err
-	}
-	d := shm.Descriptor{Buf: h, Len: uint32(n), Caller: caller}
-	g.chain.pool.SetTopic(d.Buf, topic)
-	if g.eprox != nil {
-		g.eprox.OnIngress(len(payload))
-	}
-	g.admitted.Add(1)
-	return d, nil
+// request is what a gateway door hands to start. Nothing keeps it: it lives
+// on the door's stack.
+type request struct {
+	topic   string
+	payload []byte
+	fn      string           // the first function, if a peer's DFR chose it; else by topic
+	obj     []byte           // the attached object that rode a peer's frame, or nil
+	tc      shm.TraceContext // the trace context the request arrived with
+	lent    bool             // the caller's goroutine may block while the request parks
 }
 
-// admitLarge admits a >BufSize payload via the object tier: one chunked
-// write assembles the payload into a multi-slab object, whose handle rides
-// an otherwise-empty descriptor buffer downstream — handlers read it in
-// place through Ctx.OpenObject. A chain without an object store (or a
-// payload over its per-object cap) is shed with a distinct reason, which
-// ServeHTTP maps to HTTP 413.
-func (g *Gateway) admitLarge(topic string, payload []byte, caller uint32) (shm.Descriptor, error) {
-	st := g.chain.store
-	if st == nil {
-		g.shed(&g.shedPayloadTooLarge, ShedPayloadTooLarge, "")
-		return shm.Descriptor{}, fmt.Errorf("%w: %d bytes > %d-byte buffer (object store disabled)",
-			shm.ErrPayloadTooLarge, len(payload), g.chain.pool.BufSize())
+// start is how every request begins, whichever door it came through: shed or
+// admit it, register w, dispatch to the first function. w is the request's
+// pending entry, nil for a fire-and-forget request. A nil return means the
+// request is under way — or was already given its one outcome by whoever took
+// its entry (Close, the deadline timer), by the normal path: await for a
+// local caller, the Responder for a peer. An error means nothing is left of
+// it — no buffer, no entry — and w is the caller's again.
+func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
+	caller, tc := uint32(NoReply), rq.tc
+	var allocStart time.Time
+	if w == nil && g.isClosed() {
+		return ErrGatewayClosed // no entry for Close to sweep: the flag is read up front
 	}
-	h, err := st.Put("", payload)
-	if err != nil {
-		if errors.Is(err, shm.ErrPayloadTooLarge) {
-			g.shed(&g.shedPayloadTooLarge, ShedPayloadTooLarge, "")
-			return shm.Descriptor{}, err
+	if w != nil {
+		// Overload shed point: beyond MaxPending the gateway refuses load
+		// deliberately (explicit reason + retry-after) instead of letting the
+		// burst blackhole into pool exhaustion mid-scale-up. A remote hop
+		// does not bypass it.
+		if mp := g.admission.MaxPending; mp > 0 && int(g.pending.count.Load()) >= mp {
+			g.shed(&g.shedOverload, ShedOverload, "")
+			return &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
 		}
-		if errors.Is(err, shm.ErrPoolExhausted) {
-			g.shed(&g.shedPoolExhausted, ShedPoolExhausted, "")
-			return shm.Descriptor{}, fmt.Errorf("%w: %v", ErrBackpressure, err)
+		// Head-sampling decision, or adoption of a sampled inbound context (a
+		// peer's frame, WithTraceContext, a parsed traceparent header): same
+		// trace ID, this request's span parented under the upstream one. The
+		// unsampled path gets a zero context back and pays nothing further:
+		// FinishRequest reuses the elapsed time the latency histogram already
+		// needed, so no extra clock reads either.
+		caller, tc = w.caller, shm.TraceContext{}
+		if w.tr = g.chain.currentTracer(); w.tr != nil {
+			tc = w.tr.BeginRequest(caller, rq.tc, w.start)
+			if w.sampled = tc.Sampled(); w.sampled {
+				allocStart = time.Now()
+			}
 		}
-		g.rejected.Add(1)
-		return shm.Descriptor{}, err
 	}
-	buf, err := g.chain.pool.Get()
+	d, err := g.admit(rq, caller)
 	if err != nil {
-		_ = st.Release(h)
-		g.shed(&g.shedPoolExhausted, ShedPoolExhausted, "")
-		return shm.Descriptor{}, fmt.Errorf("%w: %v", ErrBackpressure, err)
-	}
-	// The creator's object reference transfers to the buffer: when the
-	// request's buffer dies, the pool hook releases the object, so request
-	// completion is object completion.
-	if prev := g.chain.pool.SetObjHandle(buf, uint64(h)); prev != 0 {
-		_ = st.Release(objstore.Handle(prev))
-	}
-	// The object IS the payload: downstream stages and the response path
-	// treat it as the message body until a handler writes its own.
-	g.chain.pool.SetObjCarrier(buf, true)
-	d := shm.Descriptor{Buf: buf, Len: 0, Caller: caller}
-	g.chain.pool.SetTopic(d.Buf, topic)
-	if g.eprox != nil {
-		g.eprox.OnIngress(len(payload))
-	}
-	g.admitted.Add(1)
-	return d, nil
-}
-
-// dispatch resolves the head function via DFR and sends the descriptor.
-// When the head function has no routable instance (scale-to-zero) and
-// parking is enabled, the request parks until the control plane resumes
-// capacity instead of failing.
-func (g *Gateway) dispatch(ctx context.Context, topic string, d shm.Descriptor) error {
-	next, ok := g.chain.router.Next(topic, "")
-	if !ok || len(next) == 0 {
-		g.chain.releaseBuffer(d.Buf)
-		return ErrNoHead
-	}
-	// The gateway invokes only the head function (① in Fig. 4); the rest
-	// of the chain routes function-to-function.
-	return g.dispatchAt(ctx, next[0], d)
-}
-
-// dispatchAt sends d directly to fn, parking on scale-to-zero when parking
-// is enabled. On error the buffer has been released. It is dispatch minus
-// the ingress DFR lookup — the entry point for requests whose routing was
-// already resolved, such as frames arriving from a peer node.
-func (g *Gateway) dispatchAt(ctx context.Context, fn string, d shm.Descriptor) error {
-	err := g.dispatchTo(fn, d)
-	if err != nil && errors.Is(err, ErrNoInstance) && g.admission.ParkCapacity > 0 {
-		err = g.parkAndDispatch(ctx, fn, d)
-	}
-	if err != nil {
-		g.chain.releaseBuffer(d.Buf)
 		return err
 	}
+	if tc.Sampled() {
+		if w != nil {
+			w.tr.RecordSpan(caller, Span{
+				Parent: tc.Span, Stage: StageShmAlloc, Function: "gateway",
+				Start: allocStart, End: time.Now(),
+			})
+		}
+		// Install the trace identity in the buffer header before dispatch:
+		// every downstream stage keys off it.
+		g.chain.pool.SetTraceContext(d.Buf, tc)
+	}
+	if w != nil {
+		// From here w belongs to whoever takes the entry. Only a
+		// remote-originated request's chain Deadline is a timer on the entry
+		// (put arms it): nobody waits in await to notice it. Registered
+		// first, closed flag checked second: Close sets the flag and then
+		// sweeps the table, so this request is either swept or sees the flag.
+		var deadline time.Duration
+		if w.responder != nil {
+			deadline = g.chain.deadline
+		}
+		g.pending.put(w, deadline)
+		if g.isClosed() {
+			err = ErrGatewayClosed
+		}
+	}
+	if err == nil {
+		if err = g.dispatch(ctx, rq, d); err == nil {
+			return nil
+		}
+	}
+	g.chain.releaseBuffer(d.Buf)
+	if w != nil {
+		if _, ok := g.pending.take(caller); !ok {
+			return nil // its taker has given, or is giving, the request its outcome
+		}
+	}
+	return err
+}
+
+// admit moves a request into the chain's pool — the one copy in (§3.1) — and
+// builds its descriptor. A payload that fits is written into one buffer. A
+// larger one becomes a multi-slab object in one chunked write, whose handle
+// rides an otherwise empty buffer with the carrier bit set: the object IS the
+// payload, handlers read it in place through Ctx.OpenObject, and downstream
+// stages and the response path treat it as the message body until a handler
+// writes its own. A peer's attached object (rq.obj) is re-materialized as a
+// local object beside an authoritative payload (no carrier bit) — the rider
+// semantics the origin buffer had. Nothing is counted admitted until nothing
+// can refuse any more; every refusal is counted by refuse.
+func (g *Gateway) admit(rq *request, caller uint32) (shm.Descriptor, error) {
+	pool := g.chain.pool
+	body, obj, carrier := rq.payload, rq.obj, false
+	if len(body) > pool.BufSize() {
+		if obj != nil { // a buffer carries one object handle
+			return g.refuse(fmt.Errorf("%w: %d bytes beside an attached object", shm.ErrPayloadTooLarge, len(body)))
+		}
+		body, obj, carrier = nil, body, true
+	}
+	if obj != nil && g.chain.store == nil {
+		return g.refuse(fmt.Errorf("%w: %d-byte object, %d-byte buffer (%w)",
+			shm.ErrPayloadTooLarge, len(obj), pool.BufSize(), ErrObjectsDisabled))
+	}
+	buf, err := pool.Get()
+	if err != nil {
+		// Backpressure whatever the cause: there is no buffer to be had.
+		return g.refuse(fmt.Errorf("%w: %v", ErrBackpressure, err))
+	}
+	n, err := pool.Write(buf, body)
+	if err == nil && obj != nil {
+		var h objstore.Handle
+		if h, err = g.chain.store.Put("", obj); err == nil {
+			// The creator's object reference transfers to the buffer: when
+			// the request's buffer dies, the pool hook releases the object,
+			// so request completion is object completion.
+			if prev := pool.SetObjHandle(buf, uint64(h)); prev != 0 {
+				_ = g.chain.store.Release(objstore.Handle(prev))
+			}
+			pool.SetObjCarrier(buf, carrier)
+		}
+	}
+	if err != nil {
+		g.chain.releaseBuffer(buf)
+		return g.refuse(err)
+	}
+	pool.SetTopic(buf, rq.topic)
+	if g.eprox != nil {
+		g.eprox.OnIngress(len(rq.payload))
+	}
+	g.admitted.Add(1)
+	return shm.Descriptor{Buf: buf, Len: uint32(n), Caller: caller}, nil
+}
+
+// refuse counts one request admission turned away — Rejected plus the one
+// reason its cause names — and returns what the caller is told: pool
+// exhaustion is ErrBackpressure, an object the store will not hold keeps
+// shm.ErrPayloadTooLarge, which ServeHTTP maps to HTTP 413.
+func (g *Gateway) refuse(err error) (shm.Descriptor, error) {
+	if errors.Is(err, shm.ErrPoolExhausted) {
+		err = fmt.Errorf("%w: %v", ErrBackpressure, err)
+	}
+	switch {
+	case errors.Is(err, ErrBackpressure):
+		g.shed(&g.shedPoolExhausted, ShedPoolExhausted, "")
+	case errors.Is(err, shm.ErrPayloadTooLarge):
+		g.shed(&g.shedPayloadTooLarge, ShedPayloadTooLarge, "")
+	default:
+		g.rejected.Add(1)
+	}
+	return shm.Descriptor{}, err
+}
+
+// dispatch invokes the request's first function with d: the head the ingress
+// route names for its topic (① in Fig. 4; the rest of the chain routes
+// function to function), or the one a peer's DFR already resolved. When that
+// function has no routable instance (scale-to-zero) and parking is enabled,
+// the request parks until the control plane resumes capacity instead of
+// failing — on the caller's goroutine if it lent one, else on a goroutine of
+// its own, so a door that must not block never does. The caller owns d's
+// buffer on error.
+func (g *Gateway) dispatch(ctx context.Context, rq *request, d shm.Descriptor) error {
+	fn := rq.fn
+	if fn == "" {
+		next, ok := g.chain.router.Next(rq.topic, "")
+		if !ok || len(next) == 0 {
+			return ErrNoHead
+		}
+		fn = next[0]
+	}
+	err := g.dispatchTo(fn, d)
+	if err == nil || !errors.Is(err, ErrNoInstance) || g.admission.ParkCapacity <= 0 {
+		return err
+	}
+	if rq.lent {
+		return g.park(ctx, fn, d)
+	}
+	go g.parkDetached(fn, d)
 	return nil
 }
 
@@ -513,13 +595,13 @@ func (g *Gateway) dispatchTo(fn string, d shm.Descriptor) error {
 	return g.chain.send(GatewayID, "gateway", fn, d)
 }
 
-// parkAndDispatch parks one admitted request whose head function is at
-// zero replicas, kicks the control plane, and re-attempts dispatch on
-// every capacity wakeup until success, timeout, or cancellation. The
-// caller owns d's buffer on error. The park wait is deadline-aware: it
-// never outlives the request's own context deadline, and a shed parked
-// request is an explicit ShedParkTimeout — not a deadline blackhole.
-func (g *Gateway) parkAndDispatch(ctx context.Context, fn string, d shm.Descriptor) error {
+// park parks one admitted request whose first function is at zero replicas,
+// kicks the control plane, and re-attempts dispatch on every capacity wakeup
+// until success, timeout, or cancellation. The caller owns d's buffer on
+// error. The park wait is deadline-aware: it never outlives the request's own
+// context deadline, and a shed parked request is an explicit ShedParkTimeout —
+// not a deadline blackhole.
+func (g *Gateway) park(ctx context.Context, fn string, d shm.Descriptor) error {
 	if !g.parks.tryAdd(fn) {
 		g.shed(&g.shedParkFull, ShedParkFull, fn)
 		return &OverloadError{Reason: ShedParkFull, RetryAfter: g.admission.RetryAfter}
@@ -569,87 +651,52 @@ func (g *Gateway) parkAndDispatch(ctx context.Context, fn string, d shm.Descript
 	}
 }
 
-// invoke drives one request through the chain and returns its response:
-// in dst when into is set (InvokeInto), in a slice of exactly the response's
-// length otherwise. Either way whoever completed the request wrote it there.
-func (g *Gateway) invoke(ctx context.Context, topic string, payload, dst []byte, into bool) ([]byte, error) {
-	start := time.Now()
-	// Overload shed point: beyond MaxPending the gateway refuses load
-	// deliberately (explicit reason + retry-after) instead of letting the
-	// burst blackhole into pool exhaustion mid-scale-up.
-	if mp := g.admission.MaxPending; mp > 0 && int(g.pending.count.Load()) >= mp {
-		g.shed(&g.shedOverload, ShedOverload, "")
-		return nil, &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
-	}
+// parkDetached is the one goroutine a request may get of its own: it parks a
+// request whose door lent no goroutine, within the chain Deadline. It owns
+// d's buffer until the dispatch succeeds; the request's entry, if it has one,
+// it settles like anyone else, by taking it.
+func (g *Gateway) parkDetached(fn string, d shm.Descriptor) {
+	ctx := context.Background()
 	if dl := g.chain.deadline; dl > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, dl)
 		defer cancel()
 	}
+	if err := g.park(ctx, fn, d); err != nil {
+		g.chain.releaseBuffer(d.Buf)
+		if w, ok := g.pending.take(d.Caller); ok {
+			g.settle(w, nil, err)
+		}
+	}
+}
+
+// invoke drives one request through the chain and returns its response:
+// in dst when into is set (InvokeInto), in a slice of exactly the response's
+// length otherwise. Either way whoever completed the request wrote it there.
+func (g *Gateway) invoke(ctx context.Context, topic string, payload, dst []byte, into bool) ([]byte, error) {
 	w := g.newWaiter()
-	w.dst, w.into = dst, into
-	caller := w.caller
-	g.pending.put(w, 0)
-	// Registered first, checked second: Close sets the flag and then sweeps
-	// the pending table, so this request is either swept or sees the flag.
-	if g.isClosed() {
-		g.recycleWaiter(w)
-		return nil, ErrGatewayClosed
+	w.dst, w.into, w.start = dst, into, time.Now()
+	rq := request{topic: topic, payload: payload, tc: TraceContextFrom(ctx), lent: true}
+	if dl := g.chain.deadline; dl > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, dl)
+		defer cancel()
 	}
-	// Head-sampling decision (or adoption of an inbound sampled context
-	// propagated via WithTraceContext / a parsed traceparent header). The
-	// unsampled path gets a zero context back and pays nothing further:
-	// FinishRequest reuses the elapsed time the latency histogram already
-	// needed, so no extra clock reads either.
-	tr := g.chain.currentTracer()
-	var tc shm.TraceContext
-	if tr != nil {
-		tc = tr.BeginRequest(caller, TraceContextFrom(ctx), start)
-	}
-	sampled := tc.Sampled()
-
-	var allocStart time.Time
-	if sampled {
-		allocStart = time.Now()
-	}
-	d, err := g.admit(topic, payload, caller)
-	if err != nil {
-		g.recycleWaiter(w)
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
-		}
+	if err := g.start(ctx, &rq, w); err != nil {
+		g.retire(w, err)
 		return nil, err
 	}
-	if sampled {
-		tr.RecordSpan(caller, Span{
-			Parent: tc.Span, Stage: StageShmAlloc, Function: "gateway",
-			Start: allocStart, End: time.Now(),
-		})
-		// Install the trace identity in the buffer header before dispatch:
-		// every downstream stage keys off it.
-		g.chain.pool.SetTraceContext(d.Buf, tc)
-	}
-	if err := g.dispatch(ctx, topic, d); err != nil {
-		g.recycleWaiter(w)
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, err, start, time.Since(start))
-		}
-		return nil, err
-	}
-
-	res, err := g.await(ctx, w)
+	caller, start, tr, sampled := w.caller, w.start, w.tr, w.sampled
+	res, err := g.await(ctx, w) // the zero result, if ctx gave up first
 	el := time.Since(start)
-	if err != nil {
-		if tr != nil {
-			tr.FinishRequest(caller, sampled, err, start, el)
-		}
-		return nil, err
+	if err == nil {
+		g.lat.Observe(uint64(caller), el.Seconds())
+		err = res.err
 	}
-	g.lat.Observe(uint64(caller), el.Seconds())
 	if tr != nil {
-		tr.FinishRequest(caller, sampled, res.err, start, el)
+		tr.FinishRequest(caller, sampled, err, start, el)
 	}
-	return res.body, res.err
+	return res.body, err
 }
 
 // await parks a dispatched request's caller until its one outcome arrives
@@ -710,34 +757,10 @@ func (g *Gateway) InvokeInto(ctx context.Context, topic string, payload, dst []b
 }
 
 // InvokeAsync fires an event into the chain with no response expected
-// (the IoT pattern of §4.2.2).
+// (the IoT pattern of §4.2.2). It parks, if it must, on the caller's
+// goroutine.
 func (g *Gateway) InvokeAsync(topic string, payload []byte) error {
-	d, err := g.admit(topic, payload, NoReply)
-	if err != nil {
-		return err
-	}
-	return g.dispatch(context.Background(), topic, d)
-}
-
-// attachRemoteObject re-materializes an attached object that crossed the
-// wire alongside a frame's in-buffer payload (wire.FlagObject): the bytes
-// become a local store object whose reference transfers to the admitted
-// buffer, so the remote request observes the same Ctx.OpenObject view the
-// origin's did. The payload stays authoritative (no carrier bit) — exactly
-// the rider semantics the origin buffer had.
-func (g *Gateway) attachRemoteObject(buf uint32, obj []byte) error {
-	st := g.chain.store
-	if st == nil {
-		return fmt.Errorf("%w: remote frame carries an attached object", ErrObjectsDisabled)
-	}
-	h, err := st.Put("", obj)
-	if err != nil {
-		return err
-	}
-	if prev := g.chain.pool.SetObjHandle(buf, uint64(h)); prev != 0 {
-		_ = st.Release(objstore.Handle(prev))
-	}
-	return nil
+	return g.start(context.Background(), &request{topic: topic, payload: payload, lent: true}, nil)
 }
 
 // InvokeRemote admits a payload that arrived from a peer node's gateway and
@@ -757,99 +780,20 @@ func (g *Gateway) attachRemoteObject(buf uint32, obj []byte) error {
 // zero-replica function gets a goroutine. An error return means no entry is
 // left and r was not called: the caller answers the peer itself.
 //
-// A nil r marks a fire-and-forget request (origin is then unused).
+// A nil r marks a fire-and-forget request (origin is then unused): it has no
+// entry, and an error return only says it was dropped.
 func (g *Gateway) InvokeRemote(fn, topic string, payload, obj []byte, tc shm.TraceContext, origin RemoteOrigin, r Responder) error {
+	rq := request{topic: topic, payload: payload, fn: fn, obj: obj, tc: tc}
 	if r == nil {
-		if g.isClosed() {
-			return ErrGatewayClosed
-		}
-		d, err := g.admitRemote(topic, payload, obj, NoReply)
-		if err != nil {
-			return err
-		}
-		if tc.Sampled() {
-			g.chain.pool.SetTraceContext(d.Buf, tc)
-		}
-		return g.dispatchAt(context.Background(), fn, d)
-	}
-	// Same overload shed point as local ingress: a remote hop must not
-	// bypass admission control.
-	if mp := g.admission.MaxPending; mp > 0 && int(g.pending.count.Load()) >= mp {
-		g.shed(&g.shedOverload, ShedOverload, "")
-		return &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
+		return g.start(context.Background(), &rq, nil)
 	}
 	w := g.newWaiter()
 	w.responder, w.origin, w.start = r, origin, time.Now()
-	caller := w.caller
-	var ltc shm.TraceContext
-	if w.tr = g.chain.currentTracer(); w.tr != nil {
-		// Adopt the inbound sampled context: same trace ID, and this
-		// node's request span parents under the remote stub's span.
-		ltc = w.tr.BeginRequest(caller, tc, w.start)
-		w.sampled = ltc.Sampled()
-	}
-	d, err := g.admitRemote(topic, payload, obj, caller)
+	err := g.start(context.Background(), &rq, w)
 	if err != nil {
-		g.retireRemote(w, err)
-		return err
+		g.retire(w, err) // InvokeRemote's caller answers the peer
 	}
-	if w.sampled {
-		g.chain.pool.SetTraceContext(d.Buf, ltc)
-	}
-	// From here w belongs to whoever takes the entry — the chain Deadline's
-	// timer included, which put arms. Registered first, closed flag checked
-	// second, as in invoke.
-	g.pending.put(w, g.chain.deadline)
-	err = ErrGatewayClosed
-	if !g.isClosed() {
-		err = g.dispatchTo(fn, d)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrNoInstance) && g.admission.ParkCapacity > 0 {
-			go g.parkRemote(fn, d, caller)
-			return nil
-		}
-	}
-	g.chain.releaseBuffer(d.Buf)
-	if w, ok := g.pending.take(caller); ok {
-		g.retireRemote(w, err) // InvokeRemote's caller answers the peer
-		return err
-	}
-	return nil // Close took the entry and has answered the peer
-}
-
-// admitRemote admits a peer's payload under caller and re-materializes the
-// attached object that rode its frame, if any.
-func (g *Gateway) admitRemote(topic string, payload, obj []byte, caller uint32) (shm.Descriptor, error) {
-	d, err := g.admit(topic, payload, caller)
-	if err == nil && obj != nil {
-		if err = g.attachRemoteObject(d.Buf, obj); err != nil {
-			g.chain.releaseBuffer(d.Buf)
-		}
-	}
-	return d, err
-}
-
-// parkRemote is the one goroutine a remote-originated request may get: it
-// parks on a zero-replica function until capacity resumes. It owns d's
-// buffer until the dispatch succeeds; the entry it settles like anyone else,
-// by taking it.
-func (g *Gateway) parkRemote(fn string, d shm.Descriptor, caller uint32) {
-	ctx := context.Background()
-	if dl := g.chain.deadline; dl > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, dl)
-		defer cancel()
-	}
-	err := g.parkAndDispatch(ctx, fn, d)
-	if err == nil {
-		return
-	}
-	g.chain.releaseBuffer(d.Buf)
-	if w, ok := g.pending.take(caller); ok {
-		g.settle(w, nil, err)
-	}
+	return err
 }
 
 // CompleteRemote finishes a pending request with a response (or transport
@@ -1057,14 +1001,9 @@ type GatewayStats struct {
 	Mean         float64
 }
 
-// Stats returns a snapshot and publishes the failure counters to the
-// EPROXY metrics map, so kernel-side observability follows the failure
-// paths (the metrics agent's scrape also serves as the publish tick).
+// Stats returns a snapshot of the gateway's counters and the chain's.
 func (g *Gateway) Stats() GatewayStats {
 	fs := g.chain.Failures()
-	if g.eprox != nil {
-		g.eprox.PublishFailures(fs)
-	}
 	lat := g.lat.Snapshot()
 	return GatewayStats{
 		Admitted:            g.admitted.Load(),

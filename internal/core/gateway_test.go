@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/spright-go/spright/internal/proto"
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // TestLateResponseReleasedNotLeaked: when a caller abandons a request
@@ -216,4 +222,256 @@ func TestGatewayTopicFromHeaderAndPath(t *testing.T) {
 	if topic := <-got; topic != "/some/path" {
 		t.Fatalf("topic %q want /some/path", topic)
 	}
+}
+
+// startDoor is one way into Gateway.start. knock sends body to the echo
+// function through it and returns how the door says the request ended: an
+// error, or for ServeHTTP a status.
+type startDoor struct {
+	name   string
+	entry  bool // the request holds a pending entry: MaxPending applies
+	remote bool // a peer's DFR chose the function: no ingress route is consulted
+	knock  func(g *Gateway, body []byte) (error, int)
+}
+
+var startDoors = []startDoor{
+	{"Invoke", true, false, func(g *Gateway, body []byte) (error, int) {
+		_, err := g.Invoke(context.Background(), "", body)
+		return err, 0
+	}},
+	{"InvokeInto", true, false, func(g *Gateway, body []byte) (error, int) {
+		_, err := g.InvokeInto(context.Background(), "", body, make([]byte, len(body)))
+		return err, 0
+	}},
+	{"InvokeAsync", false, false, func(g *Gateway, body []byte) (error, int) {
+		return g.InvokeAsync("", body), 0
+	}},
+	{"InvokeRemote/Responder", true, true, func(g *Gateway, body []byte) (error, int) {
+		answer := make(respondTo, 1)
+		if err := g.InvokeRemote("echo", "", body, nil, shm.TraceContext{}, RemoteOrigin{Node: "peer"}, answer); err != nil {
+			return err, 0
+		}
+		return <-answer, 0
+	}},
+	{"InvokeRemote/NoReply", false, true, func(g *Gateway, body []byte) (error, int) {
+		return g.InvokeRemote("echo", "", body, nil, shm.TraceContext{}, RemoteOrigin{}, nil), 0
+	}},
+	{"IngestRaw/Response", true, false, func(g *Gateway, body []byte) (error, int) {
+		raw := proto.MarshalHTTPRequest(&proto.Message{Method: "POST", Path: "/echo", Body: body})
+		_, err := g.IngestRaw(context.Background(), "http", raw)
+		return err, 0
+	}},
+	{"IngestRaw/NoResponse", false, false, func(g *Gateway, body []byte) (error, int) {
+		_, err := g.IngestRaw(context.Background(), "mqtt", proto.MarshalMQTTPublish("echo", body))
+		return err, 0
+	}},
+	{"ServeHTTP", true, false, func(g *Gateway, body []byte) (error, int) {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/echo", bytes.NewReader(body)))
+		return nil, rec.Code
+	}},
+}
+
+// startCond is one thing that can stand in a starting request's way. The
+// request ends with err (status through ServeHTTP), counted under shed if that
+// is a refusal; nil and 200 when the condition does not reach the door.
+type startCond struct {
+	name string
+	spec func(s *ChainSpec)
+	body int // payload bytes; 0: a short one
+	// arrange brings the condition about before the knock and returns what
+	// undoes it once the door has answered (nil: nothing to undo).
+	arrange func(t *testing.T, c *Chain, g *Gateway) (undo func())
+	during  func(t *testing.T, c *Chain, g *Gateway) // while the knock is outstanding
+	reaches func(d startDoor) bool                   // nil: every door
+	err     error
+	status  int
+	shed    string
+	// admitted: the request had been admitted when it ended this way.
+	admitted func(d startDoor) bool
+}
+
+func always(startDoor) bool { return true }
+
+// TestGatewayStartDoors: every door into the gateway goes through one start,
+// so each obstacle ends a request the same way whichever door it knocked on —
+// the same error (or its HTTP status), the same one counter, Rejected always
+// the sum of the Shed* reasons, and afterwards no pending entry and no buffer
+// held.
+func TestGatewayStartDoors(t *testing.T) { bothModes(t, startDoorsIn) }
+
+func startDoorsIn(t *testing.T, mode Mode) {
+	scaleToZero := func(t *testing.T, c *Chain, _ *Gateway) func() {
+		if _, err := c.ScaleToZero("echo"); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	}
+	conds := []startCond{
+		{name: "closed gateway",
+			arrange: func(_ *testing.T, _ *Chain, g *Gateway) func() { g.Close(); return nil },
+			err:     ErrGatewayClosed, status: http.StatusInternalServerError,
+			// A request with an entry is admitted, registered, and only then
+			// reads the flag Close set before its sweep.
+			admitted: func(d startDoor) bool { return d.entry }},
+		{name: "pool exhausted",
+			spec: func(s *ChainSpec) { s.PoolBuffers = 4 },
+			arrange: func(t *testing.T, c *Chain, _ *Gateway) func() {
+				var held []uint32
+				for h, err := c.Pool().Get(); err == nil; h, err = c.Pool().Get() {
+					held = append(held, h)
+				}
+				return func() {
+					for _, h := range held {
+						if err := c.Pool().Put(h); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			},
+			err: ErrBackpressure, status: http.StatusServiceUnavailable, shed: ShedPoolExhausted},
+		{name: "payload over BufSize, store disabled",
+			spec: func(s *ChainSpec) { s.BufSize, s.Objects = 4096, ObjectPolicy{Disable: true} },
+			body: 8192,
+			err:  shm.ErrPayloadTooLarge, status: http.StatusRequestEntityTooLarge, shed: ShedPayloadTooLarge},
+		{name: "MaxPending reached",
+			spec: func(s *ChainSpec) { s.Admission.MaxPending = 1 },
+			arrange: func(t *testing.T, _ *Chain, g *Gateway) func() {
+				go g.Invoke(context.Background(), "", []byte("hold")) // until the gate opens
+				waitUntil(t, 5*time.Second, "the held request to pend", func() bool { return g.Pending() == 1 })
+				return nil
+			},
+			reaches: func(d startDoor) bool { return d.entry },
+			err:     ErrOverload, status: http.StatusServiceUnavailable, shed: ShedOverload},
+		{name: "no ingress route",
+			spec:    func(s *ChainSpec) { s.Routes[0].Topic = "elsewhere" },
+			reaches: func(d startDoor) bool { return !d.remote },
+			err:     ErrNoHead, status: http.StatusInternalServerError, admitted: always},
+		{name: "zero replicas, parking off",
+			arrange: scaleToZero,
+			err:     ErrNoInstance, status: http.StatusInternalServerError, admitted: always},
+		{name: "zero replicas, parking on, then ScaleUp",
+			spec:    func(s *ChainSpec) { s.Admission = AdmissionPolicy{ParkCapacity: 8, ParkTimeout: time.Minute} },
+			arrange: scaleToZero,
+			during: func(t *testing.T, c *Chain, g *Gateway) {
+				waitUntil(t, 5*time.Second, "the request to park", func() bool { return g.ParkedFor("echo") == 1 })
+				if _, err := c.ScaleUp("echo"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			reaches: func(startDoor) bool { return false }},
+	}
+	for _, cond := range conds {
+		for _, d := range startDoors {
+			t.Run(cond.name+"/"+d.name, func(t *testing.T) {
+				var ran atomic.Int64
+				gate := make(chan struct{}) // holds a "hold" request until the door has answered
+				spec := echoSpec()
+				echo := spec.Functions[0].Handler
+				spec.Functions[0].Concurrency = 2
+				spec.Functions[0].Handler = func(ctx *Ctx) error {
+					if string(ctx.Payload()) == "hold" {
+						<-gate
+					} else {
+						ran.Add(1)
+					}
+					return echo(ctx)
+				}
+				if cond.spec != nil {
+					cond.spec(&spec)
+				}
+				c, g := testChain(t, mode, spec)
+				open := openOnce(gate)
+				t.Cleanup(open)
+				g.Adapters().Attach(MQTTAdapter{})
+				var undo func()
+				if cond.arrange != nil {
+					undo = cond.arrange(t, c, g)
+				}
+				before := g.Stats()
+				body := []byte("knock")
+				if cond.body > 0 {
+					body = bytes.Repeat([]byte("k"), cond.body)
+				}
+				type answer struct {
+					err    error
+					status int
+				}
+				answered := make(chan answer, 1)
+				go func() {
+					err, status := d.knock(g, body)
+					answered <- answer{err, status}
+				}()
+				if cond.during != nil {
+					cond.during(t, c, g)
+				}
+				var got answer
+				select {
+				case got = <-answered:
+				case <-time.After(30 * time.Second):
+					t.Fatal("the door never answered")
+				}
+				open()
+				if undo != nil {
+					undo()
+				}
+
+				reached := cond.reaches == nil || cond.reaches(d)
+				want, shed, admitted := answer{cond.err, cond.status}, cond.shed, cond.admitted != nil && cond.admitted(d)
+				if !reached {
+					want, shed, admitted = answer{nil, http.StatusOK}, "", true
+				}
+				if d.name == "ServeHTTP" {
+					want.err = nil
+				} else {
+					want.status = 0
+				}
+				if !errors.Is(got.err, want.err) || (want.err == nil && got.err != nil) || got.status != want.status {
+					t.Errorf("ended with (%v, %d), want (%v, %d)", got.err, got.status, want.err, want.status)
+				}
+				waitUntil(t, 5*time.Second, "the request to leave nothing behind", func() bool {
+					return g.Pending() == 0 && c.Pool().InUse() == 0
+				})
+				s := g.Stats()
+				if n := s.Admitted - before.Admitted; (n == 1) != admitted || n > 1 {
+					t.Errorf("Admitted moved by %d, want admitted=%v", n, admitted)
+				}
+				var sum uint64
+				for reason, n := range shedCounts(s) {
+					sum += n
+					if want := b2u(reason == shed); n != want {
+						t.Errorf("shed %q counted %d times, want %d", reason, n, want)
+					}
+				}
+				if s.Rejected != sum {
+					t.Errorf("Rejected %d, the Shed* reasons sum to %d", s.Rejected, sum)
+				}
+				if !reached {
+					waitUntil(t, 5*time.Second, "the handler to run once", func() bool { return ran.Load() == 1 })
+				} else if n := ran.Load(); n != 0 {
+					t.Errorf("the handler ran %d times for a request that ended with %v", n, cond.err)
+				}
+				if cond.during != nil {
+					if s.ParkedTotal != 1 || s.Resumed != 1 || s.Parked != 0 {
+						t.Errorf("parked %d, resumed %d, still parked %d; want 1, 1, 0", s.ParkedTotal, s.Resumed, s.Parked)
+					}
+				}
+			})
+		}
+	}
+}
+
+// shedCounts is s's Shed* counters by reason.
+func shedCounts(s GatewayStats) map[string]uint64 {
+	return map[string]uint64{
+		ShedOverload: s.ShedOverload, ShedParkFull: s.ShedParkFull, ShedParkTimeout: s.ShedParkTimeout,
+		ShedPoolExhausted: s.ShedPoolExhausted, ShedPayloadTooLarge: s.ShedPayloadTooLarge,
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

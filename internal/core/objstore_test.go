@@ -501,3 +501,91 @@ func TestObjectLookupAcrossRequests(t *testing.T) {
 	}
 	waitObjectsDrained(t, c)
 }
+
+// TestGatewayStartRefusedRiderIsARefusal: a peer's frame whose attached object
+// the store will not take is refused — Rejected plus the one reason the cause
+// names, GatewayStats' contract for every refusal — and not counted admitted
+// first: nothing of it reached EPROXY's ingress program, the pool or the store.
+func TestGatewayStartRefusedRiderIsARefusal(t *testing.T) {
+	rider := []byte("a rider object, 27 bytes ..")
+	causes := []struct {
+		name  string
+		spec  func(s *ChainSpec)
+		rider []byte
+		err   error
+		shed  string
+	}{
+		{"the store takes it", func(*ChainSpec) {}, rider, nil, ""},
+		{"over MaxObjectBytes", func(s *ChainSpec) { s.Objects = ObjectPolicy{MaxObjectBytes: 8} },
+			rider, shm.ErrPayloadTooLarge, ShedPayloadTooLarge},
+		{"store disabled", func(s *ChainSpec) { s.Objects = ObjectPolicy{Disable: true} },
+			rider, shm.ErrPayloadTooLarge, ShedPayloadTooLarge},
+		{"pool exhausted mid-Put", func(s *ChainSpec) { s.PoolBuffers, s.BufSize = 2, 4096 },
+			largePayload(3 * 4096), ErrBackpressure, ShedPoolExhausted},
+	}
+	for _, tc := range causes {
+		for _, reply := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/reply=%v", tc.name, reply), func(t *testing.T) {
+				saw := make(chan int64, 1)
+				spec := ChainSpec{
+					Functions: []FunctionSpec{{Name: "f", Handler: func(ctx *Ctx) error {
+						r, err := ctx.OpenObject()
+						if err != nil {
+							return err
+						}
+						saw <- r.Size()
+						return r.Close()
+					}}},
+					Routes: []RouteSpec{{From: "", To: []string{"f"}}},
+				}
+				tc.spec(&spec)
+				c, g := testChain(t, ModeEvent, spec)
+				var r Responder
+				answer := make(respondTo, 1)
+				if reply {
+					r = answer
+				}
+				err := g.InvokeRemote("f", "", []byte("payload"), tc.rider, shm.TraceContext{}, RemoteOrigin{Node: "peer"}, r)
+				if !errors.Is(err, tc.err) || (tc.err == nil && err != nil) {
+					t.Fatalf("InvokeRemote: %v, want %v", err, tc.err)
+				}
+				if tc.err == nil {
+					if n := <-saw; n != int64(len(tc.rider)) {
+						t.Errorf("the handler opened a %d-byte object, want %d", n, len(tc.rider))
+					}
+					if reply {
+						if err := <-answer; err != nil {
+							t.Errorf("the peer was answered %v", err)
+						}
+					}
+				}
+				waitUntil(t, 5*time.Second, "the request to leave nothing behind", func() bool {
+					return g.Pending() == 0 && c.Pool().InUse() == 0
+				})
+				s := g.Stats()
+				for reason, n := range shedCounts(s) {
+					if want := b2u(reason == tc.shed); n != want {
+						t.Errorf("shed %q counted %d times, want %d", reason, n, want)
+					}
+				}
+				refused := b2u(tc.err != nil)
+				if s.Admitted != 1-refused || s.Rejected != refused {
+					t.Errorf("admitted %d, rejected %d; want %d, %d", s.Admitted, s.Rejected, 1-refused, refused)
+				}
+				if pkts, _ := g.EProxy().L3Stats(); pkts != 1-refused {
+					t.Errorf("EPROXY's ingress program counted %d packets, want %d", pkts, 1-refused)
+				}
+				if st := c.ObjectStore(); st != nil {
+					if n := st.Stats().Objects; n != 0 {
+						t.Errorf("%d objects left in the store", n)
+					}
+				}
+				select {
+				case err := <-answer:
+					t.Errorf("the Responder was called (%v) for a request InvokeRemote had answered itself", err)
+				default:
+				}
+			})
+		}
+	}
+}

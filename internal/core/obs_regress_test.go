@@ -217,9 +217,9 @@ func TestDefaultSampledTracerInstalled(t *testing.T) {
 	}
 }
 
-// TestMetricsAgentPublishesFailures: the per-chain scrape agent must
-// periodically publish failure counters into the EPROXY map and refresh
-// the packet-rate sample without any caller driving Stats().
+// TestMetricsAgentPublishesFailures: the chain's failure counters are
+// readable as they stand and the per-chain scrape agent refreshes the
+// packet-rate sample, without any caller driving Stats().
 func TestMetricsAgentPublishesFailures(t *testing.T) {
 	spec := echoSpec()
 	spec.ScrapeInterval = 5 * time.Millisecond
@@ -232,11 +232,11 @@ func TestMetricsAgentPublishesFailures(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if g.EProxy().FailureStats().Crashes == 3 && g.LastScrapeRate() > 0 {
+		if c.Failures().Crashes == 3 && g.LastScrapeRate() > 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("agent never published: failmap=%+v rate=%v",
-		g.EProxy().FailureStats(), g.LastScrapeRate())
+	t.Fatalf("agent never published: failures=%+v rate=%v",
+		c.Failures(), g.LastScrapeRate())
 }

@@ -6,8 +6,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // admissionEchoSpec is echoSpec plus an explicit admission policy.
@@ -369,4 +372,71 @@ func TestParkedRequestResumesViaPrewarmedActivation(t *testing.T) {
 	if s := g.Stats(); s.Resumed != 1 {
 		t.Fatalf("resumed=%d, want 1", s.Resumed)
 	}
+}
+
+// TestGatewayStartNoReplyParksOffTheReceiveLoop: a fire-and-forget frame from a
+// peer arrives on the mesh's receive loop, which InvokeRemote must never
+// block — every later frame from that peer, other requests' responses
+// included, waits behind it. So a request that has to park on a zero-replica
+// function parks on a goroutine of its own: InvokeRemote has returned while
+// the request is still parked, and the parked request then ends like any
+// other — run by the capacity that arrives, shed once as ShedParkTimeout when
+// none does, or turned away by Close — with its buffer back each time.
+func TestGatewayStartNoReplyParksOffTheReceiveLoop(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode Mode) {
+		ends := map[string]struct {
+			timeout time.Duration
+			end     func(t *testing.T, c *Chain, g *Gateway, ran *atomic.Int64)
+		}{
+			"ScaleUp runs it": {10 * time.Second, func(t *testing.T, c *Chain, g *Gateway, ran *atomic.Int64) {
+				if _, err := c.ScaleUp("echo"); err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, 5*time.Second, "the handler to run", func() bool { return ran.Load() == 1 })
+				if s := g.Stats(); s.ParkedTotal != 1 || s.Resumed != 1 || s.Rejected != 0 {
+					t.Errorf("parked %d, resumed %d, rejected %d; want 1, 1, 0", s.ParkedTotal, s.Resumed, s.Rejected)
+				}
+			}},
+			"no capacity sheds it": {50 * time.Millisecond, func(t *testing.T, _ *Chain, g *Gateway, ran *atomic.Int64) {
+				waitUntil(t, 5*time.Second, "the park to time out", func() bool { return g.Stats().ShedParkTimeout == 1 })
+				if s := g.Stats(); s.Rejected != 1 || s.Resumed != 0 || ran.Load() != 0 {
+					t.Errorf("rejected %d, resumed %d, handler runs %d; want one ShedParkTimeout and nothing else", s.Rejected, s.Resumed, ran.Load())
+				}
+			}},
+			"Close ends it": {10 * time.Second, func(t *testing.T, _ *Chain, g *Gateway, ran *atomic.Int64) {
+				g.Close()
+				if s := g.Stats(); s.Rejected != 0 || ran.Load() != 0 {
+					t.Errorf("rejected %d, handler runs %d after Close; want 0, 0", s.Rejected, ran.Load())
+				}
+			}},
+		}
+		for name, tc := range ends {
+			t.Run(name, func(t *testing.T) {
+				var ran atomic.Int64
+				spec := admissionEchoSpec(AdmissionPolicy{ParkCapacity: 8, ParkTimeout: tc.timeout})
+				echo := spec.Functions[0].Handler
+				spec.Functions[0].Handler = func(ctx *Ctx) error { ran.Add(1); return echo(ctx) }
+				c, g := testChain(t, mode, spec)
+				if _, err := c.ScaleToZero("echo"); err != nil {
+					t.Fatal(err)
+				}
+				// A call that parks inline returns only when the park has ended,
+				// and for the two that end badly with the park's error.
+				if err := g.InvokeRemote("echo", "", []byte("event"), nil, shm.TraceContext{}, RemoteOrigin{}, nil); err != nil {
+					t.Fatalf("InvokeRemote: %v", err)
+				}
+				if tc.timeout > time.Second {
+					waitUntil(t, 5*time.Second, "the request to park", func() bool { return g.ParkedFor("echo") == 1 })
+				}
+				tc.end(t, c, g, &ran)
+				waitUntil(t, 5*time.Second, "the park to end with the buffer back", func() bool {
+					return g.Parked() == 0 && c.Pool().InUse() == 0
+				})
+				if n := g.Stats().ParkedTotal; n != 1 {
+					t.Errorf("%d requests parked, want 1", n)
+				}
+				// Pool.LeakCheck: testChain's cleanup.
+			})
+		}
+	})
 }

@@ -23,13 +23,14 @@ type waiter struct {
 	dst  []byte
 	into bool
 
-	// Remote-originated requests only (responder non-nil): who to answer,
-	// and what the parked caller of a local request keeps on its stack.
+	// What start recorded when the request began: for FinishRequest.
+	start   time.Time
+	tr      *Tracer
+	sampled bool
+
+	// Remote-originated requests only (responder non-nil): who to answer.
 	responder Responder
 	origin    RemoteOrigin
-	start     time.Time
-	tr        *Tracer
-	sampled   bool
 	timer     *time.Timer // the chain Deadline, when one is set
 }
 

@@ -142,8 +142,6 @@ func checkFlightDeployment(o *obs.Observability, d *Deployment) error {
 func collectChain(d *Deployment) []obs.Family {
 	c, g := d.Chain, d.Gateway
 	chain := obs.L("chain", c.Name())
-	// Gateway.Stats also publishes the failure counters into the EPROXY
-	// map, so the kernel-side failure series below stays current.
 	gs := g.Stats()
 
 	fams := []obs.Family{
@@ -202,12 +200,7 @@ func collectChain(d *Deployment) []obs.Family {
 			chain, g.ColdStartLatency()),
 	)
 
-	// Failure counters, read back from the EPROXY failure map when the
-	// chain has one (the kernel-side path an external scraper would see);
-	// chains without an EPROXY (polling mode) report userspace counters.
-	fs := c.Failures()
 	if ep := g.EProxy(); ep != nil {
-		fs = ep.FailureStats()
 		pkts, bytes := ep.L3Stats()
 		fams = append(fams,
 			obs.CounterFamily("spright_eproxy_l3_packets_total",
@@ -216,6 +209,7 @@ func collectChain(d *Deployment) []obs.Family {
 				"Bytes counted by the EPROXY XDP monitor.", chain, float64(bytes)),
 		)
 	}
+	fs := c.Failures()
 	failures := obs.Family{
 		Name: "spright_failures_total",
 		Help: "Failure-recovery events by kind.",

@@ -488,7 +488,7 @@ func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
 		handler:     fs.Handler,
 		serviceTime: fs.ServiceTime,
 	}
-	inst.concurrency.Store(int32(fs.Concurrency))
+	inst.setSlots(fs.Concurrency)
 	inst.slotFreed.L = &inst.slotMu
 	inst.sock.inst = inst
 	return inst
@@ -609,24 +609,24 @@ func (c *Chain) jitter(d time.Duration) time.Duration {
 }
 
 // attempt performs one send try for the hop srcFn→dstFn, consulting the
-// fault injector first. With home — the sending worker's own socket — the try
-// may end in a claim instead of a delivery: the destination instance comes
+// fault injector first. With by.home — the sending worker's own socket — the
+// try may end in a claim instead of a delivery: the destination instance comes
 // back with a slot held and the sender runs its handler (Transport.sendOrClaim).
-func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
+func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
 	if c.injector.DecideSend(srcFn, dstFn) {
 		c.failures.injected.Add(1)
-		return nil, ErrSocketFull
+		return grant{}, ErrSocketFull
 	}
-	return c.transport.sendOrClaim(src, d, home)
+	return c.transport.sendOrClaim(src, d, by)
 }
 
 // resend drives the retry loop after a first attempt failed with err:
 // exponential backoff with jitter, up to the chain's retry budget.
 // Non-transient errors (filter rejection, unknown destination) end the loop
 // immediately.
-func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket, err error) (*Instance, error) {
+func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender, err error) (grant, error) {
 	if c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
-		return nil, err
+		return grant{}, err
 	}
 	backoff := c.retry.BaseBackoff
 	for n := 1; n < c.retry.MaxAttempts; n++ {
@@ -635,41 +635,41 @@ func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, home *
 		if backoff *= 2; backoff > c.retry.MaxBackoff {
 			backoff = c.retry.MaxBackoff
 		}
-		var next *Instance
-		if next, err = c.attempt(src, srcFn, dstFn, d, home); err == nil || !errors.Is(err, ErrSocketFull) {
+		var next grant
+		if next, err = c.attempt(src, srcFn, dstFn, d, by); err == nil || !errors.Is(err, ErrSocketFull) {
 			return next, err
 		}
 	}
 	c.failures.retriesExhausted.Add(1)
-	return nil, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
+	return grant{}, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
 }
 
-// send delivers d from src, retrying transient transport errors (socket
-// queue full) up to the chain's retry budget with exponential backoff and
-// jitter. srcFn/dstFn name the hop for fault-injection scoping; dstFn is
-// "gateway" for replies. Non-transient errors (filter rejection, unknown
-// destination) are returned immediately.
-func (c *Chain) send(src uint32, srcFn, dstFn string, d shm.Descriptor) error {
-	_, err := c.sendOrClaim(src, srcFn, dstFn, d, nil)
+// send delivers d from src, on the sender's stripe, retrying transient
+// transport errors (socket queue full) up to the chain's retry budget with
+// exponential backoff and jitter. srcFn/dstFn name the hop for fault-injection
+// scoping; dstFn is "gateway" for replies. Non-transient errors (filter
+// rejection, unknown destination) are returned immediately.
+func (c *Chain) send(src uint32, srcFn, dstFn string, d shm.Descriptor, stripe uint32) error {
+	_, err := c.sendOrClaim(src, srcFn, dstFn, d, sender{stripe: stripe})
 	return err
 }
 
 // sendOrClaim is send for a function worker's single-destination hop: given
-// home, the worker's own socket, it may return the destination instance with
-// a concurrency slot held instead of queueing d there, and the caller then
-// runs that instance's handler on d itself.
-func (c *Chain) sendOrClaim(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
+// by.home, the worker's own socket, it may return the destination instance
+// with a concurrency slot held instead of queueing d there, and the caller
+// then runs that instance's handler on d itself.
+func (c *Chain) sendOrClaim(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
 	if tr := c.currentTracer(); tr != nil && c.pool.TraceSampled(d.Buf) {
-		return c.sendTraced(tr, src, srcFn, dstFn, d, home)
+		return c.sendTraced(tr, src, srcFn, dstFn, d, by)
 	}
-	return c.sendRetrying(src, srcFn, dstFn, d, home)
+	return c.sendRetrying(src, srcFn, dstFn, d, by)
 }
 
 // sendRetrying is one attempt plus, if that is refused, the retry budget.
-func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
-	next, err := c.attempt(src, srcFn, dstFn, d, home)
+func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
+	next, err := c.attempt(src, srcFn, dstFn, d, by)
 	if err != nil {
-		return c.resend(src, srcFn, dstFn, d, home, err)
+		return c.resend(src, srcFn, dstFn, d, by, err)
 	}
 	return next, nil
 }
@@ -682,16 +682,16 @@ func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, 
 // record what they record in S-SPRIGHT — less the claimed hop's queue.wait,
 // there being no socket queue in ModePolling to have waited in. Only sampled
 // buffers come here — the unsampled path stays clock-free.
-func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor, home *Socket) (*Instance, error) {
+func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
 	parent := c.pool.TraceContext(d.Buf).Span
 	t0 := time.Now()
 	// Stamp before the send: the consumer may dequeue the descriptor
 	// before this goroutine runs again, and it must find the stamp.
 	c.pool.StampTrace(d.Buf, t0.UnixNano())
-	next, err := c.sendRetrying(src, srcFn, dstFn, d, home)
+	next, err := c.sendRetrying(src, srcFn, dstFn, d, by)
 	stage := StageRedirect
 	if c.mode == ModePolling {
-		if next != nil {
+		if next.inst != nil {
 			c.pool.StampTrace(d.Buf, 0)
 		} else if d.NextFn != GatewayID {
 			stage = StageEnqueue
@@ -741,7 +741,7 @@ func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 // When a fault injector is active, each descriptor's injection decision
 // must be drawn independently (the injector scopes faults per hop), so the
 // batch degrades to per-descriptor sends in that case.
-func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.Descriptor, onErr func(i int, err error)) int {
+func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.Descriptor, stripe uint32, onErr func(i int, err error)) int {
 	if len(ds) == 0 {
 		return 0
 	}
@@ -751,7 +751,7 @@ func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.De
 		(c.currentTracer() != nil && c.pool.TraceSampled(ds[0].Buf)) {
 		delivered := 0
 		for i := range ds {
-			if err := c.send(src, srcFn, dstFns[i], ds[i]); err != nil {
+			if err := c.send(src, srcFn, dstFns[i], ds[i], stripe); err != nil {
 				if onErr != nil {
 					onErr(i, err)
 				}
@@ -765,7 +765,7 @@ func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.De
 	delivered := c.transport.SendBatch(src, ds, func(i int, err error) {
 		// Transient refusals get the same retry budget as serial sends.
 		if errors.Is(err, ErrSocketFull) {
-			if _, err = c.resend(src, srcFn, dstFns[i], ds[i], nil, err); err == nil {
+			if _, err = c.resend(src, srcFn, dstFns[i], ds[i], sender{stripe: stripe}, err); err == nil {
 				retried++
 				return
 			}

@@ -379,10 +379,14 @@ func TestBackpressureOnPoolExhaustion(t *testing.T) {
 
 func TestLoadBalancingPicksResidualCapacity(t *testing.T) {
 	r := NewRouter()
-	mk := func(id uint32, conc int, inflight int64) *Instance {
+	mk := func(id uint32, conc, inflight int) *Instance {
 		in := &Instance{id: id, fnName: "f"}
-		in.concurrency.Store(int32(conc))
-		in.inflight.Store(inflight)
+		in.setSlots(conc)
+		for i := 0; i < inflight; i++ {
+			if _, ok := in.claim(uint32(i)); !ok {
+				t.Fatalf("instance %d: claim %d of %d refused", id, i, conc)
+			}
+		}
 		return in
 	}
 	r.AddInstance("f", mk(1, 32, 30)) // residual 2

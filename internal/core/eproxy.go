@@ -9,7 +9,7 @@ import (
 
 // EProxy is the gateway-side event-driven proxy (§3.3): eBPF monitor
 // programs that collect L3 metrics (packet and byte counts) into the
-// chain's metrics map, plus the gateway's built-in metrics agent that
+// chain's metrics map — a per-CPU array — plus the gateway's built-in metrics agent that
 // periodically exposes them to the metrics server. It is triggered only by
 // arriving requests, so idle CPU cost is zero — the property that lets
 // SPRIGHT keep functions warm for free (§4.2.2).
@@ -32,7 +32,7 @@ const (
 // NewEProxy creates the L3 metrics map and loads the monitor program.
 func NewEProxy(kernel *ebpf.Kernel, chain string) (*EProxy, error) {
 	l3, err := kernel.CreateMap(ebpf.MapSpec{
-		Name: chain + "_l3_metrics", Type: ebpf.MapTypeArray,
+		Name: chain + "_l3_metrics", Type: ebpf.MapTypePerCPUArray,
 		KeySize: 4, ValueSize: 8, MaxEntries: 4,
 	})
 	if err != nil {
@@ -98,11 +98,14 @@ func buildEProxyProgram(chain string, l3FD int) (*ebpf.Program, error) {
 }
 
 // OnIngress fires the monitor program for an admitted request of the given
-// payload size. The monitor only reads frame bounds from the ctx, so the
-// program runs over frame metadata (RunMeta) — no synthetic frame is
-// allocated per request.
-func (e *EProxy) OnIngress(size int) {
-	_, _ = e.kernel.RunMeta(e.prog, size, 0, nil)
+// payload size, on the stripe of callers that have none.
+func (e *EProxy) OnIngress(size int) { e.onIngress(size, 0) }
+
+// onIngress is OnIngress on the admitting request's stripe. The monitor only
+// reads frame bounds from the ctx, so the program runs over frame metadata
+// (RunMeta) — no synthetic frame is allocated per request.
+func (e *EProxy) onIngress(size int, stripe uint32) {
+	_, _ = e.kernel.RunMeta(e.prog, size, 0, nil, stripe)
 }
 
 // L3Stats reads the packet/byte counters maintained in the eBPF map.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/spright-go/spright/internal/ebpf"
 	"github.com/spright-go/spright/internal/fault"
 	"github.com/spright-go/spright/internal/shm"
 	"github.com/spright-go/spright/internal/shm/objstore"
@@ -36,10 +37,14 @@ const GatewayID uint32 = 0
 // on; it then holds one concurrency slot of its instance, as ever.
 type Handler func(ctx *Ctx) error
 
-// ctxPool recycles invocation contexts — one fewer heap allocation per
-// message hop. A Ctx is only valid for the duration of its handler call
-// and must not be retained after the handler returns.
-var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
+// ctxPool recycles invocation contexts: a worker takes one per request and
+// every handler the request runs on that worker is handed it, re-armed (work).
+// A Ctx is only valid for the duration of its handler call and must not be
+// retained after the handler returns. The pool is also where a request gets
+// its stripe (ebpf.Stripes): each Ctx is dealt one when it is first made and
+// keeps it, and a sync.Pool hands a P its own object back in practice, so the
+// requests a core runs write that core's lines.
+var ctxPool = sync.Pool{New: func() any { return &Ctx{stripe: ebpf.NextStripe()} }}
 
 // Ctx is one invocation's view of the message and the chain.
 type Ctx struct {
@@ -59,6 +64,10 @@ type Ctx struct {
 	fwdInline [4]string
 	replied   bool
 	dropped   bool
+
+	// stripe is the one this Ctx was dealt (ctxPool): where the request's
+	// program runs count and whose slots its claims try first.
+	stripe uint32
 }
 
 // Payload returns the message payload: a zero-copy view into the chain's
@@ -224,18 +233,54 @@ func (c *Ctx) Reply() { c.replied = true }
 // Drop discards the message (the buffer reference is released).
 func (c *Ctx) Drop() { c.dropped = true }
 
+// slotStripe is one stripe (ebpf.Stripes) of the words an instance has written
+// on every hop through it, a cache line to itself: a sub-budget of the
+// instance's concurrency slots and the counts of what ran in them. A hop
+// writes the line of the stripe its slot came from and no other line of the
+// instance, so two cores crossing one instance on two stripes share nothing
+// they write.
+type slotStripe struct {
+	// free is the slots of this stripe's sub-budget nobody holds. A slot is
+	// taken by decrementing it while it is positive and goes back to the
+	// stripe it came from (release), so a sub-budget only changes size in
+	// setSlots, and the stripes' free slots plus the slots held always sum to
+	// the bound (plus owed, while a shrink is waiting for slots in use). It
+	// dips below zero only for the moment between a taker's decrement that
+	// came second and its undo.
+	free      atomic.Int32
+	handled   atomic.Uint64 // invocations completed in a slot of this stripe
+	delivered atomic.Uint64 // hops that arrived by claiming one (Socket.claimFor)
+	_         [5]uint64
+}
+
+// grant is a concurrency slot held for a handler about to run: the instance,
+// and the stripe whose sub-budget the slot came from and goes back to.
+type grant struct {
+	inst *Instance
+	slot uint32
+}
+
 // Instance is one running pod of a function: a socket, a persistent worker
 // pool and a concurrency limit.
 //
-// Every handler execution holds one of the instance's concurrency slots, and
-// inflight is the count of slots held. Two kinds of goroutine hold them: the
-// instance's own workers, for descriptors queued on its socket (or, in
-// ModePolling, in its ring), and the workers of other instances that forwarded
-// a message here, claimed a slot and are running the handler themselves
-// (Socket.claimFor).
+// Every handler execution holds one of the instance's concurrency slots. Two
+// kinds of goroutine hold them: the instance's own workers, for descriptors
+// queued on its socket (or, in ModePolling, in its ring), and the workers of
+// other instances that forwarded a message here, claimed a slot and are running
+// the handler themselves (Socket.claimFor).
 // Together they never exceed Concurrency. A worker that dequeues a descriptor
 // while claimed slots fill the bound parks until one is released.
+//
+// The layout is part of the design and TestStripeLayout holds it, on the
+// addresses the allocator actually gives: the stripes come first, each 64
+// bytes with its words in the first 24, so wherever within a line the
+// allocation starts (Go puts an 8-byte header before an object this large) no
+// two stripes' words share a line; and everything a hop reads and does not
+// write — the bound, stopping, the handler, the socket, the breaker's words —
+// follows them, on lines no hop writes.
 type Instance struct {
+	stripes [ebpf.Stripes]slotStripe
+
 	chain  *Chain
 	fnName string
 	id     uint32
@@ -244,26 +289,31 @@ type Instance struct {
 	handler     Handler
 	serviceTime time.Duration // optional simulated CPU service time
 
-	// concurrency is the slot bound and the worker-pool size: read by every
-	// claim, written only by SetConcurrency. stopping is set once by shutdown;
-	// no slot is granted afterwards, and a worker that receives a descriptor
-	// reclaims it instead of running the handler. concMu serializes resizes
-	// against each other and against shutdown (no wg.Add once shutdown waits).
+	// concurrency is the slot bound and the worker-pool size: written only by
+	// setSlots. stopping is set once by shutdown; no slot is granted
+	// afterwards, and a worker that receives a descriptor reclaims it instead
+	// of running the handler. owed is how many slots a shrink could not take
+	// back because they were in use: while it is not zero a released slot
+	// pays it off instead of becoming free, so a bound shrunk below the slots
+	// in use grants nothing until the handlers running are fewer than it.
+	// concMu serializes resizes against each other and against shutdown (no
+	// wg.Add once shutdown waits).
 	concurrency atomic.Int32
 	stopping    atomic.Bool
-	concMu      sync.Mutex
-
-	inflight atomic.Int64 // slots held: handlers running, on any goroutine
-	handled  atomic.Uint64
-	errs     atomic.Uint64
-	health   health
+	owed        atomic.Int32
 
 	// Who waits for a release: workers parked on a full instance, and
-	// shutdown waiting for the last handler. release looks at slotWaiters and
-	// nothing else while it is zero.
+	// shutdown waiting for the last handler. release looks at owed and
+	// slotWaiters, on this line that no hop writes, and nothing else while
+	// they are zero.
 	slotWaiters atomic.Int32
-	slotMu      sync.Mutex
-	slotFreed   sync.Cond // L is &slotMu
+
+	errs   atomic.Uint64
+	health health
+
+	concMu    sync.Mutex
+	slotMu    sync.Mutex
+	slotFreed sync.Cond // L is &slotMu
 
 	wg      sync.WaitGroup
 	drained sync.Once
@@ -275,15 +325,31 @@ func (in *Instance) ID() uint32 { return in.id }
 // Function returns the function name this instance runs.
 func (in *Instance) Function() string { return in.fnName }
 
-// Inflight returns the number of requests currently being processed.
-func (in *Instance) Inflight() int { return int(in.inflight.Load()) }
+// Inflight returns the number of requests currently being processed: the
+// slots held, which is the bound, plus what a shrink is still owed, less the
+// free slots of every stripe — exact whenever no claim or release is under
+// way. owed is read first: shutdown, after which it only falls, must never
+// read fewer slots held than are.
+func (in *Instance) Inflight() int {
+	n := int(in.owed.Load()) + int(in.concurrency.Load())
+	for i := range in.stripes {
+		n -= int(in.stripes[i].free.Load())
+	}
+	return max(n, 0) // a resize under way may have added slots it has not yet counted
+}
 
 // QueueDepth returns the number of descriptors waiting for one of this
 // instance's workers: in its socket queue, or in ModePolling in its ring.
 func (in *Instance) QueueDepth() int { return in.sock.QueueLen() }
 
 // Handled returns the number of completed invocations.
-func (in *Instance) Handled() uint64 { return in.handled.Load() }
+func (in *Instance) Handled() uint64 {
+	var n uint64
+	for i := range in.stripes {
+		n += in.stripes[i].handled.Load()
+	}
+	return n
+}
 
 // Errors returns the number of failed invocations.
 func (in *Instance) Errors() uint64 { return in.errs.Load() }
@@ -307,7 +373,7 @@ func (in *Instance) QueuedHops() uint64 { return in.sock.queuedHops.Load() }
 // the current rate is the instantaneous in-flight count, both observable
 // by the event-driven proxy.
 func (in *Instance) ResidualCapacity() int {
-	return int(in.concurrency.Load()) - int(in.inflight.Load())
+	return int(in.concurrency.Load()) - in.Inflight()
 }
 
 // start launches the instance's run loop: a pool of `concurrency`
@@ -341,6 +407,10 @@ func (in *Instance) startWorkersLocked(n int) {
 // It comes home when the request replies, fans out, leaves the node, fails, or
 // meets an instance that would not grant a slot, and runs until the socket
 // closes or a retire token (SetConcurrency shrinking the pool) reaches it.
+//
+// The request's Ctx is taken here, once, and with it the stripe everything the
+// request writes per hop hangs on — no pool round trip per hop and none for the
+// stripe.
 func (in *Instance) work() {
 	defer in.wg.Done()
 	for {
@@ -348,35 +418,78 @@ func (in *Instance) work() {
 		if !ok || d.Buf == retireBuf {
 			return
 		}
-		if !in.acquire() {
+		ctx := ctxPool.Get().(*Ctx)
+		if slot, ok := in.acquire(ctx.stripe); ok {
+			for at := (grant{in, slot}); at.inst != nil; {
+				at, d = at.inst.handle(ctx, d, at.slot, in.sock)
+			}
+		} else {
 			// Queued before shutdown closed the socket: the handler must
 			// not run any more, but the buffer and the caller must not be
 			// stranded either.
 			in.chain.reclaimOrphan(d, in.fnName)
-			continue
 		}
-		for at := in; at != nil; {
-			at, d = at.handle(d, in.sock)
-		}
+		ctxPool.Put(ctx)
 	}
 }
 
 // claim takes one concurrency slot if the instance has one free and is not
-// stopping. The slot is registered first and stopping checked second — the
-// order Socket.enqueue uses for senders and closed — so shutdown, which sets
-// stopping and then waits for inflight to drain, either sees this slot or is
-// seen by it. A refused claim has been undone.
-func (in *Instance) claim() bool {
-	if in.inflight.Add(1) <= int64(in.concurrency.Load()) && !in.stopping.Load() {
-		return true
+// stopping: from stripe's sub-budget if that has one, else from the first
+// stripe after it that has, and it says which. It is refused only after every
+// stripe refused. A stripe is read before it is written, so one with nothing
+// to give costs a load of a line its owners are not writing either. The slot
+// is taken first and stopping checked second — the order Socket.enqueue uses
+// for senders and closed — so shutdown, which sets stopping and then waits for
+// every slot to come back, either sees this one out or is seen by it. A
+// refused claim has been undone.
+func (in *Instance) claim(stripe uint32) (slot uint32, ok bool) {
+	for i := uint32(0); i < ebpf.Stripes; i++ {
+		slot = (stripe + i) % ebpf.Stripes
+		st := &in.stripes[slot]
+		if st.free.Load() <= 0 {
+			continue
+		}
+		if st.free.Add(-1) < 0 {
+			// Another claim had the stripe's last slot first. While this
+			// decrement stood a slot released meanwhile looked taken, so the
+			// undo wakes whoever may have looked, as a release would.
+			st.free.Add(1)
+			in.slotGivenBack()
+			continue
+		}
+		if in.stopping.Load() {
+			in.release(slot)
+			break
+		}
+		return slot, true
 	}
-	in.release()
-	return false
+	return 0, false
 }
 
-// release gives a slot back and wakes whoever waits for one.
-func (in *Instance) release() {
-	in.inflight.Add(-1)
+// release gives a slot back to the stripe it was taken from — or, while a
+// shrink is owed slots, to nobody — and wakes whoever waits for one.
+func (in *Instance) release(slot uint32) {
+	if !in.payOwed() {
+		in.stripes[slot].free.Add(1)
+	}
+	in.slotGivenBack()
+}
+
+// payOwed settles one slot of a shrink's debt with a slot the caller has in
+// hand, if there is a debt.
+func (in *Instance) payOwed() bool {
+	for {
+		owed := in.owed.Load()
+		if owed == 0 {
+			return false
+		}
+		if in.owed.CompareAndSwap(owed, owed-1) {
+			return true
+		}
+	}
+}
+
+func (in *Instance) slotGivenBack() {
 	if in.slotWaiters.Load() != 0 {
 		in.wakeSlotWaiters()
 	}
@@ -389,8 +502,8 @@ func (in *Instance) wakeSlotWaiters() {
 }
 
 // parkWhile blocks while busy holds, looking again after every release. No
-// release is missed: the waiter is counted before busy reads inflight, and
-// release decrements inflight before it reads the count.
+// release is missed: the waiter is counted before busy reads the stripes, and
+// release gives its slot back before it reads the count.
 func (in *Instance) parkWhile(busy func() bool) {
 	in.slotMu.Lock()
 	in.slotWaiters.Add(1)
@@ -402,18 +515,25 @@ func (in *Instance) parkWhile(busy func() bool) {
 }
 
 // acquire takes a slot for a descriptor one of the instance's own workers
-// dequeued, parking while claimed slots fill the bound. false means the
-// instance is stopping and no handler may start.
-func (in *Instance) acquire() bool {
-	for !in.claim() {
+// dequeued, parking while claimed slots fill the bound — while no stripe has a
+// free one. false means the instance is stopping and no handler may start.
+func (in *Instance) acquire(stripe uint32) (slot uint32, ok bool) {
+	for {
+		if slot, ok = in.claim(stripe); ok {
+			return slot, true
+		}
 		if in.stopping.Load() {
-			return false
+			return 0, false
 		}
 		in.parkWhile(func() bool {
-			return in.inflight.Load() >= int64(in.concurrency.Load()) && !in.stopping.Load()
+			for i := range in.stripes {
+				if in.stripes[i].free.Load() > 0 {
+					return false
+				}
+			}
+			return !in.stopping.Load()
 		})
 	}
-	return true
 }
 
 // Concurrency returns the instance's current concurrency limit.
@@ -444,15 +564,47 @@ func (in *Instance) SetConcurrency(n int) error {
 	}
 	for ; old > n; old-- {
 		if err := in.sock.retire(); err != nil {
-			in.concurrency.Store(int32(old))
+			in.setSlots(old)
 			return fmt.Errorf("core: shrink to %d workers stopped at %d: %w", n, old, err)
 		}
 	}
-	in.concurrency.Store(int32(n))
+	in.setSlots(n)
 	if n > old {
 		in.wakeSlotWaiters() // a raised bound frees slots no release announces
 	}
 	return nil
+}
+
+// setSlots moves the slot bound to n. Callers hold concMu, or the instance has
+// not started. Slots are dealt to the stripes round-robin and taken back the
+// same way, so an idle instance's sub-budgets differ by at most one; one
+// resized under load may end up lopsided, which costs its claims a longer look
+// and nothing else. Growing forgives a slot still owed before it adds
+// one. Shrinking declares the whole debt first and then pays it off with what
+// free slots it can claim: from that moment a slot released pays too, so
+// whatever is still owed when setSlots returns is in use, and nothing is
+// granted until it has come back.
+func (in *Instance) setSlots(n int) {
+	at := int(in.concurrency.Load())
+	for ; at < n; at++ {
+		if !in.payOwed() {
+			in.stripes[at%ebpf.Stripes].free.Add(1)
+		}
+	}
+	if at > n {
+		in.owed.Add(int32(at - n))
+		for ; at > n; at-- {
+			slot, ok := in.claim(uint32(at - 1))
+			if !ok {
+				break
+			}
+			if !in.payOwed() { // releases have paid the rest meanwhile
+				in.stripes[slot].free.Add(1)
+				break
+			}
+		}
+	}
+	in.concurrency.Store(int32(n))
 }
 
 // stop marks the instance stopping: no slot is granted from here on.
@@ -474,7 +626,7 @@ func (in *Instance) shutdown() {
 	in.stop()
 	in.sock.Close()
 	in.wg.Wait()
-	in.parkWhile(func() bool { return in.inflight.Load() != 0 })
+	in.parkWhile(func() bool { return in.Inflight() != 0 })
 	if in.sock.ch == nil {
 		return
 	}
@@ -492,7 +644,8 @@ var ErrHandlerPanic = errors.New("core: handler panicked")
 
 // handle executes the user handler in a slot the calling worker already
 // holds — one of in's own workers after acquire, or another instance's after
-// a claim — and then performs the default DFR action: forward to the routing
+// a claim; slot is the stripe it came from — on the worker's Ctx, re-armed for
+// this hop, and then performs the default DFR action: forward to the routing
 // table's next hop, or return the descriptor to the caller when the chain
 // ends here. Handler failures — errors and panics alike — release the
 // descriptor's buffer, feed the instance's health state, and fail the caller
@@ -500,13 +653,11 @@ var ErrHandlerPanic = errors.New("core: handler panicked")
 //
 // home is the calling worker's own socket. When the outcome is a hop to one
 // function whose instance grants that worker a slot, handle returns that
-// instance and the descriptor for it, and the worker's loop runs it next;
-// otherwise the request has left this goroutine and handle returns nil.
-func (in *Instance) handle(d shm.Descriptor, home *Socket) (*Instance, shm.Descriptor) {
-	ctx := ctxPool.Get().(*Ctx)
+// grant and the descriptor for it, and the worker's loop runs it next;
+// otherwise the request has left this goroutine and handle returns no grant.
+func (in *Instance) handle(ctx *Ctx, d shm.Descriptor, slot uint32, home *Socket) (grant, shm.Descriptor) {
 	topic := in.chain.pool.Topic(d.Buf)
-	*ctx = Ctx{inst: in, desc: d, Topic: topic, inTopic: topic}
-	defer ctxPool.Put(ctx)
+	*ctx = Ctx{inst: in, desc: d, Topic: topic, inTopic: topic, stripe: ctx.stripe}
 	// Trace gate: one atomic flags load on the buffer header. Unsampled
 	// requests skip every timestamp — the hot path must not pay two
 	// time.Now() calls per hop.
@@ -539,7 +690,7 @@ func (in *Instance) handle(d shm.Descriptor, home *Socket) (*Instance, shm.Descr
 	// before its outcome is routed: delivering a reply or a failure to the
 	// gateway completes the request on this goroutine, and the woken caller's
 	// next request must not find this instance still charged for the last.
-	in.release()
+	in.release(slot)
 	if traced {
 		s := Span{
 			ID: hsID, Parent: parent, Stage: StageHandler, Function: in.fnName,
@@ -556,9 +707,9 @@ func (in *Instance) handle(d shm.Descriptor, home *Socket) (*Instance, shm.Descr
 		in.chain.releaseBuffer(ctx.desc.Buf)
 		in.chain.noteError(in.fnName, err)
 		in.chain.notifyFailure(d.Caller, err)
-		return nil, d
+		return grant{}, d
 	}
-	in.handled.Add(1)
+	in.stripes[slot].handled.Add(1) // the line release just wrote
 	in.recordSuccess()
 
 	switch {
@@ -574,7 +725,7 @@ func (in *Instance) handle(d shm.Descriptor, home *Socket) (*Instance, shm.Descr
 		}
 		in.reply(ctx)
 	}
-	return nil, d
+	return grant{}, d
 }
 
 // invoke runs fault injection and the user handler under panic isolation:
@@ -624,10 +775,9 @@ var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 // taken reference is balanced on every failure path, and a request none of
 // whose deliveries succeeded fails its caller terminally. A hop to a single
 // function may end in a claim instead of a delivery (Chain.sendOrClaim): the
-// target instance and its descriptor are returned for the calling worker,
-// whose socket is home, to run. A fan-out always queues, so its branches run
-// in parallel.
-func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, shm.Descriptor) {
+// grant and its descriptor are returned for the calling worker, whose socket
+// is home, to run. A fan-out always queues, so its branches run in parallel.
+func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.Descriptor) {
 	d := ctx.desc
 	// extra references for fan-out beyond the first destination
 	refs := 1 // the reference this instance already owns
@@ -638,7 +788,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, s
 			}
 			in.chain.noteError(in.fnName, err)
 			in.chain.notifyFailure(d.Caller, err)
-			return nil, d
+			return grant{}, d
 		}
 		refs++
 	}
@@ -652,8 +802,8 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, s
 		target, err := in.chain.router.PickInstance(fn)
 		if err == nil {
 			d.NextFn = target.ID()
-			var claimed *Instance
-			if claimed, err = in.chain.sendOrClaim(in.id, in.fnName, fn, d, home); err == nil {
+			var claimed grant
+			if claimed, err = in.chain.sendOrClaim(in.id, in.fnName, fn, d, sender{ctx.stripe, home}); err == nil {
 				return claimed, d
 			}
 			err = fmt.Errorf("forward to %s: %w", fn, err)
@@ -661,7 +811,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, s
 		in.chain.releaseBuffer(d.Buf)
 		in.chain.noteError(in.fnName, err)
 		in.chain.notifyFailure(d.Caller, err)
-		return nil, d
+		return grant{}, d
 	}
 
 	// Fan-out: resolve every destination, then deliver the whole burst in
@@ -685,7 +835,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, s
 		sc.ds = append(sc.ds, nd)
 		sc.fns = append(sc.fns, fn)
 	}
-	delivered += in.chain.sendBatch(in.id, in.fnName, sc.fns, sc.ds, func(i int, err error) {
+	delivered += in.chain.sendBatch(in.id, in.fnName, sc.fns, sc.ds, ctx.stripe, func(i int, err error) {
 		in.chain.releaseBuffer(d.Buf)
 		in.chain.noteError(in.fnName, fmt.Errorf("forward to %s: %w", sc.fns[i], err))
 		lastErr = err
@@ -696,7 +846,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (*Instance, s
 	if delivered == 0 && lastErr != nil {
 		in.chain.notifyFailure(d.Caller, lastErr)
 	}
-	return nil, d
+	return grant{}, d
 }
 
 // reply returns the descriptor to the gateway (or releases it for
@@ -708,7 +858,7 @@ func (in *Instance) reply(ctx *Ctx) {
 		return
 	}
 	d.NextFn = GatewayID
-	if err := in.chain.send(in.id, in.fnName, "gateway", d); err != nil {
+	if err := in.chain.send(in.id, in.fnName, "gateway", d, ctx.stripe); err != nil {
 		in.chain.releaseBuffer(d.Buf)
 		in.chain.noteError(in.fnName, fmt.Errorf("reply: %w", err))
 		in.chain.notifyFailure(d.Caller, err)

@@ -414,6 +414,7 @@ type request struct {
 // it — no buffer, no entry — and w is the caller's again.
 func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 	caller, tc := uint32(NoReply), rq.tc
+	var stripe uint32 // a fire-and-forget request has no pooled entry to be dealt one
 	var allocStart time.Time
 	if w == nil && g.isClosed() {
 		return ErrGatewayClosed // no entry for Close to sweep: the flag is read up front
@@ -433,7 +434,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 		// unsampled path gets a zero context back and pays nothing further:
 		// FinishRequest reuses the elapsed time the latency histogram already
 		// needed, so no extra clock reads either.
-		caller, tc = w.caller, shm.TraceContext{}
+		caller, tc, stripe = w.caller, shm.TraceContext{}, w.stripe
 		if w.tr = g.chain.currentTracer(); w.tr != nil {
 			tc = w.tr.BeginRequest(caller, rq.tc, w.start)
 			if w.sampled = tc.Sampled(); w.sampled {
@@ -441,7 +442,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 			}
 		}
 	}
-	d, err := g.admit(rq, caller)
+	d, err := g.admit(rq, caller, stripe)
 	if err != nil {
 		return err
 	}
@@ -472,7 +473,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 		}
 	}
 	if err == nil {
-		if err = g.dispatch(ctx, rq, d); err == nil {
+		if err = g.dispatch(ctx, rq, d, stripe); err == nil {
 			return nil
 		}
 	}
@@ -495,7 +496,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 // local object beside an authoritative payload (no carrier bit) — the rider
 // semantics the origin buffer had. Nothing is counted admitted until nothing
 // can refuse any more; every refusal is counted by refuse.
-func (g *Gateway) admit(rq *request, caller uint32) (shm.Descriptor, error) {
+func (g *Gateway) admit(rq *request, caller, stripe uint32) (shm.Descriptor, error) {
 	pool := g.chain.pool
 	body, obj, carrier := rq.payload, rq.obj, false
 	if len(body) > pool.BufSize() {
@@ -532,7 +533,7 @@ func (g *Gateway) admit(rq *request, caller uint32) (shm.Descriptor, error) {
 	}
 	pool.SetTopic(buf, rq.topic)
 	if g.eprox != nil {
-		g.eprox.OnIngress(len(rq.payload))
+		g.eprox.onIngress(len(rq.payload), stripe)
 	}
 	g.admitted.Add(1)
 	return shm.Descriptor{Buf: buf, Len: uint32(n), Caller: caller}, nil
@@ -565,7 +566,7 @@ func (g *Gateway) refuse(err error) (shm.Descriptor, error) {
 // failing — on the caller's goroutine if it lent one, else on a goroutine of
 // its own, so a door that must not block never does. The caller owns d's
 // buffer on error.
-func (g *Gateway) dispatch(ctx context.Context, rq *request, d shm.Descriptor) error {
+func (g *Gateway) dispatch(ctx context.Context, rq *request, d shm.Descriptor, stripe uint32) error {
 	fn := rq.fn
 	if fn == "" {
 		next, ok := g.chain.router.Next(rq.topic, "")
@@ -574,7 +575,7 @@ func (g *Gateway) dispatch(ctx context.Context, rq *request, d shm.Descriptor) e
 		}
 		fn = next[0]
 	}
-	err := g.dispatchTo(fn, d)
+	err := g.dispatchTo(fn, d, stripe)
 	if err == nil || !errors.Is(err, ErrNoInstance) || g.admission.ParkCapacity <= 0 {
 		return err
 	}
@@ -585,14 +586,14 @@ func (g *Gateway) dispatch(ctx context.Context, rq *request, d shm.Descriptor) e
 	return nil
 }
 
-// dispatchTo picks a routable instance of fn and sends d to it.
-func (g *Gateway) dispatchTo(fn string, d shm.Descriptor) error {
+// dispatchTo picks a routable instance of fn and sends d to it, on stripe.
+func (g *Gateway) dispatchTo(fn string, d shm.Descriptor, stripe uint32) error {
 	inst, err := g.chain.router.PickInstance(fn)
 	if err != nil {
 		return err
 	}
 	d.NextFn = inst.ID()
-	return g.chain.send(GatewayID, "gateway", fn, d)
+	return g.chain.send(GatewayID, "gateway", fn, d, stripe)
 }
 
 // park parks one admitted request whose first function is at zero replicas,
@@ -627,7 +628,7 @@ func (g *Gateway) park(ctx context.Context, fn string, d shm.Descriptor) error {
 		// Fetch the wake generation before attempting: capacity that
 		// arrives after a failed attempt still closes this generation.
 		wake := g.parks.waitCh()
-		err := g.dispatchTo(fn, d)
+		err := g.dispatchTo(fn, d, 0) // woken on some other goroutine, long after its stripe meant anything
 		if err == nil {
 			waited := time.Since(start)
 			g.resumed.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spright-go/spright/internal/ebpf"
 	"github.com/spright-go/spright/internal/fault"
 	"github.com/spright-go/spright/internal/shm"
 )
@@ -707,6 +709,198 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 	}
 }
 
+// slotShare is the size of stripe's sub-budget on an instance resized only
+// while idle: bound slots dealt round-robin.
+func slotShare(bound int, stripe uint32) int32 {
+	n := int32(bound / ebpf.Stripes)
+	if int(stripe) < bound%ebpf.Stripes {
+		n++
+	}
+	return n
+}
+
+// requireSlotsHome fails the test unless every slot of an idle instance is
+// back in the stripe it was dealt to.
+func requireSlotsHome(t *testing.T, in *Instance, bound int) {
+	t.Helper()
+	for i := range in.stripes {
+		if got, want := in.stripes[i].free.Load(), slotShare(bound, uint32(i)); got != want {
+			t.Errorf("instance %d, bound %d: stripe %d has %d free slots, was dealt %d", in.ID(), bound, i, got, want)
+		}
+	}
+	if in.Inflight() != 0 || in.ResidualCapacity() != bound || in.owed.Load() != 0 {
+		t.Errorf("idle instance %d: %d slots held, residual capacity %d of %d, %d owed",
+			in.ID(), in.Inflight(), in.ResidualCapacity(), bound, in.owed.Load())
+	}
+}
+
+// TestHandoffSlotBudgetModel: an instance's slot bound, split into per-stripe
+// sub-budgets, against a model of it. The sub-budgets sum to Concurrency for
+// bounds below, at and above the stripe count; a claim from any stripe is
+// granted while any stripe has a slot and refused only when none has; a slot
+// goes back to the stripe it came from, whoever's stripe the request was on;
+// and under claimers on random stripes, a resizer and a shutdown at once, no
+// grant ever takes the slots held past the bound in force, a refusal nobody
+// released or resized across finds the bound reached, and shutdown returns
+// with nothing held and nothing granted after.
+//
+// Guards this fails without: the scan of the other stripes in claim (every
+// subtest); handle releasing on the slot's stripe, not the request's
+// (released-where-taken); release paying what a shrink is owed before a slot
+// goes free (model).
+func TestHandoffSlotBudgetModel(t *testing.T) { bothModes(t, slotBudgetModel) }
+
+func slotBudgetModel(t *testing.T, mode Mode) {
+	t.Run("every-stripe-refused", func(t *testing.T) {
+		for _, bound := range []int{1, 2, 3, 8, 32} {
+			c, _ := testChain(t, mode, upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: bound}))
+			down := c.Router().Instances("down")[0]
+			requireSlotsHome(t, down, bound)
+			for _, from := range []uint32{0, 1, 5, 7, 13} {
+				var slots []uint32
+				for i := 0; i < bound; i++ {
+					slot, ok := down.claim(from)
+					if !ok {
+						t.Fatalf("bound %d: claim %d from stripe %d refused with %d slots free", bound, i+1, from, bound-i)
+					}
+					slots = append(slots, slot)
+				}
+				if down.Inflight() != bound || down.ResidualCapacity() != 0 {
+					t.Errorf("bound %d: %d held, residual %d, with every slot out", bound, down.Inflight(), down.ResidualCapacity())
+				}
+				for stripe := uint32(0); stripe < 2*ebpf.Stripes; stripe++ {
+					if slot, ok := down.claim(stripe); ok {
+						t.Fatalf("bound %d: stripe %d was granted slot %d with %d held", bound, stripe, slot, bound)
+					}
+				}
+				for _, slot := range slots {
+					down.release(slot)
+				}
+				requireSlotsHome(t, down, bound)
+			}
+		}
+	})
+
+	// Concurrency 1 leaves the one slot on stripe 0, which no pooled Ctx is
+	// dealt: every worker's claim of it comes from another stripe.
+	t.Run("released-where-taken", func(t *testing.T) {
+		c, g := testChain(t, mode, upDownSpec(FunctionSpec{Concurrency: 8}, FunctionSpec{Concurrency: 1}))
+		up, down := c.Router().Instances("up")[0], c.Router().Instances("down")[0]
+		const requests = 64
+		for i := 0; i < requests; i++ {
+			if _, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pollUntil(t, "the last release", func() bool { return up.Inflight() == 0 && down.Inflight() == 0 })
+		requireSlotsHome(t, up, 8)
+		requireSlotsHome(t, down, 1)
+		if q := down.QueuedHops(); q != 0 {
+			t.Errorf("%d of %d sequential hops were queued, not claimed", q, requests)
+		}
+		if delivered, _ := down.SocketStats(); delivered != requests || down.Handled() != requests {
+			t.Errorf("down: delivered %d, handled %d, want %d of each", delivered, down.Handled(), requests)
+		}
+	})
+
+	t.Run("model", func(t *testing.T) {
+		c, _ := testChain(t, mode, upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 8}))
+		in := c.Router().Instances("down")[0]
+		var (
+			gen               atomic.Uint64 // odd while a resize is under way
+			bound             atomic.Int64  // the bound in force while gen is even
+			held              atomic.Int64  // the model's count: granted, release not begun
+			relBegun, relDone atomic.Uint64
+			down              atomic.Bool // shutdown has returned
+			quit              atomic.Bool
+			grants, refusals  atomic.Int64
+		)
+		bound.Store(8)
+		t.Cleanup(func() { quit.Store(true) }) // before the chain's teardown, should the test give up early
+		// steady reports whether no resize was under way when g0 was sampled
+		// and none has begun since; quiet, whether in addition every release
+		// begun by now had ended when d0 was sampled.
+		steady := func(g0 uint64) bool { return g0%2 == 0 && gen.Load() == g0 }
+		quiet := func(g0, d0 uint64) bool { return steady(g0) && relBegun.Load() == d0 }
+		claimer := func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for !quit.Load() {
+				wasDown := down.Load()
+				g0, b0, d0 := gen.Load(), bound.Load(), relDone.Load()
+				slot, ok := in.claim(uint32(rng.Intn(2 * ebpf.Stripes)))
+				if !ok {
+					refusals.Add(1)
+					// Nothing came back while claim looked, so each stripe it
+					// found empty stayed empty: every slot was out, and the
+					// model's count gets there once the grants it has not yet
+					// heard of are counted.
+					for deadline := time.Now().Add(5 * time.Second); !in.stopping.Load() && quiet(g0, d0) && held.Load() < b0; runtime.Gosched() {
+						if time.Now().After(deadline) {
+							t.Errorf("refused with %d of %d slots held, none being released", held.Load(), b0)
+							return
+						}
+					}
+					runtime.Gosched() // let a holder run
+					continue
+				}
+				grants.Add(1)
+				if wasDown {
+					t.Errorf("stripe slot %d granted after shutdown returned", slot)
+				}
+				if n := held.Add(1); n > b0 && steady(g0) {
+					t.Errorf("a grant made %d slots held under a bound of %d", n, b0)
+				}
+				for i := rng.Intn(4); i > 0; i-- {
+					runtime.Gosched()
+				}
+				held.Add(-1)
+				relBegun.Add(1)
+				in.release(slot)
+				relDone.Add(1)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := int64(0); i < 6; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); claimer(i) }()
+		}
+		wg.Add(1)
+		go func() { // the resizer
+			defer wg.Done()
+			for round := 0; !in.stopping.Load(); round++ {
+				n := []int{1, 3, 8, 32}[round%4]
+				gen.Add(1)
+				err := in.SetConcurrency(n)
+				if err == nil {
+					bound.Store(int64(n))
+				}
+				gen.Add(1)
+				if err != nil && !errors.Is(err, ErrSocketClosed) {
+					t.Errorf("SetConcurrency(%d): %v", n, err)
+					return
+				}
+				for before := grants.Load(); grants.Load() < before+100 && !in.stopping.Load(); {
+					runtime.Gosched()
+				}
+			}
+		}()
+		pollUntil(t, "claims across every bound, three times", func() bool { return gen.Load() >= 2*12 })
+		in.shutdown()
+		if n := held.Load(); n != 0 {
+			t.Errorf("shutdown returned with %d slots held", n)
+		}
+		down.Store(true)
+		after := grants.Load() + refusals.Load()
+		pollUntil(t, "claims after the shutdown", func() bool { return grants.Load()+refusals.Load() > after+50 })
+		quit.Store(true)
+		wg.Wait()
+		if in.Inflight() != 0 {
+			t.Errorf("%d slots held after the last release", in.Inflight())
+		}
+		t.Logf("%d grants, %d refusals, %d resizes", grants.Load(), refusals.Load(), gen.Load()/2)
+	})
+}
+
 // TestHandoffInlineShutdown: stopping an instance while a forwarding worker
 // runs its handler in a claimed slot. The synchronous stops return only after
 // that handler; RestartInstance, which must not block on a wedged handler,
@@ -822,8 +1016,10 @@ func inlineShutdown(t *testing.T, mode Mode) {
 					pollUntil(t, "the stopped instance to go idle", func() bool { return d.Inflight() == 0 })
 					// A sender that picked the instance before it left the
 					// router may ask it for a slot at any time afterwards.
-					if d.claim() {
-						t.Errorf("stopped instance %d granted a slot after %s", d.ID(), name)
+					for stripe := uint32(0); stripe < ebpf.Stripes; stripe++ {
+						if _, ok := d.claim(stripe); ok {
+							t.Errorf("stopped instance %d granted stripe %d a slot after %s", d.ID(), stripe, name)
+						}
 					}
 				}
 			}

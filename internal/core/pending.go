@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/spright-go/spright/internal/ebpf"
 )
 
 // waiter is one pending request's completion target. Whoever takes it out
@@ -27,6 +29,11 @@ type waiter struct {
 	start   time.Time
 	tr      *Tracer
 	sampled bool
+
+	// stripe is the one this waiter was dealt when it was first made
+	// (ebpf.Stripes): the gateway's half of the request — the EPROXY run, the
+	// dispatch — runs on it, as the functions' half runs on its worker's Ctx's.
+	stripe uint32
 
 	// Remote-originated requests only (responder non-nil): who to answer.
 	responder Responder
@@ -170,7 +177,7 @@ func (t *pendTable) takeAll() []*waiter {
 func (g *Gateway) newWaiter() *waiter {
 	w, _ := g.waiterPool.Get().(*waiter)
 	if w == nil {
-		w = &waiter{ch: make(chan gwResult, 1)}
+		w = &waiter{ch: make(chan gwResult, 1), stripe: ebpf.NextStripe()}
 	}
 	if w.caller = g.nextID.Add(1); w.caller == NoReply {
 		w.caller = g.nextID.Add(1)
@@ -181,6 +188,6 @@ func (g *Gateway) newWaiter() *waiter {
 // putWaiter recycles a waiter nobody else can reach any more: its entry
 // left the table and its outcome, if one was sent, has been received.
 func (g *Gateway) putWaiter(w *waiter) {
-	*w = waiter{ch: w.ch}
+	*w = waiter{ch: w.ch, stripe: w.stripe}
 	g.waiterPool.Put(w)
 }

@@ -26,9 +26,10 @@ import (
 // the handler itself (claimFor): nothing is queued and nobody is woken. A claim
 // is refused, and the hop queued, when the instance is stopping, has no free
 // slot or has queued work (which is never overtaken, a retire token included),
-// or when the sender's own socket has a backlog to go home to. delivered counts
-// the hop either way; queuedHops counts the function → function hops that had
-// to queue.
+// or when the sender's own socket has a backlog to go home to. The hop is
+// counted as delivered either way — here if it was queued, on the stripe of the
+// slot it claimed if it was not (slotStripe) — and queuedHops counts the
+// function → function hops that had to queue.
 //
 // The queue is a buffered channel in ModeEvent (Deliver). In ModePolling an
 // instance's socket has no channel: its queue is the ring the transport gave it
@@ -50,24 +51,33 @@ import (
 // (newSinkSocket), and Deliver runs the sink on the delivering goroutine,
 // inside the same sender registration — so Close returns only after every
 // delivery that saw the flag clear has run its sink to the end.
+//
+// The layout is part of the design and TestStripeLayout holds it, on the
+// addresses the allocator actually gives: what every hop to or from the socket
+// reads — its owner, its queue, the sink, the closed flag — is on the first
+// cache line, which is written when the socket is made and when it closes; the
+// words a queued delivery writes are on the second.
 type Socket struct {
 	id   uint32
 	inst *Instance // the owner whose slots a sender may claim; nil on a bare or sink socket
 
-	ch      chan shm.Descriptor  // nil on a sink socket and on a polled one
-	sink    func(shm.Descriptor) // set once at construction
-	closed  atomic.Bool
-	senders atomic.Int64 // Deliver calls between registration and send
+	ch   chan shm.Descriptor  // nil on a sink socket and on a polled one
+	sink func(shm.Descriptor) // set once at construction
+	// ring is a polled instance socket's queue, set by Register before the
+	// workers start.
+	ring   *ringEntry
+	closed atomic.Bool
+	_      [socketPad]byte
 
-	delivered  atomic.Uint64
+	senders    atomic.Int64  // Deliver calls between registration and send
+	delivered  atomic.Uint64 // descriptors queued (Deliver) or taken off the ring; claimed hops count on the instance's stripes
 	dropped    atomic.Uint64
 	queuedHops atomic.Uint64
-
-	// ring is a polled instance socket's queue, set by Register before the
-	// workers start. (Last, so the words every ModeEvent hop touches sit
-	// where they sat before the field existed.)
-	ring *ringEntry
+	_          [4]uint64
 }
+
+// socketPad fills Socket's first cache line.
+const socketPad = 20
 
 // Socket errors.
 var (
@@ -117,16 +127,19 @@ func (s *Socket) Deliver(d shm.Descriptor) error {
 	return err
 }
 
-// claimFor is the other way in: the worker whose own socket is home takes one
-// of the owning instance's concurrency slots and will run the handler itself,
-// so the hop is counted as delivered here. It follows the request only with no
-// backlog waiting at home, and only into an idle queue.
-func (s *Socket) claimFor(home *Socket) bool {
-	if !home.idle() || !s.idle() || !s.inst.claim() {
-		return false
+// claimFor is the other way in: the worker by takes one of the owning
+// instance's concurrency slots — of its own stripe if that has one — and will
+// run the handler itself, so the hop is counted as delivered, on the line the
+// claim has just written. It follows the request only with no backlog waiting
+// at home, and only into an idle queue. slot is the stripe the slot came from.
+func (s *Socket) claimFor(by sender) (slot uint32, ok bool) {
+	if !by.home.idle() || !s.idle() {
+		return 0, false
 	}
-	s.delivered.Add(1)
-	return true
+	if slot, ok = s.inst.claim(by.stripe); ok {
+		s.inst.stripes[slot].delivered.Add(1)
+	}
+	return slot, ok
 }
 
 // idle reports whether an instance's queue is empty: its channel or, for a
@@ -238,9 +251,16 @@ func (s *Socket) Close() {
 	}
 }
 
-// Stats reports delivery counters.
+// Stats reports delivery counters: every hop that reached the socket's owner,
+// through the queue or by a claim.
 func (s *Socket) Stats() (delivered, dropped uint64) {
-	return s.delivered.Load(), s.dropped.Load()
+	delivered = s.delivered.Load()
+	if s.inst != nil {
+		for i := range s.inst.stripes {
+			delivered += s.inst.stripes[i].delivered.Load()
+		}
+	}
+	return delivered, s.dropped.Load()
 }
 
 // QueueLen reports how many descriptors are queued awaiting a worker — in

@@ -12,12 +12,23 @@ import (
 // map geometry).
 const MaxInstances = 256
 
+// sender is the goroutine making a send: the stripe it is on (ebpf.Stripes) —
+// where the hop's program run counts and which copy of the metrics map it
+// bumps, and whose sub-budget a claim tries first — and, for a function worker
+// that would rather run the next handler than wake someone to, its own socket.
+// The zero sender is on the stripe of those that have none and claims nothing.
+type sender struct {
+	stripe uint32
+	home   *Socket
+}
+
 // SProxy is the event-driven socket proxy of §3.2.1/§3.4: an SK_MSG eBPF
 // program attached to every function socket of one chain. On each send it
 //
 //  1. parses the 16-byte packet descriptor,
 //  2. enforces the chain's inter-function filter (security domain),
-//  3. bumps the destination's L7 request counter in the metrics map, and
+//  3. bumps the destination's L7 request counter in the metrics map — a
+//     per-CPU array, the sender's stripe's copy — and
 //  4. redirects the descriptor to the destination socket via the sockmap —
 //     all inside the VM, without touching the kernel protocol stack.
 type SProxy struct {
@@ -52,7 +63,7 @@ func NewSProxy(kernel *ebpf.Kernel, chain string) (*SProxy, error) {
 		return nil, err
 	}
 	metrics, err := kernel.CreateMap(ebpf.MapSpec{
-		Name: chain + "_metrics_map", Type: ebpf.MapTypeArray,
+		Name: chain + "_metrics_map", Type: ebpf.MapTypePerCPUArray,
 		KeySize: 4, ValueSize: 8, MaxEntries: MaxInstances,
 	})
 	if err != nil {
@@ -177,29 +188,29 @@ func (sp *SProxy) Revoke(src, dst uint32) error {
 // (RunCopy) and the already-parsed value is handed to the destination
 // socket directly — one parse per hop, no per-send heap allocation.
 func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
-	_, err := sp.sendOrClaim(src, d, nil)
+	_, err := sp.sendOrClaim(src, d, sender{})
 	return err
 }
 
-// sendOrClaim is S-SPRIGHT's Transport.sendOrClaim: the program runs and
-// selects the destination socket exactly as in Send, and the claim is asked of
-// the socket it selected.
-func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
+// sendOrClaim is S-SPRIGHT's Transport.sendOrClaim: the program runs, on the
+// sender's stripe, and selects the destination socket exactly as in Send, and
+// the claim is asked of the socket it selected.
+func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
 	wire := d.Marshal()
-	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil)
+	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil, by.stripe)
 	if err != nil {
-		return nil, fmt.Errorf("sproxy: %w", err)
+		return grant{}, fmt.Errorf("sproxy: %w", err)
 	}
-	if dst, ok := res.RedirectSock.(*Socket); home != nil && ok && res.Ret == ebpf.SKPass && dst.inst != nil {
-		if dst.claimFor(home) {
-			return dst.inst, nil
+	if dst, ok := res.RedirectSock.(*Socket); by.home != nil && ok && res.Ret == ebpf.SKPass && dst.inst != nil {
+		if slot, ok := dst.claimFor(by); ok {
+			return grant{dst.inst, slot}, nil
 		}
 		if err = dst.Deliver(d); err == nil {
 			dst.queuedHops.Add(1)
 		}
-		return nil, err
+		return grant{}, err
 	}
-	return nil, sp.finishSend(src, d, res)
+	return grant{}, sp.finishSend(src, d, res)
 }
 
 // finishSend turns one program verdict into a delivery (or a classified

@@ -23,13 +23,14 @@ type Transport interface {
 	Unregister(id uint32) error
 	// Send delivers d from instance src to d.NextFn.
 	Send(src uint32, d shm.Descriptor) error
-	// sendOrClaim is Send for a worker that would rather run the next handler
-	// than wake someone to: given home, the worker's own socket, and a
-	// destination instance that grants it a slot (Socket.claimFor), it returns
-	// that instance with the slot held and queues nothing. Otherwise d is
-	// delivered as Send would, and a hop that wanted a claim is counted on the
-	// destination as queued. The filter verdict comes first either way.
-	sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error)
+	// sendOrClaim is Send by a sender that says which stripe it is on, and
+	// that may rather run the next handler than wake someone to: given
+	// by.home, the worker's own socket, and a destination instance that grants
+	// it a slot (Socket.claimFor), it returns the grant and queues nothing.
+	// Otherwise d is delivered as Send would, and a hop that wanted a claim is
+	// counted on the destination as queued. The filter verdict comes first
+	// either way.
+	sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error)
 	// SendBatch delivers a burst of descriptors from src, each to its own
 	// NextFn, amortizing per-send setup (VM exec state, ring reservation)
 	// across the burst. It returns the number delivered; onErr (which may
@@ -81,8 +82,8 @@ func NewEventTransport(sp *SProxy) Transport { return &eventTransport{sp: sp} }
 func (t *eventTransport) Register(s *Socket) error                { return t.sp.RegisterSocket(s) }
 func (t *eventTransport) Unregister(id uint32) error              { return t.sp.UnregisterSocket(id) }
 func (t *eventTransport) Send(src uint32, d shm.Descriptor) error { return t.sp.Send(src, d) }
-func (t *eventTransport) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
-	return t.sp.sendOrClaim(src, d, home)
+func (t *eventTransport) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
+	return t.sp.sendOrClaim(src, d, by)
 }
 func (t *eventTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, err error)) int {
 	return t.sp.SendBatch(src, ds, onErr)
@@ -432,27 +433,27 @@ func (t *ringTransport) route(src, dst uint32) (*ringEntry, error) {
 }
 
 func (t *ringTransport) Send(src uint32, d shm.Descriptor) error {
-	_, err := t.sendOrClaim(src, d, nil)
+	_, err := t.sendOrClaim(src, d, sender{})
 	return err
 }
 
-// sendOrClaim is one hop: the filter verdict, then the claim if home asks for
-// one and the destination has workers to claim from, then the ring.
-func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, home *Socket) (*Instance, error) {
+// sendOrClaim is one hop: the filter verdict, then the claim if by.home asks
+// for one and the destination has workers to claim from, then the ring.
+func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
 	e, err := t.route(src, d.NextFn)
 	if err != nil {
-		return nil, err
+		return grant{}, err
 	}
-	if home == nil || e.r == nil {
-		return nil, t.sendTo(e, d)
+	if by.home == nil || e.r == nil {
+		return grant{}, t.sendTo(e, d)
 	}
-	if e.sock.claimFor(home) {
-		return e.sock.inst, nil
+	if slot, ok := e.sock.claimFor(by); ok {
+		return grant{e.sock.inst, slot}, nil
 	}
 	if err = t.sendTo(e, d); err == nil {
 		e.sock.queuedHops.Add(1)
 	}
-	return nil, err
+	return grant{}, err
 }
 
 // SendBatch groups consecutive same-destination descriptors and inserts

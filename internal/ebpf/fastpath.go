@@ -25,14 +25,12 @@ import (
 // fastBufPool stages RunCopy frames for the fast runners. A runner is an
 // indirect call, so a caller's stack-backed frame handed to it directly
 // would escape to the heap; copying into a pooled buffer first keeps the
-// descriptor send path allocation-free. The buffer also says which stripe of
-// the kernel's run counters its holder counts on (runStripe).
+// descriptor send path allocation-free.
 type fastBuf struct {
-	b      [pktCopySize]byte
-	stripe uint32
+	b [pktCopySize]byte
 }
 
-var fastBufPool = sync.Pool{New: func() any { return &fastBuf{stripe: nextStripe()} }}
+var fastBufPool = sync.Pool{New: func() any { return new(fastBuf) }}
 
 // EngineKind identifies which execution backend runs a loaded program.
 type EngineKind int
@@ -58,10 +56,11 @@ func (e EngineKind) String() string {
 
 // fastRunner executes a recognized program shape directly over the frame:
 // pkt is the accessible packet bytes (nil/short for metadata-only runs),
-// frameLen the ctx data_end-data distance, ifindex the ctx ifindex field.
+// frameLen the ctx data_end-data distance, ifindex the ctx ifindex field,
+// stripe the one the run is on (which copy of a per-CPU array it sees).
 // It must reproduce the interpreter's observable behavior exactly: verdict,
 // redirect, map mutations, fault class, and dynamic instruction count.
-type fastRunner func(pkt []byte, frameLen int, ifindex uint32) (Result, error)
+type fastRunner func(pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error)
 
 // insnPat matches one instruction. All fields are compared except Imm when
 // wildImm is set; wildcard Imms are extracted in program order.
@@ -225,7 +224,7 @@ func matchSProxy(lp *LoadedProgram) (fastRunner, string) {
 	if filter == nil || filter.spec.Type != MapTypeHash || filter.spec.KeySize != 8 {
 		return nil, "sproxy shape: filter map is not a hash with 8-byte keys"
 	}
-	if metrics == nil || metrics.spec.Type != MapTypeArray || metrics.spec.ValueSize < 8 || metrics.valWords == 0 {
+	if metrics == nil || !metrics.isArray() || metrics.spec.ValueSize < 8 {
 		return nil, "sproxy shape: metrics map is not an array of 8-byte counters"
 	}
 	if sockmap == nil || sockmap.spec.Type != MapTypeSockMap {
@@ -240,8 +239,8 @@ func matchSProxy(lp *LoadedProgram) (fastRunner, string) {
 	nFull := countPath(insns, nil)
 	nPktFault := sproxyPktLoadPC + 1
 
-	slab, valWords, maxEntries := metrics.slab, metrics.valWords, metrics.spec.MaxEntries
-	return func(pkt []byte, frameLen int, ifindex uint32) (Result, error) {
+	maxEntries := metrics.spec.MaxEntries
+	return func(pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error) {
 		if frameLen < descSize {
 			return Result{Ret: SKDrop, Insns: nShort}, nil
 		}
@@ -259,9 +258,10 @@ func matchSProxy(lp *LoadedProgram) (fastRunner, string) {
 		}
 		res := Result{Insns: nFull}
 		if int(dst) < maxEntries {
-			// metrics[dst]++ on the aligned slab word, the same atomic
-			// the interpreter's OpAtomicAdd fast path issues.
-			atomic.AddUint64(&slab[int(dst)*valWords], 1)
+			// metrics[dst]++ on the aligned slab word the run's lookup
+			// resolves to, the same atomic the interpreter's OpAtomicAdd
+			// fast path issues.
+			atomic.AddUint64(metrics.word(stripe, int(dst)), 1)
 		} else {
 			res.Insns = nNoSlot
 		}
@@ -322,8 +322,8 @@ func matchEProxy(lp *LoadedProgram) (fastRunner, string) {
 	// then both lookups hit and the full path always executes, so one
 	// instruction count covers every run.
 	okSlot := func(m *Map, slot int) bool {
-		return m != nil && m.spec.Type == MapTypeArray && m.spec.ValueSize >= 8 &&
-			m.valWords > 0 && slot >= 0 && slot < m.spec.MaxEntries
+		return m != nil && m.isArray() && m.spec.ValueSize >= 8 &&
+			slot >= 0 && slot < m.spec.MaxEntries
 	}
 	if !okSlot(pktMap, pktSlot) {
 		return nil, "eproxy shape: packets slot is not an 8-byte entry of an array map"
@@ -333,11 +333,9 @@ func matchEProxy(lp *LoadedProgram) (fastRunner, string) {
 	}
 	nAll := countPath(insns, nil)
 
-	pktWord := &pktMap.slab[pktSlot*pktMap.valWords]
-	byteWord := &byteMap.slab[byteSlot*byteMap.valWords]
-	return func(_ []byte, frameLen int, _ uint32) (Result, error) {
-		atomic.AddUint64(pktWord, 1)
-		atomic.AddUint64(byteWord, uint64(frameLen))
+	return func(_ []byte, frameLen int, _, stripe uint32) (Result, error) {
+		atomic.AddUint64(pktMap.word(stripe, pktSlot), 1)
+		atomic.AddUint64(byteMap.word(stripe, byteSlot), uint64(frameLen))
 		return Result{Ret: ret, Insns: nAll}, nil
 	}, ""
 }

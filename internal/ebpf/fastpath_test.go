@@ -37,6 +37,23 @@ func requireSameMap(t *testing.T, name string, fast, oracle *Map) {
 	}
 }
 
+// requireSameCopies fails the test unless both array maps hold the same bytes
+// copy for copy — for a per-CPU array, what a run on each stripe would see,
+// which Range's sums cannot tell apart.
+func requireSameCopies(t *testing.T, name string, fast, oracle *Map) {
+	t.Helper()
+	if !fast.isArray() {
+		return
+	}
+	for stripe := uint32(0); stripe < Stripes; stripe++ {
+		for i := 0; i < fast.spec.MaxEntries; i++ {
+			if vf, vo := fast.view(stripe, i), oracle.view(stripe, i); !bytes.Equal(vf, vo) {
+				t.Fatalf("%s map divergence at entry %d as stripe %d sees it: fast %x oracle %x", name, i, stripe, vf, vo)
+			}
+		}
+	}
+}
+
 func sameError(a, b error) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -150,6 +167,12 @@ func eproxyShape(mapFD, pktSlot, byteSlot int) *Program {
 // sproxyMaps creates the three SPROXY maps; the metrics geometry is the
 // caller's, since the fast path's guards depend on it.
 func sproxyMaps(t testing.TB, k *Kernel, valueSize, maxEntries int) (sockmap, filter, metrics *Map) {
+	return sproxyMapsOf(t, k, MapTypeArray, valueSize, maxEntries)
+}
+
+// sproxyMapsOf is sproxyMaps with the metrics map's type — array or per-CPU
+// array — the caller's too.
+func sproxyMapsOf(t testing.TB, k *Kernel, metricsType MapType, valueSize, maxEntries int) (sockmap, filter, metrics *Map) {
 	t.Helper()
 	var err error
 	if sockmap, err = k.CreateMap(MapSpec{Name: "t_sock", Type: MapTypeSockMap, KeySize: 4, ValueSize: 4, MaxEntries: 8}); err != nil {
@@ -158,7 +181,7 @@ func sproxyMaps(t testing.TB, k *Kernel, valueSize, maxEntries int) (sockmap, fi
 	if filter, err = k.CreateMap(MapSpec{Name: "t_filter", Type: MapTypeHash, KeySize: 8, ValueSize: 1, MaxEntries: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if metrics, err = k.CreateMap(MapSpec{Name: "t_metrics", Type: MapTypeArray, KeySize: 4, ValueSize: valueSize, MaxEntries: maxEntries}); err != nil {
+	if metrics, err = k.CreateMap(MapSpec{Name: "t_metrics", Type: metricsType, KeySize: 4, ValueSize: valueSize, MaxEntries: maxEntries}); err != nil {
 		t.Fatal(err)
 	}
 	return sockmap, filter, metrics
@@ -190,6 +213,7 @@ func sproxyFilterKey(src, dst uint32) []byte {
 // contents, an optional single-instruction mutation, and the runs to make.
 type fastCase struct {
 	eproxy                          bool
+	perCPU                          bool // the metrics (or L3) map is a per-CPU array
 	valueSize, maxEntries, descSize int
 	mutate                          bool
 	mutPC, mutField, mutVal         byte
@@ -197,17 +221,23 @@ type fastCase struct {
 	runs                            []fastRun
 }
 
-// fastRun is one program run: the entry point, the ctx ifindex, and the
-// frame (for RunMeta only its length counts).
+// fastRun is one program run: the entry point, the ctx ifindex, the stripe
+// (RunCopy and RunMeta, whose callers name one) and the frame (for RunMeta
+// only its length counts).
 type fastRun struct {
 	entry   byte // 0 Run, 1 RunCopy, 2 RunCopyEach (a burst of two), 3 RunMeta
 	ifindex uint32
+	stripe  uint32
 	frame   []byte
 }
 
+// namesStripe reports whether the run's caller says which stripe it is on, so
+// that both engines put what it writes to a per-CPU array in the same copy.
+func (r fastRun) namesStripe() bool { return r.entry == 1 || r.entry == 3 }
+
 const (
-	fastCaseHeader = 6  // flags, mutPC, mutField, mutVal, keyMask, sockMask
-	fastRunBytes   = 11 // entry, ifindex, length selector, first 8 frame bytes
+	fastCaseHeader = 6  // flags, mutPC, mutField | per-CPU<<7, mutVal, keyMask, sockMask
+	fastRunBytes   = 11 // entry | stripe<<2, ifindex, length selector, first 8 frame bytes
 	fastMaxRuns    = 4
 )
 
@@ -228,7 +258,8 @@ func decodeFastCase(data []byte) fastCase {
 		maxEntries: []int{4, 1, 2, 8}[flags>>3&3],
 		descSize:   []int{16, 2, 4, 24}[flags>>5&3],
 		mutate:     flags&0x80 != 0,
-		mutPC:      hdr[1], mutField: hdr[2], mutVal: hdr[3],
+		perCPU:     hdr[2]&0x80 != 0,
+		mutPC:      hdr[1], mutField: hdr[2] & 0x7f, mutVal: hdr[3],
 		keyMask: hdr[4], sockMask: hdr[5],
 	}
 	for at := fastCaseHeader; at+fastRunBytes <= len(data) && len(c.runs) < fastMaxRuns; at += fastRunBytes {
@@ -239,7 +270,7 @@ func decodeFastCase(data []byte) fastCase {
 			frame[i] = byte(i * 7)
 		}
 		copy(frame, r[3:])
-		c.runs = append(c.runs, fastRun{entry: r[0] % 4, ifindex: uint32(r[1] % 4), frame: frame})
+		c.runs = append(c.runs, fastRun{entry: r[0] % 4, ifindex: uint32(r[1] % 4), stripe: uint32(r[0] >> 2), frame: frame})
 	}
 	return c
 }
@@ -264,8 +295,12 @@ func (c *fastCase) build(t *testing.T, fast bool) (*fastSide, error) {
 	s := &fastSide{k: k}
 	var p *Program
 	var pats []insnPat
+	counters := MapTypeArray
+	if c.perCPU {
+		counters = MapTypePerCPUArray
+	}
 	if c.eproxy {
-		l3, err := k.CreateMap(MapSpec{Name: "t_l3", Type: MapTypeArray, KeySize: 4, ValueSize: c.valueSize, MaxEntries: c.maxEntries})
+		l3, err := k.CreateMap(MapSpec{Name: "t_l3", Type: counters, KeySize: 4, ValueSize: c.valueSize, MaxEntries: c.maxEntries})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +312,7 @@ func (c *fastCase) build(t *testing.T, fast bool) (*fastSide, error) {
 		s.maps = []*Map{l3, spare}
 		p, pats = eproxyShape(l3.FD(), int(c.keyMask&3), int(c.keyMask>>2&3)), eproxyPats()
 	} else {
-		sockmap, filter, metrics := sproxyMaps(t, k, c.valueSize, c.maxEntries)
+		sockmap, filter, metrics := sproxyMapsOf(t, k, counters, c.valueSize, c.maxEntries)
 		for i, e := range fastFilterEdges {
 			if c.keyMask&(1<<i) != 0 {
 				if err := filter.Update(sproxyFilterKey(e[0], e[1]), []byte{1}); err != nil {
@@ -342,7 +377,7 @@ func (s *fastSide) run(r fastRun) []runOutcome {
 		res, err := s.k.Run(s.lp, pkt, r.ifindex, nil)
 		out = append(out, runOutcome{res, err, pkt})
 	case 1:
-		res, err := s.k.RunCopy(s.lp, pkt, r.ifindex, nil)
+		res, err := s.k.RunCopy(s.lp, pkt, r.ifindex, nil, r.stripe)
 		out = append(out, runOutcome{res, err, pkt})
 	case 2:
 		s.k.RunCopyEach(s.lp, r.ifindex, nil, 2,
@@ -352,7 +387,7 @@ func (s *fastSide) run(r fastRun) []runOutcome {
 				return true
 			})
 	default:
-		res, err := s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil)
+		res, err := s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil, r.stripe)
 		out = append(out, runOutcome{res, err, pkt})
 	}
 	return out
@@ -385,27 +420,37 @@ func FuzzFastPathParity(f *testing.F) {
 		metaShort  = [fastRunBytes]byte{3, 1, 1}       // RunMeta, 3-byte frame
 		wideDst    = [fastRunBytes]byte{1, 1, 4, 2, 1} // dst 0x102
 		burstExact = [fastRunBytes]byte{2, 1, 3, 2}
+		redirectS3 = [fastRunBytes]byte{1 | 3<<2, 1, 3, 2} // RunCopy 1→2 on stripe 3
+		redirectS9 = [fastRunBytes]byte{1 | 9<<2, 1, 3, 2} // on stripe 9: stripe 1's copy
+		metaS5     = [fastRunBytes]byte{3 | 5<<2, 1, 3}    // RunMeta on stripe 5
 	)
 	const (
 		allEdges = 0xff
 		socks    = 1<<2 | 1<<5
+		perCPU   = 0x80 // in the mutField byte: the counters are a per-CPU array
 	)
 	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, redirect, denied, noSlot, noSocket)
 	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, short, empty, metaFault, metaShort)
 	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, long, wideDst, burstExact, redirect)
-	seed([fastCaseHeader]byte{1 << 1, 0, 0, 0, allEdges, socks}, redirect, noSlot)          // 4-byte metrics: declined
-	seed([fastCaseHeader]byte{3<<1 | 3<<3, 0, 0, 0, allEdges, socks}, redirect, noSlot)     // 12-byte metrics, 8 entries
-	seed([fastCaseHeader]byte{1 << 3, 0, 0, 0, allEdges, socks}, redirect)                  // 1-entry metrics: dst 2 has no slot
-	seed([fastCaseHeader]byte{1 << 5, 0, 0, 0, allEdges, socks}, redirect, short, empty)    // 2-byte descriptor: declined
-	seed([fastCaseHeader]byte{2 << 5, 0, 0, 0, allEdges, socks}, redirect, metaFault)       // 4-byte descriptor
-	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, redirect)  // filter jeq → jne
-	seed([fastCaseHeader]byte{0x80, 23, 4, 2, allEdges, socks}, redirect)                   // metrics += 2
-	seed([fastCaseHeader]byte{0x80, 18, 4, 4, allEdges, socks}, redirect)                   // metrics fd → the filter's
-	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, redirect, empty, long, metaFault)     // EPROXY, slots 0 and 1
-	seed([fastCaseHeader]byte{1 | 1<<3, 0, 0, 0, 1 << 2, 0}, redirect, metaFault)           // 1 entry: bytes slot declined
-	seed([fastCaseHeader]byte{1 | 1<<1, 0, 0, 0, 1 << 2, 0}, redirect)                      // 4-byte values: declined
-	seed([fastCaseHeader]byte{1 | 0x80, 19, 4, 1, 1 << 2, 0}, metaFault)                    // verdict wildcard → drop
-	seed([fastCaseHeader]byte{1 | 0x80, 18, 2, byte(R7), 1 << 2, 0}, metaFault, burstExact) // bytes += data_end
+	seed([fastCaseHeader]byte{1 << 1, 0, 0, 0, allEdges, socks}, redirect, noSlot)                          // 4-byte metrics: declined
+	seed([fastCaseHeader]byte{3<<1 | 3<<3, 0, 0, 0, allEdges, socks}, redirect, noSlot)                     // 12-byte metrics, 8 entries
+	seed([fastCaseHeader]byte{1 << 3, 0, 0, 0, allEdges, socks}, redirect)                                  // 1-entry metrics: dst 2 has no slot
+	seed([fastCaseHeader]byte{1 << 5, 0, 0, 0, allEdges, socks}, redirect, short, empty)                    // 2-byte descriptor: declined
+	seed([fastCaseHeader]byte{2 << 5, 0, 0, 0, allEdges, socks}, redirect, metaFault)                       // 4-byte descriptor
+	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, redirect)                  // filter jeq → jne
+	seed([fastCaseHeader]byte{0x80, 23, 4, 2, allEdges, socks}, redirect)                                   // metrics += 2
+	seed([fastCaseHeader]byte{0x80, 18, 4, 4, allEdges, socks}, redirect)                                   // metrics fd → the filter's
+	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, redirect, empty, long, metaFault)                     // EPROXY, slots 0 and 1
+	seed([fastCaseHeader]byte{1 | 1<<3, 0, 0, 0, 1 << 2, 0}, redirect, metaFault)                           // 1 entry: bytes slot declined
+	seed([fastCaseHeader]byte{1 | 1<<1, 0, 0, 0, 1 << 2, 0}, redirect)                                      // 4-byte values: declined
+	seed([fastCaseHeader]byte{1 | 0x80, 19, 4, 1, 1 << 2, 0}, metaFault)                                    // verdict wildcard → drop
+	seed([fastCaseHeader]byte{1 | 0x80, 18, 2, byte(R7), 1 << 2, 0}, metaFault, burstExact)                 // bytes += data_end
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirect, redirectS3, redirectS9, noSlot)  // per-CPU metrics, stripes named
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirectS3, denied, burstExact, metaFault) // and not: Run, a burst
+	seed([fastCaseHeader]byte{1 << 1, 0, perCPU, 0, allEdges, socks}, redirectS3)                           // 4-byte per-CPU metrics: declined
+	seed([fastCaseHeader]byte{0x80, 23, perCPU | 4, 2, allEdges, socks}, redirectS3, redirect)              // per-CPU metrics += 2
+	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, metaFault, redirectS3, long)             // EPROXY over a per-CPU L3 map
+	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, burstExact, empty)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFastCase(data)
@@ -443,8 +488,15 @@ func FuzzFastPathParity(f *testing.F) {
 			}
 			total += uint64(len(of))
 		}
+		stripesNamed := true
+		for _, r := range c.runs {
+			stripesNamed = stripesNamed && r.namesStripe()
+		}
 		for i := range fast.maps {
 			requireSameMap(t, fast.maps[i].Spec().Name, fast.maps[i], oracle.maps[i])
+			if stripesNamed {
+				requireSameCopies(t, fast.maps[i].Spec().Name, fast.maps[i], oracle.maps[i])
+			}
 		}
 		runsF, insnsF := fast.k.Stats()
 		runsO, insnsO := oracle.k.Stats()
@@ -524,11 +576,11 @@ func TestJITSProxyShapeParity(t *testing.T) {
 		var resJ, resI Result
 		var errJ, errI error
 		if r.meta > 0 {
-			resJ, errJ = ej.k.RunMeta(ej.lp, r.meta, r.src, nil)
-			resI, errI = ei.k.RunMeta(ei.lp, r.meta, r.src, nil)
+			resJ, errJ = ej.k.RunMeta(ej.lp, r.meta, r.src, nil, 0)
+			resI, errI = ei.k.RunMeta(ei.lp, r.meta, r.src, nil, 0)
 		} else {
-			resJ, errJ = ej.k.RunCopy(ej.lp, r.pkt, r.src, nil)
-			resI, errI = ei.k.RunCopy(ei.lp, r.pkt, r.src, nil)
+			resJ, errJ = ej.k.RunCopy(ej.lp, r.pkt, r.src, nil, 0)
+			resI, errI = ei.k.RunCopy(ei.lp, r.pkt, r.src, nil, 0)
 		}
 		if !sameError(errJ, errI) {
 			t.Fatalf("%s: error divergence jit=%v interp=%v", r.name, errJ, errI)
@@ -618,7 +670,7 @@ func TestJITEngineStats(t *testing.T) {
 		if _, err := k.Run(alu, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.RunCopy(sp, desc, 1, nil); err != nil {
+		if _, err := k.RunCopy(sp, desc, 1, nil, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -697,7 +749,7 @@ func TestJITConcurrentLoadRun(t *testing.T) {
 		desc := make([]byte, 16)
 		putLeU32(desc[0:4], 2)
 		for i := 0; i < iters; i++ {
-			if _, err := k.RunCopy(lp, desc, 1, nil); err != nil {
+			if _, err := k.RunCopy(lp, desc, 1, nil, uint32(i)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -74,7 +74,7 @@ func (st *execState) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		val, err := m.LookupRef(key)
+		val, err := m.lookupRef(st.on, key)
 		if err != nil {
 			ret = 0 // NULL: program must null-check (the verifier analog is runtime here)
 		} else {

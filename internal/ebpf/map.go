@@ -14,8 +14,9 @@ import (
 type MapType int
 
 // Map types used by SPRIGHT: arrays and hashes for metrics and routing,
-// sockmaps for SPROXY's socket redirection, and a hash used as the
-// inter-function descriptor filter (§3.4).
+// sockmaps for SPROXY's socket redirection, a hash used as the
+// inter-function descriptor filter (§3.4), and per-CPU arrays for the counters
+// a program bumps on every descriptor.
 const (
 	MapTypeArray MapType = iota
 	MapTypeHash
@@ -65,6 +66,15 @@ var (
 // lookups/updates go through word-wise atomic copies instead of the map
 // mutex — concurrent metric reads and increments never serialize.
 //
+// A per-CPU array (BPF_MAP_TYPE_PERCPU_ARRAY) keeps Stripes copies of the
+// array, each on cache lines of its own. bpf_map_lookup_elem inside a run
+// resolves to the copy of the stripe the run is on — under the interpreter and
+// the fast paths alike — so two cores bumping one counter write two lines.
+// User space sees one array whose every word is the sum of the copies' words:
+// Lookup, LookupU32Into and Range read sums, Update leaves the value in one
+// copy and zero in the rest so that a Lookup returns it, Delete zeroes all of
+// them. The verifier does not tell the two array types apart.
+//
 // Hash maps and sockmaps are copy-on-write: a writer rebuilds the table
 // under mu and publishes it with one atomic store before it returns, so a
 // lookup is one atomic load and no lock, and an Update or Delete that has
@@ -75,12 +85,15 @@ type Map struct {
 	spec MapSpec
 	fd   int
 
-	// array backing: slab words, valWords per entry, plus per-entry byte
-	// views aliasing the slab. The views are created once and never
-	// reassigned, so they are safe to read without a lock.
+	// array backing: slab words, valWords per entry; the byte view a lookup
+	// returns aliases the slab, which is never reallocated. copies is 1, or
+	// Stripes for a per-CPU array, whose copy c starts c*stride words into
+	// the slab; a plain array's stride is 0, so the word of (stripe, entry)
+	// is computed the same way for both.
 	slab     []uint64
 	valWords int
-	array    [][]byte
+	copies   int
+	stride   int
 
 	mu    sync.Mutex                        // serializes hash and sockmap writers
 	hash  atomic.Pointer[map[string][]byte] // MapTypeHash: published snapshot, never mutated
@@ -121,13 +134,14 @@ func newMap(spec MapSpec, fd int) (*Map, error) {
 			return nil, fmt.Errorf("ebpf: array map %q requires 4-byte keys", spec.Name)
 		}
 		m.valWords = (spec.ValueSize + 7) / 8
-		m.array = make([][]byte, spec.MaxEntries)
+		m.copies = 1
+		if spec.Type == MapTypePerCPUArray {
+			// Whole cache lines per copy, the first on a line boundary.
+			m.copies = Stripes
+			m.stride = (spec.MaxEntries*m.valWords + lineWords - 1) &^ (lineWords - 1)
+		}
 		if m.valWords > 0 {
-			m.slab = make([]uint64, spec.MaxEntries*m.valWords)
-			for i := range m.array {
-				p := (*byte)(unsafe.Pointer(&m.slab[i*m.valWords]))
-				m.array[i] = unsafe.Slice(p, spec.ValueSize)
-			}
+			m.slab = lineAligned((m.copies-1)*m.stride + spec.MaxEntries*m.valWords)
 		}
 	case MapTypeHash:
 		m.hash.Store(&map[string][]byte{})
@@ -137,6 +151,38 @@ func newMap(spec MapSpec, fd int) (*Map, error) {
 		return nil, fmt.Errorf("ebpf: unsupported map type %v", spec.Type)
 	}
 	return m, nil
+}
+
+// lineWords is a cache line in slab words.
+const lineWords = 8
+
+// lineAligned allocates n zeroed words starting on a cache-line boundary.
+func lineAligned(n int) []uint64 {
+	w := make([]uint64, n+lineWords-1)
+	off := 0
+	for uintptr(unsafe.Pointer(&w[off]))%(lineWords*8) != 0 {
+		off++
+	}
+	return w[off : off+n : off+n]
+}
+
+// word returns the first slab word of entry idx in the copy a run on stripe
+// sees: the stripe's own copy of a per-CPU array, the one copy of a plain one.
+func (m *Map) word(stripe uint32, idx int) *uint64 {
+	return &m.slab[int(stripe&(Stripes-1))*m.stride+idx*m.valWords]
+}
+
+// view is word's byte view: what bpf_map_lookup_elem hands a run on stripe.
+func (m *Map) view(stripe uint32, idx int) []byte {
+	if m.valWords == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(m.word(stripe, idx))), m.spec.ValueSize)
+}
+
+// isArray reports whether m is slab-backed: an array or a per-CPU array.
+func (m *Map) isArray() bool {
+	return m.spec.Type == MapTypeArray || m.spec.Type == MapTypePerCPUArray
 }
 
 // FD returns the map's file descriptor (its handle in programs).
@@ -158,17 +204,23 @@ func (m *Map) arrayIndex(key []byte) (int, error) {
 
 // atomicReadInto copies array entry idx into out word-atomically, so a
 // reader never observes a torn counter mid-increment and the race detector
-// sees properly paired atomics against OpAtomicAdd.
+// sees properly paired atomics against OpAtomicAdd. Each word read is the sum
+// over the map's copies: exact once the runs that add to them have returned.
 func (m *Map) atomicReadInto(idx int, out []byte) {
 	var word [8]byte
 	off := 0
 	for j := 0; j < m.valWords && off < len(out); j++ {
-		binary.NativeEndian.PutUint64(word[:], atomic.LoadUint64(&m.slab[idx*m.valWords+j]))
+		var sum uint64
+		for c := 0; c < m.copies; c++ {
+			sum += atomic.LoadUint64(&m.slab[c*m.stride+idx*m.valWords+j])
+		}
+		binary.NativeEndian.PutUint64(word[:], sum)
 		off += copy(out[off:], word[:])
 	}
 }
 
-// atomicWrite stores value into array entry idx word-atomically. A partial
+// atomicWrite stores value into array entry idx word-atomically: into the
+// first copy, the others zeroed, so the sum a reader takes is value. A partial
 // trailing word is merged read-modify-write; concurrent adds to padding
 // bytes cannot occur because padding is never exposed to programs.
 func (m *Map) atomicWrite(idx int, value []byte) {
@@ -183,6 +235,16 @@ func (m *Map) atomicWrite(idx int, value []byte) {
 			copy(word[:rem], value[off:])
 			atomic.StoreUint64(w, binary.NativeEndian.Uint64(word[:]))
 		}
+	}
+	for c := 1; c < m.copies; c++ {
+		m.zero(c, idx)
+	}
+}
+
+// zero clears entry idx of copy c.
+func (m *Map) zero(c, idx int) {
+	for j := 0; j < m.valWords; j++ {
+		atomic.StoreUint64(&m.slab[c*m.stride+idx*m.valWords+j], 0)
 	}
 }
 
@@ -240,15 +302,21 @@ func (m *Map) LookupU32Into(key uint32, out []byte) error {
 // LookupRef returns the live (aliased) value slice for in-place mutation
 // (programs write through it, like the pointer bpf_map_lookup_elem returns
 // in the kernel). Array entries alias the fixed slab and hash entries are
-// read from the published snapshot, so no lock is taken.
+// read from the published snapshot, so no lock is taken. Of a per-CPU array
+// it returns the copy a run without a stripe sees.
 func (m *Map) LookupRef(key []byte) ([]byte, error) {
+	return m.lookupRef(unpooledStripe, key)
+}
+
+// lookupRef is LookupRef for a run on stripe.
+func (m *Map) lookupRef(stripe uint32, key []byte) ([]byte, error) {
 	switch m.spec.Type {
 	case MapTypeArray, MapTypePerCPUArray:
 		idx, err := m.arrayIndex(key)
 		if err != nil {
 			return nil, err
 		}
-		return m.array[idx], nil
+		return m.view(stripe, idx), nil
 	case MapTypeHash:
 		if len(key) != m.spec.KeySize {
 			return nil, ErrBadKey
@@ -322,8 +390,8 @@ func (m *Map) Delete(key []byte) error {
 		if err != nil {
 			return err
 		}
-		for j := 0; j < m.valWords; j++ {
-			atomic.StoreUint64(&m.slab[idx*m.valWords+j], 0)
+		for c := 0; c < m.copies; c++ {
+			m.zero(c, idx)
 		}
 		return nil
 	case MapTypeSockMap:
@@ -358,8 +426,8 @@ func (m *Map) DeleteU32(key uint32) error {
 		if int(key) >= m.spec.MaxEntries {
 			return ErrKeyNotFound
 		}
-		for j := 0; j < m.valWords; j++ {
-			atomic.StoreUint64(&m.slab[int(key)*m.valWords+j], 0)
+		for c := 0; c < m.copies; c++ {
+			m.zero(c, int(key))
 		}
 		return nil
 	default:

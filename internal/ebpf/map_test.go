@@ -2,9 +2,11 @@ package ebpf
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTestMap(t *testing.T, spec MapSpec) (*Kernel, *Map) {
@@ -301,5 +303,337 @@ func TestHashMapModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Per-CPU arrays.
+
+func newPerCPUArray(t *testing.T, valueSize, maxEntries int) (*Kernel, *Map) {
+	t.Helper()
+	return newTestMap(t, MapSpec{Name: "pc", Type: MapTypePerCPUArray, KeySize: 4, ValueSize: valueSize, MaxEntries: maxEntries})
+}
+
+// bumpProgram is m[slot] += 1 through bpf_map_lookup_elem: no recognized
+// shape, so it runs on the interpreter whatever the switch says.
+func bumpProgram(t *testing.T, k *Kernel, m *Map, slot int) *LoadedProgram {
+	t.Helper()
+	b := NewBuilder("bump", ProgTypeXDP)
+	b.Ins(
+		StoreImm(R10, -4, int64(slot), W),
+		LoadMapFD(R1, m.FD()),
+		Mov64Reg(R2, R10),
+		Add64Imm(R2, -4),
+		Call(HelperMapLookupElem),
+	)
+	b.Jmp(JeqImm(R0, 0, 0), "out")
+	b.Ins(Mov64Imm(R2, 1), AtomicAdd(R0, 0, R2, DW))
+	b.Label("out")
+	b.Ins(Mov64Imm(R0, XDPPass), Exit())
+	lp, err := k.Load(b.MustProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lp
+}
+
+// TestPerCPUArrayRunSeesItsStripe: inside a run a lookup resolves to the copy
+// of the stripe the run is on — on the interpreter, and on both fast paths'
+// shapes with the switch either way — while user space reads the sum, through
+// Lookup and through LookupU32Into alike.
+func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
+	sumOf := func(m *Map, slot uint32) uint64 {
+		t.Helper()
+		v, err := m.Lookup(U32Key(slot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var into [8]byte
+		if err := m.LookupU32Into(slot, into[:]); err != nil {
+			t.Fatal(err)
+		}
+		if U64FromValue(v) != U64FromValue(into[:]) {
+			t.Fatalf("Lookup reads %d, LookupU32Into %d", U64FromValue(v), U64FromValue(into[:]))
+		}
+		return U64FromValue(v)
+	}
+	// runs[s] runs on stripe s; stripe 9 is stripe 1 again.
+	runs := map[uint32]int{0: 1, 1: 2, 5: 3, 7: 1, 9: 4}
+	perStripe := map[uint32]uint64{0: 1, 1: 6, 5: 3, 7: 1}
+	const total = 11
+
+	t.Run("interpreter", func(t *testing.T) {
+		k, m := newPerCPUArray(t, 8, 4)
+		lp := bumpProgram(t, k, m, 2)
+		if lp.Engine() != EngineInterp {
+			t.Fatalf("engine %v, want the interpreter", lp.Engine())
+		}
+		for stripe, n := range runs {
+			for i := 0; i < n; i++ {
+				if _, err := k.RunMeta(lp, 64, 0, nil, stripe); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for s := uint32(0); s < Stripes; s++ {
+			if got := U64FromValue(m.view(s, 2)); got != perStripe[s] {
+				t.Errorf("stripe %d's copy reads %d, want %d", s, got, perStripe[s])
+			}
+		}
+		if got := sumOf(m, 2); got != total {
+			t.Errorf("user space reads %d, want the sum %d", got, total)
+		}
+		if got := sumOf(m, 1); got != 0 {
+			t.Errorf("untouched entry reads %d", got)
+		}
+	})
+
+	for _, fast := range []bool{true, false} {
+		t.Run(fmt.Sprintf("eproxy shape, fast=%v", fast), func(t *testing.T) {
+			k, m := newPerCPUArray(t, 8, 4)
+			k.SetJIT(fast)
+			lp, err := k.Load(eproxyShape(m.FD(), 0, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lp.Engine() != EngineFast {
+				t.Fatalf("EPROXY shape over a per-CPU array declined: %s", lp.FallbackReason())
+			}
+			for stripe, n := range runs {
+				for i := 0; i < n; i++ {
+					if _, err := k.RunMeta(lp, 100, 0, nil, stripe); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for s := uint32(0); s < Stripes; s++ {
+				if pk, by := U64FromValue(m.view(s, 0)), U64FromValue(m.view(s, 1)); pk != perStripe[s] || by != 100*perStripe[s] {
+					t.Errorf("stripe %d's copy reads %d packets, %d bytes; want %d, %d", s, pk, by, perStripe[s], 100*perStripe[s])
+				}
+			}
+			if pk, by := sumOf(m, 0), sumOf(m, 1); pk != total || by != 100*total {
+				t.Errorf("user space reads %d packets, %d bytes; want %d, %d", pk, by, total, 100*total)
+			}
+		})
+		t.Run(fmt.Sprintf("sproxy shape, fast=%v", fast), func(t *testing.T) {
+			k := NewKernel()
+			k.SetJIT(fast)
+			sockmap, filter, metrics := sproxyMapsOf(t, k, MapTypePerCPUArray, 8, 4)
+			lp, err := k.Load(sproxyShape(16, filter.FD(), metrics.FD(), sockmap.FD()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lp.Engine() != EngineFast {
+				t.Fatalf("SPROXY shape over per-CPU metrics declined: %s", lp.FallbackReason())
+			}
+			if err := filter.Update(sproxyFilterKey(1, 2), []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			desc := make([]byte, 16)
+			putLeU32(desc, 2)
+			for stripe, n := range runs {
+				for i := 0; i < n; i++ {
+					if _, err := k.RunCopy(lp, desc, 1, nil, stripe); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for s := uint32(0); s < Stripes; s++ {
+				if got := U64FromValue(metrics.view(s, 2)); got != perStripe[s] {
+					t.Errorf("stripe %d's copy reads %d, want %d", s, got, perStripe[s])
+				}
+			}
+			if got := sumOf(metrics, 2); got != total {
+				t.Errorf("user space reads %d, want the sum %d", got, total)
+			}
+		})
+	}
+}
+
+// TestPerCPUArrayUserSpace: Update leaves a value Lookup returns whatever the
+// copies held, Delete and DeleteU32 zero every copy, Range walks sums, and the
+// type keeps its own name.
+func TestPerCPUArrayUserSpace(t *testing.T) {
+	k, m := newPerCPUArray(t, 12, 3) // a partial trailing word, too
+	if got := m.Spec().Type.String(); got != "percpu_array" {
+		t.Fatalf("type %q", got)
+	}
+	if m.Entries() != 3 {
+		t.Fatalf("entries %d, want 3", m.Entries())
+	}
+	lp := bumpProgram(t, k, m, 1)
+	bump := func(stripes ...uint32) {
+		t.Helper()
+		for _, s := range stripes {
+			if _, err := k.RunMeta(lp, 0, 0, nil, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	word0 := func() uint64 {
+		t.Helper()
+		v, err := m.Lookup(U32Key(1))
+		if err != nil || len(v) != 12 {
+			t.Fatalf("lookup: %x, %v", v, err)
+		}
+		return U64FromValue(v)
+	}
+
+	bump(1, 2, 2, 6)
+	if got := word0(); got != 4 {
+		t.Fatalf("four runs on three stripes read %d", got)
+	}
+	val := make([]byte, 12)
+	copy(val, U64Value(1000))
+	val[8], val[11] = 0xAB, 0xCD
+	if err := m.Update(U32Key(1), val); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Lookup(U32Key(1)); string(v) != string(val) {
+		t.Fatalf("Lookup after Update reads %x, want %x", v, val)
+	}
+	bump(3, 0)
+	if got := word0(); got != 1002 {
+		t.Fatalf("two runs after Update(1000) read %d", got)
+	}
+	seen := 0
+	m.Range(func(key, v []byte) bool {
+		seen++
+		want := uint64(0)
+		if string(key) == string(U32Key(1)) {
+			want = 1002
+		}
+		if U64FromValue(v) != want {
+			t.Errorf("Range: entry %x reads %d, want %d", key, U64FromValue(v), want)
+		}
+		return true
+	})
+	if seen != 3 {
+		t.Fatalf("Range visited %d entries, want 3", seen)
+	}
+	if err := m.Delete(U32Key(1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Lookup(U32Key(1)); string(v) != string(make([]byte, 12)) {
+		t.Fatalf("Lookup after Delete reads %x", v)
+	}
+	bump(4, 5)
+	if err := m.DeleteU32(1); err != nil {
+		t.Fatal(err)
+	}
+	for s := uint32(0); s < Stripes; s++ {
+		if got := U64FromValue(m.view(s, 1)); got != 0 {
+			t.Errorf("stripe %d's copy reads %d after DeleteU32", s, got)
+		}
+	}
+	if err := m.Update(U32Key(3), val); !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("update past the end: %v", err)
+	}
+}
+
+// TestPerCPUArrayConcurrentStripes: runs on their own stripes and runs sharing
+// one add to the same entry at once; the sum user space reads afterwards is
+// exact — sharing a stripe costs speed, never a count.
+func TestPerCPUArrayConcurrentStripes(t *testing.T) {
+	k, m := newPerCPUArray(t, 8, 4)
+	interp := bumpProgram(t, k, m, 0)
+	fast, err := k.Load(eproxyShape(m.FD(), 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, iters = 6, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stripe := uint32(w % 4) // workers 4 and 5 share stripes 0 and 1
+			for i := 0; i < iters; i++ {
+				lp := fast
+				if i%2 == 0 {
+					lp = interp
+				}
+				if _, err := k.RunMeta(lp, 10, 0, nil, stripe); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%64 == 0 {
+					var v [8]byte
+					_ = m.LookupU32Into(0, v[:]) // a scrape in the middle
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	v, _ := m.Lookup(U32Key(0))
+	if got := U64FromValue(v); got != workers*iters {
+		t.Fatalf("entry 0 reads %d after %d adds", got, workers*iters)
+	}
+	v, _ = m.Lookup(U32Key(1))
+	if got := U64FromValue(v); got != workers*iters/2*10 {
+		t.Fatalf("entry 1 reads %d, want %d", got, workers*iters/2*10)
+	}
+	if runs, _ := k.Stats(); runs != workers*iters {
+		t.Fatalf("%d runs counted, want %d", runs, workers*iters)
+	}
+}
+
+// TestPerCPUArrayVerifies: the verifier treats a per-CPU array as it treats an
+// array — a program that names one by fd loads, one that names a map that is
+// not there does not.
+func TestPerCPUArrayVerifies(t *testing.T) {
+	k, m := newPerCPUArray(t, 8, 2)
+	if lp := bumpProgram(t, k, m, 0); lp.Len() == 0 {
+		t.Fatal("empty program loaded")
+	}
+	k.RemoveMaps(m)
+	b := NewBuilder("gone", ProgTypeXDP)
+	b.Ins(LoadMapFD(R1, m.FD()), Mov64Imm(R0, 0), Exit())
+	if _, err := k.Load(b.MustProgram()); err == nil {
+		t.Fatal("a program naming a removed per-CPU array loaded")
+	}
+}
+
+// TestPerCPUArrayLayout: the copies of one entry are at least a cache line
+// apart and every copy starts on a line, so no two stripes write one line —
+// and neither do two stripes of the kernel's run counters, nor a stripe and
+// the words every run reads, on the address a Kernel is really allocated at.
+func TestPerCPUArrayLayout(t *testing.T) {
+	k := NewKernel()
+	lineOf := func(p unsafe.Pointer, size uintptr) (lo, hi uintptr) {
+		return uintptr(p) / 64, (uintptr(p) + size - 1) / 64
+	}
+	last := ^uintptr(0)
+	for i := range k.stripes {
+		st := &k.stripes[i]
+		lo, hi := lineOf(unsafe.Pointer(st), unsafe.Offsetof(st.insns)+unsafe.Sizeof(st.insns))
+		if lo != hi || lo == last {
+			t.Errorf("run stripe %d's words are on lines %d..%d, stripe %d's end on %d", i, lo, hi, i-1, last)
+		}
+		last = hi
+	}
+	if lo, _ := lineOf(unsafe.Pointer(&k.env), unsafe.Sizeof(k.env)); lo <= last {
+		t.Errorf("Kernel.env, which every run reads, is on line %d, the last run stripe's words on %d", lo, last)
+	}
+	for _, g := range []struct{ valueSize, maxEntries int }{{8, 4}, {8, 256}, {12, 3}, {8, 1}, {24, 5}} {
+		_, m := newPerCPUArray(t, g.valueSize, g.maxEntries)
+		for s := uint32(0); s < Stripes; s++ {
+			first := uintptr(unsafe.Pointer(m.word(s, 0)))
+			if first%64 != 0 {
+				t.Errorf("%+v: stripe %d's copy starts %d bytes into a line", g, s, first%64)
+			}
+			if s == 0 {
+				continue
+			}
+			for i := 0; i < g.maxEntries; i++ {
+				a, b := uintptr(unsafe.Pointer(m.word(s-1, i))), uintptr(unsafe.Pointer(m.word(s, i)))
+				if b-a < 64 {
+					t.Errorf("%+v: entry %d of stripes %d and %d is %d bytes apart", g, i, s-1, s, b-a)
+				}
+				if last := uintptr(unsafe.Pointer(m.word(s-1, g.maxEntries-1))) + uintptr(8*m.valWords); last > uintptr(unsafe.Pointer(m.word(s, 0))) {
+					t.Errorf("%+v: stripe %d's copy runs into stripe %d's", g, s-1, s)
+				}
+			}
+		}
 	}
 }

@@ -119,10 +119,12 @@ type envBox struct{ e Env }
 // programs plus the execution engine. One Kernel instance backs one
 // simulated worker node.
 type Kernel struct {
-	// Run accounting, striped (see runStripe). First in the struct so the
-	// stripes start on a cache line: a Kernel is large enough that the
-	// allocator aligns it to one.
-	stripes [runStripes]runStripe
+	// Run accounting, striped (see runStripe). First in the struct, each
+	// stripe 64 bytes with its words in the first 24: wherever within a line
+	// the allocation starts (Go puts an 8-byte header before an object this
+	// large), no two stripes' words share one, and none shares one with the
+	// fields below (TestPerCPUArrayLayout).
+	stripes [Stripes]runStripe
 
 	mu   sync.RWMutex
 	maps map[int]*Map
@@ -257,18 +259,26 @@ func (k *Kernel) SetJIT(on bool) { k.fastOff.Store(!on) }
 // JITEnabled reports whether the fast paths are active.
 func (k *Kernel) JITEnabled() bool { return !k.fastOff.Load() }
 
-// runStripes is how many ways the run counters are split (a power of two).
-const runStripes = 8
+// Stripes is how many ways per-run written state is split (a power of two):
+// the kernel's run counters, a per-CPU array's copies, and in internal/core an
+// instance's concurrency slots and hop counters.
+//
+// A run is on one stripe, the stand-in for the CPU it runs on: it counts
+// itself there and its bpf_map_lookup_elem on a per-CPU array resolves to that
+// stripe's copy. RunCopy and RunMeta are told the stripe by their caller, which
+// hangs its own per-hop words on the same one; Run and RunCopyEach, which are
+// not, use their pooled exec state's. A stripe is a property of a pooled object
+// (NextStripe): a sync.Pool hands a P its own object back in practice, so each
+// core keeps to its own stripe with no further mechanism. Nothing depends on
+// that for more than speed — every striped word is still written atomically, and
+// two cores on one stripe only share its lines again.
+const Stripes = 8
 
 // runStripe is one cache line of run accounting: how many runs took a fast
 // path, how many the interpreter, and the instructions they ran.
 // Every program run on the node counts itself, so on a single set of counters
 // every core writes one line per run — a line that would also sit beside
-// fastOff and env, which every run reads. A run counts on the stripe of the
-// pooled staging buffer it already holds (fastBuf, execState): a sync.Pool
-// hands a P its own object back in practice, so each core keeps to its own
-// stripe with no further mechanism, and sharing one only costs speed. Runs
-// that take no pooled buffer count on unpooledStripe, which no buffer is given.
+// fastOff and env, which every run reads.
 type runStripe struct {
 	fastRuns   atomic.Uint64
 	interpRuns atomic.Uint64
@@ -276,13 +286,17 @@ type runStripe struct {
 	_          [5]uint64
 }
 
+// unpooledStripe is the stripe of a run that has none to be on: a fast-path
+// Run (the hooks' and a bare caller's), whose caller passed none and which
+// takes no pooled state that could carry one. No pooled object is dealt it.
 const unpooledStripe = 0
 
-// stripeSeq deals the other stripes, 1..runStripes-1, to pooled staging
-// buffers.
+// stripeSeq deals the other stripes, 1..Stripes-1, to pooled objects.
 var stripeSeq atomic.Uint32
 
-func nextStripe() uint32 { return 1 + stripeSeq.Add(1)%(runStripes-1) }
+// NextStripe deals a stripe to a pooled object that will carry it for the runs
+// its holders make.
+func NextStripe() uint32 { return 1 + stripeSeq.Add(1)%(Stripes-1) }
 
 // Stats reports cumulative execution statistics.
 func (k *Kernel) Stats() (runs, insns uint64) {
@@ -313,17 +327,6 @@ func (k *Kernel) EngineStats() EngineStats {
 	return es
 }
 
-// noteRun counts one run on the given stripe.
-func (k *Kernel) noteRun(stripe uint32, insns int, fast bool) {
-	st := &k.stripes[stripe&(runStripes-1)]
-	st.insns.Add(uint64(insns))
-	if fast {
-		st.fastRuns.Add(1)
-	} else {
-		st.interpRuns.Add(1)
-	}
-}
-
 // fastOf returns lp's shape-specialized runner if the fast paths are on.
 func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
 	if k.fastOff.Load() {
@@ -335,7 +338,9 @@ func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
 // interpret runs a prepared exec state on the interpreter and counts the run.
 func (k *Kernel) interpret(st *execState) (Result, error) {
 	res, err := st.run()
-	k.noteRun(st.stripe, res.Insns, false)
+	rs := &k.stripes[st.on&(Stripes-1)]
+	rs.insns.Add(uint64(res.Insns))
+	rs.interpRuns.Add(1)
 	return res, err
 }
 
@@ -353,7 +358,7 @@ const (
 // execPool recycles execState instances across runs. All hot-path storage
 // (ctx, stack, map-value table, RunCopy staging buffer) is inline in the
 // struct, so a pooled run performs zero heap allocation.
-var execPool = sync.Pool{New: func() any { return &execState{stripe: nextStripe()} }}
+var execPool = sync.Pool{New: func() any { return &execState{stripe: NextStripe()} }}
 
 // reset re-arms an exec state for one run over a frame of frameLen bytes.
 // The stack and registers are zeroed — the verifier does not track
@@ -379,8 +384,16 @@ func (st *execState) reset(frameLen int, ifindex uint32) {
 	st.reg[R10] = stackBase + StackSize
 }
 
-// getExec prepares a pooled execState for one run.
+// getExec prepares a pooled execState for one run, on the state's own stripe
+// until the caller says otherwise.
 func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex uint32, env Env) *execState {
+	st := k.bindExec(lp, env)
+	st.reset(frameLen, ifindex)
+	return st
+}
+
+// bindExec takes a pooled execState for lp's runs; the caller resets it per run.
+func (k *Kernel) bindExec(lp *LoadedProgram, env Env) *execState {
 	st := execPool.Get().(*execState)
 	st.kernel = k
 	st.prog = lp
@@ -388,7 +401,7 @@ func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex uint32, env En
 	if env == nil {
 		st.env = k.currentEnv()
 	}
-	st.reset(frameLen, ifindex)
+	st.on = st.stripe
 	return st
 }
 
@@ -412,27 +425,41 @@ func putExec(st *execState) {
 
 // Run executes a loaded program over data (packet or message bytes) with
 // the given ingress ifindex. The program reads and writes data in place.
-// It is the common engine behind the hook dispatchers in hooks.go.
+// It is the common engine behind the hook dispatchers in hooks.go. Its caller
+// names no stripe: an interpreted run is on its pooled exec state's, a
+// fast-path run, which takes no pooled state, on unpooledStripe.
 func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
-		res, err := f(data, len(data), ifindex)
-		k.noteRun(unpooledStripe, res.Insns, true)
-		return res, err
+		return k.runFast(f, data, len(data), ifindex, unpooledStripe)
 	}
 	st := k.getExec(lp, len(data), ifindex, env)
-	st.packet = data
-	st.pktWrite = true
-	st.msgData = data
-	res, err := k.interpret(st)
+	res, err := k.interpretOver(st, data)
 	putExec(st)
 	return res, err
 }
 
-// RunCopy executes a program over a private copy of data, leaving the
-// caller's slice unread after return and unaliased by the VM. Small frames
+// runFast runs a shape-specialized runner on stripe and counts the run there.
+func (k *Kernel) runFast(f fastRunner, pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error) {
+	res, err := f(pkt, frameLen, ifindex, stripe)
+	st := &k.stripes[stripe&(Stripes-1)]
+	st.insns.Add(uint64(res.Insns))
+	st.fastRuns.Add(1)
+	return res, err
+}
+
+// interpretOver interprets st's program over packet, readable and writable.
+func (k *Kernel) interpretOver(st *execState, packet []byte) (Result, error) {
+	st.packet = packet
+	st.pktWrite = true
+	st.msgData = packet
+	return k.interpret(st)
+}
+
+// RunCopy executes a program on stripe over a private copy of data, leaving
+// the caller's slice unread after return and unaliased by the VM. Small frames
 // (descriptors) are staged in the exec state's inline buffer, so the send
 // path does not allocate; larger frames fall back to an explicit copy.
-func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (Result, error) {
+func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env, stripe uint32) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
 		// The fast paths neither write nor retain the frame, but f is an
 		// indirect call, so escape analysis must assume it leaks its
@@ -443,26 +470,22 @@ func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env
 		if len(data) <= pktCopySize {
 			buf := fastBufPool.Get().(*fastBuf)
 			n := copy(buf.b[:], data)
-			res, err := f(buf.b[:n], n, ifindex)
-			k.noteRun(buf.stripe, res.Insns, true)
+			res, err := k.runFast(f, buf.b[:n], n, ifindex, stripe)
 			fastBufPool.Put(buf)
 			return res, err
 		}
 		big := append([]byte(nil), data...)
-		res, err := f(big, len(big), ifindex)
-		k.noteRun(unpooledStripe, res.Insns, true)
-		return res, err
-	}
-	if len(data) > pktCopySize {
-		buf := append([]byte(nil), data...)
-		return k.Run(lp, buf, ifindex, env)
+		return k.runFast(f, big, len(big), ifindex, stripe)
 	}
 	st := k.getExec(lp, len(data), ifindex, env)
-	n := copy(st.pktCopy[:], data)
-	st.packet = st.pktCopy[:n]
-	st.pktWrite = true
-	st.msgData = st.packet
-	res, err := k.interpret(st)
+	st.on = stripe
+	var packet []byte
+	if len(data) > pktCopySize {
+		packet = append(packet, data...)
+	} else {
+		packet = st.pktCopy[:copy(st.pktCopy[:], data)]
+	}
+	res, err := k.interpretOver(st, packet)
 	putExec(st)
 	return res, err
 }
@@ -485,13 +508,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 	if n <= 0 {
 		return
 	}
-	st := execPool.Get().(*execState)
-	st.kernel = k
-	st.prog = lp
-	st.env = env
-	if env == nil {
-		st.env = k.currentEnv()
-	}
+	st := k.bindExec(lp, env)
 	if f := k.fastOf(lp); f != nil {
 		// Shape-specialized burst: the pooled exec state is kept only for
 		// its inline staging buffer (a local array would escape through
@@ -501,8 +518,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 			if ln > pktCopySize {
 				ln = pktCopySize
 			}
-			res, err := f(st.pktCopy[:ln], ln, ifindex)
-			k.noteRun(st.stripe, res.Insns, true)
+			res, err := k.runFast(f, st.pktCopy[:ln], ln, ifindex, st.on)
 			if !each(i, res, err) {
 				break
 			}
@@ -516,10 +532,7 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 			ln = pktCopySize
 		}
 		st.reset(ln, ifindex)
-		st.packet = st.pktCopy[:ln]
-		st.pktWrite = true
-		st.msgData = st.packet
-		res, err := k.interpret(st)
+		res, err := k.interpretOver(st, st.pktCopy[:ln])
 		if !each(i, res, err) {
 			break
 		}
@@ -527,18 +540,17 @@ func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
 	putExec(st)
 }
 
-// RunMeta executes a program over a synthetic frame of frameLen bytes whose
-// contents are inaccessible: ctx data/data_end describe the frame bounds,
-// but any dereference of packet memory faults. Metrics-only programs (the
-// EPROXY monitor reads just data/data_end from the ctx) run this way
+// RunMeta executes a program on stripe over a synthetic frame of frameLen
+// bytes whose contents are inaccessible: ctx data/data_end describe the frame
+// bounds, but any dereference of packet memory faults. Metrics-only programs
+// (the EPROXY monitor reads just data/data_end from the ctx) run this way
 // without the caller materializing a frame at all.
-func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex uint32, env Env) (Result, error) {
+func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex uint32, env Env, stripe uint32) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
-		res, err := f(nil, frameLen, ifindex)
-		k.noteRun(unpooledStripe, res.Insns, true)
-		return res, err
+		return k.runFast(f, nil, frameLen, ifindex, stripe)
 	}
 	st := k.getExec(lp, frameLen, ifindex, env)
+	st.on = stripe
 	res, err := k.interpret(st)
 	putExec(st)
 	return res, err

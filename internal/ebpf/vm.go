@@ -125,9 +125,9 @@ type execState struct {
 	// msgData is the SK_MSG payload (for msg_redirect_map delivery).
 	msgData []byte
 
-	// stripe is the run-counter stripe this pooled state counts on; fixed
-	// when the state is first made (runStripe).
-	stripe uint32
+	// stripe is the state's own (Stripes), dealt when it was first made; on
+	// is the stripe the current run is on: that one, or the one its caller named.
+	stripe, on uint32
 }
 
 func (st *execState) slot(i int) []byte {

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	spright "github.com/spright-go/spright"
+	"github.com/spright-go/spright/internal/boutique"
 )
 
 // TestPublicAPIQuickstart exercises exactly the flow the package doc
@@ -186,5 +190,129 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 	}
 	if err := dep.Chain.Pool().LeakCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoCallerApp is one chain BenchmarkTwoCallers drives: what to deploy and the
+// request sequence, drawn once from a fixed seed.
+type twoCallerApp struct {
+	name string
+	spec func() spright.ChainSpec
+	reqs [][]byte
+}
+
+func twoCallerApps() []twoCallerApp {
+	rng := rand.New(rand.NewSource(1))
+	// The boutique with Locust-weighted chains, as bench/'s boutique-mix draws it.
+	weights := boutique.Weights()
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	shop := make([][]byte, 4096)
+	body := make([]byte, 128)
+	for i := range shop {
+		x, ci := rng.Float64()*total, 0
+		for ci < len(weights)-1 && x >= weights[ci] {
+			x -= weights[ci]
+			ci++
+		}
+		rng.Read(body)
+		shop[i] = boutique.EncodeRequest(ci, body)
+	}
+	echo := make([][]byte, 1024)
+	for i := range echo {
+		echo[i] = make([]byte, 256)
+		rng.Read(echo[i])
+	}
+	nop := func(*spright.Ctx) error { return nil }
+	return []twoCallerApp{
+		{name: "boutique", reqs: shop, spec: func() spright.ChainSpec { return boutique.Spec(boutique.SpecOptions{}) }},
+		{name: "echo-polling", reqs: echo, spec: func() spright.ChainSpec {
+			return spright.ChainSpec{
+				Name: "echo",
+				Mode: spright.ModePolling,
+				Functions: []spright.FunctionSpec{
+					{Name: "upper", Handler: nop},
+					{Name: "exclaim", Handler: nop},
+				},
+				Routes: []spright.RouteSpec{{From: "", To: []string{"upper"}}, {From: "upper", To: []string{"exclaim"}}},
+			}
+		}},
+	}
+}
+
+// runCallers splits b.N requests over closed-loop callers, caller c driving
+// deployment c mod chains, each deployment on a cluster of its own, and
+// returns the rate. With one caller a second goroutine spins, as bench/'s solo
+// phase has one: on a guest whose idle loop halts the core, a one-caller rate
+// is otherwise the price of waking it.
+func runCallers(b *testing.B, app twoCallerApp, callers, chains int) float64 {
+	gws := make([]*spright.Gateway, chains)
+	for i := range gws {
+		dep, err := spright.NewCluster(1).Controller.DeployChain(app.spec())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer dep.Close()
+		gws[i] = dep.Gateway
+	}
+	var spin atomic.Bool
+	spin.Store(callers == 1)
+	var spinning, wg sync.WaitGroup
+	if spin.Load() {
+		spinning.Add(1)
+		go func() {
+			defer spinning.Done()
+			for spin.Load() {
+			}
+		}()
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	start := time.Now()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			gw, dst := gws[c%chains], make([]byte, 1024)
+			for i := c; i < b.N; i += callers {
+				if _, err := gw.InvokeInto(ctx, "", app.reqs[i%len(app.reqs)], dst); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	rate := float64(b.N) / time.Since(start).Seconds()
+	b.StopTimer()
+	spin.Store(false)
+	spinning.Wait()
+	b.ReportMetric(rate, "req/s")
+	return rate
+}
+
+// BenchmarkTwoCallers is what the second core buys, as one command:
+//
+//	go test -run '^$' -bench TwoCallers -benchtime 2s -cpu 2 .
+//
+// For the boutique (ModeEvent, ~13 hops a request) and the polled echo it
+// reports req/s with one closed-loop caller, with two on one chain, and with
+// two on two chains of their own — the same code, cores and request mix, and
+// no written word in common: the ceiling for two callers on one chain. The
+// two-chains row also reports one-chain ÷ two-chains: the share of the ceiling
+// the shared chain reaches, 1 when two requests on one chain write nothing in
+// common either.
+func BenchmarkTwoCallers(b *testing.B) {
+	for _, app := range twoCallerApps() {
+		var oneChain float64
+		b.Run(app.name+"/one-caller", func(b *testing.B) { runCallers(b, app, 1, 1) })
+		b.Run(app.name+"/one-chain", func(b *testing.B) { oneChain = runCallers(b, app, 2, 1) })
+		b.Run(app.name+"/two-chains", func(b *testing.B) {
+			if twoChains := runCallers(b, app, 2, 2); oneChain > 0 {
+				b.ReportMetric(oneChain/twoChains, "one÷two")
+			}
+		})
 	}
 }

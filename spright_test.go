@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,12 +243,12 @@ func twoCallerApps() []twoCallerApp {
 	}
 }
 
-// runCallers splits b.N requests over closed-loop callers, caller c driving
-// deployment c mod chains, each deployment on a cluster of its own, and
-// returns the rate. With one caller a second goroutine spins, as bench/'s solo
-// phase has one: on a guest whose idle loop halts the core, a one-caller rate
-// is otherwise the price of waking it.
-func runCallers(b *testing.B, app twoCallerApp, callers, chains int) float64 {
+// rate deploys chains copies of the app, each on a cluster of its own, drives
+// n requests at them from closed-loop callers — caller c at deployment c mod
+// chains — and returns requests per second. With one caller a second
+// goroutine spins, as bench/'s solo phase has one: on a guest whose idle loop
+// halts the core, a one-caller rate is otherwise the price of waking it.
+func (app twoCallerApp) rate(b *testing.B, callers, chains, n int) float64 {
 	gws := make([]*spright.Gateway, chains)
 	for i := range gws {
 		dep, err := spright.NewCluster(1).Controller.DeployChain(app.spec())
@@ -258,9 +259,9 @@ func runCallers(b *testing.B, app twoCallerApp, callers, chains int) float64 {
 		gws[i] = dep.Gateway
 	}
 	var spin atomic.Bool
-	spin.Store(callers == 1)
-	var spinning, wg sync.WaitGroup
-	if spin.Load() {
+	var spinning sync.WaitGroup
+	if callers == 1 {
+		spin.Store(true)
 		spinning.Add(1)
 		go func() {
 			defer spinning.Done()
@@ -269,50 +270,68 @@ func runCallers(b *testing.B, app twoCallerApp, callers, chains int) float64 {
 		}()
 	}
 	ctx := context.Background()
-	b.ResetTimer()
-	start := time.Now()
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			gw, dst := gws[c%chains], make([]byte, 1024)
-			for i := c; i < b.N; i += callers {
-				if _, err := gw.InvokeInto(ctx, "", app.reqs[i%len(app.reqs)], dst); err != nil {
-					b.Error(err)
-					return
+	drive := func(n int) time.Duration {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				gw, dst := gws[c%chains], make([]byte, 1024)
+				for i := c; i < n; i += callers {
+					if _, err := gw.InvokeInto(ctx, "", app.reqs[i%len(app.reqs)], dst); err != nil {
+						b.Error(err)
+						return
+					}
 				}
-			}
-		}(c)
+			}(c)
+		}
+		wg.Wait()
+		return time.Since(start)
 	}
-	wg.Wait()
-	rate := float64(b.N) / time.Since(start).Seconds()
-	b.StopTimer()
+	drive(1024) // workers started, pools filled
+	r := float64(n) / drive(n).Seconds()
 	spin.Store(false)
 	spinning.Wait()
-	b.ReportMetric(rate, "req/s")
-	return rate
+	return r
+}
+
+func median(v []float64) float64 {
+	sort.Float64s(v)
+	return (v[(len(v)-1)/2] + v[len(v)/2]) / 2
 }
 
 // BenchmarkTwoCallers is what the second core buys, as one command:
 //
-//	go test -run '^$' -bench TwoCallers -benchtime 2s -cpu 2 .
+//	go test -run '^$' -bench TwoCallers -benchtime 200000x -cpu 2 .
 //
 // For the boutique (ModeEvent, ~13 hops a request) and the polled echo it
 // reports req/s with one closed-loop caller, with two on one chain, and with
 // two on two chains of their own — the same code, cores and request mix, and
 // no written word in common: the ceiling for two callers on one chain. The
-// two-chains row also reports one-chain ÷ two-chains: the share of the ceiling
-// the shared chain reaches, 1 when two requests on one chain write nothing in
-// common either.
+// two-chains row also reports one-chain ÷ two-chains, the share of that
+// ceiling the shared chain reaches (1: two requests on one chain write nothing
+// in common either). The host's speed drifts by more than the difference, so
+// that row measures the two side by side — five rounds of a two-chains slice
+// and a one-chain slice, fresh deployments each — and reports the medians.
 func BenchmarkTwoCallers(b *testing.B) {
 	for _, app := range twoCallerApps() {
-		var oneChain float64
-		b.Run(app.name+"/one-caller", func(b *testing.B) { runCallers(b, app, 1, 1) })
-		b.Run(app.name+"/one-chain", func(b *testing.B) { oneChain = runCallers(b, app, 2, 1) })
+		b.Run(app.name+"/one-caller", func(b *testing.B) {
+			b.ReportMetric(app.rate(b, 1, 1, b.N), "req/s")
+		})
+		b.Run(app.name+"/one-chain", func(b *testing.B) {
+			b.ReportMetric(app.rate(b, 2, 1, b.N), "req/s")
+		})
 		b.Run(app.name+"/two-chains", func(b *testing.B) {
-			if twoChains := runCallers(b, app, 2, 2); oneChain > 0 {
-				b.ReportMetric(oneChain/twoChains, "one÷two")
+			const rounds = 5
+			var split, share []float64
+			for r := 0; r < rounds; r++ {
+				two := app.rate(b, 2, 2, b.N/rounds+1)
+				one := app.rate(b, 2, 1, b.N/rounds+1)
+				split, share = append(split, two), append(share, one/two)
 			}
+			b.ReportMetric(median(split), "req/s")
+			b.ReportMetric(median(share), "one÷two")
 		})
 	}
 }

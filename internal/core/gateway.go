@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/spright-go/spright/internal/ebpf"
 	"github.com/spright-go/spright/internal/metrics"
 	"github.com/spright-go/spright/internal/shm"
 	"github.com/spright-go/spright/internal/shm/objstore"
@@ -22,19 +23,22 @@ import (
 // chain's shared-memory pool exactly once, invokes the head function, and
 // constructs the external response when the descriptor returns.
 type Gateway struct {
+	// What every request writes, striped (gwStripe). First in the struct,
+	// each stripe 64 bytes with its words in the first 24, so that wherever
+	// within a line the allocation starts no two stripes' words share one
+	// (TestStripeLayout).
+	stripes [ebpf.Stripes]gwStripe
+
 	chain *Chain
 	sock  *Socket
 	eprox *EProxy
 
 	pending pendTable
-	nextID  atomic.Uint32
 
 	adapters *AdapterRegistry
 
-	admitted  atomic.Uint64
-	rejected  atomic.Uint64
-	completed atomic.Uint64
-	failed    atomic.Uint64
+	rejected atomic.Uint64
+	failed   atomic.Uint64
 
 	// Deliberate-shed counters, one per Shed* reason (overload-graceful
 	// admission: every refused request is attributable, never blackholed).
@@ -77,6 +81,19 @@ type Gateway struct {
 	// (Kept at the struct tail so the hot fields above keep their layout.)
 	agentTickMu sync.RWMutex
 	agentTick   func()
+}
+
+// gwStripe is one stripe (ebpf.Stripes) of the words the gateway writes for
+// every request, a cache line to itself: the caller IDs it deals and the
+// counts of requests admitted and completed. A request's words are those of
+// the stripe its pending entry was dealt (waiter.stripe), which is also the
+// low bits of its caller ID — so the worker that completes it, on whatever
+// goroutine, counts it where it was admitted.
+type gwStripe struct {
+	seq       atomic.Uint32 // caller IDs dealt: ID = seq*ebpf.Stripes + stripe
+	admitted  atomic.Uint64
+	completed atomic.Uint64
+	_         [5]uint64
 }
 
 // Gateway errors.
@@ -193,15 +210,25 @@ func (g *Gateway) LastScrapeRate() float64 {
 
 // Pending returns the number of requests currently awaiting a response —
 // registered waiters across the pending table.
-func (g *Gateway) Pending() int { return int(g.pending.count.Load()) }
+func (g *Gateway) Pending() int { return g.pending.registered() }
 
-// Admitted returns the all-time count of admitted requests (a cheap
-// atomic read for control loops that poll it every tick).
-func (g *Gateway) Admitted() uint64 { return g.admitted.Load() }
+// Admitted returns the all-time count of admitted requests (a few atomic
+// reads, cheap enough for control loops that poll it every tick).
+func (g *Gateway) Admitted() (n uint64) {
+	for i := range g.stripes {
+		n += g.stripes[i].admitted.Load()
+	}
+	return n
+}
 
 // Completed returns the all-time count of requests completed with a
-// response descriptor (cheap atomic read, unlike the full Stats snapshot).
-func (g *Gateway) Completed() uint64 { return g.completed.Load() }
+// response descriptor (a few atomic reads, unlike the full Stats snapshot).
+func (g *Gateway) Completed() (n uint64) {
+	for i := range g.stripes {
+		n += g.stripes[i].completed.Load()
+	}
+	return n
+}
 
 // Failed returns the all-time count of requests terminated by a dataplane
 // error.
@@ -315,7 +342,7 @@ func (g *Gateway) complete(d shm.Descriptor) {
 	// constructing the external response (§3.1), straight into the caller's
 	// destination or the peer's wire slot.
 	body, err := g.replyBody(w, d)
-	g.completed.Add(1)
+	g.stripes[w.stripe].completed.Add(1)
 	if w.responder != nil {
 		// Answered from the pool buffer, so the buffer goes back after.
 		g.settle(w, body, err)
@@ -424,7 +451,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 		// deliberately (explicit reason + retry-after) instead of letting the
 		// burst blackhole into pool exhaustion mid-scale-up. A remote hop
 		// does not bypass it.
-		if mp := g.admission.MaxPending; mp > 0 && int(g.pending.count.Load()) >= mp {
+		if mp := g.admission.MaxPending; mp > 0 && g.pending.registered() >= mp {
 			g.shed(&g.shedOverload, ShedOverload, "")
 			return &OverloadError{Reason: ShedOverload, RetryAfter: g.admission.RetryAfter}
 		}
@@ -509,7 +536,7 @@ func (g *Gateway) admit(rq *request, caller, stripe uint32) (shm.Descriptor, err
 		return g.refuse(fmt.Errorf("%w: %d-byte object, %d-byte buffer (%w)",
 			shm.ErrPayloadTooLarge, len(obj), pool.BufSize(), ErrObjectsDisabled))
 	}
-	buf, err := pool.Get()
+	buf, err := pool.GetOn(stripe)
 	if err != nil {
 		// Backpressure whatever the cause: there is no buffer to be had.
 		return g.refuse(fmt.Errorf("%w: %v", ErrBackpressure, err))
@@ -535,7 +562,7 @@ func (g *Gateway) admit(rq *request, caller, stripe uint32) (shm.Descriptor, err
 	if g.eprox != nil {
 		g.eprox.onIngress(len(rq.payload), stripe)
 	}
-	g.admitted.Add(1)
+	g.stripes[stripe].admitted.Add(1)
 	return shm.Descriptor{Buf: buf, Len: uint32(n), Caller: caller}, nil
 }
 
@@ -820,7 +847,7 @@ func (g *Gateway) CompleteRemote(caller uint32, payload []byte, err error) bool 
 			copy(body, payload)
 		}
 	}
-	g.completed.Add(1)
+	g.stripes[w.stripe].completed.Add(1)
 	g.settle(w, body, err)
 	return true
 }
@@ -1007,9 +1034,9 @@ func (g *Gateway) Stats() GatewayStats {
 	fs := g.chain.Failures()
 	lat := g.lat.Snapshot()
 	return GatewayStats{
-		Admitted:            g.admitted.Load(),
+		Admitted:            g.Admitted(),
 		Rejected:            g.rejected.Load(),
-		Completed:           g.completed.Load(),
+		Completed:           g.Completed(),
 		Failed:              g.failed.Load(),
 		Crashes:             fs.Crashes,
 		Retries:             fs.Retries,

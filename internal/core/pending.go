@@ -89,13 +89,32 @@ type pendShard struct {
 	_  [6]uint64 // pad: neighbouring shard locks must not share a cache line
 }
 
-// pendTable is the sharded caller→waiter map. count mirrors the table size
-// so the admission path reads the inflight gauge in one atomic load instead
-// of sweeping 64 shard locks per request.
+// pendTable is the sharded caller→waiter map. counts mirror the table size so
+// the admission path reads the inflight gauge in a few atomic loads instead of
+// sweeping 64 shard locks per request; they are striped by the caller ID's low
+// bits, the stripe the gateway dealt the ID on (gwStripe), so registering an
+// entry and taking it write a line only that stripe's requests write.
 type pendTable struct {
 	shards [pendShardCount]pendShard
-	count  atomic.Int64
+	counts [ebpf.Stripes]pendCount
 	expire func(caller uint32) // what an entry's deadline timer runs
+}
+
+type pendCount struct {
+	n atomic.Int64
+	_ [7]uint64
+}
+
+func (t *pendTable) count(caller uint32) *atomic.Int64 { return &t.counts[caller%ebpf.Stripes].n }
+
+// registered is how many entries the table holds: exact whenever no put or
+// take is under way.
+func (t *pendTable) registered() int {
+	var n int64
+	for i := range t.counts {
+		n += t.counts[i].n.Load()
+	}
+	return int(n)
 }
 
 func (t *pendTable) init(expire func(caller uint32)) {
@@ -123,7 +142,7 @@ func (t *pendTable) put(w *waiter, deadline time.Duration) {
 		w.timer = time.AfterFunc(deadline, func() { t.expire(caller) })
 	}
 	s.mu.Unlock()
-	t.count.Add(1)
+	t.count(w.caller).Add(1)
 }
 
 // size counts registered waiters across all shards (tests, introspection).
@@ -149,7 +168,7 @@ func (t *pendTable) take(caller uint32) (*waiter, bool) {
 	}
 	s.mu.Unlock()
 	if ok {
-		t.count.Add(-1)
+		t.count(caller).Add(-1)
 	}
 	return w, ok
 }
@@ -165,22 +184,26 @@ func (t *pendTable) takeAll() []*waiter {
 		for caller, w := range s.m {
 			delete(s.m, caller)
 			out = append(out, w)
+			t.count(caller).Add(-1)
 		}
 		s.mu.Unlock()
 	}
-	t.count.Add(-int64(len(out)))
 	return out
 }
 
 // newWaiter returns a recycled waiter keyed by a fresh caller ID (never the
-// NoReply sentinel); the caller fills in the target and registers it.
+// NoReply sentinel); the caller fills in the target and registers it. The ID
+// is the next of the waiter's stripe's own sequence with the stripe in its low
+// bits: two cores dealing IDs write two lines, and the ID says where its
+// request is counted.
 func (g *Gateway) newWaiter() *waiter {
 	w, _ := g.waiterPool.Get().(*waiter)
 	if w == nil {
 		w = &waiter{ch: make(chan gwResult, 1), stripe: ebpf.NextStripe()}
 	}
-	if w.caller = g.nextID.Add(1); w.caller == NoReply {
-		w.caller = g.nextID.Add(1)
+	seq := &g.stripes[w.stripe].seq
+	if w.caller = seq.Add(1)*ebpf.Stripes + w.stripe; w.caller == NoReply {
+		w.caller = seq.Add(1)*ebpf.Stripes + w.stripe
 	}
 	return w
 }

@@ -91,12 +91,16 @@ type freeShard struct {
 // concurrent use. The backing slab is allocated in one piece, mirroring a
 // HugePages-backed DPDK mempool: buffer i is slab[i*bufSize:(i+1)*bufSize].
 //
-// The freelist is sharded: a freed handle returns to its home shard
-// (h & (freelistShards-1)) and Get scans shards from a rotating cursor,
-// stealing from any non-empty shard before declaring exhaustion, so the
+// The freelist is sharded: a freed handle returns to its home shard and Get
+// scans shards from a rotating cursor — GetOn, from the shard its caller names
+// — stealing from any non-empty shard before declaring exhaustion, so the
 // backpressure signal stays exact while uncontended Get/Put pairs touch
-// only one uncontended lock. InUse and the allocation stats are maintained
-// with the same atomics as before and remain exact.
+// only one uncontended lock. A shard's handles are one contiguous range
+// (home), so a caller that keeps to a shard keeps to its own buffers and to its
+// own cache lines of refs, lens and trace as well: two callers on two shards
+// write no line of the pool in common but the counters'. InUse and the
+// allocation stats are maintained with the same atomics as before and remain
+// exact.
 type Pool struct {
 	prefix  string
 	bufSize int
@@ -105,9 +109,10 @@ type Pool struct {
 	lens    []atomic.Int32 // valid payload length per buffer
 	trace   []traceHdr     // per-buffer trace context (the "mbuf headroom")
 
-	shards [freelistShards]freeShard
-	cursor atomic.Uint32
-	closed atomic.Bool
+	shards   [freelistShards]freeShard
+	perShard uint32 // handles per shard: shard s is home to [s*perShard, (s+1)*perShard)
+	cursor   atomic.Uint32
+	closed   atomic.Bool
 
 	// objHook, when set, receives the attached object handle of every
 	// buffer whose last reference is released — the lifetime tie between
@@ -136,19 +141,23 @@ func NewPool(prefix string, n, bufSize int) (*Pool, error) {
 		refs:    make([]atomic.Int32, n),
 		lens:    make([]atomic.Int32, n),
 		trace:   make([]traceHdr, n),
+
+		perShard: uint32((n + freelistShards - 1) / freelistShards),
 	}
 	for s := range p.shards {
-		p.shards[s].list = make([]uint32, 0, n/freelistShards+1)
+		p.shards[s].list = make([]uint32, 0, p.perShard)
 	}
-	// Handles live in their home shard (h mod shards), low handles on top
-	// of each LIFO.
+	// Handles live in their home shard, low handles on top of each LIFO.
 	for i := n - 1; i >= 0; i-- {
 		h := uint32(i)
-		s := &p.shards[h&(freelistShards-1)]
+		s := &p.shards[p.home(h)]
 		s.list = append(s.list, h)
 	}
 	return p, nil
 }
+
+// home is the shard a handle is freed to.
+func (p *Pool) home(h uint32) uint32 { return h / p.perShard }
 
 // Prefix returns the pool's shared-data file prefix (its isolation key).
 func (p *Pool) Prefix() string { return p.prefix }
@@ -163,11 +172,17 @@ func (p *Pool) Capacity() int { return len(p.refs) }
 // ErrPoolExhausted when no buffer is free — the chain's queueing capacity
 // (§3.2.1) is exactly the pool capacity, so exhaustion is the backpressure
 // signal.
-func (p *Pool) Get() (uint32, error) {
+func (p *Pool) Get() (uint32, error) { return p.GetOn(p.cursor.Add(1)) }
+
+// GetOn is Get by a caller that names the shard to look in first (mod the
+// shard count): one that names the same shard every time, as a core's
+// requests name their stripe, gets back the buffers it freed and shares
+// neither a freelist lock nor a buffer's lines with callers on other shards.
+func (p *Pool) GetOn(shard uint32) (uint32, error) {
 	if p.closed.Load() {
 		return 0, ErrClosed
 	}
-	h, ok := p.popFree()
+	h, ok := p.popFree(shard)
 	if !ok {
 		p.failures.Add(1)
 		return 0, ErrPoolExhausted
@@ -342,7 +357,7 @@ func (p *Pool) Put(h uint32) error {
 				p.trace[h].topic.Store(nil)
 			}
 			if !p.closed.Load() {
-				s := &p.shards[h&(freelistShards-1)]
+				s := &p.shards[p.home(h)]
 				s.mu.Lock()
 				s.list = append(s.list, h)
 				s.mu.Unlock()
@@ -414,6 +429,7 @@ const putChunk = 64
 // skipped, as by a caller that ignores Put's error.
 func (p *Pool) PutN(hs []uint32) {
 	var dead [putChunk]uint32
+	var homes [putChunk]uint32 // home is a division: once per handle, not once per handle and shard
 	var objs [putChunk]uint64
 	for len(hs) > 0 {
 		chunk := hs[:min(len(hs), putChunk)]
@@ -421,8 +437,8 @@ func (p *Pool) PutN(hs []uint32) {
 		n, shards := 0, uint32(0)
 		for _, h := range chunk {
 			if last, err := p.unref(h); err == nil && last {
-				dead[n], objs[n] = h, p.clearDead(h)
-				shards |= 1 << (h & (freelistShards - 1))
+				dead[n], homes[n], objs[n] = h, p.home(h), p.clearDead(h)
+				shards |= 1 << homes[n]
 				n++
 			}
 		}
@@ -438,8 +454,8 @@ func (p *Pool) PutN(hs []uint32) {
 				}
 				s := &p.shards[si]
 				s.mu.Lock()
-				for _, h := range dead[:n] {
-					if h&(freelistShards-1) == si {
+				for i, h := range dead[:n] {
+					if homes[i] == si {
 						s.list = append(s.list, h)
 					}
 				}
@@ -452,11 +468,10 @@ func (p *Pool) PutN(hs []uint32) {
 	}
 }
 
-// popFree pops a handle, starting at a rotating shard and stealing from
-// the others when the first is empty. Only when every shard is empty is
+// popFree pops a handle, starting at shard start (mod the shard count) and
+// stealing from the others when that one is empty. Only when every shard is empty is
 // the pool exhausted.
-func (p *Pool) popFree() (uint32, bool) {
-	start := p.cursor.Add(1)
+func (p *Pool) popFree(start uint32) (uint32, bool) {
 	for i := uint32(0); i < freelistShards; i++ {
 		s := &p.shards[(start+i)&(freelistShards-1)]
 		s.mu.Lock()

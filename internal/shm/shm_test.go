@@ -508,7 +508,7 @@ func TestPoolBulkMatchesSingles(t *testing.T) {
 				t.Fatalf("n=%d: handle %d given twice or with %d references", n, h, bulk.refs[h].Load())
 			}
 			seen[h] = true
-			perShard[h&(freelistShards-1)]++
+			perShard[bulk.home(h)]++
 		}
 		for sh, k := range perShard {
 			if k > (n+freelistShards-1)/freelistShards {

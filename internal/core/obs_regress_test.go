@@ -99,11 +99,12 @@ func TestDeliverBatchPartialDropNoLeak(t *testing.T) {
 // stalled far past the spin budget, and still closes promptly after.
 func TestSocketCloseWaitsForStalledSender(t *testing.T) {
 	s := NewSocket(1, 4)
-	s.senders.Add(1) // simulate a Deliver descheduled mid-call
+	senders := &s.stripes[5].senders // not the first stripe Close looks at
+	senders.Add(1)                   // simulate a Deliver descheduled mid-call
 	released := make(chan struct{})
 	go func() {
 		time.Sleep(50 * time.Millisecond) // well past the spin budget
-		s.senders.Add(-1)
+		senders.Add(-1)
 		close(released)
 	}()
 	done := make(chan struct{})

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/spright-go/spright/internal/ebpf"
 	"github.com/spright-go/spright/internal/shm"
 )
 
@@ -27,9 +28,10 @@ import (
 // is refused, and the hop queued, when the instance is stopping, has no free
 // slot or has queued work (which is never overtaken, a retire token included),
 // or when the sender's own socket has a backlog to go home to. The hop is
-// counted as delivered either way — here if it was queued, on the stripe of the
-// slot it claimed if it was not (slotStripe) — and queuedHops counts the
-// function → function hops that had to queue.
+// counted as delivered either way — on the sender's stripe of the socket if it
+// was queued (sockStripe), on the stripe of the slot it claimed if it was not
+// (slotStripe) — and queuedHops counts the function → function hops that had
+// to queue.
 //
 // The queue is a buffered channel in ModeEvent (Deliver). In ModePolling an
 // instance's socket has no channel: its queue is the ring the transport gave it
@@ -39,9 +41,9 @@ import (
 // Close may race with concurrent Deliver calls (instance restarts close
 // sockets while peers are still sending). Rather than serializing every
 // delivery behind a lock, the race is handled with a drain-token protocol:
-// each Deliver registers in the senders count before checking the closed
-// flag, and Close sets the flag first, then waits for the senders count to
-// drain before closing the channel. A Deliver that saw the flag clear
+// each Deliver registers in the senders count — its stripe's — before checking
+// the closed flag, and Close sets the flag first, then waits for every stripe's
+// senders count to drain before closing the channel. A Deliver that saw the flag clear
 // completes its (non-blocking) send before the channel can close; one that
 // arrives later sees the flag and returns ErrSocketClosed without touching
 // the channel — the same guarantees the lock-based protocol gave, with
@@ -53,11 +55,15 @@ import (
 // delivery that saw the flag clear has run its sink to the end.
 //
 // The layout is part of the design and TestStripeLayout holds it, on the
-// addresses the allocator actually gives: what every hop to or from the socket
-// reads — its owner, its queue, the sink, the closed flag — is on the first
-// cache line, which is written when the socket is made and when it closes; the
-// words a queued delivery writes are on the second.
+// addresses the allocator actually gives: the stripes come first, each 64 bytes
+// with its words in the first 16, so wherever within a line the allocation
+// starts no two stripes' words share one; what every hop to or from the socket
+// reads — its owner, its queue, the sink, the closed flag — follows on a line
+// written when the socket is made and when it closes; and the counters of what
+// went wrong or roundabout come after that.
 type Socket struct {
+	stripes [ebpf.Stripes]sockStripe
+
 	id   uint32
 	inst *Instance // the owner whose slots a sender may claim; nil on a bare or sink socket
 
@@ -69,14 +75,22 @@ type Socket struct {
 	closed atomic.Bool
 	_      [socketPad]byte
 
-	senders    atomic.Int64  // Deliver calls between registration and send
-	delivered  atomic.Uint64 // descriptors queued (Deliver) or taken off the ring; claimed hops count on the instance's stripes
 	dropped    atomic.Uint64
 	queuedHops atomic.Uint64
-	_          [4]uint64
 }
 
-// socketPad fills Socket's first cache line.
+// sockStripe is one stripe (ebpf.Stripes) of the words a queued delivery
+// writes, a cache line to itself: the delivering goroutine's registration and
+// the count of what it delivered. The gateway's dispatch to the head socket and
+// the reply's delivery to the gateway's are one of each per request; striped by
+// the sender's stripe, two cores' requests register on two lines.
+type sockStripe struct {
+	senders   atomic.Int64  // Deliver calls between registration and send
+	delivered atomic.Uint64 // descriptors queued, or taken off the ring; claimed hops count on the instance's stripes
+	_         [6]uint64
+}
+
+// socketPad ends the cache line Socket's read-mostly fields are on.
 const socketPad = 20
 
 // Socket errors.
@@ -115,12 +129,17 @@ func (s *Socket) DeliverDescriptor(wire []byte) error {
 	return s.Deliver(d)
 }
 
-// Deliver enqueues a parsed descriptor.
-func (s *Socket) Deliver(d shm.Descriptor) error {
-	err := s.enqueue(d)
+// Deliver enqueues a parsed descriptor, on the stripe of senders that have
+// none.
+func (s *Socket) Deliver(d shm.Descriptor) error { return s.deliver(d, 0) }
+
+// deliver is Deliver by a sender on stripe.
+func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
+	st := &s.stripes[stripe%ebpf.Stripes]
+	err := s.enqueue(d, st)
 	switch err {
 	case nil:
-		s.delivered.Add(1)
+		st.delivered.Add(1)
 	case ErrSocketFull:
 		s.dropped.Add(1)
 	}
@@ -153,11 +172,11 @@ func (s *Socket) idle() bool {
 }
 
 // enqueue is the non-blocking send under the drain-token protocol. The
-// sender registration must precede the closed check (see the type comment):
-// Close observes either our registration or our completed send.
-func (s *Socket) enqueue(d shm.Descriptor) error {
-	s.senders.Add(1)
-	defer s.senders.Add(-1)
+// sender registration, on stripe st, must precede the closed check (see the
+// type comment): Close observes either our registration or our completed send.
+func (s *Socket) enqueue(d shm.Descriptor, st *sockStripe) error {
+	st.senders.Add(1)
+	defer st.senders.Add(-1)
 	if s.closed.Load() {
 		return ErrSocketClosed
 	}
@@ -186,9 +205,9 @@ const retireBuf = ^uint32(0)
 func (s *Socket) retire() error {
 	d := shm.Descriptor{Buf: retireBuf}
 	if s.ring != nil {
-		return s.ring.t.sendTo(s.ring, d)
+		return s.ring.t.sendTo(s.ring, d, 0)
 	}
-	return s.enqueue(d)
+	return s.enqueue(d, &s.stripes[0])
 }
 
 // newPolledSocket creates the socket of a ModePolling instance: no channel,
@@ -233,7 +252,7 @@ func (s *Socket) Close() {
 		return
 	}
 	sleep := time.Microsecond
-	for spins := 0; s.senders.Load() != 0; spins++ {
+	for spins := 0; s.sending(); spins++ {
 		if spins < closeSpinBudget {
 			runtime.Gosched()
 			continue
@@ -251,10 +270,24 @@ func (s *Socket) Close() {
 	}
 }
 
+// sending reports whether a Deliver is between its registration and the end of
+// its send. A sender that registers on a stripe after Close has looked at it
+// finds the closed flag set, so one look at each stripe is enough.
+func (s *Socket) sending() bool {
+	for i := range s.stripes {
+		if s.stripes[i].senders.Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Stats reports delivery counters: every hop that reached the socket's owner,
 // through the queue or by a claim.
 func (s *Socket) Stats() (delivered, dropped uint64) {
-	delivered = s.delivered.Load()
+	for i := range s.stripes {
+		delivered += s.stripes[i].delivered.Load()
+	}
 	if s.inst != nil {
 		for i := range s.inst.stripes {
 			delivered += s.inst.stripes[i].delivered.Load()

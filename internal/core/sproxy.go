@@ -12,16 +12,6 @@ import (
 // map geometry).
 const MaxInstances = 256
 
-// sender is the goroutine making a send: the stripe it is on (ebpf.Stripes) —
-// where the hop's program run counts and which copy of the metrics map it
-// bumps, and whose sub-budget a claim tries first — and, for a function worker
-// that would rather run the next handler than wake someone to, its own socket.
-// The zero sender is on the stripe of those that have none and claims nothing.
-type sender struct {
-	stripe uint32
-	home   *Socket
-}
-
 // SProxy is the event-driven socket proxy of §3.2.1/§3.4: an SK_MSG eBPF
 // program attached to every function socket of one chain. On each send it
 //
@@ -205,17 +195,17 @@ func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, e
 		if slot, ok := dst.claimFor(by); ok {
 			return grant{dst.inst, slot}, nil
 		}
-		if err = dst.Deliver(d); err == nil {
+		if err = dst.deliver(d, by.stripe); err == nil {
 			dst.queuedHops.Add(1)
 		}
 		return grant{}, err
 	}
-	return grant{}, sp.finishSend(src, d, res)
+	return grant{}, sp.finishSend(src, d, res, by.stripe)
 }
 
 // finishSend turns one program verdict into a delivery (or a classified
-// error) — the tail shared by Send and SendBatch.
-func (sp *SProxy) finishSend(src uint32, d shm.Descriptor, res ebpf.Result) error {
+// error), by a sender on stripe — the tail shared by Send and SendBatch.
+func (sp *SProxy) finishSend(src uint32, d shm.Descriptor, res ebpf.Result, stripe uint32) error {
 	if res.Ret != ebpf.SKPass {
 		if _, lookErr := sp.sockmap.LookupSock(d.NextFn); lookErr != nil {
 			return fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
@@ -225,7 +215,7 @@ func (sp *SProxy) finishSend(src uint32, d shm.Descriptor, res ebpf.Result) erro
 	switch sink := res.RedirectSock.(type) {
 	case *Socket:
 		// Fast path: in-process socket takes the parsed descriptor.
-		return sink.Deliver(d)
+		return sink.deliver(d, stripe)
 	case nil:
 		return fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
 	default:
@@ -260,7 +250,7 @@ func (sp *SProxy) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, e
 				fail(i, fmt.Errorf("sproxy: %w", err))
 				return true
 			}
-			if derr := sp.finishSend(src, ds[i], res); derr != nil {
+			if derr := sp.finishSend(src, ds[i], res, 0); derr != nil {
 				fail(i, derr)
 				return true
 			}

@@ -50,6 +50,16 @@ type Transport interface {
 	Close()
 }
 
+// sender is the goroutine making a send: the stripe it is on (ebpf.Stripes) —
+// where the hop's program run counts and which copy of the metrics map it
+// bumps, and whose sub-budget a claim tries first — and, for a function worker
+// that would rather run the next handler than wake someone to, its own socket.
+// The zero sender is on the stripe of those that have none and claims nothing.
+type sender struct {
+	stripe uint32
+	home   *Socket
+}
+
 // Mode selects the transport implementation.
 type Mode int
 
@@ -218,7 +228,7 @@ func (e *ringEntry) take() (shm.Descriptor, bool) {
 			e.wakeOne() // more work behind this descriptor: a second worker, now
 		}
 		e.t.dequeued(e, d)
-		e.sock.delivered.Add(1)
+		e.sock.stripes[0].delivered.Add(1) // one worker at a time is at the ring
 		return d, true
 	}
 }
@@ -226,10 +236,11 @@ func (e *ringEntry) take() (shm.Descriptor, bool) {
 // sendTo packs d into e's ring with one bulk reservation. A refused bulk
 // means fewer than two slots were free — the ring is full. A socket that has
 // no ring takes d directly: a reply runs the gateway's sink here, and a closed
-// socket fails the sender with ErrSocketClosed as it does in ModeEvent.
-func (t *ringTransport) sendTo(e *ringEntry, d shm.Descriptor) error {
+// socket fails the sender, which is on stripe, with ErrSocketClosed as it
+// does in ModeEvent.
+func (t *ringTransport) sendTo(e *ringEntry, d shm.Descriptor, stripe uint32) error {
 	if e.r == nil {
-		return e.sock.Deliver(d)
+		return e.sock.deliver(d, stripe)
 	}
 	w0, w1 := packDesc(d)
 	if e.r.EnqueueBulk([]uint64{w0, w1}) == 0 {
@@ -445,12 +456,12 @@ func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, by sender) (gr
 		return grant{}, err
 	}
 	if by.home == nil || e.r == nil {
-		return grant{}, t.sendTo(e, d)
+		return grant{}, t.sendTo(e, d, by.stripe)
 	}
 	if slot, ok := e.sock.claimFor(by); ok {
 		return grant{e.sock.inst, slot}, nil
 	}
-	if err = t.sendTo(e, d); err == nil {
+	if err = t.sendTo(e, d, by.stripe); err == nil {
 		e.sock.queuedHops.Add(1)
 	}
 	return grant{}, err
@@ -500,7 +511,7 @@ func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i 
 			// a nearly full ring still accepts what it can.
 		}
 		for i := start; i < end; i++ {
-			if err := t.sendTo(e, ds[i]); err != nil {
+			if err := t.sendTo(e, ds[i], 0); err != nil {
 				fail(i, err)
 			} else {
 				delivered++

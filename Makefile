@@ -63,7 +63,9 @@ race:
 # workers parked in a plain receive (stop flag, retire tokens), concurrency
 # slots claimed by forwarding workers, in ModeEvent and ModePolling alike (the
 # bound, the parked worker's wake, shutdown waiting for claimed slots, the
-# routing cycle, backlog and fan-out), D-SPRIGHT workers polling their own ring
+# routing cycle, backlog and fan-out), the bound itself as per-stripe
+# sub-budgets against a model under claimers, a resizer and a shutdown at once
+# (TestHandoffSlotBudgetModel), D-SPRIGHT workers polling their own ring
 # one at a time (TestHandoffPolling…: the flag given up before the first
 # handler and the worker away for the whole chain, the length re-read after it,
 # the producer's wake when nobody polls, a retire token refusing a claim, stop
@@ -73,11 +75,13 @@ race:
 # entry (Gateway.Close, abandonment racing completion, the remote Deadline
 # armed inside the table's lock), every gateway door through the one start
 # (TestGatewayStart…), the copy-on-write routing/filter/topic/ring
-# tables, the pool's bulk get/put — and of the transport's slot stack and
-# receive framing ten times under the race detector: one pass of `race` can
-# miss the interleavings these protocols exist for.
+# tables, a per-CPU array's copies under runs on their own stripes and on a
+# shared one (TestPerCPUArray…), the pool's bulk get/put — and of the
+# transport's slot stack and receive framing ten times under the race
+# detector: one pass of `race` can miss the interleavings these protocols
+# exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # and the twelve-hop local chain that in both modes must also stay on one

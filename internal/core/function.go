@@ -489,6 +489,7 @@ func (in *Instance) payOwed() bool {
 	}
 }
 
+// slotGivenBack wakes whoever waits for a slot, if anyone does.
 func (in *Instance) slotGivenBack() {
 	if in.slotWaiters.Load() != 0 {
 		in.wakeSlotWaiters()

@@ -236,15 +236,15 @@ func (m *Map) atomicWrite(idx int, value []byte) {
 			atomic.StoreUint64(w, binary.NativeEndian.Uint64(word[:]))
 		}
 	}
-	for c := 1; c < m.copies; c++ {
-		m.zero(c, idx)
-	}
+	m.zeroCopies(1, idx)
 }
 
-// zero clears entry idx of copy c.
-func (m *Map) zero(c, idx int) {
-	for j := 0; j < m.valWords; j++ {
-		atomic.StoreUint64(&m.slab[c*m.stride+idx*m.valWords+j], 0)
+// zeroCopies clears entry idx in every copy from the given one on.
+func (m *Map) zeroCopies(from, idx int) {
+	for c := from; c < m.copies; c++ {
+		for j := 0; j < m.valWords; j++ {
+			atomic.StoreUint64(&m.slab[c*m.stride+idx*m.valWords+j], 0)
+		}
 	}
 }
 
@@ -390,9 +390,7 @@ func (m *Map) Delete(key []byte) error {
 		if err != nil {
 			return err
 		}
-		for c := 0; c < m.copies; c++ {
-			m.zero(c, idx)
-		}
+		m.zeroCopies(0, idx)
 		return nil
 	case MapTypeSockMap:
 		if len(key) != 4 {
@@ -426,9 +424,7 @@ func (m *Map) DeleteU32(key uint32) error {
 		if int(key) >= m.spec.MaxEntries {
 			return ErrKeyNotFound
 		}
-		for c := 0; c < m.copies; c++ {
-			m.zero(c, int(key))
-		}
+		m.zeroCopies(0, int(key))
 		return nil
 	default:
 		var kb [4]byte

@@ -65,7 +65,10 @@ race:
 # bound, the parked worker's wake, shutdown waiting for claimed slots, the
 # routing cycle, backlog and fan-out), the bound itself as per-stripe
 # sub-budgets against a model under claimers, a resizer and a shutdown at once
-# (TestHandoffSlotBudgetModel), D-SPRIGHT workers polling their own ring
+# (TestHandoffSlotBudgetModel), both instance queues — channel and ring — to
+# one contract through their socket (TestHandoffQueueContract: order, the
+# retire token, Close reclaiming every queued descriptor once, pushes and
+# a worker racing it), D-SPRIGHT workers polling their own ring
 # one at a time (TestHandoffPolling…: the flag given up before the first
 # handler and the worker away for the whole chain, the length re-read after it,
 # the producer's wake when nobody polls, a retire token refusing a claim, stop

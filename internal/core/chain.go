@@ -148,6 +148,9 @@ type Chain struct {
 	transport Transport
 	sproxy    *SProxy // nil in polling mode
 	router    *Router
+	// newQueue makes an instance's queue, the mode's other half: picked with
+	// the transport in NewChain.
+	newQueue func(depth int, reclaim func(shm.Descriptor)) handoffQueue
 
 	instMu    sync.Mutex
 	instances []*Instance
@@ -282,11 +285,13 @@ const (
 // RingStats reports per-instance ring queue counters in polling mode
 // (nil for event mode — S-SPRIGHT has no rings).
 func (c *Chain) RingStats() []RingQueueStat {
-	rt, ok := c.transport.(*ringTransport)
-	if !ok {
-		return nil
+	var out []RingQueueStat
+	for _, in := range c.Instances() {
+		if q, ok := in.sock.q.(*ringQueue); ok {
+			out = append(out, RingQueueStat{Instance: in.id, Stats: q.r.Stats()})
+		}
 	}
-	return rt.ringStats()
+	return out
 }
 
 // NewChain builds and starts a chain in the given eBPF kernel, creating its
@@ -357,6 +362,8 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 	}
 	c.jitterSeed.Store(0x9e3779b97f4a7c15)
 
+	// The mode is read here and nowhere else on a hop: it picks the transport
+	// that routes descriptors and the queue each instance's socket gets.
 	switch spec.Mode {
 	case ModeEvent:
 		sp, err := NewSProxy(kernel, spec.Name)
@@ -369,18 +376,20 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 				sp.Close()
 			}
 		}()
-		c.transport = NewEventTransport(sp)
+		c.transport = sp
+		c.newQueue = func(depth int, reclaim func(shm.Descriptor)) handoffQueue {
+			return newChanQueue(depth, reclaim)
+		}
 	case ModePolling:
-		c.transport = NewRingTransport()
+		c.transport = newRingTransport()
+		// Whoever dequeues a sampled descriptor reports its ring residency
+		// through the dequeue hook: D-SPRIGHT's queue-wait attribution.
+		c.newQueue = func(_ int, reclaim func(shm.Descriptor)) handoffQueue {
+			return newRingQueue(reclaim, c.ringDequeueHook)
+		}
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", spec.Mode)
 	}
-	// Descriptors the transport gives up on (a ring drained at shutdown) are
-	// orphans: reclaim their buffers and fail their callers instead of leaking
-	// pool slabs.
-	c.transport.SetDropHandler(func(d shm.Descriptor) {
-		c.reclaimOrphan(d, "transport")
-	})
 
 	// Always-on sampled tracing (spec.TraceSampleEvery < 0 opts out; tests
 	// that need full traces replace the tracer via EnableTracing).
@@ -396,11 +405,6 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		tr := NewSampledTracer(every, defaultTraceLimit)
 		tr.SetTailSampling(spec.TraceTailLatency, tailLimit)
 		c.tracer.Store(tr)
-	}
-	// D-SPRIGHT queue-wait attribution: whoever dequeues a sampled descriptor
-	// reports its ring residency back through the dequeue hook.
-	if rt, isRing := c.transport.(*ringTransport); isRing {
-		rt.SetDequeueHook(c.ringDequeueHook)
 	}
 	c.scrapeEvery = spec.ScrapeInterval
 	if c.scrapeEvery == 0 {
@@ -435,7 +439,7 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		for j := 0; j < fs.Instances; j++ {
 			inst := c.newInstance(&fs, nextID, depth)
 			nextID++
-			if err := c.transport.Register(inst.sock); err != nil {
+			if err := c.transport.RegisterSocket(inst.sock); err != nil {
 				return nil, err
 			}
 			c.router.AddInstance(fs.Name, inst)
@@ -472,25 +476,20 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 	return c, nil
 }
 
-// newInstance builds one not-yet-started instance of fs with its socket.
+// newInstance builds one not-yet-started instance of fs with its socket, whose
+// queue reclaims what it still holds when it stops as orphans of fs.
 func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
-	var sock *Socket
-	if c.mode == ModePolling {
-		sock = newPolledSocket(id)
-	} else {
-		sock = NewSocket(id, depth)
-	}
 	inst := &Instance{
 		chain:       c,
 		fnName:      fs.Name,
 		id:          id,
-		sock:        sock,
 		handler:     fs.Handler,
 		serviceTime: fs.ServiceTime,
 	}
+	reclaim := func(d shm.Descriptor) { c.reclaimOrphan(d, inst.fnName) }
+	inst.sock = &Socket{id: id, inst: inst, q: c.newQueue(depth, reclaim)}
 	inst.setSlots(fs.Concurrency)
 	inst.slotFreed.L = &inst.slotMu
-	inst.sock.inst = inst
 	return inst
 }
 
@@ -706,8 +705,8 @@ func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.De
 }
 
 // ringDequeueHook runs in the D-SPRIGHT consumer — the instance's polling
-// worker — for each dequeued descriptor: for sampled buffers it converts the
-// producer's enqueue stamp into a ring.wait span. There is no socket queue
+// worker, in ringQueue.next — for each dequeued descriptor: for sampled buffers
+// it converts the producer's enqueue stamp into a ring.wait span. There is no socket queue
 // behind an instance's ring, so the stamp is cleared and no queue.wait span
 // follows. Returns the measured residency (0 when untraced) for the ring's
 // wait counters.
@@ -833,7 +832,7 @@ func (c *Chain) Errors() (uint64, []error) {
 	return c.errCnt, append([]error(nil), c.errs...)
 }
 
-// Close stops all instances (including prewarmed ones) and the transport.
+// Close stops all instances (including prewarmed ones) and the SPROXY.
 func (c *Chain) Close() {
 	c.closed.Do(func() {
 		c.instMu.Lock()
@@ -846,7 +845,6 @@ func (c *Chain) Close() {
 		for _, in := range c.Instances() {
 			in.shutdown()
 		}
-		c.transport.Close()
 		if c.sproxy != nil {
 			c.sproxy.Close()
 		}
@@ -934,7 +932,7 @@ func (c *Chain) DiscardPrewarmed(pw *PrewarmedInstance) {
 		}
 	}
 	c.instMu.Unlock()
-	if err := c.transport.Unregister(pw.inst.id); err != nil {
+	if err := c.transport.UnregisterSocket(pw.inst.id); err != nil {
 		c.noteError("prewarm", err)
 	}
 	pw.inst.shutdown()
@@ -976,7 +974,7 @@ func (c *Chain) newWiredInstanceLocked(fn string) (*Instance, error) {
 	}
 	inst := c.newInstance(fs, c.nextID, c.sockDepth)
 	c.nextID++
-	if err := c.transport.Register(inst.sock); err != nil {
+	if err := c.transport.RegisterSocket(inst.sock); err != nil {
 		return nil, err
 	}
 	if err := c.authorizeEdgesLocked(inst); err != nil {
@@ -1091,7 +1089,7 @@ func (c *Chain) RestartInstance(id uint32) (*Instance, error) {
 	c.router.RemoveInstance(victim.fnName, id)
 	c.instMu.Unlock()
 
-	if err := c.transport.Unregister(id); err != nil {
+	if err := c.transport.UnregisterSocket(id); err != nil {
 		c.noteError("restart", err)
 	}
 	// The victim may be wedged mid-handler; don't block the repair on it.
@@ -1149,7 +1147,7 @@ func (c *Chain) scaleDown(fn string, floor int) error {
 	c.router.RemoveInstance(fn, victim.ID())
 	c.instMu.Unlock()
 
-	if err := c.transport.Unregister(victim.ID()); err != nil {
+	if err := c.transport.UnregisterSocket(victim.ID()); err != nil {
 		c.noteError("scaledown", err)
 	}
 	victim.shutdown()

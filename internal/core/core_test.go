@@ -608,13 +608,13 @@ func TestSocketQueueSemantics(t *testing.T) {
 }
 
 func TestRingTransportUnknownAndUnregistered(t *testing.T) {
-	tr := NewRingTransport()
-	defer tr.Close()
-	s := polledSocket(1)
-	if err := tr.Register(s); err != nil {
+	tr := newRingTransport()
+	s := polledSocket(1, func(shm.Descriptor) {})
+	defer s.Close()
+	if err := tr.RegisterSocket(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Register(polledSocket(1)); err == nil {
+	if err := tr.RegisterSocket(NewSocket(1, 1)); err == nil {
 		t.Fatal("duplicate registration must fail")
 	}
 	if err := tr.Send(0, shm.Descriptor{NextFn: 9}); !errors.Is(err, ErrNoSuchFn) {
@@ -630,10 +630,10 @@ func TestRingTransportUnknownAndUnregistered(t *testing.T) {
 	if d, ok := s.next(); !ok || d.Caller != 7 {
 		t.Fatalf("descriptor corrupted: %+v, %v", d, ok)
 	}
-	if err := tr.Unregister(1); err != nil {
+	if err := tr.UnregisterSocket(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Unregister(1); err == nil {
+	if err := tr.UnregisterSocket(1); err == nil {
 		t.Fatal("double unregister must fail")
 	}
 }

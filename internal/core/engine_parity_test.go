@@ -96,9 +96,8 @@ func runEngineScenario(t *testing.T, jit bool) engineOutcome {
 	ep.OnIngress(128)
 	ep.OnIngress(256)
 
-	close(s2.ch)
-	for d := range s2.ch {
-		out.delivered = append(out.delivered, d.Buf)
+	for s2.QueueLen() > 0 {
+		out.delivered = append(out.delivered, (<-s2.Recv()).Buf)
 	}
 	out.reqCount = sp.RequestCount(2)
 	out.l3Pkts, out.l3Bytes = ep.L3Stats()

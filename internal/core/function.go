@@ -265,7 +265,7 @@ type grant struct {
 //
 // Every handler execution holds one of the instance's concurrency slots. Two
 // kinds of goroutine hold them: the instance's own workers, for descriptors
-// queued on its socket (or, in ModePolling, in its ring), and the workers of
+// queued on its socket (a channel, or in ModePolling a ring), and the workers of
 // other instances that forwarded a message here, claimed a slot and are running
 // the handler themselves (Socket.claimFor).
 // Together they never exceed Concurrency. A worker that dequeues a descriptor
@@ -315,8 +315,7 @@ type Instance struct {
 	slotMu    sync.Mutex
 	slotFreed sync.Cond // L is &slotMu
 
-	wg      sync.WaitGroup
-	drained sync.Once
+	wg sync.WaitGroup
 }
 
 // ID returns the instance ID (its sockmap key).
@@ -339,7 +338,7 @@ func (in *Instance) Inflight() int {
 }
 
 // QueueDepth returns the number of descriptors waiting for one of this
-// instance's workers: in its socket queue, or in ModePolling in its ring.
+// instance's workers in its socket's queue.
 func (in *Instance) QueueDepth() int { return in.sock.QueueLen() }
 
 // Handled returns the number of completed invocations.
@@ -361,9 +360,9 @@ func (in *Instance) SocketStats() (delivered, dropped uint64) {
 }
 
 // QueuedHops returns how many function → function hops were queued on this
-// instance's socket — in ModePolling, in its ring — because the sending worker
-// could not run the handler itself: the instance was at its concurrency bound,
-// stopping or had queued work, or the sender had a backlog of its own. Its
+// instance's socket because the sending worker could not run the handler
+// itself: the instance was at its concurrency bound, stopping or had queued
+// work, or the sender had a backlog of its own. Its
 // share of SocketStats' delivered is the share of hops that paid a queue
 // crossing: a goroutine wake, or a ring enqueue and dequeue.
 func (in *Instance) QueuedHops() uint64 { return in.sock.queuedHops.Load() }
@@ -396,9 +395,9 @@ func (in *Instance) startWorkersLocked(n int) {
 }
 
 // work is one worker, and the only loop that runs handlers. It waits in the
-// socket's receive — in ModeEvent a plain channel receive, so the wake is one
-// channel handoff and no select; in ModePolling spinning on the instance's
-// ring, or parked while another worker of the instance does (Socket.next) —
+// socket's receive (Socket.next) — in ModeEvent a plain channel receive, so the
+// wake is one channel handoff and no select; in ModePolling spinning on the
+// instance's ring, or parked while another worker of the instance does —
 // takes a slot for each descriptor and runs the handler. Then it follows the
 // request: while a hop hands back the next instance with a slot already
 // claimed (handle), the worker runs that handler too, iteratively, so a chain
@@ -543,8 +542,7 @@ func (in *Instance) Concurrency() int { return int(in.concurrency.Load()) }
 // SetConcurrency performs §3.7's vertical scaling: it resizes the pod's
 // worker pool, and with it the slot bound, in place ("adding more CPU cores
 // for the function as needed"). Growing starts the missing workers. Shrinking
-// queues one retire token per surplus worker on the instance's own socket (in
-// ModePolling, its ring):
+// queues one retire token per surplus worker on the instance's own socket:
 // whichever workers receive them exit, in-flight invocations finish first, and
 // work queued before the resize is still served (the queue is FIFO); a bound
 // shrunk below the slots in use only stops new claims. A socket too full to
@@ -615,29 +613,16 @@ func (in *Instance) stop() {
 	in.concMu.Unlock()
 }
 
-// shutdown stops the instance: the socket closes (waking every parked worker,
-// and in ModePolling ending the one at the ring), in-flight invocations finish
-// — the workers' and, after them, those other instances' workers are running
-// in claimed slots — and every descriptor still queued is reclaimed: by the
-// workers on their way out, by the final drain for whatever workers that had
-// already retired left in the channel, and by the transport's drop handler
-// for what a polled socket's ring held. When it returns no handler of this
-// instance is running anywhere.
+// shutdown stops the instance: the socket closes — its queue reclaims every
+// descriptor still queued at once, before any wedged handler returns, and lets
+// every waiting worker go — and in-flight invocations finish: the workers' and,
+// after them, those other instances' workers are running in claimed slots.
+// When it returns no handler of this instance is running anywhere.
 func (in *Instance) shutdown() {
 	in.stop()
 	in.sock.Close()
 	in.wg.Wait()
 	in.parkWhile(func() bool { return in.Inflight() != 0 })
-	if in.sock.ch == nil {
-		return
-	}
-	in.drained.Do(func() {
-		for d := range in.sock.ch {
-			if d.Buf != retireBuf {
-				in.chain.reclaimOrphan(d, in.fnName)
-			}
-		}
-	})
 }
 
 // ErrHandlerPanic marks a handler panic absorbed by panic isolation.

@@ -127,7 +127,7 @@ func NewGateway(c *Chain) (*Gateway, error) {
 	// either mode: a reply descriptor's delivery runs complete on the goroutine
 	// that delivered it, the last function's worker.
 	g.sock = newSinkSocket(GatewayID, g.complete)
-	if err := c.transport.Register(g.sock); err != nil {
+	if err := c.transport.RegisterSocket(g.sock); err != nil {
 		return nil, err
 	}
 	if c.sproxy != nil {

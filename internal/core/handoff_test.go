@@ -125,7 +125,7 @@ func holdSpec(gate <-chan struct{}, runs *atomic.Int64) ChainSpec {
 // ScaleToZero, RestartInstance or Chain.Close — with descriptors still queued
 // behind a busy worker gives every buffer back, answers every caller exactly
 // once, runs no handler after the stop and leaves none of its workers behind.
-func TestHandoffStopReclaimsQueued(t *testing.T) { stopReclaimsQueued(t, ModeEvent) }
+func TestHandoffStopReclaimsQueued(t *testing.T) { bothModes(t, stopReclaimsQueued) }
 
 func stopReclaimsQueued(t *testing.T, mode Mode) {
 	type stopCase struct {
@@ -204,8 +204,8 @@ func stopReclaimsQueued(t *testing.T, mode Mode) {
 				}
 				return victim != nil
 			})
-			// What the victim had queued is what must be reclaimed; in
-			// ModePolling the stop may already have handed it back.
+			// What the victim had queued is what must be reclaimed; the stop
+			// may already have handed it back.
 			stranded := callers
 			for _, in := range insts {
 				if in != victim {
@@ -1321,7 +1321,7 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 }
 
 // Tests for D-SPRIGHT's consumer side: an instance's workers poll the
-// instance's ring themselves, one at a time (ringEntry.take), and the one that
+// instance's ring themselves, one at a time (ringQueue.next), and the one that
 // took a request then follows it as a ModeEvent worker does (the by-mode tests
 // above). The guards are the flag given up before the first handler runs, the
 // ring's length re-read after the flag is cleared, the producer's wake when
@@ -1333,7 +1333,7 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 func parkedPollers(t *testing.T) int {
 	t.Helper()
 	return liveGoroutines(t, func(stack []byte) bool {
-		return bytes.Contains(stack, []byte("core.(*ringEntry).take")) &&
+		return bytes.Contains(stack, []byte("core.(*ringQueue).next")) &&
 			!bytes.Contains(stack, []byte("ring.(*Ring).PollDequeueBurst"))
 	})
 }
@@ -1403,18 +1403,18 @@ func TestHandoffPollingHoldsConcurrency(t *testing.T) {
 	}
 }
 
-// TestHandoffPollingBurstWakesSecondWorker: two descriptors published in one
-// reservation while a worker spins draw no wake from their producer — the
-// ring is being polled. The worker that takes the first finds the second
-// behind it after giving the ring up, and wakes a parked worker for it rather
-// than leaving it until its own handler returns.
+// TestHandoffPollingBurstWakesSecondWorker: two descriptors published back to
+// back while a worker spins may draw no wake from their producer — the ring is
+// being polled. The worker that takes the first finds the second behind it
+// after giving the ring up, and wakes a parked worker for it rather than
+// leaving it until its own handler returns.
 func TestHandoffPollingBurstWakesSecondWorker(t *testing.T) {
 	gate := make(chan struct{})
 	var runs atomic.Int64
 	spec := holdSpec(gate, &runs)
 	spec.Functions[0].Concurrency = 2
 	spec.Functions = append(spec.Functions, FunctionSpec{Name: "twice", Handler: func(ctx *Ctx) error {
-		ctx.ForwardTo("slow", "slow") // one instance: one bulk reservation of two
+		ctx.ForwardTo("slow", "slow") // one instance: two pushes, one behind the other
 		return nil
 	}})
 	spec.Routes = append(spec.Routes,
@@ -1477,14 +1477,13 @@ func TestHandoffPollingNoLostWake(t *testing.T) {
 	}
 }
 
-// TestHandoffPollingStopAndResize: the stop and resize protocols keep their
-// meaning when the queue is a ring — descriptors queued behind a held handler
-// are reclaimed (ErrInstanceGone) whichever way the instance goes, no worker
-// of a gone instance is left, shrinking and growing under load loses nothing
-// and settles on the worker count asked for, and a ring with no room for a
-// retire token stops the shrink there.
+// TestHandoffPollingStopAndResize: the resize and stop protocols keep their
+// meaning when the queue is a ring — shrinking and growing under load loses
+// nothing and settles on the worker count asked for, a stop lets the parked
+// workers of a wedged instance go at once, and a ring with no room for a
+// retire token stops the shrink there. (Reclaiming the backlog whichever way
+// the instance goes: TestHandoffStopReclaimsQueued, in both modes.)
 func TestHandoffPollingStopAndResize(t *testing.T) {
-	t.Run("stop", func(t *testing.T) { stopReclaimsQueued(t, ModePolling) })
 	t.Run("resize", func(t *testing.T) { setConcurrencyUnderLoad(t, ModePolling) })
 	t.Run("restart-wedged", func(t *testing.T) {
 		// The stop itself wakes the parked workers: they leave at once, not
@@ -1748,7 +1747,7 @@ func TestHandoffPollingHeadAwayDownstream(t *testing.T) {
 // TestHandoffReplyIntoClosedGatewaySocket: the reply is a delivery in both
 // modes, so a gateway socket that closed under a request fails the replying
 // worker, whose error path gives the buffer back and fails the caller — once,
-// with ErrSocketClosed, and not through the transport's drop handler. (Fails if
+// with ErrSocketClosed, and not as a queue's reclaimed orphan. (Fails if
 // Instance.reply's error path drops its releaseBuffer — the teardown's
 // LeakCheck — or its notifyFailure — the callers run into their deadline.
 // Checked by making each change.)
@@ -1789,7 +1788,7 @@ func replyIntoClosedGatewaySocket(t *testing.T, mode Mode) {
 	}
 	fs := c.Failures()
 	if n != callers || g.Pending() != 0 || fs.TerminalFailures != callers || fs.Reclaimed != 0 {
-		t.Errorf("%d outcomes, %d pending, %d terminal failures, %d reclaimed by the drop handler; want %d, 0, %d, 0",
+		t.Errorf("%d outcomes, %d pending, %d terminal failures, %d reclaimed; want %d, 0, %d, 0",
 			n, g.Pending(), fs.TerminalFailures, fs.Reclaimed, callers, callers)
 	}
 	if delivered, _ := g.SocketStats(); delivered != 0 {
@@ -1798,24 +1797,23 @@ func replyIntoClosedGatewaySocket(t *testing.T, mode Mode) {
 	pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
 }
 
-// polledSocket is an instance's socket as a ring transport sees it, without the
-// instance's workers: the test is the ring's consumer, through next.
-func polledSocket(id uint32) *Socket {
-	s := newPolledSocket(id)
-	s.inst = new(Instance)
-	return s
+// polledSocket is a socket with a ModePolling instance's queue and no instance:
+// the test is the ring's consumer, through next, and reclaim sees what the ring
+// still holds when it stops.
+func polledSocket(id uint32, reclaim func(shm.Descriptor)) *Socket {
+	return &Socket{id: id, q: newRingQueue(reclaim, func(shm.Descriptor) time.Duration { return 0 })}
 }
 
 // TestHandoffPollingSnapshotVisibility: the ring transport's tables are
 // snapshots read without a lock, and the rule of TestHandoffSnapshotVisibility
-// holds for them — once Register, Allow or Unregister has returned, the next
-// send sees it, while other goroutines keep sending through the same tables.
+// holds for them — once RegisterSocket, Allow or UnregisterSocket has returned,
+// the next send sees it, while other goroutines keep sending through the same
+// tables (to a sink, which keeps nothing).
 func TestHandoffPollingSnapshotVisibility(t *testing.T) {
-	tr := NewRingTransport()
-	defer tr.Close()
+	tr := newRingTransport()
 	const bgID, id = 1, 2
-	bg := polledSocket(bgID)
-	if err := tr.Register(bg); err != nil {
+	bg := newSinkSocket(bgID, func(shm.Descriptor) {})
+	if err := tr.RegisterSocket(bg); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Allow(GatewayID, bgID); err != nil {
@@ -1827,15 +1825,13 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 		senders.Add(1)
 		go func() {
 			defer senders.Done()
-			var words [descWords]uint64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					bg.ring.r.DequeueBurst(words[:]) // keep bg's ring from filling
 				}
-				if err := tr.Send(GatewayID, shm.Descriptor{NextFn: bgID}); err != nil && !errors.Is(err, ErrSocketFull) {
+				if err := tr.Send(GatewayID, shm.Descriptor{NextFn: bgID}); err != nil {
 					t.Errorf("background send: %v", err)
 					return
 				}
@@ -1846,11 +1842,11 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 
 	d := shm.Descriptor{NextFn: id, Caller: 7}
 	for i := 0; i < 200; i++ {
-		s := polledSocket(id)
+		s := polledSocket(id, func(shm.Descriptor) { t.Error("a descriptor left in the ring") })
 		if err := tr.Send(GatewayID, d); !errors.Is(err, ErrNoSuchFn) {
-			t.Fatalf("round %d: send before Register: %v, want ErrNoSuchFn", i, err)
+			t.Fatalf("round %d: send before RegisterSocket: %v, want ErrNoSuchFn", i, err)
 		}
-		if err := tr.Register(s); err != nil {
+		if err := tr.RegisterSocket(s); err != nil {
 			t.Fatal(err)
 		}
 		// (An allowed edge outlives the socket it led to, as a filter rule
@@ -1869,11 +1865,12 @@ func TestHandoffPollingSnapshotVisibility(t *testing.T) {
 		if got, ok := s.next(); !ok || got != d {
 			t.Fatalf("round %d: descriptor corrupted: %+v, %v", i, got, ok)
 		}
-		if err := tr.Unregister(id); err != nil {
+		if err := tr.UnregisterSocket(id); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Send(GatewayID, d); !errors.Is(err, ErrNoSuchFn) {
-			t.Fatalf("round %d: send after Unregister returned: %v, want ErrNoSuchFn", i, err)
+			t.Fatalf("round %d: send after UnregisterSocket returned: %v, want ErrNoSuchFn", i, err)
 		}
+		s.Close()
 	}
 }

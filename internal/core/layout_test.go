@@ -76,11 +76,9 @@ func TestStripeLayout(t *testing.T) {
 			field{"dropped", at(unsafe.Pointer(&s.dropped), unsafe.Sizeof(s.dropped))},
 			field{"queuedHops", at(unsafe.Pointer(&s.queuedHops), unsafe.Sizeof(s.queuedHops))})
 		disjoint("Socket", []field{
-			{"ch", at(unsafe.Pointer(&s.ch), unsafe.Sizeof(s.ch))},
 			{"inst", at(unsafe.Pointer(&s.inst), unsafe.Sizeof(s.inst))},
+			{"q", at(unsafe.Pointer(&s.q), unsafe.Sizeof(s.q))},
 			{"closed", at(unsafe.Pointer(&s.closed), unsafe.Sizeof(s.closed))},
-			{"sink", at(unsafe.Pointer(&s.sink), unsafe.Sizeof(s.sink))},
-			{"ring", at(unsafe.Pointer(&s.ring), unsafe.Sizeof(s.ring))},
 		}, written)
 	}
 	for _, fn := range c.Functions() {

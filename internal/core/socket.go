@@ -33,45 +33,35 @@ import (
 // (slotStripe) — and queuedHops counts the function → function hops that had
 // to queue.
 //
-// The queue is a buffered channel in ModeEvent (Deliver). In ModePolling an
-// instance's socket has no channel: its queue is the ring the transport gave it
-// at Register, which the instance's workers poll themselves (next,
-// ringEntry.take), and delivered counts what they dequeue.
-//
-// Close may race with concurrent Deliver calls (instance restarts close
-// sockets while peers are still sending). Rather than serializing every
-// delivery behind a lock, the race is handled with a drain-token protocol:
-// each Deliver registers in the senders count — its stripe's — before checking
-// the closed flag, and Close sets the flag first, then waits for every stripe's
-// senders count to drain before closing the channel. A Deliver that saw the flag clear
-// completes its (non-blocking) send before the channel can close; one that
-// arrives later sees the flag and returns ErrSocketClosed without touching
-// the channel — the same guarantees the lock-based protocol gave, with
-// zero locking on the hot path.
-//
-// The gateway's socket has no queue and no consumer: it is built with a sink
-// (newSinkSocket), and Deliver runs the sink on the delivering goroutine,
-// inside the same sender registration — so Close returns only after every
-// delivery that saw the flag clear has run its sink to the end.
+// The queue is the socket's own (handoffQueue), picked once when the socket is
+// made: a buffered channel in ModeEvent, a polled ring in ModePolling, and on
+// the gateway's socket a sink that runs on the delivering goroutine. Whichever
+// it is, the socket's protocol around it is the same. Close may race with
+// concurrent Deliver calls (instance restarts close sockets while peers are
+// still sending). Rather than serializing every delivery behind a lock, the
+// race is handled with a drain-token protocol: each Deliver registers in the
+// senders count — its stripe's — before checking the closed flag, and Close
+// sets the flag first, then waits for every stripe's senders count to drain
+// before it stops the queue. A Deliver that saw the flag clear completes its
+// (non-blocking) push before the queue stops; one that arrives later sees the
+// flag and returns ErrSocketClosed without touching the queue — so no push
+// ever lands in a stopped queue, with zero locking on the hot path. Stopping
+// the queue reclaims what it still holds, once, in both modes; on the sink
+// Close returns only after every sink call under way has returned.
 //
 // The layout is part of the design and TestStripeLayout holds it, on the
 // addresses the allocator actually gives: the stripes come first, each 64 bytes
 // with its words in the first 16, so wherever within a line the allocation
 // starts no two stripes' words share one; what every hop to or from the socket
-// reads — its owner, its queue, the sink, the closed flag — follows on a line
-// written when the socket is made and when it closes; and the counters of what
-// went wrong or roundabout come after that.
+// reads — its owner, its queue, the closed flag — follows on a line written
+// when the socket is made and when it closes; and the counters of what went
+// wrong or roundabout come after that.
 type Socket struct {
 	stripes [ebpf.Stripes]sockStripe
 
-	id   uint32
-	inst *Instance // the owner whose slots a sender may claim; nil on a bare or sink socket
-
-	ch   chan shm.Descriptor  // nil on a sink socket and on a polled one
-	sink func(shm.Descriptor) // set once at construction
-	// ring is a polled instance socket's queue, set by Register before the
-	// workers start.
-	ring   *ringEntry
+	id     uint32
+	inst   *Instance    // the owner whose slots a sender may claim; nil on a bare or sink socket
+	q      handoffQueue // set once at construction
 	closed atomic.Bool
 	_      [socketPad]byte
 
@@ -85,13 +75,13 @@ type Socket struct {
 // the reply's delivery to the gateway's are one of each per request; striped by
 // the sender's stripe, two cores' requests register on two lines.
 type sockStripe struct {
-	senders   atomic.Int64  // Deliver calls between registration and send
-	delivered atomic.Uint64 // descriptors queued, or taken off the ring; claimed hops count on the instance's stripes
+	senders   atomic.Int64  // Deliver calls between registration and push
+	delivered atomic.Uint64 // descriptors queued; claimed hops count on the instance's stripes
 	_         [6]uint64
 }
 
 // socketPad ends the cache line Socket's read-mostly fields are on.
-const socketPad = 20
+const socketPad = 28
 
 // Socket errors.
 var (
@@ -99,19 +89,18 @@ var (
 	ErrSocketFull   = errors.New("core: socket queue full")
 )
 
-// NewSocket creates a socket with the given instance ID and queue depth.
+// NewSocket creates a socket with the given instance ID and a channel queue of
+// the given depth, read through Recv. It belongs to no chain, so Close
+// discards whatever its channel still holds.
 func NewSocket(id uint32, depth int) *Socket {
-	if depth <= 0 {
-		depth = 1
-	}
-	return &Socket{id: id, ch: make(chan shm.Descriptor, depth)}
+	return &Socket{id: id, q: newChanQueue(depth, func(shm.Descriptor) {})}
 }
 
 // newSinkSocket creates a socket that hands every delivered descriptor to
 // sink on the delivering goroutine instead of queueing it. sink must not
 // block: it runs on the function worker that sent the reply, in either mode.
 func newSinkSocket(id uint32, sink func(shm.Descriptor)) *Socket {
-	return &Socket{id: id, sink: sink}
+	return &Socket{id: id, q: sinkQueue(sink)}
 }
 
 // SockID implements ebpf.SockRef.
@@ -146,13 +135,32 @@ func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
 	return err
 }
 
+// handoff is the end of a hop, which both transports share once their filter
+// has passed d to s: a worker with a home (by.home) to come back to runs the
+// handler itself if s's instance grants it a slot (claimFor), and otherwise —
+// or when nobody asked, or s has no instance — d is queued. A hop that wanted
+// a claim and was queued is counted in queuedHops.
+func (s *Socket) handoff(d shm.Descriptor, by sender) (grant, error) {
+	if by.home == nil || s.inst == nil {
+		return grant{}, s.deliver(d, by.stripe)
+	}
+	if slot, ok := s.claimFor(by); ok {
+		return grant{s.inst, slot}, nil
+	}
+	err := s.deliver(d, by.stripe)
+	if err == nil {
+		s.queuedHops.Add(1)
+	}
+	return grant{}, err
+}
+
 // claimFor is the other way in: the worker by takes one of the owning
 // instance's concurrency slots — of its own stripe if that has one — and will
 // run the handler itself, so the hop is counted as delivered, on the line the
 // claim has just written. It follows the request only with no backlog waiting
 // at home, and only into an idle queue. slot is the stripe the slot came from.
 func (s *Socket) claimFor(by sender) (slot uint32, ok bool) {
-	if !by.home.idle() || !s.idle() {
+	if !by.home.q.idle() || !s.q.idle() {
 		return 0, false
 	}
 	if slot, ok = s.inst.claim(by.stripe); ok {
@@ -161,76 +169,38 @@ func (s *Socket) claimFor(by sender) (slot uint32, ok bool) {
 	return slot, ok
 }
 
-// idle reports whether an instance's queue is empty: its channel or, for a
-// polled socket — the one kind without a channel — its ring, so a ModeEvent
-// hop reads what len(s.ch) read and no more.
-func (s *Socket) idle() bool {
-	if s.ch != nil {
-		return len(s.ch) == 0
-	}
-	return s.ring.r.Len() == 0
-}
-
-// enqueue is the non-blocking send under the drain-token protocol. The
+// enqueue is the non-blocking push under the drain-token protocol. The
 // sender registration, on stripe st, must precede the closed check (see the
-// type comment): Close observes either our registration or our completed send.
+// type comment): Close observes either our registration or our completed push.
 func (s *Socket) enqueue(d shm.Descriptor, st *sockStripe) error {
 	st.senders.Add(1)
 	defer st.senders.Add(-1)
 	if s.closed.Load() {
 		return ErrSocketClosed
 	}
-	if s.sink != nil {
-		s.sink(d)
-		return nil
-	}
-	select {
-	case s.ch <- d:
-		return nil
-	default:
-		return ErrSocketFull
-	}
+	return s.q.push(d)
 }
 
 // retireBuf marks a retire token: a descriptor whose Buf no send can carry
 // (pool handles are slot indices, far below it). The owning instance queues
 // one per surplus worker when its pool shrinks; the worker that receives it
-// exits. It travels the instance's own queue, so it needs no second channel
-// for workers to select on: the socket's channel, through enqueue, so it
-// cannot race Close into a send on a closed channel — or a polled socket's
-// ring, two words like any descriptor.
+// exits. It travels the instance's own queue, through enqueue, so it cannot
+// race Close, and workers need no second queue to watch.
 const retireBuf = ^uint32(0)
 
 // retire queues one retire token, behind whatever the instance's queue holds.
 func (s *Socket) retire() error {
-	d := shm.Descriptor{Buf: retireBuf}
-	if s.ring != nil {
-		return s.ring.t.sendTo(s.ring, d, 0)
-	}
-	return s.enqueue(d, &s.stripes[0])
+	return s.enqueue(shm.Descriptor{Buf: retireBuf}, &s.stripes[0])
 }
-
-// newPolledSocket creates the socket of a ModePolling instance: no channel,
-// because the ring it is registered with is its queue.
-func newPolledSocket(id uint32) *Socket { return &Socket{id: id} }
 
 // next is a worker's receive: the next descriptor for the instance, blocking
-// until there is one. false means the socket was closed, or its ring stopped,
-// and the worker should exit.
-func (s *Socket) next() (shm.Descriptor, bool) {
-	if s.ch == nil { // a polled socket
-		return s.ring.take()
-	}
-	d, ok := <-s.ch
-	return d, ok
-}
+// until there is one. false means the socket was closed and the worker should
+// exit.
+func (s *Socket) next() (shm.Descriptor, bool) { return s.q.next() }
 
-// noteDrop records one descriptor the transport gave up delivering to this
-// socket: its ring stopped with the descriptor still in it.
-func (s *Socket) noteDrop() { s.dropped.Add(1) }
-
-// Recv returns the descriptor channel for the instance's run loop.
-func (s *Socket) Recv() <-chan shm.Descriptor { return s.ch }
+// Recv returns the descriptor channel of a socket whose queue is one: every
+// socket NewSocket makes, and a ModeEvent instance's.
+func (s *Socket) Recv() <-chan shm.Descriptor { return s.q.(*chanQueue).ch }
 
 // closeSpinBudget is how many sender-drain checks Close spends yielding
 // before escalating to sleeps. In-flight Delivers are non-blocking, so the
@@ -240,13 +210,12 @@ func (s *Socket) Recv() <-chan shm.Descriptor { return s.ch }
 // full core for as long as the scheduler starves the sender.
 const closeSpinBudget = 64
 
-// Close marks the socket closed and wakes the consumer. Descriptors still
-// buffered remain readable from Recv until drained (the instance reclaims
-// them at shutdown); on a sink socket Close returns once every sink call
-// under way has returned; a polled socket stops its ring, whose backlog the
-// transport's drop handler reclaims. The senders wait backs off in two stages — spin with
-// yields, then exponentially growing sleeps capped at 1ms — so a stalled
-// sender delays the close without pinning a processor.
+// Close marks the socket closed, waits out the pushes under way, and stops the
+// queue: its backlog is reclaimed and every worker blocked in next is let go,
+// before Close returns and whatever the instance's handlers are doing. The
+// senders wait backs off in two stages — spin with yields, then exponentially
+// growing sleeps capped at 1ms — so a stalled sender delays the close without
+// pinning a processor.
 func (s *Socket) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -262,16 +231,11 @@ func (s *Socket) Close() {
 			sleep *= 2
 		}
 	}
-	if s.ch != nil {
-		close(s.ch)
-	}
-	if s.ring != nil {
-		s.ring.stop()
-	}
+	s.q.stop()
 }
 
 // sending reports whether a Deliver is between its registration and the end of
-// its send. A sender that registers on a stripe after Close has looked at it
+// its push. A sender that registers on a stripe after Close has looked at it
 // finds the closed flag set, so one look at each stripe is enough.
 func (s *Socket) sending() bool {
 	for i := range s.stripes {
@@ -296,14 +260,8 @@ func (s *Socket) Stats() (delivered, dropped uint64) {
 	return delivered, s.dropped.Load()
 }
 
-// QueueLen reports how many descriptors are queued awaiting a worker — in
-// the socket's channel, or in a polled socket's ring — the per-instance
-// backlog signal the autoscaler folds into its demand estimate.
-func (s *Socket) QueueLen() int {
-	if s.ring != nil {
-		return s.ring.r.Len() / descWords
-	}
-	return len(s.ch)
-}
+// QueueLen reports how many descriptors are queued awaiting a worker — the
+// per-instance backlog signal the autoscaler folds into its demand estimate.
+func (s *Socket) QueueLen() int { return s.q.len() }
 
 func (s *Socket) String() string { return fmt.Sprintf("sock(%d)", s.id) }

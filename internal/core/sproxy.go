@@ -13,7 +13,8 @@ import (
 const MaxInstances = 256
 
 // SProxy is the event-driven socket proxy of §3.2.1/§3.4: an SK_MSG eBPF
-// program attached to every function socket of one chain. On each send it
+// program attached to every function socket of one chain, and ModeEvent's
+// Transport. On each send it
 //
 //  1. parses the 16-byte packet descriptor,
 //  2. enforces the chain's inter-function filter (security domain),
@@ -184,21 +185,15 @@ func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
 
 // sendOrClaim is S-SPRIGHT's Transport.sendOrClaim: the program runs, on the
 // sender's stripe, and selects the destination socket exactly as in Send, and
-// the claim is asked of the socket it selected.
+// the socket it selected takes the hop (Socket.handoff).
 func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
 	wire := d.Marshal()
 	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil, by.stripe)
 	if err != nil {
 		return grant{}, fmt.Errorf("sproxy: %w", err)
 	}
-	if dst, ok := res.RedirectSock.(*Socket); by.home != nil && ok && res.Ret == ebpf.SKPass && dst.inst != nil {
-		if slot, ok := dst.claimFor(by); ok {
-			return grant{dst.inst, slot}, nil
-		}
-		if err = dst.deliver(d, by.stripe); err == nil {
-			dst.queuedHops.Add(1)
-		}
-		return grant{}, err
+	if dst, ok := res.RedirectSock.(*Socket); ok && res.Ret == ebpf.SKPass {
+		return dst.handoff(d, by)
 	}
 	return grant{}, sp.finishSend(src, d, res, by.stripe)
 }

@@ -36,14 +36,10 @@ type Autoscaler struct {
 	mu    sync.Mutex
 	state map[string]*fnState
 
-	// Bounded decision ring (the tracer's recent-trace ring discipline):
-	// ring[total % len] is the next slot; Decisions reconstructs
-	// chronological order from total.
-	ring    []ScaleDecision
-	total   uint64
+	// reasons counts every decision ever taken, by reason.
 	reasons map[string]uint64
 
-	// decisionSink, when set, mirrors every recorded decision onto the
+	// decisionSink, when set, journals every recorded decision on the
 	// node's flight recorder so scale actions interleave with sheds and
 	// breaker flips in one timeline. Called with a.mu held: the sink must
 	// not call back into the autoscaler.
@@ -129,9 +125,6 @@ type AutoscalerConfig struct {
 	// Interval is the evaluation period used by EnableAutoscaling
 	// (<=0: 50ms).
 	Interval time.Duration
-
-	// DecisionHistory bounds the retained decision ring (<=0: 256).
-	DecisionHistory int
 }
 
 // Scale-decision reasons.
@@ -157,10 +150,7 @@ type ScaleDecision struct {
 	At time.Time
 }
 
-const (
-	defaultDecisionHistory = 256
-	defaultInterval        = 50 * time.Millisecond
-)
+const defaultInterval = 50 * time.Millisecond
 
 // NewAutoscaler builds the legacy-shaped autoscaler: instantaneous (no
 // smoothing, no hysteresis, no cooldowns), floor 1, cap 8, self-healing on.
@@ -192,9 +182,6 @@ func NewAutoscalerWithConfig(dep *Deployment, cfg AutoscalerConfig) *Autoscaler 
 	if cfg.ScaleDownRatio <= 0 {
 		cfg.ScaleDownRatio = 1
 	}
-	if cfg.DecisionHistory <= 0 {
-		cfg.DecisionHistory = defaultDecisionHistory
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = defaultInterval
 	}
@@ -205,7 +192,6 @@ func NewAutoscalerWithConfig(dep *Deployment, cfg AutoscalerConfig) *Autoscaler 
 		MaxReplicas: cfg.MaxReplicas,
 		cfg:         cfg,
 		state:       make(map[string]*fnState),
-		ring:        make([]ScaleDecision, cfg.DecisionHistory),
 		reasons:     make(map[string]uint64),
 		stop:        make(chan struct{}),
 		kick:        make(chan struct{}, 1),
@@ -246,19 +232,16 @@ func (a *Autoscaler) fnState(fn string) *fnState {
 }
 
 // SetDecisionSink installs the flight-recorder bridge (nil clears). The
-// bounded ring and reason counters keep working regardless — the sink is a
-// mirror, not a replacement.
+// reason counters keep working regardless.
 func (a *Autoscaler) SetDecisionSink(fn func(ScaleDecision)) {
 	a.mu.Lock()
 	a.decisionSink = fn
 	a.mu.Unlock()
 }
 
-// record appends d to the bounded ring, bumps its reason counter, and
-// mirrors it to the decision sink when one is attached.
+// record bumps d's reason counter and hands d to the decision sink when
+// one is attached.
 func (a *Autoscaler) record(d ScaleDecision) ScaleDecision {
-	a.ring[a.total%uint64(len(a.ring))] = d
-	a.total++
 	a.reasons[d.Reason]++
 	if a.decisionSink != nil {
 		a.decisionSink(d)
@@ -529,31 +512,6 @@ func (a *Autoscaler) Close() {
 
 // Prewarm returns the controller's prewarm pool (nil without one).
 func (a *Autoscaler) PrewarmPool() *PrewarmPool { return a.prewarm }
-
-// Decisions returns the retained scaling actions, oldest first. The
-// history is bounded by DecisionHistory; older decisions are evicted.
-func (a *Autoscaler) Decisions() []ScaleDecision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.total
-	size := uint64(len(a.ring))
-	if n > size {
-		n = size
-	}
-	out := make([]ScaleDecision, 0, n)
-	for i := a.total - n; i < a.total; i++ {
-		out = append(out, a.ring[i%size])
-	}
-	return out
-}
-
-// TotalDecisions returns the all-time decision count (the ring only
-// retains the most recent DecisionHistory of them).
-func (a *Autoscaler) TotalDecisions() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
 
 // DecisionCounts returns all-time decision counts by reason.
 func (a *Autoscaler) DecisionCounts() map[string]uint64 {

@@ -125,10 +125,10 @@ func TestEvaluateResumesZeroReplicaFunction(t *testing.T) {
 	}
 }
 
-// Satellite regression: the decision history must be bounded. The old
-// implementation appended every decision to a slice for the life of the
-// deployment — unbounded growth on a long-lived control loop.
-func TestDecisionRingBounded(t *testing.T) {
+// Every decision comes back from Evaluate stamped and attributed, and the
+// all-time reason counters add it up. The controller keeps no history of
+// its own: the flight recorder's bounded rings journal the decisions.
+func TestDecisionsStampedAndCounted(t *testing.T) {
 	cl := NewCluster(1)
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
@@ -139,7 +139,7 @@ func TestDecisionRingBounded(t *testing.T) {
 	}
 	defer d.Close()
 	as := NewAutoscalerWithConfig(d, AutoscalerConfig{
-		Target: 1, MinReplicas: 1, MaxReplicas: 6, MaxStep: 1, DecisionHistory: 4,
+		Target: 1, MinReplicas: 1, MaxReplicas: 6, MaxStep: 1,
 	})
 
 	wait := offerLoad(t, d, 8)
@@ -148,36 +148,32 @@ func TestDecisionRingBounded(t *testing.T) {
 	})
 
 	// MaxStep 1: each evaluation adds exactly one replica, 1 -> 6.
+	var decs []ScaleDecision
 	for i := 0; i < 5; i++ {
-		if decs := as.Evaluate(); len(decs) != 1 {
-			t.Fatalf("evaluation %d: want 1 decision, got %+v", i, decs)
+		got := as.Evaluate()
+		if len(got) != 1 {
+			t.Fatalf("evaluation %d: want 1 decision, got %+v", i, got)
 		}
+		decs = append(decs, got[0])
 	}
 	if got := len(d.Chain.Router().Instances("slow")); got != 6 {
 		t.Fatalf("replicas %d, want 6", got)
 	}
-	if as.Evaluate(); len(d.Chain.Router().Instances("slow")) != 6 {
-		t.Fatal("MaxReplicas must cap growth")
+	if extra := as.Evaluate(); len(extra) != 0 || len(d.Chain.Router().Instances("slow")) != 6 {
+		t.Fatalf("MaxReplicas must cap growth, got %+v", extra)
 	}
 
-	if total := as.TotalDecisions(); total != 5 {
-		t.Fatalf("total decisions %d, want 5", total)
-	}
-	decs := as.Decisions()
-	if len(decs) != 4 {
-		t.Fatalf("retained decisions %d, want ring bound 4", len(decs))
-	}
-	// Chronological, most recent last, each stamped and attributed.
+	// Chronological, one step each, every decision stamped and attributed.
 	for i, dec := range decs {
 		if dec.At.IsZero() || dec.Reason == "" {
 			t.Fatalf("decision %d missing timestamp/reason: %+v", i, dec)
 		}
-		if i > 0 && dec.At.Before(decs[i-1].At) {
-			t.Fatalf("ring order broken: %+v", decs)
+		if dec.From != i+1 || dec.To != i+2 {
+			t.Fatalf("decision %d is %d -> %d, want %d -> %d", i, dec.From, dec.To, i+1, i+2)
 		}
-	}
-	if last := decs[len(decs)-1]; last.To != 6 {
-		t.Fatalf("latest decision %+v, want To=6", last)
+		if i > 0 && dec.At.Before(decs[i-1].At) {
+			t.Fatalf("decision order broken: %+v", decs)
+		}
 	}
 	if counts := as.DecisionCounts(); counts[ReasonLoad] != 5 {
 		t.Fatalf("reason counts %+v, want load=5", counts)

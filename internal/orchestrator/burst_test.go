@@ -10,6 +10,7 @@ import (
 
 	"github.com/spright-go/spright/internal/core"
 	"github.com/spright-go/spright/internal/fault"
+	"github.com/spright-go/spright/internal/obs"
 )
 
 // Burst acceptance (ISSUE 6): an open-loop burst against an autoscaled
@@ -108,10 +109,12 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 	pollUntil(t, time.Second, "the controller to scale up", func() bool {
 		return len(d.Chain.Router().Instances("work")) > 1
 	})
+	// The first scale-up in the chain's flight journal (Value packs
+	// from<<32|to replicas).
 	var firstUp time.Time
-	for _, dec := range as.Decisions() {
-		if dec.To > dec.From {
-			firstUp = dec.At
+	for _, ev := range cl.Observability().Flight().Events("burst", 0, 0) {
+		if ev.Kind == obs.EventScale && int32(ev.Value) > int32(ev.Value>>32) {
+			firstUp = ev.Time()
 			break
 		}
 	}

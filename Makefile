@@ -79,12 +79,13 @@ race:
 # armed inside the table's lock), every gateway door through the one start
 # (TestGatewayStart…), the copy-on-write routing/filter/topic/ring
 # tables, a per-CPU array's copies under runs on their own stripes and on a
-# shared one (TestPerCPUArray…), the pool's bulk get/put — and of the
-# transport's slot stack and receive framing ten times under the race
-# detector: one pass of `race` can miss the interleavings these protocols
-# exist for.
+# shared one (TestPerCPUArray…), the pool's bulk get/put, the mesh peer's
+# outbox (the flushed buffer reused; every frame Send accepts written or
+# dropped once while Close races it: TestPeerSendRacingClose) and its receive
+# framing — ten times under the race detector: one pass of `race` can miss
+# the interleavings these protocols exist for.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedSlot|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # and the twelve-hop local chain that in both modes must also stay on one

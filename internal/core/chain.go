@@ -87,10 +87,6 @@ type ChainSpec struct {
 	// of 250ms; negative disables latency-based tail retention.
 	TraceTailLatency time.Duration
 
-	// TraceTailLimit bounds the tail-retained trace buffer (0 picks the
-	// default of 64).
-	TraceTailLimit int
-
 	// ScrapeInterval is the period of the gateway's metrics agent — the
 	// goroutine that drives EProxy.ScrapeRate and publishes the chain's
 	// failure counters into the EPROXY metrics map (§3.3). 0 picks the
@@ -243,16 +239,6 @@ func (c *Chain) EnableTracing(limit int) *Tracer {
 	return tr
 }
 
-// EnableSampledTracing turns on 1-in-every sampled hop tracing, the
-// always-on production mode: unsampled requests cost one atomic increment
-// and zero allocations, sampled ones feed the per-hop histograms and the
-// bounded recent-trace ring the observability exporter serves.
-func (c *Chain) EnableSampledTracing(every, limit int) *Tracer {
-	tr := NewSampledTracer(every, limit)
-	c.tracer.Store(tr)
-	return tr
-}
-
 // DisableTracing stops trace collection.
 func (c *Chain) DisableTracing() {
 	c.tracer.Store(nil)
@@ -278,7 +264,7 @@ var (
 // Defaults for the always-on observability plumbing.
 const (
 	defaultTraceSampleEvery = 1024 // 1-in-N sampled hop tracing
-	defaultTraceLimit       = 64   // recent traces retained
+	defaultTraceLimit       = 64   // recent traces retained, and tail traces
 	defaultScrapeInterval   = 500 * time.Millisecond
 )
 
@@ -398,12 +384,8 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		if every == 0 {
 			every = defaultTraceSampleEvery
 		}
-		tailLimit := spec.TraceTailLimit
-		if tailLimit <= 0 {
-			tailLimit = defaultTraceLimit
-		}
 		tr := NewSampledTracer(every, defaultTraceLimit)
-		tr.SetTailSampling(spec.TraceTailLatency, tailLimit)
+		tr.SetTailSampling(spec.TraceTailLatency, defaultTraceLimit)
 		c.tracer.Store(tr)
 	}
 	c.scrapeEvery = spec.ScrapeInterval
@@ -418,8 +400,6 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 	c.sockDepth = depth
 	c.routes = append([]RouteSpec(nil), spec.Routes...)
 
-	// Start function instances: IDs 1..N (0 is the gateway).
-	nextID := uint32(1)
 	for i := range spec.Functions {
 		fs := spec.Functions[i] // copy: the chain owns its specs
 		if fs.Name == "" {
@@ -436,17 +416,7 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		}
 		c.byName[fs.Name] = &fs
 		c.fnOrder = append(c.fnOrder, fs.Name)
-		for j := 0; j < fs.Instances; j++ {
-			inst := c.newInstance(&fs, nextID, depth)
-			nextID++
-			if err := c.transport.RegisterSocket(inst.sock); err != nil {
-				return nil, err
-			}
-			c.router.AddInstance(fs.Name, inst)
-			c.instances = append(c.instances, inst)
-		}
 	}
-	c.nextID = nextID
 
 	// DFR routes.
 	for _, r := range spec.Routes {
@@ -463,10 +433,22 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		c.router.SetRoute(RouteKey{Topic: r.Topic, From: r.From}, r.To...)
 	}
 
-	// Filter rules (§3.4): authorize exactly the edges the routing table
-	// implies, in both data directions, plus replies to the gateway.
-	if err := c.configureFilters(spec.Routes); err != nil {
-		return nil, err
+	// Function instances, IDs 1..N (0 is the gateway), each wired as a
+	// scale-up wires one: its socket, then the filter rules (§3.4) between it
+	// and every instance before it that the routing table implies, in both
+	// data directions, plus its reply edge to the gateway.
+	c.instMu.Lock()
+	defer c.instMu.Unlock()
+	c.nextID = 1
+	for _, fn := range c.fnOrder {
+		for j := 0; j < c.byName[fn].Instances; j++ {
+			inst, err := c.newWiredInstanceLocked(fn)
+			if err != nil {
+				return nil, err
+			}
+			c.router.AddInstance(fn, inst)
+			c.instances = append(c.instances, inst)
+		}
 	}
 
 	for _, in := range c.instances {
@@ -491,38 +473,6 @@ func (c *Chain) newInstance(fs *FunctionSpec, id uint32, depth int) *Instance {
 	inst.setSlots(fs.Concurrency)
 	inst.slotFreed.L = &inst.slotMu
 	return inst
-}
-
-// configureFilters installs the per-edge allow rules the kubelet would
-// configure at startup.
-func (c *Chain) configureFilters(routes []RouteSpec) error {
-	allow := func(src, dst uint32) error { return c.transport.Allow(src, dst) }
-	for _, r := range routes {
-		var srcIDs []uint32
-		if r.From == "" {
-			srcIDs = []uint32{GatewayID}
-		} else {
-			for _, in := range c.router.Instances(r.From) {
-				srcIDs = append(srcIDs, in.ID())
-			}
-		}
-		for _, to := range r.To {
-			for _, dst := range c.router.Instances(to) {
-				for _, src := range srcIDs {
-					if err := allow(src, dst.ID()); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	// every instance may reply to the gateway
-	for _, in := range c.instances {
-		if err := allow(in.ID(), GatewayID); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Name returns the chain name (also its shared-memory prefix).
@@ -983,11 +933,13 @@ func (c *Chain) newWiredInstanceLocked(fn string) (*Instance, error) {
 	return inst, nil
 }
 
-// authorizeEdgesLocked installs the filter rules for one instance of fn:
-// sources routing *to* fn, targets fn routes *to*, and the reply edge to
-// the gateway. Allow is an idempotent map update, so re-authorizing at
-// prewarm activation (after topology changed underneath a warm instance)
-// is safe. Callers hold instMu.
+// authorizeEdgesLocked installs the filter rules for one instance of fn
+// against the routable instances: sources routing *to* fn, targets fn routes
+// *to*, itself when fn routes to fn, and the reply edge to the gateway.
+// Wiring instances one at a time this way reaches the same edge set as
+// wiring them all at once. Allow is an idempotent map update, so
+// re-authorizing at prewarm activation (after topology changed underneath a
+// warm instance) is safe. Callers hold instMu.
 func (c *Chain) authorizeEdgesLocked(inst *Instance) error {
 	fn := inst.fnName
 	for _, r := range c.routes {
@@ -999,6 +951,9 @@ func (c *Chain) authorizeEdgesLocked(inst *Instance) error {
 					for _, s := range c.router.Instances(r.From) {
 						srcs = append(srcs, s.ID())
 					}
+				}
+				if r.From == fn {
+					srcs = append(srcs, inst.ID()) // not routable yet
 				}
 				for _, s := range srcs {
 					if err := c.transport.Allow(s, inst.ID()); err != nil {

@@ -26,8 +26,8 @@ import (
 //
 // Sampling is two-level:
 //
-//   - head: 1-in-N requests record full span trees (EnableSampledTracing /
-//     ChainSpec.TraceSampleEvery); an inbound sampled context is always
+//   - head: 1-in-N requests record full span trees
+//     (ChainSpec.TraceSampleEvery); an inbound sampled context is always
 //     adopted so cross-chain traces stay whole.
 //   - tail: error traces and traces slower than the tail-latency threshold
 //     are always retained in a separate bounded ring, never evicted by

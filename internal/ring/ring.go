@@ -20,17 +20,14 @@ import (
 	"sync/atomic"
 )
 
-// Mode selects the synchronization discipline of one side of the ring.
+// Mode selects the ring's synchronization discipline. MP is the only one:
+// every ring in the dataplane has several producers. The type stays so that
+// callers name the discipline they rely on, as rte_ring_create's flags do.
 type Mode int
 
-const (
-	// MP is multi-producer / multi-consumer (rte_ring flags = 0, the
-	// configuration used by the paper).
-	MP Mode = iota
-	// SP is single-producer / single-consumer: reservation skips the
-	// CAS, and publication never waits on a predecessor.
-	SP
-)
+// MP is multi-producer / multi-consumer (rte_ring flags = 0, the
+// configuration used by the paper).
+const MP Mode = 0
 
 // Common ring errors.
 var (
@@ -49,7 +46,6 @@ type pad [7]uint64
 type Ring struct {
 	mask  uint64
 	slots []uint64
-	mode  Mode
 
 	_        pad
 	prodHead atomic.Uint64 // next producer index to reserve
@@ -76,12 +72,15 @@ type Ring struct {
 }
 
 // New creates a ring with capacity rounded up to the next power of two.
-// Capacity must be at least 2. The full capacity is usable: indices are
+// Capacity must be at least 2, and mode must be MP. The full capacity is usable: indices are
 // unbounded monotonic counters, so no slot is sacrificed to distinguish
 // full from empty.
 func New(capacity int, mode Mode) (*Ring, error) {
 	if capacity < 2 {
 		return nil, fmt.Errorf("ring: capacity %d too small", capacity)
+	}
+	if mode != MP {
+		return nil, fmt.Errorf("ring: unknown mode %d", mode)
 	}
 	n := 1
 	for n < capacity {
@@ -90,7 +89,6 @@ func New(capacity int, mode Mode) (*Ring, error) {
 	return &Ring{
 		mask:  uint64(n - 1),
 		slots: make([]uint64, n),
-		mode:  mode,
 	}, nil
 }
 
@@ -102,14 +100,6 @@ func (r *Ring) Capacity() int { return len(r.slots) }
 // reserved — the all-or-nothing half of bulk semantics).
 func (r *Ring) reserveProd(n uint64) (uint64, bool) {
 	size := uint64(len(r.slots))
-	if r.mode == SP {
-		head := r.prodHead.Load()
-		if size-(head-r.consTail.Load()) < n {
-			return 0, false
-		}
-		r.prodHead.Store(head + n)
-		return head, true
-	}
 	for {
 		head := r.prodHead.Load()
 		if size-(head-r.consTail.Load()) < n {
@@ -134,18 +124,6 @@ func (r *Ring) publishProd(head, n uint64) {
 // reserveCons claims up to want published items, returning the start index
 // and the claimed count (0 when the ring is empty).
 func (r *Ring) reserveCons(want uint64) (uint64, uint64) {
-	if r.mode == SP {
-		head := r.consHead.Load()
-		avail := r.prodTail.Load() - head
-		if avail == 0 {
-			return 0, 0
-		}
-		if avail > want {
-			avail = want
-		}
-		r.consHead.Store(head + avail)
-		return head, avail
-	}
 	for {
 		head := r.consHead.Load()
 		avail := r.prodTail.Load() - head
@@ -283,15 +261,6 @@ func (r *Ring) NoteWait(nanos int64) {
 		r.waitNanos.Add(uint64(nanos))
 		r.waits.Add(1)
 	}
-}
-
-// Free returns the approximate free capacity.
-func (r *Ring) Free() int {
-	used := r.prodHead.Load() - r.consTail.Load()
-	if used > uint64(len(r.slots)) {
-		return 0
-	}
-	return len(r.slots) - int(used)
 }
 
 // pollYieldMask controls how many failed polls a consumer spins before

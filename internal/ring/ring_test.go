@@ -9,7 +9,7 @@ import (
 )
 
 func TestFIFOOrder(t *testing.T) {
-	r, err := New(8, SP)
+	r, err := New(8, MP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,9 @@ func TestCapacityRounding(t *testing.T) {
 	if _, err := New(1, MP); err == nil {
 		t.Fatal("capacity 1 must be rejected")
 	}
+	if _, err := New(8, MP+1); err == nil {
+		t.Fatal("a mode other than MP must be rejected")
+	}
 }
 
 func TestWrapAround(t *testing.T) {
@@ -74,8 +77,8 @@ func TestLenAndFree(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Enqueue(uint64(i))
 	}
-	if r.Len() != 5 || r.Free() != 3 {
-		t.Fatalf("len=%d free=%d want 5,3", r.Len(), r.Free())
+	if free := r.Capacity() - r.Len(); r.Len() != 5 || free != 3 {
+		t.Fatalf("len=%d free=%d want 5,3", r.Len(), free)
 	}
 }
 
@@ -103,53 +106,48 @@ func TestBulkBoundaries(t *testing.T) {
 		}
 		return out
 	}
-	for _, mode := range []Mode{MP, SP} {
-		steps := []struct {
-			name    string
-			enq     []uint64 // when set, EnqueueBulk and expect wantN
-			burst   int      // when >0, DequeueBurst(out[:burst])
-			wantN   int
-			wantOut []uint64 // expected DequeueBurst contents
-		}{
-			{name: "empty-bulk-is-noop", enq: []uint64{}, wantN: 0},
-			{name: "burst-on-empty", burst: 4, wantN: 0},
-			{name: "bulk-exact-capacity", enq: seq(0, 4), wantN: 4},
-			{name: "bulk-one-into-full", enq: seq(9, 1), wantN: 0},
-			{name: "burst-partial-take", burst: 2, wantN: 2, wantOut: seq(0, 2)},
-			{name: "bulk-over-free", enq: seq(10, 3), wantN: 0},
-			{name: "bulk-wraparound", enq: seq(10, 2), wantN: 2},
-			{name: "burst-over-avail", burst: 8, wantN: 4, wantOut: []uint64{2, 3, 10, 11}},
-			{name: "bulk-over-capacity", enq: seq(0, 5), wantN: 0},
-			{name: "burst-drained", burst: 1, wantN: 0},
+	steps := []struct {
+		name    string
+		enq     []uint64 // when set, EnqueueBulk and expect wantN
+		burst   int      // when >0, DequeueBurst(out[:burst])
+		wantN   int
+		wantOut []uint64 // expected DequeueBurst contents
+	}{
+		{name: "empty-bulk-is-noop", enq: []uint64{}, wantN: 0},
+		{name: "burst-on-empty", burst: 4, wantN: 0},
+		{name: "bulk-exact-capacity", enq: seq(0, 4), wantN: 4},
+		{name: "bulk-one-into-full", enq: seq(9, 1), wantN: 0},
+		{name: "burst-partial-take", burst: 2, wantN: 2, wantOut: seq(0, 2)},
+		{name: "bulk-over-free", enq: seq(10, 3), wantN: 0},
+		{name: "bulk-wraparound", enq: seq(10, 2), wantN: 2},
+		{name: "burst-over-avail", burst: 8, wantN: 4, wantOut: []uint64{2, 3, 10, 11}},
+		{name: "bulk-over-capacity", enq: seq(0, 5), wantN: 0},
+		{name: "burst-drained", burst: 1, wantN: 0},
+	}
+	r, _ := New(4, MP)
+	for _, s := range steps {
+		name := s.name
+		if s.burst > 0 || s.enq == nil {
+			out := make([]uint64, s.burst)
+			n := r.DequeueBurst(out)
+			if n != s.wantN {
+				t.Fatalf("%s: burst got %d want %d", name, n, s.wantN)
+			}
+			for i, want := range s.wantOut {
+				if out[i] != want {
+					t.Fatalf("%s: out[%d]=%d want %d", name, i, out[i], want)
+				}
+			}
+			continue
 		}
-		r, _ := New(4, mode)
-		for _, s := range steps {
-			name := s.name
-			if mode == SP {
-				name = "sp-" + name
-			}
-			if s.burst > 0 || s.enq == nil {
-				out := make([]uint64, s.burst)
-				n := r.DequeueBurst(out)
-				if n != s.wantN {
-					t.Fatalf("%s: burst got %d want %d", name, n, s.wantN)
-				}
-				for i, want := range s.wantOut {
-					if out[i] != want {
-						t.Fatalf("%s: out[%d]=%d want %d", name, i, out[i], want)
-					}
-				}
-				continue
-			}
-			if n := r.EnqueueBulk(s.enq); n != s.wantN {
-				t.Fatalf("%s: bulk got %d want %d", name, n, s.wantN)
-			}
-			if s.wantN == 0 && len(s.enq) > 0 {
-				// all-or-nothing: a refused bulk must leave no prefix
-				before := r.Len()
-				if before > r.Capacity() {
-					t.Fatalf("%s: len %d exceeds capacity", name, before)
-				}
+		if n := r.EnqueueBulk(s.enq); n != s.wantN {
+			t.Fatalf("%s: bulk got %d want %d", name, n, s.wantN)
+		}
+		if s.wantN == 0 && len(s.enq) > 0 {
+			// all-or-nothing: a refused bulk must leave no prefix
+			before := r.Len()
+			if before > r.Capacity() {
+				t.Fatalf("%s: len %d exceeds capacity", name, before)
 			}
 		}
 	}
@@ -309,7 +307,7 @@ func TestFIFOProperty(t *testing.T) {
 		if len(vals) > 64 {
 			vals = vals[:64]
 		}
-		r, _ := New(128, SP)
+		r, _ := New(128, MP)
 		for _, v := range vals {
 			if r.Enqueue(v) != nil {
 				return false

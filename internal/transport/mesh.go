@@ -3,10 +3,10 @@
 // gateways of different nodes. Within a node descriptors never touch it —
 // intra-node hops stay on the zero-copy shm + SPROXY path. Between nodes,
 // frames (wire.Frame: descriptor-equivalent + payload + trace context) are
-// staged in pooled per-peer slots, enqueued on a per-peer rte_ring, and
-// coalesced by a per-peer writer goroutine into single writev-style
-// net.Buffers writes — Palladium's rule that cross-node descriptor passing
-// must stay off the per-request allocation path, applied to a TCP fabric.
+// encoded back to back onto a per-peer outbox, and a per-peer writer
+// goroutine flushes whatever run has queued with one write — Palladium's
+// rule that cross-node descriptor passing must stay off the per-request
+// allocation path, applied to a TCP fabric.
 package transport
 
 import (
@@ -27,7 +27,7 @@ import (
 
 // Transport errors.
 var (
-	ErrBacklog    = errors.New("transport: peer send ring full")
+	ErrBacklog    = errors.New("transport: peer send backlog full")
 	ErrMeshClosed = errors.New("transport: mesh closed")
 	ErrNoPeer     = errors.New("transport: unknown peer")
 	ErrPeerDown   = errors.New("transport: peer unreachable")
@@ -35,7 +35,7 @@ var (
 
 // Drop reasons for the reason-attributed drop counters.
 const (
-	DropBacklog  = "backlog"   // send ring full at Send
+	DropBacklog  = "backlog"   // SendRing frames already queued at Send
 	DropConnDown = "conn_down" // reconnect budget exhausted
 	DropClosed   = "closed"    // mesh shut down with frames queued
 )
@@ -43,12 +43,9 @@ const (
 // Config tunes a node's mesh endpoint. The zero value picks defaults
 // suitable for tests and the loopback benchmarks.
 type Config struct {
-	// SendRing is the per-peer send-ring slot count (default 1024). Each
-	// slot owns a reusable encode buffer, so it also bounds staged bytes.
+	// SendRing bounds the frames queued or being written per peer
+	// (default 1024); Send refuses the next one with ErrBacklog.
 	SendRing int
-	// MaxBatch caps frames coalesced into one writev-style write
-	// (default 64, the dataplane's burst size).
-	MaxBatch int
 	// DialBackoff is the base reconnect backoff (default 1ms), doubled per
 	// attempt up to MaxBackoff (default 100ms).
 	DialBackoff time.Duration
@@ -66,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.SendRing <= 0 {
 		c.SendRing = 1024
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.DialBackoff <= 0 {
 		c.DialBackoff = time.Millisecond
 	}
@@ -81,7 +75,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FrameMeta is the header-only view of a staged frame handed to the drop
+// FrameMeta is the header-only view of a queued frame handed to the drop
 // callback, so an undeliverable request can fail its pending caller.
 type FrameMeta struct {
 	Type   uint8
@@ -260,8 +254,8 @@ func (m *Mesh) Peers() []string {
 	return out
 }
 
-// Send stages one frame for the named peer. It is non-blocking: a full send
-// ring refuses the frame with ErrBacklog (counted as a backlog drop) — the
+// Send queues one frame for the named peer. It is non-blocking: a full
+// backlog refuses the frame with ErrBacklog (counted as a backlog drop) — the
 // caller still owns the request and must fail it attributably.
 func (m *Mesh) Send(peer string, f *wire.Frame) error {
 	m.peerMu.RLock()
@@ -273,9 +267,9 @@ func (m *Mesh) Send(peer string, f *wire.Frame) error {
 	return p.Send(f)
 }
 
-// QueuedTo returns the number of frames staged for peer but not yet written
-// — the per-peer send-ring depth the autoscaler folds into its demand
-// signal. Unknown peers report 0.
+// QueuedTo returns the number of frames accepted for peer but not yet
+// written or dropped — the per-peer send backlog the autoscaler folds into
+// its demand signal. Unknown peers report 0.
 func (m *Mesh) QueuedTo(peer string) int {
 	m.peerMu.RLock()
 	p := m.peers[peer]
@@ -283,7 +277,7 @@ func (m *Mesh) QueuedTo(peer string) int {
 	if p == nil {
 		return 0
 	}
-	return p.send.Len()
+	return p.queueDepth()
 }
 
 // acceptLoop accepts inbound connections until the listener closes.
@@ -430,11 +424,11 @@ type PeerStatsSnapshot struct {
 	Peer       string
 	FramesSent uint64
 	BytesSent  uint64
-	// Writes counts successful writev-style flushes; FramesSent/Writes is
-	// the mean batching factor.
+	// Writes counts successful flushes, one write each; FramesSent/Writes
+	// is the mean batching factor.
 	Writes     uint64
 	Reconnects uint64
-	// QueueDepth is the instantaneous send-ring occupancy.
+	// QueueDepth is the frames accepted and not yet written or dropped.
 	QueueDepth int
 	// Drops by reason (backlog, conn_down, closed).
 	Drops map[string]uint64

@@ -2,12 +2,12 @@ package transport
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/spright-go/spright/internal/metrics"
-	"github.com/spright-go/spright/internal/ring"
 	"github.com/spright-go/spright/internal/wire"
 )
 
@@ -15,56 +15,55 @@ import (
 // MaxAttempts × (dialTimeout + backoff) before the batch is dropped.
 const dialTimeout = 250 * time.Millisecond
 
-// slot is one reusable encode cell of a peer's send ring: the frame bytes
-// (length prefix included) plus the header-only metadata needed to attribute
-// a drop back to its pending caller.
-type slot struct {
-	buf  []byte
-	meta FrameMeta
+// outbox is a run of encoded frames stored back to back (length prefixes
+// included), with each frame's encoded length and the header-only metadata
+// needed to attribute a drop back to its pending caller.
+type outbox struct {
+	buf   []byte
+	lens  []int
+	metas []FrameMeta
 }
 
-// Peer is one outbound link: a fixed pool of encode slots that move from a
-// free stack to the staged rte_ring and back, and a single writer goroutine
-// that drains staged slots in bursts and flushes each burst as one
-// writev-style net.Buffers write. Send never blocks and never allocates in
-// steady state — a full ring is explicit backpressure (ErrBacklog), exactly
-// like a full SPROXY ring inside a node.
+func (o *outbox) reset() {
+	o.buf = o.buf[:0]
+	o.lens = o.lens[:0]
+	o.metas = o.metas[:0]
+}
+
+// Peer is one outbound link: Send encodes frames onto the queued outbox
+// under one mutex, and a single writer goroutine swaps that outbox with the
+// one it has just written and flushes the whole run with one write. The two
+// outboxes take turns, so on a link that is rarely deep the next frame is
+// encoded into the buffer just flushed, still in cache. Send never blocks on
+// the network and never allocates in steady state; SendRing frames queued or
+// being written are explicit backpressure (ErrBacklog), exactly like a full
+// SPROXY ring inside a node.
 type Peer struct {
 	mesh *Mesh
 	name string
 	addr string
 
-	slots []slot
-	send  *ring.Ring // slot indices staged for the writer (MP prod, SP cons)
-
-	// free holds the idle slot indices, last freed on top, so the next frame
-	// is encoded into the buffer the writer has just flushed while it is
-	// still in cache. Handing slots out in turn instead would touch all of
-	// them — 1024 buffers of the largest frame seen, 16 MiB at 16 KiB
-	// frames — and run every encode and every kernel copy on cold memory.
-	// LIFO also means only as many buffers grow as the link is ever deep.
-	freeMu sync.Mutex
-	free   []uint64
+	// mu guards queued, inFlight, closed and drops. The writer's last drain
+	// sets closed under it, so every frame Send accepts is either written or
+	// dropped: none is left behind in a closed peer.
+	mu       sync.Mutex
+	queued   outbox
+	inFlight int // frames taken by the writer, not yet written or dropped
+	closed   bool
+	drops    map[string]uint64 // by reason
 
 	// notify wakes the writer; capacity 1 so senders never block on it.
 	notify chan struct{}
 
-	// Writer-owned state: only the writer goroutine touches it. iov is the
-	// slice a flush hands to WriteTo, which consumes it — header advanced past
-	// everything written, capacity gone with it — so every flush re-slices it
-	// from iovAll, the whole backing array, instead of growing a new one.
+	// Writer-owned state: only the writer goroutine touches it.
 	conn      net.Conn
 	connected bool
-	iov       net.Buffers
-	iovAll    net.Buffers
+	out       outbox
 
 	framesSent atomic.Uint64
 	bytesSent  atomic.Uint64
 	writes     atomic.Uint64
 	reconnects atomic.Uint64
-
-	dropMu sync.Mutex
-	drops  map[string]uint64
 
 	// perWrite records the batch size of every successful flush — the
 	// batching-factor distribution exported as a summary.
@@ -72,66 +71,46 @@ type Peer struct {
 }
 
 func newPeer(m *Mesh, name, addr string) *Peer {
-	send, err := ring.New(m.cfg.SendRing, ring.MP)
-	if err != nil {
-		panic("transport: bad send ring size: " + err.Error())
-	}
-	// One slot per ring entry, so staging a slot taken from free cannot
-	// find the ring full.
-	n := send.Capacity()
-	p := &Peer{
+	return &Peer{
 		mesh:     m,
 		name:     name,
 		addr:     addr,
-		slots:    make([]slot, n),
-		send:     send,
-		free:     make([]uint64, n),
 		notify:   make(chan struct{}, 1),
-		iovAll:   make(net.Buffers, m.cfg.MaxBatch),
 		drops:    make(map[string]uint64),
 		perWrite: metrics.NewStripedHistogram(),
 	}
-	for i := range p.free {
-		p.free[i] = uint64(n - 1 - i) // slot 0 on top
-	}
-	return p
 }
 
 // Name returns the peer's node name.
 func (p *Peer) Name() string { return p.name }
 
-// Send encodes f into a free slot and stages it for the writer. Non-blocking:
-// a full ring returns ErrBacklog (counted), leaving ownership of the request
-// with the caller. The frame is copied during encode, so f and its Payload
-// may be reused immediately after Send returns.
+// Send encodes f onto the queued outbox and wakes the writer. Non-blocking:
+// with SendRing frames already queued or being written it returns ErrBacklog
+// (counted), leaving ownership of the request with the caller. The frame is
+// copied during encode, so f and its Payload may be reused immediately after
+// Send returns.
 func (p *Peer) Send(f *wire.Frame) error {
-	select {
-	case <-p.mesh.stop:
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return ErrMeshClosed
-	default:
 	}
-	ix, ok := p.takeSlot()
-	if !ok {
-		p.countDrop(DropBacklog)
+	if len(p.queued.lens)+p.inFlight >= p.mesh.cfg.SendRing {
+		p.drops[DropBacklog]++
+		p.mu.Unlock()
 		return ErrBacklog
 	}
-	s := &p.slots[ix]
-	buf, err := wire.AppendFrame(s.buf[:0], f)
+	q := &p.queued
+	n := len(q.buf)
+	buf, err := wire.AppendFrame(slices.Grow(q.buf, wire.EncodedSize(f)), f)
 	if err != nil {
-		p.freeSlot(ix)
+		p.mu.Unlock()
 		return err
 	}
-	s.buf = buf
-	s.meta = FrameMeta{Type: f.Type, Flags: f.Flags, Chain: f.Chain, Fn: f.Fn, Caller: f.Caller}
-	var one [1]uint64
-	one[0] = ix
-	// Cannot fail: free+send+in-flight never exceed the slot count, and we
-	// hold one slot out of the free stack right now.
-	if p.send.EnqueueBulk(one[:]) != 1 {
-		p.freeSlot(ix)
-		p.countDrop(DropBacklog)
-		return ErrBacklog
-	}
+	q.buf = buf
+	q.lens = append(q.lens, len(buf)-n)
+	q.metas = append(q.metas, FrameMeta{Type: f.Type, Flags: f.Flags, Chain: f.Chain, Fn: f.Fn, Caller: f.Caller})
+	p.mu.Unlock()
 	select {
 	case p.notify <- struct{}{}:
 	default:
@@ -139,37 +118,18 @@ func (p *Peer) Send(f *wire.Frame) error {
 	return nil
 }
 
-// takeSlot pops the most recently freed slot; false means every slot is
-// staged or being written.
-func (p *Peer) takeSlot() (uint64, bool) {
-	p.freeMu.Lock()
-	defer p.freeMu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return 0, false
-	}
-	ix := p.free[n-1]
-	p.free = p.free[:n-1]
-	return ix, true
+// settle retires n in-flight frames the kernel has accepted.
+func (p *Peer) settle(n int) {
+	p.mu.Lock()
+	p.inFlight -= n
+	p.mu.Unlock()
 }
 
-func (p *Peer) freeSlot(ix uint64) {
-	p.freeMu.Lock()
-	p.free = append(p.free, ix) // within the capacity newPeer allocated
-	p.freeMu.Unlock()
-}
-
-func (p *Peer) countDrop(reason string) {
-	p.dropMu.Lock()
-	p.drops[reason]++
-	p.dropMu.Unlock()
-}
-
-// writer is the peer's single flush goroutine: drain staged slots in bursts
-// of MaxBatch, write each burst as one net.Buffers (writev) call, return the
-// slots to the free stack. Connection failures reconnect with exponential
-// backoff; an exhausted attempt budget drops the burst with reason conn_down
-// so the origin gateway can fail the pending callers attributably.
+// writer is the peer's single flush goroutine: take the queued run and
+// flush it. Connection failures reconnect with exponential backoff; an
+// exhausted attempt budget drops the run with reason conn_down so the origin
+// gateway can fail the pending callers attributably. At shutdown the peer
+// closes and whatever is queued is dropped with reason closed.
 func (p *Peer) writer() {
 	defer p.mesh.wg.Done()
 	defer func() {
@@ -177,37 +137,48 @@ func (p *Peer) writer() {
 			p.conn.Close()
 		}
 	}()
-	idxs := make([]uint64, p.mesh.cfg.MaxBatch)
 	for {
-		n := p.send.DequeueBurst(idxs)
-		if n == 0 {
+		if p.take(false) > 0 {
+			p.flush()
+		} else {
 			select {
 			case <-p.notify:
 				continue
 			case <-p.mesh.stop:
-				p.drainClosed(idxs)
-				return
 			}
 		}
-		p.flush(idxs[:n])
 		select {
 		case <-p.mesh.stop:
-			p.drainClosed(idxs)
+			p.take(true)
+			p.drop(0, DropClosed, ErrMeshClosed)
 			return
 		default:
 		}
 	}
 }
 
-// flush delivers one burst. Delivery is at-most-once per frame per
+// take swaps the queued outbox with the one just written and returns how
+// many frames the writer now holds; closing also refuses every later Send.
+func (p *Peer) take(closing bool) int {
+	p.out.reset()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = p.closed || closing
+	p.queued, p.out = p.out, p.queued
+	p.inFlight = len(p.out.lens)
+	return p.inFlight
+}
+
+// flush delivers the writer's outbox. Delivery is at-most-once per frame per
 // connection: on a write error, frames the kernel fully accepted are counted
-// sent and freed; a partially-written frame is resent in full on a fresh
-// connection (the receiver discards the truncated prefix at EOF).
-func (p *Peer) flush(idxs []uint64) {
+// sent; a partially-written frame is resent in full on a fresh connection
+// (the receiver discards the truncated prefix at EOF).
+func (p *Peer) flush() {
 	cfg := p.mesh.cfg
 	attempts := 0
 	backoff := cfg.DialBackoff
-	for len(idxs) > 0 {
+	first, off := 0, 0 // the first unwritten frame and its byte offset
+	for first < len(p.out.lens) {
 		if cfg.Injector != nil && p.conn != nil {
 			// Chaos hook: a queue-full rule on the net:src→net:dst hop
 			// models a link failure by killing the live connection.
@@ -218,14 +189,14 @@ func (p *Peer) flush(idxs []uint64) {
 		}
 		if p.conn == nil {
 			if attempts >= cfg.MaxAttempts {
-				p.dropBatch(idxs, DropConnDown, ErrPeerDown)
+				p.drop(first, DropConnDown, ErrPeerDown)
 				return
 			}
 			attempts++
 			conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err != nil {
 				if !p.sleepBackoff(backoff) {
-					p.dropBatch(idxs, DropClosed, ErrMeshClosed)
+					p.drop(first, DropClosed, ErrMeshClosed)
 					return
 				}
 				backoff *= 2
@@ -246,38 +217,28 @@ func (p *Peer) flush(idxs []uint64) {
 				continue
 			}
 		}
-		p.iov = p.iovAll[:0]
-		total := 0
-		for _, ix := range idxs {
-			b := p.slots[ix].buf
-			p.iov = append(p.iov, b)
-			total += len(b)
-		}
-		batch := len(idxs)
-		// net.Buffers.WriteTo consumes the slice (writev under the hood);
-		// iov is rebuilt from the slots on every attempt.
-		nw, err := p.iov.WriteTo(p.conn)
+		batch := len(p.out.lens) - first
+		nw, err := p.conn.Write(p.out.buf[off:])
 		if err == nil {
 			p.writes.Add(1)
 			p.perWrite.Observe(p.writes.Load(), float64(batch))
 			p.framesSent.Add(uint64(batch))
-			p.bytesSent.Add(uint64(total))
-			p.freeBatch(idxs)
+			p.bytesSent.Add(uint64(len(p.out.buf) - off))
+			p.settle(batch)
 			return
 		}
 		// Partial write: credit fully-accepted frames, keep the rest.
-		written := nw
-		for len(idxs) > 0 {
-			b := p.slots[idxs[0]].buf
-			if written < int64(len(b)) {
-				break
-			}
-			written -= int64(len(b))
+		credited := 0
+		for first < len(p.out.lens) && nw >= p.out.lens[first] {
+			n := p.out.lens[first]
+			nw -= n
+			off += n
+			first++
+			credited++
 			p.framesSent.Add(1)
-			p.bytesSent.Add(uint64(len(b)))
-			p.freeSlot(idxs[0])
-			idxs = idxs[1:]
+			p.bytesSent.Add(uint64(n))
 		}
+		p.settle(credited)
 		p.conn.Close()
 		p.conn = nil
 	}
@@ -305,49 +266,41 @@ func (p *Peer) sleepBackoff(d time.Duration) bool {
 	}
 }
 
-func (p *Peer) freeBatch(idxs []uint64) {
-	for _, ix := range idxs {
-		p.freeSlot(ix)
-	}
-}
-
-// dropBatch gives up on a burst: every frame is reported to the mesh's drop
-// callback with its attributed reason, then its slot is recycled.
-func (p *Peer) dropBatch(idxs []uint64, reason string, err error) {
-	for _, ix := range idxs {
-		meta := p.slots[ix].meta
-		p.countDrop(reason)
-		p.freeSlot(ix)
+// drop gives up on the writer's outbox from frame first on: every frame is
+// reported to the mesh's drop callback with its attributed reason.
+func (p *Peer) drop(first int, reason string, err error) {
+	metas := p.out.metas[first:]
+	p.mu.Lock()
+	p.inFlight -= len(metas)
+	p.drops[reason] += uint64(len(metas))
+	p.mu.Unlock()
+	for _, meta := range metas {
 		p.mesh.notifyDrop(meta, reason, err)
 	}
 }
 
-// drainClosed empties the send ring at shutdown, dropping staged frames
-// with reason closed.
-func (p *Peer) drainClosed(idxs []uint64) {
-	for {
-		n := p.send.DequeueBurst(idxs)
-		if n == 0 {
-			return
-		}
-		p.dropBatch(idxs[:n], DropClosed, ErrMeshClosed)
-	}
+// queueDepth counts the frames accepted and not yet written or dropped.
+func (p *Peer) queueDepth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queued.lens) + p.inFlight
 }
 
 func (p *Peer) snapshot(name string) PeerStatsSnapshot {
-	p.dropMu.Lock()
+	p.mu.Lock()
+	depth := len(p.queued.lens) + p.inFlight
 	drops := make(map[string]uint64, len(p.drops))
 	for k, v := range p.drops {
 		drops[k] = v
 	}
-	p.dropMu.Unlock()
+	p.mu.Unlock()
 	return PeerStatsSnapshot{
 		Peer:           name,
 		FramesSent:     p.framesSent.Load(),
 		BytesSent:      p.bytesSent.Load(),
 		Writes:         p.writes.Load(),
 		Reconnects:     p.reconnects.Load(),
-		QueueDepth:     p.send.Len(),
+		QueueDepth:     depth,
 		Drops:          drops,
 		FramesPerWrite: p.perWrite.Snapshot(),
 	}

@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,12 +168,13 @@ func TestMeshBatchingUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestPeerReusesFlushedSlot sends frames one at a time, each after the
-// previous one arrived: the link is never more than one frame deep, so the
-// free stack must hand back the slot just flushed and only that slot's
-// buffer may ever grow. (A FIFO free list gives every send a different slot
-// and touches all of them.)
-func TestPeerReusesFlushedSlot(t *testing.T) {
+// TestPeerReusesFlushedBuffer sends frames one at a time, each after the
+// previous one was written: the link is never more than one frame deep, so
+// every frame is encoded into the buffer the writer has just flushed, and
+// neither of the peer's two buffers may ever hold more than one frame. (A
+// pool of per-frame buffers handed out in turn touches all of them, and a
+// buffer that is never rewound grows with every frame.)
+func TestPeerReusesFlushedBuffer(t *testing.T) {
 	b := NewMesh("node-b", Config{})
 	defer b.Close()
 	got := make(chan struct{}, 1)
@@ -184,8 +187,10 @@ func TestPeerReusesFlushedSlot(t *testing.T) {
 	p := a.AddPeer("node-b", b.Addr())
 
 	payload := make([]byte, 4096)
+	frameLen := 0
 	for i := 0; i < 200; i++ {
 		f := wire.Frame{Type: wire.TypeRequest, Caller: uint32(i), Chain: "c", Fn: "f", Payload: payload}
+		frameLen = wire.EncodedSize(&f)
 		if err := a.Send("node-b", &f); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -195,21 +200,84 @@ func TestPeerReusesFlushedSlot(t *testing.T) {
 			t.Fatalf("frame %d never arrived", i)
 		}
 		// The handler runs once the frame is on the wire, which can be just
-		// before the writer has put the slot back.
-		waitFor(t, "slot returned", func() bool {
-			p.freeMu.Lock()
-			defer p.freeMu.Unlock()
-			return len(p.free) == len(p.slots)
-		})
+		// before the writer has settled it.
+		waitFor(t, "frame settled", func() bool { return a.QueuedTo("node-b") == 0 })
 	}
-	used := 0
-	for i := range p.slots {
-		if cap(p.slots[i].buf) > 0 {
-			used++
+	a.Close() // the writer has exited: its buffers can be read
+	for name, buf := range map[string][]byte{"queued": p.queued.buf, "out": p.out.buf} {
+		if cap(buf) >= 2*frameLen {
+			t.Fatalf("%s buffer grew to %d bytes on a link one %d-byte frame deep", name, cap(buf), frameLen)
 		}
 	}
-	if used != 1 {
-		t.Fatalf("%d of %d slots were encoded into by a link one frame deep, want 1", used, len(p.slots))
+}
+
+// TestPeerSendRacingClose has senders race Mesh.Close, on a live link and on
+// a dead one: every frame Send accepted must get exactly one outcome —
+// written, or reported to the drop handler — so no origin caller is left
+// waiting on a frame the peer neither wrote nor dropped.
+func TestPeerSendRacingClose(t *testing.T) {
+	b := NewMesh("node-b", Config{})
+	defer b.Close()
+	b.SetHandler(func(string, *wire.Frame) {})
+	if err := b.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	for _, tc := range []struct{ name, addr string }{
+		{"live", b.Addr()},
+		{"dead", reservedDeadAddr(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The window is a few instructions wide: race many closes.
+			for round := 0; round < 20; round++ {
+				sendRacingClose(t, tc.addr)
+			}
+		})
+	}
+}
+
+func sendRacingClose(t *testing.T, addr string) {
+	t.Helper()
+	a := NewMesh("node-a", Config{SendRing: 64, DialBackoff: time.Millisecond, MaxBackoff: time.Millisecond, MaxAttempts: 1 << 20})
+	var dropped atomic.Uint64
+	a.SetDropHandler(func(FrameMeta, string, error) { dropped.Add(1) })
+	a.AddPeer("peer", addr)
+
+	var accepted atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := wire.Frame{Type: wire.TypeRequest, Caller: uint32(g), Chain: "c", Fn: "f", Payload: make([]byte, 64)}
+			for {
+				switch err := a.Send("peer", &f); {
+				case err == nil:
+					accepted.Add(1)
+				case errors.Is(err, ErrMeshClosed):
+					return
+				case errors.Is(err, ErrBacklog):
+					runtime.Gosched()
+				default:
+					t.Errorf("send: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	waitFor(t, "sends to be accepted", func() bool { return accepted.Load() >= 32 })
+	a.Close()
+	wg.Wait()
+
+	st := a.Stats().Sent[0]
+	if got, want := st.FramesSent+dropped.Load(), accepted.Load(); got != want {
+		t.Fatalf("%d frames sent + %d dropped = %d outcomes for %d accepted sends",
+			st.FramesSent, dropped.Load(), got, want)
+	}
+	if n := st.Drops[DropConnDown] + st.Drops[DropClosed]; n != dropped.Load() {
+		t.Fatalf("%d drops counted, %d reported to the handler", n, dropped.Load())
+	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("%d frames still queued on a closed peer", st.QueueDepth)
 	}
 }
 

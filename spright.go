@@ -122,7 +122,7 @@ type (
 	// Cluster.Observability(). Mount it with Attach(mux) or AdminMux().
 	Observability = obs.Observability
 	// Tracer is a chain's sampled distributed tracer
-	// (ChainSpec.TraceSampleEvery, Chain.EnableSampledTracing).
+	// (ChainSpec.TraceSampleEvery).
 	Tracer = core.Tracer
 	// Trace is one recorded request: a span tree through a chain.
 	Trace = core.Trace

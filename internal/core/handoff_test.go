@@ -1275,6 +1275,10 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 			pollUntil(t, "down busy", func() bool { return down.Inflight() == 1 })
 			go invokeTo(t, g, "", "x", done)
 			pollUntil(t, "the hop under test queued", func() bool { return down.QueueDepth() == 1 })
+			// up's worker records the queued hop's send span when its send
+			// returns, which on a loaded host can be after down has run the
+			// hop and the caller has read the trace: wait for it first.
+			pollUntil(t, "up's send span recorded", func() bool { return sendSpanRecorded(tr, "up", "down") })
 		} else {
 			held <- nil
 			go invokeTo(t, g, "", "x", done)
@@ -1318,6 +1322,24 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 	if len(inlineStages) != len(queuedStages) {
 		t.Errorf("span sets differ: claimed %v, queued %v", inlineStages, queuedStages)
 	}
+}
+
+// sendSpanRecorded reports whether an in-flight trace that ran through from
+// has recorded its send span to to.
+func sendSpanRecorded(tr *Tracer, from, to string) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, t := range tr.active {
+		via, sent := false, false
+		for _, s := range t.Spans {
+			via = via || s.Function == from
+			sent = sent || (s.Stage == StageRedirect && s.Function == to)
+		}
+		if via && sent {
+			return true
+		}
+	}
+	return false
 }
 
 // Tests for D-SPRIGHT's consumer side: an instance's workers poll the

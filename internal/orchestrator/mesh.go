@@ -5,8 +5,8 @@ package orchestrator
 // shm + SPROXY path; a hop whose next function lives elsewhere runs a
 // transport *stub* instead — a normal chain instance whose handler encodes
 // the descriptor-equivalent (caller, routing target, trace context) plus
-// payload into a wire frame and stages it on the mesh's batched per-peer
-// send ring. The receiving node's gateway re-materializes the payload into
+// payload into a wire frame and queues it on the mesh's batched per-peer
+// outbox. The receiving node's gateway re-materializes the payload into
 // its own shm pool (Gateway.InvokeRemote) and re-enters the local dispatch
 // path; the response rides back as a frame and completes the origin's
 // pending request (Gateway.CompleteRemote). Trace context crosses on the
@@ -131,8 +131,8 @@ func (n *WorkerNode) handleFrame(from string, f *wire.Frame) {
 // Respond implements core.Responder: it answers the peer that forwarded a
 // request here, on the goroutine that finished the request — usually the
 // worker of the chain's last local function, which encodes body straight
-// from the reply's pool buffer into the peer's send slot. Mesh.Send never
-// blocks (a full send ring is ErrBacklog), so it cannot wedge that worker.
+// from the reply's pool buffer onto the peer's outbox. Mesh.Send never
+// blocks (a full backlog is ErrBacklog), so it cannot wedge that worker.
 // The frame lives on this stack: Send copies it while encoding.
 func (n *WorkerNode) Respond(o core.RemoteOrigin, body []byte, err error) {
 	mesh := n.Mesh
@@ -179,7 +179,7 @@ type stubEnv struct {
 
 // makeStub builds the transport stub for fn placed on peer: the local chain
 // routes descriptors to it exactly like a real instance, and it converts
-// each one into a wire frame on peer's send ring. The local buffer is
+// each one into a wire frame on peer's outbox. The local buffer is
 // always surrendered — Drop on success, the chain's failure path (release +
 // notify) on error — so cross-node forwarding can never leak pool buffers.
 func makeStub(env *stubEnv, chainName, fn, peer string) core.Handler {
@@ -474,8 +474,8 @@ func (pd *PlacedDeployment) Close() {
 }
 
 // collectMesh snapshots one node's transport counters into the
-// spright_net_* families: per-peer frames/bytes sent and received, writev
-// flush count, the batched-frames-per-write summary, send-ring depth,
+// spright_net_* families: per-peer frames/bytes sent and received, flush
+// count, the batched-frames-per-write summary, send backlog depth,
 // reconnects, and reason-attributed drops.
 func collectMesh(m *transport.Mesh) []obs.Family {
 	st := m.Stats()
@@ -486,11 +486,11 @@ func collectMesh(m *transport.Mesh) []obs.Family {
 	bytesSent := obs.Family{Name: "spright_net_bytes_sent_total",
 		Help: "Encoded frame bytes sent per peer link.", Type: obs.Counter}
 	writes := obs.Family{Name: "spright_net_writes_total",
-		Help: "Batched writev-style flushes per peer link.", Type: obs.Counter}
+		Help: "Batched flushes per peer link, one write each.", Type: obs.Counter}
 	reconnects := obs.Family{Name: "spright_net_reconnects_total",
 		Help: "Times a peer link was re-dialed after a connection loss.", Type: obs.Counter}
 	depth := obs.Family{Name: "spright_net_send_ring_depth",
-		Help: "Frames staged on the per-peer send ring awaiting flush.", Type: obs.Gauge}
+		Help: "Frames accepted for the peer link and not yet written or dropped.", Type: obs.Gauge}
 	drops := obs.Family{Name: "spright_net_drops_total",
 		Help: "Frames the transport gave up on, by reason (backlog, conn_down, closed).",
 		Type: obs.Counter}

@@ -21,8 +21,9 @@ import (
 )
 
 // Mode selects the ring's synchronization discipline. MP is the only one:
-// every ring in the dataplane has several producers. The type stays so that
-// callers name the discipline they rely on, as rte_ring_create's flags do.
+// every ring in the dataplane has several producers. The type stays because
+// callers name it (bench/probes.go passes ring.MP), as rte_ring_create's
+// flags are named.
 type Mode int
 
 // MP is multi-producer / multi-consumer (rte_ring flags = 0, the

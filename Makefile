@@ -1,43 +1,6 @@
 GO ?= go
 
-BENCH_OUT ?= BENCH_9.json
-# the hot-path serial benchmarks tracked in BENCH_*.json snapshots
-BENCH_PAT ?= BenchmarkSProxySend$$|BenchmarkShmPool$$|BenchmarkEBPFInterpreter$$|BenchmarkJIT_vs_Interp/|BenchmarkE2E_SSpright|BenchmarkE2E_DSpright|BenchmarkE2E_CrossNode|BenchmarkE2E_GRPCBaseline|BenchmarkE2E_LargePayload$$|BenchmarkTraceUnsampled$$|BenchmarkTraceSampled$$|BenchmarkColdStartResume$$|BenchmarkColdStartPrewarmed$$|BenchmarkOverloadShed$$|BenchmarkObjStorePut10MB$$|BenchmarkObjStoreOpenRead10MB$$|BenchmarkObjStoreSpillReload1MB$$|BenchmarkFlightEmit/
-# the multicore RPS harness, swept across BENCH_CPUS
-BENCH_PAR_PAT ?= BenchmarkE2E_Parallel_
-# benchmark knobs: time per benchmark, samples per serial benchmark
-# (benchjson keeps the fastest — the noise floor on a shared host), and
-# the GOMAXPROCS sweep for the parallel suite
-BENCH_TIME ?= 1s
-BENCH_COUNT ?= 3
-BENCH_CPUS ?= 1,2,4,8
-# regression gate inputs for bench-compare; BENCH_GAIN lists benchmarks
-# that must have IMPROVED between the snapshots (empty: regressions only —
-# the object-store PR must leave the pre-existing serial benches unchanged).
-# BENCH_7R.json re-records the BENCH_7 code on the current host: its speed
-# still oscillates in multi-minute windows (a first single-pass record
-# flagged BenchmarkE2E_GRPCBaseline, untouched by the PR, among the
-# "regressions"), so — as for BENCH_6R — both snapshots' serial suites
-# were recorded in interleaved rounds (old tree / new tree alternating,
-# best-of-3 via benchjson's min-dedupe) to keep the diff measuring the PR.
-# BENCH_7.json stays PR 8's record. The observability PR adds only
-# passive instrumentation (flight recorder hooks, SLO window snapshots on
-# the metrics agent), so the pre-existing serial suite must be unchanged —
-# but this host still drifts in multi-minute windows (a single-pass record
-# flagged BenchmarkE2E_GRPCBaseline and BenchmarkE2E_CrossNode, untouched
-# by the PR), so as for BENCH_6R/BENCH_7R both snapshots' serial suites
-# were recorded in interleaved rounds (old tree / new tree alternating,
-# best-of-3 via benchjson's min-dedupe): BENCH_8R.json re-records the
-# BENCH_8 code, BENCH_8.json stays PR 9's record. Both trees' benchChain
-# pins ScrapeInterval -1 for the recording: the serial E2E benches measure
-# the dataplane, and this PR extends the metrics agent to polling-mode
-# chains (SLO windowing), whose 500ms goroutine otherwise skews the
-# spin-polling D-SPRIGHT loop at GOMAXPROCS=1.
-OLD ?= BENCH_8R.json
-NEW ?= BENCH_9.json
-BENCH_GAIN ?=
-
-.PHONY: build test race race-stress alloc-gate bench-check vet fmt-check verify bench bench-compare clean
+.PHONY: build test race race-stress alloc-gate bench-check vet fmt-check verify clean
 
 build:
 	$(GO) build ./...
@@ -107,24 +70,5 @@ bench-check:
 # benchmark module's own checks.
 verify: fmt-check vet race race-stress alloc-gate bench-check
 
-# bench runs the tracked serial benchmarks, then the parallel RPS harness
-# across the BENCH_CPUS sweep, and writes one machine-readable snapshot
-# (ns/op, B/op, allocs/op, derived RPS, p50/p99) to $(BENCH_OUT) via
-# cmd/benchjson. Raw output stays in bench.out until the JSON is written.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
-	$(GO) test -run '^$$' -bench '$(BENCH_PAR_PAT)' -benchmem -benchtime $(BENCH_TIME) -cpu $(BENCH_CPUS) . | tee -a bench.out
-	$(GO) run ./cmd/benchjson < bench.out > $(BENCH_OUT)
-	@rm -f bench.out
-	@echo "wrote $(BENCH_OUT)"
-
-# bench-compare diffs two snapshots: it fails on >10% ns/op regression in
-# any tracked serial benchmark, and on any BENCH_GAIN benchmark that did
-# not improve by its required fraction:
-#   make bench-compare OLD=BENCH_5.json NEW=BENCH_6.json
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare -mingain '$(BENCH_GAIN)' $(OLD) $(NEW)
-
 clean:
 	$(GO) clean ./...
-	rm -f bench.out

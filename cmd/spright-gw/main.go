@@ -205,29 +205,7 @@ func main() {
 		defer stopExp()
 		log.Printf("exporting traces to %s (OTLP JSON lines)", *traceFile)
 	}
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		s := dep.Gateway.Stats()
-		fmt.Fprintf(w, "admitted=%d completed=%d rejected=%d mean=%.3fms p95=%.3fms\n",
-			s.Admitted, s.Completed, s.Rejected, s.Mean*1e3, s.P95*1e3)
-		ps := dep.Chain.Pool().Stats()
-		fmt.Fprintf(w, "pool: inuse=%d/%d highwater=%d allocs=%d\n",
-			ps.InUse, ps.Capacity, ps.HighWater, ps.Allocs)
-		if ep := dep.Gateway.EProxy(); ep != nil {
-			pkts, bytes := ep.L3Stats()
-			fmt.Fprintf(w, "eproxy L3: packets=%d bytes=%d\n", pkts, bytes)
-		}
-		if as := dep.Autoscaler(); as != nil {
-			fmt.Fprintf(w, "shed: overload=%d park_full=%d park_timeout=%d pool_exhausted=%d parked=%d resumed=%d coldstart_p99=%.3fms\n",
-				s.ShedOverload, s.ShedParkFull, s.ShedParkTimeout, s.ShedPoolExhausted,
-				s.ParkedTotal, s.Resumed, s.ColdStartP99*1e3)
-			for _, v := range as.Views() {
-				fmt.Fprintf(w, "scale %s: replicas=%d healthy=%d desired=%d ewma=%.1f parked=%d\n",
-					v.Function, v.Replicas, v.Healthy, v.Desired, v.EWMA, v.Parked)
-			}
-		}
-	})
-
-	log.Printf("serving on %s (POST /%s/<path>, GET /metrics /healthz /traces /events /slo /stats /debug/bundle/ /debug/pprof/)",
+	log.Printf("serving on %s (POST /%s/<path>, GET /metrics /healthz /traces /events /slo /debug/bundle/ /debug/pprof/)",
 		*listen, spec.Name)
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
@@ -246,16 +224,16 @@ func boutiqueAware(ingress http.Handler, app, chainName string) http.Handler {
 				ci = v
 			}
 		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		payload := boutique.EncodeRequest(ci, body)
+		// Stream the client's body behind the header, so the gateway's body
+		// cap applies to it as it arrives.
+		hdr := boutique.EncodeRequest(ci, nil)
 		r2 := r.Clone(r.Context())
 		r2.URL.Path = "/" + chainName + "/"
-		r2.Body = io.NopCloser(bytes.NewReader(payload))
-		r2.ContentLength = int64(len(payload))
+		r2.Body = io.NopCloser(io.MultiReader(bytes.NewReader(hdr), r.Body))
+		r2.ContentLength = -1
+		if r.ContentLength >= 0 {
+			r2.ContentLength = int64(len(hdr)) + r.ContentLength
+		}
 		ingress.ServeHTTP(w, r2)
 	})
 }

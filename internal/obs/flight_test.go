@@ -132,6 +132,34 @@ func TestFlightDisabledAndNil(t *testing.T) {
 	}
 }
 
+// TestFlightEmitAllocFree is the recorder's hot-path contract: a disabled
+// recorder, a nil one (what core holds before any sink is wired) and an
+// enabled one all emit without allocating — the journal overwrites
+// preallocated ring slots.
+func TestFlightEmitAllocFree(t *testing.T) {
+	disabled := NewFlightRecorder(0)
+	disabled.RegisterChain("c")
+	disabled.SetEnabled(false)
+	enabled := NewFlightRecorder(0)
+	enabled.RegisterChain("c")
+	for _, tc := range []struct {
+		name string
+		r    *FlightRecorder
+	}{
+		{"disabled", disabled},
+		{"nil", nil},
+		{"enabled", enabled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(100, func() {
+				tc.r.Emit("c", EventShed, "fn", "overload", 1)
+			}); n != 0 {
+				t.Fatalf("Emit allocates %v times per call, want 0", n)
+			}
+		})
+	}
+}
+
 func TestFlightUnregisteredChainClusterOnly(t *testing.T) {
 	r := NewFlightRecorder(4)
 	r.Emit("ghost", EventShed, "", "", 0)

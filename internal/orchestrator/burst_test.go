@@ -70,9 +70,17 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 
 	// Open-loop burst: 16 closed-loop workers × ~2ms service time offers
 	// far more than one instance's capacity, sustained for many intervals.
+	// endBurst also runs if the test fails mid-burst: workers left looping
+	// on the closed gateway would load every test after this one.
 	stop := make(chan struct{})
 	var completed, shed, other atomic.Uint64
 	var wg sync.WaitGroup
+	var ended sync.Once
+	endBurst := func() {
+		ended.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer endBurst()
 	burstStart := time.Now()
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -105,22 +113,22 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 
 	// Capacity must track offered load within ~one evaluation interval:
 	// the first scale-up decision lands within two ticks of burst start
-	// (one tick of slack for the goroutine scheduler).
-	pollUntil(t, time.Second, "the controller to scale up", func() bool {
-		return len(d.Chain.Router().Instances("work")) > 1
-	})
-	// The first scale-up in the chain's flight journal (Value packs
-	// from<<32|to replicas).
+	// (one tick of slack for the goroutine scheduler). The decision is
+	// journaled after its instances are added, so the test waits for the
+	// journal entry itself (Value packs from<<32|to replicas), reading on
+	// from a cursor while the burst's shed events cycle the ring.
 	var firstUp time.Time
-	for _, ev := range cl.Observability().Flight().Events("burst", 0, 0) {
-		if ev.Kind == obs.EventScale && int32(ev.Value) > int32(ev.Value>>32) {
-			firstUp = ev.Time()
-			break
+	var seen uint64
+	pollUntil(t, time.Second, "a scale-up in the chain's flight journal", func() bool {
+		for _, ev := range cl.Observability().Flight().Events("burst", seen, 0) {
+			seen = ev.Seq
+			if ev.Kind == obs.EventScale && int32(ev.Value) > int32(ev.Value>>32) {
+				firstUp = ev.Time()
+				return true
+			}
 		}
-	}
-	if firstUp.IsZero() {
-		t.Fatal("no scale-up decision recorded")
-	}
+		return false
+	})
 	if lag := firstUp.Sub(burstStart); lag > 2*interval {
 		t.Errorf("first scale-up %v after burst start, want within ~%v", lag, interval)
 	}
@@ -130,8 +138,7 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 	pollUntil(t, 2*time.Second, "≥4 replicas under sustained 16-way load", func() bool {
 		return len(d.Chain.Router().Instances("work")) >= 4
 	})
-	close(stop)
-	wg.Wait()
+	endBurst()
 	if completed.Load() == 0 {
 		t.Fatal("no request completed during the burst")
 	}

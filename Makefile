@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress alloc-gate bench-check vet fmt-check verify clean
+.PHONY: build test race race-stress alloc-gate bench-check vet cross-vet fmt-check verify clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cross-vet type-checks the tree for two other platforms: the pool's slab is a
+# mapping on unix and heap memory elsewhere (shm/slab_heap.go), and nothing
+# else compiles the non-unix case.
+cross-vet:
+	GOOS=windows $(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -46,9 +53,11 @@ race:
 # outbox (the flushed buffer reused; every frame Send accepts written or
 # dropped once while Close races it: TestPeerSendRacingClose) and its receive
 # framing — ten times under the race detector: one pass of `race` can miss
-# the interleavings these protocols exist for.
+# the interleavings these protocols exist for. The pool's Close racing its
+# getters (TestPoolMappingCloseRace: no get succeeds once the slab's mapping
+# can be returned) rides along.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # and the twelve-hop local chain that in both modes must also stay on one
@@ -64,11 +73,11 @@ alloc-gate:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# verify is the gate for every change: formatting, static analysis, the full
-# test suite (chaos tests included) under the race detector, the repeated
-# stress of the lock-free protocol tests, the allocation gate, and the
-# benchmark module's own checks.
-verify: fmt-check vet race race-stress alloc-gate bench-check
+# verify is the gate for every change: formatting, static analysis (here and
+# for windows and darwin), the full test suite (chaos tests included) under the
+# race detector, the repeated stress of the lock-free protocol tests, the
+# allocation gate, and the benchmark module's own checks.
+verify: fmt-check vet cross-vet race race-stress alloc-gate bench-check
 
 clean:
 	$(GO) clean ./...

@@ -460,6 +460,12 @@ func (in *Instance) claim(stripe uint32) (slot uint32, ok bool) {
 			in.release(slot)
 			break
 		}
+		if in.owed.Load() != 0 && in.payOwed() {
+			// A shrink is owed slots in use, so this one went free in the
+			// moment before it declared the debt (a release that found
+			// nothing owed, or an undo above): it pays, as a release would.
+			continue
+		}
 		return slot, true
 	}
 	return 0, false
@@ -580,9 +586,9 @@ func (in *Instance) SetConcurrency(n int) error {
 // resized under load may end up lopsided, which costs its claims a longer look
 // and nothing else. Growing forgives a slot still owed before it adds
 // one. Shrinking declares the whole debt first and then pays it off with what
-// free slots it can claim: from that moment a slot released pays too, so
-// whatever is still owed when setSlots returns is in use, and nothing is
-// granted until it has come back.
+// free slots it can claim: from that moment a slot released pays too, and so
+// does one a claim finds free, so whatever is still owed when setSlots returns
+// is in use, and nothing is granted until it has come back.
 func (in *Instance) setSlots(n int) {
 	at := int(in.concurrency.Load())
 	for ; at < n; at++ {

@@ -896,16 +896,18 @@ func (g *Gateway) bodyLimit() int64 {
 	return int64(g.chain.pool.BufSize())
 }
 
-// readBody reads one request body. A declared Content-Length that admission
-// could accept is read into a pooled buffer of exactly that size — no
+// readBody reads one request body. A declared Content-Length of at most one
+// pool buffer is read into a pooled buffer of exactly that size — no
 // doubling, no per-request allocation; the caller returns pooled to bodyPool
-// when it is done with body. An undeclared or oversized length streams through MaxBytesReader, which
-// enforces the admission size cap while the body arrives: an oversized
-// request is refused after at most limit+1 buffered bytes — never
-// heap-buffered whole just to be rejected by admitLarge.
+// when it is done with body. Any other body is read into a buffer that grows
+// as its bytes arrive, so a client that declares 64 MiB and sends ten bytes
+// costs ten, and is not pooled. MaxBytesReader enforces the admission size
+// cap while the body arrives: an oversized request is refused after at most
+// limit+1 buffered bytes — never heap-buffered whole just to be rejected by
+// admitLarge. A body shorter than its declared length is an error.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (body []byte, pooled *[]byte, err error) {
-	limit := g.bodyLimit()
-	if n := r.ContentLength; n >= 0 && (limit <= 0 || n <= limit) {
+	n := r.ContentLength
+	if n >= 0 && n <= int64(g.chain.pool.BufSize()) {
 		pooled, _ = g.bodyPool.Get().(*[]byte)
 		if pooled == nil {
 			pooled = new([]byte)
@@ -920,10 +922,17 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (body []byte,
 		}
 		return body, pooled, nil
 	}
-	if limit > 0 {
+	if limit := g.bodyLimit(); limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	body, err = io.ReadAll(r.Body)
+	var src io.Reader = r.Body
+	if n >= 0 {
+		src = io.LimitReader(src, n)
+	}
+	body, err = io.ReadAll(src)
+	if err == nil && int64(len(body)) < n {
+		err = io.ErrUnexpectedEOF
+	}
 	return body, nil, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -476,4 +477,37 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
+}
+
+// TestServeHTTPDeclaredLengthNotAllocatedUpFront: a body's declared
+// Content-Length is a claim, not bytes. A request that declares 64 MiB and
+// sends ten gets a 400 without the gateway allocating the 64 MiB, while a
+// 1 MiB body that is what it declares still goes through.
+func TestServeHTTPDeclaredLengthNotAllocatedUpFront(t *testing.T) {
+	c, g := testChain(t, ModeEvent, echoSpec())
+
+	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader("ten bytes!"))
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("short body: status = %d, want 400 (%q)", rec.Code, rec.Body.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("short body of a 64 MiB declaration allocated %.1f MiB", float64(grew)/(1<<20))
+	}
+
+	body := largePayload(1 << 20)
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("1 MiB body: status = %d (%q)", rec.Code, rec.Body.String())
+	}
+	if !bytes.Equal(rec.Body.Bytes(), body) {
+		t.Fatalf("1 MiB body came back %d bytes, want %d", rec.Body.Len(), len(body))
+	}
+	waitObjectsDrained(t, c)
 }

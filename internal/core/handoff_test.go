@@ -747,7 +747,8 @@ func requireSlotsHome(t *testing.T, in *Instance, bound int) {
 // Guards this fails without: the scan of the other stripes in claim (every
 // subtest); handle releasing on the slot's stripe, not the request's
 // (released-where-taken); release paying what a shrink is owed before a slot
-// goes free (model).
+// goes free, and claim paying it with a slot that went free just before the
+// shrink declared its debt (model).
 func TestHandoffSlotBudgetModel(t *testing.T) { bothModes(t, slotBudgetModel) }
 
 func slotBudgetModel(t *testing.T, mode Mode) {

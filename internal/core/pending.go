@@ -132,17 +132,18 @@ func (t *pendTable) shard(caller uint32) *pendShard {
 // armed here, inside the shard's critical section: expire takes the entry
 // under the same lock, so a timer that fires at once still finds it — armed
 // any earlier it could find nothing, and the request would then end only with
-// its reply.
+// its reply. Past the unlock w is not read again: a timer that has fired may
+// already have settled the request and recycled w.
 func (t *pendTable) put(w *waiter, deadline time.Duration) {
-	s := t.shard(w.caller)
+	caller := w.caller
+	s := t.shard(caller)
 	s.mu.Lock()
-	s.m[w.caller] = w
+	s.m[caller] = w
 	if deadline > 0 {
-		caller := w.caller
 		w.timer = time.AfterFunc(deadline, func() { t.expire(caller) })
 	}
 	s.mu.Unlock()
-	t.count(w.caller).Add(1)
+	t.count(caller).Add(1)
 }
 
 // size counts registered waiters across all shards (tests, introspection).

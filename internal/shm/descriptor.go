@@ -2,8 +2,9 @@
 // 16-byte packet descriptors used for zero-copy message delivery within a
 // function chain (§3.2.1).
 //
-// A pool is a contiguous slab (standing in for a HugePages-backed DPDK
-// mempool) cut into fixed-size buffers with reference counts. Descriptors
+// A pool is a contiguous slab, a shared anonymous mapping standing in for a
+// HugePages-backed DPDK mempool, cut into fixed-size buffers with reference
+// counts. Descriptors
 // carry {next-function instance ID, buffer handle} so that the payload is
 // written once by the gateway and then only *referenced* as it moves down
 // the chain. A Manager owns pool creation (the DPDK "primary process") and

@@ -88,8 +88,13 @@ type freeShard struct {
 }
 
 // Pool is a fixed-capacity slab of equally sized buffers. It is safe for
-// concurrent use. The backing slab is allocated in one piece, mirroring a
-// HugePages-backed DPDK mempool: buffer i is slab[i*bufSize:(i+1)*bufSize].
+// concurrent use. The backing slab is one shared anonymous mapping outside the
+// Go heap, as a DPDK mempool sits in shared hugepage memory outside every
+// process's heap: buffer i is slab[i*bufSize:(i+1)*bufSize]. Its pages are
+// committed on first touch, and the freelists hand out low handles first, so
+// a pool occupies the memory of the buffers it has used, not its capacity.
+// The mapping is returned once the pool is closed and every buffer is back
+// (see Close).
 //
 // The freelist is sharded: a freed handle returns to its home shard and Get
 // scans shards from a rotating cursor — GetOn, from the shard its caller names
@@ -113,6 +118,7 @@ type Pool struct {
 	perShard uint32 // handles per shard: shard s is home to [s*perShard, (s+1)*perShard)
 	cursor   atomic.Uint32
 	closed   atomic.Bool
+	unmapped atomic.Bool // the slab's mapping has been returned
 
 	// objHook, when set, receives the attached object handle of every
 	// buffer whose last reference is released — the lifetime tie between
@@ -134,10 +140,14 @@ func NewPool(prefix string, n, bufSize int) (*Pool, error) {
 	if n <= 0 || bufSize <= 0 {
 		return nil, fmt.Errorf("shm: invalid pool geometry n=%d bufSize=%d", n, bufSize)
 	}
+	slab, err := mapSlab(n * bufSize)
+	if err != nil {
+		return nil, fmt.Errorf("shm: map %d-byte slab: %w", n*bufSize, err)
+	}
 	p := &Pool{
 		prefix:  prefix,
 		bufSize: bufSize,
-		slab:    make([]byte, n*bufSize),
+		slab:    slab,
 		refs:    make([]atomic.Int32, n),
 		lens:    make([]atomic.Int32, n),
 		trace:   make([]traceHdr, n),
@@ -179,11 +189,17 @@ func (p *Pool) Get() (uint32, error) { return p.GetOn(p.cursor.Add(1)) }
 // requests name their stripe, gets back the buffers it freed and shares
 // neither a freelist lock nor a buffer's lines with callers on other shards.
 func (p *Pool) GetOn(shard uint32) (uint32, error) {
+	// Reserve before looking at closed, as Close looks at inUse after
+	// setting it: either this call sees the pool closed, or Close sees the
+	// reservation and leaves the slab mapped.
+	in := p.inUse.Add(1)
 	if p.closed.Load() {
+		p.drop()
 		return 0, ErrClosed
 	}
 	h, ok := p.popFree(shard)
 	if !ok {
+		p.drop()
 		p.failures.Add(1)
 		return 0, ErrPoolExhausted
 	}
@@ -211,7 +227,7 @@ func (p *Pool) GetOn(shard uint32) (uint32, error) {
 		t.objCarrier.Store(0)
 	}
 	p.allocs.Add(1)
-	in := p.inUse.Add(1)
+	in = min(in, int64(len(p.refs))) // a failing getter's reservation may be in it
 	for {
 		hw := p.highWater.Load()
 		if in <= hw || p.highWater.CompareAndSwap(hw, in) {
@@ -244,15 +260,37 @@ func (p *Pool) initBuf(h uint32) {
 	}
 }
 
-// noteAllocs counts n buffers out and raises the high-water mark.
+// noteAllocs counts n buffers out, on top of the one reservation GetN holds,
+// and raises the high-water mark.
 func (p *Pool) noteAllocs(n int) {
 	p.allocs.Add(uint64(n))
-	in := p.inUse.Add(int64(n))
+	in := min(p.inUse.Add(int64(n-1)), int64(len(p.refs)))
 	for {
 		hw := p.highWater.Load()
 		if in <= hw || p.highWater.CompareAndSwap(hw, in) {
 			return
 		}
+	}
+}
+
+// drop backs a reservation out of inUse. Then, as Put and PutN do once they
+// have lowered the count, it returns the slab's mapping if the pool is closed
+// and the count is zero. The count is read after closed: a zero seen then
+// means no buffer is out and every getter still to come finds the pool
+// closed, so nothing can reach the slab any more. The value the decrement
+// returned would not do: a getter may since have reserved, found the pool
+// open and taken a buffer, with Close landing after that.
+func (p *Pool) drop() {
+	p.inUse.Add(-1)
+	if p.closed.Load() && p.inUse.Load() == 0 {
+		p.unmap()
+	}
+}
+
+// unmap returns the slab's mapping, once.
+func (p *Pool) unmap() {
+	if p.unmapped.CompareAndSwap(false, true) {
+		unmapSlab(p.slab)
 	}
 }
 
@@ -267,7 +305,13 @@ func (p *Pool) noteAllocs(n int) {
 // return is not a failure in Stats: the caller that cannot go on without the
 // rest asks Get, which counts the exhaustion it meets. A closed pool gives 0.
 func (p *Pool) GetN(dst []uint32) int {
-	if len(dst) == 0 || p.closed.Load() {
+	if len(dst) == 0 {
+		return 0
+	}
+	// One reservation holds the slab mapped while the call pops, as in GetOn.
+	p.inUse.Add(1)
+	if p.closed.Load() {
+		p.drop()
 		return 0
 	}
 	start := p.cursor.Add(1)
@@ -298,6 +342,8 @@ func (p *Pool) GetN(dst []uint32) int {
 	}
 	if got > 0 {
 		p.noteAllocs(got)
+	} else {
+		p.drop()
 	}
 	return got
 }
@@ -356,7 +402,8 @@ func (p *Pool) Put(h uint32) error {
 			if p.trace[h].topic.Load() != nil {
 				p.trace[h].topic.Store(nil)
 			}
-			if !p.closed.Load() {
+			closed := p.closed.Load()
+			if !closed {
 				s := &p.shards[p.home(h)]
 				s.mu.Lock()
 				s.list = append(s.list, h)
@@ -366,6 +413,9 @@ func (p *Pool) Put(h uint32) error {
 				if hook := p.objHook.Load(); hook != nil {
 					(*hook)(obj)
 				}
+			}
+			if closed && p.inUse.Load() == 0 {
+				p.unmap() // the last buffer of a closed pool: see drop
 			}
 		}
 		return nil
@@ -447,7 +497,8 @@ func (p *Pool) PutN(hs []uint32) {
 		}
 		p.frees.Add(uint64(n))
 		p.inUse.Add(-int64(n))
-		if !p.closed.Load() {
+		closed := p.closed.Load()
+		if !closed {
 			for si := uint32(0); si < freelistShards; si++ {
 				if shards&(1<<si) == 0 {
 					continue
@@ -464,6 +515,9 @@ func (p *Pool) PutN(hs []uint32) {
 		}
 		for _, obj := range objs[:n] {
 			p.releaseObj(obj)
+		}
+		if closed && p.inUse.Load() == 0 {
+			p.unmap() // the last buffers of a closed pool: see drop
 		}
 	}
 }
@@ -756,7 +810,12 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Close marks the pool closed; outstanding buffers stay readable until
-// released but no new allocations succeed.
+// released but no new allocations succeed. The slab's mapping is returned
+// now if no buffer is out, else by the release of the last one; a pool that
+// never drains (a leak LeakCheck reports) keeps it. Closing twice is harmless.
 func (p *Pool) Close() {
 	p.closed.Store(true)
+	if p.inUse.Load() == 0 {
+		p.unmap()
+	}
 }

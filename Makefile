@@ -60,12 +60,12 @@ race-stress:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
-# and the twelve-hop local chain that in both modes must also stay on one
-# worker and in ModePolling wake no parked one — without the race detector,
-# under which they skip their allocation counting (sync.Pool drops Puts at
-# random there).
+# the twelve-hop local chain that in both modes must also stay on one worker
+# and in ModePolling wake no parked one, and a three-way fan-out in both modes —
+# without the race detector, under which they skip their allocation counting
+# (sync.Pool drops Puts at random there).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations' ./internal/orchestrator/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestFanOutAllocations' ./internal/orchestrator/ ./internal/core/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

@@ -569,30 +569,6 @@ func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, by se
 	return c.transport.sendOrClaim(src, d, by)
 }
 
-// resend drives the retry loop after a first attempt failed with err:
-// exponential backoff with jitter, up to the chain's retry budget.
-// Non-transient errors (filter rejection, unknown destination) end the loop
-// immediately.
-func (c *Chain) resend(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender, err error) (grant, error) {
-	if c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
-		return grant{}, err
-	}
-	backoff := c.retry.BaseBackoff
-	for n := 1; n < c.retry.MaxAttempts; n++ {
-		c.failures.retries.Add(1)
-		time.Sleep(backoff + c.jitter(backoff))
-		if backoff *= 2; backoff > c.retry.MaxBackoff {
-			backoff = c.retry.MaxBackoff
-		}
-		var next grant
-		if next, err = c.attempt(src, srcFn, dstFn, d, by); err == nil || !errors.Is(err, ErrSocketFull) {
-			return next, err
-		}
-	}
-	c.failures.retriesExhausted.Add(1)
-	return grant{}, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
-}
-
 // send delivers d from src, on the sender's stripe, retrying transient
 // transport errors (socket queue full) up to the chain's retry budget with
 // exponential backoff and jitter. srcFn/dstFn name the hop for fault-injection
@@ -614,13 +590,28 @@ func (c *Chain) sendOrClaim(src uint32, srcFn, dstFn string, d shm.Descriptor, b
 	return c.sendRetrying(src, srcFn, dstFn, d, by)
 }
 
-// sendRetrying is one attempt plus, if that is refused, the retry budget.
+// sendRetrying is one attempt and, while the destination's queue refuses it,
+// more after an exponential backoff with jitter, up to the chain's retry
+// budget. Non-transient errors (filter rejection, unknown destination) end the
+// loop immediately.
 func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
 	next, err := c.attempt(src, srcFn, dstFn, d, by)
-	if err != nil {
-		return c.resend(src, srcFn, dstFn, d, by, err)
+	if err == nil || c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
+		return next, err
 	}
-	return next, nil
+	backoff := c.retry.BaseBackoff
+	for n := 1; n < c.retry.MaxAttempts; n++ {
+		c.failures.retries.Add(1)
+		time.Sleep(backoff + c.jitter(backoff))
+		if backoff *= 2; backoff > c.retry.MaxBackoff {
+			backoff = c.retry.MaxBackoff
+		}
+		if next, err = c.attempt(src, srcFn, dstFn, d, by); err == nil || !errors.Is(err, ErrSocketFull) {
+			return next, err
+		}
+	}
+	c.failures.retriesExhausted.Add(1)
+	return grant{}, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
 }
 
 // sendTraced wraps one hop's send in a redirect/enqueue span and stamps
@@ -677,53 +668,6 @@ func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
 	})
 	c.pool.StampTrace(d.Buf, 0)
 	return now.Sub(start)
-}
-
-// sendBatch delivers a fan-out burst from src in one transport batch call,
-// amortizing per-send setup across the burst. dstFns[i] names descriptor
-// i's destination function (fault-injection scope and retry context).
-// Failed descriptors that are transiently refused (socket queue full) are
-// re-driven through the retry loop; onErr is invoked with the index and
-// final error of each descriptor that could not be delivered. Returns the
-// number delivered.
-//
-// When a fault injector is active, each descriptor's injection decision
-// must be drawn independently (the injector scopes faults per hop), so the
-// batch degrades to per-descriptor sends in that case.
-func (c *Chain) sendBatch(src uint32, srcFn string, dstFns []string, ds []shm.Descriptor, stripe uint32, onErr func(i int, err error)) int {
-	if len(ds) == 0 {
-		return 0
-	}
-	// A traced fan-out also degrades: all branches share ds[0].Buf, and
-	// per-branch child spans need per-send instrumentation.
-	if c.injector != nil ||
-		(c.currentTracer() != nil && c.pool.TraceSampled(ds[0].Buf)) {
-		delivered := 0
-		for i := range ds {
-			if err := c.send(src, srcFn, dstFns[i], ds[i], stripe); err != nil {
-				if onErr != nil {
-					onErr(i, err)
-				}
-			} else {
-				delivered++
-			}
-		}
-		return delivered
-	}
-	retried := 0
-	delivered := c.transport.SendBatch(src, ds, func(i int, err error) {
-		// Transient refusals get the same retry budget as serial sends.
-		if errors.Is(err, ErrSocketFull) {
-			if _, err = c.resend(src, srcFn, dstFns[i], ds[i], sender{stripe: stripe}, err); err == nil {
-				retried++
-				return
-			}
-		}
-		if onErr != nil {
-			onErr(i, err)
-		}
-	})
-	return delivered + retried
 }
 
 // setFailureNotifier registers the gateway's terminal-failure callback.

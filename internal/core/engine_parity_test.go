@@ -89,10 +89,8 @@ func runEngineScenario(t *testing.T, jit bool) engineOutcome {
 	record(sp.Send(3, shm.Descriptor{NextFn: 2}))                  // unauthorized
 	record(sp.Send(1, shm.Descriptor{NextFn: 9}))                  // no socket
 	record(sp.Send(1, shm.Descriptor{NextFn: 2, Buf: 8, Len: 32})) // second hit
-	ds := []shm.Descriptor{{NextFn: 2, Buf: 9}, {NextFn: 2, Buf: 10}}
-	if n := sp.SendBatch(1, ds, func(i int, err error) { record(err) }); n != 2 {
-		t.Fatalf("batch delivered %d, want 2", n)
-	}
+	record(sp.Send(1, shm.Descriptor{NextFn: 2, Buf: 9}))
+	record(sp.Send(1, shm.Descriptor{NextFn: 2, Buf: 10}))
 	ep.OnIngress(128)
 	ep.OnIngress(256)
 

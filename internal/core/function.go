@@ -752,16 +752,6 @@ func (in *Instance) invoke(ctx *Ctx) (err error, panicked bool) {
 	return err, false
 }
 
-// fanoutScratch holds a fan-out's staged descriptors and destination
-// names; pooled because slices passed through the Transport interface
-// escape, and fan-out runs on every multi-destination hop.
-type fanoutScratch struct {
-	ds  []shm.Descriptor
-	fns []string
-}
-
-var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
-
 // forward performs DFR delivery to each next-hop function, taking an extra
 // buffer reference per additional destination (pub/sub fan-out). Every
 // taken reference is balanced on every failure path, and a request none of
@@ -789,7 +779,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.D
 	}
 
 	if len(next) == 1 {
-		// Single next hop — the common chain topology; no batch setup.
+		// Single next hop — the common chain topology.
 		fn := next[0]
 		target, err := in.chain.router.PickInstance(fn)
 		if err == nil {
@@ -806,36 +796,26 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.D
 		return grant{}, d
 	}
 
-	// Fan-out: resolve every destination, then deliver the whole burst in
-	// one transport batch call (one VM exec state / ring reservation for
-	// the fan-out instead of one per destination).
-	sc := fanoutPool.Get().(*fanoutScratch)
-	sc.ds = sc.ds[:0]
-	sc.fns = sc.fns[:0]
+	// Fan-out: each branch is one more send, with no home socket to claim
+	// from, so every branch queues and they run in parallel.
 	delivered := 0
 	var lastErr error
 	for _, fn := range next {
 		target, err := in.chain.router.PickInstance(fn)
-		if err != nil {
-			in.chain.releaseBuffer(d.Buf)
-			in.chain.noteError(in.fnName, err)
-			lastErr = err
-			continue
+		if err == nil {
+			nd := d
+			nd.NextFn = target.ID()
+			if err = in.chain.send(in.id, in.fnName, fn, nd, ctx.stripe); err == nil {
+				delivered++
+				continue
+			}
+			err = fmt.Errorf("forward to %s: %w", fn, err)
 		}
-		nd := d
-		nd.NextFn = target.ID()
-		sc.ds = append(sc.ds, nd)
-		sc.fns = append(sc.fns, fn)
-	}
-	delivered += in.chain.sendBatch(in.id, in.fnName, sc.fns, sc.ds, ctx.stripe, func(i int, err error) {
 		in.chain.releaseBuffer(d.Buf)
-		in.chain.noteError(in.fnName, fmt.Errorf("forward to %s: %w", sc.fns[i], err))
+		in.chain.noteError(in.fnName, err)
 		lastErr = err
-	})
-	sc.ds = sc.ds[:0]
-	sc.fns = sc.fns[:0]
-	fanoutPool.Put(sc)
-	if delivered == 0 && lastErr != nil {
+	}
+	if delivered == 0 {
 		in.chain.notifyFailure(d.Caller, lastErr)
 	}
 	return grant{}, d

@@ -676,7 +676,10 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 			// the instance idle enough to claim.
 			for i := 1; i <= bound; i++ {
 				go invokeTo(t, g, "", "hold", results)
-				pollUntil(t, "a forwarding worker inside down's handler", func() bool { return down.Inflight() == i })
+				// A claimed slot is counted before its handler runs: wait for both.
+				pollUntil(t, "a forwarding worker inside down's handler", func() bool {
+					return down.Inflight() == i && runs.Load() == int64(i)
+				})
 			}
 			if q := down.QueuedHops(); q != 0 {
 				t.Fatalf("%d of %d hops queued; all should have been claimed", q, bound)
@@ -1244,8 +1247,66 @@ func fanoutStaysParallel(t *testing.T, mode Mode) {
 	}
 	pollUntil(t, "the branches to finish", func() bool { return c.Pool().InUse() == 0 })
 	for _, fn := range []string{"r1", "r2", "r3"} {
-		if q := c.Router().Instances(fn)[0].QueuedHops(); q != 0 {
+		in := c.Router().Instances(fn)[0]
+		if q := in.QueuedHops(); q != 0 {
 			t.Errorf("%s counted %d queued hops; a fan-out branch never asks for a claim", fn, q)
+		}
+		// split's worker is dealt a stripe of 1–7; stripe 0 is for senders
+		// that have none, and a branch is sent on its sender's.
+		if n := in.sock.stripes[0].delivered.Load(); n != 0 {
+			t.Errorf("%s: %d branch deliveries counted on stripe 0, not the sender's", fn, n)
+		}
+	}
+}
+
+// TestFanOutAllocations: a fan-out is one send per branch, and in steady state
+// a fire-and-forget request fanned out to three readers that drop it allocates
+// nothing, in either mode. Tracing is off: a sampled request records spans.
+func TestFanOutAllocations(t *testing.T) { bothModes(t, fanOutAllocations) }
+
+func fanOutAllocations(t *testing.T, mode Mode) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race, and every drop is an allocation")
+	}
+	reader := func(ctx *Ctx) error {
+		ctx.Drop()
+		return nil
+	}
+	c, g := testChain(t, mode, ChainSpec{
+		TraceSampleEvery: -1,
+		Functions: []FunctionSpec{
+			{Name: "split"},
+			{Name: "r1", Handler: reader}, {Name: "r2", Handler: reader}, {Name: "r3", Handler: reader},
+		},
+		Routes: []RouteSpec{
+			{From: "", To: []string{"split"}},
+			{From: "split", To: []string{"r1", "r2", "r3"}},
+		},
+	})
+	payload := []byte("x")
+	invoke := func() {
+		if err := g.InvokeAsync("", payload); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Pool().InUse() != 0 { // the last branch's release
+			if time.Now().After(deadline) {
+				t.Fatalf("%d buffers still in use after a fan-out", c.Pool().InUse())
+			}
+			runtime.Gosched()
+		}
+	}
+	const warm, runs = 200, 10000
+	for i := 0; i < warm; i++ { // pools
+		invoke()
+	}
+	if avg := testing.AllocsPerRun(runs, invoke); avg != 0 {
+		t.Errorf("%.2f allocations per fan-out request, want none", avg)
+	}
+	for _, fn := range []string{"r1", "r2", "r3"} {
+		// AllocsPerRun makes one more run, uncounted, before it counts.
+		if h, want := c.Router().Instances(fn)[0].Handled(), uint64(warm+1+runs); h != want {
+			t.Errorf("%s handled %d branches, want %d", fn, h, want)
 		}
 	}
 }

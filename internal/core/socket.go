@@ -76,7 +76,7 @@ type Socket struct {
 // the sender's stripe, two cores' requests register on two lines.
 type sockStripe struct {
 	senders   atomic.Int64  // Deliver calls between registration and push
-	delivered atomic.Uint64 // descriptors queued; claimed hops count on the instance's stripes
+	delivered atomic.Uint64 // descriptors queued, counted before the push; claimed hops count on the instance's stripes
 	_         [6]uint64
 }
 
@@ -122,15 +122,18 @@ func (s *Socket) DeliverDescriptor(wire []byte) error {
 // none.
 func (s *Socket) Deliver(d shm.Descriptor) error { return s.deliver(d, 0) }
 
-// deliver is Deliver by a sender on stripe.
+// deliver is Deliver by a sender on stripe. The delivery is counted before the
+// push, and the count taken back if the push is refused: once d is queued its
+// handler may run, and its caller return, before this goroutine runs again.
 func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
 	st := &s.stripes[stripe%ebpf.Stripes]
+	st.delivered.Add(1)
 	err := s.enqueue(d, st)
-	switch err {
-	case nil:
-		st.delivered.Add(1)
-	case ErrSocketFull:
-		s.dropped.Add(1)
+	if err != nil {
+		st.delivered.Add(^uint64(0))
+		if err == ErrSocketFull {
+			s.dropped.Add(1)
+		}
 	}
 	return err
 }

@@ -192,67 +192,23 @@ func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, e
 	if err != nil {
 		return grant{}, fmt.Errorf("sproxy: %w", err)
 	}
-	if dst, ok := res.RedirectSock.(*Socket); ok && res.Ret == ebpf.SKPass {
-		return dst.handoff(d, by)
-	}
-	return grant{}, sp.finishSend(src, d, res, by.stripe)
-}
-
-// finishSend turns one program verdict into a delivery (or a classified
-// error), by a sender on stripe — the tail shared by Send and SendBatch.
-func (sp *SProxy) finishSend(src uint32, d shm.Descriptor, res ebpf.Result, stripe uint32) error {
 	if res.Ret != ebpf.SKPass {
 		if _, lookErr := sp.sockmap.LookupSock(d.NextFn); lookErr != nil {
-			return fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
+			return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
 		}
-		return fmt.Errorf("%w: %d -> %d", ErrFiltered, src, d.NextFn)
+		return grant{}, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, d.NextFn)
 	}
-	switch sink := res.RedirectSock.(type) {
+	switch dst := res.RedirectSock.(type) {
 	case *Socket:
-		// Fast path: in-process socket takes the parsed descriptor.
-		return sink.deliver(d, stripe)
+		return dst.handoff(d, by)
 	case nil:
-		return fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
+		return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
 	default:
-		// Foreign SockRef implementations still get the wire form.
+		// Foreign SockRef implementations still get the wire form, in a
+		// copy of their own: wire must not escape to the heap on every hop.
 		w := d.Marshal()
-		return sink.DeliverDescriptor(w[:])
+		return grant{}, dst.DeliverDescriptor(w[:])
 	}
-}
-
-// SendBatch runs the SPROXY program for a burst of descriptors from one
-// source instance. Verdicts stay per-descriptor — the filter check and the
-// L7 metric bump execute inside the VM for every descriptor, so batch and
-// serial sends are observationally identical to the kernel side — but the
-// burst shares one pooled VM exec state (RunCopyEach), paying the per-run
-// setup once instead of per descriptor. Returns the number delivered;
-// onErr (which may be nil) is invoked with the index and error of each
-// failed descriptor.
-func (sp *SProxy) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, err error)) int {
-	delivered := 0
-	fail := func(i int, err error) {
-		if onErr != nil {
-			onErr(i, err)
-		}
-	}
-	sp.kernel.RunCopyEach(sp.prog, src, nil, len(ds),
-		func(i int, buf []byte) int {
-			w := ds[i].Marshal()
-			return copy(buf, w[:])
-		},
-		func(i int, res ebpf.Result, err error) bool {
-			if err != nil {
-				fail(i, fmt.Errorf("sproxy: %w", err))
-				return true
-			}
-			if derr := sp.finishSend(src, ds[i], res, 0); derr != nil {
-				fail(i, derr)
-				return true
-			}
-			delivered++
-			return true
-		})
-	return delivered
 }
 
 // RequestCount reads the L7 per-instance request counter maintained by the

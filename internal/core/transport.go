@@ -33,10 +33,6 @@ type Transport interface {
 	// counted on the destination as queued. The filter verdict comes first
 	// either way.
 	sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error)
-	// SendBatch delivers a burst of descriptors from src, each to its own
-	// NextFn. It returns the number delivered; onErr (which may be nil) is
-	// invoked with the index and error of each failure.
-	SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, err error)) int
 	// Allow authorizes src→dst traffic (security domain filter).
 	Allow(src, dst uint32) error
 }
@@ -171,19 +167,4 @@ func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, by sender) (gr
 		return grant{}, err
 	}
 	return s.handoff(d, by)
-}
-
-// SendBatch sends each descriptor as Send would.
-func (t *ringTransport) SendBatch(src uint32, ds []shm.Descriptor, onErr func(i int, err error)) int {
-	delivered := 0
-	for i, d := range ds {
-		if err := t.Send(src, d); err != nil {
-			if onErr != nil {
-				onErr(i, err)
-			}
-		} else {
-			delivered++
-		}
-	}
-	return delivered
 }

@@ -225,7 +225,7 @@ type fastCase struct {
 // (RunCopy and RunMeta, whose callers name one) and the frame (for RunMeta
 // only its length counts).
 type fastRun struct {
-	entry   byte // 0 Run, 1 RunCopy, 2 RunCopyEach (a burst of two), 3 RunMeta
+	entry   byte // 0 Run, 1 and 2 RunCopy, 3 RunMeta
 	ifindex uint32
 	stripe  uint32
 	frame   []byte
@@ -233,7 +233,7 @@ type fastRun struct {
 
 // namesStripe reports whether the run's caller says which stripe it is on, so
 // that both engines put what it writes to a per-CPU array in the same copy.
-func (r fastRun) namesStripe() bool { return r.entry == 1 || r.entry == 3 }
+func (r fastRun) namesStripe() bool { return r.entry != 0 }
 
 const (
 	fastCaseHeader = 6  // flags, mutPC, mutField | per-CPU<<7, mutVal, keyMask, sockMask
@@ -369,28 +369,19 @@ type runOutcome struct {
 
 // run makes one run through the entry point r names, over a private copy of
 // the frame.
-func (s *fastSide) run(r fastRun) []runOutcome {
+func (s *fastSide) run(r fastRun) runOutcome {
 	pkt := append([]byte(nil), r.frame...)
-	var out []runOutcome
+	var res Result
+	var err error
 	switch r.entry {
 	case 0:
-		res, err := s.k.Run(s.lp, pkt, r.ifindex, nil)
-		out = append(out, runOutcome{res, err, pkt})
-	case 1:
-		res, err := s.k.RunCopy(s.lp, pkt, r.ifindex, nil, r.stripe)
-		out = append(out, runOutcome{res, err, pkt})
-	case 2:
-		s.k.RunCopyEach(s.lp, r.ifindex, nil, 2,
-			func(_ int, buf []byte) int { return copy(buf, pkt) },
-			func(_ int, res Result, err error) bool {
-				out = append(out, runOutcome{res, err, pkt})
-				return true
-			})
+		res, err = s.k.Run(s.lp, pkt, r.ifindex, nil)
+	case 1, 2:
+		res, err = s.k.RunCopy(s.lp, pkt, r.ifindex, nil, r.stripe)
 	default:
-		res, err := s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil, r.stripe)
-		out = append(out, runOutcome{res, err, pkt})
+		res, err = s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil, r.stripe)
 	}
-	return out
+	return runOutcome{res, err, pkt}
 }
 
 // FuzzFastPathParity: the two hand-written runners production executes must
@@ -409,17 +400,17 @@ func FuzzFastPathParity(f *testing.F) {
 	// run bytes: entry, ifindex, length selector (3 = exactly a descriptor),
 	// then the frame's first bytes — the little-endian dst id leads.
 	var (
-		redirect   = [fastRunBytes]byte{1, 1, 3, 2}    // RunCopy 1→2
-		denied     = [fastRunBytes]byte{0, 3, 3, 2}    // Run 3→2: no such edge
-		noSlot     = [fastRunBytes]byte{1, 1, 3, 5}    // 1→5: past a 4-entry metrics map
-		noSocket   = [fastRunBytes]byte{1, 1, 3, 9}    // 1→9: authorized, no socket
-		short      = [fastRunBytes]byte{2, 1, 2, 2}    // burst, one byte short
-		empty      = [fastRunBytes]byte{0, 1, 0}       // Run over no bytes
-		long       = [fastRunBytes]byte{1, 1, 7, 2}    // RunCopy, 200-byte frame
-		metaFault  = [fastRunBytes]byte{3, 1, 3}       // RunMeta: bounds pass, bytes fault
-		metaShort  = [fastRunBytes]byte{3, 1, 1}       // RunMeta, 3-byte frame
-		wideDst    = [fastRunBytes]byte{1, 1, 4, 2, 1} // dst 0x102
-		burstExact = [fastRunBytes]byte{2, 1, 3, 2}
+		redirect   = [fastRunBytes]byte{1, 1, 3, 2}        // RunCopy 1→2
+		denied     = [fastRunBytes]byte{0, 3, 3, 2}        // Run 3→2: no such edge
+		noSlot     = [fastRunBytes]byte{1, 1, 3, 5}        // 1→5: past a 4-entry metrics map
+		noSocket   = [fastRunBytes]byte{1, 1, 3, 9}        // 1→9: authorized, no socket
+		short      = [fastRunBytes]byte{2, 1, 2, 2}        // RunCopy, one byte short
+		empty      = [fastRunBytes]byte{0, 1, 0}           // Run over no bytes
+		long       = [fastRunBytes]byte{1, 1, 7, 2}        // RunCopy, 200-byte frame
+		metaFault  = [fastRunBytes]byte{3, 1, 3}           // RunMeta: bounds pass, bytes fault
+		metaShort  = [fastRunBytes]byte{3, 1, 1}           // RunMeta, 3-byte frame
+		wideDst    = [fastRunBytes]byte{1, 1, 4, 2, 1}     // dst 0x102
+		copyExact  = [fastRunBytes]byte{2, 1, 3, 2}        // RunCopy 1→2, the second slot
 		redirectS3 = [fastRunBytes]byte{1 | 3<<2, 1, 3, 2} // RunCopy 1→2 on stripe 3
 		redirectS9 = [fastRunBytes]byte{1 | 9<<2, 1, 3, 2} // on stripe 9: stripe 1's copy
 		metaS5     = [fastRunBytes]byte{3 | 5<<2, 1, 3}    // RunMeta on stripe 5
@@ -431,26 +422,26 @@ func FuzzFastPathParity(f *testing.F) {
 	)
 	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, redirect, denied, noSlot, noSocket)
 	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, short, empty, metaFault, metaShort)
-	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, long, wideDst, burstExact, redirect)
-	seed([fastCaseHeader]byte{1 << 1, 0, 0, 0, allEdges, socks}, redirect, noSlot)                          // 4-byte metrics: declined
-	seed([fastCaseHeader]byte{3<<1 | 3<<3, 0, 0, 0, allEdges, socks}, redirect, noSlot)                     // 12-byte metrics, 8 entries
-	seed([fastCaseHeader]byte{1 << 3, 0, 0, 0, allEdges, socks}, redirect)                                  // 1-entry metrics: dst 2 has no slot
-	seed([fastCaseHeader]byte{1 << 5, 0, 0, 0, allEdges, socks}, redirect, short, empty)                    // 2-byte descriptor: declined
-	seed([fastCaseHeader]byte{2 << 5, 0, 0, 0, allEdges, socks}, redirect, metaFault)                       // 4-byte descriptor
-	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, redirect)                  // filter jeq → jne
-	seed([fastCaseHeader]byte{0x80, 23, 4, 2, allEdges, socks}, redirect)                                   // metrics += 2
-	seed([fastCaseHeader]byte{0x80, 18, 4, 4, allEdges, socks}, redirect)                                   // metrics fd → the filter's
-	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, redirect, empty, long, metaFault)                     // EPROXY, slots 0 and 1
-	seed([fastCaseHeader]byte{1 | 1<<3, 0, 0, 0, 1 << 2, 0}, redirect, metaFault)                           // 1 entry: bytes slot declined
-	seed([fastCaseHeader]byte{1 | 1<<1, 0, 0, 0, 1 << 2, 0}, redirect)                                      // 4-byte values: declined
-	seed([fastCaseHeader]byte{1 | 0x80, 19, 4, 1, 1 << 2, 0}, metaFault)                                    // verdict wildcard → drop
-	seed([fastCaseHeader]byte{1 | 0x80, 18, 2, byte(R7), 1 << 2, 0}, metaFault, burstExact)                 // bytes += data_end
-	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirect, redirectS3, redirectS9, noSlot)  // per-CPU metrics, stripes named
-	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirectS3, denied, burstExact, metaFault) // and not: Run, a burst
-	seed([fastCaseHeader]byte{1 << 1, 0, perCPU, 0, allEdges, socks}, redirectS3)                           // 4-byte per-CPU metrics: declined
-	seed([fastCaseHeader]byte{0x80, 23, perCPU | 4, 2, allEdges, socks}, redirectS3, redirect)              // per-CPU metrics += 2
-	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, metaFault, redirectS3, long)             // EPROXY over a per-CPU L3 map
-	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, burstExact, empty)
+	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, long, wideDst, copyExact, redirect)
+	seed([fastCaseHeader]byte{1 << 1, 0, 0, 0, allEdges, socks}, redirect, noSlot)                         // 4-byte metrics: declined
+	seed([fastCaseHeader]byte{3<<1 | 3<<3, 0, 0, 0, allEdges, socks}, redirect, noSlot)                    // 12-byte metrics, 8 entries
+	seed([fastCaseHeader]byte{1 << 3, 0, 0, 0, allEdges, socks}, redirect)                                 // 1-entry metrics: dst 2 has no slot
+	seed([fastCaseHeader]byte{1 << 5, 0, 0, 0, allEdges, socks}, redirect, short, empty)                   // 2-byte descriptor: declined
+	seed([fastCaseHeader]byte{2 << 5, 0, 0, 0, allEdges, socks}, redirect, metaFault)                      // 4-byte descriptor
+	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, redirect)                 // filter jeq → jne
+	seed([fastCaseHeader]byte{0x80, 23, 4, 2, allEdges, socks}, redirect)                                  // metrics += 2
+	seed([fastCaseHeader]byte{0x80, 18, 4, 4, allEdges, socks}, redirect)                                  // metrics fd → the filter's
+	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, redirect, empty, long, metaFault)                    // EPROXY, slots 0 and 1
+	seed([fastCaseHeader]byte{1 | 1<<3, 0, 0, 0, 1 << 2, 0}, redirect, metaFault)                          // 1 entry: bytes slot declined
+	seed([fastCaseHeader]byte{1 | 1<<1, 0, 0, 0, 1 << 2, 0}, redirect)                                     // 4-byte values: declined
+	seed([fastCaseHeader]byte{1 | 0x80, 19, 4, 1, 1 << 2, 0}, metaFault)                                   // verdict wildcard → drop
+	seed([fastCaseHeader]byte{1 | 0x80, 18, 2, byte(R7), 1 << 2, 0}, metaFault, copyExact)                 // bytes += data_end
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirect, redirectS3, redirectS9, noSlot) // per-CPU metrics, stripes named
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirectS3, denied, copyExact, metaFault) // and not: Run
+	seed([fastCaseHeader]byte{1 << 1, 0, perCPU, 0, allEdges, socks}, redirectS3)                          // 4-byte per-CPU metrics: declined
+	seed([fastCaseHeader]byte{0x80, 23, perCPU | 4, 2, allEdges, socks}, redirectS3, redirect)             // per-CPU metrics += 2
+	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, metaFault, redirectS3, long)            // EPROXY over a per-CPU L3 map
+	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, copyExact, empty)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFastCase(data)
@@ -469,25 +460,19 @@ func FuzzFastPathParity(f *testing.F) {
 			t.Fatalf("near-miss of the shape (insn %d, field %d) took the fast path", int(c.mutPC)%fast.lp.Len(), c.mutField%6)
 		}
 
-		total := uint64(0)
 		for i, r := range c.runs {
 			of, oo := fast.run(r), oracle.run(r)
-			if len(of) != len(oo) {
-				t.Fatalf("run %d: %d outcomes vs %d", i, len(of), len(oo))
+			if !sameError(of.err, oo.err) {
+				t.Fatalf("run %d: error divergence: fast=%v oracle=%v", i, of.err, oo.err)
 			}
-			for j := range of {
-				if !sameError(of[j].err, oo[j].err) {
-					t.Fatalf("run %d: error divergence: fast=%v oracle=%v", i, of[j].err, oo[j].err)
-				}
-				if !sameResult(of[j].res, oo[j].res) {
-					t.Fatalf("run %d: result divergence:\n fast   %+v\n oracle %+v", i, of[j].res, oo[j].res)
-				}
-				if !bytes.Equal(of[j].pkt, oo[j].pkt) {
-					t.Fatalf("run %d: packet divergence:\n fast   %x\n oracle %x", i, of[j].pkt, oo[j].pkt)
-				}
+			if !sameResult(of.res, oo.res) {
+				t.Fatalf("run %d: result divergence:\n fast   %+v\n oracle %+v", i, of.res, oo.res)
 			}
-			total += uint64(len(of))
+			if !bytes.Equal(of.pkt, oo.pkt) {
+				t.Fatalf("run %d: packet divergence:\n fast   %x\n oracle %x", i, of.pkt, oo.pkt)
+			}
 		}
+		total := uint64(len(c.runs))
 		stripesNamed := true
 		for _, r := range c.runs {
 			stripesNamed = stripesNamed && r.namesStripe()

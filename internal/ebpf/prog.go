@@ -266,8 +266,8 @@ func (k *Kernel) JITEnabled() bool { return !k.fastOff.Load() }
 // A run is on one stripe, the stand-in for the CPU it runs on: it counts
 // itself there and its bpf_map_lookup_elem on a per-CPU array resolves to that
 // stripe's copy. RunCopy and RunMeta are told the stripe by their caller, which
-// hangs its own per-hop words on the same one; Run and RunCopyEach, which are
-// not, use their pooled exec state's. A stripe is a property of a pooled object
+// hangs its own per-hop words on the same one; Run, which is not, uses its
+// pooled exec state's. A stripe is a property of a pooled object
 // (NextStripe): a sync.Pool hands a P its own object back in practice, so each
 // core keeps to its own stripe with no further mechanism. Nothing depends on
 // that for more than speed — every striped word is still written atomically, and
@@ -387,13 +387,6 @@ func (st *execState) reset(frameLen int, ifindex uint32) {
 // getExec prepares a pooled execState for one run, on the state's own stripe
 // until the caller says otherwise.
 func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex uint32, env Env) *execState {
-	st := k.bindExec(lp, env)
-	st.reset(frameLen, ifindex)
-	return st
-}
-
-// bindExec takes a pooled execState for lp's runs; the caller resets it per run.
-func (k *Kernel) bindExec(lp *LoadedProgram, env Env) *execState {
 	st := execPool.Get().(*execState)
 	st.kernel = k
 	st.prog = lp
@@ -402,6 +395,7 @@ func (k *Kernel) bindExec(lp *LoadedProgram, env Env) *execState {
 		st.env = k.currentEnv()
 	}
 	st.on = st.stripe
+	st.reset(frameLen, ifindex)
 	return st
 }
 
@@ -488,56 +482,6 @@ func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env
 	res, err := k.interpretOver(st, packet)
 	putExec(st)
 	return res, err
-}
-
-// RunCopyEach is the batch run entry point: it executes lp once per frame
-// of an n-frame burst, staging every frame in the same pooled exec state.
-// stage(i, buf) writes frame i into buf (at most pktCopySize bytes; larger
-// frames must use RunCopy) and returns its length; each(i, res, err)
-// receives that run's outcome and may return false to stop the burst
-// early.
-//
-// Program semantics are identical to n individual RunCopy calls — every
-// frame gets fresh registers, a zeroed stack and an empty map-value table,
-// so filters and per-frame metric updates execute per descriptor. What the
-// batch amortizes is the per-run setup around the program: one exec-state
-// pool round-trip and one context layout for the burst instead of per
-// frame. This is the entry point SPROXY's SendBatch drives.
-func (k *Kernel) RunCopyEach(lp *LoadedProgram, ifindex uint32, env Env, n int,
-	stage func(i int, buf []byte) int, each func(i int, res Result, err error) bool) {
-	if n <= 0 {
-		return
-	}
-	st := k.bindExec(lp, env)
-	if f := k.fastOf(lp); f != nil {
-		// Shape-specialized burst: the pooled exec state is kept only for
-		// its inline staging buffer (a local array would escape through
-		// the stage callback and allocate per batch); no per-frame reset.
-		for i := 0; i < n; i++ {
-			ln := stage(i, st.pktCopy[:])
-			if ln > pktCopySize {
-				ln = pktCopySize
-			}
-			res, err := k.runFast(f, st.pktCopy[:ln], ln, ifindex, st.on)
-			if !each(i, res, err) {
-				break
-			}
-		}
-		putExec(st)
-		return
-	}
-	for i := 0; i < n; i++ {
-		ln := stage(i, st.pktCopy[:])
-		if ln > pktCopySize {
-			ln = pktCopySize
-		}
-		st.reset(ln, ifindex)
-		res, err := k.interpretOver(st, st.pktCopy[:ln])
-		if !each(i, res, err) {
-			break
-		}
-	}
-	putExec(st)
 }
 
 // RunMeta executes a program on stripe over a synthetic frame of frameLen

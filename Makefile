@@ -55,17 +55,22 @@ race:
 # framing — ten times under the race detector: one pass of `race` can miss
 # the interleavings these protocols exist for. The pool's Close racing its
 # getters (TestPoolMappingCloseRace: no get succeeds once the slab's mapping
-# can be returned) rides along.
+# can be returned) rides along, and so does the striped histogram, whose
+# stripes are created by their first Observe while Snapshot and Count read
+# them (TestStripedHistogram…).
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream|TestStripedHistogram' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/ ./internal/metrics/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # the twelve-hop local chain that in both modes must also stay on one worker
 # and in ModePolling wake no parked one, and a three-way fan-out in both modes —
 # without the race detector, under which they skip their allocation counting
-# (sync.Pool drops Puts at random there).
+# (sync.Pool drops Puts at random there). The histograms' footprint rides
+# along (TestHistogramFootprint): a fresh Histogram and StripedHistogram
+# allocate at most 512 B and 4 KiB, and Observe into chunks that exist
+# allocates nothing.
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestFanOutAllocations' ./internal/orchestrator/ ./internal/core/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestFanOutAllocations|TestHistogramFootprint' ./internal/orchestrator/ ./internal/core/ ./internal/metrics/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

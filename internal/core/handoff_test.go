@@ -1212,6 +1212,62 @@ func backlogSendsWorkerHome(t *testing.T, mode Mode) {
 	}
 }
 
+// TestHandoffQueuedHopCountedBeforeItRuns: a queued hop is counted before
+// its push, so the handler it reaches — which may run, and its caller return,
+// before the forwarding worker runs again — already sees itself in
+// QueuedHops. up's worker queues "first" downstream because "second" is
+// waiting at its home (as in TestHandoffBacklogSendsWorkerHome), and down's
+// handler reads the count from inside.
+func TestHandoffQueuedHopCountedBeforeItRuns(t *testing.T) {
+	bothModes(t, queuedHopCountedBeforeItRuns)
+}
+
+func queuedHopCountedBeforeItRuns(t *testing.T, mode Mode) {
+	entered, gate, stop := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	var down *Instance
+	var before atomic.Uint64
+	c, g := testChain(t, mode, upDownSpec(
+		FunctionSpec{Concurrency: 1, Handler: func(ctx *Ctx) error {
+			if string(ctx.Payload()) == "first" {
+				entered <- struct{}{}
+				select {
+				case <-gate:
+				case <-stop:
+				}
+			}
+			return nil
+		}},
+		FunctionSpec{Concurrency: 4, Handler: func(ctx *Ctx) error {
+			if string(ctx.Payload()) != "first" {
+				return nil
+			}
+			if q := down.QueuedHops(); q <= before.Load() {
+				t.Errorf("down's handler of a queued hop read %d queued hops, as before the hop", q)
+			}
+			return nil
+		}}))
+	t.Cleanup(openOnce(stop))
+	up := c.Router().Instances("up")[0]
+	down = c.Router().Instances("down")[0]
+	for round := 0; round < 200 && !t.Failed(); round++ {
+		before.Store(down.QueuedHops())
+		results := make(chan error, 2)
+		go invokeTo(t, g, "", "first", results)
+		<-entered
+		go invokeTo(t, g, "", "second", results)
+		pollUntil(t, "the second request queued behind the first", func() bool { return up.QueueDepth() == 1 })
+		gate <- struct{}{}
+		for i := 0; i < 2; i++ {
+			if err := <-results; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if down.QueuedHops() == before.Load() {
+			t.Fatalf("round %d: the first request's hop was not queued", round)
+		}
+	}
+}
+
 // TestHandoffFanoutStaysParallel: a fan-out's branches are queued, never run
 // one after the other by the forwarding worker — three readers that each wait
 // for the other two to arrive all get through.

@@ -142,7 +142,8 @@ func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
 // has passed d to s: a worker with a home (by.home) to come back to runs the
 // handler itself if s's instance grants it a slot (claimFor), and otherwise —
 // or when nobody asked, or s has no instance — d is queued. A hop that wanted
-// a claim and was queued is counted in queuedHops.
+// a claim and was queued is counted in queuedHops, before the push and taken
+// back if the push is refused, as deliver counts a delivery.
 func (s *Socket) handoff(d shm.Descriptor, by sender) (grant, error) {
 	if by.home == nil || s.inst == nil {
 		return grant{}, s.deliver(d, by.stripe)
@@ -150,9 +151,10 @@ func (s *Socket) handoff(d shm.Descriptor, by sender) (grant, error) {
 	if slot, ok := s.claimFor(by); ok {
 		return grant{s.inst, slot}, nil
 	}
+	s.queuedHops.Add(1)
 	err := s.deliver(d, by.stripe)
-	if err == nil {
-		s.queuedHops.Add(1)
+	if err != nil {
+		s.queuedHops.Add(^uint64(0))
 	}
 	return grant{}, err
 }

@@ -10,16 +10,31 @@ import (
 	"sort"
 )
 
+// Bucket geometry: bucketCount buckets, stored as chunkCount chunks of
+// chunkSize buckets each.
+const (
+	bucketCount = 2048
+	chunkBits   = 6
+	chunkSize   = 1 << chunkBits
+	chunkCount  = bucketCount / chunkSize
+)
+
+// chunk is chunkSize consecutive bucket counters (512 B).
+type chunk [chunkSize]uint64
+
 // Histogram is a log-bucketed histogram of non-negative values (latencies
 // in seconds, sizes in bytes, ...). Buckets grow geometrically, giving
-// ~1.5% relative error over nine decades, HDR-histogram style. The zero
-// value is not ready; use NewHistogram.
+// ~1.5% relative error over nine decades, HDR-histogram style. The buckets
+// live in chunks allocated the first time a value lands in them, so a
+// histogram costs its ~300 B header plus 512 B per chunk its values touch.
+// A chunk spans a factor of ~2.4, so values within one decade touch three
+// or four of the 32. The zero value is not ready; use NewHistogram.
 type Histogram struct {
-	buckets []uint64
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
+	chunks [chunkCount]*chunk // nil: every bucket of the chunk is 0
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 
 	base  float64 // smallest representable value
 	ratio float64 // bucket growth factor
@@ -28,11 +43,10 @@ type Histogram struct {
 // NewHistogram creates a histogram covering [1e-9, ~1e3) seconds.
 func NewHistogram() *Histogram {
 	return &Histogram{
-		buckets: make([]uint64, 2048),
-		base:    1e-9,
-		ratio:   1.0138, // 2048 buckets span ~12 decades
-		min:     math.Inf(1),
-		max:     math.Inf(-1),
+		base:  1e-9,
+		ratio: 1.0138, // 2048 buckets span ~12 decades
+		min:   math.Inf(1),
+		max:   math.Inf(-1),
 	}
 }
 
@@ -41,8 +55,8 @@ func (h *Histogram) bucketOf(v float64) int {
 		return 0
 	}
 	b := int(math.Log(v/h.base) / math.Log(h.ratio))
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
+	if b >= bucketCount {
+		b = bucketCount - 1
 	}
 	return b
 }
@@ -52,12 +66,41 @@ func (h *Histogram) bucketValue(i int) float64 {
 	return h.base * math.Pow(h.ratio, float64(i+1))
 }
 
+// touch returns chunk ci, allocating it on first touch.
+func (h *Histogram) touch(ci int) *chunk {
+	if h.chunks[ci] == nil {
+		h.chunks[ci] = new(chunk)
+	}
+	return h.chunks[ci]
+}
+
+// bucket returns bucket i's counter, allocating its chunk on first touch.
+func (h *Histogram) bucket(i int) *uint64 {
+	return &h.touch(i >> chunkBits)[i&(chunkSize-1)]
+}
+
+// buckets is an iterator over the index and count of every bucket in the
+// chunks h has, in index order. The buckets of absent chunks, all 0, are
+// skipped.
+func (h *Histogram) buckets(yield func(i int, c uint64) bool) {
+	for ci, ch := range h.chunks {
+		if ch == nil {
+			continue
+		}
+		for j, c := range ch {
+			if !yield(ci<<chunkBits+j, c) {
+				return
+			}
+		}
+	}
+}
+
 // Observe records one value. Negative values are clamped to zero.
 func (h *Histogram) Observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[h.bucketOf(v)]++
+	*h.bucket(h.bucketOf(v))++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -145,10 +188,17 @@ type CDFPoint struct {
 	Fraction float64
 }
 
-// Merge adds other's observations into h (same geometry required).
+// Merge adds other's observations into h (same geometry required), walking
+// only the chunks other has.
 func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.buckets {
-		h.buckets[i] += c
+	for ci, och := range other.chunks {
+		if och == nil {
+			continue
+		}
+		ch := h.touch(ci)
+		for j, c := range och {
+			ch[j] += c
+		}
 	}
 	h.count += other.count
 	h.sum += other.sum
@@ -184,8 +234,16 @@ func (h *Histogram) Sub(older *Histogram) *Histogram {
 		return d
 	}
 	clamped := false
+	for ci, och := range older.chunks {
+		if h.chunks[ci] == nil && och != nil && *och != (chunk{}) {
+			clamped = true // older counted in a chunk h has never touched (reset)
+		}
+	}
 	for i, c := range h.buckets {
-		oc := older.buckets[i]
+		var oc uint64
+		if och := older.chunks[i>>chunkBits]; och != nil {
+			oc = och[i&(chunkSize-1)]
+		}
 		if c < oc {
 			clamped = true // this bucket's counter went backwards (reset)
 		}
@@ -193,7 +251,7 @@ func (h *Histogram) Sub(older *Histogram) *Histogram {
 			continue
 		}
 		n := c - oc
-		d.buckets[i] = n
+		*d.bucket(i) = n
 		d.count += n
 		if lo := d.base * math.Pow(d.ratio, float64(i)); lo < d.min {
 			d.min = lo

@@ -63,14 +63,16 @@ race-stress:
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # the twelve-hop local chain that in both modes must also stay on one worker
-# and in ModePolling wake no parked one, and a three-way fan-out in both modes —
+# and in ModePolling wake no parked one, a three-way fan-out in both modes, and
+# one SProxy.Send on each eBPF engine (TestSProxySendAllocations: only escape
+# analysis keeps the descriptor the kernel takes by value on the stack) —
 # without the race detector, under which they skip their allocation counting
 # (sync.Pool drops Puts at random there). The histograms' footprint rides
 # along (TestHistogramFootprint): a fresh Histogram and StripedHistogram
 # allocate at most 512 B and 4 KiB, and Observe into chunks that exist
 # allocates nothing.
 alloc-gate:
-	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestFanOutAllocations|TestHistogramFootprint' ./internal/orchestrator/ ./internal/core/ ./internal/metrics/
+	$(GO) test -count=1 -run 'TestCrossNodeRoundTripAllocations|TestChainRunsOnOneWorkerAllocations|TestFanOutAllocations|TestSProxySendAllocations|TestHistogramFootprint' ./internal/orchestrator/ ./internal/core/ ./internal/metrics/
 
 # bench-check vets and tests the repository benchmark, a nested module that
 # `go build ./...` and `go test ./...` at the root never see, against the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/spright-go/spright/internal/ebpf"
@@ -40,12 +41,15 @@ func TestProxyProgramsCompileToFastPath(t *testing.T) {
 // outside observer can see.
 type engineOutcome struct {
 	sendErrs  []string
+	verdicts  []string // Kernel.RunDescriptor's verdict, socket and error
 	delivered []uint32 // socket IDs that received a descriptor, in order
 	reqCount  uint64
 	l3Pkts    uint64
 	l3Bytes   uint64
 	runs      uint64
 	insns     uint64
+	maps      [3]map[string]string // Map.Range of filter, metrics and L3 map
+	engine    ebpf.EngineStats
 }
 
 func runEngineScenario(t *testing.T, jit bool) engineOutcome {
@@ -93,6 +97,19 @@ func runEngineScenario(t *testing.T, jit bool) engineOutcome {
 	record(sp.Send(1, shm.Descriptor{NextFn: 2, Buf: 10}))
 	ep.OnIngress(128)
 	ep.OnIngress(256)
+	// The entry point Send uses, called directly on a named stripe: pass,
+	// unauthorized, no socket, and a destination past the metrics map.
+	if err := sp.Allow(1, MaxInstances); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range []shm.Descriptor{{NextFn: 2, Buf: 11}, {NextFn: 3}, {NextFn: 9}, {NextFn: MaxInstances}} {
+		ret, sock, err := k.RunDescriptor(sp.prog, d, 1, uint32(i))
+		id := -1
+		if sock != nil {
+			id = int(sock.SockID())
+		}
+		out.verdicts = append(out.verdicts, fmt.Sprintf("%d/%d/%v", ret, id, err))
+	}
 
 	for s2.QueueLen() > 0 {
 		out.delivered = append(out.delivered, (<-s2.Recv()).Buf)
@@ -100,6 +117,14 @@ func runEngineScenario(t *testing.T, jit bool) engineOutcome {
 	out.reqCount = sp.RequestCount(2)
 	out.l3Pkts, out.l3Bytes = ep.L3Stats()
 	out.runs, out.insns = k.Stats()
+	for i, m := range []*ebpf.Map{sp.filter, sp.metrics, ep.l3map} {
+		out.maps[i] = map[string]string{}
+		m.Range(func(k, v []byte) bool {
+			out.maps[i][string(k)] = string(v)
+			return true
+		})
+	}
+	out.engine = k.EngineStats()
 	return out
 }
 
@@ -135,5 +160,60 @@ func TestEngineParityOnRealChain(t *testing.T) {
 	if fast.runs != oracle.runs || fast.insns != oracle.insns {
 		t.Fatalf("kernel stats divergence: (%d runs, %d insns) vs (%d, %d)",
 			fast.runs, fast.insns, oracle.runs, oracle.insns)
+	}
+	if fmt.Sprint(fast.verdicts) != fmt.Sprint(oracle.verdicts) {
+		t.Fatalf("RunDescriptor divergence: fast %v oracle %v", fast.verdicts, oracle.verdicts)
+	}
+	if fmt.Sprint(fast.maps) != fmt.Sprint(oracle.maps) {
+		t.Fatalf("map state divergence:\n fast   %q\n oracle %q", fast.maps, oracle.maps)
+	}
+	// Each kernel ran every program on its own engine, and both loaded the
+	// same two programs with a fast path.
+	want := ebpf.EngineStats{JITRuns: fast.runs, Loaded: 2, Compiled: 2}
+	if fast.engine != want {
+		t.Fatalf("fast kernel engine stats %+v, want %+v", fast.engine, want)
+	}
+	if want.JITRuns, want.InterpRuns = 0, oracle.runs; oracle.engine != want {
+		t.Fatalf("interpreter kernel engine stats %+v, want %+v", oracle.engine, want)
+	}
+}
+
+// TestSProxySendAllocations: a send to a registered, allowed socket allocates
+// nothing on either engine. The descriptor reaches the kernel by value, so
+// only escape analysis keeps it and its marshaled form on the stack; this is
+// the test that fails when it stops doing so.
+func TestSProxySendAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race, and every drop is an allocation")
+	}
+	for _, jit := range []bool{true, false} {
+		k := ebpf.NewKernel()
+		k.SetJIT(jit)
+		sp, err := NewSProxy(k, "allocs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sock := NewSocket(7, 16)
+		if err := sp.RegisterSocket(sock); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Allow(1, 7); err != nil {
+			t.Fatal(err)
+		}
+		d := shm.Descriptor{NextFn: 7, Buf: 1, Len: 100, Caller: 1}
+		send := func() {
+			if err := sp.Send(1, d); err != nil {
+				t.Fatal(err)
+			}
+			<-sock.Recv()
+		}
+		if avg := testing.AllocsPerRun(1000, send); avg != 0 {
+			t.Errorf("SetJIT(%v): %.2f allocations per SProxy.Send, want none", jit, avg)
+		}
+		if n := sp.RequestCount(7); n != 1001 {
+			t.Errorf("SetJIT(%v): %d sends counted, want 1001", jit, n)
+		}
+		sock.Close()
+		sp.Close()
 	}
 }

@@ -175,9 +175,10 @@ func (sp *SProxy) Revoke(src, dst uint32) error {
 // Send runs the SPROXY program for a descriptor sent by instance src and,
 // on a pass verdict, delivers it to the socket the program selected.
 //
-// The descriptor is marshaled once into the VM's inline staging buffer
-// (RunCopy) and the already-parsed value is handed to the destination
-// socket directly — one parse per hop, no per-send heap allocation.
+// The descriptor goes to the kernel by value (Kernel.RunDescriptor): the fast
+// path reads its destination field and the interpreter its marshaled wire
+// form. The destination socket is handed the value itself — one parse per
+// hop, no per-send heap allocation.
 func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
 	_, err := sp.sendOrClaim(src, d, sender{})
 	return err
@@ -187,18 +188,17 @@ func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
 // sender's stripe, and selects the destination socket exactly as in Send, and
 // the socket it selected takes the hop (Socket.handoff).
 func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
-	wire := d.Marshal()
-	res, err := sp.kernel.RunCopy(sp.prog, wire[:], src, nil, by.stripe)
+	ret, sock, err := sp.kernel.RunDescriptor(sp.prog, d, src, by.stripe)
 	if err != nil {
 		return grant{}, fmt.Errorf("sproxy: %w", err)
 	}
-	if res.Ret != ebpf.SKPass {
+	if ret != ebpf.SKPass {
 		if _, lookErr := sp.sockmap.LookupSock(d.NextFn); lookErr != nil {
 			return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
 		}
 		return grant{}, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, d.NextFn)
 	}
-	switch dst := res.RedirectSock.(type) {
+	switch dst := sock.(type) {
 	case *Socket:
 		return dst.handoff(d, by)
 	case nil:

@@ -18,19 +18,8 @@ package ebpf
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
-
-// fastBufPool stages RunCopy frames for the fast runners. A runner is an
-// indirect call, so a caller's stack-backed frame handed to it directly
-// would escape to the heap; copying into a pooled buffer first keeps the
-// descriptor send path allocation-free.
-type fastBuf struct {
-	b [pktCopySize]byte
-}
-
-var fastBufPool = sync.Pool{New: func() any { return new(fastBuf) }}
 
 // EngineKind identifies which execution backend runs a loaded program.
 type EngineKind int
@@ -54,13 +43,15 @@ func (e EngineKind) String() string {
 	}
 }
 
-// fastRunner executes a recognized program shape directly over the frame:
-// pkt is the accessible packet bytes (nil/short for metadata-only runs),
-// frameLen the ctx data_end-data distance, ifindex the ctx ifindex field,
-// stripe the one the run is on (which copy of a per-CPU array it sees).
-// It must reproduce the interpreter's observable behavior exactly: verdict,
-// redirect, map mutations, fault class, and dynamic instruction count.
-type fastRunner func(pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error)
+// fastRunner executes a recognized program shape directly. Of the frame it
+// gets only the first 32-bit word, all either shape reads, and whether that is
+// readable (not in RunMeta, nor in a frame shorter than any shape reads);
+// frameLen is the ctx data_end-data distance, ifindex the ctx ifindex field,
+// stripe the one the run is on. A runner must reproduce the interpreter exactly:
+// verdict, redirected socket, map mutations, fault class and instruction count.
+type fastRunner interface {
+	run(word uint32, readable bool, frameLen int, ifindex, stripe uint32) (ret int64, sock SockRef, insns int, err error)
+}
 
 // insnPat matches one instruction. All fields are compared except Imm when
 // wildImm is set; wildcard Imms are extracted in program order.
@@ -233,46 +224,47 @@ func matchSProxy(lp *LoadedProgram) (fastRunner, string) {
 
 	// Exact per-outcome instruction counts, derived from the matched
 	// bytecode rather than hard-coded.
-	nShort := countPath(insns, map[int]bool{5: true})
-	nDenied := countPath(insns, map[int]bool{16: true})
-	nNoSlot := countPath(insns, map[int]bool{22: true})
-	nFull := countPath(insns, nil)
-	nPktFault := sproxyPktLoadPC + 1
-
-	maxEntries := metrics.spec.MaxEntries
-	return func(pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error) {
-		if frameLen < descSize {
-			return Result{Ret: SKDrop, Insns: nShort}, nil
-		}
-		if len(pkt) < 4 {
-			// Frame bounds claim a descriptor but the bytes aren't
-			// accessible (RunMeta): the packet load faults.
-			return Result{Insns: nPktFault}, ErrOutOfBounds
-		}
-		dst := leU32(pkt)
-		var key [8]byte // filter key: little-endian src<<32 | dst
-		putLeU32(key[0:4], dst)
-		putLeU32(key[4:8], ifindex)
-		if _, err := filter.LookupRef(key[:]); err != nil {
-			return Result{Ret: SKDrop, Insns: nDenied}, nil
-		}
-		res := Result{Insns: nFull}
-		if int(dst) < maxEntries {
-			// metrics[dst]++ on the aligned slab word the run's lookup
-			// resolves to, the same atomic the interpreter's OpAtomicAdd
-			// fast path issues.
-			atomic.AddUint64(metrics.word(stripe, int(dst)), 1)
-		} else {
-			res.Insns = nNoSlot
-		}
-		if s, err := sockmap.LookupSock(dst); err == nil {
-			res.RedirectSock = s
-			res.Ret = SKPass
-		} else {
-			res.Ret = SKDrop
-		}
-		return res, nil
+	return &sproxyFast{
+		filter: filter, metrics: metrics, sockmap: sockmap, descSize: descSize,
+		nShort:  countPath(insns, map[int]bool{5: true}),
+		nDenied: countPath(insns, map[int]bool{16: true}),
+		nNoSlot: countPath(insns, map[int]bool{22: true}),
+		nFull:   countPath(insns, nil),
 	}, ""
+}
+
+// sproxyFast is the SPROXY shape's fast path: the program's three maps, its
+// descriptor size and the instructions each outcome counts.
+type sproxyFast struct {
+	filter, metrics, sockmap                  *Map
+	descSize, nShort, nDenied, nNoSlot, nFull int
+}
+
+// run is the program's three map operations on the maps' own tables: the
+// filter probe on src<<32|dst (the word of the key the bytecode builds), the
+// interpreter's atomic add on metrics[dst]'s slab word, and the sockmap load.
+func (p *sproxyFast) run(dst uint32, readable bool, frameLen int, src, stripe uint32) (int64, SockRef, int, error) {
+	if frameLen < p.descSize {
+		return SKDrop, nil, p.nShort, nil
+	}
+	if !readable {
+		// Frame bounds claim a descriptor but the bytes aren't accessible
+		// (RunMeta): the packet load faults.
+		return 0, nil, sproxyPktLoadPC + 1, ErrOutOfBounds
+	}
+	if _, ok := (*p.filter.hash.Load())[uint64(src)<<32|uint64(dst)]; !ok {
+		return SKDrop, nil, p.nDenied, nil
+	}
+	insns := p.nFull
+	if int(dst) < p.metrics.spec.MaxEntries {
+		atomic.AddUint64(p.metrics.word(stripe, int(dst)), 1)
+	} else {
+		insns = p.nNoSlot
+	}
+	if s, ok := (*p.sockmap.socks.Load())[dst]; ok {
+		return SKPass, s, insns, nil
+	}
+	return SKDrop, nil, insns, nil
 }
 
 // eproxyPats is the EPROXY L3-monitor shape (core.buildEProxyProgram):
@@ -331,11 +323,19 @@ func matchEProxy(lp *LoadedProgram) (fastRunner, string) {
 	if !okSlot(byteMap, byteSlot) {
 		return nil, "eproxy shape: bytes slot is not an 8-byte entry of an array map"
 	}
-	nAll := countPath(insns, nil)
+	return &eproxyFast{pktMap, byteMap, pktSlot, byteSlot, countPath(insns, nil), ret}, ""
+}
 
-	return func(_ []byte, frameLen int, _, stripe uint32) (Result, error) {
-		atomic.AddUint64(pktMap.word(stripe, pktSlot), 1)
-		atomic.AddUint64(byteMap.word(stripe, byteSlot), uint64(frameLen))
-		return Result{Ret: ret, Insns: nAll}, nil
-	}, ""
+// eproxyFast is the EPROXY shape's fast path: both counters' maps and slots,
+// the verdict, and the one instruction count every run has.
+type eproxyFast struct {
+	pktMap, byteMap          *Map
+	pktSlot, byteSlot, insns int
+	ret                      int64
+}
+
+func (p *eproxyFast) run(_ uint32, _ bool, frameLen int, _, stripe uint32) (int64, SockRef, int, error) {
+	atomic.AddUint64(p.pktMap.word(stripe, p.pktSlot), 1)
+	atomic.AddUint64(p.byteMap.word(stripe, p.byteSlot), uint64(frameLen))
+	return p.ret, nil, p.insns, nil
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // Differential testing of the shape-specialized fast paths against the
@@ -222,10 +224,11 @@ type fastCase struct {
 }
 
 // fastRun is one program run: the entry point, the ctx ifindex, the stripe
-// (RunCopy and RunMeta, whose callers name one) and the frame (for RunMeta
-// only its length counts).
+// (RunCopy, RunDescriptor and RunMeta, whose callers name one) and the frame
+// (for RunMeta only its length counts; RunDescriptor is handed the descriptor
+// whose wire form is the frame's first 16 bytes, zero-padded).
 type fastRun struct {
-	entry   byte // 0 Run, 1 and 2 RunCopy, 3 RunMeta
+	entry   byte // 0 Run, 1 RunCopy, 2 RunDescriptor, 3 RunMeta
 	ifindex uint32
 	stripe  uint32
 	frame   []byte
@@ -376,12 +379,30 @@ func (s *fastSide) run(r fastRun) runOutcome {
 	switch r.entry {
 	case 0:
 		res, err = s.k.Run(s.lp, pkt, r.ifindex, nil)
-	case 1, 2:
+	case 1:
 		res, err = s.k.RunCopy(s.lp, pkt, r.ifindex, nil, r.stripe)
+	case 2:
+		res, err = runDescriptor(s.k, s.lp, descOf(pkt), r.ifindex, r.stripe)
 	default:
 		res, err = s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil, r.stripe)
 	}
 	return runOutcome{res, err, pkt}
+}
+
+// descOf is the descriptor whose wire form is frame's first 16 bytes,
+// zero-padded.
+func descOf(frame []byte) shm.Descriptor {
+	var wire [shm.DescriptorSize]byte
+	copy(wire[:], frame)
+	d, _ := shm.UnmarshalDescriptor(wire[:])
+	return d
+}
+
+// runDescriptor is Kernel.RunDescriptor with what it returns as a Result; the
+// instruction count it does not return is compared through Kernel.Stats.
+func runDescriptor(k *Kernel, lp *LoadedProgram, d shm.Descriptor, ifindex, stripe uint32) (Result, error) {
+	ret, sock, err := k.RunDescriptor(lp, d, ifindex, stripe)
+	return Result{Ret: ret, RedirectSock: sock}, err
 }
 
 // FuzzFastPathParity: the two hand-written runners production executes must
@@ -404,16 +425,22 @@ func FuzzFastPathParity(f *testing.F) {
 		denied     = [fastRunBytes]byte{0, 3, 3, 2}        // Run 3→2: no such edge
 		noSlot     = [fastRunBytes]byte{1, 1, 3, 5}        // 1→5: past a 4-entry metrics map
 		noSocket   = [fastRunBytes]byte{1, 1, 3, 9}        // 1→9: authorized, no socket
-		short      = [fastRunBytes]byte{2, 1, 2, 2}        // RunCopy, one byte short
+		short      = [fastRunBytes]byte{1, 1, 2, 2}        // RunCopy, one byte short
 		empty      = [fastRunBytes]byte{0, 1, 0}           // Run over no bytes
 		long       = [fastRunBytes]byte{1, 1, 7, 2}        // RunCopy, 200-byte frame
 		metaFault  = [fastRunBytes]byte{3, 1, 3}           // RunMeta: bounds pass, bytes fault
 		metaShort  = [fastRunBytes]byte{3, 1, 1}           // RunMeta, 3-byte frame
 		wideDst    = [fastRunBytes]byte{1, 1, 4, 2, 1}     // dst 0x102
-		copyExact  = [fastRunBytes]byte{2, 1, 3, 2}        // RunCopy 1→2, the second slot
+		copyExact  = [fastRunBytes]byte{1, 1, 3, 2, 0, 1}  // RunCopy 1→2, a second buffer
 		redirectS3 = [fastRunBytes]byte{1 | 3<<2, 1, 3, 2} // RunCopy 1→2 on stripe 3
 		redirectS9 = [fastRunBytes]byte{1 | 9<<2, 1, 3, 2} // on stripe 9: stripe 1's copy
 		metaS5     = [fastRunBytes]byte{3 | 5<<2, 1, 3}    // RunMeta on stripe 5
+		// RunDescriptor, whose length selector is unused: four of its five
+		// outcomes (the fifth, a short frame, is a 24-byte descriptor's).
+		descPass     = [fastRunBytes]byte{2, 1, 0, 2}        // 1→2
+		descDenied   = [fastRunBytes]byte{2 | 6<<2, 3, 0, 2} // 3→2 on stripe 6: no such edge
+		descNoSocket = [fastRunBytes]byte{2, 1, 0, 9}        // 1→9: authorized, no socket
+		descNoSlot   = [fastRunBytes]byte{2, 1, 0, 5}        // 1→5: past a 4-entry metrics map
 	)
 	const (
 		allEdges = 0xff
@@ -442,6 +469,11 @@ func FuzzFastPathParity(f *testing.F) {
 	seed([fastCaseHeader]byte{0x80, 23, perCPU | 4, 2, allEdges, socks}, redirectS3, redirect)             // per-CPU metrics += 2
 	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, metaFault, redirectS3, long)            // EPROXY over a per-CPU L3 map
 	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, copyExact, empty)
+	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, descPass, descDenied, descNoSocket, descNoSlot)
+	seed([fastCaseHeader]byte{3 << 5, 0, 0, 0, allEdges, socks}, descPass, descNoSlot, redirect)               // 24-byte descriptor: the wire form is short
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, descPass, descDenied, descNoSlot, redirectS3) // per-CPU metrics
+	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, descPass, descDenied)         // near-miss: the interpreter
+	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, descPass, metaFault)                                     // EPROXY through the descriptor entry
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFastCase(data)
@@ -509,8 +541,8 @@ func FuzzFastPathParity(f *testing.F) {
 
 // TestJITSProxyShapeParity drives the recognized SPROXY shape through every
 // outcome — short frame, unauthorized, missing metrics slot, full redirect,
-// missing socket, metadata-only fault — on both engines and compares the
-// complete observable state.
+// missing socket, metadata-only fault — through RunCopy, RunMeta and
+// RunDescriptor on both engines and compares the complete observable state.
 func TestJITSProxyShapeParity(t *testing.T) {
 	type env struct {
 		k       *Kernel
@@ -546,7 +578,8 @@ func TestJITSProxyShapeParity(t *testing.T) {
 	runs := []struct {
 		name string
 		pkt  []byte
-		meta int // when >0, RunMeta with this frame length instead
+		meta int  // when >0, RunMeta with this frame length instead
+		desc bool // RunDescriptor with descOf(pkt) instead
 		src  uint32
 	}{
 		{name: "short frame", pkt: desc(2)[:8], src: 1},
@@ -555,15 +588,22 @@ func TestJITSProxyShapeParity(t *testing.T) {
 		{name: "no metrics slot, no socket", pkt: desc(5), src: 1},
 		{name: "metadata-only fault", meta: 16, src: 1},
 		{name: "metadata-only short", meta: 8, src: 1},
+		{name: "descriptor: full redirect", pkt: desc(2), desc: true, src: 1},
+		{name: "descriptor: unauthorized", pkt: desc(2), desc: true, src: 3},
+		{name: "descriptor: no metrics slot, no socket", pkt: desc(5), desc: true, src: 1},
 	}
 	ej, ei := mk(true), mk(false)
 	for _, r := range runs {
 		var resJ, resI Result
 		var errJ, errI error
-		if r.meta > 0 {
+		switch {
+		case r.meta > 0:
 			resJ, errJ = ej.k.RunMeta(ej.lp, r.meta, r.src, nil, 0)
 			resI, errI = ei.k.RunMeta(ei.lp, r.meta, r.src, nil, 0)
-		} else {
+		case r.desc:
+			resJ, errJ = runDescriptor(ej.k, ej.lp, descOf(r.pkt), r.src, 0)
+			resI, errI = runDescriptor(ei.k, ei.lp, descOf(r.pkt), r.src, 0)
+		default:
 			resJ, errJ = ej.k.RunCopy(ej.lp, r.pkt, r.src, nil, 0)
 			resI, errI = ei.k.RunCopy(ei.lp, r.pkt, r.src, nil, 0)
 		}
@@ -575,10 +615,15 @@ func TestJITSProxyShapeParity(t *testing.T) {
 		}
 	}
 	requireSameMap(t, "metrics", ej.metrics, ei.metrics)
+	requireSameCopies(t, "metrics", ej.metrics, ei.metrics)
 	runsJ, insnsJ := ej.k.Stats()
 	runsI, insnsI := ei.k.Stats()
 	if runsJ != runsI || insnsJ != insnsI {
 		t.Fatalf("stats divergence: jit(%d,%d) interp(%d,%d)", runsJ, insnsJ, runsI, insnsI)
+	}
+	n := uint64(len(runs))
+	if esJ, esI := ej.k.EngineStats(), ei.k.EngineStats(); esJ.JITRuns != n || esI.InterpRuns != n || esJ.InterpRuns+esI.JITRuns != 0 {
+		t.Fatalf("engine attribution: jit kernel %+v, interp kernel %+v; want %d runs each on its own engine", esJ, esI, n)
 	}
 }
 

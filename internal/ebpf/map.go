@@ -54,6 +54,7 @@ var (
 	ErrMapFull     = errors.New("ebpf: map full")
 	ErrBadKey      = errors.New("ebpf: bad key size")
 	ErrBadValue    = errors.New("ebpf: bad value size")
+	ErrWideHashKey = errors.New("ebpf: hash map keys are at most 8 bytes")
 )
 
 // Map is an in-"kernel" key/value store shared between programs and
@@ -75,6 +76,10 @@ var (
 // copy and zero in the rest so that a Lookup returns it, Delete zeroes all of
 // them. The verifier does not tell the two array types apart.
 //
+// A hash map keys its table on a word: the key's bytes, at most 8 (CreateMap
+// refuses wider with ErrWideHashKey), read little-endian. Range hands keys back
+// as KeySize bytes.
+//
 // Hash maps and sockmaps are copy-on-write: a writer rebuilds the table
 // under mu and publishes it with one atomic store before it returns, so a
 // lookup is one atomic load and no lock, and an Update or Delete that has
@@ -95,9 +100,9 @@ type Map struct {
 	copies   int
 	stride   int
 
-	mu    sync.Mutex                        // serializes hash and sockmap writers
-	hash  atomic.Pointer[map[string][]byte] // MapTypeHash: published snapshot, never mutated
-	socks atomic.Value                      // map[uint32]SockRef, copy-on-write (MapTypeSockMap)
+	mu    sync.Mutex                         // serializes hash and sockmap writers
+	hash  atomic.Pointer[map[uint64][]byte]  // MapTypeHash: published snapshot, never mutated
+	socks atomic.Pointer[map[uint32]SockRef] // MapTypeSockMap: likewise
 }
 
 // SockRef is a sockmap entry: the kernel-side reference to a socket that
@@ -144,9 +149,12 @@ func newMap(spec MapSpec, fd int) (*Map, error) {
 			m.slab = lineAligned((m.copies-1)*m.stride + spec.MaxEntries*m.valWords)
 		}
 	case MapTypeHash:
-		m.hash.Store(&map[string][]byte{})
+		if spec.KeySize > 8 {
+			return nil, fmt.Errorf("ebpf: map %q: %w", spec.Name, ErrWideHashKey)
+		}
+		m.hash.Store(&map[uint64][]byte{})
 	case MapTypeSockMap:
-		m.socks.Store(map[uint32]SockRef{})
+		m.socks.Store(&map[uint32]SockRef{})
 	default:
 		return nil, fmt.Errorf("ebpf: unsupported map type %v", spec.Type)
 	}
@@ -183,6 +191,15 @@ func (m *Map) view(stripe uint32, idx int) []byte {
 // isArray reports whether m is slab-backed: an array or a per-CPU array.
 func (m *Map) isArray() bool {
 	return m.spec.Type == MapTypeArray || m.spec.Type == MapTypePerCPUArray
+}
+
+// hashKey is a hash map key's word: its bytes, little-endian.
+func hashKey(key []byte) uint64 {
+	var k uint64
+	for i, b := range key {
+		k |= uint64(b) << (8 * i)
+	}
+	return k
 }
 
 // FD returns the map's file descriptor (its handle in programs).
@@ -261,12 +278,7 @@ func (m *Map) Lookup(key []byte) ([]byte, error) {
 		return out, nil
 	default:
 		v, err := m.LookupRef(key)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out, nil
+		return append([]byte(nil), v...), err
 	}
 }
 
@@ -321,7 +333,7 @@ func (m *Map) lookupRef(stripe uint32, key []byte) ([]byte, error) {
 		if len(key) != m.spec.KeySize {
 			return nil, ErrBadKey
 		}
-		v, ok := (*m.hash.Load())[string(key)]
+		v, ok := (*m.hash.Load())[hashKey(key)]
 		if !ok {
 			return nil, ErrKeyNotFound
 		}
@@ -345,24 +357,17 @@ func (m *Map) Update(key, value []byte) error {
 		m.atomicWrite(idx, value)
 		return nil
 	case MapTypeHash:
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if len(key) != m.spec.KeySize {
 			return ErrBadKey
 		}
 		if len(value) != m.spec.ValueSize {
 			return ErrBadValue
 		}
-		cur := *m.hash.Load()
-		if _, ok := cur[string(key)]; !ok && len(cur) >= m.spec.MaxEntries {
-			return ErrMapFull
-		}
 		v := alignedBytes(len(value))
 		copy(v, value)
-		next := maps.Clone(cur)
-		next[string(key)] = v
-		m.hash.Store(&next)
-		return nil
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return cowStore(&m.hash, hashKey(key), v, m.spec.MaxEntries)
 	default:
 		return fmt.Errorf("ebpf: update unsupported on %v map", m.spec.Type)
 	}
@@ -370,67 +375,60 @@ func (m *Map) Update(key, value []byte) error {
 
 // Delete removes key.
 func (m *Map) Delete(key []byte) error {
-	switch m.spec.Type {
-	case MapTypeHash:
+	switch {
+	case m.spec.Type == MapTypeHash && len(key) == m.spec.KeySize:
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		if len(key) != m.spec.KeySize {
-			return ErrBadKey
-		}
-		cur := *m.hash.Load()
-		if _, ok := cur[string(key)]; !ok {
-			return ErrKeyNotFound
-		}
-		next := maps.Clone(cur)
-		delete(next, string(key))
-		m.hash.Store(&next)
-		return nil
-	case MapTypeArray, MapTypePerCPUArray:
-		idx, err := m.arrayIndex(key)
-		if err != nil {
-			return err
-		}
-		m.zeroCopies(0, idx)
-		return nil
-	case MapTypeSockMap:
-		if len(key) != 4 {
-			return ErrBadKey
-		}
-		return m.DeleteU32(binary.LittleEndian.Uint32(key))
-	default:
-		return fmt.Errorf("ebpf: delete unsupported on %v map", m.spec.Type)
+		return cowDelete(&m.hash, hashKey(key))
+	case m.spec.Type == MapTypeHash || len(key) != 4:
+		return ErrBadKey
 	}
+	return m.DeleteU32(binary.LittleEndian.Uint32(key))
 }
 
 // DeleteU32 removes a uint32 key without allocating the wire form.
 func (m *Map) DeleteU32(key uint32) error {
-	switch m.spec.Type {
-	case MapTypeSockMap:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		cur := m.socks.Load().(map[uint32]SockRef)
-		if _, ok := cur[key]; !ok {
-			return ErrKeyNotFound
-		}
-		next := make(map[uint32]SockRef, len(cur))
-		for k, v := range cur {
-			if k != key {
-				next[k] = v
-			}
-		}
-		m.socks.Store(next)
-		return nil
-	case MapTypeArray, MapTypePerCPUArray:
+	if m.isArray() {
 		if int(key) >= m.spec.MaxEntries {
 			return ErrKeyNotFound
 		}
 		m.zeroCopies(0, int(key))
 		return nil
-	default:
-		var kb [4]byte
-		binary.LittleEndian.PutUint32(kb[:], key)
-		return m.Delete(kb[:])
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.spec.Type == MapTypeSockMap {
+		return cowDelete(&m.socks, key)
+	}
+	if m.spec.KeySize != 4 {
+		return ErrBadKey
+	}
+	return cowDelete(&m.hash, uint64(key))
+}
+
+// cowStore publishes a copy of the table p points to with key set to v,
+// refusing a new key that would take it past max entries. Writers hold mu.
+func cowStore[K comparable, V any](p *atomic.Pointer[map[K]V], key K, v V, max int) error {
+	cur := *p.Load()
+	if _, ok := cur[key]; !ok && len(cur) >= max {
+		return ErrMapFull
+	}
+	next := maps.Clone(cur)
+	next[key] = v
+	p.Store(&next)
+	return nil
+}
+
+// cowDelete publishes a copy of the table p points to without key.
+func cowDelete[K comparable, V any](p *atomic.Pointer[map[K]V], key K) error {
+	cur := *p.Load()
+	if _, ok := cur[key]; !ok {
+		return ErrKeyNotFound
+	}
+	next := maps.Clone(cur)
+	delete(next, key)
+	p.Store(&next)
+	return nil
 }
 
 // UpdateSock installs a socket reference under key (userspace control-plane
@@ -444,17 +442,7 @@ func (m *Map) UpdateSock(key uint32, s SockRef) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.socks.Load().(map[uint32]SockRef)
-	if _, ok := cur[key]; !ok && len(cur) >= m.spec.MaxEntries {
-		return ErrMapFull
-	}
-	next := make(map[uint32]SockRef, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = s
-	m.socks.Store(next)
-	return nil
+	return cowStore(&m.socks, key, s, m.spec.MaxEntries)
 }
 
 // LookupSock returns the socket registered under key.
@@ -462,7 +450,7 @@ func (m *Map) LookupSock(key uint32) (SockRef, error) {
 	if m.spec.Type != MapTypeSockMap {
 		return nil, fmt.Errorf("ebpf: LookupSock on %v map", m.spec.Type)
 	}
-	s, ok := m.socks.Load().(map[uint32]SockRef)[key]
+	s, ok := (*m.socks.Load())[key]
 	if !ok {
 		return nil, ErrKeyNotFound
 	}
@@ -488,9 +476,8 @@ func (m *Map) Range(fn func(key, value []byte) bool) {
 		}
 	case MapTypeHash:
 		for k, v := range *m.hash.Load() {
-			val := make([]byte, len(v))
-			copy(val, v)
-			if !fn([]byte(k), val) {
+			key := binary.LittleEndian.AppendUint64(nil, k)[:m.spec.KeySize]
+			if !fn(key, append([]byte(nil), v...)) {
 				return
 			}
 		}
@@ -503,7 +490,7 @@ func (m *Map) Entries() int {
 	case MapTypeHash:
 		return len(*m.hash.Load())
 	case MapTypeSockMap:
-		return len(m.socks.Load().(map[uint32]SockRef))
+		return len(*m.socks.Load())
 	default:
 		return m.spec.MaxEntries
 	}

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -304,6 +305,158 @@ func TestHashMapModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHashMapRefusesWideKeys: a hash map's table is keyed on one word, so
+// CreateMap refuses a key wider than 8 bytes, by name, and takes 8.
+func TestHashMapRefusesWideKeys(t *testing.T) {
+	k := NewKernel()
+	if _, err := k.CreateMap(MapSpec{Name: "wide", Type: MapTypeHash, KeySize: 9, ValueSize: 8, MaxEntries: 4}); !errors.Is(err, ErrWideHashKey) {
+		t.Fatalf("9-byte hash key: got %v, want ErrWideHashKey", err)
+	}
+	if _, err := k.CreateMap(MapSpec{Name: "word", Type: MapTypeHash, KeySize: 8, ValueSize: 8, MaxEntries: 4}); err != nil {
+		t.Fatalf("8-byte hash key refused: %v", err)
+	}
+	if n := k.MapCount(); n != 1 {
+		t.Fatalf("%d maps registered, want only the 8-byte one", n)
+	}
+}
+
+// Hash-map model: the fuzzer's map geometry, small enough that a sequence
+// fills it and collides on keys.
+const (
+	modelMaxEntries = 4
+	modelValueSize  = 3
+)
+
+// modelKey is key number idx (0–7) at length n: every byte set, so a key's
+// high bytes matter as much as its low ones.
+func modelKey(idx byte, n int) []byte {
+	key := make([]byte, n)
+	for i := range key {
+		key[i] = (idx + 1) * byte(2*i+1)
+	}
+	return key
+}
+
+// requireMapMatchesModel fails unless Range walks exactly the model's entries,
+// each key KeySize bytes long, and Entries counts them.
+func requireMapMatchesModel(t *testing.T, m *Map, model map[string][]byte) {
+	t.Helper()
+	seen := map[string][]byte{}
+	m.Range(func(k, v []byte) bool {
+		if len(k) != m.Spec().KeySize {
+			t.Fatalf("Range handed a %d-byte key %x from a map of %d-byte keys", len(k), k, m.Spec().KeySize)
+		}
+		if _, dup := seen[string(k)]; dup {
+			t.Fatalf("Range handed key %x twice", k)
+		}
+		seen[string(k)] = v
+		return true
+	})
+	if len(seen) != len(model) || m.Entries() != len(model) {
+		t.Fatalf("map holds %d entries (Entries %d), model %d", len(seen), m.Entries(), len(model))
+	}
+	for k, v := range model {
+		if !bytes.Equal(seen[k], v) {
+			t.Fatalf("key %x: map %x, model %x", k, seen[k], v)
+		}
+	}
+}
+
+// FuzzHashMapModel runs sequences of user-space operations on a hash map —
+// Update (new key, replace, replace at capacity, past capacity), Delete,
+// LookupRef (writing through the reference), Lookup (writing to the copy),
+// Range (whole, and stopped after one entry) and Entries — at KeySize 1, 3, 4
+// and 8, with keys and values of the wrong size among them, against a
+// map[string][]byte model. Every error must be the model's, and the map's
+// contents must be the model's after every operation.
+//
+// Input: the key-size selector, then three bytes per operation: op (bits 0–2
+// the operation — Update, Update, Delete, LookupRef, Lookup, Range, Entries,
+// Update —, 4–5 the key's length: right, right, one short, one long; 6 a value
+// one byte long; 7 write through what a lookup returned), key number, value
+// byte.
+func FuzzHashMapModel(f *testing.F) {
+	// Four keys, a replace at capacity, a fifth key refused, a delete that
+	// frees a slot, and the fifth key taken.
+	fill := []byte{0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 1, 5, 0, 4, 6, 2, 0, 0, 0, 4, 7, 5, 0, 0}
+	// Wrong-size keys and values, each refused without a change; lookups and
+	// write-throughs of a present and an absent key; Range stopped early.
+	wrong := []byte{0, 0, 1, 0x20, 0, 2, 0x10, 1, 3, 0x40, 2, 3, 0x22, 0, 0, 0x23, 0, 0, 0x24, 0, 0,
+		0x83, 0, 0, 0x84, 0, 0, 3, 6, 0, 4, 6, 0, 5, 0, 1, 6, 0, 0}
+	for ks := byte(0); ks < 4; ks++ {
+		f.Add(append([]byte{ks}, fill...))
+		f.Add(append([]byte{ks}, wrong...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		keySize := []int{1, 3, 4, 8}[data[0]%4]
+		_, m := newTestMap(t, MapSpec{Name: "h", Type: MapTypeHash, KeySize: keySize, ValueSize: modelValueSize, MaxEntries: modelMaxEntries})
+		model := map[string][]byte{}
+		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
+			op, idx, vb := ops[0], ops[1]%8, ops[2]
+			key := modelKey(idx, []int{keySize, keySize, keySize - 1, keySize + 1}[op>>4&3])
+			val := bytes.Repeat([]byte{vb}, modelValueSize+int(op>>6&1))
+			cur, present := model[string(key)]
+			update, keyed := op&7 <= 1 || op&7 == 7, op&7 <= 4 || op&7 == 7
+			var wantErr error
+			switch {
+			case keyed && len(key) != keySize:
+				wantErr = ErrBadKey
+			case update && len(val) != modelValueSize:
+				wantErr = ErrBadValue
+			case update && !present && len(model) >= modelMaxEntries:
+				wantErr = ErrMapFull
+			case keyed && !update && !present:
+				wantErr = ErrKeyNotFound
+			}
+			var err error
+			switch op & 7 {
+			case 0, 1, 7:
+				if err = m.Update(key, val); err == nil {
+					model[string(key)] = val
+				}
+			case 2:
+				if err = m.Delete(key); err == nil {
+					delete(model, string(key))
+				}
+			case 3, 4:
+				var got []byte
+				if op&7 == 3 {
+					got, err = m.LookupRef(key)
+				} else {
+					got, err = m.Lookup(key)
+				}
+				if err == nil && !bytes.Equal(got, cur) {
+					t.Fatalf("lookup of %x: %x, model %x", key, got, cur)
+				}
+				if err == nil && op&0x80 != 0 {
+					got[0] ^= 0xff
+					if op&7 == 3 { // the reference aliases the stored value
+						cur[0] ^= 0xff
+					}
+				}
+			case 5:
+				calls := 0
+				m.Range(func(_, _ []byte) bool { calls++; return false })
+				if want := min(1, len(model)); calls != want {
+					t.Fatalf("Range stopped after %d calls, want %d", calls, want)
+				}
+			case 6:
+				if n := m.Entries(); n != len(model) {
+					t.Fatalf("Entries %d, model %d", n, len(model))
+				}
+			}
+			if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
+				t.Fatalf("op %#x on key %x: error %v, want %v", op, key, err, wantErr)
+			}
+			requireMapMatchesModel(t, m, model)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // ProgType declares which hook a program may attach to, mirroring
@@ -265,13 +267,13 @@ func (k *Kernel) JITEnabled() bool { return !k.fastOff.Load() }
 //
 // A run is on one stripe, the stand-in for the CPU it runs on: it counts
 // itself there and its bpf_map_lookup_elem on a per-CPU array resolves to that
-// stripe's copy. RunCopy and RunMeta are told the stripe by their caller, which
-// hangs its own per-hop words on the same one; Run, which is not, uses its
-// pooled exec state's. A stripe is a property of a pooled object
-// (NextStripe): a sync.Pool hands a P its own object back in practice, so each
-// core keeps to its own stripe with no further mechanism. Nothing depends on
-// that for more than speed — every striped word is still written atomically, and
-// two cores on one stripe only share its lines again.
+// stripe's copy. RunCopy, RunDescriptor and RunMeta are told the stripe by
+// their caller, which hangs its own per-hop words on the same one; Run, which
+// is not, uses its pooled exec state's. A stripe is a property of a pooled
+// object (NextStripe): a sync.Pool hands a P its own object back in practice,
+// so each core keeps to its own stripe with no further mechanism. Nothing
+// depends on that for more than speed — every striped word is still written
+// atomically, and two cores on one stripe only share its lines again.
 const Stripes = 8
 
 // runStripe is one cache line of run accounting: how many runs took a fast
@@ -432,13 +434,38 @@ func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (R
 	return res, err
 }
 
-// runFast runs a shape-specialized runner on stripe and counts the run there.
+// runFast runs a shape-specialized runner on stripe over the first word of
+// pkt (none: a metadata-only run) and counts the run there.
 func (k *Kernel) runFast(f fastRunner, pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error) {
-	res, err := f(pkt, frameLen, ifindex, stripe)
+	var word uint32
+	if len(pkt) >= 4 {
+		word = leU32(pkt)
+	}
+	ret, sock, insns, err := f.run(word, len(pkt) >= 4, frameLen, ifindex, stripe)
+	k.countFast(stripe, insns)
+	return Result{Ret: ret, Insns: insns, RedirectSock: sock}, err
+}
+
+// countFast counts a fast-path run of insns instructions on stripe.
+func (k *Kernel) countFast(stripe uint32, insns int) {
 	st := &k.stripes[stripe&(Stripes-1)]
-	st.insns.Add(uint64(res.Insns))
+	st.insns.Add(uint64(insns))
 	st.fastRuns.Add(1)
-	return res, err
+}
+
+// RunDescriptor is RunCopy over d.Marshal() returning only the verdict and the
+// redirected socket. A fast path is handed d's first word by value, so nothing
+// is staged or escapes; with none, or after SetJIT(false), the interpreter
+// runs over the marshaled descriptor.
+func (k *Kernel) RunDescriptor(lp *LoadedProgram, d shm.Descriptor, ifindex, stripe uint32) (int64, SockRef, error) {
+	if f := k.fastOf(lp); f != nil {
+		ret, sock, insns, err := f.run(d.NextFn, true, shm.DescriptorSize, ifindex, stripe)
+		k.countFast(stripe, insns)
+		return ret, sock, err
+	}
+	wire := d.Marshal()
+	res, err := k.RunCopy(lp, wire[:], ifindex, nil, stripe)
+	return res.Ret, res.RedirectSock, err
 }
 
 // interpretOver interprets st's program over packet, readable and writable.
@@ -450,26 +477,12 @@ func (k *Kernel) interpretOver(st *execState, packet []byte) (Result, error) {
 }
 
 // RunCopy executes a program on stripe over a private copy of data, leaving
-// the caller's slice unread after return and unaliased by the VM. Small frames
-// (descriptors) are staged in the exec state's inline buffer, so the send
-// path does not allocate; larger frames fall back to an explicit copy.
+// the caller's slice unread after return and unaliased by the VM: the exec
+// state's inline buffer holds small frames, the heap larger ones. A fast path
+// reads only the first word and needs no copy.
 func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env, stripe uint32) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
-		// The fast paths neither write nor retain the frame, but f is an
-		// indirect call, so escape analysis must assume it leaks its
-		// arguments — running directly over the caller's bytes would heap-
-		// allocate stack-backed frames (e.g. the marshaled descriptor in
-		// SProxy.Send). Stage small frames through a pooled buffer to keep
-		// the send path at zero allocations.
-		if len(data) <= pktCopySize {
-			buf := fastBufPool.Get().(*fastBuf)
-			n := copy(buf.b[:], data)
-			res, err := k.runFast(f, buf.b[:n], n, ifindex, stripe)
-			fastBufPool.Put(buf)
-			return res, err
-		}
-		big := append([]byte(nil), data...)
-		return k.runFast(f, big, len(big), ifindex, stripe)
+		return k.runFast(f, data, len(data), ifindex, stripe)
 	}
 	st := k.getExec(lp, len(data), ifindex, env)
 	st.on = stripe

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress alloc-gate bench-check vet cross-vet fmt-check verify clean
+.PHONY: build test race race-stress alloc-gate bench-check fuzz-smoke vet cross-vet fmt-check verify clean
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,30 @@ alloc-gate:
 # code it links from this tree.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# fuzz-smoke runs each fuzz target's committed seeds as a regression suite and
+# then fuzzes it for 30 s: the SPROXY/EPROXY fast paths against the
+# interpreter through every run entry, hash maps against a map model, whatever
+# the verifier accepts against the interpreter's budget and fault classes, the
+# wire frame codec, the gateway's raw-bytes door under the four protocol
+# adapters, the 16-byte descriptor, and internal/proto's six decoders.
+# FUZZFLAGS replaces the fuzzing flags (on a shared host, add -parallel 2).
+FUZZFLAGS ?= -fuzztime 30s
+FUZZ_TARGETS = \
+	./internal/ebpf/:FuzzFastPathParity \
+	./internal/ebpf/:FuzzHashMapModel \
+	./internal/ebpf/:FuzzVerifiedProgramsTerminate \
+	./internal/wire/:FuzzFrameRoundTrip \
+	./internal/core/:FuzzIngestRaw \
+	./internal/shm/:FuzzUnmarshalDescriptor \
+	./internal/proto/:FuzzProtoDecoders
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "== $$fn $$pkg"; \
+		$(GO) test $$pkg -run "^$$fn\$$" -fuzz "^$$fn\$$" $(FUZZFLAGS); \
+	done
 
 # verify is the gate for every change: formatting, static analysis (here and
 # for windows and darwin), the full test suite (chaos tests included) under the

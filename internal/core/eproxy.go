@@ -105,7 +105,7 @@ func (e *EProxy) OnIngress(size int) { e.onIngress(size, 0) }
 // reads frame bounds from the ctx, so the program runs over frame metadata
 // (RunMeta) — no synthetic frame is allocated per request.
 func (e *EProxy) onIngress(size int, stripe uint32) {
-	_, _ = e.kernel.RunMeta(e.prog, size, 0, nil, stripe)
+	_, _ = e.kernel.RunMeta(e.prog, size, 0, stripe)
 }
 
 // L3Stats reads the packet/byte counters maintained in the eBPF map.

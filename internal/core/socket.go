@@ -19,7 +19,7 @@ import (
 
 // Socket is a function instance's descriptor endpoint — the analog of the
 // socket interface SPROXY attaches to. It implements ebpf.SockRef so a
-// sockmap can deliver to it from inside the VM. A descriptor reaches the
+// sockmap can hold it and SPROXY's program select it. A descriptor reaches the
 // instance's handler one of two ways, in either mode. It is queued for the
 // instance's workers — always for the gateway's dispatch, a fan-out branch and
 // a bare NewSocket, which has no instance. Or, for a function → function hop,
@@ -106,10 +106,10 @@ func newSinkSocket(id uint32, sink func(shm.Descriptor)) *Socket {
 // SockID implements ebpf.SockRef.
 func (s *Socket) SockID() uint32 { return s.id }
 
-// DeliverDescriptor implements ebpf.SockRef: parse the 16-byte wire form
-// and enqueue. A full queue is a drop — the shared-memory pool, not the
-// socket, is the chain's burst buffer, so the socket queue is sized to the
-// pool and overflow indicates the pool-level backpressure failed.
+// DeliverDescriptor parses the 16-byte wire form and enqueues it. A full
+// queue is a drop — the shared-memory pool, not the socket, is the chain's
+// burst buffer, so the socket queue is sized to the pool and overflow
+// indicates the pool-level backpressure failed.
 func (s *Socket) DeliverDescriptor(wire []byte) error {
 	d, err := shm.UnmarshalDescriptor(wire)
 	if err != nil {

@@ -198,17 +198,11 @@ func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, e
 		}
 		return grant{}, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, d.NextFn)
 	}
-	switch dst := sock.(type) {
-	case *Socket:
+	// RegisterSocket is the sockmap's only writer, so a socket is a *Socket.
+	if dst, ok := sock.(*Socket); ok {
 		return dst.handoff(d, by)
-	case nil:
-		return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
-	default:
-		// Foreign SockRef implementations still get the wire form, in a
-		// copy of their own: wire must not escape to the heap on every hop.
-		w := d.Marshal()
-		return grant{}, dst.DeliverDescriptor(w[:])
 	}
+	return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
 }
 
 // RequestCount reads the L7 per-instance request counter maintained by the

@@ -11,37 +11,12 @@ package ebpf
 //
 // A fast path preserves exact interpreter semantics: identical verdicts, map
 // state, atomic-counter behavior, fault classes, and — load-bearing for
-// Kernel.Stats — identical dynamic instruction counts, derived from the
+// EngineStats().Insns — identical dynamic instruction counts, derived from the
 // matched bytecode by countPath. A program that matches no shape, or whose
 // maps fail a shape's geometry guards, runs on the interpreter, which is also
 // the differential-test oracle (Kernel.SetJIT(false)).
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// EngineKind identifies which execution backend runs a loaded program.
-type EngineKind int
-
-// Engine kinds.
-const (
-	// EngineInterp: the per-instruction interpreter (vm.go).
-	EngineInterp EngineKind = iota
-	// EngineFast: a shape-specialized fast path (SPROXY/EPROXY).
-	EngineFast
-)
-
-func (e EngineKind) String() string {
-	switch e {
-	case EngineInterp:
-		return "interp"
-	case EngineFast:
-		return "fast"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
+import "sync/atomic"
 
 // fastRunner executes a recognized program shape directly. Of the frame it
 // gets only the first 32-bit word, all either shape reads, and whether that is

@@ -76,8 +76,7 @@ func sameResult(a, b Result) bool {
 
 type paritySock struct{ id uint32 }
 
-func (s *paritySock) DeliverDescriptor([]byte) error { return nil }
-func (s *paritySock) SockID() uint32                 { return s.id }
+func (s *paritySock) SockID() uint32 { return s.id }
 
 // sproxyShape is the SK_MSG program core.buildSProxyProgram emits
 // (descriptor bounds check → filter → metric → sockmap redirect), so the
@@ -224,23 +223,19 @@ type fastCase struct {
 }
 
 // fastRun is one program run: the entry point, the ctx ifindex, the stripe
-// (RunCopy, RunDescriptor and RunMeta, whose callers name one) and the frame
-// (for RunMeta only its length counts; RunDescriptor is handed the descriptor
-// whose wire form is the frame's first 16 bytes, zero-padded).
+// (RunDescriptor and RunMeta take it; Run is on stripe 0) and the frame (for
+// RunMeta only its length counts; RunDescriptor is handed the descriptor whose
+// wire form is the frame's first 16 bytes, zero-padded).
 type fastRun struct {
-	entry   byte // 0 Run, 1 RunCopy, 2 RunDescriptor, 3 RunMeta
+	entry   byte // 0 Run, 1 RunDescriptor, 2 RunMeta
 	ifindex uint32
 	stripe  uint32
 	frame   []byte
 }
 
-// namesStripe reports whether the run's caller says which stripe it is on, so
-// that both engines put what it writes to a per-CPU array in the same copy.
-func (r fastRun) namesStripe() bool { return r.entry != 0 }
-
 const (
 	fastCaseHeader = 6  // flags, mutPC, mutField | per-CPU<<7, mutVal, keyMask, sockMask
-	fastRunBytes   = 11 // entry | stripe<<2, ifindex, length selector, first 8 frame bytes
+	fastRunBytes   = 11 // entry (3 is Run too) | stripe<<2, ifindex, length selector, first 8 frame bytes
 	fastMaxRuns    = 4
 )
 
@@ -267,13 +262,13 @@ func decodeFastCase(data []byte) fastCase {
 	}
 	for at := fastCaseHeader; at+fastRunBytes <= len(data) && len(c.runs) < fastMaxRuns; at += fastRunBytes {
 		r := data[at : at+fastRunBytes]
-		n := []int{0, 3, c.descSize - 1, c.descSize, c.descSize + 5, pktCopySize, pktCopySize + 1, 200}[r[2]%8]
+		n := []int{0, 3, c.descSize - 1, c.descSize, c.descSize + 5, 64, 65, 200}[r[2]%8]
 		frame := make([]byte, n)
 		for i := range frame {
 			frame[i] = byte(i * 7)
 		}
 		copy(frame, r[3:])
-		c.runs = append(c.runs, fastRun{entry: r[0] % 4, ifindex: uint32(r[1] % 4), stripe: uint32(r[0] >> 2), frame: frame})
+		c.runs = append(c.runs, fastRun{entry: r[0] & 3 % 3, ifindex: uint32(r[1] % 4), stripe: uint32(r[0] >> 2), frame: frame})
 	}
 	return c
 }
@@ -380,11 +375,9 @@ func (s *fastSide) run(r fastRun) runOutcome {
 	case 0:
 		res, err = s.k.Run(s.lp, pkt, r.ifindex, nil)
 	case 1:
-		res, err = s.k.RunCopy(s.lp, pkt, r.ifindex, nil, r.stripe)
-	case 2:
 		res, err = runDescriptor(s.k, s.lp, descOf(pkt), r.ifindex, r.stripe)
 	default:
-		res, err = s.k.RunMeta(s.lp, len(pkt), r.ifindex, nil, r.stripe)
+		res.Ret, err = s.k.RunMeta(s.lp, len(pkt), r.ifindex, r.stripe)
 	}
 	return runOutcome{res, err, pkt}
 }
@@ -399,7 +392,7 @@ func descOf(frame []byte) shm.Descriptor {
 }
 
 // runDescriptor is Kernel.RunDescriptor with what it returns as a Result; the
-// instruction count it does not return is compared through Kernel.Stats.
+// instruction count it does not return is compared through EngineStats.
 func runDescriptor(k *Kernel, lp *LoadedProgram, d shm.Descriptor, ifindex, stripe uint32) (Result, error) {
 	ret, sock, err := k.RunDescriptor(lp, d, ifindex, stripe)
 	return Result{Ret: ret, RedirectSock: sock}, err
@@ -420,27 +413,24 @@ func FuzzFastPathParity(f *testing.F) {
 	}
 	// run bytes: entry, ifindex, length selector (3 = exactly a descriptor),
 	// then the frame's first bytes — the little-endian dst id leads.
+	// RunDescriptor's length selector is unused: its short-frame outcome is a
+	// 24-byte descriptor's.
 	var (
-		redirect   = [fastRunBytes]byte{1, 1, 3, 2}        // RunCopy 1→2
+		redirect   = [fastRunBytes]byte{1, 1, 3, 2}        // RunDescriptor 1→2
 		denied     = [fastRunBytes]byte{0, 3, 3, 2}        // Run 3→2: no such edge
-		noSlot     = [fastRunBytes]byte{1, 1, 3, 5}        // 1→5: past a 4-entry metrics map
-		noSocket   = [fastRunBytes]byte{1, 1, 3, 9}        // 1→9: authorized, no socket
-		short      = [fastRunBytes]byte{1, 1, 2, 2}        // RunCopy, one byte short
+		noSlot     = [fastRunBytes]byte{1, 1, 3, 5}        // RunDescriptor 1→5: past a 4-entry metrics map
+		noSocket   = [fastRunBytes]byte{1, 1, 3, 9}        // RunDescriptor 1→9: authorized, no socket
+		short      = [fastRunBytes]byte{0, 1, 2, 2}        // Run, one byte short
 		empty      = [fastRunBytes]byte{0, 1, 0}           // Run over no bytes
-		long       = [fastRunBytes]byte{1, 1, 7, 2}        // RunCopy, 200-byte frame
-		metaFault  = [fastRunBytes]byte{3, 1, 3}           // RunMeta: bounds pass, bytes fault
-		metaShort  = [fastRunBytes]byte{3, 1, 1}           // RunMeta, 3-byte frame
-		wideDst    = [fastRunBytes]byte{1, 1, 4, 2, 1}     // dst 0x102
-		copyExact  = [fastRunBytes]byte{1, 1, 3, 2, 0, 1}  // RunCopy 1→2, a second buffer
-		redirectS3 = [fastRunBytes]byte{1 | 3<<2, 1, 3, 2} // RunCopy 1→2 on stripe 3
+		long       = [fastRunBytes]byte{0, 1, 7, 2}        // Run 1→2, 200-byte frame
+		metaFault  = [fastRunBytes]byte{2, 1, 3}           // RunMeta: bounds pass, bytes fault
+		metaShort  = [fastRunBytes]byte{2, 1, 1}           // RunMeta, 3-byte frame
+		wideDst    = [fastRunBytes]byte{0, 1, 4, 2, 1}     // Run, dst 0x102
+		copyExact  = [fastRunBytes]byte{1, 1, 3, 2, 0, 1}  // RunDescriptor 1→2, a second buffer
+		redirectS3 = [fastRunBytes]byte{1 | 3<<2, 1, 3, 2} // RunDescriptor 1→2 on stripe 3
 		redirectS9 = [fastRunBytes]byte{1 | 9<<2, 1, 3, 2} // on stripe 9: stripe 1's copy
-		metaS5     = [fastRunBytes]byte{3 | 5<<2, 1, 3}    // RunMeta on stripe 5
-		// RunDescriptor, whose length selector is unused: four of its five
-		// outcomes (the fifth, a short frame, is a 24-byte descriptor's).
-		descPass     = [fastRunBytes]byte{2, 1, 0, 2}        // 1→2
-		descDenied   = [fastRunBytes]byte{2 | 6<<2, 3, 0, 2} // 3→2 on stripe 6: no such edge
-		descNoSocket = [fastRunBytes]byte{2, 1, 0, 9}        // 1→9: authorized, no socket
-		descNoSlot   = [fastRunBytes]byte{2, 1, 0, 5}        // 1→5: past a 4-entry metrics map
+		deniedS6   = [fastRunBytes]byte{1 | 6<<2, 3, 3, 2} // RunDescriptor 3→2 on stripe 6
+		metaS5     = [fastRunBytes]byte{2 | 5<<2, 1, 3}    // RunMeta on stripe 5
 	)
 	const (
 		allEdges = 0xff
@@ -464,16 +454,14 @@ func FuzzFastPathParity(f *testing.F) {
 	seed([fastCaseHeader]byte{1 | 0x80, 19, 4, 1, 1 << 2, 0}, metaFault)                                   // verdict wildcard → drop
 	seed([fastCaseHeader]byte{1 | 0x80, 18, 2, byte(R7), 1 << 2, 0}, metaFault, copyExact)                 // bytes += data_end
 	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirect, redirectS3, redirectS9, noSlot) // per-CPU metrics, stripes named
-	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirectS3, denied, copyExact, metaFault) // and not: Run
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirectS3, long, copyExact, metaFault)   // and Run's stripe 0
 	seed([fastCaseHeader]byte{1 << 1, 0, perCPU, 0, allEdges, socks}, redirectS3)                          // 4-byte per-CPU metrics: declined
 	seed([fastCaseHeader]byte{0x80, 23, perCPU | 4, 2, allEdges, socks}, redirectS3, redirect)             // per-CPU metrics += 2
 	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, metaFault, redirectS3, long)            // EPROXY over a per-CPU L3 map
 	seed([fastCaseHeader]byte{1, 0, perCPU, 0, 1 << 2, 0}, metaS5, copyExact, empty)
-	seed([fastCaseHeader]byte{0, 0, 0, 0, allEdges, socks}, descPass, descDenied, descNoSocket, descNoSlot)
-	seed([fastCaseHeader]byte{3 << 5, 0, 0, 0, allEdges, socks}, descPass, descNoSlot, redirect)               // 24-byte descriptor: the wire form is short
-	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, descPass, descDenied, descNoSlot, redirectS3) // per-CPU metrics
-	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, descPass, descDenied)         // near-miss: the interpreter
-	seed([fastCaseHeader]byte{1, 0, 0, 0, 1 << 2, 0}, descPass, metaFault)                                     // EPROXY through the descriptor entry
+	seed([fastCaseHeader]byte{3 << 5, 0, 0, 0, allEdges, socks}, redirect, noSlot, long)                   // 24-byte descriptor: the wire form is short
+	seed([fastCaseHeader]byte{0, 0, perCPU, 0, allEdges, socks}, redirect, deniedS6, noSlot, redirectS3)   // per-CPU metrics
+	seed([fastCaseHeader]byte{0x80, 16, 0, byte(OpJneImm) - 1, allEdges, socks}, redirect, deniedS6, long) // near-miss: the interpreter
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFastCase(data)
@@ -485,10 +473,7 @@ func FuzzFastPathParity(f *testing.F) {
 		if errF != nil {
 			return // rejected identically; nothing to run
 		}
-		if (fast.lp.Engine() == EngineInterp) != (fast.lp.FallbackReason() != "") {
-			t.Fatalf("engine %v with fallback reason %q", fast.lp.Engine(), fast.lp.FallbackReason())
-		}
-		if fast.nearMiss && fast.lp.Engine() != EngineInterp {
+		if fast.nearMiss && fast.lp.FallbackReason() == "" {
 			t.Fatalf("near-miss of the shape (insn %d, field %d) took the fast path", int(c.mutPC)%fast.lp.Len(), c.mutField%6)
 		}
 
@@ -504,34 +489,23 @@ func FuzzFastPathParity(f *testing.F) {
 				t.Fatalf("run %d: packet divergence:\n fast   %x\n oracle %x", i, of.pkt, oo.pkt)
 			}
 		}
-		total := uint64(len(c.runs))
-		stripesNamed := true
-		for _, r := range c.runs {
-			stripesNamed = stripesNamed && r.namesStripe()
-		}
 		for i := range fast.maps {
 			requireSameMap(t, fast.maps[i].Spec().Name, fast.maps[i], oracle.maps[i])
-			if stripesNamed {
-				requireSameCopies(t, fast.maps[i].Spec().Name, fast.maps[i], oracle.maps[i])
-			}
-		}
-		runsF, insnsF := fast.k.Stats()
-		runsO, insnsO := oracle.k.Stats()
-		if runsF != total || runsF != runsO || insnsF != insnsO {
-			t.Fatalf("stats divergence over %d runs: fast(%d,%d) oracle(%d,%d)", total, runsF, insnsF, runsO, insnsO)
-		}
-		esF, esO := fast.k.EngineStats(), oracle.k.EngineStats()
-		wantF := EngineStats{JITRuns: total, Loaded: 1, Compiled: 1}
-		if fast.lp.Engine() == EngineInterp {
-			wantF = EngineStats{InterpRuns: total, Loaded: 1}
-		}
-		if esF != wantF {
-			t.Fatalf("fast kernel attribution %+v, want %+v", esF, wantF)
+			requireSameCopies(t, fast.maps[i].Spec().Name, fast.maps[i], oracle.maps[i])
 		}
 		// The oracle kernel loads the same program, fast path and all; the
-		// switch keeps every run off it.
-		if wantO := (EngineStats{InterpRuns: total, Loaded: 1, Compiled: wantF.Compiled}); esO != wantO {
-			t.Fatalf("oracle kernel attribution %+v, want %+v", esO, wantO)
+		// switch keeps every run off it. The fast kernel runs on the fast path
+		// exactly when the program has one, and both run the same instructions.
+		total := uint64(len(c.runs))
+		esF, esO := fast.k.EngineStats(), oracle.k.EngineStats()
+		wantO := EngineStats{InterpRuns: total, Insns: esO.Insns, Loaded: 1}
+		wantF := wantO
+		if fast.lp.FallbackReason() == "" {
+			wantO.Compiled = 1
+			wantF = EngineStats{JITRuns: total, Insns: esO.Insns, Loaded: 1, Compiled: 1}
+		}
+		if esF != wantF || esO != wantO {
+			t.Fatalf("engine stats over %d runs: fast kernel %+v, want %+v; oracle kernel %+v, want %+v", total, esF, wantF, esO, wantO)
 		}
 	})
 }
@@ -541,7 +515,7 @@ func FuzzFastPathParity(f *testing.F) {
 
 // TestJITSProxyShapeParity drives the recognized SPROXY shape through every
 // outcome — short frame, unauthorized, missing metrics slot, full redirect,
-// missing socket, metadata-only fault — through RunCopy, RunMeta and
+// missing socket, metadata-only fault — through Run, RunMeta and
 // RunDescriptor on both engines and compares the complete observable state.
 func TestJITSProxyShapeParity(t *testing.T) {
 	type env struct {
@@ -553,8 +527,8 @@ func TestJITSProxyShapeParity(t *testing.T) {
 		k := NewKernel()
 		k.SetJIT(jit)
 		lp, sockmap, filter, metrics := buildSProxyShape(t, k)
-		if jit && lp.Engine() != EngineFast {
-			t.Fatalf("SPROXY shape not recognized: engine=%v reason=%q", lp.Engine(), lp.FallbackReason())
+		if why := lp.FallbackReason(); why != "" {
+			t.Fatalf("SPROXY shape not recognized: %s", why)
 		}
 		// src 1 → dst 2 authorized; dst 2 has a socket; dst 5 is
 		// authorized from src 1 but has no metrics slot and no socket.
@@ -598,14 +572,14 @@ func TestJITSProxyShapeParity(t *testing.T) {
 		var errJ, errI error
 		switch {
 		case r.meta > 0:
-			resJ, errJ = ej.k.RunMeta(ej.lp, r.meta, r.src, nil, 0)
-			resI, errI = ei.k.RunMeta(ei.lp, r.meta, r.src, nil, 0)
+			resJ.Ret, errJ = ej.k.RunMeta(ej.lp, r.meta, r.src, 0)
+			resI.Ret, errI = ei.k.RunMeta(ei.lp, r.meta, r.src, 0)
 		case r.desc:
 			resJ, errJ = runDescriptor(ej.k, ej.lp, descOf(r.pkt), r.src, 0)
 			resI, errI = runDescriptor(ei.k, ei.lp, descOf(r.pkt), r.src, 0)
 		default:
-			resJ, errJ = ej.k.RunCopy(ej.lp, r.pkt, r.src, nil, 0)
-			resI, errI = ei.k.RunCopy(ei.lp, r.pkt, r.src, nil, 0)
+			resJ, errJ = ej.k.Run(ej.lp, r.pkt, r.src, nil)
+			resI, errI = ei.k.Run(ei.lp, r.pkt, r.src, nil)
 		}
 		if !sameError(errJ, errI) {
 			t.Fatalf("%s: error divergence jit=%v interp=%v", r.name, errJ, errI)
@@ -616,21 +590,20 @@ func TestJITSProxyShapeParity(t *testing.T) {
 	}
 	requireSameMap(t, "metrics", ej.metrics, ei.metrics)
 	requireSameCopies(t, "metrics", ej.metrics, ei.metrics)
-	runsJ, insnsJ := ej.k.Stats()
-	runsI, insnsI := ei.k.Stats()
-	if runsJ != runsI || insnsJ != insnsI {
-		t.Fatalf("stats divergence: jit(%d,%d) interp(%d,%d)", runsJ, insnsJ, runsI, insnsI)
-	}
 	n := uint64(len(runs))
-	if esJ, esI := ej.k.EngineStats(), ei.k.EngineStats(); esJ.JITRuns != n || esI.InterpRuns != n || esJ.InterpRuns+esI.JITRuns != 0 {
-		t.Fatalf("engine attribution: jit kernel %+v, interp kernel %+v; want %d runs each on its own engine", esJ, esI, n)
+	esJ, esI := ej.k.EngineStats(), ei.k.EngineStats()
+	if want := (EngineStats{JITRuns: n, Insns: esI.Insns, Loaded: 1, Compiled: 1}); esJ != want {
+		t.Fatalf("jit kernel %+v, want %+v", esJ, want)
+	}
+	if want := (EngineStats{InterpRuns: n, Insns: esJ.Insns, Loaded: 1, Compiled: 1}); esI != want {
+		t.Fatalf("interp kernel %+v, want %+v", esI, want)
 	}
 }
 
 // TestJITFallbackFibLookup: a program that matches no shape — here the
 // forwarding programs' bpf_fib_lookup call — must load fine, say why it has
 // no fast path, and execute on the interpreter with the fast paths enabled:
-// the production fallback path (netstack's xdp_fwd/tc_fwd).
+// the fallback path netstack's xdp_fwd/tc_fwd take.
 func TestJITFallbackFibLookup(t *testing.T) {
 	p := &Program{Name: "fib", Type: ProgTypeXDP, Insns: []Insn{
 		StoreImm(R10, -12, 1, W),         // ifindex_in
@@ -648,14 +621,8 @@ func TestJITFallbackFibLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.Engine() != EngineInterp {
-		t.Fatalf("want interpreter fallback, got %v", lp.Engine())
-	}
 	if lp.FallbackReason() == "" {
-		t.Fatal("fallback without a reason")
-	}
-	if !k.JITEnabled() {
-		t.Fatal("fast paths should be enabled by default")
+		t.Fatal("want interpreter fallback, with a reason")
 	}
 	res, err := k.Run(lp, make([]byte, 16), 1, nil)
 	if err != nil {
@@ -674,9 +641,9 @@ func TestJITFallbackFibLookup(t *testing.T) {
 }
 
 // TestJITEngineStats: a plain program runs on the interpreter whatever the
-// switch says; the SPROXY shape's runs follow the SetJIT switch; the
-// compiled-programs gauge counts programs with a fast path, and Unload
-// counts them back out.
+// switch says; the SPROXY shape's runs follow the SetJIT switch, which is on
+// in a new kernel; the compiled-programs gauge counts programs with a fast
+// path, and Unload counts them back out.
 func TestJITEngineStats(t *testing.T) {
 	k := NewKernel()
 	alu, err := k.Load(&Program{Name: "alu", Type: ProgTypeXDP, Insns: []Insn{
@@ -687,28 +654,27 @@ func TestJITEngineStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alu.Engine() != EngineInterp || alu.FallbackReason() == "" {
-		t.Fatalf("plain ALU program: engine %v, reason %q; want the interpreter and a reason", alu.Engine(), alu.FallbackReason())
+	if alu.FallbackReason() == "" {
+		t.Fatal("plain ALU program has a fast path; want the interpreter and a reason")
 	}
 	sp, _, _, _ := buildSProxyShape(t, k)
-	if sp.Engine() != EngineFast || sp.FallbackReason() != "" {
-		t.Fatalf("SPROXY shape: engine %v, reason %q; want the fast path", sp.Engine(), sp.FallbackReason())
+	if why := sp.FallbackReason(); why != "" {
+		t.Fatalf("SPROXY shape declined: %s", why)
 	}
-	desc := make([]byte, 16)
-	for _, on := range []bool{true, false, true} {
-		k.SetJIT(on)
+	for i, on := range []bool{true, false, true} {
+		if i > 0 {
+			k.SetJIT(on)
+		}
 		if _, err := k.Run(alu, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.RunCopy(sp, desc, 1, nil, 3); err != nil {
+		if _, _, err := k.RunDescriptor(sp, shm.Descriptor{}, 1, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if es, want := k.EngineStats(), (EngineStats{JITRuns: 2, InterpRuns: 4, Loaded: 2, Compiled: 1}); es != want {
+	// Three instructions per ALU run, 19 per denied SPROXY run.
+	if es, want := k.EngineStats(), (EngineStats{JITRuns: 2, InterpRuns: 4, Insns: 3*3 + 3*19, Loaded: 2, Compiled: 1}); es != want {
 		t.Fatalf("engine stats %+v, want %+v", es, want)
-	}
-	if runs, _ := k.Stats(); runs != 6 {
-		t.Fatalf("total runs %d, want 6", runs)
 	}
 	k.Unload(sp)
 	k.Unload(alu)
@@ -727,16 +693,16 @@ func TestFallbackReasonNamesTheGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if why := lp.FallbackReason(); lp.Engine() != EngineInterp || !strings.Contains(why, "metrics map") {
-		t.Fatalf("engine %v, reason %q; want the interpreter and the metrics guard named", lp.Engine(), why)
+	if why := lp.FallbackReason(); !strings.Contains(why, "metrics map") {
+		t.Fatalf("reason %q; want the interpreter and the metrics guard named", why)
 	}
 	_, _, l3 := sproxyMaps(t, k, 8, 4)
 	lp, err = k.Load(eproxyShape(l3.FD(), 0, 4)) // bytes slot past a 4-entry map
 	if err != nil {
 		t.Fatal(err)
 	}
-	if why := lp.FallbackReason(); lp.Engine() != EngineInterp || !strings.Contains(why, "bytes slot") {
-		t.Fatalf("engine %v, reason %q; want the interpreter and the bytes-slot guard named", lp.Engine(), why)
+	if why := lp.FallbackReason(); !strings.Contains(why, "bytes slot") {
+		t.Fatalf("reason %q; want the interpreter and the bytes-slot guard named", why)
 	}
 }
 
@@ -776,10 +742,8 @@ func TestJITConcurrentLoadRun(t *testing.T) {
 	}()
 	go func() { // sender: fast-path runs
 		defer wg.Done()
-		desc := make([]byte, 16)
-		putLeU32(desc[0:4], 2)
 		for i := 0; i < iters; i++ {
-			if _, err := k.RunCopy(lp, desc, 1, nil, uint32(i)); err != nil {
+			if _, _, err := k.RunDescriptor(lp, shm.Descriptor{NextFn: 2}, 1, uint32(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -805,12 +769,7 @@ func TestJITConcurrentLoadRun(t *testing.T) {
 	wg.Wait()
 	k.SetJIT(true)
 
-	runs, _ := k.Stats()
-	if runs != 2*iters {
-		t.Fatalf("run accounting lost updates: %d runs, want %d", runs, 2*iters)
-	}
-	es := k.EngineStats()
-	if es.JITRuns+es.InterpRuns != 2*iters {
+	if es := k.EngineStats(); es.JITRuns+es.InterpRuns != 2*iters {
 		t.Fatalf("engine accounting lost updates: %+v", es)
 	}
 }

@@ -70,7 +70,7 @@ func (st *execState) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		key, err := st.readMem(r2, m.Spec().KeySize)
+		key, err := st.access(r2, m.Spec().KeySize)
 		if err != nil {
 			return err
 		}
@@ -86,11 +86,11 @@ func (st *execState) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		key, err := st.readMem(r2, m.Spec().KeySize)
+		key, err := st.access(r2, m.Spec().KeySize)
 		if err != nil {
 			return err
 		}
-		val, err := st.readMem(r3, m.Spec().ValueSize)
+		val, err := st.access(r3, m.Spec().ValueSize)
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func (st *execState) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		key, err := st.readMem(r2, m.Spec().KeySize)
+		key, err := st.access(r2, m.Spec().KeySize)
 		if err != nil {
 			return err
 		}
@@ -145,7 +145,7 @@ func (st *execState) call(id HelperID) error {
 		if r3 < FibParamsSize {
 			return fmt.Errorf("%w: fib_lookup params block of %d bytes", ErrOutOfBounds, r3)
 		}
-		params, err := st.access(r2, FibParamsSize, true)
+		params, err := st.access(r2, FibParamsSize)
 		if err != nil {
 			return err
 		}
@@ -154,7 +154,6 @@ func (st *execState) call(id HelperID) error {
 		egress, ok := st.env.FIBLookup(daddr, ifIn)
 		if ok {
 			putLeU32(params[8:12], egress)
-			st.res.FIBHit = true
 			ret = 0 // BPF_FIB_LKUP_RET_SUCCESS
 		} else {
 			ret = 2 // BPF_FIB_LKUP_RET_NOT_FWDED

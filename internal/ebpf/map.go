@@ -106,10 +106,9 @@ type Map struct {
 }
 
 // SockRef is a sockmap entry: the kernel-side reference to a socket that
-// msg_redirect_map can deliver to. Deliver must not block.
+// msg_redirect_map selects. The kernel never delivers to it; the caller of
+// the run does, to the socket it handed UpdateSock.
 type SockRef interface {
-	// DeliverDescriptor hands the redirected bytes to the socket's owner.
-	DeliverDescriptor(data []byte) error
 	// SockID identifies the socket (for tests and diagnostics).
 	SockID() uint32
 }
@@ -315,9 +314,9 @@ func (m *Map) LookupU32Into(key uint32, out []byte) error {
 // (programs write through it, like the pointer bpf_map_lookup_elem returns
 // in the kernel). Array entries alias the fixed slab and hash entries are
 // read from the published snapshot, so no lock is taken. Of a per-CPU array
-// it returns the copy a run without a stripe sees.
+// it returns stripe 0's copy, the one Run sees.
 func (m *Map) LookupRef(key []byte) ([]byte, error) {
-	return m.lookupRef(unpooledStripe, key)
+	return m.lookupRef(0, key)
 }
 
 // lookupRef is LookupRef for a run on stripe.

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 func newTestMap(t *testing.T, spec MapSpec) (*Kernel, *Map) {
@@ -492,8 +494,9 @@ func bumpProgram(t *testing.T, k *Kernel, m *Map, slot int) *LoadedProgram {
 
 // TestPerCPUArrayRunSeesItsStripe: inside a run a lookup resolves to the copy
 // of the stripe the run is on — on the interpreter, and on both fast paths'
-// shapes with the switch either way — while user space reads the sum, through
-// Lookup and through LookupU32Into alike.
+// shapes with the switch either way, through the entry each shape's caller
+// uses, and through Run, which is on stripe 0 — while user space reads the
+// sum, through Lookup and through LookupU32Into alike.
 func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 	sumOf := func(m *Map, slot uint32) uint64 {
 		t.Helper()
@@ -518,12 +521,12 @@ func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 	t.Run("interpreter", func(t *testing.T) {
 		k, m := newPerCPUArray(t, 8, 4)
 		lp := bumpProgram(t, k, m, 2)
-		if lp.Engine() != EngineInterp {
-			t.Fatalf("engine %v, want the interpreter", lp.Engine())
+		if lp.FallbackReason() == "" {
+			t.Fatal("the bump program has a fast path; want the interpreter")
 		}
 		for stripe, n := range runs {
 			for i := 0; i < n; i++ {
-				if _, err := k.RunMeta(lp, 64, 0, nil, stripe); err != nil {
+				if _, err := k.RunMeta(lp, 64, 0, stripe); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -549,12 +552,12 @@ func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lp.Engine() != EngineFast {
-				t.Fatalf("EPROXY shape over a per-CPU array declined: %s", lp.FallbackReason())
+			if why := lp.FallbackReason(); why != "" {
+				t.Fatalf("EPROXY shape over a per-CPU array declined: %s", why)
 			}
 			for stripe, n := range runs {
 				for i := 0; i < n; i++ {
-					if _, err := k.RunMeta(lp, 100, 0, nil, stripe); err != nil {
+					if _, err := k.RunMeta(lp, 100, 0, stripe); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -568,7 +571,7 @@ func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 				t.Errorf("user space reads %d packets, %d bytes; want %d, %d", pk, by, total, 100*total)
 			}
 		})
-		t.Run(fmt.Sprintf("sproxy shape, fast=%v", fast), func(t *testing.T) {
+		sproxy := func(t *testing.T) (*Kernel, *LoadedProgram, *Map) {
 			k := NewKernel()
 			k.SetJIT(fast)
 			sockmap, filter, metrics := sproxyMapsOf(t, k, MapTypePerCPUArray, 8, 4)
@@ -576,17 +579,19 @@ func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lp.Engine() != EngineFast {
-				t.Fatalf("SPROXY shape over per-CPU metrics declined: %s", lp.FallbackReason())
+			if why := lp.FallbackReason(); why != "" {
+				t.Fatalf("SPROXY shape over per-CPU metrics declined: %s", why)
 			}
 			if err := filter.Update(sproxyFilterKey(1, 2), []byte{1}); err != nil {
 				t.Fatal(err)
 			}
-			desc := make([]byte, 16)
-			putLeU32(desc, 2)
+			return k, lp, metrics
+		}
+		t.Run(fmt.Sprintf("sproxy shape, fast=%v", fast), func(t *testing.T) {
+			k, lp, metrics := sproxy(t)
 			for stripe, n := range runs {
 				for i := 0; i < n; i++ {
-					if _, err := k.RunCopy(lp, desc, 1, nil, stripe); err != nil {
+					if _, _, err := k.RunDescriptor(lp, shm.Descriptor{NextFn: 2}, 1, stripe); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -598,6 +603,25 @@ func TestPerCPUArrayRunSeesItsStripe(t *testing.T) {
 			}
 			if got := sumOf(metrics, 2); got != total {
 				t.Errorf("user space reads %d, want the sum %d", got, total)
+			}
+		})
+		t.Run(fmt.Sprintf("Run is on stripe 0, fast=%v", fast), func(t *testing.T) {
+			k, lp, metrics := sproxy(t)
+			desc := make([]byte, 16)
+			putLeU32(desc, 2)
+			for i := 0; i < total; i++ {
+				if _, err := k.Run(lp, desc, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for s := uint32(0); s < Stripes; s++ {
+				want := uint64(0)
+				if s == 0 {
+					want = total
+				}
+				if got := U64FromValue(metrics.view(s, 2)); got != want {
+					t.Errorf("stripe %d's copy reads %d, want %d", s, got, want)
+				}
 			}
 		})
 	}
@@ -618,7 +642,7 @@ func TestPerCPUArrayUserSpace(t *testing.T) {
 	bump := func(stripes ...uint32) {
 		t.Helper()
 		for _, s := range stripes {
-			if _, err := k.RunMeta(lp, 0, 0, nil, s); err != nil {
+			if _, err := k.RunMeta(lp, 0, 0, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -706,7 +730,7 @@ func TestPerCPUArrayConcurrentStripes(t *testing.T) {
 				if i%2 == 0 {
 					lp = interp
 				}
-				if _, err := k.RunMeta(lp, 10, 0, nil, stripe); err != nil {
+				if _, err := k.RunMeta(lp, 10, 0, stripe); err != nil {
 					t.Error(err)
 					return
 				}
@@ -726,8 +750,8 @@ func TestPerCPUArrayConcurrentStripes(t *testing.T) {
 	if got := U64FromValue(v); got != workers*iters/2*10 {
 		t.Fatalf("entry 1 reads %d, want %d", got, workers*iters/2*10)
 	}
-	if runs, _ := k.Stats(); runs != workers*iters {
-		t.Fatalf("%d runs counted, want %d", runs, workers*iters)
+	if es := k.EngineStats(); es.JITRuns != workers*iters/2 || es.InterpRuns != workers*iters/2 {
+		t.Fatalf("runs counted %+v, want %d on each engine", es, workers*iters/2)
 	}
 }
 

@@ -99,18 +99,9 @@ func (lp *LoadedProgram) Type() ProgType { return lp.prog.Type }
 // Len returns the instruction count.
 func (lp *LoadedProgram) Len() int { return len(lp.prog.Insns) }
 
-// Engine reports the fastest backend this program can execute on. The
-// kernel-level switch (SetJIT) can still force the interpreter at run time.
-func (lp *LoadedProgram) Engine() EngineKind {
-	if lp.fast != nil {
-		return EngineFast
-	}
-	return EngineInterp
-}
-
 // FallbackReason explains why a program has no fast path (empty when it
-// has one): it matches no recognized shape, or a geometry guard of the shape
-// it matches declined.
+// has one, so that SetJIT alone decides its engine): it matches no recognized
+// shape, or a geometry guard of the shape it matches declined.
 func (lp *LoadedProgram) FallbackReason() string { return lp.fallback }
 
 // envBox wraps the Env interface in a struct so atomic.Value sees one
@@ -258,22 +249,20 @@ func (k *Kernel) Unload(lp *LoadedProgram) {
 // same programs on both settings and compare everything observable.
 func (k *Kernel) SetJIT(on bool) { k.fastOff.Store(!on) }
 
-// JITEnabled reports whether the fast paths are active.
-func (k *Kernel) JITEnabled() bool { return !k.fastOff.Load() }
-
 // Stripes is how many ways per-run written state is split (a power of two):
 // the kernel's run counters, a per-CPU array's copies, and in internal/core an
 // instance's concurrency slots and hop counters.
 //
 // A run is on one stripe, the stand-in for the CPU it runs on: it counts
 // itself there and its bpf_map_lookup_elem on a per-CPU array resolves to that
-// stripe's copy. RunCopy, RunDescriptor and RunMeta are told the stripe by
-// their caller, which hangs its own per-hop words on the same one; Run, which
-// is not, uses its pooled exec state's. A stripe is a property of a pooled
-// object (NextStripe): a sync.Pool hands a P its own object back in practice,
-// so each core keeps to its own stripe with no further mechanism. Nothing
-// depends on that for more than speed — every striped word is still written
-// atomically, and two cores on one stripe only share its lines again.
+// stripe's copy. The stripe is the caller's to name, the same on either
+// engine: RunDescriptor and RunMeta take it from their caller, which hangs its
+// own per-hop words on the same one, and Run, the entry of hooks and tools, is
+// on stripe 0. The dataplane's callers carry a stripe dealt to a pooled object
+// of their own (NextStripe): a sync.Pool hands a P its own object back in
+// practice, so each core keeps to its own stripe with no further mechanism.
+// Nothing depends on that for more than speed — every striped word is still
+// written atomically, and two cores on one stripe only share its lines again.
 const Stripes = 8
 
 // runStripe is one cache line of run accounting: how many runs took a fast
@@ -288,43 +277,30 @@ type runStripe struct {
 	_          [5]uint64
 }
 
-// unpooledStripe is the stripe of a run that has none to be on: a fast-path
-// Run (the hooks' and a bare caller's), whose caller passed none and which
-// takes no pooled state that could carry one. No pooled object is dealt it.
-const unpooledStripe = 0
-
-// stripeSeq deals the other stripes, 1..Stripes-1, to pooled objects.
+// stripeSeq deals stripes 1..Stripes-1 to pooled objects; stripe 0 is Run's.
 var stripeSeq atomic.Uint32
 
 // NextStripe deals a stripe to a pooled object that will carry it for the runs
 // its holders make.
 func NextStripe() uint32 { return 1 + stripeSeq.Add(1)%(Stripes-1) }
 
-// Stats reports cumulative execution statistics.
-func (k *Kernel) Stats() (runs, insns uint64) {
-	for i := range k.stripes {
-		st := &k.stripes[i]
-		runs += st.fastRuns.Load() + st.interpRuns.Load()
-		insns += st.insns.Load()
-	}
-	return runs, insns
-}
-
-// EngineStats is the per-engine execution breakdown exported to /metrics.
+// EngineStats is the kernel's execution record, exported to /metrics.
 type EngineStats struct {
 	JITRuns    uint64 // runs executed by a shape-specialized fast path
 	InterpRuns uint64 // runs executed by the interpreter
+	Insns      uint64 // instructions the runs executed, on either engine
 	Loaded     int64  // programs loaded
 	Compiled   int64  // loaded programs with a fast path
 }
 
-// EngineStats reports the fast-path-vs-interpreter run counters and the
-// loaded/compiled program gauges.
+// EngineStats reports the fast-path-vs-interpreter run counters, the
+// instructions run and the loaded/compiled program gauges.
 func (k *Kernel) EngineStats() EngineStats {
 	es := EngineStats{Loaded: k.loadedProgs.Load(), Compiled: k.compiledProgs.Load()}
 	for i := range k.stripes {
 		es.JITRuns += k.stripes[i].fastRuns.Load()
 		es.InterpRuns += k.stripes[i].interpRuns.Load()
+		es.Insns += k.stripes[i].insns.Load()
 	}
 	return es
 }
@@ -337,12 +313,21 @@ func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
 	return lp.fast
 }
 
-// interpret runs a prepared exec state on the interpreter and counts the run.
+// countFast counts a fast-path run of insns instructions on stripe.
+func (k *Kernel) countFast(stripe uint32, insns int) {
+	st := &k.stripes[stripe&(Stripes-1)]
+	st.insns.Add(uint64(insns))
+	st.fastRuns.Add(1)
+}
+
+// interpret runs a prepared exec state on the interpreter, counts the run on
+// its stripe and returns the state to the pool.
 func (k *Kernel) interpret(st *execState) (Result, error) {
 	res, err := st.run()
 	rs := &k.stripes[st.on&(Stripes-1)]
 	rs.insns.Add(uint64(res.Insns))
 	rs.interpRuns.Add(1)
+	putExec(st)
 	return res, err
 }
 
@@ -358,9 +343,9 @@ const (
 )
 
 // execPool recycles execState instances across runs. All hot-path storage
-// (ctx, stack, map-value table, RunCopy staging buffer) is inline in the
+// (ctx, stack, map-value table, descriptor staging buffer) is inline in the
 // struct, so a pooled run performs zero heap allocation.
-var execPool = sync.Pool{New: func() any { return &execState{stripe: NextStripe()} }}
+var execPool = sync.Pool{New: func() any { return new(execState) }}
 
 // reset re-arms an exec state for one run over a frame of frameLen bytes.
 // The stack and registers are zeroed — the verifier does not track
@@ -386,9 +371,9 @@ func (st *execState) reset(frameLen int, ifindex uint32) {
 	st.reg[R10] = stackBase + StackSize
 }
 
-// getExec prepares a pooled execState for one run, on the state's own stripe
-// until the caller says otherwise.
-func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex uint32, env Env) *execState {
+// getExec prepares a pooled execState for one run on stripe over a frame of
+// frameLen bytes, its packet region empty until the caller sets it.
+func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex, stripe uint32, env Env) *execState {
 	st := execPool.Get().(*execState)
 	st.kernel = k
 	st.prog = lp
@@ -396,7 +381,7 @@ func (k *Kernel) getExec(lp *LoadedProgram, frameLen int, ifindex uint32, env En
 	if env == nil {
 		st.env = k.currentEnv()
 	}
-	st.on = st.stripe
+	st.on = stripe
 	st.reset(frameLen, ifindex)
 	return st
 }
@@ -408,8 +393,6 @@ func putExec(st *execState) {
 	st.prog = nil
 	st.env = nil
 	st.packet = nil
-	st.pktWrite = false
-	st.msgData = nil
 	for i := 0; i < st.nSlots && i < maxInlineMapVals; i++ {
 		st.mapVals[i] = nil
 	}
@@ -419,82 +402,41 @@ func putExec(st *execState) {
 	execPool.Put(st)
 }
 
-// Run executes a loaded program over data (packet or message bytes) with
-// the given ingress ifindex. The program reads and writes data in place.
-// It is the common engine behind the hook dispatchers in hooks.go. Its caller
-// names no stripe: an interpreted run is on its pooled exec state's, a
-// fast-path run, which takes no pooled state, on unpooledStripe.
+// Run executes a loaded program over data (packet or message bytes) with the
+// given ingress ifindex, on stripe 0 on either engine. The program reads and
+// writes data in place. It is the entry of the hook dispatchers in hooks.go
+// and of tools, and the only one that reports the whole Result.
 func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (Result, error) {
 	if f := k.fastOf(lp); f != nil {
-		return k.runFast(f, data, len(data), ifindex, unpooledStripe)
+		var word uint32
+		if len(data) >= 4 {
+			word = leU32(data)
+		}
+		ret, sock, insns, err := f.run(word, len(data) >= 4, len(data), ifindex, 0)
+		k.countFast(0, insns)
+		return Result{Ret: ret, Insns: insns, RedirectSock: sock}, err
 	}
-	st := k.getExec(lp, len(data), ifindex, env)
-	res, err := k.interpretOver(st, data)
-	putExec(st)
-	return res, err
+	st := k.getExec(lp, len(data), ifindex, 0, env)
+	st.packet = data
+	return k.interpret(st)
 }
 
-// runFast runs a shape-specialized runner on stripe over the first word of
-// pkt (none: a metadata-only run) and counts the run there.
-func (k *Kernel) runFast(f fastRunner, pkt []byte, frameLen int, ifindex, stripe uint32) (Result, error) {
-	var word uint32
-	if len(pkt) >= 4 {
-		word = leU32(pkt)
-	}
-	ret, sock, insns, err := f.run(word, len(pkt) >= 4, frameLen, ifindex, stripe)
-	k.countFast(stripe, insns)
-	return Result{Ret: ret, Insns: insns, RedirectSock: sock}, err
-}
-
-// countFast counts a fast-path run of insns instructions on stripe.
-func (k *Kernel) countFast(stripe uint32, insns int) {
-	st := &k.stripes[stripe&(Stripes-1)]
-	st.insns.Add(uint64(insns))
-	st.fastRuns.Add(1)
-}
-
-// RunDescriptor is RunCopy over d.Marshal() returning only the verdict and the
-// redirected socket. A fast path is handed d's first word by value, so nothing
-// is staged or escapes; with none, or after SetJIT(false), the interpreter
-// runs over the marshaled descriptor.
+// RunDescriptor runs an SK_MSG program on stripe over d's 16-byte wire form
+// and returns the verdict and the redirected socket. A fast path is handed d's
+// first word by value, so nothing is staged or escapes; with none, or after
+// SetJIT(false), the interpreter runs over d.Marshal() staged in the exec
+// state.
 func (k *Kernel) RunDescriptor(lp *LoadedProgram, d shm.Descriptor, ifindex, stripe uint32) (int64, SockRef, error) {
 	if f := k.fastOf(lp); f != nil {
 		ret, sock, insns, err := f.run(d.NextFn, true, shm.DescriptorSize, ifindex, stripe)
 		k.countFast(stripe, insns)
 		return ret, sock, err
 	}
-	wire := d.Marshal()
-	res, err := k.RunCopy(lp, wire[:], ifindex, nil, stripe)
+	st := k.getExec(lp, shm.DescriptorSize, ifindex, stripe, nil)
+	st.desc = d.Marshal()
+	st.packet = st.desc[:]
+	res, err := k.interpret(st)
 	return res.Ret, res.RedirectSock, err
-}
-
-// interpretOver interprets st's program over packet, readable and writable.
-func (k *Kernel) interpretOver(st *execState, packet []byte) (Result, error) {
-	st.packet = packet
-	st.pktWrite = true
-	st.msgData = packet
-	return k.interpret(st)
-}
-
-// RunCopy executes a program on stripe over a private copy of data, leaving
-// the caller's slice unread after return and unaliased by the VM: the exec
-// state's inline buffer holds small frames, the heap larger ones. A fast path
-// reads only the first word and needs no copy.
-func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env, stripe uint32) (Result, error) {
-	if f := k.fastOf(lp); f != nil {
-		return k.runFast(f, data, len(data), ifindex, stripe)
-	}
-	st := k.getExec(lp, len(data), ifindex, env)
-	st.on = stripe
-	var packet []byte
-	if len(data) > pktCopySize {
-		packet = append(packet, data...)
-	} else {
-		packet = st.pktCopy[:copy(st.pktCopy[:], data)]
-	}
-	res, err := k.interpretOver(st, packet)
-	putExec(st)
-	return res, err
 }
 
 // RunMeta executes a program on stripe over a synthetic frame of frameLen
@@ -502,13 +444,12 @@ func (k *Kernel) RunCopy(lp *LoadedProgram, data []byte, ifindex uint32, env Env
 // bounds, but any dereference of packet memory faults. Metrics-only programs
 // (the EPROXY monitor reads just data/data_end from the ctx) run this way
 // without the caller materializing a frame at all.
-func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex uint32, env Env, stripe uint32) (Result, error) {
+func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex, stripe uint32) (int64, error) {
 	if f := k.fastOf(lp); f != nil {
-		return k.runFast(f, nil, frameLen, ifindex, stripe)
+		ret, _, insns, err := f.run(0, false, frameLen, ifindex, stripe)
+		k.countFast(stripe, insns)
+		return ret, err
 	}
-	st := k.getExec(lp, frameLen, ifindex, env)
-	st.on = stripe
-	res, err := k.interpret(st)
-	putExec(st)
-	return res, err
+	res, err := k.interpret(k.getExec(lp, frameLen, ifindex, stripe, nil))
+	return res.Ret, err
 }

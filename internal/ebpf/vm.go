@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/spright-go/spright/internal/shm"
 )
 
 // StackSize is the per-invocation stack available through R10, matching the
@@ -46,24 +48,17 @@ var (
 	ErrBadMapHandle = errors.New("ebpf: register does not hold a map handle")
 )
 
-// Pre-built fault errors. Faults are returned from inside the execution hot
-// loop, so they must not allocate: a program that
-// faults on every run would otherwise turn the 0 allocs/op guarantee into a
-// per-fault fmt.Errorf. The sentinels carry the fault class; the faulting
-// address is diagnosable from the program counter in Result.Insns.
-var (
-	errReadOnlyWrite = fmt.Errorf("%w: write to read-only region", ErrOutOfBounds)
-	errPCOutOfRange  = errors.New("ebpf: pc out of program bounds")
-)
+// errPCOutOfRange is pre-built: faults are returned from inside the execution
+// hot loop, so they must not allocate — a program that faults on every run
+// would otherwise turn the 0 allocs/op guarantee into a per-fault
+// fmt.Errorf. The sentinel carries the fault class; the faulting address is
+// diagnosable from the program counter in Result.Insns.
+var errPCOutOfRange = errors.New("ebpf: pc out of program bounds")
 
 // maxInlineMapVals is how many distinct map-value regions one run can map
 // before spilling to a heap slice. SPROXY maps two (filter hit + metrics
 // slot); eight leaves generous headroom without growing the exec state.
 const maxInlineMapVals = 8
-
-// pktCopySize is the inline staging buffer used by RunCopy: big enough for
-// a shm descriptor (16 bytes) with room for richer descriptor formats.
-const pktCopySize = 64
 
 // Env is the host environment visible to helpers. Hooks provide an Env when
 // running programs; a nil Env yields zero time and an empty FIB.
@@ -91,15 +86,12 @@ type Result struct {
 
 	// RedirectSock is set when bpf_msg_redirect_map selected a socket.
 	RedirectSock SockRef
-
-	// FIBHit reports whether a fib_lookup succeeded during the run.
-	FIBHit bool
 }
 
 // execState is one program invocation's machine state. Instances are pooled
 // (see execPool in prog.go) so a steady-state run performs no allocation:
-// the context struct, the 512-byte stack and the RunCopy staging buffer are
-// inline arrays, and map-value regions occupy a fixed inline table.
+// the context struct, the 512-byte stack and the descriptor staging buffer
+// are inline arrays, and map-value regions occupy a fixed inline table.
 type execState struct {
 	kernel *Kernel
 	prog   *LoadedProgram
@@ -107,14 +99,14 @@ type execState struct {
 	reg    [numRegisters]uint64
 	res    Result
 
-	ctx     [ctxSize]byte
-	stack   [StackSize]byte
-	pktCopy [pktCopySize]byte
+	ctx   [ctxSize]byte
+	stack [StackSize]byte
+	desc  [shm.DescriptorSize]byte
 
-	// packet aliases the caller's data (Run), the inline pktCopy staging
-	// buffer (RunCopy), or is empty for metadata-only frames (RunMeta).
-	packet   []byte
-	pktWrite bool
+	// packet aliases the caller's data (Run) or the inline desc staging
+	// buffer (RunDescriptor), readable and writable, or is empty for
+	// metadata-only frames (RunMeta).
+	packet []byte
 
 	// map-value regions, indexed by (addr-mapValBase)/mapValStep. Values
 	// wider than mapValStep reserve extra nil continuation slots.
@@ -122,12 +114,8 @@ type execState struct {
 	nSlots   int
 	overflow [][]byte
 
-	// msgData is the SK_MSG payload (for msg_redirect_map delivery).
-	msgData []byte
-
-	// stripe is the state's own (Stripes), dealt when it was first made; on
-	// is the stripe the current run is on: that one, or the one its caller named.
-	stripe, on uint32
+	// on is the stripe the current run is on, the one its caller named.
+	on uint32
 }
 
 func (st *execState) slot(i int) []byte {
@@ -173,7 +161,7 @@ func (st *execState) mapValue(data []byte) uint64 {
 // access resolves a virtual address range to backing bytes. Region classes
 // are disjoint in bits [44,48), so resolution is a single switch on the
 // address — no scan, no allocation.
-func (st *execState) access(addr uint64, size int, write bool) ([]byte, error) {
+func (st *execState) access(addr uint64, size int) ([]byte, error) {
 	n := uint64(size)
 	switch addr >> regionShift {
 	case ctxBase >> regionShift:
@@ -182,9 +170,6 @@ func (st *execState) access(addr uint64, size int, write bool) ([]byte, error) {
 		}
 	case packetBase >> regionShift:
 		if off := addr - packetBase; off < uint64(len(st.packet)) && off+n <= uint64(len(st.packet)) {
-			if write && !st.pktWrite {
-				return nil, errReadOnlyWrite
-			}
 			return st.packet[off : off+n], nil
 		}
 	case stackBase >> regionShift:
@@ -334,25 +319,25 @@ func (st *execState) run() (Result, error) {
 			st.reg[in.Dst] = uint64(-int64(st.reg[in.Dst]))
 
 		case OpLoad:
-			b, err := st.access(st.reg[in.Src]+uint64(int64(in.Off)), int(in.Size), false)
+			b, err := st.access(st.reg[in.Src]+uint64(int64(in.Off)), int(in.Size))
 			if err != nil {
 				return st.res, err
 			}
 			st.reg[in.Dst] = loadUint(b, in.Size)
 		case OpStore:
-			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size), true)
+			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size))
 			if err != nil {
 				return st.res, err
 			}
 			storeUint(b, in.Size, st.reg[in.Src])
 		case OpStoreImm:
-			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size), true)
+			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size))
 			if err != nil {
 				return st.res, err
 			}
 			storeUint(b, in.Size, uint64(in.Imm))
 		case OpAtomicAdd:
-			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size), true)
+			b, err := st.access(st.reg[in.Dst]+uint64(int64(in.Off)), int(in.Size))
 			if err != nil {
 				return st.res, err
 			}
@@ -453,8 +438,4 @@ func (st *execState) mapFromHandle(v uint64) (*Map, error) {
 		return nil, fmt.Errorf("%w: no map with fd %d", ErrBadMapHandle, fd)
 	}
 	return m, nil
-}
-
-func (st *execState) readMem(addr uint64, n int) ([]byte, error) {
-	return st.access(addr, n, false)
 }

@@ -124,8 +124,8 @@ func TestVMInfiniteLoopHitsBudget(t *testing.T) {
 // as numbers: the budget fires at exactly MaxRuntimeInsns — a loop one
 // instruction under it completes — and every fault class carries its
 // sentinel and the count of instructions up to and including the faulting
-// one. Kernel.Stats, the fast paths' countPath and the parity fuzz all rest
-// on these counts.
+// one. EngineStats().Insns, the fast paths' countPath and the parity fuzz
+// all rest on these counts.
 func TestVMBudgetAndFaultCounts(t *testing.T) {
 	loop := func(n int64) *Program { // 2n+3 instructions when it completes
 		return retProg(
@@ -180,8 +180,8 @@ func TestVMBudgetAndFaultCounts(t *testing.T) {
 				t.Fatalf("got ret %d after %d insns, %v; want ret %d after %d insns, %v",
 					res.Ret, res.Insns, err, c.wantRet, c.wantInsns, c.wantErr)
 			}
-			if runs, insns := k.Stats(); runs != 1 || insns != uint64(c.wantInsns) {
-				t.Fatalf("kernel stats (%d runs, %d insns), want (1, %d)", runs, insns, c.wantInsns)
+			if es, want := k.EngineStats(), (EngineStats{InterpRuns: 1, Insns: uint64(c.wantInsns), Loaded: 1}); es != want {
+				t.Fatalf("engine stats %+v, want %+v", es, want)
 			}
 		})
 	}
@@ -341,8 +341,7 @@ func TestKernelStatsAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runs, insns := k.Stats()
-	if runs != 3 || insns != 6 {
-		t.Fatalf("stats runs=%d insns=%d, want 3,6", runs, insns)
+	if es, want := k.EngineStats(), (EngineStats{InterpRuns: 3, Insns: 6, Loaded: 1}); es != want {
+		t.Fatalf("engine stats %+v, want %+v", es, want)
 	}
 }

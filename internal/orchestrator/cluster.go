@@ -15,19 +15,17 @@ import (
 
 	"github.com/spright-go/spright/internal/core"
 	"github.com/spright-go/spright/internal/ebpf"
-	"github.com/spright-go/spright/internal/netstack"
 	"github.com/spright-go/spright/internal/obs"
 	"github.com/spright-go/spright/internal/shm"
 	"github.com/spright-go/spright/internal/transport"
 )
 
 // WorkerNode is one node's infrastructure: its eBPF kernel, its shared
-// memory manager (the DPDK primary process), and its simulated network.
+// memory manager (the DPDK primary process), its kubelet and its mesh.
 type WorkerNode struct {
 	Name    string
 	Kernel  *ebpf.Kernel
 	ShmMgr  *shm.Manager
-	Net     *netstack.Node
 	Kubelet *Kubelet
 
 	// Mesh is the node's inter-node transport endpoint (nil until
@@ -46,7 +44,6 @@ func NewWorkerNode(name string) *WorkerNode {
 		Name:   name,
 		Kernel: ebpf.NewKernel(),
 		ShmMgr: shm.NewManager(),
-		Net:    netstack.NewNode(name),
 		chains: make(map[string]*Deployment),
 		placed: make(map[string]*Deployment),
 	}

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -288,4 +289,119 @@ func TestMessageClone(t *testing.T) {
 	if c.Topic != "t" || c.Method != "GET" {
 		t.Fatal("clone must copy fields")
 	}
+}
+
+// decodeFields decodes in with the decoder sel picks (mod 6: HTTP request,
+// HTTP response, gRPC, MQTT PUBLISH, CoAP, CloudEvent) and returns the fields
+// it read, printed so that nil and empty bytes read alike, and those fields
+// re-encoded by the matching Marshal*.
+func decodeFields(t *testing.T, sel byte, in []byte) (fields string, wire []byte, err error) {
+	switch sel % 6 {
+	case 0:
+		m, err := UnmarshalHTTPRequest(in)
+		if err != nil {
+			return "", nil, err
+		}
+		wire = MarshalHTTPRequest(m)
+		if m.Method == "" { // the encoder's defaults
+			m.Method = "GET"
+		}
+		if m.Path == "" {
+			m.Path = "/"
+		}
+		return fmt.Sprintf("%q %q %q %q", m.Method, m.Path, m.Headers, m.Body), wire, nil
+	case 1:
+		status, body, err := UnmarshalHTTPResponse(in)
+		if err != nil {
+			return "", nil, err
+		}
+		return fmt.Sprintf("%d %q", status, body), MarshalHTTPResponse(status, body), nil
+	case 2:
+		method, msg, err := UnmarshalGRPC(in)
+		if err != nil {
+			return "", nil, err
+		}
+		return fmt.Sprintf("%q %q", method, msg), MarshalGRPC(method, msg), nil
+	case 3:
+		topic, payload, err := UnmarshalMQTTPublish(in)
+		if err != nil {
+			return "", nil, err
+		}
+		return fmt.Sprintf("%q %q", topic, payload), MarshalMQTTPublish(topic, payload), nil
+	case 4:
+		code, mid, path, payload, err := UnmarshalCoAP(in)
+		if err != nil {
+			return "", nil, err
+		}
+		return fmt.Sprintf("%d %d %q %q", code, mid, path, payload), MarshalCoAP(code, mid, path, payload), nil
+	default:
+		e, err := UnmarshalCloudEvent(in)
+		if err != nil {
+			return "", nil, err
+		}
+		if wire, err = MarshalCloudEvent(e); err != nil {
+			t.Fatalf("accepted event %+v does not re-encode: %v", e, err)
+		}
+		return fmt.Sprintf("%q %q %q %q %q %q", e.SpecVersion, e.ID, e.Source, e.Type, e.Subject, e.Data), wire, nil
+	}
+}
+
+// FuzzProtoDecoders: the leading byte picks one of the six decoders of bytes
+// from outside the system. No input panics one, every error it returns wraps
+// ErrMalformed, and what it accepts, re-encoded, decodes to the same fields —
+// but for an HTTP request's empty method or path, which the encoder replaces
+// with GET and /.
+func FuzzProtoDecoders(f *testing.F) {
+	event, err := MarshalCloudEvent(&CloudEvent{
+		SpecVersion: "1.0", ID: "evt-1", Source: "spright/gateway",
+		Type: "com.example.motion", Subject: "hall-3", Data: []byte(`{"state":"ON"}`),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for sel, wires := range [][][]byte{
+		{
+			MarshalHTTPRequest(&Message{
+				Method: "POST", Path: "/cart/checkout",
+				Headers: map[string]string{"Host": "boutique", "X-Trace": "abc"},
+				Body:    []byte(`{"user":"u1"}`),
+			}),
+			[]byte("  HTTP/1.1\r\n\r\n"), // empty method and path
+		},
+		{MarshalHTTPResponse(200, []byte("hello")), MarshalHTTPResponse(503, nil)},
+		{MarshalGRPC("/hipstershop.CartService/AddItem", []byte{1, 2, 3, 4, 5})},
+		{
+			MarshalMQTTPublish("sensors/motion/hall-3", []byte(`{"state":"ON"}`)),
+			MarshalMQTTPublish("t", bytes.Repeat([]byte{0xAB}, 300)), // two-byte varint
+		},
+		{
+			MarshalCoAP(CoAPPost, 42, "parking/spot/17", bytes.Repeat([]byte{1}, 64)),
+			MarshalCoAP(CoAPGet, 1, "status", nil),
+			MarshalCoAP(CoAPPost, 9, strings.Repeat("a", 300), []byte("x")), // extended option length
+		},
+		{event},
+	} {
+		for _, w := range wires {
+			f.Add(append([]byte{byte(sel)}, w...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		fields, wire, err := decodeFields(t, data[0], data[1:])
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("decoder %d: error %v does not wrap ErrMalformed", data[0]%6, err)
+			}
+			return
+		}
+		again, _, err := decodeFields(t, data[0], wire)
+		if err != nil {
+			t.Fatalf("decoder %d: re-encoded %q refused: %v", data[0]%6, wire, err)
+		}
+		if again != fields {
+			t.Fatalf("decoder %d: fields %s re-encoded as %q decode to %s", data[0]%6, fields, wire, again)
+		}
+	})
 }

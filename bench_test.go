@@ -236,7 +236,10 @@ func BenchmarkProtoCodecs(b *testing.B) {
 			}
 		}
 	})
-	co := proto.MarshalCoAP(proto.CoAPPost, 1, "parking/snapshot", make([]byte, 3072))
+	co, err := proto.MarshalCoAP(proto.CoAPPost, 1, "parking/snapshot", make([]byte, 3072))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("coap-unmarshal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, _, _, err := proto.UnmarshalCoAP(co); err != nil {
@@ -331,7 +334,7 @@ func BenchmarkColdStartResume(b *testing.B) {
 			_, err := dep.Gateway.Invoke(context.Background(), "", payload)
 			done <- err
 		}()
-		for dep.Gateway.Parked() == 0 {
+		for dep.Gateway.Stats().Parked == 0 {
 			runtime.Gosched()
 		}
 		if _, err := dep.Chain.ScaleUp("f0"); err != nil {
@@ -381,7 +384,7 @@ func BenchmarkColdStartPrewarmed(b *testing.B) {
 			_, err := dep.Gateway.Invoke(context.Background(), "", payload)
 			done <- err
 		}()
-		for dep.Gateway.Parked() == 0 {
+		for dep.Gateway.Stats().Parked == 0 {
 			runtime.Gosched()
 		}
 		if _, err := dep.Chain.Activate(pw); err != nil {
@@ -426,7 +429,7 @@ func BenchmarkOverloadShed(b *testing.B) {
 		_, err := dep.Gateway.Invoke(context.Background(), "", []byte("hold"))
 		occupied <- err
 	}()
-	for dep.Gateway.Pending() == 0 {
+	for dep.Gateway.Stats().Pending == 0 {
 		runtime.Gosched()
 	}
 

@@ -75,10 +75,11 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := dep.Gateway.Stats()
+	lat := dep.Gateway.Latency()
 	ps := dep.Chain.Pool().Stats()
 	fmt.Printf("\n%d requests in %v — %.0f req/s, mean %.3fms, p95 %.3fms\n",
 		requests, elapsed.Round(time.Millisecond),
-		float64(requests)/elapsed.Seconds(), st.Mean*1e3, st.P95*1e3)
+		float64(requests)/elapsed.Seconds(), lat.Mean()*1e3, lat.Quantile(0.95)*1e3)
 	fmt.Printf("pool: %d allocs for %d requests (1 buffer per request, zero-copy through up to 24 hops)\n",
 		ps.Allocs, st.Admitted)
 

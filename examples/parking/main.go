@@ -117,7 +117,10 @@ func main() {
 	start := time.Now()
 	for round := 0; round < 2; round++ {
 		for spot := 0; spot < 16; spot++ {
-			req := proto.MarshalCoAP(proto.CoAPPost, uint16(spot), "parking/snapshot", snapshot(spot))
+			req, err := proto.MarshalCoAP(proto.CoAPPost, uint16(spot), "parking/snapshot", snapshot(spot))
+			if err != nil {
+				log.Fatalf("spot %d: %v", spot, err)
+			}
 			resp, err := dep.Gateway.IngestRaw(context.Background(), "coap", req)
 			if err != nil {
 				log.Fatalf("spot %d: %v", spot, err)
@@ -135,7 +138,7 @@ func main() {
 	db.mu.Unlock()
 	st := dep.Gateway.Stats()
 	fmt.Printf("\nprocessed %d snapshots in %v (mean %.2fms): %d distinct plates\n",
-		st.Completed, elapsed.Round(time.Millisecond), st.Mean*1e3, plates)
+		st.Completed, elapsed.Round(time.Millisecond), dep.Gateway.Latency().Mean()*1e3, plates)
 	fmt.Printf("pool stats: %+v\n", dep.Chain.Pool().Stats())
 	fmt.Println("round 2 skipped index+persist via topic routing (plate/known fast path)")
 }

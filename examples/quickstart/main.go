@@ -68,5 +68,5 @@ func main() {
 		stats.Allocs)
 	gw := dep.Gateway.Stats()
 	fmt.Printf("gateway: admitted=%d completed=%d mean=%.3fms\n",
-		gw.Admitted, gw.Completed, gw.Mean*1e3)
+		gw.Admitted, gw.Completed, dep.Gateway.Latency().Mean()*1e3)
 }

@@ -173,12 +173,12 @@ func (CoAPAdapter) Decode(raw []byte) (*AdaptedMessage, []byte, error) {
 
 // EncodeResponse implements Adapter: a 2.05 Content response.
 func (CoAPAdapter) EncodeResponse(req *AdaptedMessage, payload []byte) ([]byte, error) {
-	return proto.MarshalCoAP(69 /* 2.05 */, 0, req.Topic, payload), nil
+	return proto.MarshalCoAP(69 /* 2.05 */, 0, req.Topic, payload)
 }
 
 // EncodeAck implements Adapter: an empty 2.03 Valid.
 func (CoAPAdapter) EncodeAck(req *AdaptedMessage) ([]byte, error) {
-	return proto.MarshalCoAP(67 /* 2.03 */, 0, req.Topic, nil), nil
+	return proto.MarshalCoAP(67 /* 2.03 */, 0, req.Topic, nil)
 }
 
 // CloudEventAdapter normalizes CloudEvents-structured JSON into chain

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,7 +80,10 @@ func TestMQTTAdapterPublishIsFireAndForget(t *testing.T) {
 func TestCoAPAdapterRoundTrip(t *testing.T) {
 	_, g := testChain(t, ModeEvent, echoSpec())
 	g.Adapters().Attach(CoAPAdapter{})
-	raw := proto.MarshalCoAP(proto.CoAPPost, 7, "park/1", []byte("img"))
+	raw, err := proto.MarshalCoAP(proto.CoAPPost, 7, "park/1", []byte("img"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := g.IngestRaw(context.Background(), "coap", raw)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +91,34 @@ func TestCoAPAdapterRoundTrip(t *testing.T) {
 	_, _, _, payload, err := proto.UnmarshalCoAP(out)
 	if err != nil || !bytes.Equal(payload, []byte("IMG")) {
 		t.Fatalf("got %q, %v", payload, err)
+	}
+}
+
+// TestCoAPAdapterLongUriPath: a request whose Uri-Path options add up to
+// more than one option can hold is answered with a response that decodes to
+// the same path and the handler's payload.
+func TestCoAPAdapterLongUriPath(t *testing.T) {
+	_, g := testChain(t, ModeEvent, echoSpec())
+	g.Adapters().Attach(CoAPAdapter{})
+	segs := []string{strings.Repeat("a", 40000), strings.Repeat("b", 30000)}
+	raw := []byte{0x40, proto.CoAPPost, 0, 7} // version 1, CON, no token
+	for i, seg := range segs {
+		delta := byte(11) // Uri-Path, then the same option again
+		if i > 0 {
+			delta = 0
+		}
+		raw = append(raw, delta<<4|14) // 16-bit extended length
+		raw = binary.BigEndian.AppendUint16(raw, uint16(len(seg)-269))
+		raw = append(raw, seg...)
+	}
+	raw = append(raw, 0xFF, 'i', 'm', 'g')
+	out, err := g.IngestRaw(context.Background(), "coap", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, path, payload, err := proto.UnmarshalCoAP(out)
+	if err != nil || path != strings.Join(segs, "/") || !bytes.Equal(payload, []byte("IMG")) {
+		t.Fatalf("response path of %d bytes, payload %q, %v", len(path), payload, err)
 	}
 }
 
@@ -155,12 +188,16 @@ func FuzzIngestRaw(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	coapSeed, err := proto.MarshalCoAP(proto.CoAPPost, 7, "park/1", []byte("img"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	seeds := [][]byte{
 		proto.MarshalHTTPRequest(&proto.Message{Method: "POST", Path: "/echo",
 			Headers: map[string]string{"X-Topic": "t"}, Body: []byte("abc")}),
 		proto.MarshalMQTTConnect("c1"),
 		proto.MarshalMQTTPublish("motion/hall", []byte("ON")),
-		proto.MarshalCoAP(proto.CoAPPost, 7, "park/1", []byte("img")),
+		coapSeed,
 		event,
 	}
 	for sel := range protocols {
@@ -179,7 +216,7 @@ func FuzzIngestRaw(f *testing.F) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("the request never ended: %v", err)
 		}
-		if n := g.Pending(); n != 0 {
+		if n := g.Stats().Pending; n != 0 {
 			t.Fatalf("%d pending entries after IngestRaw returned (%v)", n, err)
 		}
 		if n, errs := c.Errors(); n != 0 {

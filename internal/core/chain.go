@@ -190,7 +190,7 @@ type Chain struct {
 }
 
 // failureCounters aggregates the chain's failure-path activity; the
-// gateway surfaces them through GatewayStats and the EPROXY metrics map.
+// gateway's Stats snapshot is where they are read.
 type failureCounters struct {
 	crashes          atomic.Uint64 // handler panics absorbed
 	retries          atomic.Uint64 // descriptor re-sends
@@ -200,32 +200,6 @@ type failureCounters struct {
 	deadlines        atomic.Uint64 // invocations failed by deadline
 	terminal         atomic.Uint64 // requests completed with terminal errors
 	injected         atomic.Uint64 // faults fired by the injector
-}
-
-// FailureStats is a snapshot of the chain's failure-recovery activity.
-type FailureStats struct {
-	Crashes           uint64
-	Retries           uint64
-	RetriesExhausted  uint64
-	CircuitOpens      uint64
-	Reclaimed         uint64
-	DeadlinesExceeded uint64
-	TerminalFailures  uint64
-	FaultsInjected    uint64
-}
-
-// Failures returns a snapshot of the chain's failure counters.
-func (c *Chain) Failures() FailureStats {
-	return FailureStats{
-		Crashes:           c.failures.crashes.Load(),
-		Retries:           c.failures.retries.Load(),
-		RetriesExhausted:  c.failures.retriesExhausted.Load(),
-		CircuitOpens:      c.failures.circuitOpens.Load(),
-		Reclaimed:         c.failures.reclaimed.Load(),
-		DeadlinesExceeded: c.failures.deadlines.Load(),
-		TerminalFailures:  c.failures.terminal.Load(),
-		FaultsInjected:    c.failures.injected.Load(),
-	}
 }
 
 // Injector returns the chain's fault injector (nil when not injecting).

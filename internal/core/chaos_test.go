@@ -131,7 +131,7 @@ func TestRetriesExhaustedIsTerminal(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("exhausted retries took %v; must be bounded by the backoff budget", elapsed)
 	}
-	fs := c.Failures()
+	fs := g.Stats()
 	if fs.RetriesExhausted != 1 || fs.Retries != 2 {
 		t.Fatalf("failure stats %+v, want 2 retries then exhaustion", fs)
 	}
@@ -265,7 +265,7 @@ func TestDeadlineBoundsWedgedHandler(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	if fs := c.Failures(); fs.DeadlinesExceeded != 1 {
+	if fs := g.Stats(); fs.DeadlinesExceeded != 1 {
 		t.Fatalf("deadlines exceeded = %d, want 1", fs.DeadlinesExceeded)
 	}
 	// unwedge: the late reply reaches a forgotten caller and its buffer
@@ -355,11 +355,11 @@ func TestRestartInstanceReclaimsQueuedRequests(t *testing.T) {
 			// in either mode, and does not wait for the wedged handler: only
 			// the wedged request's buffer is still held.
 			pollUntil(t, "the backlog reclaimed with the handler still wedged", func() bool {
-				return c.Failures().Reclaimed == queued-1 && c.Pool().InUse() == 1
+				return g.Stats().Reclaimed == queued-1 && c.Pool().InUse() == 1
 			})
 			close(gate)
 			pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
-			if fs := c.Failures(); fs.Reclaimed != queued-1 {
+			if fs := g.Stats(); fs.Reclaimed != queued-1 {
 				t.Fatalf("reclaimed %d, want %d", fs.Reclaimed, queued-1)
 			}
 		})
@@ -373,21 +373,5 @@ func TestRestartInstanceRejectsGatewayAndUnknown(t *testing.T) {
 	}
 	if _, err := c.RestartInstance(9999); err == nil {
 		t.Fatal("restarting an unknown instance must fail")
-	}
-}
-
-func TestEProxyPublishesFailureCounters(t *testing.T) {
-	inj := fault.New(6).Add(fault.Rule{Op: fault.OpPanic, Function: "echo", MaxCount: 1})
-	spec := echoSpec()
-	spec.Injector = inj
-	c, g := testChain(t, ModeEvent, spec)
-
-	if _, err := g.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, ErrHandlerPanic) {
-		t.Fatalf("want ErrHandlerPanic, got %v", err)
-	}
-	// What a scrape reads: the chain's own counters, no publish step between.
-	fs := c.Failures()
-	if fs.Crashes != 1 || fs.FaultsInjected != 1 {
-		t.Fatalf("chain failure counters %+v, want crashes=1 injected=1", fs)
 	}
 }

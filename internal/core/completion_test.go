@@ -184,8 +184,8 @@ func TestHandoffAbandonRacesCompletion(t *testing.T) {
 			if n := replies.Load() + abandoned.Load() + refused.Load(); n != callers*rounds && !t.Failed() {
 				t.Errorf("%d outcomes for %d calls", n, callers*rounds)
 			}
-			if g.Pending() != 0 || g.pending.size() != 0 {
-				t.Errorf("pending after the storm: count %d, table %d", g.Pending(), g.pending.size())
+			if g.Stats().Pending != 0 || g.pending.size() != 0 {
+				t.Errorf("pending after the storm: count %d, table %d", g.Stats().Pending, g.pending.size())
 			}
 			pollUntil(t, "late replies reclaimed", func() bool { return c.Pool().InUse() == 0 })
 		})
@@ -218,7 +218,7 @@ func TestHandoffGatewayStartsNoConsumers(t *testing.T) {
 			}
 		}()
 	}
-	pollUntil(t, "all callers parked", func() bool { return g.Pending() == callers })
+	pollUntil(t, "all callers parked", func() bool { return g.Stats().Pending == callers })
 	if n := liveGoroutines(t, inGateway) - base; n != 1+callers {
 		t.Errorf("%d goroutines inside the gateway with %d callers parked, want %d", n, callers, 1+callers)
 	}
@@ -267,10 +267,10 @@ func TestRemoteDeadlineFiresBeforeRegistration(t *testing.T) {
 			t.Fatalf("%d of %d requests never expired: their timers fired before their entries were registered", requests-i, requests)
 		}
 	}
-	if g.Pending() != 0 || g.pending.size() != 0 {
-		t.Errorf("pending after every deadline: count %d, table %d", g.Pending(), g.pending.size())
+	if g.Stats().Pending != 0 || g.pending.size() != 0 {
+		t.Errorf("pending after every deadline: count %d, table %d", g.Stats().Pending, g.pending.size())
 	}
-	if fs := c.Failures(); fs.DeadlinesExceeded != requests {
+	if fs := g.Stats(); fs.DeadlinesExceeded != requests {
 		t.Errorf("%d deadlines counted, want %d", fs.DeadlinesExceeded, requests)
 	}
 	open()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/spright-go/spright/internal/ebpf"
+	"github.com/spright-go/spright/internal/fault"
 	"github.com/spright-go/spright/internal/shm"
 )
 
@@ -513,17 +514,139 @@ func TestEProxyL3Metrics(t *testing.T) {
 	}
 }
 
+// TestGatewayStats drives one outcome per row on a fresh chain and compares
+// the whole snapshot: exactly the fields a row names move, gauges included
+// while a request is held, and reading the snapshot allocates nothing.
 func TestGatewayStats(t *testing.T) {
-	_, g := testChain(t, ModeEvent, echoSpec())
-	for i := 0; i < 5; i++ {
-		g.Invoke(context.Background(), "", []byte("x"))
+	rows := []struct {
+		name string
+		spec func(s *ChainSpec)
+		// drive brings the outcome about. A request whose payload is
+		// "hold" waits in the handler until open; held compares the
+		// snapshot while it waits.
+		drive func(t *testing.T, c *Chain, g *Gateway, open func(), held func(want GatewayStats))
+		want  GatewayStats
+	}{
+		{name: "reply",
+			drive: func(t *testing.T, _ *Chain, g *Gateway, _ func(), _ func(GatewayStats)) {
+				if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: GatewayStats{Admitted: 1, Completed: 1}},
+		{name: "MaxPending shed",
+			spec: func(s *ChainSpec) { s.Admission.MaxPending = 1 },
+			drive: func(t *testing.T, _ *Chain, g *Gateway, open func(), held func(GatewayStats)) {
+				done := make(chan error, 1)
+				go func() { _, err := g.Invoke(context.Background(), "", []byte("hold")); done <- err }()
+				waitUntil(t, 5*time.Second, "the held request to pend", func() bool { return g.Stats().Pending == 1 })
+				if _, err := g.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, ErrOverload) {
+					t.Fatalf("want ErrOverload, got %v", err)
+				}
+				held(GatewayStats{Admitted: 1, Pending: 1, Rejected: 1, ShedOverload: 1})
+				open()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: GatewayStats{Admitted: 1, Completed: 1, Rejected: 1, ShedOverload: 1}},
+		{name: "pool exhausted",
+			spec: func(s *ChainSpec) { s.PoolBuffers = 4 },
+			drive: func(t *testing.T, c *Chain, g *Gateway, _ func(), _ func(GatewayStats)) {
+				var held []uint32
+				for h, err := c.Pool().Get(); err == nil; h, err = c.Pool().Get() {
+					held = append(held, h)
+				}
+				if _, err := g.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, ErrBackpressure) {
+					t.Fatalf("want ErrBackpressure, got %v", err)
+				}
+				for _, h := range held {
+					if err := c.Pool().Put(h); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			want: GatewayStats{Rejected: 1, ShedPoolExhausted: 1}},
+		{name: "handler panic",
+			spec: func(s *ChainSpec) {
+				s.Injector = fault.New(6).Add(fault.Rule{Op: fault.OpPanic, Function: "echo", MaxCount: 1})
+			},
+			drive: func(t *testing.T, _ *Chain, g *Gateway, _ func(), _ func(GatewayStats)) {
+				if _, err := g.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, ErrHandlerPanic) {
+					t.Fatalf("want ErrHandlerPanic, got %v", err)
+				}
+			},
+			// The chain's own counters, read with no publish step between.
+			want: GatewayStats{Admitted: 1, Failed: 1, Crashes: 1, TerminalFailures: 1, FaultsInjected: 1}},
+		{name: "chain deadline",
+			spec: func(s *ChainSpec) { s.Deadline = 20 * time.Millisecond },
+			drive: func(t *testing.T, c *Chain, g *Gateway, open func(), held func(GatewayStats)) {
+				if _, err := g.Invoke(context.Background(), "", []byte("hold")); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("want DeadlineExceeded, got %v", err)
+				}
+				held(GatewayStats{Admitted: 1, DeadlinesExceeded: 1})
+				open()
+				// The reply that comes too late is reclaimed at the gateway.
+				waitUntil(t, 5*time.Second, "the late reply reclaimed", func() bool { return c.Pool().InUse() == 0 })
+			},
+			want: GatewayStats{Admitted: 1, DeadlinesExceeded: 1, Reclaimed: 1}},
+		{name: "park then resume",
+			spec: func(s *ChainSpec) { s.Admission = AdmissionPolicy{ParkCapacity: 8, ParkTimeout: time.Minute} },
+			drive: func(t *testing.T, c *Chain, g *Gateway, _ func(), held func(GatewayStats)) {
+				if _, err := c.ScaleToZero("echo"); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() { _, err := g.Invoke(context.Background(), "", []byte("x")); done <- err }()
+				waitUntil(t, 5*time.Second, "the request to park", func() bool { return g.Stats().Parked == 1 })
+				held(GatewayStats{Admitted: 1, Pending: 1, Parked: 1, ParkedTotal: 1})
+				if _, err := c.ScaleUp("echo"); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, 5*time.Second, "the park table to empty", func() bool { return g.Stats().Parked == 0 })
+			},
+			want: GatewayStats{Admitted: 1, Completed: 1, ParkedTotal: 1, Resumed: 1}},
 	}
-	s := g.Stats()
-	if s.Admitted != 5 || s.Completed != 5 || s.Rejected != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-	if g.Latency().Count() != 5 {
-		t.Fatal("latency histogram must capture each request")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			spec := echoSpec()
+			spec.ScrapeInterval = -1 // no agent: ScrapeRate stays 0
+			echo := spec.Functions[0].Handler
+			spec.Functions[0].Handler = func(ctx *Ctx) error {
+				if string(ctx.Payload()) == "hold" {
+					<-gate
+				}
+				return echo(ctx)
+			}
+			if row.spec != nil {
+				row.spec(&spec)
+			}
+			c, g := testChain(t, ModeEvent, spec)
+			open := openOnce(gate)
+			t.Cleanup(open)
+			if s := g.Stats(); s != (GatewayStats{}) {
+				t.Fatalf("a fresh gateway reads %+v", s)
+			}
+			row.drive(t, c, g, open, func(want GatewayStats) {
+				t.Helper()
+				if s := g.Stats(); s != want {
+					t.Errorf("while held:\n got %+v\nwant %+v", s, want)
+				}
+			})
+			if s := g.Stats(); s != row.want {
+				t.Errorf("\n got %+v\nwant %+v", s, row.want)
+			}
+			if row.want.Completed > 0 && g.Latency().Count() != row.want.Completed {
+				t.Errorf("latency histogram holds %d, want one per reply", g.Latency().Count())
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = g.Stats() }); n != 0 {
+				t.Errorf("Stats allocates %v times per call", n)
+			}
+		})
 	}
 }
 

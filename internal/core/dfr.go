@@ -23,10 +23,9 @@ type RouteKey struct {
 }
 
 // Router is the DFR routing table plus the instance registry used for
-// residual-capacity load balancing. In a multi-node deployment each entry
-// additionally resolves to a placement node: routing stays {topic, from} →
-// function, and the placement map turns the function into {node, instance}
-// — local instances for functions placed here, a transport stub otherwise.
+// residual-capacity load balancing. In a multi-node deployment routing
+// stays {topic, from} → function; a function placed on another node is
+// served here by a transport stub instance.
 //
 // Both tables are read on every hop and written only at deploy, scale and
 // restart time, so they are copy-on-write: a writer rebuilds the table under
@@ -35,10 +34,9 @@ type RouteKey struct {
 // reader count — and a RemoveInstance or SetRoute that has returned is never
 // contradicted by a later hop. Published maps and slices are never mutated.
 type Router struct {
-	mu        sync.Mutex // serializes writers; guards placement
+	mu        sync.Mutex // serializes writers
 	routes    atomic.Pointer[map[RouteKey][]string]
 	instances atomic.Pointer[map[string][]*Instance]
-	placement map[string]string // function → node name ("" = local/unplaced)
 }
 
 // Router errors.
@@ -49,40 +47,10 @@ var (
 
 // NewRouter returns an empty router.
 func NewRouter() *Router {
-	r := &Router{placement: make(map[string]string)}
+	r := &Router{}
 	r.routes.Store(&map[RouteKey][]string{})
 	r.instances.Store(&map[string][]*Instance{})
 	return r
-}
-
-// SetPlacement records which node runs fn. An empty node clears the entry
-// (fn is local / unplaced).
-func (r *Router) SetPlacement(fn, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if node == "" {
-		delete(r.placement, fn)
-		return
-	}
-	r.placement[fn] = node
-}
-
-// NodeOf returns the node fn is placed on ("" when local or unplaced).
-func (r *Router) NodeOf(fn string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.placement[fn]
-}
-
-// Placements returns a copy of the full placement map.
-func (r *Router) Placements() map[string]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]string, len(r.placement))
-	for fn, node := range r.placement {
-		out[fn] = node
-	}
-	return out
 }
 
 // SetRoute installs (or replaces) the next hops for key. The SPRIGHT

@@ -202,42 +202,6 @@ func (g *Gateway) shed(counter *atomic.Uint64, reason, fn string) {
 	}
 }
 
-// LastScrapeRate returns the packet rate measured by the metrics agent's
-// most recent scrape (0 until the first tick, or when the agent is off).
-func (g *Gateway) LastScrapeRate() float64 {
-	return math.Float64frombits(g.lastRate.Load())
-}
-
-// Pending returns the number of requests currently awaiting a response —
-// registered waiters across the pending table.
-func (g *Gateway) Pending() int { return g.pending.registered() }
-
-// Admitted returns the all-time count of admitted requests (a few atomic
-// reads, cheap enough for control loops that poll it every tick).
-func (g *Gateway) Admitted() (n uint64) {
-	for i := range g.stripes {
-		n += g.stripes[i].admitted.Load()
-	}
-	return n
-}
-
-// Completed returns the all-time count of requests completed with a
-// response descriptor (a few atomic reads, unlike the full Stats snapshot).
-func (g *Gateway) Completed() (n uint64) {
-	for i := range g.stripes {
-		n += g.stripes[i].completed.Load()
-	}
-	return n
-}
-
-// Failed returns the all-time count of requests terminated by a dataplane
-// error.
-func (g *Gateway) Failed() uint64 { return g.failed.Load() }
-
-// Parked returns the number of requests currently parked awaiting
-// scale-from-zero capacity.
-func (g *Gateway) Parked() int { return g.parks.parked() }
-
 // ParkedFor returns the number of requests parked on fn specifically —
 // the autoscaler's resume signal.
 func (g *Gateway) ParkedFor(fn string) int { return g.parks.parkedFor(fn) }
@@ -996,8 +960,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Stats summarizes gateway activity, including the failure-recovery
-// counters of the chain behind it.
+// GatewayStats is the one snapshot of a chain's counters and gauges: the
+// gateway's admission and completion counts and the chain's
+// failure-recovery activity. Its distributions are read through Latency
+// and ColdStartLatency.
 type GatewayStats struct {
 	Admitted  uint64
 	Rejected  uint64
@@ -1005,10 +971,14 @@ type GatewayStats struct {
 	// Failed counts requests terminated with a dataplane error (handler
 	// panic/error, exhausted retries, dead instance) instead of a reply.
 	Failed uint64
+	// Pending is the number of requests currently awaiting a response.
+	Pending int
 	// Crashes is the number of handler panics absorbed by isolation.
 	Crashes uint64
-	// Retries is the number of descriptor re-sends on transient errors.
-	Retries uint64
+	// Retries is the number of descriptor re-sends on transient errors;
+	// RetriesExhausted the sends that failed after every attempt.
+	Retries          uint64
+	RetriesExhausted uint64
 	// CircuitOpens counts instance breaker closed→open transitions.
 	CircuitOpens uint64
 	// Reclaimed counts orphaned shared-memory buffers recovered from
@@ -1016,6 +986,8 @@ type GatewayStats struct {
 	Reclaimed uint64
 	// DeadlinesExceeded counts invocations failed by the chain deadline.
 	DeadlinesExceeded uint64
+	// TerminalFailures counts requests completed with a terminal error.
+	TerminalFailures uint64
 	// FaultsInjected counts faults fired by the chain's injector.
 	FaultsInjected uint64
 	// Shed* break Rejected down by admission-control reason; a request
@@ -1032,27 +1004,27 @@ type GatewayStats struct {
 	Parked      int
 	ParkedTotal uint64
 	Resumed     uint64
-	// ColdStartP99 is the 99th-percentile park-to-dispatch latency.
-	ColdStartP99 float64
-	P95          float64
-	Mean         float64
+	// ScrapeRate is the packet rate measured by the metrics agent's most
+	// recent scrape (0 until the first tick, or when the agent is off).
+	ScrapeRate float64
 }
 
-// Stats returns a snapshot of the gateway's counters and the chain's.
+// Stats returns a snapshot of the gateway's counters and the chain's. It
+// allocates nothing, so a control loop can poll it every tick.
 func (g *Gateway) Stats() GatewayStats {
-	fs := g.chain.Failures()
-	lat := g.lat.Snapshot()
-	return GatewayStats{
-		Admitted:            g.Admitted(),
+	f := &g.chain.failures
+	s := GatewayStats{
 		Rejected:            g.rejected.Load(),
-		Completed:           g.Completed(),
 		Failed:              g.failed.Load(),
-		Crashes:             fs.Crashes,
-		Retries:             fs.Retries,
-		CircuitOpens:        fs.CircuitOpens,
-		Reclaimed:           fs.Reclaimed,
-		DeadlinesExceeded:   fs.DeadlinesExceeded,
-		FaultsInjected:      fs.FaultsInjected,
+		Pending:             g.pending.registered(),
+		Crashes:             f.crashes.Load(),
+		Retries:             f.retries.Load(),
+		RetriesExhausted:    f.retriesExhausted.Load(),
+		CircuitOpens:        f.circuitOpens.Load(),
+		Reclaimed:           f.reclaimed.Load(),
+		DeadlinesExceeded:   f.deadlines.Load(),
+		TerminalFailures:    f.terminal.Load(),
+		FaultsInjected:      f.injected.Load(),
 		ShedOverload:        g.shedOverload.Load(),
 		ShedParkFull:        g.shedParkFull.Load(),
 		ShedParkTimeout:     g.shedParkTimeout.Load(),
@@ -1061,10 +1033,13 @@ func (g *Gateway) Stats() GatewayStats {
 		Parked:              g.parks.parked(),
 		ParkedTotal:         g.parkedTotal.Load(),
 		Resumed:             g.resumed.Load(),
-		ColdStartP99:        g.coldStart.Snapshot().Quantile(0.99),
-		P95:                 lat.Quantile(0.95),
-		Mean:                lat.Mean(),
+		ScrapeRate:          math.Float64frombits(g.lastRate.Load()),
 	}
+	for i := range g.stripes {
+		s.Admitted += g.stripes[i].admitted.Load()
+		s.Completed += g.stripes[i].completed.Load()
+	}
+	return s
 }
 
 // Latency returns a merged copy of the gateway's striped latency histogram.

@@ -339,7 +339,7 @@ func startDoorsIn(t *testing.T, mode Mode) {
 			spec: func(s *ChainSpec) { s.Admission.MaxPending = 1 },
 			arrange: func(t *testing.T, _ *Chain, g *Gateway) func() {
 				go g.Invoke(context.Background(), "", []byte("hold")) // until the gate opens
-				waitUntil(t, 5*time.Second, "the held request to pend", func() bool { return g.Pending() == 1 })
+				waitUntil(t, 5*time.Second, "the held request to pend", func() bool { return g.Stats().Pending == 1 })
 				return nil
 			},
 			reaches: func(d startDoor) bool { return d.entry },
@@ -433,7 +433,7 @@ func startDoorsIn(t *testing.T, mode Mode) {
 				waitUntil(t, 5*time.Second, "the request to leave nothing behind", func() bool {
 					// A detached park leaves the park table after its
 					// dispatch, which the reply may beat.
-					return g.Pending() == 0 && c.Pool().InUse() == 0 && g.Parked() == 0
+					return g.Stats().Pending == 0 && c.Pool().InUse() == 0 && g.Stats().Parked == 0
 				})
 				s := g.Stats()
 				if n := s.Admitted - before.Admitted; (n == 1) != admitted || n > 1 {

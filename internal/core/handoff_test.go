@@ -237,10 +237,10 @@ func stopReclaimsQueued(t *testing.T, mode Mode) {
 			if got := runs.Load(); got != int64(ok) {
 				t.Errorf("%d handler runs for %d answered requests: a handler ran after stop", got, ok)
 			}
-			if g.Pending() != 0 {
-				t.Errorf("%d callers still pending", g.Pending())
+			if g.Stats().Pending != 0 {
+				t.Errorf("%d callers still pending", g.Stats().Pending)
 			}
-			if fs := c.Failures(); fs.Reclaimed != uint64(stranded) {
+			if fs := g.Stats(); fs.Reclaimed != uint64(stranded) {
 				t.Errorf("reclaimed %d, want %d", fs.Reclaimed, stranded)
 			}
 			pollUntil(t, "every buffer back", func() bool { return c.Pool().InUse() == 0 })
@@ -374,7 +374,7 @@ func TestHandoffGatewayCloseFailsParkedCallers(t *testing.T) {
 			outcomes <- err
 		}(i)
 	}
-	pollUntil(t, "all callers parked", func() bool { return g.Pending() == callers })
+	pollUntil(t, "all callers parked", func() bool { return g.Stats().Pending == callers })
 
 	g.Close()
 	wg.Wait()
@@ -389,14 +389,14 @@ func TestHandoffGatewayCloseFailsParkedCallers(t *testing.T) {
 	if n != callers {
 		t.Errorf("%d outcomes for %d callers", n, callers)
 	}
-	if g.Pending() != 0 || g.pending.size() != 0 {
-		t.Errorf("pending after Close: count %d, table %d", g.Pending(), g.pending.size())
+	if g.Stats().Pending != 0 || g.pending.size() != 0 {
+		t.Errorf("pending after Close: count %d, table %d", g.Stats().Pending, g.pending.size())
 	}
 	if _, err := g.Invoke(context.Background(), "", []byte("late")); !errors.Is(err, ErrGatewayClosed) {
 		t.Errorf("invoke after Close: %v, want ErrGatewayClosed", err)
 	}
-	if g.Pending() != 0 {
-		t.Errorf("invoke after Close left %d pending", g.Pending())
+	if g.Stats().Pending != 0 {
+		t.Errorf("invoke after Close left %d pending", g.Stats().Pending)
 	}
 	// The wedged requests finish into a closed gateway socket; their
 	// buffers still come back (testChain's LeakCheck).
@@ -1425,7 +1425,7 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 				}
 			}
 		}
-		return c.Failures().Retries, stages
+		return g.Stats().Retries, stages
 	}
 	inlineRetries, inlineStages := run(t, false)
 	queuedRetries, queuedStages := run(t, true)
@@ -1728,7 +1728,7 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 		if got := down.QueuedHops() == 1; got != queued {
 			t.Fatalf("hop queued: %v, want %v", got, queued)
 		}
-		if got := c.Failures().Retries; got != 2 {
+		if got := g.Stats().Retries; got != 2 {
 			t.Errorf("queued %v: %d retries for two injected refusals", queued, got)
 		}
 		waitIdle(t, tr)
@@ -1926,10 +1926,10 @@ func replyIntoClosedGatewaySocket(t *testing.T, mode Mode) {
 			t.Errorf("caller got %v, want ErrSocketClosed", err)
 		}
 	}
-	fs := c.Failures()
-	if n != callers || g.Pending() != 0 || fs.TerminalFailures != callers || fs.Reclaimed != 0 {
+	fs := g.Stats()
+	if n != callers || g.Stats().Pending != 0 || fs.TerminalFailures != callers || fs.Reclaimed != 0 {
 		t.Errorf("%d outcomes, %d pending, %d terminal failures, %d reclaimed; want %d, 0, %d, 0",
-			n, g.Pending(), fs.TerminalFailures, fs.Reclaimed, callers, callers)
+			n, g.Stats().Pending, fs.TerminalFailures, fs.Reclaimed, callers, callers)
 	}
 	if delivered, _ := g.SocketStats(); delivered != 0 {
 		t.Errorf("the closed socket counted %d deliveries", delivered)

@@ -29,7 +29,6 @@ var ErrAllUnhealthy = errors.New("core: all instances circuit-broken")
 // so the hot path (recordSuccess / routable) stays lock-free.
 type health struct {
 	crashes   atomic.Uint64 // handler panics survived by panic isolation
-	failures  atomic.Uint64 // handler errors + crashes
 	consec    atomic.Int32  // consecutive failures since last success
 	openUntil atomic.Int64  // unix-nano until which the breaker is open; 0 = closed
 	opens     atomic.Uint64 // number of closed→open transitions
@@ -37,10 +36,6 @@ type health struct {
 
 // Crashes returns how many handler panics this instance has absorbed.
 func (in *Instance) Crashes() uint64 { return in.health.crashes.Load() }
-
-// Failures returns the total failed invocations (errors + crashes)
-// tracked by the health layer.
-func (in *Instance) Failures() uint64 { return in.health.failures.Load() }
 
 // CircuitOpen reports whether the instance is currently ejected from DFR
 // routing (the kubelet's probe reads this to decide on a restart).
@@ -71,7 +66,6 @@ func (in *Instance) recordFailure(crash bool) {
 	if crash {
 		in.health.crashes.Add(1)
 	}
-	in.health.failures.Add(1)
 	n := in.health.consec.Add(1)
 	if in.chain == nil {
 		return

@@ -560,7 +560,7 @@ func TestGatewayStartRefusedRiderIsARefusal(t *testing.T) {
 					}
 				}
 				waitUntil(t, 5*time.Second, "the request to leave nothing behind", func() bool {
-					return g.Pending() == 0 && c.Pool().InUse() == 0
+					return g.Stats().Pending == 0 && c.Pool().InUse() == 0
 				})
 				s := g.Stats()
 				for reason, n := range shedCounts(s) {

@@ -233,11 +233,10 @@ func TestMetricsAgentPublishesFailures(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.Failures().Crashes == 3 && g.LastScrapeRate() > 0 {
+		if s := g.Stats(); s.Crashes == 3 && s.ScrapeRate > 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("agent never published: failures=%+v rate=%v",
-		c.Failures(), g.LastScrapeRate())
+	t.Fatalf("agent never published: %+v", g.Stats())
 }

@@ -108,8 +108,8 @@ func TestParkedRequestResumesOnScaleUp(t *testing.T) {
 	if g.ColdStartLatency().Count() != 1 {
 		t.Fatalf("cold-start histogram count %d, want 1", g.ColdStartLatency().Count())
 	}
-	if s.ColdStartP99 <= 0 {
-		t.Fatalf("cold-start p99 %v, want > 0", s.ColdStartP99)
+	if p99 := g.ColdStartLatency().Quantile(0.99); p99 <= 0 {
+		t.Fatalf("cold-start p99 %v, want > 0", p99)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestParkQueueFullSheds(t *testing.T) {
 		done <- err
 	}()
 	waitUntil(t, 2*time.Second, "first request to park", func() bool {
-		return g.Parked() == 1
+		return g.Stats().Parked == 1
 	})
 
 	// The queue is at capacity: the second request sheds immediately.
@@ -219,7 +219,7 @@ func TestMaxPendingShedsOverload(t *testing.T) {
 		done <- err
 	}()
 	waitUntil(t, 2*time.Second, "first request to pend", func() bool {
-		return g.Pending() == 1
+		return g.Stats().Pending == 1
 	})
 
 	_, err := g.Invoke(contextWithTimeout(t, 2*time.Second), "", []byte("b"))
@@ -264,7 +264,7 @@ func TestServeHTTPShedsWith503AndRetryAfter(t *testing.T) {
 		done <- err
 	}()
 	waitUntil(t, 2*time.Second, "first request to pend", func() bool {
-		return g.Pending() == 1
+		return g.Stats().Pending == 1
 	})
 
 	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader("b"))
@@ -430,7 +430,7 @@ func TestGatewayStartNoReplyParksOffTheReceiveLoop(t *testing.T) {
 				}
 				tc.end(t, c, g, &ran)
 				waitUntil(t, 5*time.Second, "the park to end with the buffer back", func() bool {
-					return g.Parked() == 0 && c.Pool().InUse() == 0
+					return g.Stats().Parked == 0 && c.Pool().InUse() == 0
 				})
 				if n := g.Stats().ParkedTotal; n != 1 {
 					t.Errorf("%d requests parked, want 1", n)

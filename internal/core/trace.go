@@ -222,10 +222,6 @@ func (tr *Tracer) SetTailSampling(threshold time.Duration, tailLimit int) {
 // SampleEvery returns the head-sampling period (1 = every request).
 func (tr *Tracer) SampleEvery() int { return int(tr.every) }
 
-// TailLatency returns the tail-retention latency threshold (<= 0: latency
-// retention disabled).
-func (tr *Tracer) TailLatency() time.Duration { return tr.tailLat }
-
 // InFlight returns the number of sampled traces currently active; it must
 // be zero when the chain is idle.
 func (tr *Tracer) InFlight() int64 { return tr.nactive.Load() }

@@ -127,9 +127,6 @@ func (r *EventRing) Total() uint64 {
 	return r.total
 }
 
-// Cap returns the ring's retention capacity.
-func (r *EventRing) Cap() int { return len(r.buf) }
-
 // Snapshot returns retained events with Seq > afterSeq, oldest first, up
 // to limit (<= 0: all retained).
 func (r *EventRing) Snapshot(afterSeq uint64, limit int) []Event {

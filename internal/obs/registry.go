@@ -90,7 +90,6 @@ type Registry struct {
 	mu         sync.Mutex
 	collectors map[string]CollectorFunc
 	order      []string
-	scrapes    uint64
 }
 
 // NewRegistry creates an empty registry.
@@ -126,13 +125,6 @@ func (r *Registry) Unregister(key string) {
 	}
 }
 
-// Scrapes returns how many expositions the registry has rendered.
-func (r *Registry) Scrapes() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.scrapes
-}
-
 // Gather runs every collector and merges same-name families (collectors of
 // different chains emit into one family, distinguished by labels). Families
 // come back sorted by name so the exposition is deterministic.
@@ -142,7 +134,6 @@ func (r *Registry) Gather() []Family {
 	for _, k := range r.order {
 		fns = append(fns, r.collectors[k])
 	}
-	r.scrapes++
 	r.mu.Unlock()
 
 	byName := make(map[string]*Family)

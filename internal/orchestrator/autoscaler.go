@@ -21,15 +21,6 @@ import (
 type Autoscaler struct {
 	dep *Deployment
 
-	// Target is the desired per-instance concurrency (Knative's
-	// container-concurrency target analog).
-	Target int
-	// MinReplicas and MaxReplicas bound each function's instance count.
-	// MinReplicas applies while the chain is active; a chain idled to
-	// zero by ScaleToZeroAfter stays at zero until demand returns.
-	MinReplicas int
-	MaxReplicas int
-
 	cfg     AutoscalerConfig
 	prewarm *PrewarmPool
 
@@ -186,15 +177,12 @@ func NewAutoscalerWithConfig(dep *Deployment, cfg AutoscalerConfig) *Autoscaler 
 		cfg.Interval = defaultInterval
 	}
 	return &Autoscaler{
-		dep:         dep,
-		Target:      cfg.Target,
-		MinReplicas: cfg.MinReplicas,
-		MaxReplicas: cfg.MaxReplicas,
-		cfg:         cfg,
-		state:       make(map[string]*fnState),
-		reasons:     make(map[string]uint64),
-		stop:        make(chan struct{}),
-		kick:        make(chan struct{}, 1),
+		dep:     dep,
+		cfg:     cfg,
+		state:   make(map[string]*fnState),
+		reasons: make(map[string]uint64),
+		stop:    make(chan struct{}),
+		kick:    make(chan struct{}, 1),
 	}
 }
 
@@ -282,16 +270,15 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 	// Admission-rate signal (EWMA of Δadmitted/Δt): exported for
 	// observability and dashboards; the sizing below keys on the queueing
 	// signals, which lead it.
-	admitted := g.Admitted()
+	gs := g.Stats()
 	if !a.lastEval.IsZero() {
 		if dt := now.Sub(a.lastEval).Seconds(); dt > 0 {
-			inst := float64(admitted-a.lastAdmitted) / dt
+			inst := float64(gs.Admitted-a.lastAdmitted) / dt
 			a.admitRate = a.cfg.EWMAAlpha*inst + (1-a.cfg.EWMAAlpha)*a.admitRate
 		}
 	}
-	a.lastAdmitted, a.lastEval = admitted, now
+	a.lastAdmitted, a.lastEval = gs.Admitted, now
 
-	totalParked := g.Parked()
 	totalDemand := 0.0
 
 	for _, fn := range c.Functions() {
@@ -300,7 +287,8 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 		healthy := 0
 		// Demand = requests parked on fn + in-flight work + the backlog
 		// queued for its instances (QueueDepth: socket queue, or ring).
-		demand := float64(g.ParkedFor(fn))
+		parked := g.ParkedFor(fn)
+		demand := float64(parked)
 		for _, in := range insts {
 			if !in.CircuitOpen() {
 				healthy++
@@ -319,19 +307,18 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 			st.ewma = a.cfg.EWMAAlpha*demand + (1-a.cfg.EWMAAlpha)*st.ewma
 		}
 
-		parked := g.ParkedFor(fn)
-		desired := int(math.Ceil(st.ewma / float64(a.Target)))
+		desired := int(math.Ceil(st.ewma / float64(a.cfg.Target)))
 		// Any parked request resumes the whole chain: a zero-replica
 		// mid-chain function must come back too, or the head's forward
 		// would fail the request the park just saved.
-		if desired < 1 && (parked > 0 || (totalParked > 0 && routable == 0)) {
+		if desired < 1 && (parked > 0 || (gs.Parked > 0 && routable == 0)) {
 			desired = 1
 		}
-		if desired < a.MinReplicas {
-			desired = a.MinReplicas
+		if desired < a.cfg.MinReplicas {
+			desired = a.cfg.MinReplicas
 		}
-		if desired > a.MaxReplicas {
-			desired = a.MaxReplicas
+		if desired > a.cfg.MaxReplicas {
+			desired = a.cfg.MaxReplicas
 		}
 		st.desired = desired
 
@@ -339,7 +326,7 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 		// replica floor yields to the scale-to-zero policy until demand
 		// (anywhere in the chain — mid-chain functions must come back
 		// before the head forwards to them) reappears.
-		atZeroIdle := routable == 0 && demand == 0 && totalParked == 0 &&
+		atZeroIdle := routable == 0 && demand == 0 && gs.Parked == 0 &&
 			a.cfg.ScaleToZeroAfter > 0
 		if atZeroIdle {
 			continue
@@ -351,7 +338,7 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 			// MaxStep do not apply — there is nothing serving, and a
 			// parked request is waiting on this decision.
 			reason := ReasonLoad
-			if totalParked > 0 {
+			if gs.Parked > 0 {
 				reason = ReasonResume
 			}
 			if d, ok := a.scaleUpTo(fn, routable, routable+desired, reason, now); ok {
@@ -359,7 +346,7 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 				st.lastUp = now
 			}
 		case desired > healthy:
-			capacity := float64(healthy * a.Target)
+			capacity := float64(healthy * a.cfg.Target)
 			if st.ewma >= a.cfg.ScaleUpRatio*capacity && now.Sub(st.lastUp) >= a.cfg.UpCooldown {
 				add := desired - healthy
 				if a.cfg.MaxStep > 0 && add > a.cfg.MaxStep {
@@ -371,7 +358,7 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 				}
 			}
 		case desired < healthy:
-			capacity := float64(healthy * a.Target)
+			capacity := float64(healthy * a.cfg.Target)
 			if st.ewma <= a.cfg.ScaleDownRatio*capacity && now.Sub(st.lastDown) >= a.cfg.DownCooldown {
 				drop := healthy - desired
 				if a.cfg.MaxStep > 0 && drop > a.cfg.MaxStep {
@@ -389,7 +376,7 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 	// function, no pending responses, no parked requests — for the full
 	// idle window before it retires.
 	if a.cfg.ScaleToZeroAfter > 0 {
-		if totalDemand == 0 && totalParked == 0 && g.Pending() == 0 {
+		if totalDemand == 0 && gs.Parked == 0 && gs.Pending == 0 {
 			if a.idleSince.IsZero() {
 				a.idleSince = now
 			} else if now.Sub(a.idleSince) >= a.cfg.ScaleToZeroAfter {
@@ -422,8 +409,8 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 // activating prewarmed instances first and falling back to cold ScaleUp.
 func (a *Autoscaler) scaleUpTo(fn string, from, to int, reason string, now time.Time) (ScaleDecision, bool) {
 	c := a.dep.Chain
-	if to > a.MaxReplicas {
-		to = a.MaxReplicas
+	if to > a.cfg.MaxReplicas {
+		to = a.cfg.MaxReplicas
 	}
 	have := from
 	for have < to {

@@ -167,11 +167,8 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 	if shed.Load() == 0 {
 		t.Fatal("burst never overran admission; overload shedding went unexercised")
 	}
-	if n := d.Gateway.ColdStartLatency().Count(); n < 1 {
-		t.Fatalf("cold-start histogram count %d, want ≥1", n)
-	}
-	if gs.ColdStartP99 <= 0 {
-		t.Fatal("cold-start p99 missing from stats")
+	if cs := d.Gateway.ColdStartLatency(); cs.Count() < 1 || cs.Quantile(0.99) <= 0 {
+		t.Fatalf("cold-start histogram count %d, p99 %v; want ≥1 and > 0", cs.Count(), cs.Quantile(0.99))
 	}
 	counts := as.DecisionCounts()
 	if counts[ReasonToZero] < 1 {

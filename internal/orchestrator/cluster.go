@@ -387,17 +387,6 @@ func (ctl *Controller) Deployment(name string) (*Deployment, bool) {
 	return d, ok
 }
 
-// Deployments returns all deployments.
-func (ctl *Controller) Deployments() []*Deployment {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	out := make([]*Deployment, 0, len(ctl.deploys))
-	for _, d := range ctl.deploys {
-		out = append(out, d)
-	}
-	return out
-}
-
 // IngressGateway is the cluster-wide ingress (Fig. 3) distributing
 // external requests to the SPRIGHT gateways of different chains. Requests
 // address a chain by the first path segment: /<chain>/rest-of-path.

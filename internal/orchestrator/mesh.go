@@ -394,9 +394,6 @@ func (ctl *Controller) DeployPlacedChain(spec core.ChainSpec) (*PlacedDeployment
 			return fail(fmt.Errorf("orchestrator: variant on %s: %w", nodeName, err))
 		}
 		env.dep = d
-		for fn, node := range placement {
-			d.Chain.Router().SetPlacement(fn, node)
-		}
 		// Cross-node entry points: a local function whose route
 		// predecessor lives on another node is re-injected by this
 		// node's gateway when the frame arrives, so the gateway needs

@@ -733,7 +733,7 @@ func TestRemoteRequestsSpawnNoGoroutines(t *testing.T) {
 		}()
 	}
 	remote := pd.Variant("worker-2").Gateway
-	pollUntil(t, 5*time.Second, "the burst to be pending on worker-2", func() bool { return remote.Pending() == burst })
+	pollUntil(t, 5*time.Second, "the burst to be pending on worker-2", func() bool { return remote.Stats().Pending == burst })
 	if parked, other := inGateway(); parked != burst || other != 0 {
 		t.Errorf("%d callers parked and %d other goroutines inside gateways, want %d and 0", parked, other, burst)
 	}

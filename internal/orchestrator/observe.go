@@ -118,7 +118,8 @@ func sloSource(d *Deployment) obs.SLOSource {
 			return nil
 		},
 		Counts: func() (uint64, uint64) {
-			return d.Gateway.Completed(), d.Gateway.Failed()
+			gs := d.Gateway.Stats()
+			return gs.Completed, gs.Failed
 		},
 	}
 }
@@ -157,10 +158,10 @@ func collectChain(d *Deployment) []obs.Family {
 		obs.CounterFamily("spright_gateway_failed_total",
 			"Requests terminated by a dataplane error.", chain, float64(gs.Failed)),
 		obs.GaugeFamily("spright_gateway_pending",
-			"Requests currently awaiting a response.", chain, float64(g.Pending())),
+			"Requests currently awaiting a response.", chain, float64(gs.Pending)),
 		obs.GaugeFamily("spright_scrape_rate_pps",
 			"Packet rate measured by the metrics agent's last EPROXY scrape.",
-			chain, g.LastScrapeRate()),
+			chain, gs.ScrapeRate),
 		obs.SummaryFamily("spright_gateway_latency_seconds",
 			"End-to-end invocation latency through the chain.", chain, g.Latency()),
 	}
@@ -209,7 +210,6 @@ func collectChain(d *Deployment) []obs.Family {
 				"Bytes counted by the EPROXY XDP monitor.", chain, float64(bytes)),
 		)
 	}
-	fs := c.Failures()
 	failures := obs.Family{
 		Name: "spright_failures_total",
 		Help: "Failure-recovery events by kind.",
@@ -219,12 +219,12 @@ func collectChain(d *Deployment) []obs.Family {
 		kind string
 		v    uint64
 	}{
-		{"crash", fs.Crashes},
-		{"retry", fs.Retries},
-		{"circuit_open", fs.CircuitOpens},
-		{"reclaimed", fs.Reclaimed},
-		{"deadline", fs.DeadlinesExceeded},
-		{"injected", fs.FaultsInjected},
+		{"crash", gs.Crashes},
+		{"retry", gs.Retries},
+		{"circuit_open", gs.CircuitOpens},
+		{"reclaimed", gs.Reclaimed},
+		{"deadline", gs.DeadlinesExceeded},
+		{"injected", gs.FaultsInjected},
 	} {
 		failures.Samples = append(failures.Samples, obs.Sample{
 			Labels: obs.L("chain", c.Name(), "kind", kv.kind),
@@ -497,7 +497,7 @@ func checkDeployment(d *Deployment) error {
 		return fmt.Errorf("instance %s/%d unhealthy", pr.Function, pr.Instance)
 	}
 	ps := d.Chain.Pool().Stats()
-	if ps.InUse >= ps.Capacity && d.Gateway.Pending() == 0 {
+	if ps.InUse >= ps.Capacity && d.Gateway.Stats().Pending == 0 {
 		return fmt.Errorf("pool exhausted (%d/%d buffers) with no pending requests: suspected leak",
 			ps.InUse, ps.Capacity)
 	}

@@ -141,20 +141,11 @@ func (w *SLOWatchdog) close() {
 // Policy returns the resolved policy.
 func (w *SLOWatchdog) Policy() SLOPolicy { return w.policy }
 
-// Breaches returns the all-time breach counts by kind.
-func (w *SLOWatchdog) Breaches() (latency, errorRate uint64) {
-	return w.breachLatency.Load(), w.breachErrRate.Load()
-}
-
 // Bundles returns how many diagnostic bundles were captured and how many
 // breaches were suppressed by the rate limit.
 func (w *SLOWatchdog) Bundles() (captured, suppressed uint64) {
 	return w.captured.Load(), w.suppressed.Load()
 }
-
-// BundleFailures returns how many bundle captures failed on disk I/O
-// (journaled as bundle_failed flight events carrying the error).
-func (w *SLOWatchdog) BundleFailures() uint64 { return w.failed.Load() }
 
 // Evaluate runs one breach check against the monitor's current window and
 // returns the breach kinds found (empty: within SLO). Called on every

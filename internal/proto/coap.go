@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // CoAP-lite: RFC 7252's fixed 4-byte header + Uri-Path option + payload
@@ -21,22 +22,40 @@ const coapVersion = 1
 const coapPayloadMarker = 0xFF
 const coapOptionUriPath = 11
 
-// MarshalCoAP builds a confirmable CoAP request with a Uri-Path option.
-func MarshalCoAP(code byte, messageID uint16, uriPath string, payload []byte) []byte {
+// coapMaxOption is the longest option value an option header can encode:
+// length nibble 14, then a 16-bit extension offset by 269.
+const coapMaxOption = 0xFFFF + 269
+
+// MarshalCoAP builds a confirmable CoAP request with a Uri-Path. A path
+// longer than one option holds is cut at slashes into several Uri-Path
+// options, which UnmarshalCoAP joins back with "/"; a path that cannot be
+// cut so is refused.
+func MarshalCoAP(code byte, messageID uint16, uriPath string, payload []byte) ([]byte, error) {
 	var b bytes.Buffer
 	b.WriteByte(coapVersion<<6 | 0<<4 | 0) // CON, no token
 	b.WriteByte(code)
 	var mid [2]byte
 	binary.BigEndian.PutUint16(mid[:], messageID)
 	b.Write(mid[:])
-	if uriPath != "" {
-		writeCoAPOption(&b, coapOptionUriPath, []byte(uriPath))
+	// Cut at the last slash that leaves the option short enough. Only the
+	// first option must not be empty: the decoder drops a leading one.
+	delta, rest := coapOptionUriPath, uriPath
+	for len(rest) > coapMaxOption {
+		cut := strings.LastIndexByte(rest[:coapMaxOption+1], '/')
+		if cut < 0 || cut == 0 && delta != 0 {
+			return nil, fmt.Errorf("%w: CoAP Uri-Path cannot be cut into options of at most %d bytes", ErrMalformed, coapMaxOption)
+		}
+		writeCoAPOption(&b, delta, []byte(rest[:cut]))
+		delta, rest = 0, rest[cut+1:]
+	}
+	if rest != "" || delta == 0 {
+		writeCoAPOption(&b, delta, []byte(rest))
 	}
 	if len(payload) > 0 {
 		b.WriteByte(coapPayloadMarker)
 		b.Write(payload)
 	}
-	return b.Bytes()
+	return b.Bytes(), nil
 }
 
 func writeCoAPOption(b *bytes.Buffer, delta int, val []byte) {

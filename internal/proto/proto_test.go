@@ -189,9 +189,19 @@ func TestMQTTConnectHandshake(t *testing.T) {
 	}
 }
 
+// coap is MarshalCoAP for a path the encoder takes.
+func coap(t testing.TB, code byte, mid uint16, path string, payload []byte) []byte {
+	t.Helper()
+	wire, err := MarshalCoAP(code, mid, path, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 func TestCoAPRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{1}, 3000) // ~3KB snapshot
-	wire := MarshalCoAP(CoAPPost, 42, "parking/spot/17", payload)
+	wire := coap(t, CoAPPost, 42, "parking/spot/17", payload)
 	code, mid, path, body, err := UnmarshalCoAP(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -202,19 +212,39 @@ func TestCoAPRoundTrip(t *testing.T) {
 }
 
 func TestCoAPNoPayload(t *testing.T) {
-	wire := MarshalCoAP(CoAPGet, 1, "status", nil)
+	wire := coap(t, CoAPGet, 1, "status", nil)
 	code, _, path, body, err := UnmarshalCoAP(wire)
 	if err != nil || code != CoAPGet || path != "status" || body != nil {
 		t.Fatalf("got %d %q %v %v", code, path, body, err)
 	}
 }
 
+// TestCoAPLongUriPathExtendedOption: a path over 268 bytes takes the 16-bit
+// extended length, and one over the 65 804 bytes that length reaches is cut
+// at slashes into several options that decode to the same path. A path with
+// no slash to cut at is refused, never encoded with a wrapped length.
 func TestCoAPLongUriPathExtendedOption(t *testing.T) {
-	long := strings.Repeat("a", 300) // forces 14-nibble extended length
-	wire := MarshalCoAP(CoAPPost, 9, long, []byte("x"))
-	_, _, path, _, err := UnmarshalCoAP(wire)
-	if err != nil || path != long {
-		t.Fatalf("extended option round trip failed: %v", err)
+	for _, path := range []string{
+		strings.Repeat("a", 300),
+		strings.Repeat("a", coapMaxOption),
+		strings.Repeat("a", 40000) + "/" + strings.Repeat("b", 29999), // 70 000 bytes
+		strings.Repeat("spot/", 14000),                                // 70 000, ends in a slash
+		"/" + strings.Repeat("a", 40000) + "/" + strings.Repeat("b", 29998),
+		strings.Repeat("a", coapMaxOption) + "//" + strings.Repeat("b", coapMaxOption),
+	} {
+		wire := coap(t, CoAPPost, 9, path, []byte("x"))
+		if _, _, got, _, err := UnmarshalCoAP(wire); err != nil || got != path {
+			t.Errorf("%d-byte path: decoded %d bytes, %v", len(path), len(got), err)
+		}
+	}
+	for _, path := range []string{
+		strings.Repeat("a", 70000),
+		strings.Repeat("a", coapMaxOption+1) + "/b",
+		"/" + strings.Repeat("a", coapMaxOption),
+	} {
+		if wire, err := MarshalCoAP(CoAPPost, 9, path, nil); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%d-byte path with no cut: encoded %d bytes, %v", len(path), len(wire), err)
+		}
 	}
 }
 
@@ -333,7 +363,10 @@ func decodeFields(t *testing.T, sel byte, in []byte) (fields string, wire []byte
 		if err != nil {
 			return "", nil, err
 		}
-		return fmt.Sprintf("%d %d %q %q", code, mid, path, payload), MarshalCoAP(code, mid, path, payload), nil
+		if wire, err = MarshalCoAP(code, mid, path, payload); err != nil {
+			t.Fatalf("accepted path %q does not re-encode: %v", path, err)
+		}
+		return fmt.Sprintf("%d %d %q %q", code, mid, path, payload), wire, nil
 	default:
 		e, err := UnmarshalCloudEvent(in)
 		if err != nil {
@@ -375,9 +408,9 @@ func FuzzProtoDecoders(f *testing.F) {
 			MarshalMQTTPublish("t", bytes.Repeat([]byte{0xAB}, 300)), // two-byte varint
 		},
 		{
-			MarshalCoAP(CoAPPost, 42, "parking/spot/17", bytes.Repeat([]byte{1}, 64)),
-			MarshalCoAP(CoAPGet, 1, "status", nil),
-			MarshalCoAP(CoAPPost, 9, strings.Repeat("a", 300), []byte("x")), // extended option length
+			coap(f, CoAPPost, 42, "parking/spot/17", bytes.Repeat([]byte{1}, 64)),
+			coap(f, CoAPGet, 1, "status", nil),
+			coap(f, CoAPPost, 9, strings.Repeat("a", 300), []byte("x")), // extended option length
 		},
 		{event},
 	} {

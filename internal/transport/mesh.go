@@ -243,17 +243,6 @@ func (m *Mesh) Peer(name string) *Peer {
 	return m.peers[name]
 }
 
-// Peers returns the wired peer names.
-func (m *Mesh) Peers() []string {
-	m.peerMu.RLock()
-	defer m.peerMu.RUnlock()
-	out := make([]string, 0, len(m.peers))
-	for n := range m.peers {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Send queues one frame for the named peer. It is non-blocking: a full
 // backlog refuses the frame with ErrBacklog (counted as a backlog drop) — the
 // caller still owns the request and must fail it attributably.

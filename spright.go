@@ -67,9 +67,8 @@ type (
 	RetryPolicy = core.RetryPolicy
 	// HealthPolicy configures per-instance circuit breaking.
 	HealthPolicy = core.HealthPolicy
-	// FailureStats snapshots a chain's failure/recovery counters.
-	FailureStats = core.FailureStats
-	// GatewayStats snapshots a gateway's invocation counters.
+	// GatewayStats snapshots a chain's counters: the gateway's
+	// invocations and the chain's failure/recovery activity.
 	GatewayStats = core.GatewayStats
 
 	// FaultInjector is a deterministic, seedable fault injector wired

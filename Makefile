@@ -57,9 +57,12 @@ race:
 # getters (TestPoolMappingCloseRace: no get succeeds once the slab's mapping
 # can be returned) rides along, and so does the striped histogram, whose
 # stripes are created by their first Observe while Snapshot and Count read
-# them (TestStripedHistogram…).
+# them (TestStripedHistogram…), and the tracer's one read of retained traces
+# against requests finishing, late spans and both rings evicting
+# (TestTracerRetainedRacingFinish: no duplicate Seq, Seq ascending, private
+# span copies).
 race-stress:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream|TestStripedHistogram' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/ ./internal/metrics/
+	$(GO) test -race -count=10 -run 'TestHandoff|TestForwardTo|TestRemoteDeadlineFiresBeforeRegistration|TestGatewayStart|TestHashMapSnapshotSemantics|TestPerCPUArray|TestPoolTopicLifetime|TestPoolBulk|TestPoolMappingCloseRace|TestPeerReusesFlushedBuffer|TestPeerSendRacingClose|TestServeConnAdversarialStream|TestStripedHistogram|TestTracerRetainedRacingFinish' ./internal/core/ ./internal/ebpf/ ./internal/shm/ ./internal/transport/ ./internal/metrics/
 
 # alloc-gate runs the count gates — the cross-node round trip's allocations,
 # the twelve-hop local chain that in both modes must also stay on one worker

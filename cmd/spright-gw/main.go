@@ -193,12 +193,12 @@ func main() {
 	mux.Handle("/", boutiqueAware(cluster.Ingress, *app, spec.Name))
 	// Admin surface: /metrics (Prometheus exposition), /healthz
 	// (circuit-breaker and pool-leak aware), /traces (retained distributed
-	// traces as JSON; ?format=otlp for OTLP JSON, ?limit=N to bound) and
+	// traces as OTLP/HTTP JSON, ?limit=N to bound) and
 	// /debug/pprof/ — all backed by the cluster's observability layer, into
 	// which every deployed chain registers.
 	cluster.Observability().Attach(mux)
 	if *traceFile != "" {
-		stopExp, err := cluster.Observability().StartFileExporter(*traceFile, time.Second)
+		stopExp, err := cluster.Observability().StartFileExporter(*traceFile)
 		if err != nil {
 			log.Fatalf("trace exporter: %v", err)
 		}

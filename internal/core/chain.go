@@ -88,9 +88,9 @@ type ChainSpec struct {
 	TraceTailLatency time.Duration
 
 	// ScrapeInterval is the period of the gateway's metrics agent — the
-	// goroutine that drives EProxy.ScrapeRate and publishes the chain's
-	// failure counters into the EPROXY metrics map (§3.3). 0 picks the
-	// default of 500ms; negative disables the agent.
+	// goroutine that refreshes GatewayStats.ScrapeRate from EProxy.ScrapeRate
+	// and fires the agent tick the SLO monitor and watchdog run on (§3.3).
+	// 0 picks the default of 500ms; negative disables the agent.
 	ScrapeInterval time.Duration
 
 	// Objects configures the chain's ephemeral object store — the keyed,
@@ -205,10 +205,10 @@ type failureCounters struct {
 // Injector returns the chain's fault injector (nil when not injecting).
 func (c *Chain) Injector() *fault.Injector { return c.injector }
 
-// EnableTracing turns on per-request hop tracing (a debugging aid and the
-// source of §3.3's chain-level metrics), retaining up to limit traces.
+// EnableTracing turns on tracing of every request, retaining up to limit
+// traces.
 func (c *Chain) EnableTracing(limit int) *Tracer {
-	tr := NewTracer(limit)
+	tr := NewSampledTracer(1, limit)
 	c.tracer.Store(tr)
 	return tr
 }

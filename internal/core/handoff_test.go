@@ -1412,8 +1412,8 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 		}
 		waitIdle(t, tr)
 		stages = map[string]int{}
-		for _, trace := range tr.Completed() {
-			if trace.Path() != "up->down" {
+		for _, trace := range tr.Retained() {
+			if handlerPath(trace) != "up->down" {
 				continue
 			}
 			for _, s := range trace.Spans {
@@ -1734,8 +1734,8 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 		waitIdle(t, tr)
 		stages := map[string]int{}
 		var replySent, drainFrom int64
-		for _, trace := range tr.Completed() {
-			if trace.Path() != "up->down" {
+		for _, trace := range tr.Retained() {
+			if handlerPath(trace) != "up->down" {
 				continue
 			}
 			for _, s := range trace.Spans {

@@ -188,7 +188,7 @@ func TestSampledTracerSamples1InN(t *testing.T) {
 	if got := tr.TotalSampled(); got != 2 {
 		t.Fatalf("sampled %d of 8 at 1-in-4, want 2", got)
 	}
-	if got := len(tr.Completed()); got != 2 {
+	if got := len(tr.Retained()); got != 2 {
 		t.Fatalf("retained %d traces, want 2", got)
 	}
 	hists := tr.HopDurations()
@@ -218,10 +218,10 @@ func TestDefaultSampledTracerInstalled(t *testing.T) {
 	}
 }
 
-// TestMetricsAgentPublishesFailures: the chain's failure counters are
-// readable as they stand and the per-chain scrape agent refreshes the
-// packet-rate sample, without any caller driving Stats().
-func TestMetricsAgentPublishesFailures(t *testing.T) {
+// TestMetricsAgentRefreshesScrapeRate: Stats() reads the chain's failure
+// counters as they stand, and the per-chain metrics agent refreshes the
+// packet-rate sample (ScrapeRate) on its own tick.
+func TestMetricsAgentRefreshesScrapeRate(t *testing.T) {
 	spec := echoSpec()
 	spec.ScrapeInterval = 5 * time.Millisecond
 	c, g := testChain(t, ModeEvent, spec)
@@ -238,5 +238,5 @@ func TestMetricsAgentPublishesFailures(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("agent never published: %+v", g.Stats())
+	t.Fatalf("agent never refreshed ScrapeRate: %+v", g.Stats())
 }

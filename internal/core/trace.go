@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,23 +112,6 @@ func (t *Trace) Elapsed() time.Duration {
 	return t.End.Sub(t.Start)
 }
 
-// Path renders the handler spans as "fn1->fn2->fn3" for assertions and
-// logs (branch order under fan-out follows completion order).
-func (t *Trace) Path() string {
-	parts := make([]string, 0, len(t.Spans))
-	for _, s := range t.Spans {
-		if s.Stage == StageHandler {
-			parts = append(parts, s.Function)
-		}
-	}
-	return strings.Join(parts, "->")
-}
-
-func (t *Trace) String() string {
-	return fmt.Sprintf("trace{id=%s caller=%d path=%s elapsed=%s spans=%d}",
-		t.ID, t.Caller, t.Path(), t.Elapsed(), len(t.Spans))
-}
-
 // splitmix64 is the finalizer of the splitmix64 PRNG: a bijection on
 // uint64, so distinct counter values yield distinct IDs without a lock.
 func splitmix64(x uint64) uint64 {
@@ -174,10 +156,6 @@ type Tracer struct {
 	hopHist   map[string]*metrics.Histogram // per-function handler durations
 	stageHist map[string]*metrics.Histogram // per-stage durations
 }
-
-// NewTracer creates a full tracer (every request) retaining up to limit
-// completed traces.
-func NewTracer(limit int) *Tracer { return NewSampledTracer(1, limit) }
 
 // NewSampledTracer creates a tracer recording one in every `every`
 // requests (every <= 1 records all), retaining up to limit recent traces.
@@ -411,52 +389,17 @@ func cloneTraceLocked(t *Trace) *Trace {
 	return &cp
 }
 
-// Completed returns copies of the retained head-sampled traces, oldest
-// first.
-func (tr *Tracer) Completed() []*Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]*Trace, 0, len(tr.done))
-	ordered := tr.done
-	if len(tr.done) >= tr.limit {
-		ordered = append(append([]*Trace(nil), tr.done[tr.next:]...), tr.done[:tr.next]...)
-	}
-	for _, t := range ordered {
-		out = append(out, cloneTraceLocked(t))
-	}
-	return out
-}
-
-// TailRetained returns copies of the tail-retained traces (errors and
-// over-threshold latencies), oldest first.
-func (tr *Tracer) TailRetained() []*Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]*Trace, 0, len(tr.tail))
-	ordered := tr.tail
-	if len(tr.tail) >= tr.tailLimit {
-		ordered = append(append([]*Trace(nil), tr.tail[tr.tailNext:]...), tr.tail[:tr.tailNext]...)
-	}
-	for _, t := range ordered {
-		out = append(out, cloneTraceLocked(t))
-	}
-	return out
-}
-
 // Retained returns every retained trace — head-sampled and tail-retained —
 // deduplicated (a slow sampled trace lives in both rings) and ordered by
-// retention sequence. Exporters drain new work with the afterSeq cursor
-// (0 returns everything).
-func (tr *Tracer) Retained(afterSeq uint64) []*Trace {
+// retention sequence. Each is a copy: its Spans never alias the tracer's.
+func (tr *Tracer) Retained() []*Trace {
 	tr.mu.Lock()
 	seen := make(map[uint64]*Trace, len(tr.done)+len(tr.tail))
 	for _, t := range tr.done {
-		if t.Seq > afterSeq {
-			seen[t.Seq] = cloneTraceLocked(t)
-		}
+		seen[t.Seq] = cloneTraceLocked(t)
 	}
 	for _, t := range tr.tail {
-		if t.Seq > afterSeq && seen[t.Seq] == nil {
+		if seen[t.Seq] == nil {
 			seen[t.Seq] = cloneTraceLocked(t)
 		}
 	}
@@ -524,7 +467,7 @@ func (tr *Tracer) Exemplars(max int) []Exemplar {
 	if max <= 0 {
 		return nil
 	}
-	ts := tr.Retained(0)
+	ts := tr.Retained()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Elapsed() > ts[j].Elapsed() })
 	if len(ts) > max {
 		ts = ts[:max]
@@ -534,31 +477,6 @@ func (tr *Tracer) Exemplars(max int) []Exemplar {
 		out = append(out, Exemplar{TraceID: t.ID.String(), Seconds: t.Elapsed().Seconds()})
 	}
 	return out
-}
-
-// ChainMetrics is the §3.3 chain-level snapshot the gateway's metrics
-// agent reports.
-type ChainMetrics struct {
-	Requests      uint64
-	MeanExecution time.Duration
-	Paths         map[string]int
-}
-
-// Metrics summarizes the retained head-sampled traces.
-func (tr *Tracer) Metrics() ChainMetrics {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	m := ChainMetrics{Paths: make(map[string]int)}
-	var total time.Duration
-	for _, t := range tr.done {
-		m.Requests++
-		total += t.Elapsed()
-		m.Paths[t.Path()]++
-	}
-	if m.Requests > 0 {
-		m.MeanExecution = total / time.Duration(m.Requests)
-	}
-	return m
 }
 
 // traceCtxKey keys the trace context in a context.Context.

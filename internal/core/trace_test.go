@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,29 @@ func spansByStage(t *Trace) map[string][]Span {
 	out := make(map[string][]Span)
 	for _, s := range t.Spans {
 		out[s.Stage] = append(out[s.Stage], s)
+	}
+	return out
+}
+
+// handlerPath renders a trace's handler spans as "fn1->fn2->fn3" (branch
+// order under fan-out follows completion order).
+func handlerPath(t *Trace) string {
+	var parts []string
+	for _, s := range t.Spans {
+		if s.Stage == StageHandler {
+			parts = append(parts, s.Function)
+		}
+	}
+	return strings.Join(parts, "->")
+}
+
+// tailRetained keeps the traces tail sampling retained.
+func tailRetained(ts []*Trace) []*Trace {
+	var out []*Trace
+	for _, t := range ts {
+		if t.Tail {
+			out = append(out, t)
+		}
 	}
 	return out
 }
@@ -45,11 +70,11 @@ func TestTracingRecordsDFRPath(t *testing.T) {
 	if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	done := tr.Completed()
+	done := tr.Retained()
 	if len(done) != 1 {
 		t.Fatalf("traces %d want 1", len(done))
 	}
-	if p := done[0].Path(); p != "f1->f2->f3" {
+	if p := handlerPath(done[0]); p != "f1->f2->f3" {
 		t.Fatalf("path %q", p)
 	}
 	if done[0].Elapsed() <= 0 {
@@ -64,6 +89,9 @@ func TestTracingRecordsDFRPath(t *testing.T) {
 		}
 	}
 	assertParented(t, done[0])
+	if h, ok := tr.StageDurations()[StageHandler]; !ok || h.Count() != 3 {
+		t.Fatal("stage histogram for handler must hold the three handler spans")
+	}
 }
 
 // TestTracingStageCoverage: a sampled request decomposes into the full
@@ -77,7 +105,7 @@ func TestTracingStageCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitIdle(t, tr)
-			done := tr.Completed()
+			done := tr.Retained()
 			if len(done) != 1 {
 				t.Fatalf("traces %d want 1", len(done))
 			}
@@ -119,36 +147,13 @@ func TestTracingStageCoverage(t *testing.T) {
 	}
 }
 
-func TestTracingMetricsAggregation(t *testing.T) {
-	c, g := testChain(t, ModeEvent, seqSpec())
-	tr := c.EnableTracing(16)
-	for i := 0; i < 3; i++ {
-		if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := tr.Metrics()
-	if m.Requests != 3 {
-		t.Fatalf("requests %d", m.Requests)
-	}
-	if m.MeanExecution <= 0 {
-		t.Fatal("mean execution must be positive")
-	}
-	if m.Paths["f1->f2->f3"] != 3 {
-		t.Fatalf("paths %v", m.Paths)
-	}
-	if h, ok := tr.StageDurations()[StageHandler]; !ok || h.Count() == 0 {
-		t.Fatal("stage histogram for handler must have observations")
-	}
-}
-
 func TestTracingDisable(t *testing.T) {
 	c, g := testChain(t, ModeEvent, echoSpec())
 	tr := c.EnableTracing(4)
 	g.Invoke(context.Background(), "", []byte("a"))
 	c.DisableTracing()
 	g.Invoke(context.Background(), "", []byte("b"))
-	if got := len(tr.Completed()); got != 1 {
+	if got := len(tr.Retained()); got != 1 {
 		t.Fatalf("traces after disable: %d want 1", got)
 	}
 }
@@ -159,7 +164,7 @@ func TestTracingRetentionLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.Invoke(context.Background(), "", []byte("x"))
 	}
-	if got := len(tr.Completed()); got != 2 {
+	if got := len(tr.Retained()); got != 2 {
 		t.Fatalf("retained %d traces, want limit 2", got)
 	}
 }
@@ -178,7 +183,7 @@ func TestTracerHopDurationCapturesServiceTime(t *testing.T) {
 	if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	done := tr.Completed()
+	done := tr.Retained()
 	if len(done) != 1 {
 		t.Fatalf("trace incomplete: %+v", done)
 	}
@@ -192,7 +197,7 @@ func TestTracerHopDurationCapturesServiceTime(t *testing.T) {
 }
 
 func TestTracerDirectAPI(t *testing.T) {
-	tr := NewTracer(0) // default limit
+	tr := NewSampledTracer(1, 0) // default limit
 	start := time.Now()
 	tc := tr.BeginRequest(1, shm.TraceContext{}, start)
 	if !tc.Sampled() {
@@ -209,9 +214,9 @@ func TestTracerDirectAPI(t *testing.T) {
 	if tr.FinishRequest(1, true, nil, start, 2*time.Millisecond) != nil {
 		t.Fatal("double finish must return nil")
 	}
-	done := tr.Completed()
-	if len(done) != 1 || done[0].String() == "" || done[0].Path() != "a" {
-		t.Fatalf("rendering wrong: %v", done)
+	done := tr.Retained()
+	if len(done) != 1 || handlerPath(done[0]) != "a" {
+		t.Fatalf("retained traces wrong: %+v", done)
 	}
 	if tr.InFlight() != 0 {
 		t.Fatalf("in-flight %d want 0", tr.InFlight())
@@ -222,7 +227,7 @@ func TestTracerDirectAPI(t *testing.T) {
 // bug: re-beginning an abandoned caller slot must not double-increment the
 // in-flight count, which would permanently force the mutex slow path.
 func TestTracerCallerSlotReuse(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewSampledTracer(1, 8)
 	start := time.Now()
 	// First request on caller 7 is abandoned (no finish) and its slot
 	// reused by a later request with the same caller ID.
@@ -273,7 +278,7 @@ func TestTailSamplingRetainsErrors(t *testing.T) {
 	if got == nil || !got.Tail || got.Err != "boom" {
 		t.Fatalf("errored request must be tail-retained: %+v", got)
 	}
-	tail := tr.TailRetained()
+	tail := tailRetained(tr.Retained())
 	if len(tail) != 1 || tail[0].ID.IsZero() {
 		t.Fatalf("tail ring: %+v", tail)
 	}
@@ -301,7 +306,7 @@ func TestTailSamplingRetainsSlowRequests(t *testing.T) {
 	// deduplicated by Retained.
 	tc := tr.BeginRequest(3, shm.TraceContext{TraceHi: 1, TraceLo: 2, Span: 3, Flags: shm.TraceSampled}, start)
 	tr.FinishRequest(3, tc.Sampled(), nil, start, 50*time.Millisecond)
-	all := tr.Retained(0)
+	all := tr.Retained()
 	if len(all) != 2 {
 		t.Fatalf("retained %d want 2 (dedup across rings)", len(all))
 	}
@@ -321,7 +326,7 @@ func TestTailSamplingBounded(t *testing.T) {
 		tr.BeginRequest(caller, shm.TraceContext{}, start)
 		tr.FinishRequest(caller, false, errors.New("x"), start, time.Microsecond)
 	}
-	if got := len(tr.TailRetained()); got != 2 {
+	if got := len(tailRetained(tr.Retained())); got != 2 {
 		t.Fatalf("tail ring %d want limit 2", got)
 	}
 	if tr.TotalTailRetained() != 6 {
@@ -336,7 +341,7 @@ func TestTailSamplingBounded(t *testing.T) {
 
 // TestTracerExemplars: the slowest retained traces surface as exemplars.
 func TestTracerExemplars(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewSampledTracer(1, 8)
 	start := time.Now()
 	for caller := uint32(1); caller <= 3; caller++ {
 		tr.BeginRequest(caller, shm.TraceContext{}, start)
@@ -386,5 +391,74 @@ func waitIdle(t *testing.T, tr *Tracer) {
 			t.Fatalf("tracer still has %d in-flight traces", tr.InFlight())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTracerRetainedRacingFinish: readers of the one retained-trace read
+// (Retained, and Exemplars over it) race writers finishing requests, spans
+// landing after completion, and both rings evicting. Every read is ordered
+// by Seq with no duplicate, and the spans it returns are the reader's own.
+func TestTracerRetainedRacingFinish(t *testing.T) {
+	tr := NewSampledTracer(2, 8)
+	tr.SetTailSampling(-1, 4) // errors only, a small ring that keeps evicting
+	const writers, readers, perWriter = 4, 2, 2000
+	var wg, rwg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			boom := errors.New("boom")
+			for i := 0; i < perWriter; i++ {
+				caller := uint32(w*perWriter + i + 1)
+				start := time.Now()
+				tc := tr.BeginRequest(caller, shm.TraceContext{}, start)
+				span := Span{Parent: tc.Span, Stage: StageHandler, Function: "fn",
+					Instance: 1, Start: start, End: start.Add(time.Microsecond)}
+				if tc.Sampled() {
+					tr.RecordSpan(caller, span)
+				}
+				var err error
+				if i%3 == 0 {
+					err = boom
+				}
+				tr.FinishRequest(caller, tc.Sampled(), err, start, time.Microsecond)
+				tr.RecordSpan(caller, span) // late: after completion
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ts := tr.Retained()
+				for i, x := range ts {
+					if i > 0 && x.Seq <= ts[i-1].Seq {
+						t.Errorf("Seq %d after %d: duplicate or out of order", x.Seq, ts[i-1].Seq)
+						return
+					}
+					for j := range x.Spans {
+						if x.Spans[j].Function == "mine" {
+							t.Errorf("trace %d: a span written by a reader came back", x.Seq)
+							return
+						}
+						x.Spans[j].Function = "mine"
+					}
+				}
+				tr.Exemplars(4)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rwg.Wait()
+	if got := tr.InFlight(); got != 0 {
+		t.Fatalf("in-flight %d after every request finished", got)
 	}
 }

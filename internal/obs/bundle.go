@@ -27,8 +27,9 @@ type BundleSpec struct {
 	Meta any
 	// Events (events.json) are the flight events surrounding the breach.
 	Events []Event
-	// Traces (traces.json) are the retained traces, trace IDs included.
-	Traces any
+	// Traces (traces.json, one OTLP/HTTP JSON document) are the retained
+	// traces, trace IDs included.
+	Traces []TraceData
 	// Stats (stats.json) is the full gateway/chain stats snapshot.
 	Stats any
 	// SLO (slo.json) is the window report that tripped the watchdog.
@@ -55,24 +56,27 @@ func WriteBundle(spec BundleSpec) (string, error) {
 		return "", err
 	}
 	var profErrs []string
+	write := func(name string, b []byte, err error) {
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644)
+		}
+		if err != nil {
+			profErrs = append(profErrs, fmt.Sprintf("%s: %v", name, err))
+		}
+	}
 	writeJSON := func(name string, v any) {
 		if v == nil {
 			return
 		}
 		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			profErrs = append(profErrs, fmt.Sprintf("%s: %v", name, err))
-			return
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644); err != nil {
-			profErrs = append(profErrs, fmt.Sprintf("%s: %v", name, err))
-		}
+		write(name, b, err)
 	}
 	writeJSON("meta.json", spec.Meta)
 	if spec.Events != nil {
 		writeJSON("events.json", spec.Events)
 	}
-	writeJSON("traces.json", spec.Traces)
+	traces, err := OTLPJSON(spec.Traces)
+	write("traces.json", traces, err)
 	writeJSON("stats.json", spec.Stats)
 	writeJSON("slo.json", spec.SLO)
 

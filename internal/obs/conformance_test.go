@@ -17,6 +17,7 @@ import (
 
 	"github.com/spright-go/spright/internal/core"
 	"github.com/spright-go/spright/internal/orchestrator"
+	"github.com/spright-go/spright/internal/shm"
 )
 
 func echoSpec(name string, mode core.Mode) core.ChainSpec {
@@ -208,10 +209,21 @@ func TestExporterConformance(t *testing.T) {
 	if rec.Code != 200 {
 		t.Errorf("/healthz %d: %s", rec.Code, rec.Body.String())
 	}
+	// At the default 1-in-1024 head sampling the load above may have traced
+	// nothing; a request carrying a sampled context is always traced.
+	for i, d := range []*orchestrator.Deployment{evDep, plDep} {
+		ctx := core.WithTraceContext(context.Background(),
+			shm.TraceContext{TraceHi: 1, TraceLo: uint64(i + 1), Span: 1, Flags: shm.TraceSampled})
+		if _, err := d.Gateway.Invoke(ctx, "", []byte("traced")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rec = httptest.NewRecorder()
 	cluster.Observability().TracesHandler(rec, httptest.NewRequest("GET", "/traces", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "conf_event") {
-		t.Errorf("/traces %d missing chains: %s", rec.Code, rec.Body.String())
+	for _, svc := range []string{"spright/conf_event", "spright/conf_poll"} {
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), svc) {
+			t.Errorf("/traces %d missing %s: %s", rec.Code, svc, rec.Body.String())
+		}
 	}
 
 	// Teardown drops a chain's series from the next scrape.

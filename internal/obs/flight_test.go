@@ -251,15 +251,16 @@ func TestEventsHandlerConformance(t *testing.T) {
 func TestTracesHandlerInputValidation(t *testing.T) {
 	o := New()
 	gotLimit := -1
-	o.RegisterTraceSource("c", func(limit int) any {
+	o.RegisterSpanSource("c", func(limit int) []TraceData {
 		gotLimit = limit
-		return map[string]int{}
+		return nil
 	})
 
 	for _, tc := range []struct{ url, wantErr string }{
 		{"/traces?limit=abc", "not an integer"},
 		{"/traces?limit=-1", "must be >= 0"},
 		{"/traces?format=xml", "unknown format"},
+		{"/traces?format=json", "unknown format"},
 		{"/traces?format=OTLP", "unknown format"},
 	} {
 		rec := httptest.NewRecorder()

@@ -15,16 +15,16 @@ import (
 )
 
 // Observability bundles the admin surface of one SPRIGHT node: the metrics
-// registry, the health checks /healthz aggregates, the trace sources
-// /traces drains, the flight recorder behind /events, and the SLO monitors
-// behind /slo. Chains register on deploy and unregister on teardown.
+// registry, the health checks /healthz aggregates, the span sources /traces
+// and the trace file exporter drain, the flight recorder behind /events,
+// and the SLO monitors behind /slo. Chains register on deploy and
+// unregister on teardown.
 type Observability struct {
 	reg    *Registry
 	flight *FlightRecorder
 
 	mu        sync.Mutex
 	checks    map[string]func() error
-	traces    map[string]func(limit int) any
 	spans     map[string]func(limit int) []TraceData
 	slos      map[string]*SLOMonitor
 	bundleDir string
@@ -38,7 +38,6 @@ func New() *Observability {
 		reg:    NewRegistry(),
 		flight: NewFlightRecorder(0),
 		checks: make(map[string]func() error),
-		traces: make(map[string]func(limit int) any),
 		spans:  make(map[string]func(limit int) []TraceData),
 		slos:   make(map[string]*SLOMonitor),
 	}
@@ -113,25 +112,10 @@ func (o *Observability) UnregisterHealthCheck(name string) {
 	o.mu.Unlock()
 }
 
-// RegisterTraceSource installs a named source of recent sampled traces;
-// the returned value must be JSON-marshalable. limit bounds how many
-// recent traces the source renders (<= 0: source default).
-func (o *Observability) RegisterTraceSource(name string, fn func(limit int) any) {
-	o.mu.Lock()
-	o.traces[name] = fn
-	o.mu.Unlock()
-}
-
-// UnregisterTraceSource removes a trace source.
-func (o *Observability) UnregisterTraceSource(name string) {
-	o.mu.Lock()
-	delete(o.traces, name)
-	o.mu.Unlock()
-}
-
 // RegisterSpanSource installs a named source of completed traces in
-// exporter-neutral TraceData form — the feed behind /traces?format=otlp
-// and the file exporter.
+// exporter-neutral TraceData form — the feed behind /traces, diagnostic
+// bundles and the file exporter. limit bounds how many of the most recent
+// traces the source returns (<= 0: all it retains).
 func (o *Observability) RegisterSpanSource(name string, fn func(limit int) []TraceData) {
 	o.mu.Lock()
 	o.spans[name] = fn
@@ -159,22 +143,6 @@ func (o *Observability) Health() map[string]error {
 		if err := fn(); err != nil {
 			out[name] = err
 		}
-	}
-	return out
-}
-
-// Traces snapshots every registered trace source, rendering up to limit
-// recent traces per source (<= 0: source default).
-func (o *Observability) Traces(limit int) map[string]any {
-	o.mu.Lock()
-	fns := make(map[string]func(int) any, len(o.traces))
-	for k, v := range o.traces {
-		fns[k] = v
-	}
-	o.mu.Unlock()
-	out := make(map[string]any, len(fns))
-	for name, fn := range fns {
-		out[name] = fn(limit)
 	}
 	return out
 }
@@ -252,12 +220,11 @@ func parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return n, true
 }
 
-// TracesHandler serves /traces: by default the recent sampled traces of
-// every source as one JSON object keyed by source (chain) name;
-// ?format=otlp switches to one OTLP/HTTP JSON document of all completed
-// spans. ?limit=N bounds the traces rendered per source (clamped to
-// MaxTraceRenderLimit). Malformed limit or an unknown format is a 400
-// with a JSON error, not a silent coercion.
+// TracesHandler serves /traces: the completed traces of every span source
+// as one OTLP/HTTP JSON document. ?limit=N bounds the traces rendered per
+// source (clamped to MaxTraceRenderLimit); ?format= may be absent or
+// "otlp". A malformed limit or any other format is a 400 with a JSON error,
+// not a silent coercion.
 func (o *Observability) TracesHandler(w http.ResponseWriter, r *http.Request) {
 	if r == nil {
 		r = &http.Request{URL: &url.URL{}}
@@ -266,26 +233,17 @@ func (o *Observability) TracesHandler(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(o.Traces(limit)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	case "otlp":
-		b, err := OTLPJSON(o.CompletedTraces(limit))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(b)
-	default:
-		jsonError(w, http.StatusBadRequest,
-			"unknown format %q: want \"json\" or \"otlp\"", format)
+	if format := r.URL.Query().Get("format"); format != "" && format != "otlp" {
+		jsonError(w, http.StatusBadRequest, "unknown format %q: want \"otlp\"", format)
+		return
 	}
+	b, err := OTLPJSON(o.CompletedTraces(limit))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b)
 }
 
 // EventsHandler serves /events: the flight recorder's journal as JSON,
@@ -352,23 +310,23 @@ func (o *Observability) BundleHandler(w http.ResponseWriter, r *http.Request) {
 	http.StripPrefix("/debug/bundle/", http.FileServer(http.Dir(dir))).ServeHTTP(w, r)
 }
 
+// fileExportPeriod is how often StartFileExporter ships new traces.
+const fileExportPeriod = time.Second
+
 // StartFileExporter launches a background loop appending newly completed
 // traces (across all span sources) to path as OTLP JSON lines every
-// `every`. The returned stop function flushes once more and closes the
-// file.
-func (o *Observability) StartFileExporter(path string, every time.Duration) (func(), error) {
+// fileExportPeriod. The returned stop function flushes once more and closes
+// the file.
+func (o *Observability) StartFileExporter(path string) (func(), error) {
 	exp, err := NewTraceFileExporter(path)
 	if err != nil {
 		return nil, err
-	}
-	if every <= 0 {
-		every = time.Second
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(every)
+		tick := time.NewTicker(fileExportPeriod)
 		defer tick.Stop()
 		for {
 			select {
@@ -391,8 +349,9 @@ func (o *Observability) StartFileExporter(path string, every time.Duration) (fun
 }
 
 // AdminMux builds the full admin endpoint catalog: /metrics (Prometheus
-// exposition), /healthz, /traces (recent sampled traces as JSON) and the
-// standard net/http/pprof tree under /debug/pprof/.
+// exposition), /healthz, /traces (retained traces as OTLP/HTTP JSON),
+// /events, /slo, /debug/bundle/ and the standard net/http/pprof tree under
+// /debug/pprof/.
 func (o *Observability) AdminMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	o.Attach(mux)

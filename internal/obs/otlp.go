@@ -123,7 +123,7 @@ func OTLPJSON(traces []TraceData) ([]byte, error) {
 		ss := otlpScopeSpans{Scope: otlpScope{Name: "spright.tracer"}}
 		for _, t := range byChain[chain] {
 			traceID := fmt.Sprintf("%016x%016x", t.TraceIDHi, t.TraceIDLo)
-			for _, s := range t.Spans {
+			for i, s := range t.Spans {
 				sp := otlpSpan{
 					TraceID: traceID,
 					SpanID:  fmt.Sprintf("%016x", s.SpanID),
@@ -139,7 +139,10 @@ func OTLPJSON(traces []TraceData) ([]byte, error) {
 					sp.Attributes = append(sp.Attributes, strAttr("spright.function", s.Function))
 				}
 				sp.Attributes = append(sp.Attributes, intAttr("spright.instance", uint64(s.Instance)))
-				if s.ParentID == 0 {
+				// Spans[0] is the root request span; an adopted trace's
+				// root parents onto the upstream span, so ParentID does not
+				// tell it apart.
+				if i == 0 {
 					sp.Attributes = append(sp.Attributes, intAttr("spright.caller", uint64(t.Caller)))
 					if t.Tail {
 						sp.Attributes = append(sp.Attributes, strAttr("spright.tail", "true"))

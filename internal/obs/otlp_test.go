@@ -31,8 +31,49 @@ func decodeOTLP(t *testing.T, b []byte) map[string]any {
 	return doc
 }
 
+// rootAttrs returns the attributes of the first span named "request" in an
+// OTLP document, keyed by attribute name.
+func rootAttrs(t *testing.T, doc map[string]any) map[string]string {
+	t.Helper()
+	for _, r := range doc["resourceSpans"].([]any) {
+		for _, raw := range r.(map[string]any)["scopeSpans"].([]any)[0].(map[string]any)["spans"].([]any) {
+			sp := raw.(map[string]any)
+			if sp["name"] != "request" {
+				continue
+			}
+			out := make(map[string]string)
+			for _, kv := range sp["attributes"].([]any) {
+				kv := kv.(map[string]any)
+				v := kv["value"].(map[string]any)
+				val, _ := v["stringValue"].(string)
+				if val == "" {
+					val, _ = v["intValue"].(string)
+				}
+				out[kv["key"].(string)] = val
+			}
+			return out
+		}
+	}
+	t.Fatal("no request span in the document")
+	return nil
+}
+
 func TestOTLPJSONShape(t *testing.T) {
-	b, err := OTLPJSON([]TraceData{sampleTrace("alpha", 1), sampleTrace("beta", 2)})
+	// A trace adopted from an inbound context: its root request span
+	// (Spans[0]) parents onto the upstream span, and it still carries the
+	// caller and tail markers.
+	adopted := sampleTrace("gamma", 3)
+	adopted.Tail = true
+	adopted.Spans[0].ParentID = 0x99
+	b, err := OTLPJSON([]TraceData{adopted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attrs := rootAttrs(t, decodeOTLP(t, b)); attrs["spright.caller"] != "7" || attrs["spright.tail"] != "true" {
+		t.Fatalf("adopted root span attributes %v, want spright.caller 7 and spright.tail true", attrs)
+	}
+
+	b, err = OTLPJSON([]TraceData{sampleTrace("alpha", 1), sampleTrace("beta", 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,45 +183,30 @@ func TestTracesHandlerFormatsAndLimit(t *testing.T) {
 		}
 		return ts
 	})
-	o.RegisterTraceSource("chainX", func(limit int) any {
-		return map[string]int{"limit": limit}
-	})
 
-	// Default JSON view: Content-Type and the registered source.
+	// With or without ?format=otlp, /traces is one OTLP document across
+	// span sources, and ?limit is forwarded to them.
+	for _, url := range []string{"/traces?limit=1", "/traces?format=otlp&limit=1"} {
+		rec := httptest.NewRecorder()
+		o.TracesHandler(rec, httptest.NewRequest("GET", url, nil))
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("%s: Content-Type %q, want application/json", url, ct)
+		}
+		doc := decodeOTLP(t, rec.Body.Bytes())
+		rs := doc["resourceSpans"].([]any)
+		if len(rs) != 1 {
+			t.Fatalf("%s: resourceSpans %d, want 1", url, len(rs))
+		}
+		spans := rs[0].(map[string]any)["scopeSpans"].([]any)[0].(map[string]any)["spans"].([]any)
+		if len(spans) != 2 { // one trace (limit=1) x two spans
+			t.Fatalf("%s: %d spans, want 2 (limit honoured)", url, len(spans))
+		}
+	}
+
+	// No sources -> an empty OTLP doc, never null.
+	o.UnregisterSpanSource("chainX")
 	rec := httptest.NewRecorder()
 	o.TracesHandler(rec, httptest.NewRequest("GET", "/traces", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("Content-Type %q, want application/json", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "chainX") {
-		t.Fatalf("/traces missing chainX: %s", rec.Body.String())
-	}
-
-	// ?limit is forwarded to the sources.
-	rec = httptest.NewRecorder()
-	o.TracesHandler(rec, httptest.NewRequest("GET", "/traces?limit=1", nil))
-	if !strings.Contains(rec.Body.String(), `"limit": 1`) {
-		t.Fatalf("limit not forwarded: %s", rec.Body.String())
-	}
-
-	// ?format=otlp returns the OTLP document across span sources.
-	rec = httptest.NewRecorder()
-	o.TracesHandler(rec, httptest.NewRequest("GET", "/traces?format=otlp&limit=1", nil))
-	doc := decodeOTLP(t, rec.Body.Bytes())
-	rs := doc["resourceSpans"].([]any)
-	if len(rs) != 1 {
-		t.Fatalf("otlp resourceSpans: %d, want 1", len(rs))
-	}
-	spans := rs[0].(map[string]any)["scopeSpans"].([]any)[0].(map[string]any)["spans"].([]any)
-	if len(spans) != 2 { // one trace (limit=1) x two spans
-		t.Fatalf("otlp spans: %d, want 2 (limit honoured)", len(spans))
-	}
-
-	// No sources -> empty JSON object / empty OTLP doc, never null.
-	o.UnregisterSpanSource("chainX")
-	o.UnregisterTraceSource("chainX")
-	rec = httptest.NewRecorder()
-	o.TracesHandler(rec, httptest.NewRequest("GET", "/traces?format=otlp", nil))
 	if got := strings.TrimSpace(rec.Body.String()); got != `{"resourceSpans":[]}` {
 		t.Fatalf("empty otlp body %q", got)
 	}

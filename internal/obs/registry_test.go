@@ -148,13 +148,15 @@ func TestHealthzAggregation(t *testing.T) {
 
 func TestAdminMuxEndpoints(t *testing.T) {
 	o := New()
-	o.RegisterTraceSource("chainA", func(limit int) any { return []string{"t1"} })
+	o.RegisterSpanSource("chainA", func(limit int) []TraceData {
+		return []TraceData{sampleTrace("chainA", 1)}
+	})
 	mux := o.AdminMux()
 
 	for path, want := range map[string]string{
 		"/metrics": "spright_go_goroutines",
 		"/healthz": "ok",
-		"/traces":  "chainA",
+		"/traces":  "spright/chainA",
 	} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

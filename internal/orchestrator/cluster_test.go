@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -285,6 +286,44 @@ func TestEmptySchedulerFails(t *testing.T) {
 	s := &Scheduler{}
 	if _, err := s.Place(); err != ErrNoNodes {
 		t.Fatalf("want ErrNoNodes, got %v", err)
+	}
+}
+
+// TestFailureKindsExported: spright_failures_total carries every chain
+// failure counter of GatewayStats, terminal failures and exhausted retries
+// included.
+func TestFailureKindsExported(t *testing.T) {
+	cl := NewCluster(1)
+	d, err := cl.Controller.DeployChain(core.ChainSpec{
+		Name: "panicky",
+		Functions: []core.FunctionSpec{{
+			Name:    "boom",
+			Handler: func(ctx *core.Ctx) error { panic("boom") },
+		}},
+		Routes: []core.RouteSpec{{From: "", To: []string{"boom"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := d.Gateway.Invoke(context.Background(), "", []byte("x")); !errors.Is(err, core.ErrHandlerPanic) {
+			t.Fatalf("invoke %d: %v, want ErrHandlerPanic", i, err)
+		}
+	}
+	body := scrape(t, cl)
+	gs := d.Gateway.Stats()
+	if gs.TerminalFailures == 0 {
+		t.Fatalf("no terminal failures counted: %+v", gs)
+	}
+	for kind, want := range map[string]uint64{
+		"terminal":          gs.TerminalFailures,
+		"retries_exhausted": gs.RetriesExhausted,
+	} {
+		series := fmt.Sprintf(`spright_failures_total{chain="panicky",kind="%s"} %d`, kind, want)
+		if !strings.Contains(body, series+"\n") {
+			t.Errorf("exposition missing %s", series)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func TestPlacedChainCrossNodeE2E(t *testing.T) {
 	if headTr == nil {
 		t.Fatalf("head variant has no tracer")
 	}
-	headTraces := headTr.Completed()
+	headTraces := headTr.Retained()
 	if len(headTraces) == 0 {
 		t.Fatalf("no completed trace on head node")
 	}
@@ -107,7 +107,7 @@ func TestPlacedChainCrossNodeE2E(t *testing.T) {
 	var remoteMatch bool
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && !remoteMatch {
-		for _, rt := range remote.Chain.Tracer().Completed() {
+		for _, rt := range remote.Chain.Tracer().Retained() {
 			if rt.ID == ht.ID {
 				remoteMatch = true
 				if len(rt.Spans) == 0 {
@@ -121,7 +121,7 @@ func TestPlacedChainCrossNodeE2E(t *testing.T) {
 	}
 	if !remoteMatch {
 		t.Fatalf("trace %s did not span worker-2 (remote traces: %d)",
-			ht.ID, len(remote.Chain.Tracer().Completed()))
+			ht.ID, len(remote.Chain.Tracer().Retained()))
 	}
 
 	// Fire-and-forget crosses nodes too.

@@ -5,8 +5,8 @@ package orchestrator
 // scrape time — gateway admission/completion/latency, EPROXY L3 and failure
 // maps, SPROXY per-instance invocation counts, per-socket delivery
 // counters, shared-memory pool occupancy, ring queue flow, and the sampled
-// hop tracer — plus a health check and a recent-trace source. Registration
-// is keyed by chain name, so teardown drops a chain's series atomically.
+// hop tracer — plus a health check and a span source. Registration is keyed
+// by chain name, so teardown drops a chain's series atomically.
 
 import (
 	"fmt"
@@ -28,7 +28,7 @@ func transportLabel(m core.Mode) string {
 }
 
 // observeDeployment registers the deployment's collector, health check and
-// trace source under its chain name, wires the chain's dataplane event
+// span source under its chain name, wires the chain's dataplane event
 // hooks into the node's flight recorder, and installs the sliding-window
 // SLO monitor behind /slo. Returns the matching unregister.
 func observeDeployment(o *obs.Observability, d *Deployment) func() {
@@ -39,7 +39,6 @@ func observeDeployment(o *obs.Observability, d *Deployment) func() {
 	key := "chain:" + name
 	o.Registry().Register(key, func() []obs.Family { return collectChain(d) })
 	o.RegisterHealthCheck(key, func() error { return checkFlightDeployment(o, d) })
-	o.RegisterTraceSource(name, func(limit int) any { return traceSnapshot(d.Chain, limit) })
 	o.RegisterSpanSource(name, func(limit int) []obs.TraceData {
 		return completedTraceData(d.Chain, limit)
 	})
@@ -101,7 +100,6 @@ func observeDeployment(o *obs.Observability, d *Deployment) func() {
 		d.sloMu.Unlock()
 		o.Registry().Unregister(key)
 		o.UnregisterHealthCheck(key)
-		o.UnregisterTraceSource(name)
 		o.UnregisterSpanSource(name)
 	}
 }
@@ -225,6 +223,8 @@ func collectChain(d *Deployment) []obs.Family {
 		{"reclaimed", gs.Reclaimed},
 		{"deadline", gs.DeadlinesExceeded},
 		{"injected", gs.FaultsInjected},
+		{"retries_exhausted", gs.RetriesExhausted},
+		{"terminal", gs.TerminalFailures},
 	} {
 		failures.Samples = append(failures.Samples, obs.Sample{
 			Labels: obs.L("chain", c.Name(), "kind", kv.kind),
@@ -504,85 +504,16 @@ func checkDeployment(d *Deployment) error {
 	return nil
 }
 
-// traceSpan is the JSON shape of one span in /traces output.
-type traceSpan struct {
-	SpanID   string        `json:"span_id"`
-	ParentID string        `json:"parent_id,omitempty"`
-	Stage    string        `json:"stage"`
-	Function string        `json:"function,omitempty"`
-	Instance uint32        `json:"instance"`
-	Duration time.Duration `json:"duration_ns"`
-	Error    string        `json:"error,omitempty"`
-}
-
-// traceEntry is one completed trace in /traces output.
-type traceEntry struct {
-	TraceID string        `json:"trace_id"`
-	Caller  uint32        `json:"caller"`
-	Path    string        `json:"path"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Error   string        `json:"error,omitempty"`
-	Tail    bool          `json:"tail,omitempty"`
-	Spans   []traceSpan   `json:"spans"`
-}
-
-// renderTraces converts retained traces to their /traces JSON shape,
-// keeping the most recent `limit` (<= 0: all). The result is never nil.
-func renderTraces(ts []*core.Trace, limit int) []traceEntry {
-	if limit > 0 && len(ts) > limit {
-		ts = ts[len(ts)-limit:]
-	}
-	entries := make([]traceEntry, 0, len(ts))
-	for _, t := range ts {
-		e := traceEntry{
-			TraceID: t.ID.String(), Caller: t.Caller, Path: t.Path(),
-			Elapsed: t.Elapsed(), Error: t.Err, Tail: t.Tail,
-			Spans: make([]traceSpan, 0, len(t.Spans)),
-		}
-		for _, s := range t.Spans {
-			ts := traceSpan{
-				SpanID:   fmt.Sprintf("%016x", s.ID),
-				Stage:    s.Stage,
-				Function: s.Function,
-				Instance: s.Instance,
-				Duration: s.Duration(),
-				Error:    s.Err,
-			}
-			if s.Parent != 0 {
-				ts.ParentID = fmt.Sprintf("%016x", s.Parent)
-			}
-			e.Spans = append(e.Spans, ts)
-		}
-		entries = append(entries, e)
-	}
-	return entries
-}
-
-// traceSnapshot renders the chain's retained traces for /traces.
-func traceSnapshot(c *core.Chain, limit int) any {
-	tr := c.Tracer()
-	if tr == nil {
-		return map[string]any{"tracing": false, "recent": []traceEntry{}}
-	}
-	return map[string]any{
-		"tracing":             true,
-		"sample_every":        tr.SampleEvery(),
-		"total_sampled":       tr.TotalSampled(),
-		"total_tail_retained": tr.TotalTailRetained(),
-		"recent":              renderTraces(tr.Completed(), limit),
-		"tail":                renderTraces(tr.TailRetained(), limit),
-	}
-}
-
 // completedTraceData converts the chain's retained traces (head-sampled and
-// tail-retained, deduplicated) into exporter-neutral TraceData for OTLP
-// rendering and file export, keeping the most recent `limit` (<= 0: all).
+// tail-retained, deduplicated) into exporter-neutral TraceData for /traces,
+// diagnostic bundles and file export, keeping the most recent `limit`
+// (<= 0: all).
 func completedTraceData(c *core.Chain, limit int) []obs.TraceData {
 	tr := c.Tracer()
 	if tr == nil {
 		return nil
 	}
-	ts := tr.Retained(0)
+	ts := tr.Retained()
 	if limit > 0 && len(ts) > limit {
 		ts = ts[len(ts)-limit:]
 	}

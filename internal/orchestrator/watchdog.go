@@ -234,7 +234,7 @@ func (w *SLOWatchdog) maybeCapture(now time.Time, rep obs.SLOReport, kinds []str
 			"error_rate":     rep.ErrorRate,
 		},
 		Events:     events,
-		Traces:     traceSnapshot(w.dep.Chain, w.policy.TraceLimit),
+		Traces:     completedTraceData(w.dep.Chain, w.policy.TraceLimit),
 		Stats:      w.dep.Gateway.Stats(),
 		SLO:        rep,
 		CPUProfile: w.policy.CPUProfile,

@@ -143,16 +143,16 @@ func TestSLOWatchdogE2E(t *testing.T) {
 		}
 	}
 
-	// traces.json reconstructs the breach: it must carry the tail-retained
-	// trace IDs of the slow/errored requests.
-	traces := readBundleFile(t, bundle, "traces.json")
-	tail := dep.Chain.Tracer().TailRetained()
+	// traces.json reconstructs the breach: an OTLP document carrying the
+	// tail-retained trace IDs of the slow/errored requests.
+	roots := otlpRoots(t, []byte(readBundleFile(t, bundle, "traces.json")))["spright/wd"]
+	tail := tailTraces(dep.Chain.Tracer())
 	if len(tail) == 0 {
 		t.Fatal("no tail-retained traces despite injected faults")
 	}
 	found := 0
 	for _, tr := range tail {
-		if strings.Contains(traces, tr.ID.String()) {
+		if roots[tr.ID.String()]["spright.tail"] == "true" {
 			found++
 		}
 	}

@@ -30,20 +30,20 @@ race:
 	$(GO) test -race -p 1 ./...
 
 # race-stress repeats the tests of the dataplane's lock-free protocols —
-# workers parked in a plain receive (stop flag, retire tokens), concurrency
+# workers parked in a plain receive (the stop flag), concurrency
 # slots claimed by forwarding workers, in ModeEvent and ModePolling alike (the
 # bound, the parked worker's wake, shutdown waiting for claimed slots, the
 # routing cycle, backlog and fan-out), the bound itself as per-stripe
-# sub-budgets against a model under claimers, a resizer and a shutdown at once
+# sub-budgets against a model under claimers and a shutdown at once
 # (TestHandoffSlotBudgetModel), both instance queues — channel and ring — to
-# one contract through their socket (TestHandoffQueueContract: order, the
-# retire token, Close reclaiming every queued descriptor once, pushes and
-# a worker racing it), D-SPRIGHT workers polling their own ring
-# one at a time (TestHandoffPolling…: the flag given up before the first
-# handler and the worker away for the whole chain, the length re-read after it,
-# the producer's wake when nobody polls, a retire token refusing a claim, stop
-# waking every parked worker, one spinner per live instance socket and none for
-# the gateway), the reply into a closed gateway socket
+# one contract through their socket (TestHandoffQueueContract: order, Close
+# reclaiming every queued descriptor once, pushes and a worker racing it),
+# D-SPRIGHT workers polling their own ring one at a time (TestHandoffPolling…:
+# the flag given up before the first handler and the worker away for the whole
+# chain, the length re-read after it,
+# the producer's wake when nobody polls, work queued in a ring refusing a
+# claim, stop waking every parked worker, a full ring refusing a send, one
+# spinner per live instance socket and none for the gateway), the reply into a closed gateway socket
 # (TestHandoffReplyInto…), requests finished by whoever takes their pending
 # entry (Gateway.Close, abandonment racing completion, the remote Deadline
 # armed inside the table's lock), every gateway door through the one start

@@ -156,7 +156,6 @@ func main() {
 			MaxReplicas:      *maxReplicas,
 			ScaleToZeroAfter: *scaleToZeroAfter,
 			Prewarm:          *prewarm,
-			SelfHeal:         true,
 		}
 		var as *orchestrator.Autoscaler
 		if pd != nil {

@@ -806,8 +806,8 @@ func (c *Chain) DiscardPrewarmed(pw *PrewarmedInstance) {
 	pw.inst.shutdown()
 }
 
-// ScaleUp starts one additional instance of fn (vertical/horizontal pod
-// scaling, §3.7), wiring its sockmap entry and the filter rules of every
+// ScaleUp starts one additional instance of fn (horizontal pod scaling,
+// §3.7, the only way an instance's capacity changes), wiring its sockmap entry and the filter rules of every
 // routing edge that touches fn, then registering it with the router.
 func (c *Chain) ScaleUp(fn string) (*Instance, error) {
 	c.instMu.Lock()
@@ -923,7 +923,7 @@ func (c *Chain) AllowGatewayIngress(fn string) error {
 }
 
 // RestartInstance replaces a crashed or circuit-broken instance with a
-// fresh one of the same function — the kubelet's repair action behind the
+// fresh one of the same function — the autoscaler's self-heal behind the
 // §3.3 health probes. The replacement is registered and routable before
 // the victim leaves the router, so the function never drops to zero
 // instances; the victim's socket queue is drained asynchronously, with
@@ -970,7 +970,7 @@ func (c *Chain) RestartInstance(id uint32) (*Instance, error) {
 	// not in a slot a forwarding worker claims — and shutdown waits out the
 	// ones running, wherever they run, then drains and reclaims the socket
 	// queue.
-	victim.stop()
+	victim.stopping.Store(true)
 	go victim.shutdown()
 	return repl, nil
 }

@@ -244,9 +244,8 @@ type slotStripe struct {
 	// taken by decrementing it while it is positive and goes back to the
 	// stripe it came from (release), so a sub-budget only changes size in
 	// setSlots, and the stripes' free slots plus the slots held always sum to
-	// the bound (plus owed, while a shrink is waiting for slots in use). It
-	// dips below zero only for the moment between a taker's decrement that
-	// came second and its undo.
+	// the bound. It dips below zero only for the moment between a taker's
+	// decrement that came second and its undo.
 	free      atomic.Int32
 	handled   atomic.Uint64 // invocations completed in a slot of this stripe
 	delivered atomic.Uint64 // hops that arrived by claiming one (Socket.claimFor)
@@ -289,29 +288,22 @@ type Instance struct {
 	handler     Handler
 	serviceTime time.Duration // optional simulated CPU service time
 
-	// concurrency is the slot bound and the worker-pool size: written only by
-	// setSlots. stopping is set once by shutdown; no slot is granted
+	// concurrency is the slot bound and the worker-pool size, fixed when the
+	// instance is made (setSlots): capacity changes by adding and removing
+	// instances. stopping is set once by shutdown; no slot is granted
 	// afterwards, and a worker that receives a descriptor reclaims it instead
-	// of running the handler. owed is how many slots a shrink could not take
-	// back because they were in use: while it is not zero a released slot
-	// pays it off instead of becoming free, so a bound shrunk below the slots
-	// in use grants nothing until the handlers running are fewer than it.
-	// concMu serializes resizes against each other and against shutdown (no
-	// wg.Add once shutdown waits).
-	concurrency atomic.Int32
+	// of running the handler.
+	concurrency int32
 	stopping    atomic.Bool
-	owed        atomic.Int32
 
 	// Who waits for a release: workers parked on a full instance, and
-	// shutdown waiting for the last handler. release looks at owed and
-	// slotWaiters, on this line that no hop writes, and nothing else while
-	// they are zero.
+	// shutdown waiting for the last handler. release looks at slotWaiters, on
+	// this line that no hop writes, and nothing else while it is zero.
 	slotWaiters atomic.Int32
 
 	errs   atomic.Uint64
 	health health
 
-	concMu    sync.Mutex
 	slotMu    sync.Mutex
 	slotFreed sync.Cond // L is &slotMu
 
@@ -325,16 +317,16 @@ func (in *Instance) ID() uint32 { return in.id }
 func (in *Instance) Function() string { return in.fnName }
 
 // Inflight returns the number of requests currently being processed: the
-// slots held, which is the bound, plus what a shrink is still owed, less the
-// free slots of every stripe — exact whenever no claim or release is under
-// way. owed is read first: shutdown, after which it only falls, must never
-// read fewer slots held than are.
+// slots held, which is the bound less the free slots of every stripe — exact
+// whenever no claim or release is under way. A claim that lost a stripe's last
+// slot holds it at -1 until its undo, which would count one slot too many, so
+// the count is clamped to the bound.
 func (in *Instance) Inflight() int {
-	n := int(in.owed.Load()) + int(in.concurrency.Load())
+	n := int(in.concurrency)
 	for i := range in.stripes {
 		n -= int(in.stripes[i].free.Load())
 	}
-	return max(n, 0) // a resize under way may have added slots it has not yet counted
+	return min(max(n, 0), int(in.concurrency))
 }
 
 // QueueDepth returns the number of descriptors waiting for one of this
@@ -372,7 +364,7 @@ func (in *Instance) QueuedHops() uint64 { return in.sock.queuedHops.Load() }
 // the current rate is the instantaneous in-flight count, both observable
 // by the event-driven proxy.
 func (in *Instance) ResidualCapacity() int {
-	return int(in.concurrency.Load()) - in.Inflight()
+	return int(in.concurrency) - in.Inflight()
 }
 
 // start launches the instance's run loop: a pool of `concurrency`
@@ -381,15 +373,8 @@ func (in *Instance) ResidualCapacity() int {
 // goroutine per message, the persistent pool removes a goroutine creation,
 // a semaphore handoff and a closure allocation from every delivery.
 func (in *Instance) start() {
-	in.concMu.Lock()
-	in.startWorkersLocked(int(in.concurrency.Load()))
-	in.concMu.Unlock()
-}
-
-// startWorkersLocked adds n workers to the pool. Callers hold concMu.
-func (in *Instance) startWorkersLocked(n int) {
-	in.wg.Add(n)
-	for i := 0; i < n; i++ {
+	in.wg.Add(int(in.concurrency))
+	for i := int32(0); i < in.concurrency; i++ {
 		go in.work()
 	}
 }
@@ -405,7 +390,7 @@ func (in *Instance) startWorkersLocked(n int) {
 // and no stack.
 // It comes home when the request replies, fans out, leaves the node, fails, or
 // meets an instance that would not grant a slot, and runs until the socket
-// closes or a retire token (SetConcurrency shrinking the pool) reaches it.
+// closes.
 //
 // The request's Ctx is taken here, once, and with it the stripe everything the
 // request writes per hop hangs on — no pool round trip per hop and none for the
@@ -414,7 +399,7 @@ func (in *Instance) work() {
 	defer in.wg.Done()
 	for {
 		d, ok := in.sock.next()
-		if !ok || d.Buf == retireBuf {
+		if !ok {
 			return
 		}
 		ctx := ctxPool.Get().(*Ctx)
@@ -460,38 +445,16 @@ func (in *Instance) claim(stripe uint32) (slot uint32, ok bool) {
 			in.release(slot)
 			break
 		}
-		if in.owed.Load() != 0 && in.payOwed() {
-			// A shrink is owed slots in use, so this one went free in the
-			// moment before it declared the debt (a release that found
-			// nothing owed, or an undo above): it pays, as a release would.
-			continue
-		}
 		return slot, true
 	}
 	return 0, false
 }
 
-// release gives a slot back to the stripe it was taken from — or, while a
-// shrink is owed slots, to nobody — and wakes whoever waits for one.
+// release gives a slot back to the stripe it was taken from and wakes whoever
+// waits for one.
 func (in *Instance) release(slot uint32) {
-	if !in.payOwed() {
-		in.stripes[slot].free.Add(1)
-	}
+	in.stripes[slot].free.Add(1)
 	in.slotGivenBack()
-}
-
-// payOwed settles one slot of a shrink's debt with a slot the caller has in
-// hand, if there is a debt.
-func (in *Instance) payOwed() bool {
-	for {
-		owed := in.owed.Load()
-		if owed == 0 {
-			return false
-		}
-		if in.owed.CompareAndSwap(owed, owed-1) {
-			return true
-		}
-	}
 }
 
 // slotGivenBack wakes whoever waits for a slot, if anyone does.
@@ -542,81 +505,16 @@ func (in *Instance) acquire(stripe uint32) (slot uint32, ok bool) {
 	}
 }
 
-// Concurrency returns the instance's current concurrency limit.
-func (in *Instance) Concurrency() int { return int(in.concurrency.Load()) }
+// Concurrency returns the instance's concurrency limit.
+func (in *Instance) Concurrency() int { return int(in.concurrency) }
 
-// SetConcurrency performs §3.7's vertical scaling: it resizes the pod's
-// worker pool, and with it the slot bound, in place ("adding more CPU cores
-// for the function as needed"). Growing starts the missing workers. Shrinking
-// queues one retire token per surplus worker on the instance's own socket:
-// whichever workers receive them exit, in-flight invocations finish first, and
-// work queued before the resize is still served (the queue is FIFO); a bound
-// shrunk below the slots in use only stops new claims. A socket too full to
-// take a token stops the shrink there; the error wraps ErrSocketFull and
-// Concurrency reports the size actually reached.
-func (in *Instance) SetConcurrency(n int) error {
-	if n <= 0 {
-		return errors.New("core: concurrency must be positive")
-	}
-	in.concMu.Lock()
-	defer in.concMu.Unlock()
-	if in.stopping.Load() {
-		return ErrSocketClosed
-	}
-	old := int(in.concurrency.Load())
-	if n > old {
-		in.startWorkersLocked(n - old)
-	}
-	for ; old > n; old-- {
-		if err := in.sock.retire(); err != nil {
-			in.setSlots(old)
-			return fmt.Errorf("core: shrink to %d workers stopped at %d: %w", n, old, err)
-		}
-	}
-	in.setSlots(n)
-	if n > old {
-		in.wakeSlotWaiters() // a raised bound frees slots no release announces
-	}
-	return nil
-}
-
-// setSlots moves the slot bound to n. Callers hold concMu, or the instance has
-// not started. Slots are dealt to the stripes round-robin and taken back the
-// same way, so an idle instance's sub-budgets differ by at most one; one
-// resized under load may end up lopsided, which costs its claims a longer look
-// and nothing else. Growing forgives a slot still owed before it adds
-// one. Shrinking declares the whole debt first and then pays it off with what
-// free slots it can claim: from that moment a slot released pays too, and so
-// does one a claim finds free, so whatever is still owed when setSlots returns
-// is in use, and nothing is granted until it has come back.
+// setSlots sets the slot bound of an instance not yet started to n, dealing the
+// slots to the stripes round-robin, so its sub-budgets differ by at most one.
 func (in *Instance) setSlots(n int) {
-	at := int(in.concurrency.Load())
-	for ; at < n; at++ {
-		if !in.payOwed() {
-			in.stripes[at%ebpf.Stripes].free.Add(1)
-		}
+	for at := 0; at < n; at++ {
+		in.stripes[at%ebpf.Stripes].free.Add(1)
 	}
-	if at > n {
-		in.owed.Add(int32(at - n))
-		for ; at > n; at-- {
-			slot, ok := in.claim(uint32(at - 1))
-			if !ok {
-				break
-			}
-			if !in.payOwed() { // releases have paid the rest meanwhile
-				in.stripes[slot].free.Add(1)
-				break
-			}
-		}
-	}
-	in.concurrency.Store(int32(n))
-}
-
-// stop marks the instance stopping: no slot is granted from here on.
-func (in *Instance) stop() {
-	in.concMu.Lock()
-	in.stopping.Store(true)
-	in.concMu.Unlock()
+	in.concurrency = int32(n)
 }
 
 // shutdown stops the instance: the socket closes — its queue reclaims every
@@ -625,7 +523,7 @@ func (in *Instance) stop() {
 // after them, those other instances' workers are running in claimed slots.
 // When it returns no handler of this instance is running anywhere.
 func (in *Instance) shutdown() {
-	in.stop()
+	in.stopping.Store(true)
 	in.sock.Close()
 	in.wg.Wait()
 	in.parkWhile(func() bool { return in.Inflight() != 0 })

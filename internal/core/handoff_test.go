@@ -20,7 +20,7 @@ import (
 )
 
 // Tests for the protocols behind the lock-free hop: workers parked in a
-// plain receive (stop flag, retire tokens), Gateway.Close completing every
+// plain receive (the stop flag), Gateway.Close completing every
 // waiter, and the copy-on-write tables' visibility guarantee. Run them with
 // -race -count=10 (make verify does).
 
@@ -248,102 +248,6 @@ func stopReclaimsQueued(t *testing.T, mode Mode) {
 				return liveWorkers(t) == base+tc.left // Concurrency is 1
 			})
 		})
-	}
-}
-
-// TestHandoffSetConcurrencyUnderLoad: resizing the worker pool under load
-// loses no request, and once quiescent the number of live workers is the
-// setting — none leaked, none missing.
-func TestHandoffSetConcurrencyUnderLoad(t *testing.T) { setConcurrencyUnderLoad(t, ModeEvent) }
-
-func setConcurrencyUnderLoad(t *testing.T, mode Mode) {
-	base := settledWorkers(t)
-	c, g := testChain(t, mode, echoSpec())
-	inst := c.Router().Instances("echo")[0]
-
-	stop := make(chan struct{})
-	var sent, lost atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				out, err := g.Invoke(contextWithTimeout(t, 10*time.Second), "", []byte("abc"))
-				sent.Add(1)
-				if err != nil || string(out) != "ABC" {
-					lost.Add(1)
-					t.Errorf("request lost across resize: %q, %v", out, err)
-					return
-				}
-			}
-		}()
-	}
-	sizes := []int{3, 48, 1, 32, 2, 7, 1, 64, 5}
-	for _, n := range sizes {
-		if err := inst.SetConcurrency(n); err != nil {
-			t.Fatalf("SetConcurrency(%d): %v", n, err)
-		}
-		if inst.Concurrency() != n {
-			t.Fatalf("Concurrency() = %d after SetConcurrency(%d)", inst.Concurrency(), n)
-		}
-		before := sent.Load()
-		pollUntil(t, "traffic across the resize", func() bool { return sent.Load() > before+20 })
-	}
-	close(stop)
-	wg.Wait()
-	if lost.Load() != 0 {
-		t.Fatalf("%d of %d requests lost", lost.Load(), sent.Load())
-	}
-	want := sizes[len(sizes)-1]
-	pollUntil(t, "worker count to settle", func() bool { return liveWorkers(t)-base == want })
-	if d := inst.QueueDepth(); d != 0 {
-		t.Fatalf("%d retire tokens or descriptors left queued", d)
-	}
-	// Shutdown takes the rest with it.
-	c.Close()
-	pollUntil(t, "workers to exit at close", func() bool { return liveWorkers(t) == base })
-	if err := inst.SetConcurrency(8); !errors.Is(err, ErrSocketClosed) {
-		t.Fatalf("resize after shutdown: %v, want ErrSocketClosed", err)
-	}
-	if n := liveWorkers(t); n != base {
-		t.Fatalf("resize after shutdown started %d workers", n-base)
-	}
-}
-
-// TestHandoffShrinkStopsAtFullQueue: a socket with no room for a retire
-// token stops the shrink, and Concurrency reports the size really reached.
-func TestHandoffShrinkStopsAtFullQueue(t *testing.T) {
-	gate := make(chan struct{})
-	var runs atomic.Int64
-	spec := holdSpec(gate, &runs)
-	spec.SocketDepth = 2
-	spec.Functions[0].Concurrency = 4
-	c, g := testChain(t, ModeEvent, spec)
-	inst := c.Router().Instances("slow")[0]
-	for i := 1; i <= 4+2; i++ { // four wedged workers, then two queued
-		if err := g.InvokeAsync("", []byte("hold")); err != nil {
-			t.Fatal(err)
-		}
-		pollUntil(t, "request picked up or queued", func() bool {
-			return inst.Inflight()+inst.QueueDepth() == i && (i > 4 || inst.Inflight() == i)
-		})
-	}
-	if err := inst.SetConcurrency(2); !errors.Is(err, ErrSocketFull) {
-		t.Fatalf("shrink into a full queue: %v, want ErrSocketFull", err)
-	}
-	if inst.Concurrency() != 4 {
-		t.Fatalf("Concurrency() = %d, want 4 (no token was queued)", inst.Concurrency())
-	}
-	close(gate)
-	pollUntil(t, "queue drained", func() bool { return c.Pool().InUse() == 0 })
-	if err := inst.SetConcurrency(2); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -712,8 +616,8 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 	}
 }
 
-// slotShare is the size of stripe's sub-budget on an instance resized only
-// while idle: bound slots dealt round-robin.
+// slotShare is the size of stripe's sub-budget: bound slots dealt
+// round-robin.
 func slotShare(bound int, stripe uint32) int32 {
 	n := int32(bound / ebpf.Stripes)
 	if int(stripe) < bound%ebpf.Stripes {
@@ -731,9 +635,9 @@ func requireSlotsHome(t *testing.T, in *Instance, bound int) {
 			t.Errorf("instance %d, bound %d: stripe %d has %d free slots, was dealt %d", in.ID(), bound, i, got, want)
 		}
 	}
-	if in.Inflight() != 0 || in.ResidualCapacity() != bound || in.owed.Load() != 0 {
-		t.Errorf("idle instance %d: %d slots held, residual capacity %d of %d, %d owed",
-			in.ID(), in.Inflight(), in.ResidualCapacity(), bound, in.owed.Load())
+	if in.Inflight() != 0 || in.ResidualCapacity() != bound {
+		t.Errorf("idle instance %d: %d slots held, residual capacity %d of %d",
+			in.ID(), in.Inflight(), in.ResidualCapacity(), bound)
 	}
 }
 
@@ -742,16 +646,16 @@ func requireSlotsHome(t *testing.T, in *Instance, bound int) {
 // bounds below, at and above the stripe count; a claim from any stripe is
 // granted while any stripe has a slot and refused only when none has; a slot
 // goes back to the stripe it came from, whoever's stripe the request was on;
-// and under claimers on random stripes, a resizer and a shutdown at once, no
-// grant ever takes the slots held past the bound in force, a refusal nobody
-// released or resized across finds the bound reached, and shutdown returns
-// with nothing held and nothing granted after.
+// and under claimers on random stripes and a shutdown at once, no grant ever
+// takes the slots held past the bound, Inflight never reads more, a refusal
+// nobody released across finds the bound reached, and shutdown returns with
+// nothing held and nothing granted after.
 //
 // Guards this fails without: the scan of the other stripes in claim (every
 // subtest); handle releasing on the slot's stripe, not the request's
-// (released-where-taken); release paying what a shrink is owed before a slot
-// goes free, and claim paying it with a slot that went free just before the
-// shrink declared its debt (model).
+// (released-where-taken); claim refusing, and undoing, a decrement that
+// took a stripe below zero, and Inflight's clamp to the bound (model: each
+// checked by making the change).
 func TestHandoffSlotBudgetModel(t *testing.T) { bothModes(t, slotBudgetModel) }
 
 func slotBudgetModel(t *testing.T, mode Mode) {
@@ -807,102 +711,82 @@ func slotBudgetModel(t *testing.T, mode Mode) {
 		}
 	})
 
-	t.Run("model", func(t *testing.T) {
-		c, _ := testChain(t, mode, upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 8}))
-		in := c.Router().Instances("down")[0]
-		var (
-			gen               atomic.Uint64 // odd while a resize is under way
-			bound             atomic.Int64  // the bound in force while gen is even
-			held              atomic.Int64  // the model's count: granted, release not begun
-			relBegun, relDone atomic.Uint64
-			down              atomic.Bool // shutdown has returned
-			quit              atomic.Bool
-			grants, refusals  atomic.Int64
-		)
-		bound.Store(8)
-		t.Cleanup(func() { quit.Store(true) }) // before the chain's teardown, should the test give up early
-		// steady reports whether no resize was under way when g0 was sampled
-		// and none has begun since; quiet, whether in addition every release
-		// begun by now had ended when d0 was sampled.
-		steady := func(g0 uint64) bool { return g0%2 == 0 && gen.Load() == g0 }
-		quiet := func(g0, d0 uint64) bool { return steady(g0) && relBegun.Load() == d0 }
-		claimer := func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			for !quit.Load() {
-				wasDown := down.Load()
-				g0, b0, d0 := gen.Load(), bound.Load(), relDone.Load()
-				slot, ok := in.claim(uint32(rng.Intn(2 * ebpf.Stripes)))
-				if !ok {
-					refusals.Add(1)
-					// Nothing came back while claim looked, so each stripe it
-					// found empty stayed empty: every slot was out, and the
-					// model's count gets there once the grants it has not yet
-					// heard of are counted.
-					for deadline := time.Now().Add(5 * time.Second); !in.stopping.Load() && quiet(g0, d0) && held.Load() < b0; runtime.Gosched() {
-						if time.Now().After(deadline) {
-							t.Errorf("refused with %d of %d slots held, none being released", held.Load(), b0)
-							return
-						}
+	// Fewer slots than claimers, so claims are refused as well as granted.
+	for _, bound := range []int{1, 3, 8} {
+		t.Run("model/"+strconv.Itoa(bound), func(t *testing.T) { slotModel(t, mode, bound) })
+	}
+}
+
+func slotModel(t *testing.T, mode Mode, bound int) {
+	c, _ := testChain(t, mode, upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: bound}))
+	in := c.Router().Instances("down")[0]
+	var (
+		held              atomic.Int64 // the model's count: granted, release not begun
+		relBegun, relDone atomic.Uint64
+		down              atomic.Bool // shutdown has returned
+		quit              atomic.Bool
+		grants, refusals  atomic.Int64
+	)
+	t.Cleanup(func() { quit.Store(true) }) // before the chain's teardown, should the test give up early
+	claimer := func(seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for !quit.Load() {
+			wasDown := down.Load()
+			d0 := relDone.Load()
+			slot, ok := in.claim(uint32(rng.Intn(2 * ebpf.Stripes)))
+			if n := in.Inflight(); n > bound {
+				t.Errorf("Inflight() = %d over a bound of %d", n, bound)
+			}
+			if !ok {
+				refusals.Add(1)
+				// Nothing came back while claim looked, so each stripe it found
+				// empty stayed empty: every slot was out, and the model's count
+				// gets there once the grants it has not yet heard of are
+				// counted.
+				for deadline := time.Now().Add(5 * time.Second); !in.stopping.Load() && relBegun.Load() == d0 && held.Load() < int64(bound); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Errorf("refused with %d of %d slots held, none being released", held.Load(), bound)
+						return
 					}
-					runtime.Gosched() // let a holder run
-					continue
 				}
-				grants.Add(1)
-				if wasDown {
-					t.Errorf("stripe slot %d granted after shutdown returned", slot)
-				}
-				if n := held.Add(1); n > b0 && steady(g0) {
-					t.Errorf("a grant made %d slots held under a bound of %d", n, b0)
-				}
-				for i := rng.Intn(4); i > 0; i-- {
-					runtime.Gosched()
-				}
-				held.Add(-1)
-				relBegun.Add(1)
-				in.release(slot)
-				relDone.Add(1)
+				runtime.Gosched() // let a holder run
+				continue
 			}
+			grants.Add(1)
+			if wasDown {
+				t.Errorf("stripe slot %d granted after shutdown returned", slot)
+			}
+			if n := held.Add(1); n > int64(bound) {
+				t.Errorf("a grant made %d slots held under a bound of %d", n, bound)
+			}
+			for i := rng.Intn(4); i > 0; i-- {
+				runtime.Gosched()
+			}
+			held.Add(-1)
+			relBegun.Add(1)
+			in.release(slot)
+			relDone.Add(1)
 		}
-		var wg sync.WaitGroup
-		for i := int64(0); i < 6; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); claimer(i) }()
-		}
+	}
+	var wg sync.WaitGroup
+	for i := int64(0); i < 6; i++ {
 		wg.Add(1)
-		go func() { // the resizer
-			defer wg.Done()
-			for round := 0; !in.stopping.Load(); round++ {
-				n := []int{1, 3, 8, 32}[round%4]
-				gen.Add(1)
-				err := in.SetConcurrency(n)
-				if err == nil {
-					bound.Store(int64(n))
-				}
-				gen.Add(1)
-				if err != nil && !errors.Is(err, ErrSocketClosed) {
-					t.Errorf("SetConcurrency(%d): %v", n, err)
-					return
-				}
-				for before := grants.Load(); grants.Load() < before+100 && !in.stopping.Load(); {
-					runtime.Gosched()
-				}
-			}
-		}()
-		pollUntil(t, "claims across every bound, three times", func() bool { return gen.Load() >= 2*12 })
-		in.shutdown()
-		if n := held.Load(); n != 0 {
-			t.Errorf("shutdown returned with %d slots held", n)
-		}
-		down.Store(true)
-		after := grants.Load() + refusals.Load()
-		pollUntil(t, "claims after the shutdown", func() bool { return grants.Load()+refusals.Load() > after+50 })
-		quit.Store(true)
-		wg.Wait()
-		if in.Inflight() != 0 {
-			t.Errorf("%d slots held after the last release", in.Inflight())
-		}
-		t.Logf("%d grants, %d refusals, %d resizes", grants.Load(), refusals.Load(), gen.Load()/2)
-	})
+		go func() { defer wg.Done(); claimer(i) }()
+	}
+	pollUntil(t, "claims granted and refused", func() bool { return grants.Load() >= 1000 && (bound >= 6 || refusals.Load() >= 100) })
+	in.shutdown()
+	if n := held.Load(); n != 0 {
+		t.Errorf("shutdown returned with %d slots held", n)
+	}
+	down.Store(true)
+	after := grants.Load() + refusals.Load()
+	pollUntil(t, "claims after the shutdown", func() bool { return grants.Load()+refusals.Load() > after+50 })
+	quit.Store(true)
+	wg.Wait()
+	if in.Inflight() != 0 {
+		t.Errorf("%d slots held after the last release", in.Inflight())
+	}
+	t.Logf("bound %d: %d grants, %d refusals", bound, grants.Load(), refusals.Load())
 }
 
 // TestHandoffInlineShutdown: stopping an instance while a forwarding worker
@@ -1617,14 +1501,12 @@ func TestHandoffPollingNoLostWake(t *testing.T) {
 	}
 }
 
-// TestHandoffPollingStopAndResize: the resize and stop protocols keep their
-// meaning when the queue is a ring — shrinking and growing under load loses
-// nothing and settles on the worker count asked for, a stop lets the parked
-// workers of a wedged instance go at once, and a ring with no room for a
-// retire token stops the shrink there. (Reclaiming the backlog whichever way
-// the instance goes: TestHandoffStopReclaimsQueued, in both modes.)
-func TestHandoffPollingStopAndResize(t *testing.T) {
-	t.Run("resize", func(t *testing.T) { setConcurrencyUnderLoad(t, ModePolling) })
+// TestHandoffPollingStopAndFullRing: the stop protocol keeps its meaning when
+// the queue is a ring — a stop lets the parked workers of a wedged instance go
+// at once — and a full ring refuses a send with ErrSocketFull. (Reclaiming the
+// backlog whichever way the instance goes: TestHandoffStopReclaimsQueued, in
+// both modes.)
+func TestHandoffPollingStopAndFullRing(t *testing.T) {
 	t.Run("restart-wedged", func(t *testing.T) {
 		// The stop itself wakes the parked workers: they leave at once, not
 		// when the wedged handler lets its worker back to the ring.
@@ -1664,9 +1546,6 @@ func TestHandoffPollingStopAndResize(t *testing.T) {
 			if i < 2 {
 				pollUntil(t, "a handler held", func() bool { return slow.Inflight() == i+1 })
 			}
-		}
-		if err := slow.SetConcurrency(1); !errors.Is(err, ErrSocketFull) || slow.Concurrency() != 2 {
-			t.Fatalf("shrink into a full ring: %v, Concurrency %d; want ErrSocketFull and 2", err, slow.Concurrency())
 		}
 		if err := g.InvokeAsync("", []byte("hold")); !errors.Is(err, ErrSocketFull) {
 			t.Fatalf("send into a full ring: %v, want ErrSocketFull", err)
@@ -1760,14 +1639,12 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 	}
 }
 
-// TestHandoffPollingRetireTokenRefusesClaim: a retire token waiting in the
-// destination's ring is queued work like any other and is not overtaken — the
-// hop queues behind it though the instance is idle and has a slot free. (Fails
-// if claimFor reads only the sockets' channels, which a polled socket does not
-// have: the claim is granted and the hop counted as claimed. Checked by making
-// that change.)
-func TestHandoffPollingRetireTokenRefusesClaim(t *testing.T) {
-	base := settledWorkers(t)
+// TestHandoffPollingQueuedWorkRefusesClaim: a descriptor waiting in the
+// destination's ring is not overtaken — the hop queues behind it though the
+// instance has every slot free. (Fails if claimFor does not ask the
+// destination's queue whether it is idle: the claim is granted and the hop
+// counted as claimed. Checked by making that change.)
+func TestHandoffPollingQueuedWorkRefusesClaim(t *testing.T) {
 	gate := make(chan struct{})
 	spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 2})
 	spec.Functions = append(spec.Functions, FunctionSpec{Name: "tail", Handler: func(ctx *Ctx) error {
@@ -1781,8 +1658,7 @@ func TestHandoffPollingRetireTokenRefusesClaim(t *testing.T) {
 	open := openOnce(gate)
 	t.Cleanup(open)
 	down, tail := c.Router().Instances("down")[0], c.Router().Instances("tail")[0]
-	workers := c.Router().Instances("up")[0].Concurrency() + tail.Concurrency()
-	results := make(chan error, 3)
+	results := make(chan error, 4)
 	// Both of down's workers away from its ring, and out of its slots: each
 	// followed a request into tail's handler and is held there.
 	for i := 1; i <= 2; i++ {
@@ -1793,24 +1669,19 @@ func TestHandoffPollingRetireTokenRefusesClaim(t *testing.T) {
 		t.Fatalf("down: %d in flight, %d queued; tail: %d hops queued; want an idle down whose workers claimed tail",
 			down.Inflight(), down.QueueDepth(), tail.QueuedHops())
 	}
-	if err := down.SetConcurrency(1); err != nil {
-		t.Fatal(err)
-	}
-	if down.QueueDepth() != 1 {
-		t.Fatalf("%d descriptors in down's ring, want the retire token", down.QueueDepth())
-	}
+	go invokeTo(t, g, "direct", "x", results)
+	pollUntil(t, "a request waiting in down's ring", func() bool { return down.QueueDepth() == 1 })
 	go invokeTo(t, g, "", "x", results)
-	pollUntil(t, "the hop queued behind the token", func() bool { return down.QueueDepth() == 2 && down.QueuedHops() == 1 })
+	pollUntil(t, "the hop queued behind it", func() bool { return down.QueueDepth() == 2 && down.QueuedHops() == 1 })
 	if down.Handled() != 2 {
-		t.Fatalf("down handled %d requests, want 2: the claim overtook the retire token", down.Handled())
+		t.Fatalf("down handled %d requests, want 2: the claim overtook the queued request", down.Handled())
 	}
 	open()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		if err := <-results; err != nil {
 			t.Fatal(err)
 		}
 	}
-	pollUntil(t, "one of down's workers to retire", func() bool { return liveWorkers(t) == base+workers+1 })
 }
 
 // TestHandoffPollingHeadAwayDownstream: the head's worker gives its ring up

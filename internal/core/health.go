@@ -38,7 +38,8 @@ type health struct {
 func (in *Instance) Crashes() uint64 { return in.health.crashes.Load() }
 
 // CircuitOpen reports whether the instance is currently ejected from DFR
-// routing (the kubelet's probe reads this to decide on a restart).
+// routing (the kubelet's probe reports it; the autoscaler restarts the
+// instance).
 func (in *Instance) CircuitOpen() bool {
 	ou := in.health.openUntil.Load()
 	return ou != 0 && time.Now().UnixNano() < ou

@@ -91,7 +91,6 @@ func TestStripeLayout(t *testing.T) {
 			disjoint("Instance", []field{
 				{"concurrency", at(unsafe.Pointer(&in.concurrency), unsafe.Sizeof(in.concurrency))},
 				{"stopping", at(unsafe.Pointer(&in.stopping), unsafe.Sizeof(in.stopping))},
-				{"owed", at(unsafe.Pointer(&in.owed), unsafe.Sizeof(in.owed))},
 				{"slotWaiters", at(unsafe.Pointer(&in.slotWaiters), unsafe.Sizeof(in.slotWaiters))},
 				{"handler", at(unsafe.Pointer(&in.handler), unsafe.Sizeof(in.handler))},
 				{"sock", at(unsafe.Pointer(&in.sock), unsafe.Sizeof(in.sock))},

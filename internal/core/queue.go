@@ -18,8 +18,8 @@ import (
 //     returns false once the queue is stopped and the worker should exit.
 //   - idle and len report the backlog, in descriptors; a claim is granted only
 //     into an idle queue.
-//   - stop reclaims every descriptor still queued — retire tokens aside — and
-//     lets every worker blocked in next go.
+//   - stop reclaims every descriptor still queued and lets every worker
+//     blocked in next go.
 //
 // Each queue is given the chain's reclaim function when it is made
 // (Chain.newInstance). chanQueue is ModeEvent's, ringQueue ModePolling's, and
@@ -65,9 +65,7 @@ func (q *chanQueue) len() int   { return len(q.ch) }
 func (q *chanQueue) stop() {
 	close(q.ch)
 	for d := range q.ch {
-		if d.Buf != retireBuf {
-			q.reclaim(d)
-		}
+		q.reclaim(d)
 	}
 }
 
@@ -184,10 +182,6 @@ func (q *ringQueue) next() (shm.Descriptor, bool) {
 			continue
 		}
 		d := unpackDesc(words[0], words[1])
-		if d.Buf == retireBuf {
-			q.wakeOne() // the retiring worker's successor at the ring
-			return d, true
-		}
 		if q.r.Len() != 0 {
 			q.wakeOne() // more work behind this descriptor: a second worker, now
 		}
@@ -216,9 +210,7 @@ func (q *ringQueue) stop() {
 			break
 		}
 		for i := 0; i+descWords <= n; i += descWords {
-			if d := unpackDesc(words[i], words[i+1]); d.Buf != retireBuf {
-				q.reclaim(d)
-			}
+			q.reclaim(unpackDesc(words[i], words[i+1]))
 		}
 	}
 	q.wakeOne()

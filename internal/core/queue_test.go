@@ -25,8 +25,8 @@ func (c *bufCount) add(d shm.Descriptor) {
 }
 
 // TestHandoffQueueContract: both instance queues keep one contract through the
-// socket that owns them — FIFO order, a retire token behind the backlog it was
-// queued after, idle and QueueLen reading the backlog, and a Close that
+// socket that owns them — FIFO order, idle and QueueLen reading the
+// backlog, and a Close that
 // reclaims every descriptor still queued exactly once, including those pushed
 // while it runs, and lets every worker blocked in next go with false.
 func TestHandoffQueueContract(t *testing.T) {
@@ -49,20 +49,14 @@ func TestHandoffQueueContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := s.retire(); err != nil {
-					t.Fatal(err)
-				}
-				if s.q.idle() || s.QueueLen() != 4 {
-					t.Fatalf("three descriptors and a token: idle %v, QueueLen %d", s.q.idle(), s.QueueLen())
+				if s.q.idle() || s.QueueLen() != 3 {
+					t.Fatalf("three descriptors: idle %v, QueueLen %d", s.q.idle(), s.QueueLen())
 				}
 				for buf := uint32(1); buf <= 3; buf++ {
 					want := shm.Descriptor{NextFn: 1, Buf: buf, Len: 10 * buf, Caller: 100 + buf}
 					if d, ok := s.next(); !ok || d != want {
 						t.Fatalf("next: %+v, %v; want %+v", d, ok, want)
 					}
-				}
-				if d, ok := s.next(); !ok || d.Buf != retireBuf {
-					t.Fatalf("next: %+v, %v; want the retire token behind the backlog", d, ok)
 				}
 				if !s.q.idle() || s.QueueLen() != 0 {
 					t.Fatalf("drained queue: idle %v, QueueLen %d", s.q.idle(), s.QueueLen())
@@ -81,9 +75,6 @@ func TestHandoffQueueContract(t *testing.T) {
 					if err := s.Deliver(shm.Descriptor{Buf: buf}); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if err := s.retire(); err != nil {
-					t.Fatal(err)
 				}
 				s.Close()
 				if len(reclaimed.n) != n {

@@ -26,7 +26,7 @@ import (
 // the sending worker claims one of the instance's concurrency slots and runs
 // the handler itself (claimFor): nothing is queued and nobody is woken. A claim
 // is refused, and the hop queued, when the instance is stopping, has no free
-// slot or has queued work (which is never overtaken, a retire token included),
+// slot or has queued work (which is never overtaken),
 // or when the sender's own socket has a backlog to go home to. The hop is
 // counted as delivered either way — on the sender's stripe of the socket if it
 // was queued (sockStripe), on the stripe of the slot it claimed if it was not
@@ -184,18 +184,6 @@ func (s *Socket) enqueue(d shm.Descriptor, st *sockStripe) error {
 		return ErrSocketClosed
 	}
 	return s.q.push(d)
-}
-
-// retireBuf marks a retire token: a descriptor whose Buf no send can carry
-// (pool handles are slot indices, far below it). The owning instance queues
-// one per surplus worker when its pool shrinks; the worker that receives it
-// exits. It travels the instance's own queue, through enqueue, so it cannot
-// race Close, and workers need no second queue to watch.
-const retireBuf = ^uint32(0)
-
-// retire queues one retire token, behind whatever the instance's queue holds.
-func (s *Socket) retire() error {
-	return s.enqueue(shm.Descriptor{Buf: retireBuf}, &s.stripes[0])
 }
 
 // next is a worker's receive: the next descriptor for the instance, blocking

@@ -85,10 +85,7 @@ func TestExporterConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		_ = cluster.Controller.DeleteChain("conf_event")
-		_ = cluster.Controller.DeleteChain("conf_poll")
-	}()
+	defer evDep.Close()
 
 	// Concurrent load on both chains while a scraper hammers /metrics —
 	// the race-cleanliness half of the conformance contract.
@@ -227,9 +224,7 @@ func TestExporterConformance(t *testing.T) {
 	}
 
 	// Teardown drops a chain's series from the next scrape.
-	if err := cluster.Controller.DeleteChain("conf_poll"); err != nil {
-		t.Fatal(err)
-	}
+	plDep.Close()
 	vals2, body2 := scrape(t, cluster)
 	if _, ok := vals2[`spright_gateway_admitted_total{chain="conf_poll"}`]; ok {
 		t.Errorf("deleted chain still in exposition:\n%s", body2)
@@ -260,7 +255,7 @@ func TestHealthzReflectsCircuitBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Controller.DeleteChain("conf_health")
+	defer dep.Close()
 
 	for i := 0; i < 5; i++ {
 		_, _ = dep.Gateway.Invoke(context.Background(), "", []byte("x"))

@@ -152,39 +152,29 @@ func (r *EventRing) Snapshot(afterSeq uint64, limit int) []Event {
 const defaultFlightCapacity = 1024
 
 // FlightRecorder journals events into one cluster-wide ring plus one ring
-// per registered chain. Emit is the single entry point; it is zero-alloc
-// and, when the recorder is disabled, a single atomic load.
+// per registered chain. Emit is the single entry point, and it is
+// zero-alloc.
 type FlightRecorder struct {
-	enabled atomic.Bool
-	seq     atomic.Uint64
-	cap     int
+	seq atomic.Uint64
+	cap int
 
 	cluster *EventRing
 	mu      sync.RWMutex
 	chains  map[string]*EventRing
 }
 
-// NewFlightRecorder creates an enabled recorder whose rings retain up to
+// NewFlightRecorder creates a recorder whose rings retain up to
 // capacity events each (<= 0: the 1024 default).
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	r := &FlightRecorder{
+	return &FlightRecorder{
 		cap:     capacity,
 		cluster: NewEventRing(capacity),
 		chains:  make(map[string]*EventRing),
 	}
-	r.enabled.Store(true)
-	return r
 }
-
-// SetEnabled toggles recording. While disabled, Emit returns after one
-// atomic load without reading the clock or touching any ring.
-func (r *FlightRecorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether the recorder is recording.
-func (r *FlightRecorder) Enabled() bool { return r.enabled.Load() }
 
 // RegisterChain creates (or returns) the chain's dedicated ring, so its
 // events stay addressable even when a noisy neighbour floods the cluster
@@ -209,10 +199,10 @@ func (r *FlightRecorder) UnregisterChain(chain string) {
 }
 
 // Emit journals one event into the cluster ring and, when chain names a
-// registered chain, into that chain's ring. Safe on a nil receiver and
-// free when disabled — emitting sites need no guards of their own.
+// registered chain, into that chain's ring. Safe on a nil receiver —
+// emitting sites need no guards of their own.
 func (r *FlightRecorder) Emit(chain, kind, subject, reason string, value int64) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	e := Event{

@@ -114,39 +114,28 @@ func TestFlightCursorAcrossWrap(t *testing.T) {
 	}
 }
 
-func TestFlightDisabledAndNil(t *testing.T) {
+func TestFlightNilAndRecording(t *testing.T) {
 	var nilRec *FlightRecorder
 	nilRec.Emit("c", EventShed, "", "", 0) // must not panic
 
 	r := NewFlightRecorder(4)
 	r.RegisterChain("c")
-	r.SetEnabled(false)
-	r.Emit("c", EventShed, "", "", 0)
-	if r.Total() != 0 {
-		t.Fatal("disabled recorder journaled an event")
-	}
-	r.SetEnabled(true)
 	r.Emit("c", EventShed, "", "", 0)
 	if r.Total() != 1 {
-		t.Fatal("re-enabled recorder did not journal")
+		t.Fatal("recorder did not journal")
 	}
 }
 
-// TestFlightEmitAllocFree is the recorder's hot-path contract: a disabled
-// recorder, a nil one (what core holds before any sink is wired) and an
-// enabled one all emit without allocating — the journal overwrites
-// preallocated ring slots.
+// TestFlightEmitAllocFree is the recorder's hot-path contract: a nil
+// recorder (what core holds before any sink is wired) and a live one both
+// emit without allocating — the journal overwrites preallocated ring slots.
 func TestFlightEmitAllocFree(t *testing.T) {
-	disabled := NewFlightRecorder(0)
-	disabled.RegisterChain("c")
-	disabled.SetEnabled(false)
 	enabled := NewFlightRecorder(0)
 	enabled.RegisterChain("c")
 	for _, tc := range []struct {
 		name string
 		r    *FlightRecorder
 	}{
-		{"disabled", disabled},
 		{"nil", nil},
 		{"enabled", enabled},
 	} {

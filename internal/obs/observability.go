@@ -280,7 +280,6 @@ func (o *Observability) EventsHandler(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(map[string]any{
-		"enabled":    o.flight.Enabled(),
 		"total":      o.flight.Total(),
 		"chains":     o.flight.Chains(),
 		"chain":      chain,

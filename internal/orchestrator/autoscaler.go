@@ -109,10 +109,6 @@ type AutoscalerConfig struct {
 	// activation (0: no prewarm pool).
 	Prewarm int
 
-	// SelfHeal replaces circuit-open instances via RestartInstance on
-	// every evaluation.
-	SelfHeal bool
-
 	// Interval is the evaluation period used by EnableAutoscaling
 	// (<=0: 50ms).
 	Interval time.Duration
@@ -126,7 +122,7 @@ const (
 	ReasonResume = "resume"
 	// ReasonToZero: the idle chain retired to zero replicas.
 	ReasonToZero = "to_zero"
-	// ReasonSelfHeal: a circuit-open instance was replaced.
+	// ReasonSelfHeal is the self-heal pass replacing a circuit-open instance.
 	ReasonSelfHeal = "self_heal"
 )
 
@@ -144,12 +140,11 @@ type ScaleDecision struct {
 const defaultInterval = 50 * time.Millisecond
 
 // NewAutoscaler builds the legacy-shaped autoscaler: instantaneous (no
-// smoothing, no hysteresis, no cooldowns), floor 1, cap 8, self-healing on.
+// smoothing, no hysteresis, no cooldowns), floor 1, cap 8.
 func NewAutoscaler(dep *Deployment, target int) *Autoscaler {
 	return NewAutoscalerWithConfig(dep, AutoscalerConfig{
 		Target:      target,
 		MinReplicas: 1,
-		SelfHeal:    true,
 	})
 }
 
@@ -252,18 +247,16 @@ func (a *Autoscaler) evaluateLocked(now time.Time) []ScaleDecision {
 	// Self-heal first: a circuit-open instance is not capacity, it is a
 	// fault. Replace it before sizing so the demand below lands on
 	// instances that can serve it.
-	if a.cfg.SelfHeal {
-		for _, in := range c.Instances() {
-			if !in.CircuitOpen() {
-				continue
-			}
-			fn := in.Function()
-			n := len(c.Router().Instances(fn))
-			if _, err := c.RestartInstance(in.ID()); err == nil {
-				out = append(out, a.record(ScaleDecision{
-					Function: fn, From: n, To: n, Reason: ReasonSelfHeal, At: now,
-				}))
-			}
+	for _, in := range c.Instances() {
+		if !in.CircuitOpen() {
+			continue
+		}
+		fn := in.Function()
+		n := len(c.Router().Instances(fn))
+		if _, err := c.RestartInstance(in.ID()); err == nil {
+			out = append(out, a.record(ScaleDecision{
+				Function: fn, From: n, To: n, Reason: ReasonSelfHeal, At: now,
+			}))
 		}
 	}
 

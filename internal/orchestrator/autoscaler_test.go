@@ -312,7 +312,7 @@ func TestSelfHealReplacesCircuitOpenInstance(t *testing.T) {
 	// MinReplicas 2 keeps the idle-sizing pass from also shrinking the
 	// freshly healed pair, so the assertion isolates the self-heal path.
 	as := NewAutoscalerWithConfig(d, AutoscalerConfig{
-		Target: 32, MinReplicas: 2, MaxReplicas: 8, SelfHeal: true,
+		Target: 32, MinReplicas: 2, MaxReplicas: 8,
 	})
 
 	bad := d.Chain.Router().Instances("w")[0]
@@ -373,7 +373,6 @@ func TestEnableAutoscalingScaleToZeroAndResume(t *testing.T) {
 		ScaleToZeroAfter: 30 * time.Millisecond,
 		Prewarm:          1,
 		Interval:         5 * time.Millisecond,
-		SelfHeal:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,6 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 		ScaleToZeroAfter: 4 * interval,
 		Prewarm:          1,
 		Interval:         interval,
-		SelfHeal:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

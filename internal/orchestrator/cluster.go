@@ -64,7 +64,8 @@ type Deployment struct {
 	Chain   *core.Chain
 	Gateway *core.Gateway
 
-	unobserve func() // drops the chain's obs registrations (may be nil)
+	unobserve func()      // drops the chain's obs registrations (may be nil)
+	ctl       *Controller // whose table DeployChain entered it in (nil otherwise)
 
 	asMu        sync.Mutex
 	autoscaler  *Autoscaler
@@ -103,8 +104,30 @@ func (d *Deployment) Autoscaler() *Autoscaler {
 	return d.autoscaler
 }
 
-// Close tears the deployment down.
+// Close tears the deployment down. It leaves the node's and the controller's
+// tables first, so the ingress routes nothing more to it, and once Close
+// returns its name can be deployed again. Only the first Close tears anything
+// down — the one that finds the node's table still mapping the name to the
+// deployment — so closing it again after the name was redeployed leaves the
+// new deployment alone.
 func (d *Deployment) Close() {
+	name := d.Chain.Name()
+	d.Node.mu.Lock()
+	mine := d.Node.chains[name] == d
+	if mine {
+		delete(d.Node.chains, name)
+	}
+	d.Node.mu.Unlock()
+	if !mine {
+		return
+	}
+	if ctl := d.ctl; ctl != nil {
+		ctl.mu.Lock()
+		if ctl.deploys[name] == d {
+			delete(ctl.deploys, name)
+		}
+		ctl.mu.Unlock()
+	}
 	// The watchdog goes before the monitor it reads; both go before the
 	// gateway whose agent ticks them.
 	d.sloMu.Lock()
@@ -130,10 +153,7 @@ func (d *Deployment) Close() {
 	}
 	d.Gateway.Close()
 	d.Chain.Close()
-	d.Node.mu.Lock()
-	delete(d.Node.chains, d.Chain.Name())
-	d.Node.mu.Unlock()
-	_ = d.Node.ShmMgr.Release(d.Chain.Name())
+	_ = d.Node.ShmMgr.Release(name)
 }
 
 // Kubelet is the per-node pod manager the controller instructs (§3.1). It
@@ -170,9 +190,8 @@ func (k *Kubelet) CreateChain(spec core.ChainSpec) (*Deployment, error) {
 type ProbeResult struct {
 	Function    string
 	Instance    uint32
-	Healthy     bool
 	Crashes     uint64
-	CircuitOpen bool
+	CircuitOpen bool // ejected from routing: the instance is unhealthy
 }
 
 // Probe performs the §3.3 health checks: SPRIGHT dispenses with the queue
@@ -183,37 +202,14 @@ type ProbeResult struct {
 func (k *Kubelet) Probe(d *Deployment) []ProbeResult {
 	var out []ProbeResult
 	for _, in := range d.Chain.Instances() {
-		open := in.CircuitOpen()
-		healthy := in.ResidualCapacity() > -1 && !open // socket alive, not wedged, routable
 		out = append(out, ProbeResult{
 			Function:    in.Function(),
 			Instance:    in.ID(),
-			Healthy:     healthy,
 			Crashes:     in.Crashes(),
-			CircuitOpen: open,
+			CircuitOpen: in.CircuitOpen(),
 		})
 	}
 	return out
-}
-
-// Repair restarts every unhealthy instance found by Probe — the kubelet's
-// half of failure recovery: the dataplane's circuit breaker stops routing
-// to a crashing pod, and the kubelet replaces it with a fresh one. The
-// replacement is routable before the victim is removed, so the function
-// never drops to zero instances. Returns how many instances were
-// restarted; restart failures are joined into err.
-func (k *Kubelet) Repair(d *Deployment) (restarted int, err error) {
-	for _, pr := range k.Probe(d) {
-		if pr.Healthy {
-			continue
-		}
-		if _, rerr := d.Chain.RestartInstance(pr.Instance); rerr != nil {
-			err = errors.Join(err, fmt.Errorf("restart %s/%d: %w", pr.Function, pr.Instance, rerr))
-			continue
-		}
-		restarted++
-	}
-	return restarted, err
 }
 
 // Scheduler places chains onto nodes. SPRIGHT's deployment constraint
@@ -317,6 +313,7 @@ func (ctl *Controller) DeployChain(spec core.ChainSpec) (*Deployment, error) {
 		return nil, err
 	}
 	d.unobserve = observeDeployment(ctl.obsv, d)
+	d.ctl = ctl
 	ctl.mu.Lock()
 	ctl.deploys[spec.Name] = d
 	ctl.mu.Unlock()
@@ -364,19 +361,6 @@ func (ctl *Controller) EnableAutoscaling(name string, cfg AutoscalerConfig) (*Au
 	as.Start(as.cfg.Interval)
 	d.autoscaler = as
 	return as, nil
-}
-
-// DeleteChain tears down a chain.
-func (ctl *Controller) DeleteChain(name string) error {
-	ctl.mu.Lock()
-	d, ok := ctl.deploys[name]
-	delete(ctl.deploys, name)
-	ctl.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("orchestrator: chain %q not deployed", name)
-	}
-	d.Close()
-	return nil
 }
 
 // Deployment looks a chain up by name.

@@ -96,22 +96,55 @@ func TestChainLevelPlacement(t *testing.T) {
 	}
 }
 
-func TestDeleteChainReleasesPrefix(t *testing.T) {
+// TestClosedChainLeavesController: a closed deployment is gone from the
+// controller's table — the ingress answers 404 for it and Deployment does not
+// find it — and its name, with its shared-memory prefix, can be deployed
+// again and served; closing the old deployment once more leaves the new one
+// serving.
+func TestClosedChainLeavesController(t *testing.T) {
 	cl := NewCluster(1)
+	srv := httptest.NewServer(cl.Ingress)
+	defer srv.Close()
+	post := func() (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/c1/do", "text/plain", strings.NewReader("abc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
 	d, err := cl.Controller.DeployChain(upperSpec("c1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := d.Node
-	if err := cl.Controller.DeleteChain("c1"); err != nil {
-		t.Fatal(err)
+	if code, body := post(); code != 200 || body != "ABC" {
+		t.Fatalf("deployed chain: %d %q", code, body)
 	}
-	if err := cl.Controller.DeleteChain("c1"); err == nil {
-		t.Fatal("double delete must fail")
+	d.Close()
+	if code, _ := post(); code != 404 {
+		t.Fatalf("closed chain answered %d through the ingress, want 404", code)
 	}
-	// prefix is reusable: redeploy on the same node
-	if _, err := node.Kubelet.CreateChain(upperSpec("c1")); err != nil {
-		t.Fatalf("prefix not released: %v", err)
+	if _, ok := cl.Controller.Deployment("c1"); ok {
+		t.Fatal("closed chain still in the controller's table")
+	}
+	d2, err := cl.Controller.DeployChain(upperSpec("c1"))
+	if err != nil {
+		t.Fatalf("redeploy after close: %v", err)
+	}
+	defer d2.Close()
+	d.Close()
+	if code, body := post(); code != 200 || body != "ABC" {
+		t.Fatalf("redeployed chain after the old one closed again: %d %q", code, body)
+	}
+	rec := httptest.NewRecorder()
+	cl.Observability().Registry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), `spright_gateway_admitted_total{chain="c1"}`) {
+		t.Fatal("closing the old deployment again dropped the redeployed chain's metrics")
+	}
+	if got, ok := cl.Controller.Deployment("c1"); !ok || got != d2 {
+		t.Fatal("controller does not map the name to the redeployed chain")
 	}
 }
 
@@ -134,9 +167,7 @@ func TestClosedChainReleasesEBPFState(t *testing.T) {
 		if es := k.EngineStats(); es.Loaded != es0.Loaded+2 || es.Compiled != es0.Compiled+2 {
 			t.Fatalf("deploy %d: program gauges %+v, want two above %+v", i, es, es0)
 		}
-		if err := cl.Controller.DeleteChain("churn"); err != nil {
-			t.Fatal(err)
-		}
+		d.Close()
 	}
 	es := k.EngineStats()
 	if maps := k.MapCount(); maps != maps0 || es.Loaded != es0.Loaded || es.Compiled != es0.Compiled {
@@ -183,7 +214,7 @@ func TestKubeletProbe(t *testing.T) {
 	}
 	defer d.Close()
 	res := d.Node.Kubelet.Probe(d)
-	if len(res) != 1 || !res[0].Healthy {
+	if len(res) != 1 || res[0].CircuitOpen {
 		t.Fatalf("probe results %+v", res)
 	}
 }

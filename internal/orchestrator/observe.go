@@ -414,8 +414,8 @@ func collectChain(d *Deployment) []obs.Family {
 }
 
 // collectAutoscaler snapshots the autoscaling control plane of one chain:
-// per-function replica/desired/EWMA state, decision counters by reason,
-// prewarm pool activity, and the node manager's pooled-attach counters.
+// per-function replica/desired/EWMA state, decision counters by reason, and
+// prewarm pool activity.
 func collectAutoscaler(d *Deployment, a *Autoscaler) []obs.Family {
 	name := d.Chain.Name()
 	chain := obs.L("chain", name)
@@ -465,20 +465,6 @@ func collectAutoscaler(d *Deployment, a *Autoscaler) []obs.Family {
 		)
 	}
 
-	as := d.Node.ShmMgr.AttachStats()
-	node := obs.L("node", d.Node.Name)
-	fams = append(fams,
-		obs.CounterFamily("spright_shm_attaches_total",
-			"Fresh secondary-process pool attaches on the node.", node, float64(as.Attaches)),
-		obs.CounterFamily("spright_shm_attach_reuses_total",
-			"Attaches served from the pooled-attach free list.", node, float64(as.Reuses)),
-		obs.CounterFamily("spright_shm_detaches_total",
-			"Attach handles recycled to the free list.", node, float64(as.Detaches)),
-		obs.GaugeFamily("spright_shm_attach_live",
-			"Attach handles currently checked out.", node, float64(as.Live)),
-		obs.GaugeFamily("spright_shm_attach_pooled",
-			"Attach handles waiting on free lists.", node, float64(as.Pooled)),
-	)
 	return fams
 }
 
@@ -488,13 +474,9 @@ func collectAutoscaler(d *Deployment, a *Autoscaler) []obs.Family {
 // buffers are held with nobody waiting for them.
 func checkDeployment(d *Deployment) error {
 	for _, pr := range d.Node.Kubelet.Probe(d) {
-		if pr.Healthy {
-			continue
-		}
 		if pr.CircuitOpen {
 			return fmt.Errorf("instance %s/%d circuit breaker open", pr.Function, pr.Instance)
 		}
-		return fmt.Errorf("instance %s/%d unhealthy", pr.Function, pr.Instance)
 	}
 	ps := d.Chain.Pool().Stats()
 	if ps.InUse >= ps.Capacity && d.Gateway.Stats().Pending == 0 {

@@ -4,15 +4,13 @@ import (
 	"sync"
 
 	"github.com/spright-go/spright/internal/core"
-	"github.com/spright-go/spright/internal/shm"
 )
 
 // PrewarmPool keeps pre-wired instances ready per function so that
 // resuming a scaled-to-zero function skips the expensive startup steps:
 // the instance's socket is already transport-registered, its filter edges
-// authorized, its worker pool running, and its shared-memory attachment
-// drawn from the manager's pooled-attach free list. Activation is then a
-// router insert — the cold start the parked request observes shrinks to
+// authorized and its worker pool running. Activation is then a router
+// insert — the cold start the parked request observes shrinks to
 // roughly a warm dispatch.
 //
 // This leans on §4.2.2's economics: a warm SPRIGHT instance is an idle
@@ -23,17 +21,10 @@ type PrewarmPool struct {
 	per int // warm instances to hold per function
 
 	mu     sync.Mutex
-	warm   map[string][]warmEntry
+	warm   map[string][]*core.PrewarmedInstance
 	hits   uint64
 	misses uint64
 	closed bool
-}
-
-// warmEntry pairs a prewarmed instance with the pooled shm attachment it
-// holds while waiting.
-type warmEntry struct {
-	pw  *core.PrewarmedInstance
-	att *shm.Attachment
 }
 
 // NewPrewarmPool builds a pool holding per warm instances per function.
@@ -44,7 +35,7 @@ func NewPrewarmPool(dep *Deployment, per int) *PrewarmPool {
 	return &PrewarmPool{
 		dep:  dep,
 		per:  per,
-		warm: make(map[string][]warmEntry),
+		warm: make(map[string][]*core.PrewarmedInstance),
 	}
 }
 
@@ -61,23 +52,17 @@ func (p *PrewarmPool) Fill() {
 				break
 			}
 			p.mu.Unlock()
-			att, err := p.dep.Node.ShmMgr.AttachPooled(c.Name())
-			if err != nil {
-				return
-			}
 			pw, err := c.Prewarm(fn)
 			if err != nil {
-				att.Detach()
 				return
 			}
 			p.mu.Lock()
 			if p.closed {
 				p.mu.Unlock()
 				c.DiscardPrewarmed(pw)
-				att.Detach()
 				return
 			}
-			p.warm[fn] = append(p.warm[fn], warmEntry{pw: pw, att: att})
+			p.warm[fn] = append(p.warm[fn], pw)
 			p.mu.Unlock()
 		}
 	}
@@ -85,8 +70,7 @@ func (p *PrewarmPool) Fill() {
 
 // Take activates one prewarmed instance of fn, reporting whether the pool
 // could serve the request (false is a miss: the caller falls back to a
-// cold ScaleUp). The entry's shm attachment recycles to the manager's
-// free list, so the next Fill's attach is a reuse, not a fresh lookup.
+// cold ScaleUp).
 func (p *PrewarmPool) Take(fn string) (*core.Instance, bool) {
 	p.mu.Lock()
 	entries := p.warm[fn]
@@ -95,13 +79,12 @@ func (p *PrewarmPool) Take(fn string) (*core.Instance, bool) {
 		p.mu.Unlock()
 		return nil, false
 	}
-	e := entries[len(entries)-1]
+	pw := entries[len(entries)-1]
 	p.warm[fn] = entries[:len(entries)-1]
 	p.hits++
 	p.mu.Unlock()
 
-	inst, err := p.dep.Chain.Activate(e.pw)
-	e.att.Detach()
+	inst, err := p.dep.Chain.Activate(pw)
 	if err != nil {
 		return nil, false
 	}
@@ -138,12 +121,11 @@ func (p *PrewarmPool) Close() {
 	}
 	p.closed = true
 	drained := p.warm
-	p.warm = make(map[string][]warmEntry)
+	p.warm = make(map[string][]*core.PrewarmedInstance)
 	p.mu.Unlock()
 	for _, entries := range drained {
-		for _, e := range entries {
-			p.dep.Chain.DiscardPrewarmed(e.pw)
-			e.att.Detach()
+		for _, pw := range entries {
+			p.dep.Chain.DiscardPrewarmed(pw)
 		}
 	}
 }

@@ -79,8 +79,7 @@ type SLOWatchdog struct {
 
 // EnableSLOWatchdog attaches a watchdog to a deployed chain. It evaluates
 // on the chain's metrics-agent tick; Evaluate is exported for deterministic
-// tests. Returns the watchdog; Deployment.Close (or DeleteChain) tears it
-// down.
+// tests. Returns the watchdog; Deployment.Close tears it down.
 func (ctl *Controller) EnableSLOWatchdog(name string, policy SLOPolicy) (*SLOWatchdog, error) {
 	d, ok := ctl.Deployment(name)
 	if !ok {

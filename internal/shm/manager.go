@@ -14,16 +14,6 @@ import (
 type Manager struct {
 	mu    sync.Mutex
 	pools map[string]*Pool
-
-	// attachFree caches detached Attachment handles per prefix so a
-	// prewarmed instance reuses a prior secondary-process mapping instead
-	// of paying lookup + wiring again (the pooled-attach half of cold-start
-	// mitigation).
-	attachFree map[string][]*Attachment
-	attaches   uint64
-	reuses     uint64
-	detaches   uint64
-	live       int
 }
 
 // ErrUnknownPrefix is returned when attaching with a prefix that no primary
@@ -32,104 +22,7 @@ var ErrUnknownPrefix = errors.New("shm: unknown shared-data file prefix")
 
 // NewManager returns an empty manager.
 func NewManager() *Manager {
-	return &Manager{
-		pools:      make(map[string]*Pool),
-		attachFree: make(map[string][]*Attachment),
-	}
-}
-
-// Attachment is one pooled secondary-process attach handle: the result of
-// a prefix lookup that can be detached back to the manager and handed to
-// the next attacher without repeating the lookup.
-type Attachment struct {
-	m      *Manager
-	pool   *Pool
-	prefix string
-	mu     sync.Mutex
-	done   bool
-}
-
-// Pool returns the attached pool.
-func (a *Attachment) Pool() *Pool { return a.pool }
-
-// Prefix returns the shared-data file prefix this handle is bound to.
-func (a *Attachment) Prefix() string { return a.prefix }
-
-// Detach returns the handle to the manager's per-prefix free list for
-// reuse. Detaching twice is a no-op.
-func (a *Attachment) Detach() {
-	a.mu.Lock()
-	if a.done {
-		a.mu.Unlock()
-		return
-	}
-	a.done = true
-	a.mu.Unlock()
-
-	m := a.m
-	m.mu.Lock()
-	m.detaches++
-	m.live--
-	// Only cache the handle while its pool is still registered; a released
-	// prefix must not resurrect through the free list.
-	if _, ok := m.pools[a.prefix]; ok {
-		m.attachFree[a.prefix] = append(m.attachFree[a.prefix],
-			&Attachment{m: m, pool: a.pool, prefix: a.prefix})
-	}
-	m.mu.Unlock()
-}
-
-// AttachPooled attaches to prefix like Attach, but returns a reusable
-// handle: Detach recycles it, and the next AttachPooled for the same
-// prefix is served from the free list (a reuse) instead of a fresh
-// lookup. This is the shm side of the prewarm pool.
-func (m *Manager) AttachPooled(prefix string) (*Attachment, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if free := m.attachFree[prefix]; len(free) > 0 {
-		a := free[len(free)-1]
-		m.attachFree[prefix] = free[:len(free)-1]
-		m.reuses++
-		m.live++
-		return a, nil
-	}
-	p, ok := m.pools[prefix]
-	if !ok {
-		return nil, ErrUnknownPrefix
-	}
-	m.attaches++
-	m.live++
-	return &Attachment{m: m, pool: p, prefix: prefix}, nil
-}
-
-// AttachStats reports pooled-attach activity.
-type AttachStats struct {
-	// Attaches counts fresh prefix lookups; Reuses counts handles served
-	// from the free list instead.
-	Attaches uint64
-	Reuses   uint64
-	Detaches uint64
-	// Live is the number of handles currently checked out; Pooled the
-	// number waiting on free lists.
-	Live   int
-	Pooled int
-}
-
-// AttachStats returns a snapshot of pooled-attach counters.
-func (m *Manager) AttachStats() AttachStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pooled := 0
-	for _, free := range m.attachFree {
-		pooled += len(free)
-	}
-	return AttachStats{
-		Attaches: m.attaches,
-		Reuses:   m.reuses,
-		Detaches: m.detaches,
-		Live:     m.live,
-		Pooled:   pooled,
-	}
+	return &Manager{pools: make(map[string]*Pool)}
 }
 
 // CreatePool initializes a private pool for one function chain. Creating a
@@ -172,7 +65,6 @@ func (m *Manager) Release(prefix string) error {
 	}
 	p.Close()
 	delete(m.pools, prefix)
-	delete(m.attachFree, prefix)
 	return nil
 }
 

@@ -56,8 +56,8 @@ race:
 # the interleavings these protocols exist for. The pool's Close racing its
 # getters (TestPoolMappingCloseRace: no get succeeds once the slab's mapping
 # can be returned) rides along, and so does the striped histogram, whose
-# stripes are created by their first Observe while Snapshot and Count read
-# them (TestStripedHistogram…), and the tracer's one read of retained traces
+# stripes are created by their first Observe while Snapshot reads them
+# (TestStripedHistogram…), and the tracer's one read of retained traces
 # against requests finishing, late spans and both rings evicting
 # (TestTracerRetainedRacingFinish: no duplicate Seq, Seq ascending, private
 # span copies).
@@ -83,25 +83,17 @@ alloc-gate:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# fuzz-smoke runs each fuzz target's committed seeds as a regression suite and
-# then fuzzes it for 30 s: the SPROXY/EPROXY fast paths against the
-# interpreter through every run entry, hash maps against a map model, whatever
-# the verifier accepts against the interpreter's budget and fault classes, the
-# wire frame codec, the gateway's raw-bytes door under the four protocol
-# adapters, the 16-byte descriptor, and internal/proto's six decoders.
-# FUZZFLAGS replaces the fuzzing flags (on a shared host, add -parallel 2).
+# fuzz-smoke finds every fuzz target of the module (go test -list '^Fuzz'),
+# runs its committed seeds as a regression suite and then fuzzes it for 30 s.
+# A new Fuzz function joins by existing. FUZZFLAGS replaces the fuzzing flags
+# (on a shared host, add -parallel 2).
 FUZZFLAGS ?= -fuzztime 30s
-FUZZ_TARGETS = \
-	./internal/ebpf/:FuzzFastPathParity \
-	./internal/ebpf/:FuzzHashMapModel \
-	./internal/ebpf/:FuzzVerifiedProgramsTerminate \
-	./internal/wire/:FuzzFrameRoundTrip \
-	./internal/core/:FuzzIngestRaw \
-	./internal/shm/:FuzzUnmarshalDescriptor \
-	./internal/proto/:FuzzProtoDecoders
 
 fuzz-smoke:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; list="$$($(GO) test -list '^Fuzz' ./...)"; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ { fns = fns " " $$1 } /^ok/ { n = split(fns, f, " "); for (i = 1; i <= n; i++) print $$2 ":" f[i]; fns = "" }')"; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	for t in $$targets; do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
 		echo "== $$fn $$pkg"; \
 		$(GO) test $$pkg -run "^$$fn\$$" -fuzz "^$$fn\$$" $(FUZZFLAGS); \

@@ -180,29 +180,29 @@ func BenchmarkDFR_Ablation(b *testing.B) {
 }
 
 // BenchmarkObjStoreSpillReload1MB measures one full eviction round trip:
-// a 1MB object spilled to the file tier and transparently reloaded into
-// pool slabs on the next Open. This is the cost of overflowing
-// MaxResidentBytes — the price of keeping the pool available for the hot
-// path when cold intermediates pile up.
+// two 1MB objects under a 1MB resident budget, opened in turn, so each Open
+// transparently reloads its object into pool slabs and spills the other to
+// the file tier. This is the cost of overflowing MaxResidentBytes — the
+// price of keeping the pool available for the hot path when cold
+// intermediates pile up.
 func BenchmarkObjStoreSpillReload1MB(b *testing.B) {
 	pool, err := shm.NewPool("bench-obj", 1024, 16*1024)
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := objstore.New(pool, objstore.Config{SpillDir: b.TempDir()})
-	h, err := st.Put("cold", make([]byte, 1<<20))
-	if err != nil {
-		b.Fatal(err)
+	st := objstore.New(pool, objstore.Config{MaxResidentBytes: 1 << 20, SpillDir: b.TempDir()})
+	var hs [2]objstore.Handle
+	for i := range hs {
+		if hs[i], err = st.Put(fmt.Sprint("cold-", i), make([]byte, 1<<20)); err != nil {
+			b.Fatal(err)
+		}
+		defer st.Release(hs[i])
 	}
-	defer st.Release(h)
 	b.SetBytes(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Spill(h); err != nil {
-			b.Fatal(err)
-		}
-		r, err := st.Open(h) // transparent reload
+		r, err := st.Open(hs[i%2]) // reloads it, spills the other
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -196,10 +196,11 @@ func hasAnyPrefix(s string, prefixes []string) bool {
 	return false
 }
 
-// moduleNames parses every Go file of the repository and collects the names it
-// declares — packages, funcs, methods, types, fields, parameters, consts and
-// vars — and the string literals of its non-test files. A name bound by := is
-// a function's private detail, not something the docs should cite.
+// moduleNames parses every Go file of the repository but the fixtures under
+// testdata and collects the names it declares — packages, funcs, methods,
+// types, fields, parameters, consts and vars — and the string literals of its
+// non-test files. A name bound by := is a function's private detail, not
+// something the docs should cite.
 func moduleNames(t *testing.T) (names, literals map[string]bool) {
 	t.Helper()
 	names, literals = make(map[string]bool), make(map[string]bool)
@@ -216,7 +217,7 @@ func moduleNames(t *testing.T) (names, literals map[string]bool) {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil

@@ -112,15 +112,3 @@ func Weights() []float64 {
 	}
 	return out
 }
-
-// MeanHops returns the weighted mean number of messages per request (the
-// sequence transitions plus the final response), a key input to the
-// platform cost model.
-func MeanHops() float64 {
-	var hops, weight float64
-	for _, c := range Chains() {
-		hops += c.Weight * float64(len(c.Sequence))
-		weight += c.Weight
-	}
-	return hops / weight
-}

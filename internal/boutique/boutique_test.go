@@ -56,14 +56,6 @@ func TestServiceNames(t *testing.T) {
 	}
 }
 
-func TestMeanHopsReasonable(t *testing.T) {
-	m := MeanHops()
-	// weighted by the Locust mix, dominated by Ch-3 (15 entries)
-	if m < 8 || m > 18 {
-		t.Fatalf("mean hops %v implausible", m)
-	}
-}
-
 func TestHeaderRoundTrip(t *testing.T) {
 	p := EncodeRequest(3, []byte("body"))
 	ci, step, body, err := DecodeResponse(p)

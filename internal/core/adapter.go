@@ -63,13 +63,6 @@ func (r *AdapterRegistry) Attach(a Adapter) {
 	r.adapters[a.Protocol()] = a
 }
 
-// Detach unloads an adapter at runtime.
-func (r *AdapterRegistry) Detach(protocol string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.adapters, protocol)
-}
-
 // Get resolves the adapter for a protocol.
 func (r *AdapterRegistry) Get(protocol string) (Adapter, error) {
 	r.mu.RLock()
@@ -79,17 +72,6 @@ func (r *AdapterRegistry) Get(protocol string) (Adapter, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoAdapter, protocol)
 	}
 	return a, nil
-}
-
-// Protocols lists attached protocols.
-func (r *AdapterRegistry) Protocols() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.adapters))
-	for p := range r.adapters {
-		out = append(out, p)
-	}
-	return out
 }
 
 // HTTPAdapter handles raw HTTP/1.1 bytes (stateless; §3.6 notes HTTP works

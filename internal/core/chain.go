@@ -202,22 +202,6 @@ type failureCounters struct {
 	injected         atomic.Uint64 // faults fired by the injector
 }
 
-// Injector returns the chain's fault injector (nil when not injecting).
-func (c *Chain) Injector() *fault.Injector { return c.injector }
-
-// EnableTracing turns on tracing of every request, retaining up to limit
-// traces.
-func (c *Chain) EnableTracing(limit int) *Tracer {
-	tr := NewSampledTracer(1, limit)
-	c.tracer.Store(tr)
-	return tr
-}
-
-// DisableTracing stops trace collection.
-func (c *Chain) DisableTracing() {
-	c.tracer.Store(nil)
-}
-
 // Tracer returns the chain's current tracer (nil when tracing is off).
 func (c *Chain) Tracer() *Tracer {
 	return c.tracer.Load()
@@ -351,8 +335,7 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 		return nil, fmt.Errorf("core: unknown mode %d", spec.Mode)
 	}
 
-	// Always-on sampled tracing (spec.TraceSampleEvery < 0 opts out; tests
-	// that need full traces replace the tracer via EnableTracing).
+	// Always-on sampled tracing (spec.TraceSampleEvery < 0 opts out).
 	if spec.TraceSampleEvery >= 0 {
 		every := spec.TraceSampleEvery
 		if every == 0 {
@@ -736,12 +719,6 @@ type PrewarmedInstance struct {
 	inst *Instance
 	used bool
 }
-
-// ID returns the prewarmed instance's dataplane ID.
-func (pw *PrewarmedInstance) ID() uint32 { return pw.inst.id }
-
-// Function returns the function this instance will serve.
-func (pw *PrewarmedInstance) Function() string { return pw.inst.fnName }
 
 // Prewarm creates one not-yet-routable instance of fn for later Activate.
 func (c *Chain) Prewarm(fn string) (*PrewarmedInstance, error) {

@@ -66,9 +66,6 @@ func TestInjectedPanicIsBoundedAndCounted(t *testing.T) {
 	if err != nil || string(out) != "Y" {
 		t.Fatalf("got %q, %v after fault budget exhausted", out, err)
 	}
-	if s := inj.Stats(); s.Panics != 1 || s.Total != 1 {
-		t.Fatalf("injector stats %+v, want exactly one panic", s)
-	}
 	if s := g.Stats(); s.FaultsInjected != 1 || s.Crashes != 1 {
 		t.Fatalf("gateway stats %+v", s)
 	}
@@ -183,9 +180,6 @@ func TestCircuitBreakerEjectsCrashingReplica(t *testing.T) {
 		if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 			t.Fatalf("request %d failed with the bad replica ejected: %v", i, err)
 		}
-	}
-	if bad.CircuitOpens() != 1 {
-		t.Fatalf("circuit opens = %d, want 1", bad.CircuitOpens())
 	}
 	if s := g.Stats(); s.CircuitOpens != 1 {
 		t.Fatalf("gateway stats circuit opens = %d, want 1", s.CircuitOpens)

@@ -184,8 +184,8 @@ func TestHandoffAbandonRacesCompletion(t *testing.T) {
 			if n := replies.Load() + abandoned.Load() + refused.Load(); n != callers*rounds && !t.Failed() {
 				t.Errorf("%d outcomes for %d calls", n, callers*rounds)
 			}
-			if g.Stats().Pending != 0 || g.pending.size() != 0 {
-				t.Errorf("pending after the storm: count %d, table %d", g.Stats().Pending, g.pending.size())
+			if g.Stats().Pending != 0 || pendingEntries(g) != 0 {
+				t.Errorf("pending after the storm: count %d, table %d", g.Stats().Pending, pendingEntries(g))
 			}
 			pollUntil(t, "late replies reclaimed", func() bool { return c.Pool().InUse() == 0 })
 		})
@@ -267,8 +267,8 @@ func TestRemoteDeadlineFiresBeforeRegistration(t *testing.T) {
 			t.Fatalf("%d of %d requests never expired: their timers fired before their entries were registered", requests-i, requests)
 		}
 	}
-	if g.Stats().Pending != 0 || g.pending.size() != 0 {
-		t.Errorf("pending after every deadline: count %d, table %d", g.Stats().Pending, g.pending.size())
+	if g.Stats().Pending != 0 || pendingEntries(g) != 0 {
+		t.Errorf("pending after every deadline: count %d, table %d", g.Stats().Pending, pendingEntries(g))
 	}
 	if fs := g.Stats(); fs.DeadlinesExceeded != requests {
 		t.Errorf("%d deadlines counted, want %d", fs.DeadlinesExceeded, requests)

@@ -39,11 +39,8 @@ type Router struct {
 	instances atomic.Pointer[map[string][]*Instance]
 }
 
-// Router errors.
-var (
-	ErrNoRouteMatch = errors.New("core: no DFR route for key")
-	ErrNoInstance   = errors.New("core: function has no running instances")
-)
+// ErrNoInstance is the router's error for a function with no routable instance.
+var ErrNoInstance = errors.New("core: function has no running instances")
 
 // NewRouter returns an empty router.
 func NewRouter() *Router {

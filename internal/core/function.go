@@ -235,7 +235,7 @@ func (c *Ctx) Drop() { c.dropped = true }
 
 // slotStripe is one stripe (ebpf.Stripes) of the words an instance has written
 // on every hop through it, a cache line to itself: a sub-budget of the
-// instance's concurrency slots and the counts of what ran in them. A hop
+// instance's concurrency slots and the count of hops that claimed one. A hop
 // writes the line of the stripe its slot came from and no other line of the
 // instance, so two cores crossing one instance on two stripes share nothing
 // they write.
@@ -247,9 +247,8 @@ type slotStripe struct {
 	// the bound. It dips below zero only for the moment between a taker's
 	// decrement that came second and its undo.
 	free      atomic.Int32
-	handled   atomic.Uint64 // invocations completed in a slot of this stripe
 	delivered atomic.Uint64 // hops that arrived by claiming one (Socket.claimFor)
-	_         [5]uint64
+	_         [6]uint64
 }
 
 // grant is a concurrency slot held for a handler about to run: the instance,
@@ -272,7 +271,7 @@ type grant struct {
 //
 // The layout is part of the design and TestStripeLayout holds it, on the
 // addresses the allocator actually gives: the stripes come first, each 64
-// bytes with its words in the first 24, so wherever within a line the
+// bytes with its words in the first 16, so wherever within a line the
 // allocation starts (Go puts an 8-byte header before an object this large) no
 // two stripes' words share a line; and everything a hop reads and does not
 // write — the bound, stopping, the handler, the socket, the breaker's words —
@@ -301,7 +300,6 @@ type Instance struct {
 	// this line that no hop writes, and nothing else while it is zero.
 	slotWaiters atomic.Int32
 
-	errs   atomic.Uint64
 	health health
 
 	slotMu    sync.Mutex
@@ -332,18 +330,6 @@ func (in *Instance) Inflight() int {
 // QueueDepth returns the number of descriptors waiting for one of this
 // instance's workers in its socket's queue.
 func (in *Instance) QueueDepth() int { return in.sock.QueueLen() }
-
-// Handled returns the number of completed invocations.
-func (in *Instance) Handled() uint64 {
-	var n uint64
-	for i := range in.stripes {
-		n += in.stripes[i].handled.Load()
-	}
-	return n
-}
-
-// Errors returns the number of failed invocations.
-func (in *Instance) Errors() uint64 { return in.errs.Load() }
 
 // SocketStats reports the instance socket's delivered/dropped descriptor
 // counters (the per-socket signal the observability exporter renders).
@@ -505,9 +491,6 @@ func (in *Instance) acquire(stripe uint32) (slot uint32, ok bool) {
 	}
 }
 
-// Concurrency returns the instance's concurrency limit.
-func (in *Instance) Concurrency() int { return int(in.concurrency) }
-
 // setSlots sets the slot bound of an instance not yet started to n, dealing the
 // slots to the stripes round-robin, so its sub-budgets differ by at most one.
 func (in *Instance) setSlots(n int) {
@@ -592,14 +575,12 @@ func (in *Instance) handle(ctx *Ctx, d shm.Descriptor, slot uint32, home *Socket
 		tr.RecordSpan(d.Caller, s)
 	}
 	if err != nil {
-		in.errs.Add(1)
 		in.recordFailure(panicked)
 		in.chain.releaseBuffer(ctx.desc.Buf)
 		in.chain.noteError(in.fnName, err)
 		in.chain.notifyFailure(d.Caller, err)
 		return grant{}, d
 	}
-	in.stripes[slot].handled.Add(1) // the line release just wrote
 	in.recordSuccess()
 
 	switch {
@@ -734,6 +715,3 @@ func (in *Instance) reply(ctx *Ctx) {
 		in.chain.notifyFailure(d.Caller, err)
 	}
 }
-
-// errTerminal marks handler failures for tests.
-var errTerminal = errors.New("core: handler error")

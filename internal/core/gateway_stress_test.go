@@ -112,8 +112,8 @@ func TestGatewayConcurrentStress(t *testing.T) {
 			if responses.Load() == 0 {
 				t.Fatal("no synchronous request completed")
 			}
-			if g.pending.size() != 0 {
-				t.Fatalf("pending table not empty after storm: %d entries", g.pending.size())
+			if pendingEntries(g) != 0 {
+				t.Fatalf("pending table not empty after storm: %d entries", pendingEntries(g))
 			}
 			st := g.Stats()
 			t.Logf("responses=%d cancels=%d asyncs=%d admitted=%d completed=%d reclaimed=%d",

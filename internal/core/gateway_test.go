@@ -16,6 +16,19 @@ import (
 	"github.com/spright-go/spright/internal/shm"
 )
 
+// pendingEntries counts the waiters registered in a gateway's pending table
+// across all shards: a finished request leaves none behind.
+func pendingEntries(g *Gateway) int {
+	n := 0
+	for i := range g.pending.shards {
+		s := &g.pending.shards[i]
+		s.mu.Lock()
+		n += len(s.m)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // TestLateResponseReleasedNotLeaked: when a caller abandons a request
 // (context cancelled) and the response arrives afterwards, the gateway
 // must release the buffer and account the orphan instead of leaking.
@@ -101,7 +114,7 @@ func TestCancellationForgetsCallerSlot(t *testing.T) {
 		}()
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			if g.pending.size() == 1 {
+			if pendingEntries(g) == 1 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -113,7 +126,7 @@ func TestCancellationForgetsCallerSlot(t *testing.T) {
 		if err := <-errCh; !errors.Is(err, context.Canceled) {
 			t.Fatalf("want Canceled, got %v", err)
 		}
-		if pending := g.pending.size(); pending != 0 {
+		if pending := pendingEntries(g); pending != 0 {
 			t.Fatalf("cancelled request left %d pending slot(s)", pending)
 		}
 	}

@@ -293,8 +293,8 @@ func TestHandoffGatewayCloseFailsParkedCallers(t *testing.T) {
 	if n != callers {
 		t.Errorf("%d outcomes for %d callers", n, callers)
 	}
-	if g.Stats().Pending != 0 || g.pending.size() != 0 {
-		t.Errorf("pending after Close: count %d, table %d", g.Stats().Pending, g.pending.size())
+	if g.Stats().Pending != 0 || pendingEntries(g) != 0 {
+		t.Errorf("pending after Close: count %d, table %d", g.Stats().Pending, pendingEntries(g))
 	}
 	if _, err := g.Invoke(context.Background(), "", []byte("late")); !errors.Is(err, ErrGatewayClosed) {
 		t.Errorf("invoke after Close: %v, want ErrGatewayClosed", err)
@@ -316,8 +316,10 @@ func TestHandoffSnapshotVisibility(t *testing.T) {
 	// they share every table with the checks below without ever touching the
 	// two echo instances' health words. Topic "via" reaches echo through
 	// "fwd", whose worker claims an idle echo instance and runs it itself.
+	var runs instanceRuns
 	spec := echoSpec()
 	spec.Functions[0].Instances = 2
+	spec.Functions[0].Handler = runs.count(spec.Functions[0].Handler)
 	spec.Functions = append(spec.Functions, FunctionSpec{Name: "bg"}, FunctionSpec{Name: "fwd"})
 	spec.Routes = append(spec.Routes,
 		RouteSpec{Topic: "bg", From: "", To: []string{"bg"}},
@@ -380,16 +382,16 @@ func TestHandoffSnapshotVisibility(t *testing.T) {
 		if err := c.SProxy().Revoke(fwd.ID(), tgt.ID()); err != nil {
 			t.Fatal(err)
 		}
-		ran, queued := tgt.Handled(), tgt.QueuedHops()
-		if _, err := g.Invoke(context.Background(), "via", []byte("x")); !errors.Is(err, ErrFiltered) || tgt.Handled() != ran {
-			t.Fatalf("round %d: hop after Revoke returned: %v, %d handler runs; want ErrFiltered and none", i, err, tgt.Handled()-ran)
+		ran, queued := runs.of(tgt), tgt.QueuedHops()
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); !errors.Is(err, ErrFiltered) || runs.of(tgt) != ran {
+			t.Fatalf("round %d: hop after Revoke returned: %v, %d handler runs; want ErrFiltered and none", i, err, runs.of(tgt)-ran)
 		}
 		if err := c.SProxy().Allow(fwd.ID(), tgt.ID()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || tgt.Handled() != ran+1 || tgt.QueuedHops() != queued {
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || runs.of(tgt) != ran+1 || tgt.QueuedHops() != queued {
 			t.Fatalf("round %d: hop after Allow returned: %v, %d handler runs, %d queued; want one claimed run",
-				i, err, tgt.Handled()-ran, tgt.QueuedHops()-queued)
+				i, err, runs.of(tgt)-ran, tgt.QueuedHops()-queued)
 		}
 
 		// Router: a removed instance is never picked again — so never claimed
@@ -400,9 +402,9 @@ func TestHandoffSnapshotVisibility(t *testing.T) {
 				t.Fatalf("round %d: PickInstance after RemoveInstance: %v, %v", i, in, err)
 			}
 		}
-		ran = a.Handled()
-		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || a.Handled() != ran {
-			t.Fatalf("round %d: hop after RemoveInstance returned: %v, %d runs on the removed instance", i, err, a.Handled()-ran)
+		ran = runs.of(a)
+		if _, err := g.Invoke(context.Background(), "via", []byte("x")); err != nil || runs.of(a) != ran {
+			t.Fatalf("round %d: hop after RemoveInstance returned: %v, %d runs on the removed instance", i, err, runs.of(a)-ran)
 		}
 		c.Router().AddInstance("echo", a)
 		if got := len(c.Router().Instances("echo")); got != 2 {
@@ -519,14 +521,15 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 	for _, bound := range []int{1, 2} {
 		t.Run("storm/"+strconv.Itoa(bound), func(t *testing.T) {
 			var running, peak atomic.Int64
+			var runs instanceRuns
 			c, g := testChain(t, mode, upDownSpec(
 				FunctionSpec{Concurrency: 8},
-				FunctionSpec{Concurrency: bound, Handler: func(ctx *Ctx) error {
+				FunctionSpec{Concurrency: bound, Handler: runs.count(func(ctx *Ctx) error {
 					enter(&running, &peak)
 					runtime.Gosched() // stay inside long enough to be overlapped
 					running.Add(-1)
 					return nil
-				}}))
+				})}))
 			down := c.Router().Instances("down")[0]
 			const rounds = 400
 			var wg sync.WaitGroup
@@ -551,8 +554,8 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 				t.Errorf("%d handlers of one instance ran at once, Concurrency is %d", p, bound)
 			}
 			delivered, _ := down.SocketStats()
-			if delivered != 10*rounds || down.Handled() != 10*rounds {
-				t.Errorf("delivered %d, handled %d, want %d of each", delivered, down.Handled(), 10*rounds)
+			if delivered != 10*rounds || runs.of(down) != 10*rounds {
+				t.Errorf("delivered %d, handled %d, want %d of each", delivered, runs.of(down), 10*rounds)
 			}
 			if down.Inflight() != 0 || down.slotWaiters.Load() != 0 {
 				t.Errorf("idle instance holds %d slots, %d waiters", down.Inflight(), down.slotWaiters.Load())
@@ -692,7 +695,8 @@ func slotBudgetModel(t *testing.T, mode Mode) {
 	// Concurrency 1 leaves the one slot on stripe 0, which no pooled Ctx is
 	// dealt: every worker's claim of it comes from another stripe.
 	t.Run("released-where-taken", func(t *testing.T) {
-		c, g := testChain(t, mode, upDownSpec(FunctionSpec{Concurrency: 8}, FunctionSpec{Concurrency: 1}))
+		var runs instanceRuns
+		c, g := testChain(t, mode, upDownSpec(FunctionSpec{Concurrency: 8}, FunctionSpec{Concurrency: 1, Handler: runs.count(nil)}))
 		up, down := c.Router().Instances("up")[0], c.Router().Instances("down")[0]
 		const requests = 64
 		for i := 0; i < requests; i++ {
@@ -706,8 +710,8 @@ func slotBudgetModel(t *testing.T, mode Mode) {
 		if q := down.QueuedHops(); q != 0 {
 			t.Errorf("%d of %d sequential hops were queued, not claimed", q, requests)
 		}
-		if delivered, _ := down.SocketStats(); delivered != requests || down.Handled() != requests {
-			t.Errorf("down: delivered %d, handled %d, want %d of each", delivered, down.Handled(), requests)
+		if delivered, _ := down.SocketStats(); delivered != requests || runs.of(down) != requests {
+			t.Errorf("down: delivered %d, handled %d, want %d of each", delivered, runs.of(down), requests)
 		}
 	})
 
@@ -1208,10 +1212,11 @@ func fanOutAllocations(t *testing.T, mode Mode) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race, and every drop is an allocation")
 	}
-	reader := func(ctx *Ctx) error {
+	var runs instanceRuns
+	reader := runs.count(func(ctx *Ctx) error {
 		ctx.Drop()
 		return nil
-	}
+	})
 	c, g := testChain(t, mode, ChainSpec{
 		TraceSampleEvery: -1,
 		Functions: []FunctionSpec{
@@ -1236,16 +1241,16 @@ func fanOutAllocations(t *testing.T, mode Mode) {
 			runtime.Gosched()
 		}
 	}
-	const warm, runs = 200, 10000
+	const warm, n = 200, 10000
 	for i := 0; i < warm; i++ { // pools
 		invoke()
 	}
-	if avg := testing.AllocsPerRun(runs, invoke); avg != 0 {
+	if avg := testing.AllocsPerRun(n, invoke); avg != 0 {
 		t.Errorf("%.2f allocations per fan-out request, want none", avg)
 	}
 	for _, fn := range []string{"r1", "r2", "r3"} {
 		// AllocsPerRun makes one more run, uncounted, before it counts.
-		if h, want := c.Router().Instances(fn)[0].Handled(), uint64(warm+1+runs); h != want {
+		if h, want := runs.of(c.Router().Instances(fn)[0]), uint64(warm+1+n); h != want {
 			t.Errorf("%s handled %d branches, want %d", fn, h, want)
 		}
 	}
@@ -1268,7 +1273,7 @@ func TestHandoffInlineFaultsAndSpans(t *testing.T) {
 		c, g := testChain(t, ModeEvent, spec)
 		open := openOnce(gate)
 		t.Cleanup(open)
-		tr := c.EnableTracing(16)
+		tr := traceAll(c, 16)
 		down := c.Router().Instances("down")[0]
 		held, done := make(chan error, 1), make(chan error, 1)
 		if queued {
@@ -1580,7 +1585,7 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 		c, g := testChain(t, ModePolling, spec)
 		open := openOnce(gate)
 		t.Cleanup(open)
-		tr := c.EnableTracing(16)
+		tr := traceAll(c, 16)
 		down := c.Router().Instances("down")[0]
 		held, done := make(chan error, 1), make(chan error, 1)
 		want := map[string]int{
@@ -1646,7 +1651,8 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 // counted as claimed. Checked by making that change.)
 func TestHandoffPollingQueuedWorkRefusesClaim(t *testing.T) {
 	gate := make(chan struct{})
-	spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 2})
+	var runs instanceRuns
+	spec := upDownSpec(FunctionSpec{}, FunctionSpec{Concurrency: 2, Handler: runs.count(nil)})
 	spec.Functions = append(spec.Functions, FunctionSpec{Name: "tail", Handler: func(ctx *Ctx) error {
 		if string(ctx.Payload()) == "hold" {
 			<-gate
@@ -1673,8 +1679,8 @@ func TestHandoffPollingQueuedWorkRefusesClaim(t *testing.T) {
 	pollUntil(t, "a request waiting in down's ring", func() bool { return down.QueueDepth() == 1 })
 	go invokeTo(t, g, "", "x", results)
 	pollUntil(t, "the hop queued behind it", func() bool { return down.QueueDepth() == 2 && down.QueuedHops() == 1 })
-	if down.Handled() != 2 {
-		t.Fatalf("down handled %d requests, want 2: the claim overtook the queued request", down.Handled())
+	if runs.of(down) != 2 {
+		t.Fatalf("down handled %d requests, want 2: the claim overtook the queued request", runs.of(down))
 	}
 	open()
 	for i := 0; i < 4; i++ {

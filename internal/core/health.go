@@ -31,7 +31,6 @@ type health struct {
 	crashes   atomic.Uint64 // handler panics survived by panic isolation
 	consec    atomic.Int32  // consecutive failures since last success
 	openUntil atomic.Int64  // unix-nano until which the breaker is open; 0 = closed
-	opens     atomic.Uint64 // number of closed→open transitions
 }
 
 // Crashes returns how many handler panics this instance has absorbed.
@@ -44,9 +43,6 @@ func (in *Instance) CircuitOpen() bool {
 	ou := in.health.openUntil.Load()
 	return ou != 0 && time.Now().UnixNano() < ou
 }
-
-// CircuitOpens returns how many times this instance's breaker opened.
-func (in *Instance) CircuitOpens() uint64 { return in.health.opens.Load() }
 
 // recordSuccess closes the breaker and resets the failure streak. It loads
 // before it stores: a healthy instance's words are already zero, and leaving
@@ -77,7 +73,6 @@ func (in *Instance) recordFailure(crash bool) {
 	}
 	until := time.Now().Add(pol.OpenDuration).UnixNano()
 	if in.health.openUntil.Swap(until) == 0 {
-		in.health.opens.Add(1)
 		in.chain.failures.circuitOpens.Add(1)
 		in.chain.emitFlight(FlightCircuitOpen, in.fnName, "", until)
 	}

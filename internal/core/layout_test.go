@@ -84,7 +84,7 @@ func TestStripeLayout(t *testing.T) {
 	for _, fn := range c.Functions() {
 		for _, in := range c.Router().Instances(fn) {
 			// A hop through the instance writes one stripe: a slot of its
-			// sub-budget, then handled and delivered.
+			// sub-budget, then delivered.
 			var st slotStripe
 			written := stripeWords("Instance", unsafe.Pointer(&in.stripes), len(in.stripes), unsafe.Sizeof(st),
 				unsafe.Offsetof(st.delivered)+unsafe.Sizeof(st.delivered))

@@ -453,7 +453,7 @@ func TestObjectLifetimeOnHandlerError(t *testing.T) {
 }
 
 // TestObjectLookupAcrossRequests: a keyed object put by one request is
-// readable by a later one via Lookup/OpenKey when explicitly Ref'd past
+// readable by a later one via Lookup and Open when explicitly Ref'd past
 // the first request's lifetime.
 func TestObjectLookupAcrossRequests(t *testing.T) {
 	spec := ChainSpec{
@@ -472,7 +472,11 @@ func TestObjectLookupAcrossRequests(t *testing.T) {
 					}
 					return ctx.SetPayload([]byte("stored"))
 				}
-				r, err := st.OpenKey("cached")
+				h, ok := st.Lookup("cached")
+				if !ok {
+					return errors.New("no object under \"cached\"")
+				}
+				r, err := st.Open(h)
 				if err != nil {
 					return err
 				}

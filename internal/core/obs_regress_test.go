@@ -35,7 +35,7 @@ func TestScrapeRateCounterRegression(t *testing.T) {
 		t.Fatalf("scrape after traffic: rate %v, want > 0", rate)
 	}
 	// Simulate the counter regressing (map reset / EPROXY reload).
-	if err := ep.l3map.Update(ebpf.U32Key(l3SlotPackets), ebpf.U64Value(0)); err != nil {
+	if err := ep.l3map.Update(ebpf.U32Key(l3SlotPackets), make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(time.Millisecond) // dt > 0 for the rate computation

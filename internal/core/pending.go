@@ -146,18 +146,6 @@ func (t *pendTable) put(w *waiter, deadline time.Duration) {
 	t.count(caller).Add(1)
 }
 
-// size counts registered waiters across all shards (tests, introspection).
-func (t *pendTable) size() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // take removes and returns the waiter registered for caller; exactly one of
 // the racing claimants (completion, failure, abandonment) wins it.
 func (t *pendTable) take(caller uint32) (*waiter, bool) {

@@ -8,7 +8,10 @@ import (
 )
 
 func TestScaleUpAddsServingInstance(t *testing.T) {
-	c, g := testChain(t, ModeEvent, echoSpec())
+	var runs instanceRuns
+	spec := echoSpec()
+	spec.Functions[0].Handler = runs.count(spec.Functions[0].Handler)
+	c, g := testChain(t, ModeEvent, spec)
 	inst, err := c.ScaleUp("echo")
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +31,7 @@ func TestScaleUpAddsServingInstance(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if inst.Handled() == 0 {
+	if runs.of(inst) == 0 {
 		// acceptable under low contention, but the instance must at
 		// least be routable: force a direct check via filter map
 		if err := c.SProxy().Allow(GatewayID, inst.ID()); err != nil {

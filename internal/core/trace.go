@@ -67,9 +67,6 @@ const (
 // TraceID is a 128-bit trace identity.
 type TraceID struct{ Hi, Lo uint64 }
 
-// IsZero reports whether the ID is unset.
-func (id TraceID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
-
 // String renders the ID as 32 hex digits (the OTLP/W3C wire form).
 func (id TraceID) String() string { return fmt.Sprintf("%016x%016x", id.Hi, id.Lo) }
 

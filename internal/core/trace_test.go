@@ -64,9 +64,17 @@ func assertParented(t *testing.T, tr *Trace) {
 	}
 }
 
+// traceAll replaces a chain's tracer with one that traces every request and
+// retains up to limit traces.
+func traceAll(c *Chain, limit int) *Tracer {
+	tr := NewSampledTracer(1, limit)
+	c.tracer.Store(tr)
+	return tr
+}
+
 func TestTracingRecordsDFRPath(t *testing.T) {
 	c, g := testChain(t, ModeEvent, seqSpec())
-	tr := c.EnableTracing(16)
+	tr := traceAll(c, 16)
 	if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +88,7 @@ func TestTracingRecordsDFRPath(t *testing.T) {
 	if done[0].Elapsed() <= 0 {
 		t.Fatal("elapsed must be positive")
 	}
-	if done[0].ID.IsZero() {
+	if done[0].ID == (TraceID{}) {
 		t.Fatal("trace must carry a non-zero trace ID")
 	}
 	for _, s := range spansByStage(done[0])[StageHandler] {
@@ -100,7 +108,7 @@ func TestTracingStageCoverage(t *testing.T) {
 	for _, mode := range []Mode{ModeEvent, ModePolling} {
 		t.Run(mode.String(), func(t *testing.T) {
 			c, g := testChain(t, mode, seqSpec())
-			tr := c.EnableTracing(16)
+			tr := traceAll(c, 16)
 			if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 				t.Fatal(err)
 			}
@@ -149,9 +157,9 @@ func TestTracingStageCoverage(t *testing.T) {
 
 func TestTracingDisable(t *testing.T) {
 	c, g := testChain(t, ModeEvent, echoSpec())
-	tr := c.EnableTracing(4)
+	tr := traceAll(c, 4)
 	g.Invoke(context.Background(), "", []byte("a"))
-	c.DisableTracing()
+	c.tracer.Store(nil)
 	g.Invoke(context.Background(), "", []byte("b"))
 	if got := len(tr.Retained()); got != 1 {
 		t.Fatalf("traces after disable: %d want 1", got)
@@ -160,7 +168,7 @@ func TestTracingDisable(t *testing.T) {
 
 func TestTracingRetentionLimit(t *testing.T) {
 	c, g := testChain(t, ModeEvent, echoSpec())
-	tr := c.EnableTracing(2)
+	tr := traceAll(c, 2)
 	for i := 0; i < 5; i++ {
 		g.Invoke(context.Background(), "", []byte("x"))
 	}
@@ -179,7 +187,7 @@ func TestTracerHopDurationCapturesServiceTime(t *testing.T) {
 		Routes: []RouteSpec{{From: "", To: []string{"slow"}}},
 	}
 	c, g := testChain(t, ModeEvent, spec)
-	tr := c.EnableTracing(4)
+	tr := traceAll(c, 4)
 	if _, err := g.Invoke(context.Background(), "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +287,7 @@ func TestTailSamplingRetainsErrors(t *testing.T) {
 		t.Fatalf("errored request must be tail-retained: %+v", got)
 	}
 	tail := tailRetained(tr.Retained())
-	if len(tail) != 1 || tail[0].ID.IsZero() {
+	if len(tail) != 1 || tail[0].ID == (TraceID{}) {
 		t.Fatalf("tail ring: %+v", tail)
 	}
 	if tr.TotalTailRetained() != 1 {
@@ -359,13 +367,10 @@ func TestTracerExemplars(t *testing.T) {
 	}
 }
 
-func TestTraceparentRoundTrip(t *testing.T) {
+func TestTraceparentParse(t *testing.T) {
 	tc := shm.TraceContext{TraceHi: 0x0102030405060708, TraceLo: 0x090a0b0c0d0e0f10,
 		Span: 0x1112131415161718, Flags: shm.TraceSampled}
-	s := tc.Traceparent()
-	if len(s) != 55 {
-		t.Fatalf("traceparent %q len %d", s, len(s))
-	}
+	const s = "00-0102030405060708090a0b0c0d0e0f10-1112131415161718-01"
 	got, ok := shm.ParseTraceparent(s)
 	if !ok || got != tc {
 		t.Fatalf("round trip: %+v ok=%v", got, ok)

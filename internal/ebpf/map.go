@@ -483,29 +483,10 @@ func (m *Map) Range(fn func(key, value []byte) bool) {
 	}
 }
 
-// Entries returns the number of populated entries (hash and sockmap).
-func (m *Map) Entries() int {
-	switch m.spec.Type {
-	case MapTypeHash:
-		return len(*m.hash.Load())
-	case MapTypeSockMap:
-		return len(*m.socks.Load())
-	default:
-		return m.spec.MaxEntries
-	}
-}
-
 // U32Key encodes a uint32 map key.
 func U32Key(k uint32) []byte {
 	b := make([]byte, 4)
 	binary.LittleEndian.PutUint32(b, k)
-	return b
-}
-
-// U64Value encodes a uint64 map value.
-func U64Value(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
 	return b
 }
 

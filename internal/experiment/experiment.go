@@ -24,9 +24,6 @@ type Report struct {
 	Values map[string]float64
 }
 
-// V fetches a named value (0 when absent).
-func (r *Report) V(name string) float64 { return r.Values[name] }
-
 type reportBuilder struct {
 	b      strings.Builder
 	values map[string]float64

@@ -25,7 +25,7 @@ func TestTable1Report(t *testing.T) {
 	for k, want := range map[string]float64{
 		"kn_copies": 15, "kn_ctx": 15, "kn_intr": 25, "kn_proto": 12, "kn_ser": 8, "kn_deser": 7,
 	} {
-		if got := r.V(k); got != want {
+		if got := r.Values[k]; got != want {
 			t.Errorf("%s = %v want %v", k, got, want)
 		}
 	}
@@ -39,7 +39,7 @@ func TestTable2Report(t *testing.T) {
 	for k, want := range map[string]float64{
 		"sp_copies": 3, "sp_ctx": 7, "sp_intr": 11, "sp_proto": 3, "sp_ser": 2, "sp_deser": 1,
 	} {
-		if got := r.V(k); got != want {
+		if got := r.Values[k]; got != want {
 			t.Errorf("%s = %v want %v", k, got, want)
 		}
 	}
@@ -47,79 +47,79 @@ func TestTable2Report(t *testing.T) {
 
 func TestChainScalingReport(t *testing.T) {
 	r := ChainScaling()
-	if r.V("sp8_copies") != 0 {
+	if r.Values["sp8_copies"] != 0 {
 		t.Error("SPRIGHT must stay zero-copy at any chain length")
 	}
-	if r.V("kn8_copies") != 8*8-4 { // 2n-1 steps x 4 copies = 60
-		t.Errorf("kn8 copies %v want 60", r.V("kn8_copies"))
+	if r.Values["kn8_copies"] != 8*8-4 { // 2n-1 steps x 4 copies = 60
+		t.Errorf("kn8 copies %v want 60", r.Values["kn8_copies"])
 	}
-	if r.V("kn8_cycles") < 5*r.V("sp8_cycles") {
+	if r.Values["kn8_cycles"] < 5*r.Values["sp8_cycles"] {
 		t.Errorf("cycle gap must widen with chain length: kn=%v sp=%v",
-			r.V("kn8_cycles"), r.V("sp8_cycles"))
+			r.Values["kn8_cycles"], r.Values["sp8_cycles"])
 	}
 }
 
 func TestFig2Shape(t *testing.T) {
 	r := Fig2()
-	null := r.V("null_rps")
+	null := r.Values["null_rps"]
 	if null < 10000 {
 		t.Fatalf("Null RPS %v implausibly low", null)
 	}
 	for _, k := range []string{"qp", "envoy", "ofw"} {
-		factor := null / r.V(k+"_rps")
+		factor := null / r.Values[k+"_rps"]
 		if factor < 2.5 || factor > 8 {
 			t.Errorf("%s RPS reduction %.1fx outside the 3-7x band", k, factor)
 		}
-		latFactor := r.V(k+"_lat_ms") / r.V("null_lat_ms")
+		latFactor := r.Values[k+"_lat_ms"] / r.Values["null_lat_ms"]
 		if latFactor < 2.5 || latFactor > 8 {
 			t.Errorf("%s latency increase %.1fx outside the 3-7x band", k, latFactor)
 		}
 	}
 	// ordering: QP < Envoy < OFW in cycles
-	if !(r.V("qp_mcycles") < r.V("envoy_mcycles") && r.V("envoy_mcycles") < r.V("ofw_mcycles")) {
+	if !(r.Values["qp_mcycles"] < r.Values["envoy_mcycles"] && r.Values["envoy_mcycles"] < r.Values["ofw_mcycles"]) {
 		t.Error("sidecar cycle ordering broken")
 	}
 }
 
 func TestXDPAblationShape(t *testing.T) {
 	r := XDPAblation()
-	if g := r.V("tput_gain"); g < 1.15 || g > 1.6 {
+	if g := r.Values["tput_gain"]; g < 1.15 || g > 1.6 {
 		t.Errorf("throughput gain %.2fx, want ~1.3x", g)
 	}
-	if c := r.V("lat_cut"); c < 0.08 || c > 0.45 {
+	if c := r.Values["lat_cut"]; c < 0.08 || c > 0.45 {
 		t.Errorf("latency cut %.0f%%, want ~20%%", c*100)
 	}
 }
 
 func TestAdapterAblationShape(t *testing.T) {
 	r := AdapterAblation()
-	if c := r.V("lat_cut"); c <= 0 {
+	if c := r.Values["lat_cut"]; c <= 0 {
 		t.Errorf("consolidated adaptation must cut latency, got %.0f%%", c*100)
 	}
 }
 
 func TestFig11Shape(t *testing.T) {
 	r := Fig11()
-	if r.V("kn_cold_starts") < 5 {
-		t.Errorf("cold starts %v too few for an intermittent hour", r.V("kn_cold_starts"))
+	if r.Values["kn_cold_starts"] < 5 {
+		t.Errorf("cold starts %v too few for an intermittent hour", r.Values["kn_cold_starts"])
 	}
-	if r.V("kn_max_lat_s") < 2.5 {
-		t.Errorf("Knative max latency %.2fs must reflect cold-start cascades", r.V("kn_max_lat_s"))
+	if r.Values["kn_max_lat_s"] < 2.5 {
+		t.Errorf("Knative max latency %.2fs must reflect cold-start cascades", r.Values["kn_max_lat_s"])
 	}
-	if r.V("s_max_lat_s") > 0.1 {
-		t.Errorf("warm SPRIGHT max latency %.3fs too high", r.V("s_max_lat_s"))
+	if r.Values["s_max_lat_s"] > 0.1 {
+		t.Errorf("warm SPRIGHT max latency %.3fs too high", r.Values["s_max_lat_s"])
 	}
-	if r.V("s_cpu") > r.V("kn_cpu") {
-		t.Errorf("SPRIGHT CPU %.3f must be below Knative %.3f", r.V("s_cpu"), r.V("kn_cpu"))
+	if r.Values["s_cpu"] > r.Values["kn_cpu"] {
+		t.Errorf("SPRIGHT CPU %.3f must be below Knative %.3f", r.Values["s_cpu"], r.Values["kn_cpu"])
 	}
 }
 
 func TestFig12Shape(t *testing.T) {
 	r := Fig12()
-	if s := r.V("lat_saving"); s < 0.05 || s > 0.6 {
+	if s := r.Values["lat_saving"]; s < 0.05 || s > 0.6 {
 		t.Errorf("latency saving %.0f%%, paper ~16%%", s*100)
 	}
-	if s := r.V("cpu_saving"); s < 0.2 || s > 0.8 {
+	if s := r.Values["cpu_saving"]; s < 0.2 || s > 0.8 {
 		t.Errorf("CPU saving %.0f%%, paper ~41%%", s*100)
 	}
 }

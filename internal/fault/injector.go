@@ -26,7 +26,6 @@ const (
 	OpDelay
 	OpDrop
 	OpQueueFull
-	numOps
 )
 
 func (o Op) String() string {
@@ -75,16 +74,6 @@ type Decision struct {
 	Delay time.Duration
 }
 
-// Stats is a snapshot of injected-fault counts.
-type Stats struct {
-	Panics     uint64
-	Errors     uint64
-	Delays     uint64
-	Drops      uint64
-	QueueFulls uint64
-	Total      uint64
-}
-
 type ruleState struct {
 	Rule
 	fired uint64
@@ -95,10 +84,9 @@ type ruleState struct {
 // sequence of draws still depends on goroutine interleaving, but a fixed
 // seed bounds and reproduces the fault mix).
 type Injector struct {
-	mu     sync.Mutex
-	state  uint64
-	rules  []*ruleState
-	counts [numOps]uint64
+	mu    sync.Mutex
+	state uint64
+	rules []*ruleState
 }
 
 // New returns an injector seeded with seed (0 is remapped to a fixed
@@ -135,7 +123,6 @@ func (inj *Injector) fire(rs *ruleState) bool {
 		return false
 	}
 	rs.fired++
-	inj.counts[rs.Op]++
 	return true
 }
 
@@ -185,22 +172,4 @@ func (inj *Injector) DecideSend(src, dst string) bool {
 		}
 	}
 	return false
-}
-
-// Stats returns a snapshot of fired-fault counts.
-func (inj *Injector) Stats() Stats {
-	if inj == nil {
-		return Stats{}
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	s := Stats{
-		Panics:     inj.counts[OpPanic],
-		Errors:     inj.counts[OpError],
-		Delays:     inj.counts[OpDelay],
-		Drops:      inj.counts[OpDrop],
-		QueueFulls: inj.counts[OpQueueFull],
-	}
-	s.Total = s.Panics + s.Errors + s.Delays + s.Drops + s.QueueFulls
-	return s
 }

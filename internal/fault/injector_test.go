@@ -10,18 +10,19 @@ func TestDeterministicSequence(t *testing.T) {
 		return New(7).Add(Rule{Op: OpError, Probability: 0.5})
 	}
 	a, b := mk(), mk()
+	fired := 0
 	for i := 0; i < 200; i++ {
 		_, okA := a.Decide("f")
 		_, okB := b.Decide("f")
 		if okA != okB {
 			t.Fatalf("draw %d diverged: %v vs %v", i, okA, okB)
 		}
+		if okA {
+			fired++
+		}
 	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
-	}
-	if a.Stats().Errors == 0 || a.Stats().Errors == 200 {
-		t.Fatalf("p=0.5 fired %d/200 times: PRNG not advancing", a.Stats().Errors)
+	if fired == 0 || fired == 200 {
+		t.Fatalf("p=0.5 fired %d/200 times: PRNG not advancing", fired)
 	}
 }
 
@@ -35,9 +36,6 @@ func TestMaxCountBoundsFiring(t *testing.T) {
 	}
 	if fired != 3 {
 		t.Fatalf("fired %d times, want exactly MaxCount=3", fired)
-	}
-	if s := inj.Stats(); s.Panics != 3 || s.Total != 3 {
-		t.Fatalf("stats %+v", s)
 	}
 }
 
@@ -83,9 +81,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if inj.DecideSend("a", "b") {
 		t.Fatal("nil injector decided a send fault")
-	}
-	if inj.Stats().Total != 0 {
-		t.Fatal("nil injector has stats")
 	}
 }
 

@@ -5,9 +5,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 )
 
 // Bucket geometry: bucketCount buckets, stored as chunkCount chunks of
@@ -122,15 +120,7 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min and Max return observed extremes (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation.
+// Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() float64 {
 	if h.count == 0 {
 		return 0
@@ -167,27 +157,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// CDF returns (value, fraction) points for plotting, one per non-empty
-// bucket.
-func (h *Histogram) CDF() []CDFPoint {
-	var out []CDFPoint
-	var cum uint64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		out = append(out, CDFPoint{Value: h.bucketValue(i), Fraction: float64(cum) / float64(h.count)})
-	}
-	return out
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
 // Merge adds other's observations into h (same geometry required), walking
 // only the chunks other has.
 func (h *Histogram) Merge(other *Histogram) {
@@ -210,13 +179,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			h.max = other.max
 		}
 	}
-}
-
-// Summary formats mean/p95/p99/p999 in milliseconds for report rows.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("mean=%.2fms p95=%.2fms p99=%.2fms p999=%.2fms n=%d",
-		h.Mean()*1e3, h.Quantile(0.95)*1e3, h.Quantile(0.99)*1e3,
-		h.Quantile(0.999)*1e3, h.count)
 }
 
 // Sub returns the observations present in h but not in older: the sliding
@@ -302,26 +264,4 @@ func ConfidenceInterval99(xs []float64) (mean, halfWidth float64) {
 	}
 	sd := math.Sqrt(ss / (n - 1))
 	return mean, 2.576 * sd / math.Sqrt(n)
-}
-
-// Percentiles is a convenience for sorting raw samples and reading exact
-// (non-bucketed) percentiles in tests.
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, len(qs))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(s)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		out[i] = s[idx]
-	}
-	return out
 }

@@ -50,20 +50,6 @@ func (s *StripedHistogram) Observe(key uint64, v float64) {
 	st.mu.Unlock()
 }
 
-// Count returns the total number of observations across all stripes.
-func (s *StripedHistogram) Count() uint64 {
-	var n uint64
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		if st.h != nil {
-			n += st.h.Count()
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
-
 // Snapshot merges all stripes into a freshly allocated Histogram. The
 // merge walks each stripe under its own lock, so a snapshot taken during
 // traffic is a consistent-per-stripe view and never blocks writers for

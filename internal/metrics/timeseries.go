@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // TimeSeries accumulates (t, value) observations bucketed into fixed
 // windows — the RPS and CPU-usage traces of Figs. 9–12.
@@ -139,16 +136,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// FormatPoints renders points as "t=0s v=1.2" rows for report output.
-func FormatPoints(pts []Point, every int) string {
-	var b strings.Builder
-	for i, p := range pts {
-		if every > 1 && i%every != 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  t=%6.0fs  %10.2f\n", p.T, p.V)
-	}
-	return b.String()
 }

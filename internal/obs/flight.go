@@ -85,9 +85,6 @@ type Event struct {
 	Value    int64  `json:"value,omitempty"`
 }
 
-// Time returns the event's wall-clock stamp.
-func (e Event) Time() time.Time { return time.Unix(0, e.UnixNano) }
-
 // EventRing is one bounded journal: a preallocated ring overwritten in
 // place. It is safe for concurrent use and never allocates after creation
 // (snapshots allocate, appends do not).

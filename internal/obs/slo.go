@@ -87,9 +87,6 @@ func NewSLOMonitor(src SLOSource, window, tick time.Duration) *SLOMonitor {
 	}
 }
 
-// Window returns the monitor's sliding window.
-func (m *SLOMonitor) Window() time.Duration { return m.window }
-
 // snapshot captures the source's cumulative state.
 func (m *SLOMonitor) snapshot(now time.Time) sloSnap {
 	s := sloSnap{at: now}

@@ -181,9 +181,6 @@ func NewAutoscalerWithConfig(dep *Deployment, cfg AutoscalerConfig) *Autoscaler 
 	}
 }
 
-// Config returns the resolved configuration.
-func (a *Autoscaler) Config() AutoscalerConfig { return a.cfg }
-
 // SetRemoteBacklog installs the cross-node demand hook: fn's queued frame
 // count on this node's outbound mesh rings is folded into fn's demand
 // signal each evaluation. Safe to call while the evaluate loop runs (the

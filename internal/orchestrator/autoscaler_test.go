@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/spright-go/spright/internal/core"
+	"github.com/spright-go/spright/internal/obs"
 )
 
 // pollUntil polls cond up to the deadline, failing the test on timeout.
@@ -380,8 +381,11 @@ func TestEnableAutoscalingScaleToZeroAndResume(t *testing.T) {
 	if _, err := cl.Controller.EnableAutoscaling("stz", AutoscalerConfig{}); err == nil {
 		t.Fatal("double enable must fail")
 	}
-	if d.Autoscaler() != as {
-		t.Fatal("deployment must expose its autoscaler")
+	d.asMu.Lock()
+	installed := d.autoscaler
+	d.asMu.Unlock()
+	if installed != as {
+		t.Fatal("deployment must hold its autoscaler")
 	}
 
 	// Serve once warm, then go idle.
@@ -414,6 +418,14 @@ func TestEnableAutoscalingScaleToZeroAndResume(t *testing.T) {
 	if n := d.Gateway.ColdStartLatency().Count(); n < 1 {
 		t.Fatalf("cold-start histogram count %d, want ≥1", n)
 	}
+	pollUntil(t, 5*time.Second, "a coldstart_resume event for up in the flight recorder", func() bool {
+		for _, ev := range cl.Observability().Flight().Events("stz", 0, 0) {
+			if ev.Kind == obs.EventColdStartResume && ev.Subject == "up" && ev.Value > 0 {
+				return true
+			}
+		}
+		return false
+	})
 	if ps := as.PrewarmPool().Stats(); ps.Hits < 1 {
 		t.Fatalf("prewarm stats %+v: resume must activate a prewarmed instance", ps)
 	}

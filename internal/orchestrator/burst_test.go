@@ -122,7 +122,7 @@ func TestBurstCapacityTracksOfferedLoad(t *testing.T) {
 		for _, ev := range cl.Observability().Flight().Events("burst", seen, 0) {
 			seen = ev.Seq
 			if ev.Kind == obs.EventScale && int32(ev.Value) > int32(ev.Value>>32) {
-				firstUp = ev.Time()
+				firstUp = time.Unix(0, ev.UnixNano)
 				return true
 			}
 		}

@@ -80,30 +80,6 @@ type Deployment struct {
 	watchdog *SLOWatchdog
 }
 
-// SLOMonitor returns the deployment's sliding-window SLO monitor (nil when
-// the cluster runs without observability).
-func (d *Deployment) SLOMonitor() *obs.SLOMonitor {
-	d.sloMu.Lock()
-	defer d.sloMu.Unlock()
-	return d.sloMon
-}
-
-// Watchdog returns the deployment's SLO watchdog (nil until
-// EnableSLOWatchdog).
-func (d *Deployment) Watchdog() *SLOWatchdog {
-	d.sloMu.Lock()
-	defer d.sloMu.Unlock()
-	return d.watchdog
-}
-
-// Autoscaler returns the deployment's autoscaling control plane (nil
-// until EnableAutoscaling).
-func (d *Deployment) Autoscaler() *Autoscaler {
-	d.asMu.Lock()
-	defer d.asMu.Unlock()
-	return d.autoscaler
-}
-
 // Close tears the deployment down. It leaves the node's and the controller's
 // tables first, so the ingress routes nothing more to it, and once Close
 // returns its name can be deployed again. Only the first Close tears anything

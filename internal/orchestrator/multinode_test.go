@@ -411,9 +411,6 @@ func TestPlacedChainChaosReconnectAndDropAttribution(t *testing.T) {
 	if connDown == 0 {
 		t.Fatalf("conn_down drop not counted on worker-1→worker-2")
 	}
-	if inj.Stats().Total == 0 {
-		t.Fatalf("injector never fired")
-	}
 	gs := pd.Gateway().Stats()
 	if gs.Failed == 0 {
 		t.Fatalf("gateway failure counter did not attribute the dropped forward")

@@ -524,7 +524,7 @@ func completedTraceData(c *core.Chain, limit int) []obs.TraceData {
 // label keeps its historical value "jit") versus the interpreter, and how
 // many loaded programs have a fast path. A healthy dataplane shows
 // runs_total{engine="interp"} near zero — interpreter runs in steady state
-// mean a program fell back (see LoadedProgram.FallbackReason) or the fast
+// mean a program fell back (matchFast says why) or the fast
 // paths were switched off.
 func collectNode(n *WorkerNode) []obs.Family {
 	es := n.Kernel.EngineStats()

@@ -184,7 +184,7 @@ func TestCrossChainFanOutSingleTrace(t *testing.T) {
 	}
 
 	// One distributed trace across both chains.
-	if tA.ID.IsZero() {
+	if tA.ID == (core.TraceID{}) {
 		t.Fatal("alpha trace has a zero trace ID")
 	}
 	if tB.ID != tA.ID {
@@ -296,7 +296,7 @@ func TestTailSamplingRetainsFaultedRequest(t *testing.T) {
 	if got.Err == "" {
 		t.Fatalf("tail-retained trace has no error: %+v", got)
 	}
-	if got.ID.IsZero() {
+	if got.ID == (core.TraceID{}) {
 		t.Fatal("tail-retained trace has a zero trace ID")
 	}
 }
@@ -387,7 +387,7 @@ func TestFaultedTraceTailMarkedOnEverySurface(t *testing.T) {
 		t.Fatal("one failed request in one did not breach a 1% error-rate objective")
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if captured, _ := wd.Bundles(); captured == 1 {
+		if wd.captured.Load() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

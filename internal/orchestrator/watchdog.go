@@ -140,12 +140,6 @@ func (w *SLOWatchdog) close() {
 // Policy returns the resolved policy.
 func (w *SLOWatchdog) Policy() SLOPolicy { return w.policy }
 
-// Bundles returns how many diagnostic bundles were captured and how many
-// breaches were suppressed by the rate limit.
-func (w *SLOWatchdog) Bundles() (captured, suppressed uint64) {
-	return w.captured.Load(), w.suppressed.Load()
-}
-
 // Evaluate runs one breach check against the monitor's current window and
 // returns the breach kinds found (empty: within SLO). Called on every
 // metrics-agent tick; safe to call concurrently.

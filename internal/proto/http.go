@@ -81,36 +81,6 @@ func MarshalHTTPResponse(status int, body []byte) []byte {
 	return b.Bytes()
 }
 
-// UnmarshalHTTPResponse parses a response, returning status and body.
-func UnmarshalHTTPResponse(data []byte) (int, []byte, error) {
-	head, body, ok := bytes.Cut(data, []byte(crlf+crlf))
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: no header terminator", ErrMalformed)
-	}
-	lines := strings.Split(string(head), crlf)
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return 0, nil, fmt.Errorf("%w: bad status line %q", ErrMalformed, lines[0])
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: bad status %q", ErrMalformed, parts[1])
-	}
-	cl := -1
-	for _, ln := range lines[1:] {
-		k, v, ok := strings.Cut(ln, ":")
-		if ok && strings.EqualFold(strings.TrimSpace(k), "Content-Length") {
-			if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-				cl = n
-			}
-		}
-	}
-	if cl >= 0 && len(body) >= cl {
-		body = body[:cl]
-	}
-	return status, append([]byte(nil), body...), nil
-}
-
 func statusText(code int) string {
 	switch code {
 	case 200:

@@ -28,19 +28,6 @@ type Message struct {
 	Topic string
 }
 
-// Clone deep-copies the message.
-func (m *Message) Clone() *Message {
-	c := &Message{Method: m.Method, Path: m.Path, Topic: m.Topic}
-	if m.Headers != nil {
-		c.Headers = make(map[string]string, len(m.Headers))
-		for k, v := range m.Headers {
-			c.Headers[k] = v
-		}
-	}
-	c.Body = append([]byte(nil), m.Body...)
-	return c
-}
-
 func (m *Message) String() string {
 	return fmt.Sprintf("msg{%s %s topic=%q body=%dB}", m.Method, m.Path, m.Topic, len(m.Body))
 }

@@ -93,9 +93,6 @@ func New(capacity int, mode Mode) (*Ring, error) {
 	}, nil
 }
 
-// Capacity returns the usable capacity of the ring.
-func (r *Ring) Capacity() int { return len(r.slots) }
-
 // reserveProd claims n consecutive producer slots, returning the start
 // index. ok is false when fewer than n slots are free (nothing is
 // reserved — the all-or-nothing half of bulk semantics).

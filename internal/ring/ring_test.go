@@ -44,8 +44,8 @@ func TestFullAndEmpty(t *testing.T) {
 
 func TestCapacityRounding(t *testing.T) {
 	r, _ := New(5, MP)
-	if r.Capacity() != 8 {
-		t.Fatalf("capacity %d want 8 (next power of two)", r.Capacity())
+	if len(r.slots) != 8 {
+		t.Fatalf("capacity %d want 8 (next power of two)", len(r.slots))
 	}
 	if _, err := New(1, MP); err == nil {
 		t.Fatal("capacity 1 must be rejected")
@@ -77,7 +77,7 @@ func TestLenAndFree(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Enqueue(uint64(i))
 	}
-	if free := r.Capacity() - r.Len(); r.Len() != 5 || free != 3 {
+	if free := len(r.slots) - r.Len(); r.Len() != 5 || free != 3 {
 		t.Fatalf("len=%d free=%d want 5,3", r.Len(), free)
 	}
 }
@@ -146,7 +146,7 @@ func TestBulkBoundaries(t *testing.T) {
 		if s.wantN == 0 && len(s.enq) > 0 {
 			// all-or-nothing: a refused bulk must leave no prefix
 			before := r.Len()
-			if before > r.Capacity() {
+			if before > len(r.slots) {
 				t.Fatalf("%s: len %d exceeds capacity", name, before)
 			}
 		}

@@ -42,19 +42,6 @@ func (m *Manager) CreatePool(prefix string, n, bufSize int) (*Pool, error) {
 	return p, nil
 }
 
-// Attach looks up the pool for prefix, as a DPDK secondary process would.
-// Functions of other chains do not know the prefix and therefore cannot
-// attach: this is the first of the two security-domain abstractions (§3.4).
-func (m *Manager) Attach(prefix string) (*Pool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.pools[prefix]
-	if !ok {
-		return nil, ErrUnknownPrefix
-	}
-	return p, nil
-}
-
 // Release tears down the pool for prefix (chain deletion).
 func (m *Manager) Release(prefix string) error {
 	m.mu.Lock()
@@ -66,11 +53,4 @@ func (m *Manager) Release(prefix string) error {
 	p.Close()
 	delete(m.pools, prefix)
 	return nil
-}
-
-// Pools returns the number of live pools.
-func (m *Manager) Pools() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pools)
 }

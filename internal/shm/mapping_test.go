@@ -166,12 +166,6 @@ func TestPoolMappingLifecycle(t *testing.T) {
 				if _, err := p.Write(h, []byte("x")); !errors.Is(err, shm.ErrNotOwned) {
 					t.Fatalf("Write(%d): %v", h, err)
 				}
-				if err := p.SetLen(h, 1); !errors.Is(err, shm.ErrNotOwned) {
-					t.Fatalf("SetLen(%d): %v", h, err)
-				}
-				if _, err := p.Len(h); !errors.Is(err, shm.ErrNotOwned) {
-					t.Fatalf("Len(%d): %v", h, err)
-				}
 			}
 			if _, err := p.Bytes(n); !errors.Is(err, shm.ErrBadHandle) {
 				t.Fatalf("Bytes(out of range): %v", err)

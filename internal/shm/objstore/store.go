@@ -46,9 +46,6 @@ var (
 	ErrNoObject = errors.New("objstore: no object")
 	// ErrWriterCommitted marks writes to an already sealed writer.
 	ErrWriterCommitted = errors.New("objstore: writer already committed")
-	// ErrObjectPinned marks an explicit Spill of an object with open
-	// readers: their slab views alias pool memory, so eviction must wait.
-	ErrObjectPinned = errors.New("objstore: object pinned by open readers")
 )
 
 // Handle is the compact object identity carried in buffer headroom:
@@ -189,9 +186,6 @@ func New(pool *shm.Pool, cfg Config) *Store {
 	pool.SetObjReleaseHook(func(obj uint64) { _ = s.Release(Handle(obj)) })
 	return s
 }
-
-// Pool returns the pool the store is layered on.
-func (s *Store) Pool() *shm.Pool { return s.pool }
 
 // SetEventHook installs an observer for tier transitions: fn is called
 // with "spill" or "reload" and the object's payload byte count whenever an
@@ -488,7 +482,7 @@ func (s *Store) putSlabs(slabs []uint32) { s.pool.PutN(slabs) }
 // spillObjectLocked writes o's payload to the file tier and frees its
 // slabs. Called with s.mu held and returns with it held, but the file
 // creation and writes run with the lock RELEASED: o is marked busy (no
-// other transition or reader touches it — Open and Spill wait on s.cond)
+// other transition or reader touches it — Open waits on s.cond)
 // and holds a transition reference so a concurrent Release cannot delete
 // it mid-write. Hot-path Open/Release/Put on other objects therefore never
 // stall behind spill I/O.
@@ -642,41 +636,6 @@ func (s *Store) reloadObjectLocked(o *object) error {
 	return nil
 }
 
-// Spill forces the object to the file tier immediately, regardless of
-// the resident budget — for tests, benchmarks and callers that know an
-// intermediate has gone cold. Spilling an object with open readers fails
-// with ErrObjectPinned; an already spilled object is a no-op.
-func (s *Store) Spill(h Handle) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return ErrStoreClosed
-		}
-		o, err := s.lookupLocked(h)
-		if err != nil {
-			return err
-		}
-		if o.busy {
-			// Another transition owns the object; wait it out and
-			// re-evaluate (it may land in either tier).
-			s.cond.Wait()
-			continue
-		}
-		if o.spilled {
-			return nil
-		}
-		if o.pins > 0 {
-			return fmt.Errorf("%w: %s", ErrObjectPinned, h)
-		}
-		if err := s.spillObjectLocked(o); err != nil {
-			s.stats.SpillErrors++
-			return err
-		}
-		return nil
-	}
-}
-
 func (s *Store) spillDir() string {
 	if s.cfg.SpillDir != "" {
 		return s.cfg.SpillDir
@@ -745,11 +704,6 @@ func (s *Store) Attach(buf uint32, h Handle) error {
 		_ = s.Release(Handle(prev))
 	}
 	return nil
-}
-
-// Attached returns the handle riding buffer buf (0 when none).
-func (s *Store) Attached(buf uint32) Handle {
-	return Handle(s.pool.ObjHandle(buf))
 }
 
 // Detach removes buf's attached handle and releases the reference it
@@ -822,15 +776,6 @@ func (s *Store) Open(h Handle) (*Object, error) {
 	}
 }
 
-// OpenKey opens the latest object stored under key.
-func (s *Store) OpenKey(key string) (*Object, error) {
-	h, ok := s.Lookup(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: key %q", ErrNoObject, key)
-	}
-	return s.Open(h)
-}
-
 // Close unpins the reader and recycles it. The reader must not be used
 // afterwards.
 func (r *Object) Close() error {
@@ -846,12 +791,6 @@ func (r *Object) Close() error {
 	s.readerPool.Put(r)
 	return err
 }
-
-// Handle returns the open object's handle.
-func (r *Object) Handle() Handle { return handleOf(r.o.id, r.o.gen) }
-
-// Key returns the key the object was stored under ("" = anonymous).
-func (r *Object) Key() string { return r.o.key }
 
 // Size returns the object's payload size in bytes.
 func (r *Object) Size() int64 { return r.o.size }

@@ -65,8 +65,8 @@ func TestObjStoreRoundtrip(t *testing.T) {
 	if r.Slabs() != 10 {
 		t.Fatalf("Slabs = %d, want 10", r.Slabs())
 	}
-	if r.Key() != "tensor" {
-		t.Fatalf("Key = %q", r.Key())
+	if r.o.key != "tensor" {
+		t.Fatalf("key = %q", r.o.key)
 	}
 	if got := readAll(t, r); !bytes.Equal(got, want) {
 		t.Fatal("slab-view content mismatch")
@@ -171,7 +171,7 @@ func TestObjStoreAttachLifetime(t *testing.T) {
 	if err := s.Attach(buf, h); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if got := s.Attached(buf); got != h {
+	if got := Handle(s.pool.ObjHandle(buf)); got != h {
 		t.Fatalf("Attached = %v, want %v", got, h)
 	}
 	if err := s.Release(h); err != nil { // creator drops its reference
@@ -227,7 +227,7 @@ func TestObjStoreDetachAndDisplace(t *testing.T) {
 	}
 
 	s.Detach(buf)
-	if got := s.Attached(buf); got != 0 {
+	if got := Handle(s.pool.ObjHandle(buf)); got != 0 {
 		t.Fatalf("Attached after Detach = %v", got)
 	}
 	_ = s.Release(h2) // creator reference; detach already dropped the buffer's
@@ -256,12 +256,12 @@ func TestObjStoreLookup(t *testing.T) {
 		t.Fatal("Lookup(missing) succeeded")
 	}
 
-	r, err := s.OpenKey("model")
+	r, err := s.Open(got)
 	if err != nil {
-		t.Fatalf("OpenKey: %v", err)
+		t.Fatalf("Open of the looked-up handle: %v", err)
 	}
 	if r.Size() != 200 {
-		t.Fatalf("OpenKey size = %d", r.Size())
+		t.Fatalf("looked-up object size = %d", r.Size())
 	}
 	_ = r.Close()
 
@@ -348,9 +348,9 @@ func TestObjStoreSpillAndReload(t *testing.T) {
 
 // TestObjStoreSpillReloadChurnConcurrent hammers the busy-transition
 // machinery: a tight resident budget forces every Open to reload its target
-// and evict a sibling, while explicit Spill calls race the reloads. Tier
+// and evict a sibling, while other goroutines' Opens race both. Tier
 // transitions drop s.mu around their file I/O, so this is the test that
-// makes a mid-transition object visible to concurrent Open/Spill/Release —
+// makes a mid-transition object visible to concurrent Open/Close/Release —
 // run under -race it pins the lock-free I/O rework.
 func TestObjStoreSpillReloadChurnConcurrent(t *testing.T) {
 	pool := testPool(t, 256, 1024)
@@ -380,15 +380,6 @@ func TestObjStoreSpillReloadChurnConcurrent(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (seed + it) % objects
-				if (seed+it)%3 == 0 {
-					// Racing explicit spill: ErrObjectPinned just means a
-					// reader beat us to it.
-					if err := s.Spill(handles[i]); err != nil && !errors.Is(err, ErrObjectPinned) {
-						errs <- fmt.Errorf("Spill %d: %w", i, err)
-						return
-					}
-					continue
-				}
 				r, err := s.Open(handles[i])
 				if err != nil {
 					errs <- fmt.Errorf("Open %d: %w", i, err)
@@ -707,67 +698,4 @@ func TestObjStoreOpenAllocFree(t *testing.T) {
 		t.Fatal("read nothing")
 	}
 	_ = s.Release(h)
-}
-
-// TestObjStoreExplicitSpill covers the forced-eviction API: Spill moves a
-// resident object to the file tier immediately, refuses pinned objects,
-// and is a no-op on an already spilled one.
-func TestObjStoreExplicitSpill(t *testing.T) {
-	pool := testPool(t, 64, 1024)
-	s := New(pool, Config{SpillDir: t.TempDir()})
-	want := pattern(3000, 7)
-	h, err := s.Put("cold", want)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pinned: an open reader blocks eviction.
-	r, err := s.Open(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Spill(h); !errors.Is(err, ErrObjectPinned) {
-		t.Fatalf("Spill of pinned object: got %v, want ErrObjectPinned", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := s.Spill(h); err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
-	if st := s.Stats(); st.Spilled != 1 || st.Resident != 0 || st.Spills != 1 {
-		t.Fatalf("after Spill: %+v", st)
-	}
-	if err := s.Spill(h); err != nil { // idempotent
-		t.Fatalf("second Spill: %v", err)
-	}
-	if st := s.Stats(); st.Spills != 1 {
-		t.Fatalf("no-op Spill must not recount: %+v", st)
-	}
-
-	// Transparent reload round-trips the content.
-	r, err = s.Open(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, r); !bytes.Equal(got, want) {
-		t.Fatal("content corrupted across explicit spill")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := s.Spill(Handle(0)); !errors.Is(err, ErrNoObject) {
-		t.Fatalf("Spill of zero handle: %v", err)
-	}
-	if err := s.Release(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LeakCheck(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.LeakCheck(); err != nil {
-		t.Fatal(err)
-	}
 }

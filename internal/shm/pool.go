@@ -14,8 +14,8 @@ var (
 	ErrBadHandle     = errors.New("shm: invalid buffer handle")
 	ErrNotOwned      = errors.New("shm: buffer not allocated")
 	ErrClosed        = errors.New("shm: pool closed")
-	// ErrPayloadTooLarge marks writes (and SetLen adjustments) that exceed
-	// the fixed buffer size. It is a sentinel so the gateway can map it onto
+	// ErrPayloadTooLarge marks writes that exceed the fixed buffer size.
+	// It is a sentinel so the gateway can map it onto
 	// a distinct refusal (HTTP 413 + its own shed counter) instead of a
 	// generic admission failure — and so callers can fall back to the
 	// multi-slab object tier (objstore) for payloads one slab cannot hold.
@@ -169,14 +169,8 @@ func NewPool(prefix string, n, bufSize int) (*Pool, error) {
 // home is the shard a handle is freed to.
 func (p *Pool) home(h uint32) uint32 { return h / p.perShard }
 
-// Prefix returns the pool's shared-data file prefix (its isolation key).
-func (p *Pool) Prefix() string { return p.prefix }
-
 // BufSize returns the fixed buffer size.
 func (p *Pool) BufSize() int { return p.bufSize }
-
-// Capacity returns the number of buffers in the pool.
-func (p *Pool) Capacity() int { return len(p.refs) }
 
 // Get allocates a buffer with reference count 1. It fails with
 // ErrPoolExhausted when no buffer is free — the chain's queueing capacity
@@ -587,36 +581,6 @@ func (p *Pool) Payload(h uint32) ([]byte, error) {
 	return b[:p.lens[h].Load()], nil
 }
 
-// SetLen adjusts the valid payload length after in-place mutation.
-func (p *Pool) SetLen(h uint32, n int) error {
-	b, err := p.Bytes(h)
-	if err != nil {
-		return err
-	}
-	if n < 0 {
-		return fmt.Errorf("shm: negative length %d", n)
-	}
-	if n > len(b) {
-		return fmt.Errorf("%w: length %d > %d", ErrPayloadTooLarge, n, len(b))
-	}
-	p.lens[h].Store(int32(n))
-	if p.trace[h].objCarrier.Load() != 0 {
-		p.trace[h].objCarrier.Store(0)
-	}
-	return nil
-}
-
-// Len returns the valid payload length of buffer h.
-func (p *Pool) Len(h uint32) (int, error) {
-	if int(h) >= len(p.refs) {
-		return 0, ErrBadHandle
-	}
-	if p.refs[h].Load() <= 0 {
-		return 0, ErrNotOwned
-	}
-	return int(p.lens[h].Load()), nil
-}
-
 // SetTraceContext installs tc in buffer h's trace header (gateway
 // admission: the context then rides the buffer across every hop, fan-out
 // branch and chain boundary without widening the 16-byte descriptor).
@@ -701,7 +665,7 @@ func (p *Pool) SetObjHandle(h uint32, obj uint64) (prev uint64) {
 
 // SetObjCarrier marks (or unmarks) buffer h's attached object as being the
 // message payload itself — the >BufSize carrier convention. The mark is
-// cleared by any in-buffer payload write (Write, SetLen), by SetObjHandle,
+// cleared by any in-buffer payload write (Write), by SetObjHandle,
 // and when the buffer is recycled, so it can never outlive the attachment
 // that set it.
 func (p *Pool) SetObjCarrier(h uint32, on bool) {

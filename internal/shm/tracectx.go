@@ -1,9 +1,6 @@
 package shm
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Trace flags carried in the per-buffer trace header.
 const (
@@ -31,16 +28,6 @@ type TraceContext struct {
 
 // Sampled reports whether the context belongs to a sampled trace.
 func (tc TraceContext) Sampled() bool { return tc.Flags&TraceSampled != 0 }
-
-// Traceparent renders the context as a W3C trace-context header value
-// (version 00), the wire form gateways accept from external callers.
-func (tc TraceContext) Traceparent() string {
-	flags := 0
-	if tc.Sampled() {
-		flags = 1
-	}
-	return fmt.Sprintf("00-%016x%016x-%016x-%02x", tc.TraceHi, tc.TraceLo, tc.Span, flags)
-}
 
 // ParseTraceparent parses a W3C traceparent header value
 // ("00-<32 hex trace id>-<16 hex span id>-<2 hex flags>"). It reports

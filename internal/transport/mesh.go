@@ -236,13 +236,6 @@ func (m *Mesh) AddPeer(name, addr string) *Peer {
 	return p
 }
 
-// Peer returns the outbound link to name (nil when not wired).
-func (m *Mesh) Peer(name string) *Peer {
-	m.peerMu.RLock()
-	defer m.peerMu.RUnlock()
-	return m.peers[name]
-}
-
 // Send queues one frame for the named peer. It is non-blocking: a full
 // backlog refuses the frame with ErrBacklog (counted as a backlog drop) — the
 // caller still owns the request and must fail it attributably.

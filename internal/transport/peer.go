@@ -81,9 +81,6 @@ func newPeer(m *Mesh, name, addr string) *Peer {
 	}
 }
 
-// Name returns the peer's node name.
-func (p *Peer) Name() string { return p.name }
-
 // Send encodes f onto the queued outbox and wakes the writer. Non-blocking:
 // with SendRing frames already queued or being written it returns ErrBacklog
 // (counted), leaving ownership of the request with the caller. The frame is

@@ -337,9 +337,6 @@ func TestMeshChaosReconnect(t *testing.T) {
 	if st.FramesSent != 1+more {
 		t.Fatalf("FramesSent=%d, want %d", st.FramesSent, 1+more)
 	}
-	if inj.Stats().Total == 0 {
-		t.Fatalf("injector never fired")
-	}
 }
 
 // TestMeshBacklogRefusal fills a tiny send ring against an unreachable peer:

@@ -31,15 +31,10 @@ type ClosedLoop struct {
 
 	Issue IssueFunc
 	Seed  uint64
-
-	issued    int
-	completed int
-	active    int
-	stopped   bool
 }
 
-// Start launches the generator; users run until Stop or the engine's run
-// window ends.
+// Start launches the generator; users run until the engine's run window
+// ends.
 func (c *ClosedLoop) Start() {
 	if c.Concurrency <= 0 || c.Issue == nil {
 		panic("workload: ClosedLoop needs Concurrency and Issue")
@@ -59,23 +54,9 @@ func (c *ClosedLoop) Start() {
 }
 
 func (c *ClosedLoop) spawnUser(u int, rng *sim.Rand) {
-	if c.stopped {
-		return
-	}
-	c.active++
 	var loop func()
 	loop = func() {
-		if c.stopped {
-			c.active--
-			return
-		}
-		c.issued++
 		c.Issue(u, func() {
-			c.completed++
-			if c.stopped {
-				c.active--
-				return
-			}
 			next := sim.Time(0)
 			if c.ThinkTime != nil {
 				next = c.ThinkTime(rng)
@@ -85,12 +66,6 @@ func (c *ClosedLoop) spawnUser(u int, rng *sim.Rand) {
 	}
 	loop()
 }
-
-// Stop halts new issues (in-flight requests drain).
-func (c *ClosedLoop) Stop() { c.stopped = true }
-
-// Stats returns issued/completed counters.
-func (c *ClosedLoop) Stats() (issued, completed int) { return c.issued, c.completed }
 
 // UniformThink returns a Locust-style uniform think-time in [lo, hi].
 func UniformThink(lo, hi sim.Time) func(*sim.Rand) sim.Time {
@@ -114,45 +89,6 @@ func WrkMix(r *sim.Rand) int {
 	}
 	return 100
 }
-
-// PoissonOpenLoop issues requests with exponential inter-arrival times at
-// `rate` requests/second until the engine's run window ends or Stop is
-// called — open-loop traffic for saturation studies (unlike the closed
-// loops, arrivals do not slow down when the system backs up).
-type PoissonOpenLoop struct {
-	Eng   *sim.Engine
-	Rate  float64 // mean arrivals per second
-	Issue func(done func())
-	Seed  uint64
-
-	issued  int
-	stopped bool
-}
-
-// Start schedules the first arrival.
-func (p *PoissonOpenLoop) Start() {
-	if p.Rate <= 0 || p.Issue == nil {
-		panic("workload: PoissonOpenLoop needs Rate and Issue")
-	}
-	rng := sim.NewRand(p.Seed)
-	meanGap := 1e9 / p.Rate
-	var arrive func()
-	arrive = func() {
-		if p.stopped {
-			return
-		}
-		p.issued++
-		p.Issue(func() {})
-		p.Eng.After(sim.Time(rng.Exp(meanGap)), arrive)
-	}
-	p.Eng.After(sim.Time(rng.Exp(meanGap)), arrive)
-}
-
-// Stop halts further arrivals.
-func (p *PoissonOpenLoop) Stop() { p.stopped = true }
-
-// Issued returns the number of arrivals generated.
-func (p *PoissonOpenLoop) Issued() int { return p.issued }
 
 // WeightedChoice picks index i with probability weights[i]/sum.
 func WeightedChoice(r *sim.Rand, weights []float64) int {

@@ -8,24 +8,25 @@ import (
 
 func TestClosedLoopZeroThinkKeepsConcurrency(t *testing.T) {
 	eng := sim.NewEngine()
-	inflight, maxInflight := 0, 0
+	inflight, maxInflight, issued, completed := 0, 0, 0, 0
 	cl := &ClosedLoop{
 		Eng:         eng,
 		Concurrency: 4,
 		Issue: func(_ int, done func()) {
+			issued++
 			inflight++
 			if inflight > maxInflight {
 				maxInflight = inflight
 			}
 			eng.After(sim.Time(10e6), func() { // 10ms service
 				inflight--
+				completed++
 				done()
 			})
 		},
 	}
 	cl.Start()
 	eng.Run(sim.Time(1e9)) // 1 second
-	issued, completed := cl.Stats()
 	// each user completes ~100 requests/second at 10ms each
 	if completed < 350 || completed > 400 {
 		t.Fatalf("completed %d, want ~400", completed)
@@ -62,26 +63,6 @@ func TestClosedLoopSpawnRateRamps(t *testing.T) {
 	}
 	if started[0] != 0 {
 		t.Fatalf("user 0 must start immediately, started %v", started[0])
-	}
-}
-
-func TestClosedLoopStopHaltsIssues(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := &ClosedLoop{
-		Eng:         eng,
-		Concurrency: 1,
-		Issue: func(_ int, done func()) {
-			eng.After(sim.Time(1e6), done)
-		},
-	}
-	cl.Start()
-	eng.Run(sim.Time(10e6))
-	cl.Stop()
-	issuedAtStop, _ := cl.Stats()
-	eng.Run(sim.Time(1e9))
-	issued, _ := cl.Stats()
-	if issued > issuedAtStop+1 {
-		t.Fatalf("issues continued after stop: %d -> %d", issuedAtStop, issued)
 	}
 }
 

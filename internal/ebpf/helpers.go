@@ -118,9 +118,8 @@ func (st *execState) call(id HelperID) error {
 		ret = 0
 
 	case HelperRedirect:
-		// r1 = egress ifindex, r2 = flags. Record the redirect; the
-		// hook turns the XDP_REDIRECT/TC_ACT_REDIRECT verdict into a
-		// device forward.
+		// r1 = egress ifindex, r2 = flags. Record the redirect in the
+		// Result for the caller to forward the frame.
 		st.res.RedirectIf = uint32(r1)
 		st.res.HasIfRedir = true
 		ret = uint64(XDPRedirect)

@@ -60,8 +60,8 @@ var errPCOutOfRange = errors.New("ebpf: pc out of program bounds")
 // slot); eight leaves generous headroom without growing the exec state.
 const maxInlineMapVals = 8
 
-// Env is the host environment visible to helpers. Hooks provide an Env when
-// running programs; a nil Env yields zero time and an empty FIB.
+// Env is the host environment visible to helpers, passed per run; a nil Env
+// yields zero time and an empty FIB.
 type Env interface {
 	// Now returns kernel monotonic time in nanoseconds (bpf_ktime_get_ns).
 	Now() int64

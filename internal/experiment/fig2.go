@@ -29,7 +29,7 @@ type fig2Result struct {
 func runFig2(p sidecar.Profile) fig2Result {
 	eng := sim.NewEngine()
 	cfg := platform.DefaultConfig()
-	pod := sim.NewCPUSet(eng, "pod", fig2PodCores, 0)
+	pod := sim.NewCPUSet(eng, fig2PodCores, 0)
 	comp := platform.NewComponent(eng, cfg, pod, "pod", 0)
 
 	lat := metrics.NewHistogram()

@@ -1,14 +1,8 @@
 // Package netstack simulates the kernel networking substrate of one worker
-// node: NICs, veth pairs, loopback, the kernel FIB, iptables chains, and
-// the eBPF XDP/TC hook points of §3.5. Its job is twofold:
-//
-//  1. Provide the structural per-hop overhead accounting (data copies,
-//     context switches, interrupts, protocol tasks) from which the paper's
-//     Tables 1 and 2 are reproduced — each traversal primitive adds its
-//     cost.Hop profile to the request's Audit.
-//  2. Execute real eBPF programs (internal/ebpf) at the XDP and TC hooks so
-//     the accelerated redirect path (§3.5, Fig. 7) is exercised literally:
-//     a FIB lookup helper call followed by an in-driver frame redirect.
+// node: veth pairs, loopback and the kernel FIB. It provides the structural
+// per-hop overhead accounting (data copies, context switches, interrupts,
+// protocol tasks) from which the paper's Tables 1 and 2 are reproduced:
+// each traversal primitive adds its cost.Hop profile to the request's Audit.
 package netstack
 
 import (

@@ -22,54 +22,38 @@ type AuditResult struct {
 	Total    cost.Audit
 }
 
-// auditNode assembles a worker node with an ingress pod, a broker/gateway
-// pod and n function pods, with routes installed, and returns the pieces.
-type auditNode struct {
-	node    *netstack.Node
-	nic     *netstack.Device
-	ingress *netstack.Device // host-side veth of the ingress pod
-	broker  *netstack.Device // host-side veth of the broker / SPRIGHT gateway
-	fns     []*netstack.Device
-}
-
 const (
 	addrIngress = 0x0a000001
 	addrBroker  = 0x0a000002
 	addrFnBase  = 0x0a000010
 )
 
-func newAuditNode(nFns int) *auditNode {
-	a := &auditNode{node: netstack.NewNode("audit")}
-	a.nic = a.node.AddNIC("eth0")
+// newAuditNode assembles a worker node with an ingress pod, a broker/gateway
+// pod and n function pods, each behind a veth pair with its route installed.
+func newAuditNode(nFns int) *netstack.Node {
+	n := netstack.NewNode()
 	sink := netstack.EndpointFunc(func(*netstack.Packet) {})
-
-	host, pod := a.node.AddVethPair("ingress")
-	pod.SetEndpoint(sink)
-	a.ingress = host
-	a.node.FIB.AddRoute(addrIngress, host.Ifindex)
-
-	host, pod = a.node.AddVethPair("broker")
-	pod.SetEndpoint(sink)
-	a.broker = host
-	a.node.FIB.AddRoute(addrBroker, host.Ifindex)
-
-	for i := 0; i < nFns; i++ {
-		host, pod = a.node.AddVethPair(fmt.Sprintf("fn%d", i+1))
+	addPod := func(name string, addr uint32) {
+		host, pod := n.AddVethPair(name)
 		pod.SetEndpoint(sink)
-		a.fns = append(a.fns, host)
-		a.node.FIB.AddRoute(uint32(addrFnBase+i), host.Ifindex)
+		n.FIB.AddRoute(addr, host.Ifindex)
 	}
-	return a
+	addPod("ingress", addrIngress)
+	addPod("broker", addrBroker)
+	for i := 0; i < nFns; i++ {
+		addPod(fmt.Sprintf("fn%d", i+1), uint32(addrFnBase+i))
+	}
+	return n
 }
 
 // send runs one traversal on the audit node and returns the step's audit.
-func send(a *auditNode, from *netstack.Device, dst uint32, size int, external bool) cost.Audit {
+func send(n *netstack.Node, dst uint32, size int, external bool) cost.Audit {
 	p := netstack.NewPacket(0xc0a80001, dst, make([]byte, size))
 	var err error
 	if external {
-		err = a.node.ExternalIn(a.nic, p)
+		err = n.ExternalIn(p)
 	} else {
-		err = a.node.PodToPod(from, p)
+		err = n.PodToPod(p)
 	}
 	if err != nil {
 		panic("platform: audit traversal failed: " + err.Error())
@@ -79,10 +63,10 @@ func send(a *auditNode, from *netstack.Device, dst uint32, size int, external bo
 
 // sidecarCrossing audits the loopback hop between a pod's sidecar and its
 // user container.
-func sidecarCrossing(a *auditNode, size int) cost.Audit {
+func sidecarCrossing(n *netstack.Node, size int) cost.Audit {
 	p := netstack.NewPacket(0, 0, make([]byte, size))
 	sink := netstack.EndpointFunc(func(*netstack.Packet) {})
-	if err := a.node.Localhost(p, sink); err != nil {
+	if err := n.Localhost(p, sink); err != nil {
 		panic("platform: localhost traversal failed: " + err.Error())
 	}
 	return *p.Audit
@@ -106,14 +90,14 @@ func addSerde(a *cost.Audit, ser, deser int) {
 // then alternating broker→fn_i and fn_i→broker steps (2n−1 within-chain
 // steps for n functions; the final response leg is excluded as in §2).
 func KnativeAudit(nFns, size int) AuditResult {
-	a := newAuditNode(nFns)
+	n := newAuditNode(nFns)
 	res := AuditResult{Pipeline: "knative"}
 
-	s1 := send(a, nil, addrIngress, size, true)
+	s1 := send(n, addrIngress, size, true)
 	addSerde(&s1, 1, 0)
 	res.Steps = append(res.Steps, StepAudit{"①", s1})
 
-	s2 := send(a, a.ingress, addrBroker, size, false)
+	s2 := send(n, addrBroker, size, false)
 	addSerde(&s2, 1, 1)
 	res.Steps = append(res.Steps, StepAudit{"②", s2})
 
@@ -122,12 +106,12 @@ func KnativeAudit(nFns, size int) AuditResult {
 		var st cost.Audit
 		if i%2 == 0 {
 			// broker → fn(i/2): cross-pod then into the sidecar
-			st = send(a, a.broker, uint32(addrFnBase+i/2), size, false)
-			st.Add(sidecarCrossing(a, size))
+			st = send(n, uint32(addrFnBase+i/2), size, false)
+			st.Add(sidecarCrossing(n, size))
 		} else {
 			// fn → broker: out through the sidecar then cross-pod
-			st = sidecarCrossing(a, size)
-			st.Add(send(a, a.fns[i/2], addrBroker, size, false))
+			st = sidecarCrossing(n, size)
+			st.Add(send(n, addrBroker, size, false))
 		}
 		addSerde(&st, 2, 2)
 		res.Steps = append(res.Steps, StepAudit{string(label), st})
@@ -141,14 +125,14 @@ func KnativeAudit(nFns, size int) AuditResult {
 // zero-copy SPROXY descriptor deliveries (gateway→fn1, fn1→fn2, …: DFR
 // means no returns to the gateway between functions).
 func SprightAudit(nFns, size int) AuditResult {
-	a := newAuditNode(nFns)
+	n := newAuditNode(nFns)
 	res := AuditResult{Pipeline: "spright"}
 
-	s1 := send(a, nil, addrIngress, size, true)
+	s1 := send(n, addrIngress, size, true)
 	addSerde(&s1, 1, 0)
 	res.Steps = append(res.Steps, StepAudit{"①", s1})
 
-	s2 := send(a, a.ingress, addrBroker, size, false) // ingress → SPRIGHT gateway
+	s2 := send(n, addrBroker, size, false) // ingress → SPRIGHT gateway
 	addSerde(&s2, 1, 1)
 	res.Steps = append(res.Steps, StepAudit{"②", s2})
 

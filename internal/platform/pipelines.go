@@ -113,8 +113,8 @@ func NewKnative(name string, eng *sim.Engine, cfg Config, services []int, p Knat
 		name:  name,
 		eng:   eng,
 		cfg:   cfg,
-		node:  sim.NewCPUSet(eng, name+"-node", cfg.NodeCores, cfg.SampleInterval),
-		gwCPU: sim.NewCPUSet(eng, name+"-gw", cfg.GatewayCores, cfg.SampleInterval),
+		node:  sim.NewCPUSet(eng, cfg.NodeCores, cfg.SampleInterval),
+		gwCPU: sim.NewCPUSet(eng, cfg.GatewayCores, cfg.SampleInterval),
 		fns:   make(map[int]*fnState),
 		p:     p,
 	}

@@ -39,7 +39,7 @@ func NewGRPC(name string, eng *sim.Engine, cfg Config, services []int, p GRPCPar
 		name: name,
 		eng:  eng,
 		cfg:  cfg,
-		node: sim.NewCPUSet(eng, name+"-node", cfg.NodeCores, cfg.SampleInterval),
+		node: sim.NewCPUSet(eng, cfg.NodeCores, cfg.SampleInterval),
 		fns:  make(map[int]*Component),
 	}
 	g.p = p
@@ -150,7 +150,7 @@ func NewSpright(name string, eng *sim.Engine, cfg Config, services []int, p Spri
 		eng:   eng,
 		cfg:   cfg,
 		p:     p,
-		gwCPU: sim.NewCPUSet(eng, name+"-gw", cfg.GatewayCores, cfg.SampleInterval),
+		gwCPU: sim.NewCPUSet(eng, cfg.GatewayCores, cfg.SampleInterval),
 		fns:   make(map[int]*Component),
 		dCPUs: make(map[int]*sim.CPUSet),
 	}
@@ -163,7 +163,7 @@ func NewSpright(name string, eng *sim.Engine, cfg Config, services []int, p Spri
 			per = 1
 		}
 		for _, svc := range services {
-			cpu := sim.NewCPUSet(eng, name+"-fn", per, cfg.SampleInterval)
+			cpu := sim.NewCPUSet(eng, per, cfg.SampleInterval)
 			s.dCPUs[svc] = cpu
 			c := NewComponent(eng, cfg, cpu, "fn", 0)
 			c.Polling = true
@@ -171,7 +171,7 @@ func NewSpright(name string, eng *sim.Engine, cfg Config, services []int, p Spri
 			s.fns[svc] = c
 		}
 	} else {
-		s.node = sim.NewCPUSet(eng, name+"-node", cfg.NodeCores, cfg.SampleInterval)
+		s.node = sim.NewCPUSet(eng, cfg.NodeCores, cfg.SampleInterval)
 		conc := p.Concurrency * maxInt(1, p.Replicas)
 		for _, svc := range services {
 			s.fns[svc] = NewComponent(eng, cfg, s.node, "fn", conc)

@@ -142,7 +142,8 @@ type Chain struct {
 	pool      *shm.Pool
 	store     *objstore.Store // nil when ObjectPolicy.Disable
 	transport Transport
-	sproxy    *SProxy // nil in polling mode
+	sproxy    *SProxy        // the transport in event mode, nil in polling mode
+	rings     *ringTransport // the transport in polling mode, nil in event mode
 	router    *Router
 	// newQueue makes an instance's queue, the mode's other half: picked with
 	// the transport in NewChain.
@@ -204,12 +205,6 @@ type failureCounters struct {
 
 // Tracer returns the chain's current tracer (nil when tracing is off).
 func (c *Chain) Tracer() *Tracer {
-	return c.tracer.Load()
-}
-
-// currentTracer is read on every hop; the atomic pointer keeps the
-// tracing-off common case to a single load.
-func (c *Chain) currentTracer() *Tracer {
 	return c.tracer.Load()
 }
 
@@ -325,7 +320,8 @@ func NewChain(kernel *ebpf.Kernel, manager *shm.Manager, spec ChainSpec) (*Chain
 			return newChanQueue(depth, reclaim)
 		}
 	case ModePolling:
-		c.transport = newRingTransport()
+		c.rings = newRingTransport()
+		c.transport = c.rings
 		// Whoever dequeues a sampled descriptor reports its ring residency
 		// through the dequeue hook: D-SPRIGHT's queue-wait attribution.
 		c.newQueue = func(_ int, reclaim func(shm.Descriptor)) handoffQueue {
@@ -514,48 +510,69 @@ func (c *Chain) jitter(d time.Duration) time.Duration {
 	}
 }
 
-// attempt performs one send try for the hop srcFn→dstFn, consulting the
-// fault injector first. With by.home — the sending worker's own socket — the
-// try may end in a claim instead of a delivery: the destination instance comes
-// back with a slot held and the sender runs its handler (Transport.sendOrClaim).
-func (c *Chain) attempt(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
-	if c.injector.DecideSend(srcFn, dstFn) {
-		c.failures.injected.Add(1)
-		return grant{}, ErrSocketFull
-	}
-	return c.transport.sendOrClaim(src, d, by)
-}
-
-// send delivers d from src, on the sender's stripe, retrying transient
-// transport errors (socket queue full) up to the chain's retry budget with
-// exponential backoff and jitter. srcFn/dstFn name the hop for fault-injection
-// scoping; dstFn is "gateway" for replies. Non-transient errors (filter
-// rejection, unknown destination) are returned immediately.
-func (c *Chain) send(src uint32, srcFn, dstFn string, d shm.Descriptor, stripe uint32) error {
-	_, err := c.sendOrClaim(src, srcFn, dstFn, d, sender{stripe: stripe})
-	return err
-}
-
-// sendOrClaim is send for a function worker's single-destination hop: given
-// by.home, the worker's own socket, it may return the destination instance
-// with a concurrency slot held instead of queueing d there, and the caller
-// then runs that instance's handler on d itself.
+// sendOrClaim is one hop, one call frame when it is untraced, with no fault
+// injector, on its first attempt: the filter's verdict from the transport's
+// concrete type, then the destination socket's claim or delivery. A worker with
+// a home (by.home) runs the handler itself if the instance grants it a slot —
+// asked only with no backlog at home and into an idle queue — counted as
+// delivered on the claimed slot's line. Otherwise d is queued, and a hop that
+// wanted a claim is counted in queuedHops, taken back if the push is refused.
+// The rest — sendObserved for a sampled request or a chain with an injector,
+// retried for a refused push — makes its attempts with this same function, by
+// wrapped. srcFn/dstFn name the hop for the injector ("gateway": a reply).
 func (c *Chain) sendOrClaim(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
-	if tr := c.currentTracer(); tr != nil && c.pool.TraceSampled(d.Buf) {
-		return c.sendTraced(tr, src, srcFn, dstFn, d, by)
+	if c.injector != nil || c.tracer.Load() != nil && c.pool.TraceSampled(d.Buf) {
+		if !by.wrapped {
+			return c.sendObserved(src, srcFn, dstFn, d, by)
+		}
+		if c.injector.DecideSend(srcFn, dstFn) {
+			c.failures.injected.Add(1)
+			return grant{}, ErrSocketFull
+		}
 	}
-	return c.sendRetrying(src, srcFn, dstFn, d, by)
+	var dst *Socket
+	var err error
+	if sp := c.sproxy; sp != nil {
+		ret, sock, runErr := sp.kernel.RunDescriptor(sp.prog, d, src, by.stripe)
+		dst, err = redirected(ret, sock, runErr), runErr
+	} else {
+		dst = c.rings.route(src, d.NextFn)
+	}
+	if dst == nil {
+		return grant{}, c.transport.refusal(src, d.NextFn, err)
+	}
+	if by.home == nil || dst.inst == nil {
+		if err = dst.deliver(d, by.stripe); err != nil {
+			return c.retried(src, srcFn, dstFn, d, by, err)
+		}
+		return grant{}, nil
+	}
+	if by.home.q.idle() && dst.q.idle() {
+		slot, took, ok := dst.inst.claimOwn(by.stripe)
+		if !ok {
+			slot, ok = dst.inst.claimNext(slot, took)
+		}
+		if ok {
+			dst.inst.stripes[slot].delivered.Add(1)
+			return grant{dst.inst, slot}, nil
+		}
+	}
+	dst.queuedHops.Add(1)
+	if err = dst.deliver(d, by.stripe); err != nil {
+		dst.queuedHops.Add(^uint64(0))
+		return c.retried(src, srcFn, dstFn, d, by, err)
+	}
+	return grant{}, nil
 }
 
-// sendRetrying is one attempt and, while the destination's queue refuses it,
-// more after an exponential backoff with jitter, up to the chain's retry
-// budget. Non-transient errors (filter rejection, unknown destination) end the
-// loop immediately.
-func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
-	next, err := c.attempt(src, srcFn, dstFn, d, by)
-	if err == nil || c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
-		return next, err
+// retried follows a push the queue refused with err: while it is ErrSocketFull,
+// more attempts after an exponential backoff with jitter, up to the retry
+// budget. Other errors, and an attempt a wrapper made, get err back as it is.
+func (c *Chain) retried(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender, err error) (grant, error) {
+	if by.wrapped || c.retry.MaxAttempts <= 1 || !errors.Is(err, ErrSocketFull) {
+		return grant{}, err
 	}
+	by.wrapped = true
 	backoff := c.retry.BaseBackoff
 	for n := 1; n < c.retry.MaxAttempts; n++ {
 		c.failures.retries.Add(1)
@@ -563,7 +580,8 @@ func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, 
 		if backoff *= 2; backoff > c.retry.MaxBackoff {
 			backoff = c.retry.MaxBackoff
 		}
-		if next, err = c.attempt(src, srcFn, dstFn, d, by); err == nil || !errors.Is(err, ErrSocketFull) {
+		var next grant
+		if next, err = c.sendOrClaim(src, srcFn, dstFn, d, by); err == nil || !errors.Is(err, ErrSocketFull) {
 			return next, err
 		}
 	}
@@ -571,21 +589,32 @@ func (c *Chain) sendRetrying(src uint32, srcFn, dstFn string, d shm.Descriptor, 
 	return grant{}, fmt.Errorf("core: %d send attempts: %w", c.retry.MaxAttempts, err)
 }
 
-// sendTraced wraps one hop's send in a redirect/enqueue span and stamps
-// the buffer's enqueue time so the consumer side (polling worker, socket
-// worker, the sender itself after a claim, or the gateway's sink) can
-// attribute queue wait. A D-SPRIGHT hop is an enqueue only if it crossed a
-// ring: a claimed hop and the reply, which the sink takes on this goroutine,
-// record what they record in S-SPRIGHT — less the claimed hop's queue.wait,
-// there being no socket queue in ModePolling to have waited in. Only sampled
-// buffers come here — the unsampled path stays clock-free.
-func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
-	parent := c.pool.TraceContext(d.Buf).Span
-	t0 := time.Now()
-	// Stamp before the send: the consumer may dequeue the descriptor
-	// before this goroutine runs again, and it must find the stamp.
-	c.pool.StampTrace(d.Buf, t0.UnixNano())
-	next, err := c.sendRetrying(src, srcFn, dstFn, d, by)
+// sendObserved is sendOrClaim for a chain with a fault injector, which decides
+// each attempt, and a sampled request, whose send it wraps in a
+// redirect/enqueue span. The buffer's enqueue stamp lets the consumer (a
+// worker, the sender after a claim, the gateway's sink) attribute queue wait.
+// A D-SPRIGHT hop is an enqueue only if it crossed a ring; a claimed hop there
+// has no queue.wait. A delivered reply's span is the sink's (Gateway.complete),
+// recorded before it settles the request.
+func (c *Chain) sendObserved(src uint32, srcFn, dstFn string, d shm.Descriptor, by sender) (grant, error) {
+	tr := c.Tracer()
+	traced := tr != nil && c.pool.TraceSampled(d.Buf)
+	var parent uint64
+	var t0 time.Time
+	if traced {
+		parent = c.pool.TraceContext(d.Buf).Span
+		t0 = time.Now()
+		// Stamp before the send: the consumer may dequeue the descriptor
+		// before this goroutine runs again, and it must find the stamp.
+		c.pool.StampTrace(d.Buf, t0.UnixNano())
+	}
+	next, err := c.sendOrClaim(src, srcFn, dstFn, d, sender{by.stripe, true, by.home})
+	if err != nil {
+		next, err = c.retried(src, srcFn, dstFn, d, by, err)
+	}
+	if !traced || err == nil && d.NextFn == GatewayID {
+		return next, err
+	}
 	stage := StageRedirect
 	if c.mode == ModePolling {
 		if next.inst != nil {
@@ -609,7 +638,7 @@ func (c *Chain) sendTraced(tr *Tracer, src uint32, srcFn, dstFn string, d shm.De
 // follows. Returns the measured residency (0 when untraced) for the ring's
 // wait counters.
 func (c *Chain) ringDequeueHook(d shm.Descriptor) time.Duration {
-	tr := c.currentTracer()
+	tr := c.Tracer()
 	if tr == nil || !c.pool.TraceSampled(d.Buf) {
 		return 0
 	}

@@ -123,17 +123,14 @@ func (r *Router) Instances(fn string) []*Instance {
 // is health-aware: instances whose circuit breaker is open are skipped;
 // if every instance is circuit-broken the caller gets ErrAllUnhealthy — a
 // terminal error — rather than a descriptor routed into a dead pod. The
-// clock is read only when some candidate's breaker is not closed, and a sole
-// candidate whose breaker is closed is returned without reading its load:
-// there is nothing to compare it with, the claim or the worker pool enforces
-// its bound, and the load sits on a line every hop to the instance writes.
+// clock is read only when some candidate's breaker is not closed.
 func (r *Router) PickInstance(fn string) (*Instance, error) {
+	if in := r.sole(fn); in != nil {
+		return in, nil
+	}
 	list := (*r.instances.Load())[fn]
 	if len(list) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoInstance, fn)
-	}
-	if len(list) == 1 && list[0].health.openUntil.Load() == 0 {
-		return list[0], nil
 	}
 	var now int64
 	var best *Instance
@@ -155,4 +152,14 @@ func (r *Router) PickInstance(fn string) (*Instance, error) {
 		return nil, fmt.Errorf("%w: %q", ErrAllUnhealthy, fn)
 	}
 	return best, nil
+}
+
+// sole is PickInstance's common case, inlined into a hop: fn's only instance
+// if its breaker is closed, else nil. Its load is not read: there is nothing
+// to compare it with, and it sits on a line every hop to the instance writes.
+func (r *Router) sole(fn string) *Instance {
+	if list := (*r.instances.Load())[fn]; len(list) == 1 && list[0].health.openUntil.Load() == 0 {
+		return list[0]
+	}
+	return nil
 }

@@ -247,7 +247,7 @@ type slotStripe struct {
 	// the bound. It dips below zero only for the moment between a taker's
 	// decrement that came second and its undo.
 	free      atomic.Int32
-	delivered atomic.Uint64 // hops that arrived by claiming one (Socket.claimFor)
+	delivered atomic.Uint64 // hops that arrived by claiming one (Chain.sendOrClaim)
 	_         [6]uint64
 }
 
@@ -265,7 +265,7 @@ type grant struct {
 // kinds of goroutine hold them: the instance's own workers, for descriptors
 // queued on its socket (a channel, or in ModePolling a ring), and the workers of
 // other instances that forwarded a message here, claimed a slot and are running
-// the handler themselves (Socket.claimFor).
+// the handler themselves (Chain.sendOrClaim).
 // Together they never exceed Concurrency. A worker that dequeues a descriptor
 // while claimed slots fill the bound parks until one is released.
 //
@@ -297,8 +297,9 @@ type Instance struct {
 
 	// Who waits for a release: workers parked on a full instance, and
 	// shutdown waiting for the last handler. release looks at slotWaiters, on
-	// this line that no hop writes, and nothing else while it is zero.
-	slotWaiters atomic.Int32
+	// this line that no hop writes, and nothing else while it is zero. Only
+	// sync/atomic's functions touch it: they keep release inlinable.
+	slotWaiters int32
 
 	health health
 
@@ -404,48 +405,56 @@ func (in *Instance) work() {
 }
 
 // claim takes one concurrency slot if the instance has one free and is not
-// stopping: from stripe's sub-budget if that has one, else from the first
-// stripe after it that has, and it says which. It is refused only after every
-// stripe refused. A stripe is read before it is written, so one with nothing
-// to give costs a load of a line its owners are not writing either. The slot
-// is taken first and stopping checked second — the order Socket.enqueue uses
-// for senders and closed — so shutdown, which sets stopping and then waits for
-// every slot to come back, either sees this one out or is seen by it. A
-// refused claim has been undone.
-func (in *Instance) claim(stripe uint32) (slot uint32, ok bool) {
-	for i := uint32(0); i < ebpf.Stripes; i++ {
-		slot = (stripe + i) % ebpf.Stripes
-		st := &in.stripes[slot]
-		if st.free.Load() <= 0 {
-			continue
-		}
-		if st.free.Add(-1) < 0 {
-			// Another claim had the stripe's last slot first. While this
-			// decrement stood a slot released meanwhile looked taken, so the
-			// undo wakes whoever may have looked, as a release would.
-			st.free.Add(1)
-			in.slotGivenBack()
-			continue
-		}
-		if in.stopping.Load() {
+// stopping, and says which stripe's sub-budget it came from: stripe's own
+// (claimOwn), else the first stripe after it that has one (claimNext). A
+// refused claim has been undone. The slot is taken first and stopping checked
+// second — the order Socket.deliver uses for senders and closed — so shutdown
+// either sees this slot out or is seen by it.
+func (in *Instance) claim(stripe uint32) (uint32, bool) {
+	slot, took, ok := in.claimOwn(stripe)
+	if !ok {
+		slot, ok = in.claimNext(slot, took)
+	}
+	return slot, ok
+}
+
+// claimOwn is claim's first step, inlined into a hop: a slot of stripe's own
+// sub-budget, read before it is written, so a stripe with nothing to give is
+// never seen short of a slot. When it refuses, claimNext must follow, with the
+// slot it named and whether it took one (took) to give back.
+func (in *Instance) claimOwn(stripe uint32) (slot uint32, took, ok bool) {
+	slot = stripe % ebpf.Stripes
+	if st := &in.stripes[slot]; st.free.Load() > 0 {
+		return slot, true, st.free.Add(-1) >= 0 && !in.stopping.Load()
+	}
+	return slot, false, false
+}
+
+// claimNext is claim's second step. It gives back what claimOwn took from own,
+// if it took (a slot released while that decrement stood looked taken, so the
+// undo wakes as a release would), then, unless the instance is stopping, tries
+// the other stripes. Each is read before it is written, so one with nothing to give
+// costs a load of a line its owners are not writing either.
+func (in *Instance) claimNext(own uint32, took bool) (uint32, bool) {
+	if took {
+		in.release(own)
+	}
+	for i := uint32(1); i < ebpf.Stripes && !in.stopping.Load(); i++ {
+		slot := (own + i) % ebpf.Stripes
+		if st := &in.stripes[slot]; st.free.Load() > 0 {
+			if st.free.Add(-1) >= 0 && !in.stopping.Load() {
+				return slot, true
+			}
 			in.release(slot)
-			break
 		}
-		return slot, true
 	}
 	return 0, false
 }
 
 // release gives a slot back to the stripe it was taken from and wakes whoever
-// waits for one.
+// waits for one; inlined into a hop, with the wake out of line.
 func (in *Instance) release(slot uint32) {
-	in.stripes[slot].free.Add(1)
-	in.slotGivenBack()
-}
-
-// slotGivenBack wakes whoever waits for a slot, if anyone does.
-func (in *Instance) slotGivenBack() {
-	if in.slotWaiters.Load() != 0 {
+	if in.stripes[slot].free.Add(1); atomic.LoadInt32(&in.slotWaiters) != 0 {
 		in.wakeSlotWaiters()
 	}
 }
@@ -461,11 +470,11 @@ func (in *Instance) wakeSlotWaiters() {
 // release gives its slot back before it reads the count.
 func (in *Instance) parkWhile(busy func() bool) {
 	in.slotMu.Lock()
-	in.slotWaiters.Add(1)
+	atomic.AddInt32(&in.slotWaiters, 1)
 	for busy() {
 		in.slotFreed.Wait()
 	}
-	in.slotWaiters.Add(-1)
+	atomic.AddInt32(&in.slotWaiters, -1)
 	in.slotMu.Unlock()
 }
 
@@ -534,7 +543,7 @@ func (in *Instance) handle(ctx *Ctx, d shm.Descriptor, slot uint32, home *Socket
 	// Trace gate: one atomic flags load on the buffer header. Unsampled
 	// requests skip every timestamp — the hot path must not pay two
 	// time.Now() calls per hop.
-	tr := in.chain.currentTracer()
+	tr := in.chain.Tracer()
 	var hopStart time.Time
 	var parent, hsID uint64
 	traced := false
@@ -640,8 +649,7 @@ func (in *Instance) invoke(ctx *Ctx) (err error, panicked bool) {
 // is home, to run. A fan-out always queues, so its branches run in parallel.
 func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.Descriptor) {
 	d := ctx.desc
-	// extra references for fan-out beyond the first destination
-	refs := 1 // the reference this instance already owns
+	refs := 1 // the reference this instance owns; fan-out takes one more per extra destination
 	for i := 1; i < len(next); i++ {
 		if err := in.chain.pool.Ref(d.Buf); err != nil {
 			for ; refs > 0; refs-- {
@@ -660,11 +668,14 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.D
 	if len(next) == 1 {
 		// Single next hop — the common chain topology.
 		fn := next[0]
-		target, err := in.chain.router.PickInstance(fn)
+		target, err := in.chain.router.sole(fn), error(nil)
+		if target == nil {
+			target, err = in.chain.router.PickInstance(fn)
+		}
 		if err == nil {
 			d.NextFn = target.ID()
 			var claimed grant
-			if claimed, err = in.chain.sendOrClaim(in.id, in.fnName, fn, d, sender{ctx.stripe, home}); err == nil {
+			if claimed, err = in.chain.sendOrClaim(in.id, in.fnName, fn, d, sender{stripe: ctx.stripe, home: home}); err == nil {
 				return claimed, d
 			}
 			err = fmt.Errorf("forward to %s: %w", fn, err)
@@ -684,7 +695,7 @@ func (in *Instance) forward(ctx *Ctx, next []string, home *Socket) (grant, shm.D
 		if err == nil {
 			nd := d
 			nd.NextFn = target.ID()
-			if err = in.chain.send(in.id, in.fnName, fn, nd, ctx.stripe); err == nil {
+			if _, err = in.chain.sendOrClaim(in.id, in.fnName, fn, nd, sender{stripe: ctx.stripe}); err == nil {
 				delivered++
 				continue
 			}
@@ -709,7 +720,7 @@ func (in *Instance) reply(ctx *Ctx) {
 		return
 	}
 	d.NextFn = GatewayID
-	if err := in.chain.send(in.id, in.fnName, "gateway", d, ctx.stripe); err != nil {
+	if _, err := in.chain.sendOrClaim(in.id, in.fnName, "gateway", d, sender{stripe: ctx.stripe}); err != nil {
 		in.chain.releaseBuffer(d.Buf)
 		in.chain.noteError(in.fnName, fmt.Errorf("reply: %w", err))
 		in.chain.notifyFailure(d.Caller, err)

@@ -288,19 +288,19 @@ func (g *Gateway) complete(d shm.Descriptor) {
 		g.chain.noteError("gateway", fmt.Errorf("%w: %d", ErrNoWaiter, d.Caller))
 		return
 	}
-	// Response drain span: the final hop's send stamp → gateway pickup.
-	// Recorded before the request is settled so it always lands ahead of
-	// FinishRequest.
-	if tr := g.chain.currentTracer(); tr != nil && g.chain.pool.TraceSampled(d.Buf) {
-		now := time.Now()
-		drainStart := now
+	// The reply's redirect span (Chain.sendObserved leaves it here) and the
+	// drain span: the final hop's send stamp → gateway pickup. Recorded
+	// before the request is settled, so a trace is whole when its caller
+	// returns.
+	if tr := g.chain.Tracer(); tr != nil && g.chain.pool.TraceSampled(d.Buf) {
+		s := Span{Parent: g.chain.pool.TraceContext(d.Buf).Span, Stage: StageRedirect, Function: "gateway", End: time.Now()}
+		s.Start = s.End
 		if ns := g.chain.pool.TraceStamp(d.Buf); ns > 0 {
-			drainStart = time.Unix(0, ns)
+			s.Start = time.Unix(0, ns)
 		}
-		tr.RecordSpan(d.Caller, Span{
-			Parent: g.chain.pool.TraceContext(d.Buf).Span, Stage: StageDrain,
-			Function: "gateway", Start: drainStart, End: now,
-		})
+		tr.RecordSpan(d.Caller, s)
+		s.Stage = StageDrain
+		tr.RecordSpan(d.Caller, s)
 	}
 	// The single response copy out of shared memory: the gateway owns
 	// constructing the external response (§3.1), straight into the caller's
@@ -426,7 +426,7 @@ func (g *Gateway) start(ctx context.Context, rq *request, w *waiter) error {
 		// FinishRequest reuses the elapsed time the latency histogram already
 		// needed, so no extra clock reads either.
 		caller, tc, stripe = w.caller, shm.TraceContext{}, w.stripe
-		if w.tr = g.chain.currentTracer(); w.tr != nil {
+		if w.tr = g.chain.Tracer(); w.tr != nil {
 			tc = w.tr.BeginRequest(caller, rq.tc, w.start)
 			if w.sampled = tc.Sampled(); w.sampled {
 				allocStart = time.Now()
@@ -584,7 +584,8 @@ func (g *Gateway) dispatchTo(fn string, d shm.Descriptor, stripe uint32) error {
 		return err
 	}
 	d.NextFn = inst.ID()
-	return g.chain.send(GatewayID, "gateway", fn, d, stripe)
+	_, err = g.chain.sendOrClaim(GatewayID, "gateway", fn, d, sender{stripe: stripe})
+	return err
 }
 
 // park parks one admitted request whose first function is at zero replicas,

@@ -462,7 +462,7 @@ func TestForwardToCopiesWithoutAllocating(t *testing.T) {
 
 // Tests for run-to-completion across hops: a worker that forwards to one
 // function claims a concurrency slot of the destination instance and runs
-// that handler itself (Socket.claimFor, Instance.work) — whether it took the
+// that handler itself (Chain.sendOrClaim, Instance.work) — whether it took the
 // request off its socket's channel or polled it off its ring.
 
 // goid is the calling goroutine's ID, for telling who ran a handler.
@@ -557,8 +557,8 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 			if delivered != 10*rounds || runs.of(down) != 10*rounds {
 				t.Errorf("delivered %d, handled %d, want %d of each", delivered, runs.of(down), 10*rounds)
 			}
-			if down.Inflight() != 0 || down.slotWaiters.Load() != 0 {
-				t.Errorf("idle instance holds %d slots, %d waiters", down.Inflight(), down.slotWaiters.Load())
+			if down.Inflight() != 0 || atomic.LoadInt32(&down.slotWaiters) != 0 {
+				t.Errorf("idle instance holds %d slots, %d waiters", down.Inflight(), atomic.LoadInt32(&down.slotWaiters))
 			}
 			t.Logf("bound %d: peak %d, %d of %d function hops queued", bound, peak.Load(), down.QueuedHops(), 8*rounds)
 		})
@@ -594,7 +594,7 @@ func inlineHoldsConcurrency(t *testing.T, mode Mode) {
 			// One more, through the queue: down's own worker takes it off and
 			// must park, not run it and not spin.
 			go invokeTo(t, g, "direct", "x", results)
-			pollUntil(t, "down's worker parked for a slot", func() bool { return down.slotWaiters.Load() == 1 })
+			pollUntil(t, "down's worker parked for a slot", func() bool { return atomic.LoadInt32(&down.slotWaiters) == 1 })
 			if got := runs.Load(); got != int64(bound) {
 				t.Fatalf("%d handler runs with %d slots: the bound was exceeded", got, bound)
 			}
@@ -867,7 +867,7 @@ func inlineShutdown(t *testing.T, mode Mode) {
 				// see that it is still waiting.
 				pollUntil(t, "the stop to reach its wait", func() bool {
 					for _, d := range downs {
-						if d.stopping.Load() && d.slotWaiters.Load() == 1 {
+						if d.stopping.Load() && atomic.LoadInt32(&d.slotWaiters) == 1 {
 							return true
 						}
 					}
@@ -1354,7 +1354,7 @@ func sendSpanRecorded(tr *Tracer, from, to string) bool {
 // took a request then follows it as a ModeEvent worker does (the by-mode tests
 // above). The guards are the flag given up before the first handler runs, the
 // ring's length re-read after the flag is cleared, the producer's wake when
-// nobody polls, the stop that wakes every parked worker, and claimFor reading
+// nobody polls, the stop that wakes every parked worker, and the claim reading
 // the rings' lengths where a polled socket has no channel.
 
 // parkedPollers counts the instance workers parked while another worker of
@@ -1646,7 +1646,7 @@ func TestHandoffPollingFaultsAndSpans(t *testing.T) {
 
 // TestHandoffPollingQueuedWorkRefusesClaim: a descriptor waiting in the
 // destination's ring is not overtaken — the hop queues behind it though the
-// instance has every slot free. (Fails if claimFor does not ask the
+// instance has every slot free. (Fails if the claim does not ask the
 // destination's queue whether it is idle: the claim is granted and the hop
 // counted as claimed. Checked by making that change.)
 func TestHandoffPollingQueuedWorkRefusesClaim(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 // handoffQueue is where a socket's descriptors wait for the owning instance's
 // workers — the one thing S-SPRIGHT and D-SPRIGHT deliver differently. The
-// socket owns it and calls it only inside its own protocol (Socket.enqueue,
+// socket owns it and calls it only inside its own protocol (Socket.deliver,
 // Socket.Close): push never runs once stop has begun, and stop runs once.
 //
 //   - push adds d without blocking, or fails with ErrSocketFull.

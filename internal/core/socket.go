@@ -24,9 +24,9 @@ import (
 // instance's workers — always for the gateway's dispatch, a fan-out branch and
 // a bare NewSocket, which has no instance. Or, for a function → function hop,
 // the sending worker claims one of the instance's concurrency slots and runs
-// the handler itself (claimFor): nothing is queued and nobody is woken. A claim
-// is refused, and the hop queued, when the instance is stopping, has no free
-// slot or has queued work (which is never overtaken),
+// the handler itself (Chain.sendOrClaim): nothing is queued and nobody is
+// woken. A claim is refused, and the hop queued, when the instance is
+// stopping, has no free slot or has queued work (which is never overtaken),
 // or when the sender's own socket has a backlog to go home to. The hop is
 // counted as delivered either way — on the sender's stripe of the socket if it
 // was queued (sockStripe), on the stripe of the slot it claimed if it was not
@@ -122,13 +122,21 @@ func (s *Socket) DeliverDescriptor(wire []byte) error {
 // none.
 func (s *Socket) Deliver(d shm.Descriptor) error { return s.deliver(d, 0) }
 
-// deliver is Deliver by a sender on stripe. The delivery is counted before the
-// push, and the count taken back if the push is refused: once d is queued its
+// deliver is Deliver by a sender on stripe: the non-blocking push under the
+// drain-token protocol, whose sender registration, on stripe, precedes the
+// closed check (see the type comment), so Close observes either the
+// registration or the completed push. The delivery is counted before the push,
+// and the count taken back if the push is refused: once d is queued its
 // handler may run, and its caller return, before this goroutine runs again.
 func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
 	st := &s.stripes[stripe%ebpf.Stripes]
 	st.delivered.Add(1)
-	err := s.enqueue(d, st)
+	st.senders.Add(1)
+	err := ErrSocketClosed
+	if !s.closed.Load() {
+		err = s.q.push(d)
+	}
+	st.senders.Add(-1)
 	if err != nil {
 		st.delivered.Add(^uint64(0))
 		if err == ErrSocketFull {
@@ -136,54 +144,6 @@ func (s *Socket) deliver(d shm.Descriptor, stripe uint32) error {
 		}
 	}
 	return err
-}
-
-// handoff is the end of a hop, which both transports share once their filter
-// has passed d to s: a worker with a home (by.home) to come back to runs the
-// handler itself if s's instance grants it a slot (claimFor), and otherwise —
-// or when nobody asked, or s has no instance — d is queued. A hop that wanted
-// a claim and was queued is counted in queuedHops, before the push and taken
-// back if the push is refused, as deliver counts a delivery.
-func (s *Socket) handoff(d shm.Descriptor, by sender) (grant, error) {
-	if by.home == nil || s.inst == nil {
-		return grant{}, s.deliver(d, by.stripe)
-	}
-	if slot, ok := s.claimFor(by); ok {
-		return grant{s.inst, slot}, nil
-	}
-	s.queuedHops.Add(1)
-	err := s.deliver(d, by.stripe)
-	if err != nil {
-		s.queuedHops.Add(^uint64(0))
-	}
-	return grant{}, err
-}
-
-// claimFor is the other way in: the worker by takes one of the owning
-// instance's concurrency slots — of its own stripe if that has one — and will
-// run the handler itself, so the hop is counted as delivered, on the line the
-// claim has just written. It follows the request only with no backlog waiting
-// at home, and only into an idle queue. slot is the stripe the slot came from.
-func (s *Socket) claimFor(by sender) (slot uint32, ok bool) {
-	if !by.home.q.idle() || !s.q.idle() {
-		return 0, false
-	}
-	if slot, ok = s.inst.claim(by.stripe); ok {
-		s.inst.stripes[slot].delivered.Add(1)
-	}
-	return slot, ok
-}
-
-// enqueue is the non-blocking push under the drain-token protocol. The
-// sender registration, on stripe st, must precede the closed check (see the
-// type comment): Close observes either our registration or our completed push.
-func (s *Socket) enqueue(d shm.Descriptor, st *sockStripe) error {
-	st.senders.Add(1)
-	defer st.senders.Add(-1)
-	if s.closed.Load() {
-		return ErrSocketClosed
-	}
-	return s.q.push(d)
 }
 
 // next is a worker's receive: the next descriptor for the instance, blocking

@@ -173,36 +173,35 @@ func (sp *SProxy) Revoke(src, dst uint32) error {
 }
 
 // Send runs the SPROXY program for a descriptor sent by instance src and,
-// on a pass verdict, delivers it to the socket the program selected.
-//
-// The descriptor goes to the kernel by value (Kernel.RunDescriptor): the fast
-// path reads its destination field and the interpreter its marshaled wire
-// form. The destination socket is handed the value itself — one parse per
-// hop, no per-send heap allocation.
+// on a pass verdict, delivers it to the socket the program selected. The
+// descriptor goes to the kernel and the socket by value: no per-send heap
+// allocation.
 func (sp *SProxy) Send(src uint32, d shm.Descriptor) error {
-	_, err := sp.sendOrClaim(src, d, sender{})
-	return err
+	ret, sock, err := sp.kernel.RunDescriptor(sp.prog, d, src, 0)
+	if dst := redirected(ret, sock, err); dst != nil {
+		return dst.Deliver(d)
+	}
+	return sp.refusal(src, d.NextFn, err)
 }
 
-// sendOrClaim is S-SPRIGHT's Transport.sendOrClaim: the program runs, on the
-// sender's stripe, and selects the destination socket exactly as in Send, and
-// the socket it selected takes the hop (Socket.handoff).
-func (sp *SProxy) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
-	ret, sock, err := sp.kernel.RunDescriptor(sp.prog, d, src, by.stripe)
+// redirected is the socket a run that returned ret, sock and err sent its
+// descriptor to, or nil (refusal says why). RegisterSocket is the sockmap's
+// only writer, so a socket is a *Socket.
+func redirected(ret int64, sock ebpf.SockRef, err error) *Socket {
+	if dst, _ := sock.(*Socket); ret == ebpf.SKPass && err == nil {
+		return dst
+	}
+	return nil
+}
+
+func (sp *SProxy) refusal(src, dst uint32, err error) error {
 	if err != nil {
-		return grant{}, fmt.Errorf("sproxy: %w", err)
+		return fmt.Errorf("sproxy: %w", err)
 	}
-	if ret != ebpf.SKPass {
-		if _, lookErr := sp.sockmap.LookupSock(d.NextFn); lookErr != nil {
-			return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
-		}
-		return grant{}, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, d.NextFn)
+	if _, lookErr := sp.sockmap.LookupSock(dst); lookErr != nil {
+		return fmt.Errorf("%w: instance %d", ErrNoSuchFn, dst)
 	}
-	// RegisterSocket is the sockmap's only writer, so a socket is a *Socket.
-	if dst, ok := sock.(*Socket); ok {
-		return dst.handoff(d, by)
-	}
-	return grant{}, fmt.Errorf("%w: instance %d", ErrNoSuchFn, d.NextFn)
+	return fmt.Errorf("%w: %d -> %d", ErrFiltered, src, dst)
 }
 
 // RequestCount reads the L7 per-instance request counter maintained by the

@@ -11,12 +11,13 @@ import (
 )
 
 // Transport routes packet descriptors between the sockets of one chain: it
-// resolves a hop's destination socket and the filter verdict on it, and hands
-// d to that socket (Socket.handoff). S-SPRIGHT's is the event-driven SPROXY
-// itself (sockmap redirect inside the VM); D-SPRIGHT's is a user-space table
-// (ringTransport). Both carry the identical 16-byte descriptors — the
-// comparison of §3.2.2 is purely about the delivery mechanism, and that is the
-// destination socket's queue (handoffQueue), not the transport.
+// resolves a hop's destination socket and the filter verdict on it.
+// S-SPRIGHT's is the event-driven SPROXY itself (sockmap redirect inside the
+// VM); D-SPRIGHT's is a user-space table (ringTransport). Both carry the
+// identical 16-byte descriptors — the comparison of §3.2.2 is purely about the
+// delivery mechanism, and that is the destination socket's queue
+// (handoffQueue), not the transport. A hop calls the transport's concrete
+// type (Chain.sendOrClaim), and the interface only when it is refused.
 type Transport interface {
 	// RegisterSocket binds an instance's socket to the transport.
 	RegisterSocket(s *Socket) error
@@ -25,16 +26,11 @@ type Transport interface {
 	UnregisterSocket(id uint32) error
 	// Send delivers d from instance src to d.NextFn.
 	Send(src uint32, d shm.Descriptor) error
-	// sendOrClaim is Send by a sender that says which stripe it is on, and
-	// that may rather run the next handler than wake someone to: given
-	// by.home, the worker's own socket, and a destination instance that grants
-	// it a slot (Socket.claimFor), it returns the grant and queues nothing.
-	// Otherwise d is delivered as Send would, and a hop that wanted a claim is
-	// counted on the destination as queued. The filter verdict comes first
-	// either way.
-	sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error)
 	// Allow authorizes src→dst traffic (security domain filter).
 	Allow(src, dst uint32) error
+	// refusal is the error of a send the verdict sent to no socket: the
+	// program's fault err, or the socket or edge the transport does not hold.
+	refusal(src, dst uint32, err error) error
 }
 
 // sender is the goroutine making a send: the stripe it is on (ebpf.Stripes) —
@@ -42,9 +38,11 @@ type Transport interface {
 // bumps, and whose sub-budget a claim tries first — and, for a function worker
 // that would rather run the next handler than wake someone to, its own socket.
 // The zero sender is on the stripe of those that have none and claims nothing.
+// wrapped marks the one attempt of one of sendOrClaim's out-of-line wrappers.
 type sender struct {
-	stripe uint32
-	home   *Socket
+	stripe  uint32
+	wrapped bool
+	home    *Socket
 }
 
 // Mode selects the transport implementation.
@@ -140,31 +138,26 @@ func (t *ringTransport) Allow(src, dst uint32) error {
 	return nil
 }
 
-// route resolves the destination socket and the filter verdict for one hop
-// from the published tables.
-func (t *ringTransport) route(src, dst uint32) (*Socket, error) {
+// route resolves a hop's destination socket from the published tables: nil
+// without that socket or edge (refusal says which).
+func (t *ringTransport) route(src, dst uint32) *Socket {
 	tb := t.tables.Load()
-	s, ok := tb.socks[dst]
-	if !ok {
-		return nil, fmt.Errorf("%w: instance %d", ErrNoSuchFn, dst)
+	if tb.allowed[uint64(src)<<32|uint64(dst)] {
+		return tb.socks[dst]
 	}
-	if !tb.allowed[uint64(src)<<32|uint64(dst)] {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrFiltered, src, dst)
+	return nil
+}
+
+func (t *ringTransport) refusal(src, dst uint32, _ error) error {
+	if _, ok := t.tables.Load().socks[dst]; !ok {
+		return fmt.Errorf("%w: instance %d", ErrNoSuchFn, dst)
 	}
-	return s, nil
+	return fmt.Errorf("%w: %d -> %d", ErrFiltered, src, dst)
 }
 
 func (t *ringTransport) Send(src uint32, d shm.Descriptor) error {
-	_, err := t.sendOrClaim(src, d, sender{})
-	return err
-}
-
-// sendOrClaim is one hop: the filter verdict, then the destination socket's
-// claim-or-deliver (Socket.handoff).
-func (t *ringTransport) sendOrClaim(src uint32, d shm.Descriptor, by sender) (grant, error) {
-	s, err := t.route(src, d.NextFn)
-	if err != nil {
-		return grant{}, err
+	if dst := t.route(src, d.NextFn); dst != nil {
+		return dst.Deliver(d)
 	}
-	return s.handoff(d, by)
+	return t.refusal(src, d.NextFn, nil)
 }

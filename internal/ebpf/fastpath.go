@@ -18,16 +18,6 @@ package ebpf
 
 import "sync/atomic"
 
-// fastRunner executes a recognized program shape directly. Of the frame it
-// gets only the first 32-bit word, all either shape reads, and whether that is
-// readable (not in RunMeta, nor in a frame shorter than any shape reads);
-// frameLen is the ctx data_end-data distance, ifindex the ctx ifindex field,
-// stripe the one the run is on. A runner must reproduce the interpreter exactly:
-// verdict, redirected socket, map mutations, fault class and instruction count.
-type fastRunner interface {
-	run(word uint32, readable bool, frameLen int, ifindex, stripe uint32) (ret int64, sock SockRef, insns int, err error)
-}
-
 // insnPat matches one instruction. All fields are compared except Imm when
 // wildImm is set; wildcard Imms are extracted in program order.
 type insnPat struct {
@@ -96,21 +86,20 @@ func countPath(insns []Insn, taken map[int]bool) int {
 
 // matchFast tries the known program shapes against a freshly verified
 // program. Matching happens after the map table is built, so the extracted
-// fds resolve through the program's own references. When no runner comes
-// back the string says why: no shape matched,
+// fds resolve through the program's own references. When neither fast path
+// comes back the string says why: no shape matched,
 // or a shape matched instruction for instruction and one of its geometry
 // guards declined. Load drops the reason; it is a constant, so keeping it
 // costs nothing, and it is how the tests tell a declining guard from a
 // shape that stopped matching.
-func matchFast(lp *LoadedProgram) (fastRunner, string) {
-	f, why := matchSProxy(lp)
-	if f == nil && why == "" {
-		f, why = matchEProxy(lp)
+func matchFast(lp *LoadedProgram) (*sproxyFast, *eproxyFast, string) {
+	if sp, why := matchSProxy(lp); sp != nil || why != "" {
+		return sp, nil, why
 	}
-	if f == nil && why == "" {
-		why = "matches no recognized program shape (SPROXY, EPROXY)"
+	if ep, why := matchEProxy(lp); ep != nil || why != "" {
+		return nil, ep, why
 	}
-	return f, why
+	return nil, nil, "matches no recognized program shape (SPROXY, EPROXY)"
 }
 
 // mapRef resolves a map fd through the program's load-time map table.
@@ -170,9 +159,9 @@ func sproxyPats() []insnPat {
 // check faults there, exactly as the interpreter does.
 const sproxyPktLoadPC = 6
 
-// matchSProxy recognizes the SPROXY shape and returns its fast runner, or
+// matchSProxy recognizes the SPROXY shape and returns its fast path, or
 // the geometry guard that declined it (both empty: not this shape).
-func matchSProxy(lp *LoadedProgram) (fastRunner, string) {
+func matchSProxy(lp *LoadedProgram) (*sproxyFast, string) {
 	insns := lp.prog.Insns
 	wilds, ok := matchInsns(insns, sproxyPats())
 	if !ok {
@@ -220,6 +209,9 @@ type sproxyFast struct {
 // run is the program's three map operations on the maps' own tables: the
 // filter probe on src<<32|dst (the word of the key the bytecode builds), the
 // interpreter's atomic add on metrics[dst]'s slab word, and the sockmap load.
+// Of the frame it gets dst, its first word, if readable (not in RunMeta), and
+// its length; src is the ctx ifindex. It reproduces the interpreter exactly:
+// verdict, socket, map mutations, fault class and instruction count.
 func (p *sproxyFast) run(dst uint32, readable bool, frameLen int, src, stripe uint32) (int64, SockRef, int, error) {
 	if frameLen < p.descSize {
 		return SKDrop, nil, p.nShort, nil
@@ -275,9 +267,9 @@ func eproxyPats() []insnPat {
 	}
 }
 
-// matchEProxy recognizes the EPROXY shape and returns its fast runner, or
+// matchEProxy recognizes the EPROXY shape and returns its fast path, or
 // the geometry guard that declined it (both empty: not this shape).
-func matchEProxy(lp *LoadedProgram) (fastRunner, string) {
+func matchEProxy(lp *LoadedProgram) (*eproxyFast, string) {
 	insns := lp.prog.Insns
 	wilds, ok := matchInsns(insns, eproxyPats())
 	if !ok {
@@ -311,8 +303,9 @@ type eproxyFast struct {
 	ret                      int64
 }
 
-func (p *eproxyFast) run(_ uint32, _ bool, frameLen int, _, stripe uint32) (int64, SockRef, int, error) {
+// run counts a frame of frameLen bytes, whose bytes it never reads, on stripe.
+func (p *eproxyFast) run(frameLen int, stripe uint32) (int64, int) {
 	atomic.AddUint64(p.pktMap.word(stripe, p.pktSlot), 1)
 	atomic.AddUint64(p.byteMap.word(stripe, p.byteSlot), uint64(frameLen))
-	return p.ret, nil, p.insns, nil
+	return p.ret, p.insns
 }

@@ -685,7 +685,7 @@ func TestJITEngineStats(t *testing.T) {
 // fallbackOf is why lp has no fast path: empty when it has one, else the shape
 // it matches none of or the geometry guard of the one it matches that declined.
 func fallbackOf(lp *LoadedProgram) string {
-	_, why := matchFast(lp)
+	_, _, why := matchFast(lp)
 	return why
 }
 

@@ -72,10 +72,11 @@ type LoadedProgram struct {
 	kernel *Kernel
 	maps   []progMapRef
 
-	// fast is a shape-specialized runner when the program matched a
-	// recognized SPROXY/EPROXY shape at Load time; when it did not, the
-	// program runs on the interpreter.
-	fast fastRunner
+	// sproxy or eproxy is the fast path of a program that matched that shape
+	// at Load, as its concrete type, which a run calls directly; with
+	// neither, the program runs on the interpreter.
+	sproxy *sproxyFast
+	eproxy *eproxyFast
 }
 
 // Kernel is the per-node eBPF subsystem: the registry of maps and loaded
@@ -179,8 +180,8 @@ func (k *Kernel) Load(p *Program) (*LoadedProgram, error) {
 			lp.maps = append(lp.maps, progMapRef{fd: fd, m: k.maps[fd]})
 		}
 	}
-	lp.fast, _ = matchFast(lp)
-	if lp.fast != nil {
+	lp.sproxy, lp.eproxy, _ = matchFast(lp)
+	if lp.sproxy != nil || lp.eproxy != nil {
 		k.compiledProgs.Add(1)
 	}
 	k.loadedProgs.Add(1)
@@ -191,7 +192,7 @@ func (k *Kernel) Load(p *Program) (*LoadedProgram, error) {
 // when the program's owner is done with it; the kernel holds no reference to
 // a loaded program, so nothing else needs releasing.
 func (k *Kernel) Unload(lp *LoadedProgram) {
-	if lp.fast != nil {
+	if lp.sproxy != nil || lp.eproxy != nil {
 		k.compiledProgs.Add(-1)
 	}
 	k.loadedProgs.Add(-1)
@@ -256,14 +257,6 @@ func (k *Kernel) EngineStats() EngineStats {
 		es.Insns += k.stripes[i].insns.Load()
 	}
 	return es
-}
-
-// fastOf returns lp's shape-specialized runner if the fast paths are on.
-func (k *Kernel) fastOf(lp *LoadedProgram) fastRunner {
-	if k.fastOff.Load() {
-		return nil
-	}
-	return lp.fast
 }
 
 // countFast counts a fast-path run of insns instructions on stripe.
@@ -355,19 +348,34 @@ func putExec(st *execState) {
 	execPool.Put(st)
 }
 
+// runFast runs lp on its fast path, if it has one and they are on, over a
+// frame of frameLen bytes starting with word if readable; ok says if it ran.
+func (k *Kernel) runFast(lp *LoadedProgram, word uint32, readable bool, frameLen int, ifindex, stripe uint32) (res Result, err error, ok bool) {
+	switch {
+	case k.fastOff.Load():
+		return res, nil, false
+	case lp.sproxy != nil:
+		res.Ret, res.RedirectSock, res.Insns, err = lp.sproxy.run(word, readable, frameLen, ifindex, stripe)
+	case lp.eproxy != nil:
+		res.Ret, res.Insns = lp.eproxy.run(frameLen, stripe)
+	default:
+		return res, nil, false
+	}
+	k.countFast(stripe, res.Insns)
+	return res, err, true
+}
+
 // Run executes a loaded program over data (packet or message bytes) with the
 // given ingress ifindex, on stripe 0 on either engine. The program reads and
 // writes data in place. It is the entry of tools (the benchmark probes), and
 // the only one that reports the whole Result.
 func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (Result, error) {
-	if f := k.fastOf(lp); f != nil {
-		var word uint32
-		if len(data) >= 4 {
-			word = leU32(data)
-		}
-		ret, sock, insns, err := f.run(word, len(data) >= 4, len(data), ifindex, 0)
-		k.countFast(0, insns)
-		return Result{Ret: ret, Insns: insns, RedirectSock: sock}, err
+	var word uint32
+	if len(data) >= 4 {
+		word = leU32(data)
+	}
+	if res, err, ok := k.runFast(lp, word, len(data) >= 4, len(data), ifindex, 0); ok {
+		return res, err
 	}
 	st := k.getExec(lp, len(data), ifindex, 0, env)
 	st.packet = data
@@ -375,20 +383,22 @@ func (k *Kernel) Run(lp *LoadedProgram, data []byte, ifindex uint32, env Env) (R
 }
 
 // RunDescriptor runs an SK_MSG program on stripe over d's 16-byte wire form
-// and returns the verdict and the redirected socket. A fast path is handed d's
-// first word by value, so nothing is staged or escapes; with none, or after
-// SetJIT(false), the interpreter runs over d.Marshal() staged in the exec
-// state.
+// and returns the verdict and the redirected socket. SPROXY's fast path gets
+// d's first word by value, so nothing is staged or escapes; with none, or
+// after SetJIT(false), the interpreter runs over d.Marshal() in the exec state.
 func (k *Kernel) RunDescriptor(lp *LoadedProgram, d shm.Descriptor, ifindex, stripe uint32) (int64, SockRef, error) {
-	if f := k.fastOf(lp); f != nil {
-		ret, sock, insns, err := f.run(d.NextFn, true, shm.DescriptorSize, ifindex, stripe)
+	if p := lp.sproxy; p != nil && !k.fastOff.Load() {
+		ret, sock, insns, err := p.run(d.NextFn, true, shm.DescriptorSize, ifindex, stripe)
 		k.countFast(stripe, insns)
 		return ret, sock, err
 	}
-	st := k.getExec(lp, shm.DescriptorSize, ifindex, stripe, nil)
-	st.desc = d.Marshal()
-	st.packet = st.desc[:]
-	res, err := k.interpret(st)
+	res, err, ok := k.runFast(lp, d.NextFn, true, shm.DescriptorSize, ifindex, stripe)
+	if !ok {
+		st := k.getExec(lp, shm.DescriptorSize, ifindex, stripe, nil)
+		st.desc = d.Marshal()
+		st.packet = st.desc[:]
+		res, err = k.interpret(st)
+	}
 	return res.Ret, res.RedirectSock, err
 }
 
@@ -398,10 +408,13 @@ func (k *Kernel) RunDescriptor(lp *LoadedProgram, d shm.Descriptor, ifindex, str
 // (the EPROXY monitor reads just data/data_end from the ctx) run this way
 // without the caller materializing a frame at all.
 func (k *Kernel) RunMeta(lp *LoadedProgram, frameLen int, ifindex, stripe uint32) (int64, error) {
-	if f := k.fastOf(lp); f != nil {
-		ret, _, insns, err := f.run(0, false, frameLen, ifindex, stripe)
+	if p := lp.eproxy; p != nil && !k.fastOff.Load() {
+		ret, insns := p.run(frameLen, stripe)
 		k.countFast(stripe, insns)
-		return ret, err
+		return ret, nil
+	}
+	if res, err, ok := k.runFast(lp, 0, false, frameLen, ifindex, stripe); ok {
+		return res.Ret, err
 	}
 	res, err := k.interpret(k.getExec(lp, frameLen, ifindex, stripe, nil))
 	return res.Ret, err
